@@ -1,6 +1,7 @@
 //! Tree-construction benchmarks: the four builders (Fig. 7's
-//! candidates) and the adjustment-optimization variants (Fig. 10's
-//! timing dimension).
+//! candidates), the adjustment-optimization variants (Fig. 10's
+//! timing dimension), and the feasible regime the planner's cold plans
+//! spend their time in.
 
 // Benchmark scaffolding: inputs are compile-time constants, so a
 // failed unwrap is a broken harness, not a runtime error path.
@@ -48,17 +49,66 @@ fn hub_request(nodes: usize) -> BuildRequest {
     }
 }
 
+/// The `plan-feasible` benchmark's regime, one tree at a time: C/a =
+/// 20, integer loads, and node budgets of 8x the tree's total load seen
+/// through residual factors (earlier trees of the forest have already
+/// charged the nodes). Everyone fits.
+fn feasible_request(nodes: usize) -> BuildRequest {
+    // Weyl sequences: seed-free, evenly spread loads and residuals.
+    let load = |i: usize| 1.0 + (i * 7 % 4) as f64;
+    let residual = |i: usize| 0.05 + 0.95 * (i as f64 * 0.618_033_988_749_895).fract();
+    let total: f64 = (0..nodes).map(load).sum();
+    BuildRequest {
+        attrs: [AttrId(0)].into_iter().collect(),
+        demand: (0..nodes)
+            .map(|i| NodeDemand {
+                node: NodeId(i as u32),
+                load: LocalLoad::holistic(load(i)),
+                budget: 8.0 * total * residual(i),
+                pairs: load(i) as usize,
+            })
+            .collect(),
+        collector_budget: 1e9,
+        cost: CostModel::new(20.0, 1.0).expect("cost"),
+        funnels: Vec::new(),
+    }
+}
+
+const SCHEMES: [(&str, BuilderKind); 4] = [
+    ("star", BuilderKind::Star),
+    ("chain", BuilderKind::Chain),
+    ("max_avb", BuilderKind::MaxAvb),
+    (
+        "adaptive",
+        BuilderKind::Adaptive(AdjustConfig {
+            branch_based: true,
+            subtree_only: true,
+        }),
+    ),
+];
+
 fn bench_builders(c: &mut Criterion) {
     let mut group = c.benchmark_group("tree_builders");
     group.sample_size(20);
     for &nodes in &[50usize, 200] {
         let req = uniform_request(nodes, 60.0);
-        for (name, kind) in [
-            ("star", BuilderKind::Star),
-            ("chain", BuilderKind::Chain),
-            ("max_avb", BuilderKind::MaxAvb),
-            ("adaptive", BuilderKind::default()),
-        ] {
+        for (name, kind) in SCHEMES {
+            group.bench_with_input(BenchmarkId::new(name, nodes), &kind, |b, &kind| {
+                b.iter(|| build_tree(kind, &req));
+            });
+        }
+    }
+    group.finish();
+}
+
+/// The criterion twin of the benchmark's `core.build.tree_us_adaptive`
+/// (and `_star`): runs without the fleet or the planner around it.
+fn bench_feasible(c: &mut Criterion) {
+    let mut group = c.benchmark_group("feasible");
+    group.sample_size(20);
+    for &nodes in &[230usize, 700] {
+        let req = feasible_request(nodes);
+        for (name, kind) in SCHEMES {
             group.bench_with_input(BenchmarkId::new(name, nodes), &kind, |b, &kind| {
                 b.iter(|| build_tree(kind, &req));
             });
@@ -89,5 +139,10 @@ fn bench_adjust_optimizations(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_builders, bench_adjust_optimizations);
+criterion_group!(
+    benches,
+    bench_builders,
+    bench_adjust_optimizations,
+    bench_feasible
+);
 criterion_main!(benches);

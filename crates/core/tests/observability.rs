@@ -102,8 +102,9 @@ fn trace_spans_cover_plan_report_timings() {
 }
 
 /// The Prometheus text export of a cached planner run must parse and
-/// carry the `TreeCache` hit/miss counters plus the planner's phase
-/// histograms — the series EXPERIMENTS.md points Fig. 9a readers at.
+/// carry the `TreeCache` hit/miss counters, the tree kernel's
+/// challenger and relief counters, and the planner's phase histograms
+/// — the series EXPERIMENTS.md points Fig. 9a readers at.
 #[test]
 fn prometheus_export_round_trips_cache_counters() {
     let _g = remo_obs::test_guard();
@@ -127,6 +128,17 @@ fn prometheus_export_round_trips_cache_counters() {
     assert!(hits >= 0.0);
     assert_eq!(samples["remo_planner_plans_total"], 1.0);
     assert!(samples["remo_planner_rounds_total"] >= 1.0);
+    // The tree kernel says which challengers it built and which it
+    // proved could not win: every adaptive build accounts for each of
+    // the three schemes exactly once.
+    let builds = |scheme: &str| {
+        samples[&format!("remo_build_challengers_built_{scheme}_total")]
+            + samples[&format!("remo_build_challengers_skipped_{scheme}_total")]
+    };
+    assert!(builds("star") > 0.0, "the planner built adaptive trees");
+    assert_eq!(builds("chain"), builds("star"));
+    assert_eq!(builds("max_avb"), builds("star"));
+    assert!(samples["remo_build_relief_sweeps_total"] >= 0.0);
     // Histogram series render as _bucket/_sum/_count families.
     assert!(samples.contains_key("remo_planner_local_duration_ms_count"));
     assert!(samples

@@ -153,7 +153,12 @@ impl Deployment {
                 NetConfig::default(),
             ),
             TransportSpec::Lossy(spec, net) => (
-                Arc::new(LossyTransport::new(Arc::clone(&peers), collector_tx, spec)),
+                Arc::new(LossyTransport::new(
+                    Arc::clone(&peers),
+                    collector_tx,
+                    spec,
+                    net.retry_window(),
+                )),
                 net,
             ),
         };

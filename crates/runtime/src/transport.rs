@@ -400,13 +400,58 @@ enum Queued {
     },
 }
 
+/// A frame's identity on the wire: `(from, to, seq, is_ack)`.
+type FrameKey = (u32, u32, u64, bool);
+
+/// Per-frame transmission counters, so retransmits of the same frame
+/// draw fresh, still-reproducible outcomes — kept only as long as the
+/// frame can still be retransmitted.
+///
+/// Two generations: a counter lives in `young` from its last use until
+/// the next rotation, then in `old` until the one after, and moves back
+/// to `young` whenever it is used. Rotations are at least `horizon`
+/// epochs apart, so a counter survives at least `horizon` epochs of
+/// silence and the whole structure holds at most the frames used in the
+/// last `2·horizon` epochs — with no per-epoch sweep. A frame's
+/// transmissions are never further apart than the ARQ's retry window
+/// (data) or that plus the delivery delay (acks answering delayed
+/// copies), which is what `horizon` is set to: a live frame's counter
+/// is never forgotten, and no fault decision changes. Only a sender
+/// that restarts and reuses sequence numbers after `horizon` epochs of
+/// silence on them is counted from one again; those are new frames.
+#[derive(Debug, Default)]
+struct AttemptLedger {
+    young: BTreeMap<FrameKey, u32>,
+    old: BTreeMap<FrameKey, u32>,
+    /// Epoch of the last rotation.
+    rotated: u64,
+}
+
+impl AttemptLedger {
+    /// Counts one more transmission of `key` at `epoch`; returns its
+    /// 1-based attempt number.
+    fn next_attempt(&mut self, key: FrameKey, epoch: u64, horizon: u64) -> u32 {
+        if epoch >= self.rotated.saturating_add(horizon) {
+            self.old = std::mem::take(&mut self.young);
+            self.rotated = epoch;
+        }
+        let carried = self.old.remove(&key).unwrap_or(0);
+        let n = self.young.entry(key).or_insert(carried);
+        *n += 1;
+        *n
+    }
+
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.young.len() + self.old.len()
+    }
+}
+
 #[derive(Debug, Default)]
 struct LossyState {
     /// delivery epoch → held frames.
     delayed: BTreeMap<u64, Vec<Queued>>,
-    /// Per-(from, to, seq, is_ack) transmission counter: retransmits
-    /// of the same frame draw fresh, still-reproducible outcomes.
-    attempts: BTreeMap<(u32, u32, u64, bool), u32>,
+    attempts: AttemptLedger,
     /// Chaos-injected down links (directed).
     link_down: BTreeSet<(u32, u32)>,
     stats: TransportStats,
@@ -417,6 +462,9 @@ pub struct LossyTransport {
     peers: Arc<BTreeMap<NodeId, Sender<AgentMsg>>>,
     collector: Sender<(u64, Bytes)>,
     spec: NetSpec,
+    /// Epochs of silence after which a frame's attempt counter may be
+    /// forgotten (see [`AttemptLedger`]).
+    horizon: u64,
     state: Mutex<LossyState>,
 }
 
@@ -472,15 +520,25 @@ fn reorder_coordinate(attempt: u32, copy: u32) -> (u32, u64) {
 
 impl LossyTransport {
     /// Wraps the deployment's channels in a faulty network.
+    /// `retry_window` is the senders' [`NetConfig::retry_window`]: how
+    /// long the ARQ keeps retransmitting a frame, and so how long the
+    /// transport must remember how often it has carried it.
     pub fn new(
         peers: Arc<BTreeMap<NodeId, Sender<AgentMsg>>>,
         collector: Sender<(u64, Bytes)>,
         spec: NetSpec,
+        retry_window: u64,
     ) -> Self {
+        // An ack answers a copy that may arrive `delay_max` epochs
+        // after it was sent, one more when reordered.
+        let horizon = retry_window
+            .saturating_add(spec.delay_max)
+            .saturating_add(2);
         LossyTransport {
             peers,
             collector,
             spec,
+            horizon,
             state: Mutex::new(LossyState::default()),
         }
     }
@@ -572,14 +630,9 @@ impl LossyTransport {
             return;
         }
 
-        let attempt = {
-            let n = st
-                .attempts
-                .entry((from_tag, to_tag, seq, is_ack))
-                .or_insert(0);
-            *n += 1;
-            *n
-        };
+        let attempt =
+            st.attempts
+                .next_attempt((from_tag, to_tag, seq, is_ack), epoch, self.horizon);
 
         if unit(self.spec.seed, from_tag, to_tag, seq, attempt, SALT_DROP)
             < self.spec.drop_of(from_node, to)
@@ -870,6 +923,118 @@ mod tests {
         assert_eq!(unit(7, 1, 2, 9, a, s), unit(7, 1, 2, 9, a, s));
         assert_eq!(reorder_coordinate(5, 0), (5, SALT_REORDER));
         assert_eq!(reorder_coordinate(5, 1), (5, SALT_REORDER_COPY));
+    }
+
+    /// Worst-case ARQ traffic through a lossy transport: every node
+    /// sends a fresh frame to the collector and to its neighbour each
+    /// epoch and retransmits each one on the full backoff schedule (as
+    /// if never acked); every copy that arrives is acked. Returns the
+    /// counters, everything that came out of the network in arrival
+    /// order, and the number of attempt counters still held.
+    fn arq_soak(
+        retry_window: u64,
+        net: NetConfig,
+        fleet: u32,
+        epochs: u64,
+    ) -> (TransportStats, Vec<String>, usize) {
+        let spec = NetSpec {
+            seed: 11,
+            drop: 0.25,
+            delay_max: 2,
+            dup: 0.1,
+            reorder: 0.1,
+            ..NetSpec::default()
+        };
+        let (collector_tx, collector_rx) = crossbeam::channel::unbounded();
+        let mut peers = BTreeMap::new();
+        let mut inboxes = Vec::new();
+        for n in 0..fleet {
+            let (tx, rx) = crossbeam::channel::unbounded();
+            peers.insert(NodeId(n), tx);
+            inboxes.push(rx);
+        }
+        let t = LossyTransport::new(Arc::new(peers), collector_tx, spec, retry_window);
+        // A frame is its sender, on the wire as one byte.
+        let frame = |from: u32| Bytes::from(vec![from as u8]);
+        let mut due: BTreeMap<u64, Vec<(u32, Endpoint, u64)>> = BTreeMap::new();
+        let mut log = Vec::new();
+        for epoch in 0..epochs {
+            t.advance(epoch);
+            for from in 0..fleet {
+                for to in [
+                    Endpoint::Collector,
+                    Endpoint::Node(NodeId((from + 1) % fleet)),
+                ] {
+                    let mut at = epoch;
+                    due.entry(at).or_default().push((from, to, epoch + 1));
+                    for attempt in 1..net.max_attempts {
+                        at += net.backoff(attempt);
+                        due.entry(at).or_default().push((from, to, epoch + 1));
+                    }
+                }
+            }
+            for (from, to, seq) in due.remove(&epoch).unwrap_or_default() {
+                t.send_data(NodeId(from), to, seq, epoch, frame(from));
+            }
+            while let Ok((sent, f)) = collector_rx.try_recv() {
+                log.push(format!("{epoch}: collector got {sent} from {}", f[0]));
+                // The collector cannot see seqs; `sent` identifies the
+                // copy's transmission well enough for an ack key.
+                t.send_ack(Endpoint::Collector, NodeId(u32::from(f[0])), 0, sent, epoch);
+            }
+            for (me, inbox) in inboxes.iter().enumerate() {
+                while let Ok(msg) = inbox.try_recv() {
+                    match msg {
+                        AgentMsg::Data { sent_epoch, frame } => {
+                            log.push(format!("{epoch}: {me} got {sent_epoch} from {}", frame[0]));
+                            t.send_ack(
+                                Endpoint::Node(NodeId(me as u32)),
+                                NodeId(u32::from(frame[0])),
+                                0,
+                                sent_epoch,
+                                epoch,
+                            );
+                        }
+                        AgentMsg::Ack { seq, .. } => log.push(format!("{epoch}: {me} acked {seq}")),
+                        _ => {}
+                    }
+                }
+            }
+        }
+        let held = t.state.lock().unwrap().attempts.len();
+        (t.stats(), log, held)
+    }
+
+    /// Regression: the attempt counters used to be kept forever — one
+    /// map entry per frame ever sent, 32 per epoch on the benchmark's
+    /// lossy fleet. They must now be bounded by what the ARQ can still
+    /// retransmit, and forgetting the rest must not move a single
+    /// fault decision.
+    #[test]
+    fn attempt_counters_are_bounded_without_changing_a_fault_decision() {
+        let net = NetConfig::default();
+        let (fleet, epochs) = (8, 5_000);
+        let (stats, log, held) = arq_soak(net.retry_window(), net, fleet, epochs);
+        let (stats_forever, log_forever, held_forever) = arq_soak(u64::MAX, net, fleet, epochs);
+        assert_eq!(stats, stats_forever);
+        assert!(stats.dropped_random > 0 && stats.duplicated > 0 && stats.delayed > 0);
+        assert_eq!(log.len(), log_forever.len());
+        assert!(
+            log == log_forever,
+            "pruning changed what the network delivered"
+        );
+        // Two generations of `window + delay + 2` epochs; per epoch and
+        // link (two per node) one new data key and an ack key for each
+        // of its transmissions that arrives.
+        let bound = 2
+            * (net.retry_window() as usize + 4)
+            * (2 * fleet as usize)
+            * (1 + net.max_attempts as usize);
+        assert!(held <= bound, "{held} counters held, bound {bound}");
+        assert!(
+            held_forever > 2 * fleet as usize * epochs as usize,
+            "the unpruned reference must actually have grown ({held_forever})"
+        );
     }
 
     #[test]

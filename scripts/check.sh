@@ -18,6 +18,28 @@ if [[ "${1:-}" == "--bench-smoke" ]]; then
   exit 0
 fi
 
+# --benchmark-smoke: the end-to-end benchmark (BENCHMARK.json) still
+# builds, passes its own tests, and plans correctly — the benchmark
+# crate's unit tests, then `benchmark/run.sh --workload plan-feasible
+# --seconds 2`, which plans two task sets untraced and traced and exits
+# non-zero unless every child's result line says `"correct": true`
+# (audit-clean, repeat-identical plans, serial engine agreeing). Opt-in
+# like --bench-smoke: the benchmark is its own workspace, so the first
+# run pays a cold release build into benchmark/target. Timings are
+# printed, not gated — two plans are not a measurement.
+if [[ "${1:-}" == "--benchmark-smoke" ]]; then
+  echo "==> benchmark crate tests + plan-feasible smoke"
+  cargo test -q --offline --manifest-path benchmark/Cargo.toml
+  if ! out="$(benchmark/run.sh --workload plan-feasible --seconds 2)"; then
+    echo "$out"
+    echo 'benchmark smoke: a run did not report "correct": true' >&2
+    exit 1
+  fi
+  echo "$out" | grep -E 'operations:|op_ms_p50|core\.build\.tree_us_adaptive|suite '
+  echo "benchmark smoke passed."
+  exit 0
+fi
+
 # --mc-smoke: fixed-seed bounded model check of the self-healing
 # protocol — the two smallest seeded topologies to depth 4, plus a
 # replay of every committed counterexample/clean trace in the corpus.

@@ -225,3 +225,44 @@ fn task_manager_round_trips_through_planner() {
     let plan2 = Planner::default().plan(&tm.pairs(), &caps, CostModel::default());
     assert!(plan2.demanded_pairs() < plan.demanded_pairs());
 }
+
+/// FNV-1a of the plan's JSON: one number that moves if any tree edge,
+/// usage float, exclusion or partition set does.
+fn plan_digest(nodes: usize, node_capacity: f64, collector_capacity: f64) -> (u64, f64) {
+    let attrs = 100;
+    let mut rng = SmallRng::seed_from_u64(2009);
+    let tasks = TaskGenConfig::small_scale(nodes, attrs).generate(150, TaskId(0), &mut rng);
+    let pairs: PairSet = tasks.iter().flat_map(|t| t.pairs()).collect();
+    let caps = CapacityMap::uniform(
+        nodes,
+        node_capacity * pairs.len() as f64 / attrs as f64,
+        collector_capacity * nodes as f64,
+    )
+    .unwrap();
+    let plan = Planner::default().plan(&pairs, &caps, CostModel::from_ratio(20.0).unwrap());
+    let json = serde_json::to_string(&plan).unwrap();
+    let digest = json.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    (digest, plan.coverage())
+}
+
+/// The plans of the benchmark's two planning shapes (`plan-feasible`:
+/// capacity 8x the mean per-attribute load at n = 1000, C/a = 20;
+/// `plan-saturated`: 0.35x), scaled to n = 300 with the per-node demand
+/// and capacity kept (so 27x and 1.2x of a 3.3x smaller mean). The
+/// digests were taken before the tree kernel was reworked (challenger
+/// pruning, dense tracker, linear relief sweeps): kernel optimisations
+/// must be invisible here.
+#[test]
+fn default_planner_plans_are_pinned() {
+    let (feasible, coverage) = plan_digest(300, 27.0, 1_000.0);
+    assert!(
+        coverage > 0.99,
+        "feasible shape must be feasible ({coverage})"
+    );
+    assert_eq!(format!("{feasible:016x}"), "f16dcf893b88d2ec");
+    let (starved, coverage) = plan_digest(300, 1.2, 40.0);
+    assert!(coverage < 0.5, "starved shape must be starved ({coverage})");
+    assert_eq!(format!("{starved:016x}"), "224d727729e2dfb4");
+}
