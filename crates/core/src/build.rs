@@ -18,27 +18,25 @@
 //!
 //! All schemes share the [`LoadTracker`], an incrementally-maintained
 //! account of per-node outgoing values (with in-network aggregation
-//! funnels), usage, and budget feasibility. A builder knows its nodes
-//! before the first attach, so the tracker gives each one a fixed slot
-//! — its rank in id order — in one flat array and every operation is an
-//! array access. Usage is cached per node — send cost plus a running
-//! receive sum — so a budget check is O(1) and an attach costs O(path
-//! length). Mutations journal every touched slot and restore the exact
-//! prior floats on rollback, preserving the transactional semantics.
+//! funnels), usage, and budget feasibility. The tracker stores its
+//! per-node state in flat parallel arrays (slot arena indexed through
+//! one id map) and keeps usage cached per node — send cost plus a
+//! running receive sum — so a budget check is O(1) and an attach costs
+//! O(path length) instead of O(children) per ancestor. Mutations
+//! journal every touched slot and restore the exact prior floats on
+//! rollback, preserving the transactional semantics.
 //!
-//! A build does only work that can change its answer: the adaptive
-//! scheme builds a simple-scheme challenger only when it could displace
-//! the incumbent (`provably_loses`), and a relief sweep selects its few
-//! donors and targets instead of sorting the membership. DESIGN.md,
-//! "Tree kernel", has the exactness arguments; `tests/golden_build.rs`
-//! pins the outcomes to the bit.
+//! The adaptive scheme builds a simple-scheme challenger only when it
+//! could displace the incumbent (`provably_loses`); DESIGN.md, "Tree
+//! kernel", has the exactness arguments and `tests/golden_build.rs`
+//! pins every scheme's outcomes to the bit.
 
 use crate::cost::{Aggregation, CostModel};
 use crate::ids::NodeId;
 use crate::partition::AttrSet;
 use crate::tree::Tree;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Slack tolerated in floating-point budget comparisons.
 const EPS: f64 = 1e-9;
@@ -46,13 +44,6 @@ const EPS: f64 = 1e-9;
 /// How many candidate parents a greedy placement tries before giving
 /// up (or, for ADAPTIVE, before invoking the adjusting procedure).
 const PARENT_CANDIDATES: usize = 8;
-
-/// How many of the most congested members one relief sweep tries to
-/// unload.
-const RELIEF_DONORS: usize = 4;
-
-/// "No slot": the parent of a root, of a branch root, of a non-member.
-const NONE: u32 = u32::MAX;
 
 /// Local per-metric load of one node: values it produces itself.
 ///
@@ -79,16 +70,36 @@ impl LocalLoad {
 
     /// Total values represented.
     pub fn total(&self) -> f64 {
-        total(self.holistic, &self.funnel)
+        self.holistic + self.funnel.iter().sum::<f64>()
     }
-}
 
-/// Values in a load vector: the holistic scalar plus the funnel row.
-/// Every total in this module goes through this one expression so that
-/// a tracker, a detached branch and a request agree to the bit.
-#[inline]
-fn total(holistic: f64, funnel: &[f64]) -> f64 {
-    holistic + funnel.iter().sum::<f64>()
+    fn add(&mut self, other: &LocalLoad) {
+        self.holistic += other.holistic;
+        for (a, b) in self.funnel.iter_mut().zip(&other.funnel) {
+            *a += *b;
+        }
+    }
+
+    fn sub(&mut self, other: &LocalLoad) {
+        self.holistic -= other.holistic;
+        for (a, b) in self.funnel.iter_mut().zip(&other.funnel) {
+            *a -= *b;
+        }
+    }
+
+    /// Applies the element-wise change `new - old` to `self` — the
+    /// delta-propagation step when a child's outgoing vector changes.
+    fn add_delta(&mut self, new: &LocalLoad, old: &LocalLoad) {
+        self.holistic += new.holistic - old.holistic;
+        for ((a, b), c) in self.funnel.iter_mut().zip(&new.funnel).zip(&old.funnel) {
+            *a += *b - *c;
+        }
+    }
+
+    fn padded(mut self, funnels: usize) -> Self {
+        self.funnel.resize(funnels, 0.0);
+        self
+    }
 }
 
 /// One participating node's demand on the tree under construction.
@@ -216,50 +227,19 @@ impl std::fmt::Display for AttachError {
 
 impl std::error::Error for AttachError {}
 
-/// One node of a detached [`Branch`].
-#[derive(Debug, Clone)]
-struct BranchNode {
-    slot: u32,
-    node: NodeId,
-    /// Index of the parent within the branch (`NONE` for its root).
-    parent: u32,
-    /// Its children are the branch nodes `kids.0 .. kids.0 + kids.1`,
-    /// in the order the tracker listed them.
-    kids: (u32, u32),
-    budget: f64,
-    local: f64,
-    incoming: f64,
-    outgoing: f64,
-    send: f64,
-    recv: f64,
-}
-
 /// A detached subtree: structure, loads, and budgets, ready for
-/// reattachment elsewhere in the tracker it was detached from.
-///
-/// The branch carries its own accounting, re-summed from its members'
-/// local loads in children order when it was detached. That accounting
-/// does not depend on where the branch lands, so a reattachment attempt
-/// only has to test the target's root-ward path against the branch
-/// root's message; the branch itself is written back only once that
-/// path has accepted it.
+/// reattachment elsewhere.
 #[derive(Debug, Clone)]
 pub struct Branch {
-    /// Breadth-first: every node after its parent, siblings adjacent
-    /// and in the tracker's children order. `nodes[0]` is the root.
-    nodes: Vec<BranchNode>,
-    /// Funnel rows (`nodes.len() × funnels`; empty without funnels).
-    local_fun: Vec<f64>,
-    incoming_fun: Vec<f64>,
-    outgoing_fun: Vec<f64>,
-    /// Some branch node's own usage exceeds its budget.
-    over_budget: bool,
+    /// Preorder list: `(node, parent-within-branch, load, budget)`.
+    /// The first entry is the branch root with parent `None`.
+    nodes: Vec<(NodeId, Option<NodeId>, LocalLoad, f64)>,
 }
 
 impl Branch {
     /// The branch's root node.
     pub fn root(&self) -> NodeId {
-        self.nodes[0].node
+        self.nodes[0].0
     }
 
     /// Number of nodes in the branch.
@@ -274,33 +254,14 @@ impl Branch {
     }
 }
 
-/// Per-node state of the tracker, one cache line per slot.
-#[derive(Debug, Clone, Copy)]
-struct Slot {
-    node: NodeId,
-    member: bool,
-    /// Parent slot (`NONE` for the root and for non-members).
-    parent: u32,
-    budget: f64,
-    /// Holistic values produced locally, entering (local plus the
-    /// children's outgoing) and leaving the node.
-    local: f64,
-    incoming: f64,
-    outgoing: f64,
-    /// Cost of the node's own message / of receiving its children's.
-    send: f64,
-    recv: f64,
-}
-
 /// Rollback record: the exact float state of one slot before an
 /// operation first touched it. Restoring entries in reverse order
-/// reproduces the pre-operation state bit-for-bit. The funnel rows of
-/// entry `k` are `journal_fun[2·F·k ..]`: incoming, then outgoing.
-#[derive(Debug, Clone, Copy)]
+/// reproduces the pre-operation state bit-for-bit.
+#[derive(Debug)]
 struct Saved {
     slot: u32,
-    incoming: f64,
-    outgoing: f64,
+    incoming: LocalLoad,
+    outgoing: LocalLoad,
     send: f64,
     recv: f64,
 }
@@ -314,38 +275,34 @@ struct Saved {
 /// message (`C + a·x` each, paper §2.3). Attach operations are
 /// transactional — on budget violation the tracker is left unchanged.
 ///
-/// A node keeps one slot for the life of the tracker, a member or not.
-/// The builders declare their node universe up front
-/// (`with_universe`), which makes a slot the node's rank in id order
-/// and every operation an array access; the `NodeId`-keyed public
-/// methods find slots by binary search and register unknown nodes on
-/// first attach. Holistic values live in the slot, funnel values in
-/// row-major side tables that stay empty without funnels. `usage =
-/// send + recv` is O(1) and a mutation only walks the root-ward path,
-/// stopping early once nothing changes.
+/// Internally the per-node state lives in parallel arrays indexed by
+/// slot (freed slots are recycled): `incoming` is the pre-funnel value
+/// vector (local plus children's outgoing), `outgoing` its
+/// post-funnel image, `send` the cached cost of the node's own
+/// message, and `recv` the cached sum of children receive costs — so
+/// `usage = send + recv` is O(1) and a mutation only walks the
+/// root-ward path, stopping early once nothing changes.
 #[derive(Debug, Clone)]
 pub struct LoadTracker {
     cost: CostModel,
     funnels: Vec<Aggregation>,
     collector_budget: f64,
-    root: u32,
-    members: usize,
-    slots: Vec<Slot>,
-    /// Slots in ascending node-id order: id lookup and ordered walks.
-    by_id: Vec<u32>,
-    /// Children in attach order.
-    children: Vec<Vec<u32>>,
-    local_fun: Vec<f64>,
-    incoming_fun: Vec<f64>,
-    outgoing_fun: Vec<f64>,
-    /// Slots whose availability changed in the last successful
+    root: Option<NodeId>,
+    idx: HashMap<NodeId, u32>,
+    ids: Vec<NodeId>,
+    parent: Vec<Option<u32>>,
+    children: Vec<Vec<NodeId>>,
+    local: Vec<LocalLoad>,
+    budget: Vec<f64>,
+    incoming: Vec<LocalLoad>,
+    outgoing: Vec<LocalLoad>,
+    send: Vec<f64>,
+    recv: Vec<f64>,
+    free: Vec<u32>,
+    /// Nodes whose availability changed in the last successful
     /// mutation (cleared at the start of each mutating call); the
     /// greedy builders use this to keep their parent ranking fresh.
-    dirty: Vec<u32>,
-    journal: Vec<Saved>,
-    journal_fun: Vec<f64>,
-    /// One funnel row of scratch for `bubble`.
-    row: Vec<f64>,
+    dirty: Vec<NodeId>,
     /// Bumped on every successful mutation. Failed operations roll
     /// back to the exact prior state and leave it unchanged, so equal
     /// epochs mean the tracker is bit-identical — the builders' failed-
@@ -354,46 +311,27 @@ pub struct LoadTracker {
 }
 
 impl LoadTracker {
-    /// An empty tracker; nodes get their slots as they are attached.
+    /// An empty tracker.
     pub fn new(cost: CostModel, funnels: Vec<Aggregation>, collector_budget: f64) -> Self {
-        let row = vec![0.0; funnels.len()];
         LoadTracker {
             cost,
             funnels,
             collector_budget,
-            root: NONE,
-            members: 0,
-            slots: Vec::new(),
-            by_id: Vec::new(),
+            root: None,
+            idx: HashMap::new(),
+            ids: Vec::new(),
+            parent: Vec::new(),
             children: Vec::new(),
-            local_fun: Vec::new(),
-            incoming_fun: Vec::new(),
-            outgoing_fun: Vec::new(),
+            local: Vec::new(),
+            budget: Vec::new(),
+            incoming: Vec::new(),
+            outgoing: Vec::new(),
+            send: Vec::new(),
+            recv: Vec::new(),
+            free: Vec::new(),
             dirty: Vec::new(),
-            journal: Vec::new(),
-            journal_fun: Vec::new(),
-            row,
             epoch: 0,
         }
-    }
-
-    /// An empty tracker over `nodes`, which must ascend strictly: the
-    /// k-th node gets slot k, so slot order is id order.
-    fn with_universe(request: &BuildRequest, nodes: &[NodeId]) -> Self {
-        debug_assert!(nodes.windows(2).all(|w| w[0] < w[1]));
-        let mut t = LoadTracker::new(
-            request.cost,
-            request.funnels.clone(),
-            request.collector_budget,
-        );
-        t.slots = nodes.iter().map(|&n| Slot::vacant(n)).collect();
-        t.by_id = (0..slot_id(nodes.len())).collect();
-        t.children = vec![Vec::new(); nodes.len()];
-        let cells = nodes.len() * t.funnels.len();
-        t.local_fun = vec![0.0; cells];
-        t.incoming_fun = vec![0.0; cells];
-        t.outgoing_fun = vec![0.0; cells];
-        t
     }
 
     /// Mutation epoch: bumped on every successful mutation, untouched
@@ -408,176 +346,124 @@ impl LoadTracker {
         self.funnels.is_empty()
     }
 
-    /// The slot of a *member* node.
-    fn slot(&self, node: NodeId) -> Option<u32> {
-        let k = self
-            .by_id
-            .binary_search_by_key(&node, |&s| self.slots[s as usize].node)
-            .ok()?;
-        let s = self.by_id[k];
-        self.slots[s as usize].member.then_some(s)
-    }
-
-    /// The slot of `node`, allotting one if it has none yet.
-    fn register(&mut self, node: NodeId) -> u32 {
-        match self
-            .by_id
-            .binary_search_by_key(&node, |&s| self.slots[s as usize].node)
-        {
-            Ok(k) => self.by_id[k],
-            Err(k) => {
-                let s = slot_id(self.slots.len());
-                self.slots.push(Slot::vacant(node));
-                self.children.push(Vec::new());
-                let cells = self.slots.len() * self.funnels.len();
-                self.local_fun.resize(cells, 0.0);
-                self.incoming_fun.resize(cells, 0.0);
-                self.outgoing_fun.resize(cells, 0.0);
-                self.by_id.insert(k, s);
+    fn alloc_slot(
+        &mut self,
+        node: NodeId,
+        parent: Option<u32>,
+        local: LocalLoad,
+        budget: f64,
+    ) -> u32 {
+        let incoming = local.clone();
+        let outgoing = self.apply_funnels(incoming.clone());
+        let send = self.cost.message_cost(outgoing.total());
+        let slot = match self.free.pop() {
+            Some(s) => {
+                let i = s as usize;
+                self.ids[i] = node;
+                self.parent[i] = parent;
+                self.children[i].clear();
+                self.local[i] = local;
+                self.budget[i] = budget;
+                self.incoming[i] = incoming;
+                self.outgoing[i] = outgoing;
+                self.send[i] = send;
+                self.recv[i] = 0.0;
                 s
             }
-        }
-    }
-
-    /// The funnel cells of `slot` within a `slots × funnels` table.
-    #[inline]
-    fn cells(&self, slot: u32) -> std::ops::Range<usize> {
-        let f = self.funnels.len();
-        slot as usize * f..(slot as usize + 1) * f
-    }
-
-    /// Writes `load` as `s`'s local, incoming and (funnelled) outgoing
-    /// vector — the state of a childless node — and returns the send
-    /// cost of that message. Funnel entries beyond the funnel table are
-    /// dropped, missing ones read as zero.
-    fn write_leaf(&mut self, s: u32, load: &LocalLoad) -> f64 {
-        let cells = self.cells(s);
-        for (k, cell) in cells.clone().enumerate() {
-            let v = load.funnel.get(k).copied().unwrap_or(0.0);
-            self.local_fun[cell] = v;
-            self.incoming_fun[cell] = v;
-            self.outgoing_fun[cell] = self.funnels[k].funnel(v);
-        }
-        let slot = &mut self.slots[s as usize];
-        slot.local = load.holistic;
-        slot.incoming = load.holistic;
-        slot.outgoing = load.holistic;
-        slot.recv = 0.0;
-        slot.send = self
-            .cost
-            .message_cost(total(load.holistic, &self.outgoing_fun[cells]));
-        slot.send
-    }
-
-    fn save(&mut self, s: u32) {
-        let slot = &self.slots[s as usize];
-        self.journal.push(Saved {
-            slot: s,
-            incoming: slot.incoming,
-            outgoing: slot.outgoing,
-            send: slot.send,
-            recv: slot.recv,
-        });
-        if !self.funnels.is_empty() {
-            let cells = self.cells(s);
-            self.journal_fun
-                .extend_from_slice(&self.incoming_fun[cells.clone()]);
-            self.journal_fun
-                .extend_from_slice(&self.outgoing_fun[cells]);
-        }
-    }
-
-    /// Undoes everything journaled since the journal was last cleared.
-    fn restore(&mut self) {
-        let f = self.funnels.len();
-        while let Some(saved) = self.journal.pop() {
-            let slot = &mut self.slots[saved.slot as usize];
-            slot.incoming = saved.incoming;
-            slot.outgoing = saved.outgoing;
-            slot.send = saved.send;
-            slot.recv = saved.recv;
-            if f > 0 {
-                let cells = self.cells(saved.slot);
-                let at = self.journal_fun.len() - 2 * f;
-                self.incoming_fun[cells.clone()].copy_from_slice(&self.journal_fun[at..at + f]);
-                self.outgoing_fun[cells].copy_from_slice(&self.journal_fun[at + f..]);
-                self.journal_fun.truncate(at);
+            None => {
+                let s = u32::try_from(self.ids.len())
+                    .unwrap_or_else(|_| unreachable!("more than u32::MAX tree members"));
+                self.ids.push(node);
+                self.parent.push(parent);
+                self.children.push(Vec::new());
+                self.local.push(local);
+                self.budget.push(budget);
+                self.incoming.push(incoming);
+                self.outgoing.push(outgoing);
+                self.send.push(send);
+                self.recv.push(0.0);
+                s
             }
-        }
+        };
+        self.idx.insert(node, slot);
+        slot
     }
 
-    /// Adds a new child message (`holistic` plus the funnel row in
-    /// `self.row`, costing `send`) to `p`'s incoming side, journaled.
-    fn receive(&mut self, p: u32, holistic: f64, send: f64) {
-        self.journal.clear();
-        self.journal_fun.clear();
-        self.save(p);
-        let cells = self.cells(p);
-        for (cell, v) in self.incoming_fun[cells].iter_mut().zip(&self.row) {
-            *cell += *v;
+    fn free_slot(&mut self, node: NodeId, slot: u32) {
+        self.idx.remove(&node);
+        self.children[slot as usize].clear();
+        self.free.push(slot);
+    }
+
+    fn save(&self, journal: &mut Vec<Saved>, slot: u32) {
+        let i = slot as usize;
+        journal.push(Saved {
+            slot,
+            incoming: self.incoming[i].clone(),
+            outgoing: self.outgoing[i].clone(),
+            send: self.send[i],
+            recv: self.recv[i],
+        });
+    }
+
+    fn restore(&mut self, journal: Vec<Saved>) {
+        for s in journal.into_iter().rev() {
+            let i = s.slot as usize;
+            self.incoming[i] = s.incoming;
+            self.outgoing[i] = s.outgoing;
+            self.send[i] = s.send;
+            self.recv[i] = s.recv;
         }
-        let slot = &mut self.slots[p as usize];
-        slot.incoming += holistic;
-        slot.recv += send;
     }
 
     /// Re-derives `outgoing`/`send` from the (already updated)
-    /// `incoming` of `start` and propagates the change root-ward.
-    /// Stops as soon as a node's outgoing vector and send cost are
-    /// unchanged (nothing above can differ then). With `check` set,
-    /// journals every touched slot, verifies each one's budget on the
-    /// way up and the collector constraint at the root, and returns the
-    /// first violation (the caller rolls back).
-    fn bubble(&mut self, start: u32, check: bool) -> Result<(), AttachError> {
+    /// `incoming` of `start` and propagates the change root-ward,
+    /// journaling every touched slot. Stops as soon as a node's
+    /// outgoing vector and send cost are unchanged (nothing above can
+    /// differ then). With `check` set, verifies each touched node's
+    /// budget on the way up and the collector constraint at the root,
+    /// returning the first violation (the caller rolls back).
+    fn bubble(
+        &mut self,
+        start: u32,
+        journal: &mut Vec<Saved>,
+        check: bool,
+    ) -> Result<(), AttachError> {
         let mut n = start;
         loop {
-            if check {
-                self.save(n);
-            }
-            self.dirty.push(n);
-            let cells = self.cells(n);
-            for (k, cell) in cells.clone().enumerate() {
-                self.row[k] = self.funnels[k].funnel(self.incoming_fun[cell]);
-            }
-            let slot = &mut self.slots[n as usize];
-            let new_out = slot.incoming;
-            let old_send = slot.send;
-            slot.send = self.cost.message_cost(total(new_out, &self.row));
-            let send = slot.send;
-            if check && send + slot.recv > slot.budget + EPS {
+            let i = n as usize;
+            self.save(journal, n);
+            self.dirty.push(self.ids[i]);
+            let new_out = self.apply_funnels(self.incoming[i].clone());
+            let old_send = self.send[i];
+            self.send[i] = self.cost.message_cost(new_out.total());
+            if check && self.send[i] + self.recv[i] > self.budget[i] + EPS {
                 return Err(AttachError::BudgetExceeded);
             }
-            let old_out = slot.outgoing;
-            let out_changed =
-                new_out != old_out || self.row[..] != self.outgoing_fun[cells.clone()];
-            if !out_changed && send == old_send {
+            let out_changed = new_out != self.outgoing[i];
+            if !out_changed && self.send[i] == old_send {
                 return Ok(());
             }
-            slot.outgoing = new_out;
-            let p = slot.parent;
-            if p == NONE {
-                self.outgoing_fun[cells].copy_from_slice(&self.row);
-                if check && send > self.collector_budget + EPS {
-                    return Err(AttachError::CollectorExceeded);
+            match self.parent[i] {
+                None => {
+                    self.outgoing[i] = new_out;
+                    if check && self.send[i] > self.collector_budget + EPS {
+                        return Err(AttachError::CollectorExceeded);
+                    }
+                    return Ok(());
                 }
-                return Ok(());
+                Some(p) => {
+                    self.save(journal, p);
+                    let pi = p as usize;
+                    self.recv[pi] += self.send[i] - old_send;
+                    let old_out = std::mem::replace(&mut self.outgoing[i], new_out);
+                    // Split borrows: clone the new outgoing for the
+                    // delta (funnel vectors are tiny).
+                    let new_ref = self.outgoing[i].clone();
+                    self.incoming[pi].add_delta(&new_ref, &old_out);
+                    n = p;
+                }
             }
-            if check {
-                self.save(p);
-            }
-            let up = self.cells(p);
-            for ((cell, new), old) in self.incoming_fun[up]
-                .iter_mut()
-                .zip(&self.row)
-                .zip(&self.outgoing_fun[cells.clone()])
-            {
-                *cell += *new - *old;
-            }
-            self.outgoing_fun[cells].copy_from_slice(&self.row);
-            let parent = &mut self.slots[p as usize];
-            parent.recv += send - old_send;
-            parent.incoming += new_out - old_out;
-            n = p;
         }
     }
 
@@ -595,128 +481,126 @@ impl LoadTracker {
         load: LocalLoad,
         budget: f64,
     ) -> Result<(), AttachError> {
-        let s = self.register(node);
-        self.init_root_at(s, &load, budget)
-    }
-
-    fn init_root_at(&mut self, s: u32, load: &LocalLoad, budget: f64) -> Result<(), AttachError> {
-        if self.root != NONE {
+        if self.root.is_some() {
             return Err(AttachError::DuplicateNode);
         }
         self.dirty.clear();
-        let send = self.write_leaf(s, load);
+        let local = load.padded(self.funnels.len());
+        let outgoing = self.apply_funnels(local.clone());
+        let send = self.cost.message_cost(outgoing.total());
         if send > budget + EPS {
             return Err(AttachError::BudgetExceeded);
         }
         if send > self.collector_budget + EPS {
             return Err(AttachError::CollectorExceeded);
         }
-        let slot = &mut self.slots[s as usize];
-        slot.member = true;
-        slot.parent = NONE;
-        slot.budget = budget;
-        self.children[s as usize].clear();
-        self.root = s;
-        self.members += 1;
-        self.dirty.push(s);
+        self.alloc_slot(node, None, local, budget);
+        self.root = Some(node);
+        self.dirty.push(node);
         self.epoch += 1;
         Ok(())
     }
 
     /// The root node, if any.
     pub fn root(&self) -> Option<NodeId> {
-        (self.root != NONE).then(|| self.slots[self.root as usize].node)
+        self.root
     }
 
     /// Number of nodes tracked.
     pub fn len(&self) -> usize {
-        self.members
+        self.idx.len()
     }
 
     /// Whether the tracker is empty.
     pub fn is_empty(&self) -> bool {
-        self.members == 0
-    }
-
-    /// Member slots in node-id order.
-    fn member_slots(&self) -> impl Iterator<Item = u32> + '_ {
-        self.by_id
-            .iter()
-            .copied()
-            .filter(|&s| self.slots[s as usize].member)
+        self.idx.is_empty()
     }
 
     /// All tracked nodes, in id order.
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.member_slots().map(|s| self.slots[s as usize].node)
+        let mut ids: Vec<NodeId> = self.idx.keys().copied().collect();
+        ids.sort_unstable();
+        ids.into_iter()
     }
 
     /// Whether `node` is tracked.
     pub fn contains(&self, node: NodeId) -> bool {
-        self.slot(node).is_some()
+        self.idx.contains_key(&node)
+    }
+
+    fn slot(&self, node: NodeId) -> Option<u32> {
+        self.idx.get(&node).copied()
     }
 
     /// The parent of `node` (`None` for the root or an absent node).
     pub fn parent(&self, node: NodeId) -> Option<NodeId> {
-        let p = self.slots[self.slot(node)? as usize].parent;
-        (p != NONE).then(|| self.slots[p as usize].node)
+        let s = self.slot(node)?;
+        self.parent[s as usize].map(|p| self.ids[p as usize])
     }
 
-    /// The children of `node` in attach order (none for leaves or
-    /// absent nodes).
-    pub fn children(&self, node: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.slot(node)
-            .into_iter()
-            .flat_map(|s| &self.children[s as usize])
-            .map(|&c| self.slots[c as usize].node)
+    /// The children of `node` (empty for leaves or absent nodes).
+    pub fn children(&self, node: NodeId) -> &[NodeId] {
+        match self.slot(node) {
+            Some(s) => self.children[s as usize].as_slice(),
+            None => &[],
+        }
     }
 
     /// Values leaving `node` per epoch (after funnels).
     pub fn outgoing_values(&self, node: NodeId) -> Option<f64> {
         let s = self.slot(node)?;
-        Some(total(
-            self.slots[s as usize].outgoing,
-            &self.outgoing_fun[self.cells(s)],
-        ))
+        Some(self.outgoing[s as usize].total())
     }
 
     /// Current usage of `node`: send cost of its message plus receive
     /// cost of each child's message. O(1) from the cached accounting.
     pub fn usage(&self, node: NodeId) -> Option<f64> {
-        Some(self.usage_at(self.slot(node)?))
+        let s = self.slot(node)? as usize;
+        Some(self.send[s] + self.recv[s])
     }
 
     /// Remaining budget of `node`.
     pub fn available(&self, node: NodeId) -> Option<f64> {
-        Some(self.available_at(self.slot(node)?))
-    }
-
-    #[inline]
-    fn usage_at(&self, s: u32) -> f64 {
-        let slot = &self.slots[s as usize];
-        slot.send + slot.recv
-    }
-
-    #[inline]
-    fn available_at(&self, s: u32) -> f64 {
-        self.slots[s as usize].budget - self.usage_at(s)
+        let s = self.slot(node)? as usize;
+        Some(self.budget[s] - (self.send[s] + self.recv[s]))
     }
 
     /// Collector-side usage: receive cost of the root's message.
     pub fn collector_usage(&self) -> f64 {
-        if self.root == NONE {
-            0.0
-        } else {
-            self.slots[self.root as usize].send
+        match self.root.and_then(|r| self.slot(r)) {
+            Some(s) => self.send[s as usize],
+            None => 0.0,
         }
     }
 
     /// Σ send costs over all tracked nodes (summed in id order, so the
     /// result does not depend on insertion history).
     pub fn message_volume(&self) -> f64 {
-        self.member_slots()
-            .map(|s| self.slots[s as usize].send)
+        self.nodes()
+            .map(|n| {
+                let s = self.slot(n).unwrap_or_else(|| unreachable!("tracked node"));
+                self.send[s as usize]
+            })
             .sum()
+    }
+
+    fn apply_funnels(&self, incoming: LocalLoad) -> LocalLoad {
+        LocalLoad {
+            holistic: incoming.holistic,
+            funnel: incoming
+                .funnel
+                .iter()
+                .zip(&self.funnels)
+                .map(|(&v, agg)| agg.funnel(v))
+                .collect(),
+        }
+    }
+
+    /// Nodes whose availability changed in the last successful
+    /// mutation; drains the list. The greedy builders consume this to
+    /// keep their availability ranking current.
+    fn take_dirty(&mut self) -> Vec<NodeId> {
+        std::mem::take(&mut self.dirty)
     }
 
     /// Attaches `node` as a leaf under `parent`, transactionally.
@@ -732,55 +616,36 @@ impl LoadTracker {
         budget: f64,
         parent: NodeId,
     ) -> Result<(), AttachError> {
-        if self.contains(node) {
+        if self.idx.contains_key(&node) {
             return Err(AttachError::DuplicateNode);
         }
         let Some(p) = self.slot(parent) else {
             return Err(AttachError::MissingParent);
         };
-        let s = self.register(node);
-        self.attach_at(s, &load, budget, p)
-    }
-
-    /// [`Self::try_attach`] on slots: `s` under the member `p`.
-    fn attach_at(
-        &mut self,
-        s: u32,
-        load: &LocalLoad,
-        budget: f64,
-        p: u32,
-    ) -> Result<(), AttachError> {
-        if self.slots[s as usize].member {
-            return Err(AttachError::DuplicateNode);
-        }
         self.dirty.clear();
-        let send = self.write_leaf(s, load);
-        if send > budget + EPS {
+        let local = load.padded(self.funnels.len());
+        let s = self.alloc_slot(node, Some(p), local, budget);
+        if self.send[s as usize] > budget + EPS {
+            self.free_slot(node, s);
             return Err(AttachError::BudgetExceeded);
         }
-        let slot = &mut self.slots[s as usize];
-        slot.member = true;
-        slot.parent = p;
-        slot.budget = budget;
-        let holistic = slot.outgoing;
-        self.children[s as usize].clear();
-        self.children[p as usize].push(s);
-        let cells = self.cells(s);
-        self.row.copy_from_slice(&self.outgoing_fun[cells]);
-        self.receive(p, holistic, send);
-        self.dirty.push(s);
-        match self.bubble(p, true) {
+        let pi = p as usize;
+        self.children[pi].push(node);
+        let mut journal = Vec::new();
+        self.save(&mut journal, p);
+        let child_out = self.outgoing[s as usize].clone();
+        self.incoming[pi].add(&child_out);
+        self.recv[pi] += self.send[s as usize];
+        self.dirty.push(node);
+        match self.bubble(p, &mut journal, true) {
             Ok(()) => {
-                self.members += 1;
                 self.epoch += 1;
                 Ok(())
             }
             Err(e) => {
-                self.restore();
-                self.children[p as usize].pop();
-                let slot = &mut self.slots[s as usize];
-                slot.member = false;
-                slot.parent = NONE;
+                self.restore(journal);
+                self.children[pi].pop();
+                self.free_slot(node, s);
                 self.dirty.clear();
                 Err(e)
             }
@@ -796,108 +661,49 @@ impl LoadTracker {
     pub fn detach_subtree(&mut self, node: NodeId) -> Branch {
         let s = self.slot(node);
         assert!(s.is_some(), "detach of absent node");
-        self.detach_at(s.unwrap_or_else(|| unreachable!("checked above")))
-    }
-
-    /// [`Self::detach_subtree`] on the member slot `s`.
-    fn detach_at(&mut self, s: u32) -> Branch {
+        let s = s.unwrap_or_else(|| unreachable!("checked above"));
         self.dirty.clear();
-        let f = self.funnels.len();
-        let vacated = self.slots[s as usize];
-
-        // Breadth-first walk; a node's children land adjacent, in
-        // children order.
-        let mut nodes = vec![BranchNode::of(&vacated, s, NONE)];
+        // Preorder walk over slots.
+        let mut order = vec![s];
         let mut i = 0;
-        while i < nodes.len() {
-            let kids = &mut self.children[nodes[i].slot as usize];
-            nodes[i].kids = (slot_id(nodes.len()), slot_id(kids.len()));
-            let parent = slot_id(i);
-            nodes.extend(
-                kids.drain(..)
-                    .map(|c| BranchNode::of(&self.slots[c as usize], c, parent)),
-            );
+        while i < order.len() {
+            let kids = self.children[order[i] as usize].clone();
+            order.extend(kids.iter().map(|&k| {
+                self.slot(k)
+                    .unwrap_or_else(|| unreachable!("child tracked"))
+            }));
             i += 1;
         }
-        let mut branch = Branch {
-            local_fun: Vec::with_capacity(nodes.len() * f),
-            incoming_fun: vec![0.0; nodes.len() * f],
-            outgoing_fun: vec![0.0; nodes.len() * f],
-            over_budget: false,
-            nodes,
-        };
-        for n in &branch.nodes {
-            branch
-                .local_fun
-                .extend_from_slice(&self.local_fun[self.cells(n.slot)]);
-            let slot = &mut self.slots[n.slot as usize];
-            slot.member = false;
-            slot.parent = NONE;
+        let old_parent = self.parent[s as usize];
+        let detached_out = self.outgoing[s as usize].clone();
+        let detached_send = self.send[s as usize];
+        let mut nodes = Vec::with_capacity(order.len());
+        for (k, &slot) in order.iter().enumerate() {
+            let i = slot as usize;
+            let n = self.ids[i];
+            let parent_in_branch = if k == 0 {
+                None
+            } else {
+                self.parent[i].map(|p| self.ids[p as usize])
+            };
+            nodes.push((n, parent_in_branch, self.local[i].clone(), self.budget[i]));
+            self.free_slot(n, slot);
         }
-        self.members -= branch.nodes.len();
-        self.settle(&mut branch);
-
-        // The ancestors shed the message they were receiving, which is
-        // the incrementally maintained one, not the re-summed one.
-        if vacated.parent == NONE {
-            self.root = NONE;
-        } else {
-            let p = vacated.parent;
-            self.children[p as usize].retain(|&k| k != s);
-            let gone = self.cells(s);
-            let up = self.cells(p);
-            for (cell, v) in self.incoming_fun[up]
-                .iter_mut()
-                .zip(&self.outgoing_fun[gone])
-            {
-                *cell -= *v;
+        match old_parent {
+            Some(p) => {
+                let pi = p as usize;
+                self.children[pi].retain(|&k| k != node);
+                let mut journal = Vec::new();
+                self.save(&mut journal, p);
+                self.incoming[pi].sub(&detached_out);
+                self.recv[pi] -= detached_send;
+                self.bubble(p, &mut journal, false)
+                    .unwrap_or_else(|_| unreachable!("unchecked bubble cannot fail"));
             }
-            let parent = &mut self.slots[p as usize];
-            parent.incoming -= vacated.outgoing;
-            parent.recv -= vacated.send;
-            self.bubble(p, false)
-                .unwrap_or_else(|_| unreachable!("unchecked bubble cannot fail"));
+            None => self.root = None,
         }
         self.epoch += 1;
-        branch
-    }
-
-    /// Branch-internal accounting, children before parents: each
-    /// node's incoming sums its local load and its children's final
-    /// outgoing, in children order.
-    fn settle(&self, branch: &mut Branch) {
-        let f = self.funnels.len();
-        for i in (0..branch.nodes.len()).rev() {
-            let (first, count) = branch.nodes[i].kids;
-            let kids = first as usize..(first + count) as usize;
-            let mut incoming = branch.nodes[i].local;
-            let mut recv = 0.0;
-            for c in kids.clone() {
-                incoming += branch.nodes[c].outgoing;
-                recv += branch.nodes[c].send;
-            }
-            // Funnel rows: children sit after their parent, so the
-            // parent's row and its children's rows split cleanly.
-            let (head, tail) = branch.outgoing_fun.split_at_mut((i + 1) * f);
-            let row = &mut branch.incoming_fun[i * f..(i + 1) * f];
-            row.copy_from_slice(&branch.local_fun[i * f..(i + 1) * f]);
-            for c in kids {
-                let at = (c - i - 1) * f;
-                for (cell, v) in row.iter_mut().zip(&tail[at..at + f]) {
-                    *cell += *v;
-                }
-            }
-            let out = &mut head[i * f..];
-            for ((o, v), agg) in out.iter_mut().zip(row.iter()).zip(&self.funnels) {
-                *o = agg.funnel(*v);
-            }
-            let n = &mut branch.nodes[i];
-            n.incoming = incoming;
-            n.outgoing = incoming;
-            n.send = self.cost.message_cost(total(incoming, out));
-            n.recv = recv;
-            branch.over_budget |= n.send + n.recv > n.budget + EPS;
-        }
+        Branch { nodes }
     }
 
     /// Reattaches a detached branch under `target`, transactionally.
@@ -906,10 +712,6 @@ impl LoadTracker {
     ///
     /// Returns the branch back together with the violated constraint;
     /// the tracker is unchanged on error.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the branch was detached from a different tracker.
     pub fn try_attach_branch(
         &mut self,
         branch: Branch,
@@ -918,121 +720,146 @@ impl LoadTracker {
         let Some(t) = self.slot(target) else {
             return Err((branch, AttachError::MissingParent));
         };
-        for n in &branch.nodes {
-            let slot = self.slots.get(n.slot as usize);
-            assert!(
-                slot.is_some_and(|s| s.node == n.node),
-                "branch belongs to another tracker"
+        if branch.nodes.iter().any(|(n, ..)| self.idx.contains_key(n)) {
+            return Err((branch, AttachError::DuplicateNode));
+        }
+        self.dirty.clear();
+
+        // Insert structurally in preorder (parents before children).
+        let mut slots = Vec::with_capacity(branch.nodes.len());
+        for (n, parent_in_branch, local, budget) in branch.nodes.iter() {
+            let p = match parent_in_branch {
+                Some(bp) => self
+                    .slot(*bp)
+                    .unwrap_or_else(|| unreachable!("branch parent inserted first")),
+                None => t,
+            };
+            let slot = self.alloc_slot(
+                *n,
+                Some(p),
+                local.clone().padded(self.funnels.len()),
+                *budget,
             );
-            if slot.is_some_and(|s| s.member) {
-                return Err((branch, AttachError::DuplicateNode));
+            slots.push(slot);
+        }
+        for (n, parent_in_branch, ..) in branch.nodes.iter() {
+            let pi = match parent_in_branch {
+                Some(bp) => self
+                    .slot(*bp)
+                    .unwrap_or_else(|| unreachable!("branch parent present")),
+                None => t,
+            } as usize;
+            self.children[pi].push(*n);
+        }
+        // Branch-internal accounting, children before parents (each
+        // node's incoming sums its children's final outgoing).
+        for &slot in slots.iter().rev() {
+            let i = slot as usize;
+            let mut incoming = self.local[i].clone();
+            let mut recv = 0.0;
+            for ck in 0..self.children[i].len() {
+                let c = self.children[i][ck];
+                let cs = self
+                    .slot(c)
+                    .unwrap_or_else(|| unreachable!("branch child present"))
+                    as usize;
+                incoming.add(&self.outgoing[cs]);
+                recv += self.send[cs];
+            }
+            self.outgoing[i] = self.apply_funnels(incoming.clone());
+            self.incoming[i] = incoming;
+            self.send[i] = self.cost.message_cost(self.outgoing[i].total());
+            self.recv[i] = recv;
+        }
+
+        let rollback = |me: &mut Self, journal: Vec<Saved>| {
+            me.restore(journal);
+            for (&slot, (n, ..)) in slots.iter().zip(&branch.nodes).rev() {
+                me.free_slot(*n, slot);
+            }
+            let ti = t as usize;
+            me.children[ti].retain(|k| branch.nodes[0].0 != *k);
+            me.dirty.clear();
+        };
+
+        // Branch-node budget checks (their accounting is final).
+        for &slot in &slots {
+            let i = slot as usize;
+            if self.send[i] + self.recv[i] > self.budget[i] + EPS {
+                rollback(self, Vec::new());
+                return Err((branch, AttachError::BudgetExceeded));
             }
         }
-        self.attach_branch_at(branch, t)
-    }
 
-    /// [`Self::try_attach_branch`] on the member slot `t`, for a branch
-    /// none of whose nodes is a member. The target's root-ward path is
-    /// tested with the branch root's message before the branch itself
-    /// is touched, so a rejection costs O(depth).
-    fn attach_branch_at(&mut self, branch: Branch, t: u32) -> Result<(), (Branch, AttachError)> {
-        self.dirty.clear();
-        if branch.over_budget {
-            return Err((branch, AttachError::BudgetExceeded));
+        let mut journal = Vec::new();
+        self.save(&mut journal, t);
+        let ti = t as usize;
+        let root_slot = slots[0] as usize;
+        let branch_out = self.outgoing[root_slot].clone();
+        self.incoming[ti].add(&branch_out);
+        self.recv[ti] += self.send[root_slot];
+        match self.bubble(t, &mut journal, true) {
+            Ok(()) => {
+                self.dirty.extend(branch.nodes.iter().map(|(n, ..)| *n));
+                self.epoch += 1;
+                Ok(())
+            }
+            Err(e) => {
+                rollback(self, journal);
+                Err((branch, e))
+            }
         }
-        let f = self.funnels.len();
-        let root = &branch.nodes[0];
-        self.row.copy_from_slice(&branch.outgoing_fun[..f]);
-        self.receive(t, root.outgoing, root.send);
-        if let Err(e) = self.bubble(t, true) {
-            self.restore();
-            self.dirty.clear();
-            return Err((branch, e));
-        }
-        for (i, n) in branch.nodes.iter().enumerate() {
-            let parent = match n.parent {
-                NONE => t,
-                k => branch.nodes[k as usize].slot,
-            };
-            self.slots[n.slot as usize] = Slot {
-                node: n.node,
-                member: true,
-                parent,
-                budget: n.budget,
-                local: n.local,
-                incoming: n.incoming,
-                outgoing: n.outgoing,
-                send: n.send,
-                recv: n.recv,
-            };
-            let cells = self.cells(n.slot);
-            let row = i * f..(i + 1) * f;
-            self.local_fun[cells.clone()].copy_from_slice(&branch.local_fun[row.clone()]);
-            self.incoming_fun[cells.clone()].copy_from_slice(&branch.incoming_fun[row.clone()]);
-            self.outgoing_fun[cells].copy_from_slice(&branch.outgoing_fun[row]);
-            self.children[n.slot as usize].clear();
-            self.children[parent as usize].push(n.slot);
-            self.dirty.push(n.slot);
-        }
-        self.members += branch.nodes.len();
-        self.epoch += 1;
-        Ok(())
     }
 
     /// Verifies the incremental accounting against a from-scratch
     /// recomputation (and the structural indices against each other).
     pub fn check_consistency(&self) -> bool {
         let close = |a: f64, b: f64| (a - b).abs() <= 1e-6;
-        let sorted = self
-            .by_id
-            .windows(2)
-            .all(|w| self.slots[w[0] as usize].node < self.slots[w[1] as usize].node);
-        if !sorted || self.by_id.len() != self.slots.len() {
-            return false;
-        }
-        if self.member_slots().count() != self.members {
-            return false;
-        }
-        for s in self.member_slots() {
-            let slot = &self.slots[s as usize];
-            let linked = match slot.parent {
-                NONE => self.root == s,
-                p => self.slots[p as usize].member && self.children[p as usize].contains(&s),
-            };
-            if !linked {
+        for n in self.nodes() {
+            let s = self.slot(n).unwrap_or_else(|| unreachable!("tracked node"));
+            let i = s as usize;
+            if self.ids[i] != n {
                 return false;
             }
+            match self.parent[i] {
+                None => {
+                    if self.root != Some(n) {
+                        return false;
+                    }
+                }
+                Some(p) => {
+                    if !self.children[p as usize].contains(&n) {
+                        return false;
+                    }
+                }
+            }
             // Recompute incoming/recv from the children lists.
-            let mut incoming = slot.local;
-            let mut incoming_fun = self.local_fun[self.cells(s)].to_vec();
+            let mut incoming = self.local[i].clone();
             let mut recv = 0.0;
-            for &c in &self.children[s as usize] {
-                let child = &self.slots[c as usize];
-                if !child.member || child.parent != s {
+            for c in &self.children[i] {
+                let cs = match self.slot(*c) {
+                    Some(cs) if self.parent[cs as usize] == Some(s) => cs as usize,
+                    _ => return false,
+                };
+                incoming.add(&self.outgoing[cs]);
+                recv += self.send[cs];
+            }
+            let fresh_out = self.apply_funnels(incoming.clone());
+            if !close(incoming.holistic, self.incoming[i].holistic)
+                || !close(fresh_out.holistic, self.outgoing[i].holistic)
+                || fresh_out.funnel.len() != self.outgoing[i].funnel.len()
+            {
+                return false;
+            }
+            for (a, b) in fresh_out.funnel.iter().zip(&self.outgoing[i].funnel) {
+                if !close(*a, *b) {
                     return false;
                 }
-                incoming += child.outgoing;
-                for (cell, v) in incoming_fun
-                    .iter_mut()
-                    .zip(&self.outgoing_fun[self.cells(c)])
-                {
-                    *cell += *v;
-                }
-                recv += child.send;
             }
-            let fresh_out: Vec<f64> = incoming_fun
-                .iter()
-                .zip(&self.funnels)
-                .map(|(&v, agg)| agg.funnel(v))
-                .collect();
-            let out_fun = &self.outgoing_fun[self.cells(s)];
-            if !close(incoming, slot.incoming)
-                || !close(incoming, slot.outgoing)
-                || fresh_out.iter().zip(out_fun).any(|(a, b)| !close(*a, *b))
-                || !close(recv, slot.recv)
+            if !close(recv, self.recv[i])
                 || !close(
-                    self.cost.message_cost(total(slot.outgoing, out_fun)),
-                    slot.send,
+                    self.cost.message_cost(self.outgoing[i].total()),
+                    self.send[i],
                 )
             {
                 return false;
@@ -1043,67 +870,25 @@ impl LoadTracker {
 
     /// Materializes the tracked structure as a [`Tree`].
     pub fn to_tree(&self, attrs: AttrSet) -> Option<Tree> {
-        if self.root == NONE {
-            return None;
-        }
-        let node = |s: u32| self.slots[s as usize].node;
-        let mut tree = Tree::new(attrs, node(self.root));
-        let mut stack: Vec<u32> = self.children[self.root as usize].clone();
-        while let Some(s) = stack.pop() {
-            tree.attach(node(s), node(self.slots[s as usize].parent));
-            stack.extend_from_slice(&self.children[s as usize]);
+        let root = self.root?;
+        let mut tree = Tree::new(attrs, root);
+        let mut stack: Vec<NodeId> = self.children(root).to_vec();
+        while let Some(n) = stack.pop() {
+            let p = self
+                .parent(n)
+                .unwrap_or_else(|| unreachable!("non-root has parent"));
+            tree.attach(n, p);
+            stack.extend(self.children(n).iter().copied());
         }
         Some(tree)
     }
 
     /// Per-node usage map (for [`BuildOutcome::usage`]).
     pub fn usage_map(&self) -> BTreeMap<NodeId, f64> {
-        self.member_slots()
-            .map(|s| (self.slots[s as usize].node, self.usage_at(s)))
+        self.nodes()
+            .map(|n| (n, self.usage(n).unwrap_or_else(|| unreachable!("tracked"))))
             .collect()
     }
-}
-
-impl Slot {
-    fn vacant(node: NodeId) -> Self {
-        Slot {
-            node,
-            member: false,
-            parent: NONE,
-            budget: 0.0,
-            local: 0.0,
-            incoming: 0.0,
-            outgoing: 0.0,
-            send: 0.0,
-            recv: 0.0,
-        }
-    }
-}
-
-impl BranchNode {
-    /// `slot` as it leaves the tracker; the accounting fields are
-    /// placeholders until the branch is settled.
-    fn of(slot: &Slot, s: u32, parent: u32) -> Self {
-        BranchNode {
-            slot: s,
-            node: slot.node,
-            parent,
-            kids: (0, 0),
-            budget: slot.budget,
-            local: slot.local,
-            incoming: 0.0,
-            outgoing: 0.0,
-            send: 0.0,
-            recv: 0.0,
-        }
-    }
-}
-
-fn slot_id(i: usize) -> u32 {
-    u32::try_from(i)
-        .ok()
-        .filter(|&s| s != NONE)
-        .unwrap_or_else(|| unreachable!("more than u32::MAX - 1 tree members"))
 }
 
 /// Builds one collection tree for `request` under `kind`.
@@ -1131,110 +916,108 @@ fn empty_outcome(request: &BuildRequest) -> BuildOutcome {
     }
 }
 
+fn finish(tracker: &LoadTracker, request: &BuildRequest, excluded: Vec<NodeId>) -> BuildOutcome {
+    let pairs_of: BTreeMap<NodeId, usize> =
+        request.demand.iter().map(|d| (d.node, d.pairs)).collect();
+    let collected = tracker.nodes().map(|n| pairs_of[&n]).sum();
+    BuildOutcome {
+        tree: tracker.to_tree(request.attrs.clone()),
+        usage: tracker.usage_map(),
+        collector_usage: tracker.collector_usage(),
+        collected_pairs: collected,
+        demanded_pairs: request.demand.iter().map(|d| d.pairs).sum(),
+        excluded,
+        message_volume: tracker.message_volume(),
+    }
+}
+
 /// What every scheme starts from, computed once per request: the
-/// placement order, and a tracker over the request's nodes with the
-/// first workable root installed.
+/// placement order and a tracker with the first workable root
+/// installed.
 struct Seed<'a> {
     request: &'a BuildRequest,
-    /// Demand by budget descending (ties by node id) — hubs first —
-    /// each with its tracker slot.
-    order: Vec<(u32, &'a NodeDemand)>,
+    /// Demand by budget descending (ties by node id): hubs first.
+    order: Vec<&'a NodeDemand>,
     /// Position of the root within `order`.
     root_idx: usize,
     /// Tracker holding just the root.
     tracker: LoadTracker,
-    /// Pairs contributed by the node in each slot.
-    pairs: Vec<usize>,
 }
 
 impl<'a> Seed<'a> {
     /// `None` when no node can serve as root.
     fn new(request: &'a BuildRequest) -> Option<Self> {
-        // Slots are ranks in id order. The planner's requests already
-        // list their demand that way.
-        let mut ids: Vec<NodeId> = request.demand.iter().map(|d| d.node).collect();
-        if !ids.windows(2).all(|w| w[0] < w[1]) {
-            ids.sort_unstable();
-            ids.dedup();
-        }
-        let mut pairs = vec![0; ids.len()];
-        let mut order: Vec<(u32, &NodeDemand)> = request
-            .demand
-            .iter()
-            .map(|d| {
-                let s = ids
-                    .binary_search(&d.node)
-                    .unwrap_or_else(|_| unreachable!("every demanded node has a slot"));
-                pairs[s] = d.pairs;
-                (slot_id(s), d)
-            })
-            .collect();
-        order.sort_by(|(_, a), (_, b)| {
+        let mut order: Vec<&NodeDemand> = request.demand.iter().collect();
+        order.sort_by(|a, b| {
             b.budget
                 .partial_cmp(&a.budget)
                 .unwrap_or(std::cmp::Ordering::Equal)
                 .then(a.node.cmp(&b.node))
         });
-        let mut tracker = LoadTracker::with_universe(request, &ids);
-        let root_idx = order
+        order
             .iter()
-            .position(|&(s, d)| tracker.init_root_at(s, &d.load, d.budget).is_ok())?;
-        Some(Seed {
-            request,
-            order,
-            root_idx,
-            tracker,
-            pairs,
-        })
+            .enumerate()
+            .find_map(|(root_idx, d)| {
+                let mut tracker = LoadTracker::new(
+                    request.cost,
+                    request.funnels.clone(),
+                    request.collector_budget,
+                );
+                tracker
+                    .init_root(d.node, d.load.clone(), d.budget)
+                    .is_ok()
+                    .then_some((root_idx, tracker))
+            })
+            .map(|(root_idx, tracker)| Seed {
+                request,
+                order,
+                root_idx,
+                tracker,
+            })
+    }
+
+    fn root(&self) -> &'a NodeDemand {
+        self.order[self.root_idx]
     }
 
     /// The demand still to place, in placement order.
-    fn rest(&self) -> impl DoubleEndedIterator<Item = (u32, &'a NodeDemand)> + '_ {
+    fn rest(&self) -> impl DoubleEndedIterator<Item = &'a NodeDemand> + '_ {
         let root = self.root_idx;
         self.order
             .iter()
             .enumerate()
             .filter(move |&(i, _)| i != root)
-            .map(|(_, &entry)| entry)
-    }
-
-    fn finish(&self, t: &LoadTracker, excluded: Vec<NodeId>) -> BuildOutcome {
-        BuildOutcome {
-            tree: t.to_tree(self.request.attrs.clone()),
-            usage: t.usage_map(),
-            collector_usage: t.collector_usage(),
-            collected_pairs: t.member_slots().map(|s| self.pairs[s as usize]).sum(),
-            demanded_pairs: self.request.demand.iter().map(|d| d.pairs).sum(),
-            excluded,
-            message_volume: t.message_volume(),
-        }
+            .map(|(_, &d)| d)
     }
 }
 
 /// STAR and CHAIN: every node has exactly one candidate parent, which
-/// `next_parent` derives from the slot just attached.
-fn build_fixed_parent(seed: &Seed<'_>, next_parent: impl Fn(u32, u32) -> u32) -> BuildOutcome {
+/// `next_parent` derives from the node just attached.
+fn build_fixed_parent(
+    seed: &Seed<'_>,
+    next_parent: impl Fn(NodeId, NodeId) -> NodeId,
+) -> BuildOutcome {
     let mut t = seed.tracker.clone();
-    let mut parent = seed.order[seed.root_idx].0;
+    let mut parent = seed.root().node;
     let mut excluded = Vec::new();
     // The candidate parent moves only on success — the failed-placement
     // memo applies verbatim.
     let mut memo = PlaceMemo::new();
-    for (s, d) in seed.rest() {
-        let load = d.load.total();
-        if memo.known_to_fail(&t, load) {
+    for d in seed.rest() {
+        let total = d.load.total();
+        if memo.known_to_fail(&t, total) {
             excluded.push(d.node);
             continue;
         }
-        match t.attach_at(s, &d.load, d.budget, parent) {
-            Ok(()) => parent = next_parent(parent, s),
+        match t.try_attach(d.node, d.load.clone(), d.budget, parent) {
+            Ok(()) => parent = next_parent(parent, d.node),
             Err(_) => {
-                memo.record_failure(&t, load);
+                memo.record_failure(&t, total);
                 excluded.push(d.node);
             }
         }
     }
-    seed.finish(&t, excluded)
+    finish(&t, seed.request, excluded)
 }
 
 fn build_star(seed: &Seed<'_>) -> BuildOutcome {
@@ -1245,37 +1028,25 @@ fn build_chain(seed: &Seed<'_>) -> BuildOutcome {
     build_fixed_parent(seed, |_, tail| tail)
 }
 
-/// Best-first order over `(available budget, slot)`: availability
-/// descending, ties by slot ascending. The builders' trackers number
-/// their slots in node-id order, so this is the `(avail desc, id asc)`
-/// ranking every placement and relocation decision uses.
-fn rank(a: &(f64, u32), b: &(f64, u32)) -> std::cmp::Ordering {
-    b.0.partial_cmp(&a.0)
-        .unwrap_or(std::cmp::Ordering::Equal)
-        .then(a.1.cmp(&b.1))
+/// Members ranked by available budget, best first.
+fn members_by_avail(t: &LoadTracker) -> Vec<NodeId> {
+    let mut m: Vec<(NodeId, f64)> = t
+        .nodes()
+        .map(|n| (n, t.available(n).unwrap_or_else(|| unreachable!("member"))))
+        .collect();
+    m.sort_by(|a, b| {
+        b.1.partial_cmp(&a.1)
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then(a.0.cmp(&b.0))
+    });
+    m.into_iter().map(|(n, _)| n).collect()
 }
 
-/// Offers `item` to `top`, which holds the first (at most) `k` items
-/// under `order` seen so far, in that order: selection by bounded
-/// insertion, a few comparisons per offered item.
-fn offer(
-    top: &mut Vec<(f64, u32)>,
-    k: usize,
-    item: (f64, u32),
-    order: impl Fn(&(f64, u32), &(f64, u32)) -> std::cmp::Ordering,
-) {
-    let at = top.partition_point(|x| order(x, &item).is_le());
-    if at < k {
-        top.truncate(k - 1);
-        top.insert(at, item);
-    }
-}
-
-/// One lazy max-heap entry: a slot at a point-in-time availability.
+/// One lazy max-heap entry: a node at a point-in-time availability.
 #[derive(Debug)]
 struct AvailEntry {
     avail: f64,
-    slot: u32,
+    node: NodeId,
 }
 
 impl PartialEq for AvailEntry {
@@ -1292,59 +1063,62 @@ impl PartialOrd for AvailEntry {
 impl Ord for AvailEntry {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         // Max-heap pops highest availability first; ties pop the
-        // smallest slot, i.e. the smallest node id.
+        // smallest node id — exactly the `members_by_avail` order.
         self.avail
             .total_cmp(&other.avail)
-            .then_with(|| other.slot.cmp(&self.slot))
+            .then_with(|| other.node.cmp(&self.node))
     }
 }
 
 /// Lazily-invalidated availability ranking over the tracker's members.
 ///
-/// A fresh entry is pushed for every slot the tracker reports dirty
+/// A fresh entry is pushed for every node the tracker reports dirty
 /// after a successful mutation, so the current availability of every
 /// member always has a live entry; stale entries (value no longer
 /// matching, or node detached) are discarded on pop. Popping therefore
-/// yields members in exact `(avail desc, id asc)` order without a
-/// re-sort per placement.
+/// yields members in exact `(avail desc, id asc)` order without the
+/// O(members · log) re-sort per placement the builders used to pay.
 #[derive(Debug, Default)]
 struct AvailHeap {
     heap: std::collections::BinaryHeap<AvailEntry>,
-    /// Live entries popped by `top`, on their way back in.
-    kept: Vec<AvailEntry>,
 }
 
 impl AvailHeap {
+    fn seeded(t: &mut LoadTracker) -> Self {
+        let mut h = AvailHeap::default();
+        h.refresh(t);
+        h
+    }
+
     /// Absorbs the tracker's dirty set after a successful mutation.
     fn refresh(&mut self, t: &mut LoadTracker) {
-        for &slot in &t.dirty {
-            if t.slots[slot as usize].member {
-                self.heap.push(AvailEntry {
-                    avail: t.available_at(slot),
-                    slot,
-                });
+        for n in t.take_dirty() {
+            if let Some(avail) = t.available(n) {
+                self.heap.push(AvailEntry { avail, node: n });
             }
         }
-        t.dirty.clear();
     }
 
     /// The top `k` members by `(avail desc, id asc)`, written into
     /// `out`. Valid entries that were popped are pushed back.
-    fn top(&mut self, t: &LoadTracker, k: usize, out: &mut Vec<u32>) {
+    fn top(&mut self, t: &LoadTracker, k: usize, out: &mut Vec<NodeId>) {
         out.clear();
+        let mut keep = Vec::with_capacity(k);
         while out.len() < k {
             let Some(e) = self.heap.pop() else { break };
-            // Stale entries and duplicate live entries for the same
-            // slot are dropped; one survivor suffices.
-            if t.slots[e.slot as usize].member
-                && t.available_at(e.slot) == e.avail
-                && !out.contains(&e.slot)
-            {
-                out.push(e.slot);
-                self.kept.push(e);
+            match t.available(e.node) {
+                Some(avail) if avail == e.avail && !out.contains(&e.node) => {
+                    out.push(e.node);
+                    keep.push(e);
+                }
+                // Stale entries and duplicate live entries for the
+                // same node are dropped; one survivor suffices.
+                _ => {}
             }
         }
-        self.heap.extend(self.kept.drain(..));
+        for e in keep {
+            self.heap.push(e);
+        }
     }
 }
 
@@ -1387,138 +1161,121 @@ impl PlaceMemo {
     }
 }
 
-/// The state of one greedy (max-available-parent) pass.
-#[derive(Debug)]
-struct Greedy {
-    t: LoadTracker,
-    heap: AvailHeap,
-    candidates: Vec<u32>,
-    memo: PlaceMemo,
-    excluded: Vec<NodeId>,
-}
-
-impl Greedy {
-    fn new(seed: &Seed<'_>) -> Self {
-        let mut g = Greedy {
-            t: seed.tracker.clone(),
-            heap: AvailHeap::default(),
-            candidates: Vec::new(),
-            memo: PlaceMemo::new(),
-            excluded: Vec::new(),
-        };
-        g.heap.refresh(&mut g.t);
-        g
+/// Greedy placement under the best-available parents.
+fn try_place(
+    t: &mut LoadTracker,
+    heap: &mut AvailHeap,
+    scratch: &mut Vec<NodeId>,
+    d: &NodeDemand,
+    memo: &mut PlaceMemo,
+) -> bool {
+    let total = d.load.total();
+    if memo.known_to_fail(t, total) {
+        return false;
     }
-
-    /// Greedy placement under the best-available parents.
-    fn try_place(&mut self, s: u32, d: &NodeDemand) -> bool {
-        let load = d.load.total();
-        if self.memo.known_to_fail(&self.t, load) {
-            return false;
+    heap.top(t, PARENT_CANDIDATES, scratch);
+    for &parent in scratch.iter() {
+        if t.try_attach(d.node, d.load.clone(), d.budget, parent)
+            .is_ok()
+        {
+            heap.refresh(t);
+            return true;
         }
-        self.heap
-            .top(&self.t, PARENT_CANDIDATES, &mut self.candidates);
-        for &parent in &self.candidates {
-            if self.t.attach_at(s, &d.load, d.budget, parent).is_ok() {
-                self.heap.refresh(&mut self.t);
-                return true;
-            }
-        }
-        self.memo.record_failure(&self.t, load);
-        false
     }
+    memo.record_failure(t, total);
+    false
 }
 
 fn build_max_avb(seed: &Seed<'_>) -> BuildOutcome {
-    let mut g = Greedy::new(seed);
-    for (s, d) in seed.rest() {
-        if !g.try_place(s, d) {
-            g.excluded.push(d.node);
+    let mut t = seed.tracker.clone();
+    let mut heap = AvailHeap::seeded(&mut t);
+    let mut scratch = Vec::new();
+    let mut excluded = Vec::new();
+    let mut memo = PlaceMemo::new();
+    for d in seed.rest() {
+        if !try_place(&mut t, &mut heap, &mut scratch, d, &mut memo) {
+            excluded.push(d.node);
         }
     }
-    seed.finish(&g.t, g.excluded)
+    finish(&t, seed.request, excluded)
 }
 
-/// One congestion-relief sweep: relocate load away from the most
-/// congested members so a pending node can fit. Returns `true` if a
-/// relocation was applied (the sweep stops at the first one).
-///
-/// Each step is linear in what it looks at: donors and relocation
-/// targets are *selected* under [`rank`] rather than sorted out of the
-/// whole membership, and with `subtree_only` only the donor's remaining
-/// subtree is ranked at all.
-fn relieve_congestion(g: &mut Greedy, cfg: AdjustConfig) -> bool {
-    let Greedy { t, heap, .. } = g;
-    // Most congested first: the last of the best-first order.
-    let mut donors = Vec::with_capacity(RELIEF_DONORS);
-    for s in t.member_slots() {
-        offer(
-            &mut donors,
-            RELIEF_DONORS,
-            (t.available_at(s), s),
-            |a, b| rank(b, a),
-        );
-    }
-    let mut movable = Vec::new();
-    let mut walk = Vec::new();
-    let mut targets = Vec::with_capacity(PARENT_CANDIDATES);
-    for (_, donor) in donors {
-        // Movable units under this donor: its child branches, or the
-        // single leaves of its subtree.
-        movable.clear();
-        if cfg.branch_based {
-            movable.extend_from_slice(&t.children[donor as usize]);
+/// One congestion-relief attempt: relocate load away from the most
+/// congested members so a pending node can fit. Returns `true` if any
+/// relocation was applied.
+fn relieve_congestion(t: &mut LoadTracker, heap: &mut AvailHeap, cfg: AdjustConfig) -> bool {
+    let mut donors = members_by_avail(t);
+    donors.reverse(); // most congested first
+    for donor in donors.into_iter().take(4) {
+        // Movable units under this donor.
+        let movable: Vec<NodeId> = if cfg.branch_based {
+            t.children(donor).to_vec()
         } else {
-            walk.clear();
-            walk.extend_from_slice(&t.children[donor as usize]);
-            while let Some(n) = walk.pop() {
-                if t.children[n as usize].is_empty() {
-                    movable.push(n);
+            // Single leaves within the donor's subtree.
+            let mut leaves = Vec::new();
+            let mut stack = t.children(donor).to_vec();
+            while let Some(n) = stack.pop() {
+                if t.children(n).is_empty() {
+                    leaves.push(n);
                 } else {
-                    walk.extend_from_slice(&t.children[n as usize]);
+                    stack.extend(t.children(n).iter().copied());
                 }
             }
-        }
-        for &unit in &movable {
-            let old_parent = t.slots[unit as usize].parent;
-            let mut branch = t.detach_at(unit);
+            leaves
+        };
+        for unit in movable {
+            let old_parent = t
+                .parent(unit)
+                .unwrap_or_else(|| unreachable!("movable unit has a parent"));
+            let branch = t.detach_subtree(unit);
             heap.refresh(t);
-            targets.clear();
-            let mut consider = |s: u32| {
-                if s != old_parent {
-                    offer(
-                        &mut targets,
-                        PARENT_CANDIDATES,
-                        (t.available_at(s), s),
-                        rank,
-                    );
-                }
-            };
-            if cfg.subtree_only {
+            let in_branch: std::collections::BTreeSet<NodeId> =
+                branch.nodes.iter().map(|(n, ..)| *n).collect();
+            let targets: Vec<NodeId> = if cfg.subtree_only {
                 // Restrict to the donor's remaining subtree (§5.1.2).
-                walk.clear();
-                walk.push(donor);
+                let mut sub = vec![donor];
                 let mut i = 0;
-                while i < walk.len() {
-                    consider(walk[i]);
-                    walk.extend_from_slice(&t.children[walk[i] as usize]);
+                while i < sub.len() {
+                    sub.extend(t.children(sub[i]).iter().copied());
                     i += 1;
                 }
+                let sub: std::collections::HashSet<NodeId> = sub.into_iter().collect();
+                let mut ranked = members_by_avail(t);
+                ranked.retain(|n| sub.contains(n) && *n != old_parent);
+                ranked
             } else {
-                t.member_slots().for_each(consider);
-            }
-            for &(_, target) in &targets {
-                match t.attach_branch_at(branch, target) {
+                let mut ranked = members_by_avail(t);
+                ranked.retain(|n| *n != old_parent);
+                ranked
+            };
+            let mut carried = Some(branch);
+            for target in targets
+                .into_iter()
+                .filter(|n| !in_branch.contains(n))
+                .take(PARENT_CANDIDATES)
+            {
+                match t.try_attach_branch(
+                    carried
+                        .take()
+                        .unwrap_or_else(|| unreachable!("branch in hand")),
+                    target,
+                ) {
                     Ok(()) => {
                         heap.refresh(t);
-                        return true;
+                        break;
                     }
-                    Err((back, _)) => branch = back,
+                    Err((back, _)) => carried = Some(back),
                 }
             }
-            t.attach_branch_at(branch, old_parent)
-                .unwrap_or_else(|_| unreachable!("restoring a just-detached branch cannot fail"));
-            heap.refresh(t);
+            match carried {
+                None => return true,
+                Some(back) => {
+                    t.try_attach_branch(back, old_parent).unwrap_or_else(|_| {
+                        unreachable!("restoring a just-detached branch cannot fail")
+                    });
+                    heap.refresh(t);
+                }
+            }
         }
     }
     false
@@ -1537,9 +1294,9 @@ fn relieve_congestion(g: &mut Greedy, cfg: AdjustConfig) -> bool {
 /// rounding: n attaches, each leaving up to ε of the total load between
 /// every node's sum and its child's, compounding along at most n
 /// levels — n²·ε of the volume. `4(n+2)²·ε` covers that, the id-order
-/// volume sum and this function's own additions with room to spare. (Loads that are
-/// integers — the planner's, unless frequency weighting is on — make
-/// every one of those sums exact.)
+/// volume sum and this function's own additions with room to spare.
+/// (Loads that are integers — the planner's, unless frequency weighting
+/// is on — make every one of those sums exact.)
 fn complete_volume(seed: &Seed<'_>, chain: bool) -> Option<(f64, f64)> {
     if !seed.request.funnels.is_empty() {
         return None;
@@ -1548,12 +1305,11 @@ fn complete_volume(seed: &Seed<'_>, chain: bool) -> Option<(f64, f64)> {
     let mut volume = 0.0;
     let mut carried = 0.0;
     // From the tail towards the root, which sends everything.
-    let root = seed.order[seed.root_idx].1;
     for (d, relays) in seed
         .rest()
         .rev()
-        .map(|(_, d)| (d, chain))
-        .chain([(root, true)])
+        .map(|d| (d, chain))
+        .chain([(seed.root(), true)])
     {
         let load = d.load.holistic;
         if d.pairs == 0 || load.is_nan() || load < 0.0 {
@@ -1587,41 +1343,46 @@ fn cannot_win(seed: &Seed<'_>, chain: bool, best: &BuildOutcome) -> bool {
 /// congestion relief. Returns the outcome and the number of relief
 /// sweeps it ran.
 fn adjusted_pass(seed: &Seed<'_>, cfg: AdjustConfig) -> (BuildOutcome, u64) {
-    let mut g = Greedy::new(seed);
+    let mut t = seed.tracker.clone();
+    let mut heap = AvailHeap::seeded(&mut t);
+    let mut scratch = Vec::new();
+    let mut excluded = Vec::new();
     let mut sweeps = 0;
     // Congestion-relief moves are budgeted: each one is cheap, but an
     // adversarial workload could otherwise trigger quadratically many.
     let mut moves_left = 2 * seed.request.demand.len();
     // A sweep that finds no applicable relocation has detached and
-    // restored every unit it tried. That leaves membership, the parent
-    // relation and every node's accounting where they were (restored
-    // branches are re-summed, which can move a last bit when loads are
-    // fractional) — but *not* the children order: a restored unit now
-    // sits last among its siblings. Whether some (unit, target) pair is
-    // feasible depends on the former only, so re-running the sweep for
-    // the next unplaced node would re-scan the same donors to the same
-    // answer. Skip it until some placement actually mutates the tree
-    // again — on a saturated instance this turns thousands of futile
-    // full-tree sweeps into one.
+    // restored every unit it tried. That puts membership, the parent
+    // relation and every node's accounting back where they were (a
+    // restored branch is re-attached node by node, which can move a
+    // last bit when loads are fractional) — but *not* slot numbering or
+    // children order: a restored unit takes whatever slots are free and
+    // now sits last among its siblings. Whether some (unit, target)
+    // pair is feasible depends on the former only, so re-running the
+    // sweep for the next unplaced node would re-scan the same donors to
+    // the same answer. Skip it until some placement actually mutates
+    // the tree again — on a saturated instance this turns thousands of
+    // futile full-tree sweeps into one.
     let mut relief_futile = false;
-    for (s, d) in seed.rest() {
-        let mut placed = g.try_place(s, d);
+    let mut memo = PlaceMemo::new();
+    for d in seed.rest() {
+        let mut placed = try_place(&mut t, &mut heap, &mut scratch, d, &mut memo);
         while !placed && moves_left > 0 && !relief_futile {
             moves_left -= 1;
             sweeps += 1;
-            if !relieve_congestion(&mut g, cfg) {
+            if !relieve_congestion(&mut t, &mut heap, cfg) {
                 relief_futile = true;
                 break;
             }
-            placed = g.try_place(s, d);
+            placed = try_place(&mut t, &mut heap, &mut scratch, d, &mut memo);
         }
         if placed {
             relief_futile = false;
         } else {
-            g.excluded.push(d.node);
+            excluded.push(d.node);
         }
     }
-    (seed.finish(&g.t, g.excluded), sweeps)
+    (finish(&t, seed.request, excluded), sweeps)
 }
 
 type Scheme = fn(&Seed<'_>) -> BuildOutcome;

@@ -2,9 +2,9 @@
 //! bit, the outcomes pinned in `golden/build_outcomes.txt`.
 //!
 //! The fixture was generated at the commit *before* the tree kernel was
-//! reworked (challenger pruning, dense tracker, linear relief sweeps),
-//! so it is the old kernel's answer, not the new kernel's opinion of
-//! itself. One line per (scenario, builder, n): a digest over the tree's
+//! first touched (challenger pruning; a dense tracker and linear relief
+//! sweeps are to follow), so it is the original kernel's answer, not a
+//! later kernel's opinion of itself. One line per (scenario, builder, n): a digest over the tree's
 //! JSON, every usage float's bits, the exclusion order and the bits of
 //! `message_volume` / `collector_usage`, followed by the collected-pair
 //! and exclusion counts so a mismatch says roughly what moved.
