@@ -37,7 +37,7 @@ use crate::ids::{AttrId, NodeId};
 use crate::pairs::PairSet;
 use crate::partition::{AttrSet, Partition, PartitionOp};
 use crate::plan::{MonitoringPlan, PlannedTree};
-use crate::planner::{Planner, Score};
+use crate::planner::{Planner, SearchState};
 use crate::tree::Parent;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
@@ -569,34 +569,14 @@ impl AdaptivePlanner {
         let max_budget = self.caps.iter().map(|(_, b)| b).fold(0.0f64, f64::max);
         let estimator = GainEstimator::with_capacity(new_pairs, self.cost, max_budget);
 
-        let mut partition = self.plan.partition().clone();
-        let mut trees: Vec<std::sync::Arc<PlannedTree>> = self
-            .plan
-            .trees()
-            .iter()
-            .cloned()
-            .map(std::sync::Arc::new)
-            .collect();
-        let mut avail: BTreeMap<NodeId, f64> = self.caps.iter().collect();
-        let mut collector_avail = self.caps.collector();
-        for t in &trees {
-            for (&n, &u) in &t.usage {
-                if let Some(r) = avail.get_mut(&n) {
-                    *r -= u;
-                }
-            }
-            collector_avail -= t.collector_usage;
-        }
-        let mut score = Score {
-            pairs: trees.iter().map(|t| t.collected_pairs).sum(),
-            volume: trees.iter().map(|t| t.message_volume).sum(),
-        };
+        let mut state = SearchState::from_plan(&self.plan, &self.caps);
 
         let mut ops_applied = 0usize;
         let mut ops_throttled = 0usize;
 
         while ops_applied + ops_throttled < self.max_ops {
-            let ranked = estimator.rank_ops_trees(&partition, &trees);
+            let (partition, trees, score) = (state.partition(), state.trees(), state.score());
+            let ranked = estimator.rank_ops_trees(partition, trees);
 
             // Candidates restricted to trees in `touched`, ranked by
             // estimated cost-effectiveness (gain / cost lower bound).
@@ -606,7 +586,7 @@ impl AdaptivePlanner {
                 match op {
                     PartitionOp::Merge(i, j) => {
                         if touched.contains(&i) || touched.contains(&j) {
-                            let lb = estimator.merge_cost_lb_trees(&trees, i, j) as f64;
+                            let lb = estimator.merge_cost_lb_trees(trees, i, j) as f64;
                             merges.push((op, gain / lb.max(1.0)));
                         }
                     }
@@ -624,60 +604,54 @@ impl AdaptivePlanner {
             merges.sort_by(by_eff);
             splits.sort_by(by_eff);
 
-            // First valid (improving) merge, first valid split.
+            // First valid (improving) merge, first valid split. Both
+            // successors are materialized: they are compared with each
+            // other, and throttling diffs old trees against new.
             let window = self.planner.config().candidates_per_round;
             let eval_first = |ops: &[(PartitionOp, f64)]| {
                 ops.iter().take(window).find_map(|&(op, _)| {
-                    self.planner
-                        .try_op(
-                            op,
-                            &partition,
-                            &trees,
-                            &avail,
-                            collector_avail,
-                            score,
-                            &ctx,
-                            self.cache_ref(),
-                        )
-                        .filter(|state| state.4.better_than(&score))
-                        .map(|state| (op, state))
+                    state
+                        .eval(op, &ctx, self.cache_ref())
+                        .map(|ev| state.applied(ev))
+                        .filter(|next| next.score().better_than(&score))
+                        .map(|next| (op, next))
                 })
             };
             let cand_merge = eval_first(&merges);
             let cand_split = eval_first(&splits);
 
-            let chosen = match (cand_merge, cand_split) {
+            let (op, next) = match (cand_merge, cand_split) {
                 (None, None) => break,
                 (Some(m), None) => m,
                 (None, Some(s)) => s,
                 (Some(m), Some(s)) => {
-                    if m.1 .4.better_than(&s.1 .4) {
+                    if m.1.score().better_than(&s.1.score()) {
                         m
                     } else {
                         s
                     }
                 }
             };
-            let (op, (new_partition, new_trees, new_avail, new_collector, new_score)) = chosen;
+            let new_trees = next.trees();
 
             if throttle {
                 let affected_old: Vec<usize> = match op {
                     PartitionOp::Merge(i, j) => vec![i, j],
                     PartitionOp::Split(i, _) => vec![i],
                 };
-                let m_adapt = op_edge_changes(op, &partition, &trees, &new_partition, &new_trees);
+                let m_adapt = op_edge_changes(op, trees, new_trees);
                 let m_adapt_volume = m_adapt as f64 * self.cost.message_cost(1.0);
 
                 let c_cur: f64 = affected_old.iter().map(|&k| trees[k].message_volume).sum();
                 let new_affected: Vec<usize> = match op {
                     PartitionOp::Merge(i, j) => vec![i.min(j)],
-                    PartitionOp::Split(i, _) => vec![i, new_partition.len() - 1],
+                    PartitionOp::Split(i, _) => vec![i, new_trees.len() - 1],
                 };
                 let c_adj: f64 = new_affected
                     .iter()
                     .map(|&k| new_trees[k].message_volume)
                     .sum();
-                let pair_gain = new_score.pairs.saturating_sub(score.pairs) as f64;
+                let pair_gain = next.score().pairs.saturating_sub(score.pairs) as f64;
                 let gain_per_epoch = (c_cur - c_adj) + self.cost.per_value() * pair_gain;
 
                 let min_adjust = affected_old
@@ -699,22 +673,12 @@ impl AdaptivePlanner {
 
             // Remap `touched` across the index shift and include the
             // result trees.
-            touched = remap_touched(&touched, op, new_partition.len());
-            partition = new_partition;
-            trees = new_trees;
-            avail = new_avail;
-            collector_avail = new_collector;
-            score = new_score;
+            touched = remap_touched(&touched, op, new_trees.len());
+            state = next;
             ops_applied += 1;
         }
 
-        self.plan = MonitoringPlan::new(
-            partition,
-            trees
-                .into_iter()
-                .map(std::sync::Arc::unwrap_or_clone)
-                .collect(),
-        );
+        self.plan = state.into_plan();
         (ops_applied, ops_throttled)
     }
 
@@ -754,9 +718,7 @@ impl AdaptivePlanner {
 /// trees, plus nodes dropped from the affected trees.
 fn op_edge_changes(
     op: PartitionOp,
-    old_partition: &Partition,
     old_trees: &[std::sync::Arc<PlannedTree>],
-    new_partition: &Partition,
     new_trees: &[std::sync::Arc<PlannedTree>],
 ) -> usize {
     let affected_old: Vec<usize> = match op {
@@ -765,9 +727,8 @@ fn op_edge_changes(
     };
     let new_affected: Vec<usize> = match op {
         PartitionOp::Merge(i, j) => vec![i.min(j)],
-        PartitionOp::Split(i, _) => vec![i, new_partition.len() - 1],
+        PartitionOp::Split(i, _) => vec![i, new_trees.len() - 1],
     };
-    let _ = old_partition;
 
     let mut old_parents: BTreeMap<NodeId, BTreeSet<Parent>> = BTreeMap::new();
     let mut old_nodes: BTreeSet<NodeId> = BTreeSet::new();

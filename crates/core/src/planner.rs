@@ -44,6 +44,14 @@ pub enum InitialPartition {
 
 /// Planner configuration.
 ///
+/// The search policy is fixed by the first ten fields. `parallelism`
+/// and `cache` are mechanical: they change how fast the one search loop
+/// runs, never which plan it returns or what its [`PlanReport`] counts.
+///
+/// Deserialization fills every field a document omits from
+/// [`PlannerConfig::default`] and ignores keys it does not know, so
+/// documents written for an older field set keep parsing.
+///
 /// # Examples
 ///
 /// ```
@@ -56,7 +64,7 @@ pub enum InitialPartition {
 /// assert_eq!(cfg.initial, InitialPartition::Singleton);
 /// assert!(matches!(cfg.builder, BuilderKind::Adaptive(_)));
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct PlannerConfig {
     /// Tree construction scheme (default: REMO adaptive).
     pub builder: BuilderKind,
@@ -83,29 +91,15 @@ pub struct PlannerConfig {
     /// Attribute pairs that must never share a set — the SSDP/DSDP
     /// reliability constraint (paper §6.2).
     pub forbidden_pairs: Vec<(AttrId, AttrId)>,
-    /// Worker threads for the candidate-evaluation window
-    /// (0 = one per available core, the default).
-    ///
-    /// `parallelism == 1` together with `cache == false` selects the
-    /// serial reference engine — the original one-candidate-at-a-time
-    /// incremental loop — which the batch engine is proven (by test)
-    /// to match byte-for-byte.
-    #[serde(default)]
+    /// Worker threads the seed fan-out and the candidate waves use
+    /// (0 = one per available core, the default). A wave is one
+    /// candidate per worker, so 1 evaluates candidates one at a time on
+    /// the calling thread.
     pub parallelism: usize,
-    /// Memoize tree construction in a [`TreeCache`] during the search
-    /// (default on). Off, every candidate rebuilds its trees from
-    /// scratch. Plans are identical either way; only latency differs.
-    #[serde(default)]
+    /// Whether tree construction is memoized in a [`TreeCache`] during
+    /// the search (default on). Off, every candidate rebuilds its trees
+    /// from scratch.
     pub cache: bool,
-    /// Score candidates by re-folding the entire tree vector instead of
-    /// the incremental gain delta against cached per-tree costs (the
-    /// default). The delta touches only the op's two affected sets, so
-    /// candidate cost stops scaling with partition size; the full fold
-    /// is kept as the reference path the delta is proven against (see
-    /// the delta-vs-recompute property test). Plans are identical
-    /// either way.
-    #[serde(default)]
-    pub full_recompute: bool,
 }
 
 impl Default for PlannerConfig {
@@ -123,8 +117,40 @@ impl Default for PlannerConfig {
             forbidden_pairs: Vec::new(),
             parallelism: 0,
             cache: true,
-            full_recompute: false,
         }
+    }
+}
+
+// Hand-written because the derive's `#[serde(default)]` means the field
+// type's default (`cache: false`), not this struct's. The struct literal
+// has no `..`, so a new field fails to compile until it is read here.
+impl Deserialize for PlannerConfig {
+    fn deserialize(v: &serde::Value) -> Result<Self, serde::Error> {
+        if !matches!(v, serde::Value::Object(_)) {
+            return Err(format!("expected object, found {}", v.kind()));
+        }
+        fn field<T: Deserialize>(
+            v: &serde::Value,
+            name: &str,
+            default: T,
+        ) -> Result<T, serde::Error> {
+            v.get(name).map_or(Ok(default), T::deserialize)
+        }
+        let d = PlannerConfig::default();
+        Ok(PlannerConfig {
+            builder: field(v, "builder", d.builder)?,
+            allocation: field(v, "allocation", d.allocation)?,
+            initial: field(v, "initial", d.initial)?,
+            candidates_per_round: field(v, "candidates_per_round", d.candidates_per_round)?,
+            max_rounds: field(v, "max_rounds", d.max_rounds)?,
+            global_evals: field(v, "global_evals", d.global_evals)?,
+            global_candidates: field(v, "global_candidates", d.global_candidates)?,
+            aggregation_aware: field(v, "aggregation_aware", d.aggregation_aware)?,
+            frequency_aware: field(v, "frequency_aware", d.frequency_aware)?,
+            forbidden_pairs: field(v, "forbidden_pairs", d.forbidden_pairs)?,
+            parallelism: field(v, "parallelism", d.parallelism)?,
+            cache: field(v, "cache", d.cache)?,
+        })
     }
 }
 
@@ -137,6 +163,14 @@ pub(crate) struct Score {
 }
 
 impl Score {
+    /// The score of a forest, folded in tree order.
+    fn of<T: std::borrow::Borrow<PlannedTree>>(trees: &[T]) -> Score {
+        Score {
+            pairs: trees.iter().map(|t| t.borrow().collected_pairs).sum(),
+            volume: trees.iter().map(|t| t.borrow().message_volume).sum(),
+        }
+    }
+
     pub(crate) fn better_than(&self, other: &Score) -> bool {
         self.pairs > other.pairs || (self.pairs == other.pairs && self.volume < other.volume - 1e-9)
     }
@@ -226,11 +260,6 @@ fn delta_eval_counter() -> &'static remo_obs::Counter {
     HANDLE.get_or_init(|| remo_obs::counter("remo_planner_delta_evals_total"))
 }
 
-fn full_eval_counter() -> &'static remo_obs::Counter {
-    static HANDLE: std::sync::OnceLock<remo_obs::Counter> = std::sync::OnceLock::new();
-    HANDLE.get_or_init(|| remo_obs::counter("remo_planner_full_evals_total"))
-}
-
 /// The basic REMO planner.
 #[derive(Debug, Clone, Default)]
 pub struct Planner {
@@ -303,6 +332,7 @@ impl Planner {
         cache: Option<&TreeCache>,
     ) -> (MonitoringPlan, PlanReport) {
         let ctx = self.eval_context(pairs, caps, cost, catalog);
+        let pool = self.pool();
         let mut report = PlanReport::default();
         let mut seeds = vec![self.initial_partition(pairs)];
         if self.config.forbidden_pairs.is_empty() {
@@ -313,26 +343,15 @@ impl Planner {
         {
             let _seed_span = remo_obs::span!("planner.seed");
             report.seeds_evaluated = seeds.len();
-            // Seed forests are independent, pure constructions; the
-            // batch engine fans them out and selection stays in seed
-            // order, so the chosen start is identical to a serial walk.
-            let built: Vec<MonitoringPlan> = if self.config.parallelism == 1 || seeds.len() <= 1 {
+            // Seed forests are independent, pure constructions; they
+            // fan out over the pool and selection stays in seed order,
+            // so the chosen start never depends on the worker count.
+            let built: Vec<MonitoringPlan> = pool.install(|| {
                 seeds
-                    .iter()
+                    .par_iter()
                     .map(|seed| build_forest_cached(seed, &ctx, cache))
                     .collect()
-            } else {
-                let pool = rayon::ThreadPoolBuilder::new()
-                    .num_threads(self.config.parallelism)
-                    .build()
-                    .unwrap_or_else(|e| panic!("thread pool: {e}"));
-                pool.install(|| {
-                    seeds
-                        .par_iter()
-                        .map(|seed| build_forest_cached(seed, &ctx, cache))
-                        .collect()
-                })
-            };
+            });
             for plan in built {
                 let better = match &best {
                     None => true,
@@ -349,7 +368,7 @@ impl Planner {
         }
         let plan = best.unwrap_or_else(|| unreachable!("at least one seed"));
         report.seed_ms = t_seed.elapsed().as_secs_f64() * 1e3;
-        let refined = self.refine_with_report(plan, &ctx, &mut report, cache);
+        let refined = self.refine_with_report(&plan, &ctx, &mut report, cache, &pool);
         report.export_metrics();
         #[cfg(debug_assertions)]
         {
@@ -453,7 +472,17 @@ impl Planner {
     ) -> MonitoringPlan {
         let ctx = self.eval_context(pairs, caps, cost, catalog);
         let local = self.config.cache.then(TreeCache::new);
-        self.refine(plan, &ctx, local.as_ref())
+        let mut report = PlanReport::default();
+        self.refine_with_report(&plan, &ctx, &mut report, local.as_ref(), &self.pool())
+    }
+
+    /// The workers of one planning call: the seed fan-out and every
+    /// candidate wave run on it.
+    fn pool(&self) -> rayon::ThreadPool {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(self.config.parallelism)
+            .build()
+            .unwrap_or_else(|e| panic!("thread pool: {e}"))
     }
 
     fn eval_context<'a>(
@@ -497,47 +526,18 @@ impl Planner {
 
     /// The guided local search proper: iteratively apply the first
     /// improving candidate among the top-ranked augmentations.
-    fn refine(
-        &self,
-        plan: MonitoringPlan,
-        ctx: &EvalContext<'_>,
-        cache: Option<&TreeCache>,
-    ) -> MonitoringPlan {
-        let mut report = PlanReport::default();
-        self.refine_with_report(plan, ctx, &mut report, cache)
-    }
-
     fn refine_with_report(
         &self,
-        plan: MonitoringPlan,
+        plan: &MonitoringPlan,
         ctx: &EvalContext<'_>,
         report: &mut PlanReport,
         cache: Option<&TreeCache>,
+        pool: &rayon::ThreadPool,
     ) -> MonitoringPlan {
-        let mut partition = plan.partition().clone();
-        // Working forest as shared handles: a round replaces only the
-        // one or two trees its accepted op rebuilt, every other slot is
-        // an `Arc` bump instead of a deep `PlannedTree` clone.
-        let mut trees: Vec<Arc<PlannedTree>> = plan.trees().iter().cloned().map(Arc::new).collect();
-
-        // Residual capacities after the current forest.
-        let mut avail: BTreeMap<NodeId, f64> = ctx.caps.iter().collect();
-        let mut collector_avail = ctx.caps.collector();
-        for t in &trees {
-            for (&n, &u) in &t.usage {
-                *avail
-                    .get_mut(&n)
-                    .unwrap_or_else(|| unreachable!("known node")) -= u;
-            }
-            collector_avail -= t.collector_usage;
-        }
+        let mut state = SearchState::from_plan(plan, ctx.caps);
 
         let max_budget = ctx.caps.iter().map(|(_, b)| b).fold(0.0f64, f64::max);
         let estimator = GainEstimator::with_capacity(ctx.pairs, ctx.cost, max_budget);
-        let mut score = Score {
-            pairs: trees.iter().map(|t| t.collected_pairs).sum(),
-            volume: trees.iter().map(|t| t.message_volume).sum(),
-        };
 
         // The paper's two-phase iteration: a cheap local phase applies
         // augmentations whose *incremental* rebuild already improves
@@ -551,55 +551,27 @@ impl Planner {
         let debug = remo_obs::env_flag("REMO_PLANNER_DEBUG");
         let mut global_budget = self.config.global_evals;
 
-        // Engine selection. `parallelism == 1` with no cache is the
-        // serial reference engine: the original early-exit loop that
-        // evaluates one candidate at a time with full state clones.
-        // Otherwise the batch engine evaluates the whole candidate
-        // window (in parallel, against copy-on-write budget overlays
-        // and the tree cache) and accepts the first passing candidate
-        // in rank order — the same candidate the serial loop would
-        // accept, since every evaluation depends only on round-start
-        // state. Plans are byte-identical across engines.
-        let batch = self.config.parallelism != 1 || cache.is_some();
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(self.config.parallelism)
-            .build()
-            .unwrap_or_else(|e| panic!("thread pool: {e}"));
-
-        let recompute_residual = |trees: &[Arc<PlannedTree>]| {
-            let mut avail: BTreeMap<NodeId, f64> = ctx.caps.iter().collect();
-            let mut collector_avail = ctx.caps.collector();
-            for t in trees {
-                for (&n, &u) in &t.usage {
-                    *avail
-                        .get_mut(&n)
-                        .unwrap_or_else(|| unreachable!("known node")) -= u;
-                }
-                collector_avail -= t.collector_usage;
-            }
-            (avail, collector_avail)
-        };
-        let score_of = |trees: &[PlannedTree]| Score {
-            pairs: trees.iter().map(|t| t.collected_pairs).sum(),
-            volume: trees.iter().map(|t| t.message_volume).sum(),
-        };
-        let share = |trees: &[PlannedTree]| -> Vec<Arc<PlannedTree>> {
-            trees.iter().cloned().map(Arc::new).collect()
-        };
-
         // Best-so-far snapshot: tolerant plateau moves may transiently
         // lose a few pairs while volume savings accumulate; the search
         // always returns the best state it visited.
-        let mut best = (partition.clone(), trees.clone(), score);
-        let demanded: usize = trees.iter().map(|t| t.demanded_pairs).sum();
+        let mut best = (state.partition.clone(), state.trees.clone(), state.score);
+        let demanded: usize = state.trees.iter().map(|t| t.demanded_pairs).sum();
         let pair_tol = (demanded / 200).max(2);
         let drift_cap = (demanded / 50).max(8);
+
+        // Waves of one candidate per worker: acceptance almost always
+        // lands in the first few ranks, so an eager full-window wave
+        // would waste a window's worth of tree builds per round. Wave
+        // size only shapes wall-clock — every candidate is evaluated
+        // against round-start state and acceptance scans in rank order,
+        // so the chosen candidate never depends on the worker count.
+        let wave = pool.current_num_threads().max(1);
 
         for round in 0..self.config.max_rounds {
             let t_rank = Instant::now();
             let ranked = {
                 let _rank_span = remo_obs::span!("planner.rank");
-                estimator.rank_ops_trees(&partition, &trees)
+                estimator.rank_ops_trees(&state.partition, &state.trees)
             };
             report.rank_ms += t_rank.elapsed().as_secs_f64() * 1e3;
             let mut applied = false;
@@ -615,152 +587,59 @@ impl Planner {
                     && new_score.pairs + drift_cap >= best_pairs;
                 (strict, strict || tolerant)
             };
-            if batch {
-                // One parallel wave over the whole window. Every
-                // candidate is an independent partition region (the one
-                // or two sets its op touches) evaluated against
-                // round-start state, so scanning the results in rank
-                // order accepts exactly the candidate the serial loop
-                // would. The evaluation count charged to the report is
-                // the serial loop's — evaluations up to and including
-                // the accepted rank — so telemetry is deterministic
-                // regardless of worker count; the extra speculative
-                // evaluations run on otherwise-idle workers.
-                let window: Vec<PartitionOp> = ranked
-                    .iter()
-                    .take(self.config.candidates_per_round)
-                    .map(|&(op, _)| op)
-                    .filter(|&op| !self.op_violates_constraints(op, &partition))
-                    .collect();
-                // Waves of one candidate per worker: acceptance almost
-                // always lands in the first few ranks, so an eager
-                // full-window wave would waste a window's worth of tree
-                // builds per round. Wave size only shapes wall-clock —
-                // acceptance scans in global rank order, so the chosen
-                // candidate (and the charged eval count) never depends
-                // on the worker count.
-                let wave = pool.install(rayon::current_num_threads).max(1);
-                let mut accepted: Option<(usize, bool, CandidateEval)> = None;
-                let mut scanned = 0usize;
-                for wave_ops in window.chunks(wave) {
-                    let evals: Vec<Option<CandidateEval>> = pool.install(|| {
-                        wave_ops
-                            .par_iter()
-                            .map(|&op| {
-                                self.eval_op(
-                                    op,
-                                    &partition,
-                                    &trees,
-                                    &avail,
-                                    collector_avail,
-                                    score,
-                                    ctx,
-                                    cache,
-                                )
-                            })
-                            .collect()
-                    });
-                    for (off, ev) in evals.into_iter().enumerate() {
-                        let Some(ev) = ev else { continue };
-                        let (strict, ok) = accepts(&ev.score, best.2.pairs, &score);
-                        if ok {
-                            accepted = Some((scanned + off, strict, ev));
-                            break;
-                        }
-                        if remo_obs::enabled() {
-                            rejected_counter().inc();
-                        }
-                        remo_obs::event!("planner.local.reject", "round" => round);
-                    }
-                    if accepted.is_some() {
+            let window: Vec<PartitionOp> = ranked
+                .iter()
+                .take(self.config.candidates_per_round)
+                .map(|&(op, _)| op)
+                .filter(|&op| !self.op_violates_constraints(op, &state.partition))
+                .collect();
+            let mut accepted: Option<(usize, bool, CandidateEval)> = None;
+            let mut scanned = 0usize;
+            for wave_ops in window.chunks(wave) {
+                let evals: Vec<Option<CandidateEval>> = pool.install(|| {
+                    wave_ops
+                        .par_iter()
+                        .map(|&op| state.eval(op, ctx, cache))
+                        .collect()
+                });
+                for (off, ev) in evals.into_iter().enumerate() {
+                    let Some(ev) = ev else { continue };
+                    let (strict, ok) = accepts(&ev.score, best.2.pairs, &state.score);
+                    if ok {
+                        accepted = Some((scanned + off, strict, ev));
                         break;
                     }
-                    scanned += wave_ops.len();
-                }
-                report.local_evals += accepted
-                    .as_ref()
-                    .map_or(window.len(), |&(rank, ..)| rank + 1);
-                if let Some((_, strict, ev)) = accepted {
-                    report.local_accepts += 1;
-                    if !strict {
-                        report.tolerant_accepts += 1;
-                    }
-                    let CandidateEval {
-                        op,
-                        built,
-                        touched,
-                        collector_after,
-                        score: new_score,
-                    } = ev;
-                    partition
-                        .apply(op)
-                        .unwrap_or_else(|e| panic!("op validated by eval_op: {e}"));
-                    trees = assemble_trees(op, &trees, built, partition.len());
-                    for (n, v) in touched {
-                        avail.insert(n, v);
-                    }
-                    collector_avail = collector_after;
-                    score = new_score;
-                    applied = true;
                     if remo_obs::enabled() {
-                        accepted_counter().inc();
+                        rejected_counter().inc();
                     }
-                    remo_obs::event!("planner.local.accept",
-                        "round" => round,
-                        "strict" => strict,
-                        "pairs" => score.pairs,
-                        "volume" => score.volume);
+                    remo_obs::event!("planner.local.reject", "round" => round);
                 }
-            } else {
-                for (op, _gain) in ranked
-                    .iter()
-                    .take(self.config.candidates_per_round)
-                    .copied()
-                {
-                    if self.op_violates_constraints(op, &partition) {
-                        continue;
-                    }
-                    if let Some((new_partition, new_trees, new_avail, new_collector, new_score)) = {
-                        report.local_evals += 1;
-                        self.try_op(
-                            op,
-                            &partition,
-                            &trees,
-                            &avail,
-                            collector_avail,
-                            score,
-                            ctx,
-                            None,
-                        )
-                    } {
-                        let (strict, ok) = accepts(&new_score, best.2.pairs, &score);
-                        if ok {
-                            report.local_accepts += 1;
-                            if !strict {
-                                report.tolerant_accepts += 1;
-                            }
-                            partition = new_partition;
-                            trees = new_trees;
-                            avail = new_avail;
-                            collector_avail = new_collector;
-                            score = new_score;
-                            applied = true;
-                            if remo_obs::enabled() {
-                                accepted_counter().inc();
-                            }
-                            remo_obs::event!("planner.local.accept",
-                                "round" => round,
-                                "strict" => strict,
-                                "pairs" => score.pairs,
-                                "volume" => score.volume);
-                            break;
-                        }
-                        if remo_obs::enabled() {
-                            rejected_counter().inc();
-                        }
-                        remo_obs::event!("planner.local.reject", "round" => round);
-                    }
+                if accepted.is_some() {
+                    break;
                 }
+                scanned += wave_ops.len();
+            }
+            // Charged: evaluations up to and including the accepted
+            // rank, whatever a wider wave evaluated beyond it, so the
+            // report does not depend on the worker count either.
+            report.local_evals += accepted
+                .as_ref()
+                .map_or(window.len(), |&(rank, ..)| rank + 1);
+            if let Some((_, strict, ev)) = accepted {
+                report.local_accepts += 1;
+                if !strict {
+                    report.tolerant_accepts += 1;
+                }
+                state.apply(ev);
+                applied = true;
+                if remo_obs::enabled() {
+                    accepted_counter().inc();
+                }
+                remo_obs::event!("planner.local.accept",
+                    "round" => round,
+                    "strict" => strict,
+                    "pairs" => state.score.pairs,
+                    "volume" => state.score.volume);
             }
 
             drop(local_span);
@@ -773,22 +652,19 @@ impl Planner {
                 // First, pure redistribution under the same partition.
                 global_budget -= 1;
                 report.global_evals += 1;
-                let rebuilt = build_forest_cached(&partition, ctx, cache);
-                let rebuilt_score = score_of(rebuilt.trees());
-                if rebuilt_score.better_than(&score) {
-                    trees = share(rebuilt.trees());
-                    (avail, collector_avail) = recompute_residual(&trees);
-                    score = rebuilt_score;
+                let rebuilt = build_forest_cached(&state.partition, ctx, cache);
+                if Score::of(rebuilt.trees()).better_than(&state.score) {
+                    state = SearchState::from_plan(&rebuilt, ctx.caps);
                     applied = true;
                     report.global_accepts += 1;
                     remo_obs::event!("planner.global.redistribution",
                         "round" => round,
-                        "pairs" => score.pairs,
-                        "volume" => score.volume);
+                        "pairs" => state.score.pairs,
+                        "volume" => state.score.volume);
                     if debug {
                         remo_obs::debug_echo(&format!(
                             "round {round}: redistribution, score {} / vol {:.0}",
-                            score.pairs, score.volume
+                            state.score.pairs, state.score.volume
                         ));
                     }
                 } else {
@@ -797,33 +673,29 @@ impl Planner {
                         if global_budget == 0 {
                             break;
                         }
-                        if self.op_violates_constraints(op, &partition) {
+                        if self.op_violates_constraints(op, &state.partition) {
                             continue;
                         }
-                        let mut cand = partition.clone();
+                        let mut cand = state.partition.clone();
                         if cand.apply(op).is_err() {
                             continue;
                         }
                         global_budget -= 1;
                         report.global_evals += 1;
                         let plan = build_forest_cached(&cand, ctx, cache);
-                        let cand_score = score_of(plan.trees());
-                        if cand_score.better_than(&score) {
+                        if Score::of(plan.trees()).better_than(&state.score) {
                             report.global_accepts += 1;
-                            partition = cand;
-                            trees = share(plan.trees());
-                            (avail, collector_avail) = recompute_residual(&trees);
-                            score = cand_score;
+                            state = SearchState::from_plan(&plan, ctx.caps);
                             applied = true;
                             remo_obs::event!("planner.global.accept",
                                 "round" => round,
                                 "op" => format!("{op:?}"),
-                                "pairs" => score.pairs,
-                                "volume" => score.volume);
+                                "pairs" => state.score.pairs,
+                                "volume" => state.score.volume);
                             if debug {
                                 remo_obs::debug_echo(&format!(
                                     "round {round}: global {op:?}, score {} / vol {:.0}",
-                                    score.pairs, score.volume
+                                    state.score.pairs, state.score.volume
                                 ));
                             }
                             break;
@@ -836,45 +708,42 @@ impl Planner {
             report.global_ms += t_global.elapsed().as_secs_f64() * 1e3;
 
             report.rounds = round + 1;
-            if score.better_than(&best.2) {
-                best = (partition.clone(), trees.clone(), score);
+            if state.score.better_than(&best.2) {
+                best = (state.partition.clone(), state.trees.clone(), state.score);
             }
             if !applied {
                 remo_obs::event!("planner.converged",
                     "round" => round,
-                    "pairs" => score.pairs,
-                    "volume" => score.volume);
+                    "pairs" => state.score.pairs,
+                    "volume" => state.score.volume);
                 if debug {
                     remo_obs::debug_echo(&format!(
                         "round {round}: converged, score {} / vol {:.0}",
-                        score.pairs, score.volume
+                        state.score.pairs, state.score.volume
                     ));
                 }
                 break;
             } else {
                 remo_obs::event!("planner.round",
                     "round" => round,
-                    "pairs" => score.pairs,
-                    "volume" => score.volume,
-                    "trees" => partition.len());
+                    "pairs" => state.score.pairs,
+                    "volume" => state.score.volume,
+                    "trees" => state.partition.len());
                 if debug {
                     remo_obs::debug_echo(&format!(
                         "round {round}: score {} / vol {:.0}, {} trees",
-                        score.pairs,
-                        score.volume,
-                        partition.len()
+                        state.score.pairs,
+                        state.score.volume,
+                        state.partition.len()
                     ));
                 }
             }
         }
 
-        let materialize = |trees: Vec<Arc<PlannedTree>>| -> Vec<PlannedTree> {
-            trees.into_iter().map(Arc::unwrap_or_clone).collect()
-        };
-        if best.2.better_than(&score) {
-            MonitoringPlan::new(best.0, materialize(best.1))
+        if best.2.better_than(&state.score) {
+            plan_of(best.0, best.1)
         } else {
-            MonitoringPlan::new(partition, materialize(trees))
+            state.into_plan()
         }
     }
 
@@ -891,50 +760,103 @@ impl Planner {
             }
         }
     }
+}
+
+/// What the local search walks: a partition, its forest, and the
+/// budgets and score that forest implies. The planner's loop, the
+/// adaptive planner's restricted search and the scoring proptest all
+/// step this one type.
+///
+/// `avail`, `collector_avail` and `score` are functions of `trees`:
+/// [`from_plan`](Self::from_plan) derives them from scratch,
+/// [`apply`](Self::apply) keeps them current from a candidate's deltas.
+#[derive(Debug, Clone)]
+pub(crate) struct SearchState {
+    partition: Partition,
+    /// Shared handles: an applied op replaces only the one or two trees
+    /// it rebuilt, every other slot is an `Arc` bump instead of a deep
+    /// `PlannedTree` clone.
+    trees: Vec<Arc<PlannedTree>>,
+    /// Node budgets left after every tree's usage.
+    avail: BTreeMap<NodeId, f64>,
+    collector_avail: f64,
+    score: Score,
+}
+
+impl SearchState {
+    /// The state of `plan` under the budgets `caps`.
+    pub(crate) fn from_plan(plan: &MonitoringPlan, caps: &CapacityMap) -> Self {
+        let mut avail: BTreeMap<NodeId, f64> = caps.iter().collect();
+        let mut collector_avail = caps.collector();
+        for t in plan.trees() {
+            for (&n, &u) in &t.usage {
+                if let Some(r) = avail.get_mut(&n) {
+                    *r -= u;
+                }
+            }
+            collector_avail -= t.collector_usage;
+        }
+        SearchState {
+            partition: plan.partition().clone(),
+            trees: plan.trees().iter().cloned().map(Arc::new).collect(),
+            avail,
+            collector_avail,
+            score: Score::of(plan.trees()),
+        }
+    }
+
+    pub(crate) fn partition(&self) -> &Partition {
+        &self.partition
+    }
+
+    pub(crate) fn trees(&self) -> &[Arc<PlannedTree>] {
+        &self.trees
+    }
+
+    pub(crate) fn score(&self) -> Score {
+        self.score
+    }
+
+    pub(crate) fn into_plan(self) -> MonitoringPlan {
+        plan_of(self.partition, self.trees)
+    }
 
     /// Evaluates one candidate op *without materializing* the resulting
     /// state: only the op's new trees are built (smaller-first, against
     /// a copy-on-write budget overlay), unaffected trees are referenced
-    /// in place, and the score is the incremental gain delta against
-    /// `base` — subtract the affected trees' cached costs, add the
-    /// rebuilt ones' — so candidate cost no longer scales with the
-    /// partition size. With [`PlannerConfig::full_recompute`] the score
-    /// is instead folded over the whole logical tree vector in assembly
-    /// order, the reference the delta is property-tested against.
-    #[allow(clippy::too_many_arguments)]
-    fn eval_op(
+    /// in place, and the score is the incremental gain delta — subtract
+    /// the affected trees' costs, add the rebuilt ones' — so candidate
+    /// cost does not scale with the partition size. `None` when `op`
+    /// does not apply to the partition.
+    pub(crate) fn eval(
         &self,
         op: PartitionOp,
-        partition: &Partition,
-        trees: &[Arc<PlannedTree>],
-        avail: &BTreeMap<NodeId, f64>,
-        collector_avail: f64,
-        base: Score,
         ctx: &EvalContext<'_>,
         cache: Option<&TreeCache>,
     ) -> Option<CandidateEval> {
+        let (partition, trees) = (&self.partition, &self.trees);
         // Applicability, mirroring `Partition::apply`'s error cases
         // without cloning the partition.
         let len = partition.len();
-        let (affected_old, new_len) = match op {
+        let affected_old = match op {
             PartitionOp::Merge(i, j) => {
                 if i == j || i >= len || j >= len {
                     return None;
                 }
-                (vec![i, j], len - 1)
+                vec![i, j]
             }
             PartitionOp::Split(i, attr) => {
                 let set = partition.sets().get(i)?;
                 if set.len() <= 1 || !set.contains(&attr) {
                     return None;
                 }
-                (vec![i], len + 1)
+                vec![i]
             }
         };
 
         // Free the affected trees' capacity onto the overlay.
-        let mut view = BudgetOverlay::new(avail);
-        let mut collector = collector_avail;
+        let mut view = BudgetOverlay::new(&self.avail);
+        let mut collector = self.collector_avail;
         for &k in &affected_old {
             for (&n, &u) in &trees[k].usage {
                 view.add(n, u);
@@ -955,7 +877,7 @@ impl Planner {
                 shrunk.remove(&attr);
                 let mut extracted = AttrSet::new();
                 extracted.insert(attr);
-                vec![(i, shrunk), (new_len - 1, extracted)]
+                vec![(i, shrunk), (len, extracted)]
             }
         };
 
@@ -974,75 +896,18 @@ impl Planner {
             built.insert(*k, Arc::new(t));
         }
 
-        let score = if self.config.full_recompute {
-            if remo_obs::enabled() {
-                full_eval_counter().inc();
-            }
-            // Reference path: fold over the logical new tree list in
-            // the exact order `assemble_trees` lays the vector out.
-            let mut pairs_total = 0usize;
-            let mut volume = 0.0f64;
-            let mut fold = |t: &PlannedTree| {
-                pairs_total += t.collected_pairs;
-                volume += t.message_volume;
-            };
-            match op {
-                PartitionOp::Merge(i, j) => {
-                    let (lo, hi) = (i.min(j), i.max(j));
-                    for (k, t) in trees.iter().enumerate() {
-                        if k == hi {
-                            continue;
-                        }
-                        fold(if k == lo {
-                            built
-                                .get(&lo)
-                                .unwrap_or_else(|| unreachable!("merged tree built"))
-                        } else {
-                            t
-                        });
-                    }
-                }
-                PartitionOp::Split(i, _) => {
-                    for (k, t) in trees.iter().enumerate() {
-                        fold(if k == i {
-                            built
-                                .get(&i)
-                                .unwrap_or_else(|| unreachable!("shrunk tree built"))
-                        } else {
-                            t
-                        });
-                    }
-                    fold(
-                        built
-                            .get(&(new_len - 1))
-                            .unwrap_or_else(|| unreachable!("extracted tree built")),
-                    );
-                }
-            }
-            Score {
-                pairs: pairs_total,
-                volume,
-            }
-        } else {
-            if remo_obs::enabled() {
-                delta_eval_counter().inc();
-            }
-            // Delta path: only the affected sets change hands.
-            let mut pairs_total = base.pairs;
-            let mut volume = base.volume;
-            for &k in &affected_old {
-                pairs_total -= trees[k].collected_pairs;
-                volume -= trees[k].message_volume;
-            }
-            for t in built.values() {
-                pairs_total += t.collected_pairs;
-                volume += t.message_volume;
-            }
-            Score {
-                pairs: pairs_total,
-                volume,
-            }
-        };
+        if remo_obs::enabled() {
+            delta_eval_counter().inc();
+        }
+        let mut score = self.score;
+        for &k in &affected_old {
+            score.pairs -= trees[k].collected_pairs;
+            score.volume -= trees[k].message_volume;
+        }
+        for t in built.values() {
+            score.pairs += t.collected_pairs;
+            score.volume += t.message_volume;
+        }
 
         Some(CandidateEval {
             op,
@@ -1053,60 +918,39 @@ impl Planner {
         })
     }
 
-    /// Evaluates one candidate op and materializes the full would-be
-    /// state (partition, tree vector, residual budgets, score);
-    /// acceptance is the caller's policy.
-    #[allow(clippy::too_many_arguments, clippy::type_complexity)]
-    pub(crate) fn try_op(
-        &self,
-        op: PartitionOp,
-        partition: &Partition,
-        trees: &[Arc<PlannedTree>],
-        avail: &BTreeMap<NodeId, f64>,
-        collector_avail: f64,
-        base: Score,
-        ctx: &EvalContext<'_>,
-        cache: Option<&TreeCache>,
-    ) -> Option<(
-        Partition,
-        Vec<Arc<PlannedTree>>,
-        BTreeMap<NodeId, f64>,
-        f64,
-        Score,
-    )> {
-        let ev = self.eval_op(
-            op,
-            partition,
-            trees,
-            avail,
-            collector_avail,
-            base,
-            ctx,
-            cache,
-        )?;
-        let mut new_partition = partition.clone();
-        new_partition.apply(op).ok()?;
-        let CandidateEval {
-            built,
-            touched,
-            collector_after,
-            score,
-            ..
-        } = ev;
-        let new_trees = assemble_trees(op, trees, built, new_partition.len());
-        let mut residual = avail.clone();
-        for (n, v) in touched {
-            residual.insert(n, v);
-        }
-        Some((new_partition, new_trees, residual, collector_after, score))
+    /// Steps to the state `ev` describes. `ev` must come from
+    /// [`eval`](Self::eval) on this very state.
+    pub(crate) fn apply(&mut self, ev: CandidateEval) {
+        self.partition
+            .apply(ev.op)
+            .unwrap_or_else(|e| panic!("op validated by eval: {e}"));
+        self.trees = assemble_trees(ev.op, &self.trees, ev.built);
+        self.avail.extend(ev.touched);
+        self.collector_avail = ev.collector_after;
+        self.score = ev.score;
     }
+
+    /// [`apply`](Self::apply) on a copy, for callers that compare
+    /// several successors of one state.
+    pub(crate) fn applied(&self, ev: CandidateEval) -> SearchState {
+        let mut next = self.clone();
+        next.apply(ev);
+        next
+    }
+}
+
+fn plan_of(partition: Partition, trees: Vec<Arc<PlannedTree>>) -> MonitoringPlan {
+    MonitoringPlan::new(
+        partition,
+        trees.into_iter().map(Arc::unwrap_or_clone).collect(),
+    )
 }
 
 /// One evaluated candidate: just the op's newly built trees plus the
 /// final budget values of the nodes it touched — everything needed to
 /// apply it in place, nothing cloned from the unaffected state.
 #[derive(Debug)]
-struct CandidateEval {
+pub(crate) struct CandidateEval {
     op: PartitionOp,
     built: BTreeMap<usize, Arc<PlannedTree>>,
     touched: BTreeMap<NodeId, f64>,
@@ -1123,9 +967,8 @@ fn assemble_trees(
     op: PartitionOp,
     trees: &[Arc<PlannedTree>],
     mut built: BTreeMap<usize, Arc<PlannedTree>>,
-    new_len: usize,
 ) -> Vec<Arc<PlannedTree>> {
-    let mut new_trees: Vec<Arc<PlannedTree>> = Vec::with_capacity(new_len);
+    let mut new_trees: Vec<Arc<PlannedTree>> = Vec::with_capacity(trees.len() + 1);
     match op {
         PartitionOp::Merge(i, j) => {
             let (lo, hi) = (i.min(j), i.max(j));
@@ -1158,7 +1001,7 @@ fn assemble_trees(
             }
             new_trees.push(
                 built
-                    .remove(&(new_len - 1))
+                    .remove(&trees.len())
                     .unwrap_or_else(|| unreachable!("extracted tree built")),
             );
         }
@@ -1419,7 +1262,35 @@ mod tests {
         assert_eq!(plan.partition(), direct.partition());
     }
 
+    #[test]
+    fn config_json_missing_fields_take_the_struct_defaults() {
+        let json = |cfg: &PlannerConfig| serde_json::to_string(cfg).unwrap();
+        let default = json(&PlannerConfig::default());
+        let empty: PlannerConfig = serde_json::from_str("{}").unwrap();
+        assert_eq!(json(&empty), default);
+
+        // A parent-commit document minus the two mechanical knobs: the
+        // retired `full_recompute` key is ignored, `cache` comes back on.
+        let legacy = default
+            .replace(",\"parallelism\":0", "")
+            .replace(",\"cache\":true", ",\"full_recompute\":false");
+        assert!(!legacy.contains("parallelism") && !legacy.contains("cache"));
+        let parsed: PlannerConfig = serde_json::from_str(&legacy).unwrap();
+        assert_eq!(json(&parsed), default);
+
+        // Present fields still win over the defaults.
+        let set: PlannerConfig =
+            serde_json::from_str(r#"{"parallelism":3,"cache":false,"max_rounds":7}"#).unwrap();
+        assert_eq!((set.parallelism, set.cache, set.max_rounds), (3, false, 7));
+        assert!(serde_json::from_str::<PlannerConfig>("[]").is_err());
+    }
+
     use proptest::prelude::*;
+
+    /// The scoring oracle: re-fold the whole post-op tree vector.
+    fn full_recompute(state: &SearchState, ev: &CandidateEval) -> Score {
+        Score::of(&assemble_trees(ev.op, &state.trees, ev.built.clone()))
+    }
 
     proptest! {
         /// The delta-scoring invariant: for any candidate op against
@@ -1429,6 +1300,11 @@ mod tests {
         /// The workload keeps loads and costs integer-valued, so both
         /// summation orders are exact — any disagreement is a
         /// bookkeeping bug in the delta path, not float noise.
+        ///
+        /// Along the same trajectory, stepping in place (`apply`) and
+        /// stepping by copy (`applied`) stay the same state, and that
+        /// state's budgets and score are the ones `from_plan` derives
+        /// from scratch.
         #[test]
         fn delta_scores_match_full_recompute_over_op_sequences(
             raw in prop::collection::vec((0u32..7, 0u32..10), 1..60),
@@ -1443,37 +1319,18 @@ mod tests {
             let caps = CapacityMap::uniform(7, per_node, collector).unwrap();
             let cost = CostModel::new(2.0, 1.0).unwrap();
             let catalog = AttrCatalog::new();
-            let delta_planner = Planner::new(PlannerConfig {
-                parallelism: 1,
-                ..PlannerConfig::default()
-            });
-            let full_planner = Planner::new(PlannerConfig {
-                parallelism: 1,
-                full_recompute: true,
-                ..PlannerConfig::default()
-            });
             let ctx = crate::evaluate::EvalContext::basic(&pairs, &caps, cost, &catalog);
 
-            let mut partition = Partition::singleton(pairs.attr_universe());
-            let start = crate::evaluate::build_forest(&partition, &ctx);
-            let mut trees: Vec<Arc<PlannedTree>> =
-                start.trees().iter().cloned().map(Arc::new).collect();
-            let mut avail: BTreeMap<NodeId, f64> = caps.iter().collect();
-            let mut collector_avail = caps.collector();
-            for t in &trees {
-                for (&n, &u) in &t.usage {
-                    *avail.get_mut(&n).unwrap() -= u;
-                }
-                collector_avail -= t.collector_usage;
-            }
-            let mut score = Score {
-                pairs: trees.iter().map(|t| t.collected_pairs).sum(),
-                volume: trees.iter().map(|t| t.message_volume).sum(),
-            };
+            let start = crate::evaluate::build_forest(
+                &Partition::singleton(pairs.attr_universe()),
+                &ctx,
+            );
+            let mut state = SearchState::from_plan(&start, &caps);
+            let mut copied = state.clone();
 
             for (m, x, y) in seq {
                 let is_merge = m == 1;
-                let k = partition.len();
+                let k = state.partition.len();
                 let op = if is_merge && k >= 2 {
                     let (i, j) = ((x as usize) % k, (y as usize) % k);
                     if i == j {
@@ -1482,7 +1339,7 @@ mod tests {
                     PartitionOp::Merge(i.min(j), i.max(j))
                 } else {
                     let i = (x as usize) % k;
-                    let set = &partition.sets()[i];
+                    let set = &state.partition.sets()[i];
                     if set.len() < 2 {
                         continue;
                     }
@@ -1493,40 +1350,37 @@ mod tests {
                     PartitionOp::Split(i, attr)
                 };
 
-                let d = delta_planner.eval_op(
-                    op, &partition, &trees, &avail, collector_avail, score, &ctx, None,
+                // Every op generated above applies to the partition.
+                let ev = state.eval(op, &ctx, None).unwrap();
+                let full = full_recompute(&state, &ev);
+                prop_assert_eq!(ev.score.pairs, full.pairs, "pairs diverged on {:?}", op);
+                prop_assert_eq!(
+                    ev.score.volume.to_bits(),
+                    full.volume.to_bits(),
+                    "volume diverged on {:?}: delta {} vs recompute {}",
+                    op,
+                    ev.score.volume,
+                    full.volume
                 );
-                let f = full_planner.eval_op(
-                    op, &partition, &trees, &avail, collector_avail, score, &ctx, None,
-                );
-                match (&d, &f) {
-                    (Some(de), Some(fe)) => {
-                        prop_assert_eq!(de.score.pairs, fe.score.pairs, "pairs diverged on {:?}", op);
-                        prop_assert_eq!(
-                            de.score.volume.to_bits(),
-                            fe.score.volume.to_bits(),
-                            "volume diverged on {:?}: delta {} vs recompute {}",
-                            op,
-                            de.score.volume,
-                            fe.score.volume
-                        );
-                    }
-                    (None, None) => {}
-                    _ => prop_assert!(false, "engines disagree on feasibility of {:?}", op),
-                }
 
                 // Advance the state through the op (accepted or not —
-                // the invariant must hold along arbitrary trajectories,
+                // the invariants must hold along arbitrary trajectories,
                 // not just improving ones).
-                if let Some((np, nt, na, nc, ns)) = delta_planner.try_op(
-                    op, &partition, &trees, &avail, collector_avail, score, &ctx, None,
-                ) {
-                    partition = np;
-                    trees = nt;
-                    avail = na;
-                    collector_avail = nc;
-                    score = ns;
-                }
+                copied = copied.applied(copied.eval(op, &ctx, None).unwrap());
+                state.apply(ev);
+                let plan = state.clone().into_plan();
+                prop_assert_eq!(
+                    serde_json::to_string(&plan).unwrap(),
+                    serde_json::to_string(&copied.clone().into_plan()).unwrap()
+                );
+                prop_assert_eq!(&state.avail, &copied.avail);
+                prop_assert_eq!(state.collector_avail.to_bits(), copied.collector_avail.to_bits());
+                prop_assert_eq!(state.score, copied.score);
+
+                let fresh = SearchState::from_plan(&plan, &caps);
+                prop_assert_eq!(&state.avail, &fresh.avail, "budgets drifted on {:?}", op);
+                prop_assert_eq!(state.collector_avail, fresh.collector_avail);
+                prop_assert_eq!(state.score, fresh.score);
             }
         }
     }

@@ -1,13 +1,11 @@
-//! Cross-engine determinism and cache-soundness tests.
+//! Worker-count and cache independence of the one planner engine.
 //!
-//! The planner has one search policy and four execution engines: the
-//! serial reference loop (`parallelism: 1`, no cache) scoring by
-//! incremental gain deltas, the same loop with `full_recompute`
-//! scoring (re-folding the whole tree vector per candidate), the batch
-//! engine (parallel candidate waves over round-start state), and the
-//! batch engine backed by a [`TreeCache`]. Engines may only differ in
-//! evaluation mechanics — every test here asserts they agree on the
-//! *plan*, byte for byte.
+//! `PlannerConfig::parallelism` sets how many workers the seed fan-out
+//! and the candidate waves use, `PlannerConfig::cache` whether tree
+//! builds are memoized in a [`TreeCache`]. Both may only change how
+//! fast the search runs: every test here asserts the *plan* is the same
+//! byte for byte, and the first also that the [`PlanReport`] counters
+//! are.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -15,7 +13,7 @@ use proptest::prelude::*;
 use remo_core::adapt::{AdaptScheme, AdaptivePlanner};
 use remo_core::alloc::AllocationScheme;
 use remo_core::build::BuilderKind;
-use remo_core::planner::{InitialPartition, Planner, PlannerConfig};
+use remo_core::planner::{InitialPartition, PlanReport, Planner, PlannerConfig};
 use remo_core::validate::{Audit, AuditInput};
 use remo_core::{
     AttrCatalog, AttrId, CapacityMap, CostModel, MonitoringPlan, NodeId, PairSet, TreeCache,
@@ -30,77 +28,38 @@ fn pair_set(raw: &[(u32, u32)]) -> PairSet {
         .collect()
 }
 
-fn config(
-    builder: BuilderKind,
-    allocation: AllocationScheme,
-    initial: InitialPartition,
-) -> PlannerConfig {
-    PlannerConfig {
-        builder,
-        allocation,
-        initial,
-        ..PlannerConfig::default()
-    }
-}
-
-/// Plans `pairs` with all four engines under `base` and returns the
-/// serialized plans (serial-incremental, serial-full-recompute, batch,
-/// cached).
-fn plan_four_ways(
-    base: &PlannerConfig,
+/// The plan as JSON and the report with its wall-time fields zeroed,
+/// leaving the counters.
+fn plan_and_counters(
+    config: PlannerConfig,
     pairs: &PairSet,
     caps: &CapacityMap,
     cost: CostModel,
     catalog: &AttrCatalog,
-) -> (String, String, String, String) {
-    let mut serial_cfg = base.clone();
-    serial_cfg.parallelism = 1;
-    serial_cfg.cache = false;
-    // The serial loop again, but scoring every candidate by re-folding
-    // the whole tree vector instead of the incremental gain delta.
-    let full_cfg = PlannerConfig {
-        full_recompute: true,
-        ..serial_cfg.clone()
+) -> (String, PlanReport) {
+    let (plan, report) = Planner::new(config).plan_with_report(pairs, caps, cost, catalog);
+    let counters = PlanReport {
+        seed_ms: 0.0,
+        rank_ms: 0.0,
+        local_ms: 0.0,
+        global_ms: 0.0,
+        ..report
     };
-    let mut batch_cfg = base.clone();
-    batch_cfg.parallelism = 0;
-    batch_cfg.cache = false;
-    let cached_cfg = PlannerConfig {
-        cache: true,
-        ..batch_cfg.clone()
-    };
-
-    let serial = Planner::new(serial_cfg)
-        .plan_with_report_cached(pairs, caps, cost, catalog, None)
-        .0;
-    let full = Planner::new(full_cfg)
-        .plan_with_report_cached(pairs, caps, cost, catalog, None)
-        .0;
-    // `cache: false` but `parallelism: 0` still selects the batch engine.
-    let batch = Planner::new(batch_cfg)
-        .plan_with_report_cached(pairs, caps, cost, catalog, None)
-        .0;
-    let cache = TreeCache::new();
-    let cached = Planner::new(cached_cfg)
-        .plan_with_report_cached(pairs, caps, cost, catalog, Some(&cache))
-        .0;
     (
-        serde_json::to_string(&serial).expect("serial plan serializes"),
-        serde_json::to_string(&full).expect("full-recompute plan serializes"),
-        serde_json::to_string(&batch).expect("batch plan serializes"),
-        serde_json::to_string(&cached).expect("cached plan serializes"),
+        serde_json::to_string(&plan).expect("plan serializes"),
+        counters,
     )
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// The tentpole invariant: across every builder × allocation ×
-    /// initial-partition combination, the serial (incremental-delta
-    /// scoring), serial full-recompute, batch, and cached engines
-    /// produce byte-identical `MonitoringPlan`s.
+    /// Across every builder × allocation × initial-partition
+    /// combination, one, two and four workers, with and without the
+    /// tree cache, produce byte-identical `MonitoringPlan`s and equal
+    /// search counters.
     #[test]
-    fn serial_batch_and_cached_plans_are_identical(
+    fn plans_and_counters_do_not_depend_on_workers_or_cache(
         raw in prop::collection::vec((0u32..NODES as u32, 0u32..ATTRS), 1..80),
         per_node in 6.0f64..40.0,
         collector in 60.0f64..400.0,
@@ -126,24 +85,28 @@ proptest! {
         for builder in builders {
             for allocation in allocations {
                 for initial in initials {
-                    let base = config(builder, allocation, initial);
-                    let (serial, full, batch, cached) =
-                        plan_four_ways(&base, &pairs, &caps, cost, &catalog);
-                    prop_assert_eq!(
-                        &serial, &full,
-                        "full-recompute scoring diverged ({:?}/{:?}/{:?})",
-                        builder, allocation, initial
-                    );
-                    prop_assert_eq!(
-                        &serial, &batch,
-                        "batch engine diverged ({:?}/{:?}/{:?})",
-                        builder, allocation, initial
-                    );
-                    prop_assert_eq!(
-                        &serial, &cached,
-                        "cached engine diverged ({:?}/{:?}/{:?})",
-                        builder, allocation, initial
-                    );
+                    let run = |parallelism: usize, cache: bool| {
+                        let config = PlannerConfig {
+                            builder,
+                            allocation,
+                            initial,
+                            parallelism,
+                            cache,
+                            ..PlannerConfig::default()
+                        };
+                        plan_and_counters(config, &pairs, &caps, cost, &catalog)
+                    };
+                    let reference = run(1, false);
+                    for (parallelism, cache) in
+                        [(1, true), (2, false), (2, true), (4, false), (4, true)]
+                    {
+                        prop_assert_eq!(
+                            &reference,
+                            &run(parallelism, cache),
+                            "{} workers, cache {} diverged ({:?}/{:?}/{:?})",
+                            parallelism, cache, builder, allocation, initial
+                        );
+                    }
                 }
             }
         }

@@ -34,8 +34,8 @@ pub struct EpochStats {
 
 impl EpochStats {
     /// Re-emits this epoch through the process-wide metrics registry
-    /// (no-op while observability is disabled), so simulation runs,
-    /// fig binaries, and `bench_planner` share one export pipeline.
+    /// (no-op while observability is disabled), so simulation runs
+    /// and fig binaries share one export pipeline.
     pub fn export_metrics(&self) {
         if !remo_obs::enabled() {
             return;

@@ -5,37 +5,30 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# --bench-smoke: quick planner-benchmark regression gate against the
-# committed BENCH_planner.json baseline — FAILS (non-zero exit) on any
-# mode slower than the tolerance, then exits. Not part of the default
-# gate — timings need a quiet box. REMO_BENCH_SMOKE_TOLERANCE (default
-# 2.0) sets the relative mean-time factor past which a slowdown fails;
-# the default is loose because the committed baseline came from one
-# machine — tighten it toward 1.2 where the baseline is local.
-if [[ "${1:-}" == "--bench-smoke" ]]; then
-  echo "==> bench_planner --smoke"
-  cargo run --release -p remo-bench --bin bench_planner -- --smoke
-  exit 0
-fi
-
 # --benchmark-smoke: the end-to-end benchmark (BENCHMARK.json) still
 # builds, passes its own tests, and plans correctly — the benchmark
-# crate's unit tests, then `benchmark/run.sh --workload plan-feasible
-# --seconds 2`, which plans two task sets untraced and traced and exits
-# non-zero unless every child's result line says `"correct": true`
-# (audit-clean, repeat-identical plans, serial engine agreeing). Opt-in
-# like --bench-smoke: the benchmark is its own workspace, so the first
-# run pays a cold release build into benchmark/target. Timings are
-# printed, not gated — two plans are not a measurement.
+# crate's unit tests, then `benchmark/run.sh --seconds 2` on both sides
+# of the candidate-wave trade-off: plan-feasible (n = 1 000, several
+# rejections per round, converges) and plan-saturated (n = 10 000, rank
+# 0 accepted every round, stops at the round cap). Each plans two task
+# sets untraced and traced and exits non-zero unless every child's
+# result line says `"correct": true` (audit-clean, repeat-identical
+# plans, and the one-worker uncached plan byte-identical to the default
+# configuration's — the harness's "serial engine disagrees" check).
+# Opt-in: the benchmark is its own workspace, so the first run pays a
+# cold release build into benchmark/target. Timings are printed, not
+# gated — two plans are not a measurement.
 if [[ "${1:-}" == "--benchmark-smoke" ]]; then
-  echo "==> benchmark crate tests + plan-feasible smoke"
+  echo "==> benchmark crate tests + plan-feasible and plan-saturated smoke"
   cargo test -q --offline --manifest-path benchmark/Cargo.toml
-  if ! out="$(benchmark/run.sh --workload plan-feasible --seconds 2)"; then
-    echo "$out"
-    echo 'benchmark smoke: a run did not report "correct": true' >&2
-    exit 1
-  fi
-  echo "$out" | grep -E 'operations:|op_ms_p50|core\.build\.tree_us_adaptive|suite '
+  for workload in plan-feasible plan-saturated; do
+    if ! out="$(benchmark/run.sh --workload "$workload" --seconds 2)"; then
+      echo "$out"
+      echo "benchmark smoke: a $workload run did not report \"correct\": true" >&2
+      exit 1
+    fi
+    echo "$out" | grep -E 'operations:|op_ms_p50|core\.build\.tree_us_adaptive|suite '
+  done
   echo "benchmark smoke passed."
   exit 0
 fi
