@@ -46,5 +46,37 @@ fn bench_partition_schemes(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_partition_schemes);
+/// The capacity-starved shape of the end-to-end benchmark's
+/// `plan-saturated` workload at n = 1 000 (100 attributes, 500 tasks,
+/// node capacity 0.35 x pairs / attrs, collector 40 x n, C/a = 20),
+/// planned with the default round cap and with one that used to cost
+/// 17.5 s (`benchmark/README.md`). The search state first repeats after
+/// a few hundred rounds with period 198; past that the cap is free.
+fn bench_saturated_cap(c: &mut Criterion) {
+    let (nodes, attrs) = (1_000, 100);
+    let mut rng = SmallRng::seed_from_u64(42);
+    let tasks = TaskGenConfig::small_scale(nodes, attrs).generate(500, TaskId(0), &mut rng);
+    let pairs: PairSet = tasks.iter().flat_map(MonitoringTask::pairs).collect();
+    let per_node = 0.35 * pairs.len() as f64 / attrs as f64;
+    let caps = CapacityMap::uniform(nodes, per_node, 40.0 * nodes as f64).expect("caps");
+    let cost = CostModel::from_ratio(20.0).expect("cost");
+    let catalog = AttrCatalog::new();
+
+    let mut group = c.benchmark_group("plan_saturated_cap");
+    group.sample_size(10);
+    for max_rounds in [128usize, 100_000] {
+        let planner = Planner::new(PlannerConfig {
+            max_rounds,
+            ..PlannerConfig::default()
+        });
+        group.bench_with_input(
+            BenchmarkId::new("max_rounds", max_rounds),
+            &planner,
+            |b, planner| b.iter(|| planner.plan_with_catalog(&pairs, &caps, cost, &catalog)),
+        );
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_partition_schemes, bench_saturated_cap);
 criterion_main!(benches);

@@ -288,6 +288,21 @@ pub fn build_forest(partition: &Partition, ctx: &EvalContext<'_>) -> MonitoringP
     build_forest_cached(partition, ctx, None)
 }
 
+/// The sets of `partition` in the order [`build_forest`] constructs
+/// them. Under a dynamic allocation scheme each tree is built against
+/// what the trees before it left, so two partitions with equal sequences
+/// get the same trees — the planner builds such a forest only once.
+pub(crate) fn build_sequence<'p>(
+    partition: &'p Partition,
+    ctx: &EvalContext<'_>,
+) -> Vec<&'p AttrSet> {
+    let sets = partition.sets();
+    let size = |s| ctx.pairs.index().participant_count(s);
+    let sizes: Vec<usize> = sets.iter().map(size).collect();
+    let order = ctx.allocation.construction_order(&sizes);
+    order.into_iter().map(|k| &sets[k]).collect()
+}
+
 /// [`build_forest`] with an optional [`TreeCache`]; whole-forest
 /// rebuilds in the planner's global phase and warm-started repairs
 /// reuse trees built in earlier rounds or epochs.

@@ -7,7 +7,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// One constructed tree together with its evaluation figures.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PlannedTree {
     /// The tree, or `None` when not a single participant could be
     /// placed (the attribute set is then entirely uncollected).
@@ -79,6 +79,15 @@ impl MonitoringPlan {
             "one planned tree per partition set"
         );
         MonitoringPlan { partition, trees }
+    }
+
+    /// This plan's trees in the set order of `to`, which must be a
+    /// permutation of its partition.
+    pub(crate) fn reordered(&self, to: &Partition) -> MonitoringPlan {
+        let sets = self.partition.sets().iter();
+        let tree_of: BTreeMap<_, _> = sets.zip(&self.trees).collect();
+        let trees = to.sets().iter().map(|s| tree_of[s].clone()).collect();
+        MonitoringPlan::new(to.clone(), trees)
     }
 
     /// The attribute partition this plan realizes.

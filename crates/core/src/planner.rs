@@ -1,14 +1,16 @@
 //! The basic REMO planner: guided local search over attribute
 //! partitions with resource-aware evaluation (paper §3).
 //!
-//! Starting from an initial partition, each iteration ranks the
-//! merge/split neighborhood by estimated gain
-//! ([`GainEstimator`]), evaluates the
-//! top few candidates by actually constructing the affected trees
-//! against residual capacities, and greedily applies the first
-//! improvement. The search stops when no evaluated candidate improves
-//! the objective (collected node-attribute pairs, ties broken by lower
-//! message volume).
+//! Starting from an initial partition, each round ranks the
+//! merge/split neighborhood by estimated gain ([`GainEstimator`]),
+//! evaluates the top few candidates by actually constructing the
+//! affected trees against residual capacities, and applies the first
+//! that improves the objective (collected node-attribute pairs, ties
+//! broken by lower message volume) or, a *tolerant* plateau move, lowers
+//! volume for a bounded few pairs. The search returns the best state it
+//! visited and ends for one of three [`StopReason`]s: a round accepted
+//! nothing, the whole state recurred exactly (plateau moves can walk in
+//! a circle; laps that only revisit it are skipped), or `max_rounds`.
 
 use crate::alloc::AllocationScheme;
 use crate::attribute::AttrCatalog;
@@ -18,7 +20,8 @@ use crate::capacity::CapacityMap;
 use crate::cost::CostModel;
 use crate::estimate::GainEstimator;
 use crate::evaluate::{
-    build_forest, build_forest_cached, build_tree_for_set_cached, BudgetOverlay, EvalContext,
+    build_forest, build_forest_cached, build_sequence, build_tree_for_set_cached, BudgetOverlay,
+    EvalContext,
 };
 use crate::ids::{AttrId, NodeId};
 use crate::pairs::PairSet;
@@ -26,7 +29,8 @@ use crate::partition::{AttrSet, Partition, PartitionOp};
 use crate::plan::{MonitoringPlan, PlannedTree};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
+use std::hash::{DefaultHasher, Hash, Hasher};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -75,7 +79,9 @@ pub struct PlannerConfig {
     /// How many top-ranked candidates to fully evaluate per iteration
     /// (the guided-search window; default 16).
     pub candidates_per_round: usize,
-    /// Iteration cap (default 128).
+    /// The logical length of the search in rounds (default 128). The
+    /// plan is always that of this many rounds; once the state provably
+    /// cycles, whole laps are skipped ([`PlanReport::rounds_skipped`]).
     pub max_rounds: usize,
     /// Budget of whole-forest reconstructions the search may spend on
     /// stall recovery (the paper's resource-sensitive refinement
@@ -176,16 +182,37 @@ impl Score {
     }
 }
 
+/// Why a search ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+pub enum StopReason {
+    /// A round accepted no candidate: a fixed point.
+    #[default]
+    Converged,
+    /// The whole state recurs every `period` rounds; laps were skipped.
+    Cycle {
+        /// Rounds per lap.
+        period: usize,
+    },
+    /// `max_rounds` rounds were run.
+    RoundCap,
+}
+
 /// Search telemetry: what the guided local search actually did.
 ///
 /// Returned by [`Planner::plan_with_report`]; useful for tuning the
 /// search knobs and for the planning-cost experiments (Fig. 9a).
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct PlanReport {
-    /// Seed partitions evaluated before refinement.
+    /// Seed forests built before refinement (a twin seed borrows one).
     pub seeds_evaluated: usize,
     /// Search rounds executed.
     pub rounds: usize,
+    /// Rounds of proven cycle laps not executed.
+    #[serde(default)]
+    pub rounds_skipped: usize,
+    /// Why the search ended.
+    #[serde(default)]
+    pub stop: StopReason,
     /// Candidates accepted by the incremental (local) phase.
     pub local_accepts: usize,
     /// Of those, accepted under the plateau tolerance (volume down,
@@ -223,6 +250,14 @@ impl PlanReport {
         }
         remo_obs::counter("remo_planner_plans_total").inc();
         remo_obs::counter("remo_planner_rounds_total").inc_by(self.rounds as f64);
+        remo_obs::counter("remo_planner_rounds_skipped_total").inc_by(self.rounds_skipped as f64);
+        for (name, hit) in [
+            ("converged", self.stop == StopReason::Converged),
+            ("cycle", matches!(self.stop, StopReason::Cycle { .. })),
+            ("round_cap", self.stop == StopReason::RoundCap),
+        ] {
+            remo_obs::counter(&format!("remo_planner_stops_{name}_total")).inc_by(f64::from(hit));
+        }
         remo_obs::counter("remo_planner_local_evals_total").inc_by(self.local_evals as f64);
         remo_obs::counter("remo_planner_local_accepts_total").inc_by(self.local_accepts as f64);
         remo_obs::counter("remo_planner_tolerant_accepts_total")
@@ -338,21 +373,34 @@ impl Planner {
         if self.config.forbidden_pairs.is_empty() {
             seeds.extend(self.balanced_seeds(pairs, caps, cost));
         }
+        // Under a dynamic allocation scheme a forest is a function of
+        // its build sequence alone: a seed whose sequence an earlier
+        // seed (its twin) shares borrows that forest, not built twice.
+        let orders: Vec<_> = seeds.iter().map(|s| build_sequence(s, &ctx)).collect();
+        let twin_of =
+            |i: usize| (0..i).find(|&j| !ctx.allocation.is_static() && orders[j] == orders[i]);
+        let distinct: Vec<usize> = (0..seeds.len()).filter(|&i| twin_of(i).is_none()).collect();
         let mut best: Option<MonitoringPlan> = None;
         let t_seed = Instant::now();
         {
             let _seed_span = remo_obs::span!("planner.seed");
-            report.seeds_evaluated = seeds.len();
+            report.seeds_evaluated = distinct.len();
             // Seed forests are independent, pure constructions; they
             // fan out over the pool and selection stays in seed order,
             // so the chosen start never depends on the worker count.
             let built: Vec<MonitoringPlan> = pool.install(|| {
-                seeds
+                distinct
                     .par_iter()
-                    .map(|seed| build_forest_cached(seed, &ctx, cache))
+                    .map(|&i| build_forest_cached(&seeds[i], &ctx, cache))
                     .collect()
             });
-            for plan in built {
+            let mut built = built.into_iter();
+            let mut plans: Vec<MonitoringPlan> = Vec::new();
+            for (i, seed) in seeds.iter().enumerate() {
+                let borrowed = twin_of(i).map(|j| plans[j].reordered(seed));
+                plans.extend(borrowed.or_else(|| built.next()));
+            }
+            for plan in plans {
                 let better = match &best {
                     None => true,
                     Some(b) => {
@@ -368,7 +416,7 @@ impl Planner {
         }
         let plan = best.unwrap_or_else(|| unreachable!("at least one seed"));
         report.seed_ms = t_seed.elapsed().as_secs_f64() * 1e3;
-        let refined = self.refine_with_report(&plan, &ctx, &mut report, cache, &pool);
+        let refined = self.refine_with_report(&plan, &ctx, &mut report, cache, &pool, true);
         report.export_metrics();
         #[cfg(debug_assertions)]
         {
@@ -431,6 +479,8 @@ impl Planner {
                 .filter(|s| !s.is_empty())
                 .collect();
             if let Ok(p) = Partition::from_sets(sets) {
+                // Balanced seeds differ pairwise in set count; whether
+                // one repeats the *initial* seed is the caller's check.
                 if seeds.iter().all(|q: &Partition| q.len() != p.len()) {
                     seeds.push(p);
                 }
@@ -473,7 +523,7 @@ impl Planner {
         let ctx = self.eval_context(pairs, caps, cost, catalog);
         let local = self.config.cache.then(TreeCache::new);
         let mut report = PlanReport::default();
-        self.refine_with_report(&plan, &ctx, &mut report, local.as_ref(), &self.pool())
+        self.refine_with_report(&plan, &ctx, &mut report, local.as_ref(), &self.pool(), true)
     }
 
     /// The workers of one planning call: the seed fan-out and every
@@ -525,7 +575,8 @@ impl Planner {
     }
 
     /// The guided local search proper: iteratively apply the first
-    /// improving candidate among the top-ranked augmentations.
+    /// acceptable candidate among the top-ranked augmentations.
+    /// `skip_laps` is off only in the unit tests' plain-cap oracle.
     fn refine_with_report(
         &self,
         plan: &MonitoringPlan,
@@ -533,6 +584,7 @@ impl Planner {
         report: &mut PlanReport,
         cache: Option<&TreeCache>,
         pool: &rayon::ThreadPool,
+        mut skip_laps: bool,
     ) -> MonitoringPlan {
         let mut state = SearchState::from_plan(plan, ctx.caps);
 
@@ -567,7 +619,40 @@ impl Planner {
         // so the chosen candidate never depends on the worker count.
         let wave = pool.current_num_threads().max(1);
 
-        for round in 0..self.config.max_rounds {
+        // Termination (DESIGN.md): the next state is a function of
+        // `state`, `best`'s pairs and `global_budget`. A repeated digest
+        // nominates a lap; laps are skipped only once one has ended
+        // deep-equal to its snapshot, so the plan is the plain loop's.
+        let mut seen: HashMap<u64, usize> = HashMap::new();
+        let mut lap: Option<(usize, usize, (usize, usize), SearchState)> = None;
+        report.stop = StopReason::RoundCap;
+        let mut round = 0;
+        while round < self.config.max_rounds {
+            if skip_laps && lap.as_ref().is_none_or(|l| l.0 == round) {
+                let now = (best.2.pairs, global_budget);
+                if let Some((_, period, ..)) = lap.take().filter(|l| l.2 == now && l.3 == state) {
+                    let skipped = (self.config.max_rounds - round) / period * period;
+                    let since = round - period;
+                    remo_obs::event!("planner.cycle",
+                        "round" => round, "period" => period, "skipped" => skipped);
+                    if debug {
+                        remo_obs::debug_echo(&format!(
+                            "round {round}: state of round {since} again, period {period}, \
+                             {skipped} rounds skipped"
+                        ));
+                    }
+                    if skipped > 0 {
+                        report.stop = StopReason::Cycle { period };
+                    }
+                    report.rounds_skipped = skipped;
+                    round += skipped;
+                    skip_laps = false;
+                    continue;
+                }
+                if let Some(prev) = seen.insert(state.fingerprint(now), round) {
+                    lap = Some((2 * round - prev, round - prev, now, state.clone()));
+                }
+            }
             let t_rank = Instant::now();
             let ranked = {
                 let _rank_span = remo_obs::span!("planner.rank");
@@ -707,11 +792,12 @@ impl Planner {
             drop(global_span);
             report.global_ms += t_global.elapsed().as_secs_f64() * 1e3;
 
-            report.rounds = round + 1;
+            report.rounds += 1;
             if state.score.better_than(&best.2) {
                 best = (state.partition.clone(), state.trees.clone(), state.score);
             }
             if !applied {
+                report.stop = StopReason::Converged;
                 remo_obs::event!("planner.converged",
                     "round" => round,
                     "pairs" => state.score.pairs,
@@ -738,6 +824,7 @@ impl Planner {
                     ));
                 }
             }
+            round += 1;
         }
 
         if best.2.better_than(&state.score) {
@@ -770,7 +857,7 @@ impl Planner {
 /// `avail`, `collector_avail` and `score` are functions of `trees`:
 /// [`from_plan`](Self::from_plan) derives them from scratch,
 /// [`apply`](Self::apply) keeps them current from a candidate's deltas.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct SearchState {
     partition: Partition,
     /// Shared handles: an applied op replaces only the one or two trees
@@ -819,6 +906,16 @@ impl SearchState {
 
     pub(crate) fn into_plan(self) -> MonitoringPlan {
         plan_of(self.partition, self.trees)
+    }
+
+    /// A digest of this state and of the two counters (`also`) the next
+    /// round depends on besides it. Equal states have equal digests; an
+    /// equal digest proves nothing.
+    fn fingerprint(&self, also: (usize, usize)) -> u64 {
+        let mut h = DefaultHasher::new();
+        (also, self.partition.sets(), self.score.pairs).hash(&mut h);
+        self.avail.values().for_each(|b| b.to_bits().hash(&mut h));
+        h.finish()
     }
 
     /// Evaluates one candidate op *without materializing* the resulting
@@ -1136,6 +1233,7 @@ impl PartitionScheme {
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
     use super::*;
+    use crate::evaluate::EvalContext;
 
     fn dense_pairs(nodes: u32, attrs: u32) -> PairSet {
         (0..nodes)
@@ -1381,6 +1479,339 @@ mod tests {
                 prop_assert_eq!(&state.avail, &fresh.avail, "budgets drifted on {:?}", op);
                 prop_assert_eq!(state.collector_avail, fresh.collector_avail);
                 prop_assert_eq!(state.score, fresh.score);
+            }
+        }
+    }
+
+    fn json(plan: &MonitoringPlan) -> String {
+        serde_json::to_string(plan).unwrap()
+    }
+
+    /// Seeded sparse ownership: each cell of a `nodes` x `attrs` grid
+    /// is demanded with probability `density`.
+    fn sparse_pairs(seed: u64, nodes: u32, attrs: u32, density: f64) -> PairSet {
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(seed);
+        (0..nodes)
+            .flat_map(|n| (0..attrs).map(move |a| (NodeId(n), AttrId(a))))
+            .filter(|_| rng.gen_bool(density))
+            .collect()
+    }
+
+    /// The oracle seed borrowing and lap skipping must be invisible
+    /// against: every seed forest built from scratch and compared as
+    /// `plan_with_report_cached` compares them, then every round up to
+    /// `max_rounds` run (`skip_laps` off).
+    fn oracle(
+        planner: &Planner,
+        pairs: &PairSet,
+        caps: &CapacityMap,
+        cost: CostModel,
+    ) -> (MonitoringPlan, PlanReport) {
+        let catalog = AttrCatalog::new();
+        let ctx = planner.eval_context(pairs, caps, cost, &catalog);
+        let mut seeds = vec![planner.initial_partition(pairs)];
+        if planner.config.forbidden_pairs.is_empty() {
+            seeds.extend(planner.balanced_seeds(pairs, caps, cost));
+        }
+        let mut report = PlanReport {
+            seeds_evaluated: seeds.len(),
+            ..PlanReport::default()
+        };
+        let mut best: Option<MonitoringPlan> = None;
+        for seed in &seeds {
+            let plan = build_forest(seed, &ctx);
+            let better = best.as_ref().is_none_or(|b| {
+                plan.collected_pairs() > b.collected_pairs()
+                    || (plan.collected_pairs() == b.collected_pairs()
+                        && plan.message_volume() < b.message_volume())
+            });
+            if better {
+                best = Some(plan);
+            }
+        }
+        let pool = planner.pool();
+        let plan =
+            planner.refine_with_report(&best.unwrap(), &ctx, &mut report, None, &pool, false);
+        (plan, report)
+    }
+
+    /// Plans with `config` and with the oracle and checks the two
+    /// optimisations changed nothing but the work done; returns the
+    /// planner's report.
+    fn assert_matches_oracle(
+        config: PlannerConfig,
+        pairs: &PairSet,
+        caps: &CapacityMap,
+        cost: CostModel,
+    ) -> PlanReport {
+        let planner = Planner::new(config);
+        let what = format!("{:?}", planner.config);
+        let (plan, report) = planner.plan_with_report(pairs, caps, cost, &AttrCatalog::new());
+        let (expected, full) = oracle(&planner, pairs, caps, cost);
+        assert_eq!(json(&plan), json(&expected), "plan diverged: {what}");
+        // Every logical round is either run or skipped ...
+        assert_eq!(report.rounds + report.rounds_skipped, full.rounds, "{what}");
+        assert!(report.seeds_evaluated <= full.seeds_evaluated, "{what}");
+        // ... and the rounds that ran are the oracle's first ones.
+        assert!(report.local_evals <= full.local_evals, "{what}");
+        assert!(report.local_accepts <= full.local_accepts, "{what}");
+        assert_eq!(report.global_evals, full.global_evals, "{what}");
+        match report.stop {
+            StopReason::Cycle { period } => {
+                assert!(report.rounds < planner.config.max_rounds, "{what}");
+                assert!(period > 0 && report.rounds_skipped % period == 0, "{what}");
+                assert_eq!(full.stop, StopReason::RoundCap, "{what}");
+            }
+            stop => {
+                assert_eq!(stop, full.stop, "{what}");
+                assert_eq!(report.rounds_skipped, 0, "{what}");
+            }
+        }
+        report
+    }
+
+    /// A shape whose default search converges and one whose default
+    /// search walks a plateau in a circle (period 2).
+    fn feasible_and_starved() -> [(PairSet, CapacityMap); 2] {
+        [
+            (
+                sparse_pairs(1, 13, 7, 0.7),
+                CapacityMap::uniform(13, 12.0, 53.0).unwrap(),
+            ),
+            (
+                sparse_pairs(4, 18, 7, 0.9),
+                CapacityMap::uniform(18, 6.0, 19.0).unwrap(),
+            ),
+        ]
+    }
+
+    /// The optimisation is invisible: over the 32-configuration grid of
+    /// `tests/engine_equivalence.rs` and caps chosen to pin the lap
+    /// arithmetic (odd and even, below and above the first repeat), the
+    /// plan is byte-for-byte the oracle's.
+    #[test]
+    fn plans_equal_the_plain_capped_search_for_every_cap() {
+        let cost = CostModel::new(2.0, 1.0).unwrap();
+        let builders = [
+            BuilderKind::Star,
+            BuilderKind::Chain,
+            BuilderKind::MaxAvb,
+            BuilderKind::default(),
+        ];
+        let allocations = [
+            AllocationScheme::Uniform,
+            AllocationScheme::Proportional,
+            AllocationScheme::OnDemand,
+            AllocationScheme::Ordered,
+        ];
+        let mut cycles = [0usize; 2];
+        for (shape, (pairs, caps)) in feasible_and_starved().iter().enumerate() {
+            for builder in builders {
+                for allocation in allocations {
+                    for initial in [InitialPartition::Singleton, InitialPartition::OneSet] {
+                        for max_rounds in [0, 1, 2, 3, 7, 8, 33, 128, 129] {
+                            let config = PlannerConfig {
+                                builder,
+                                allocation,
+                                initial,
+                                max_rounds,
+                                ..PlannerConfig::default()
+                            };
+                            let report = assert_matches_oracle(config, pairs, caps, cost);
+                            cycles[shape] += usize::from(report.rounds_skipped > 0);
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            cycles[1] > 0,
+            "the starved shape must exercise lap skipping"
+        );
+    }
+
+    /// The two shapes are what their names say under the default
+    /// configuration, and the report says why each search ended.
+    #[test]
+    fn report_says_why_the_search_stopped() {
+        let cost = CostModel::new(2.0, 1.0).unwrap();
+        let [feasible, starved] = feasible_and_starved();
+        let run = |(pairs, caps): &(PairSet, CapacityMap), max_rounds| {
+            let config = PlannerConfig {
+                max_rounds,
+                ..PlannerConfig::default()
+            };
+            assert_matches_oracle(config, pairs, caps, cost)
+        };
+        let report = run(&feasible, 128);
+        assert_eq!(report.stop, StopReason::Converged);
+        assert_eq!(report.rounds_skipped, 0);
+
+        let report = run(&starved, 128);
+        assert_eq!(report.stop, StopReason::Cycle { period: 2 });
+        assert_eq!(report.rounds + report.rounds_skipped, 128);
+        assert!(report.rounds <= 16, "{report:?}");
+        // Raising the cap by whole laps buys skipped rounds, not
+        // executed ones, and the same plan (no oracle: it would run them).
+        let plan = |max_rounds| {
+            let config = PlannerConfig {
+                max_rounds,
+                ..PlannerConfig::default()
+            };
+            Planner::new(config).plan_with_report(&starved.0, &starved.1, cost, &AttrCatalog::new())
+        };
+        let (short, long) = (plan(128), plan(100_000));
+        assert_eq!(json(&short.0), json(&long.0));
+        assert_eq!(long.1.stop, report.stop);
+        assert_eq!(long.1.rounds, report.rounds);
+        assert_eq!(long.1.rounds + long.1.rounds_skipped, 100_000);
+
+        // Too short to repeat: the cap is what stopped it.
+        let report = run(&starved, 3);
+        assert_eq!(report.stop, StopReason::RoundCap);
+        assert_eq!((report.rounds, report.rounds_skipped), (3, 0));
+        assert_eq!(run(&starved, 0).stop, StopReason::RoundCap);
+    }
+
+    /// Reports written before `stop` and `rounds_skipped` existed parse.
+    #[test]
+    fn report_json_without_stop_fields_parses() {
+        let report = PlanReport {
+            rounds: 6,
+            rounds_skipped: 122,
+            stop: StopReason::Cycle { period: 2 },
+            ..PlanReport::default()
+        };
+        let text = serde_json::to_string(&report).unwrap();
+        assert_eq!(serde_json::from_str::<PlanReport>(&text).unwrap(), report);
+        let old = text
+            .replace(",\"rounds_skipped\":122", "")
+            .replace(",\"stop\":{\"Cycle\":{\"period\":2}}", "");
+        assert!(!old.contains("stop") && !old.contains("skipped"), "{old}");
+        let parsed: PlanReport = serde_json::from_str(&old).unwrap();
+        assert_eq!((parsed.rounds, parsed.rounds_skipped), (6, 0));
+        assert_eq!(parsed.stop, StopReason::Converged);
+    }
+
+    /// The rule rejected on evidence — stop when the *unordered*
+    /// partition and the score repeat — fires on a state the search has
+    /// not been in: a merge and the split that undoes it return the same
+    /// sets, trees, budgets and score in a different set order, and set
+    /// order decides rank ties. Neither the digest nor the deep compare
+    /// may take the two for the same state.
+    #[test]
+    fn permuted_partition_with_equal_score_is_a_different_state() {
+        let pairs = dense_pairs(6, 3);
+        let (caps, cost, catalog) = setup(6, 100.0, 1000.0);
+        let ctx = EvalContext::basic(&pairs, &caps, cost, &catalog);
+        let start = build_forest(&Partition::singleton(pairs.attr_universe()), &ctx);
+        let before = SearchState::from_plan(&start, &caps);
+        let merged = before.applied(before.eval(PartitionOp::Merge(0, 1), &ctx, None).unwrap());
+        let split = PartitionOp::Split(0, AttrId(0));
+        let after = merged.applied(merged.eval(split, &ctx, None).unwrap());
+
+        let unordered = |s: &SearchState| -> std::collections::BTreeSet<AttrSet> {
+            s.partition.sets().iter().cloned().collect()
+        };
+        assert_eq!(unordered(&before), unordered(&after));
+        assert_eq!(before.score, after.score);
+        assert_eq!(before.avail, after.avail);
+        assert_ne!(before.partition, after.partition, "set order differs");
+
+        assert_ne!(before, after);
+        assert_ne!(before.fingerprint((0, 0)), after.fingerprint((0, 0)));
+        // The same state does compare and digest equal, whatever path
+        // produced it, and the two extra counters are part of the digest.
+        let again = SearchState::from_plan(&before.clone().into_plan(), &caps);
+        assert_eq!(before, again);
+        assert_eq!(before.fingerprint((7, 1)), again.fingerprint((7, 1)));
+        assert_ne!(before.fingerprint((7, 1)), before.fingerprint((7, 0)));
+    }
+
+    /// A seed forest is built once: a seed whose construction sequence
+    /// repeats an earlier seed's borrows that forest, and the chosen
+    /// start — hence the plan — is the one building every seed gives.
+    #[test]
+    fn duplicate_seed_forests_are_built_once() {
+        let cost = CostModel::new(2.0, 1.0).unwrap();
+        let [feasible, (pairs, caps)] = feasible_and_starved();
+        let seeds_built = |config: PlannerConfig, pairs: &PairSet, caps: &CapacityMap| {
+            let planner = Planner::new(config.clone());
+            let listed = 1 + planner.balanced_seeds(pairs, caps, cost).len();
+            let built = assert_matches_oracle(config, pairs, caps, cost).seeds_evaluated;
+            (built, listed)
+        };
+
+        // Starved: the payload that fits a root is below one value per
+        // attribute, so the one balanced seed is the singleton
+        // partition again, in weight order. Ordered allocation builds
+        // both smallest-first, ties by attribute id: the same sequence.
+        let weights: Vec<usize> = pairs
+            .attrs()
+            .map(|a| pairs.nodes_of(a).map_or(0, |n| n.len()))
+            .collect();
+        assert!(
+            weights.windows(2).any(|w| w[0] < w[1]),
+            "weight order must differ from id order: {weights:?}"
+        );
+        let ordered = PlannerConfig::default();
+        assert_eq!(seeds_built(ordered, &pairs, &caps), (1, 2));
+        // On-demand allocation builds in partition order, so the
+        // permuted duplicate is a different sequence and is kept ...
+        let on_demand = PlannerConfig {
+            allocation: AllocationScheme::OnDemand,
+            ..PlannerConfig::default()
+        };
+        assert_eq!(seeds_built(on_demand, &pairs, &caps), (2, 2));
+        // ... and a static scheme's budgets depend on the whole
+        // partition, so nothing is ever borrowed.
+        let uniform = PlannerConfig {
+            allocation: AllocationScheme::Uniform,
+            ..PlannerConfig::default()
+        };
+        assert_eq!(seeds_built(uniform, &pairs, &caps), (2, 2));
+
+        // Ample capacity: a one-set start is the k = 1 balanced seed.
+        let (pairs, caps) = (
+            dense_pairs(8, 4),
+            CapacityMap::uniform(8, 100.0, 1e3).unwrap(),
+        );
+        let one_set = PlannerConfig {
+            initial: InitialPartition::OneSet,
+            ..PlannerConfig::default()
+        };
+        assert_eq!(seeds_built(one_set, &pairs, &caps), (3, 4));
+        // Distinct seeds are all still built.
+        let (built, listed) = seeds_built(PlannerConfig::default(), &feasible.0, &feasible.1);
+        assert!((2..=listed).contains(&built), "{built} of {listed}");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Small capacity-starved instances, tight enough that the
+        /// default search cycles in most of them: for any cap the plan is
+        /// the oracle's, and a reported cycle always saved rounds.
+        #[test]
+        fn lap_skipping_is_invisible_on_starved_instances(
+            seed in 0u64..1_000_000,
+            nodes in 8u32..41,
+            attrs in 3u32..9,
+            density in 0.3f64..1.0,
+            per_node in 4u32..10,
+            collector in 10u32..60,
+            max_rounds in 0usize..140,
+        ) {
+            let pairs = sparse_pairs(seed, nodes, attrs, density);
+            let caps =
+                CapacityMap::uniform(nodes as usize, f64::from(per_node), f64::from(collector))
+                    .unwrap();
+            let cost = CostModel::new(2.0, 1.0).unwrap();
+            let config = PlannerConfig { max_rounds, ..PlannerConfig::default() };
+            let report = assert_matches_oracle(config, &pairs, &caps, cost);
+            if let StopReason::Cycle { .. } = report.stop {
+                prop_assert!(report.rounds < max_rounds);
             }
         }
     }

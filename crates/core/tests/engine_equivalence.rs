@@ -13,7 +13,7 @@ use proptest::prelude::*;
 use remo_core::adapt::{AdaptScheme, AdaptivePlanner};
 use remo_core::alloc::AllocationScheme;
 use remo_core::build::BuilderKind;
-use remo_core::planner::{InitialPartition, PlanReport, Planner, PlannerConfig};
+use remo_core::planner::{InitialPartition, PlanReport, Planner, PlannerConfig, StopReason};
 use remo_core::validate::{Audit, AuditInput};
 use remo_core::{
     AttrCatalog, AttrId, CapacityMap, CostModel, MonitoringPlan, NodeId, PairSet, TreeCache,
@@ -29,7 +29,7 @@ fn pair_set(raw: &[(u32, u32)]) -> PairSet {
 }
 
 /// The plan as JSON and the report with its wall-time fields zeroed,
-/// leaving the counters.
+/// leaving the counters, the stop reason and the skipped rounds.
 fn plan_and_counters(
     config: PlannerConfig,
     pairs: &PairSet,
@@ -57,7 +57,9 @@ proptest! {
     /// Across every builder × allocation × initial-partition
     /// combination, one, two and four workers, with and without the
     /// tree cache, produce byte-identical `MonitoringPlan`s and equal
-    /// search counters.
+    /// search counters — and end for the same reason after skipping the
+    /// same rounds: cycle detection reads the search state, which
+    /// neither the worker count nor the cache can reach.
     #[test]
     fn plans_and_counters_do_not_depend_on_workers_or_cache(
         raw in prop::collection::vec((0u32..NODES as u32, 0u32..ATTRS), 1..80),
@@ -97,6 +99,13 @@ proptest! {
                         plan_and_counters(config, &pairs, &caps, cost, &catalog)
                     };
                     let reference = run(1, false);
+                    // `stop` and `rounds_skipped` are compared with the
+                    // rest of the report below; here, that they agree.
+                    let report = &reference.1;
+                    prop_assert_eq!(
+                        matches!(report.stop, StopReason::Cycle { .. }),
+                        report.rounds_skipped > 0
+                    );
                     for (parallelism, cache) in
                         [(1, true), (2, false), (2, true), (4, false), (4, true)]
                     {

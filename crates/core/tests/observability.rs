@@ -12,7 +12,7 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use remo_core::planner::{Planner, PlannerConfig};
+use remo_core::planner::{Planner, PlannerConfig, StopReason};
 use remo_core::{AttrCatalog, AttrId, CapacityMap, CostModel, NodeId, PairSet};
 
 /// Dense demand: every attribute on every node.
@@ -128,6 +128,13 @@ fn prometheus_export_round_trips_cache_counters() {
     assert!(hits >= 0.0);
     assert_eq!(samples["remo_planner_plans_total"], 1.0);
     assert!(samples["remo_planner_rounds_total"] >= 1.0);
+    // Why the search ended: one of the three stop counters ticks per
+    // plan, and skipped rounds are counted apart from executed ones.
+    // Ample capacity here, so this search converges and skips nothing.
+    assert_eq!(samples["remo_planner_stops_converged_total"], 1.0);
+    assert_eq!(samples["remo_planner_stops_cycle_total"], 0.0);
+    assert_eq!(samples["remo_planner_stops_round_cap_total"], 0.0);
+    assert_eq!(samples["remo_planner_rounds_skipped_total"], 0.0);
     // The tree kernel says which challengers it built and which it
     // proved could not win: every adaptive build accounts for each of
     // the three schemes exactly once.
@@ -144,4 +151,56 @@ fn prometheus_export_round_trips_cache_counters() {
     assert!(samples
         .keys()
         .any(|k| k.starts_with("remo_planner_local_duration_ms_bucket{le=")));
+}
+
+/// A search that walks its plateau in a circle says so: one
+/// `planner.cycle` event naming the period and the rounds it skipped,
+/// matching the report, and the cycle stop counter ticks.
+#[test]
+fn cycle_stop_is_traced_and_counted() {
+    let _g = remo_obs::test_guard();
+    remo_obs::registry::registry().reset();
+    remo_obs::drain_trace();
+    remo_obs::enable();
+    // Capacity-starved: the payload a root can take is below one value
+    // per attribute.
+    let pairs = demand(18, 7);
+    let caps = CapacityMap::uniform(18, 6.0, 19.0).unwrap();
+    let catalog = AttrCatalog::new();
+    let cost = CostModel::new(2.0, 1.0).unwrap();
+    let (_, report) = Planner::default().plan_with_report(&pairs, &caps, cost, &catalog);
+    remo_obs::disable();
+    let records = remo_obs::drain_trace();
+
+    let StopReason::Cycle { period } = report.stop else {
+        panic!("the starved search must cycle: {report:?}");
+    };
+    assert_eq!(report.rounds + report.rounds_skipped, 128);
+    let jsonl = remo_obs::trace::to_jsonl(&records);
+    let cycles: Vec<&str> = jsonl
+        .lines()
+        .filter(|l| l.contains("\"planner.cycle\""))
+        .collect();
+    assert_eq!(cycles.len(), 1, "one event per plan: {cycles:?}");
+    assert!(
+        cycles[0].contains(&format!("\"period\":{period}")),
+        "{}",
+        cycles[0]
+    );
+    assert!(
+        cycles[0].contains(&format!("\"skipped\":{}", report.rounds_skipped)),
+        "{}",
+        cycles[0]
+    );
+
+    let text = remo_obs::registry::registry().render_prometheus();
+    let samples = remo_obs::summary::parse_prometheus(&text).expect("export must parse");
+    assert_eq!(samples["remo_planner_stops_cycle_total"], 1.0);
+    assert_eq!(samples["remo_planner_stops_converged_total"], 0.0);
+    assert_eq!(samples["remo_planner_stops_round_cap_total"], 0.0);
+    assert_eq!(
+        samples["remo_planner_rounds_skipped_total"],
+        report.rounds_skipped as f64
+    );
+    assert_eq!(samples["remo_planner_rounds_total"], report.rounds as f64);
 }

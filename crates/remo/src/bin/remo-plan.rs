@@ -1,7 +1,8 @@
 //! `remo-plan` — plan a monitoring forest from a JSON deployment spec.
 //!
 //! ```sh
-//! remo-plan spec.json              # human-readable summary
+//! remo-plan spec.json              # human-readable summary, then how
+//!                                  # the search went and why it ended
 //! remo-plan spec.json --dot        # Graphviz DOT of the forest
 //! remo-plan spec.json --audit      # run the full rule registry
 //! remo-plan spec.json --bundle     # emit a bundle for remo-audit
@@ -16,6 +17,7 @@
 use remo::spec::{AttrSpec, DeploymentSpec, TaskSpec};
 use remo_audit::{Audit, AuditBundle};
 use remo_core::export::{summarize, to_dot};
+use remo_core::planner::{PlanReport, StopReason};
 use std::process::ExitCode;
 
 fn example_spec() -> DeploymentSpec {
@@ -85,6 +87,19 @@ fn write_obs_outputs(trace: Option<&str>, metrics: Option<&str>) -> Result<(), S
     Ok(())
 }
 
+/// One line on the search behind the plan: work done and why it ended.
+fn search_line(report: &PlanReport) -> String {
+    let stop = match report.stop {
+        StopReason::Converged => "converged".to_string(),
+        StopReason::Cycle { period } => format!("state cycles with period {period}"),
+        StopReason::RoundCap => "round cap".to_string(),
+    };
+    format!(
+        "search: {} seed forests, {} rounds run, {} skipped; stopped: {stop}",
+        report.seeds_evaluated, report.rounds, report.rounds_skipped
+    )
+}
+
 fn main() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--example") {
@@ -127,7 +142,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let plan = match spec.plan() {
+    let (plan, report) = match spec.plan_with_report() {
         Ok(p) => p,
         Err(e) => {
             eprintln!("remo-plan: planning failed: {e}");
@@ -197,6 +212,7 @@ fn main() -> ExitCode {
         }
     } else {
         print!("{}", summarize(&plan));
+        println!("{}", search_line(&report));
     }
     ExitCode::SUCCESS
 }

@@ -2,7 +2,7 @@
 //! problem (nodes, capacities, cost model, tasks) that external tools
 //! and the `remo-plan` CLI consume.
 
-use remo_core::planner::{Planner, PlannerConfig};
+use remo_core::planner::{PlanReport, Planner, PlannerConfig};
 use remo_core::{
     Aggregation, AttrCatalog, AttrId, AttrInfo, CapacityMap, CostModel, MonitoringPlan,
     MonitoringTask, NodeId, PairSet, PlanError, TaskId, TaskManager,
@@ -150,6 +150,16 @@ impl DeploymentSpec {
     ///
     /// Returns a message for any invalid part of the spec.
     pub fn plan(&self) -> Result<MonitoringPlan, String> {
+        Ok(self.plan_with_report()?.0)
+    }
+
+    /// Like [`plan`](Self::plan), also returning the search telemetry
+    /// (rounds run and skipped, why the search ended).
+    ///
+    /// # Errors
+    ///
+    /// Returns a message for any invalid part of the spec.
+    pub fn plan_with_report(&self) -> Result<(MonitoringPlan, PlanReport), String> {
         let caps = self.capacities().map_err(|e| e.to_string())?;
         let cost = self.cost().map_err(|e| e.to_string())?;
         let catalog = self.catalog()?;
@@ -159,7 +169,7 @@ impl DeploymentSpec {
             frequency_aware: self.frequency_aware,
             ..PlannerConfig::default()
         });
-        Ok(planner.plan_with_catalog(&pairs, &caps, cost, &catalog))
+        Ok(planner.plan_with_report(&pairs, &caps, cost, &catalog))
     }
 }
 

@@ -10,14 +10,18 @@ cd "$(dirname "$0")/.."
 # crate's unit tests, then `benchmark/run.sh --seconds 2` on both sides
 # of the candidate-wave trade-off: plan-feasible (n = 1 000, several
 # rejections per round, converges) and plan-saturated (n = 10 000, rank
-# 0 accepted every round, stops at the round cap). Each plans two task
-# sets untraced and traced and exits non-zero unless every child's
-# result line says `"correct": true` (audit-clean, repeat-identical
+# 0 accepted every round — a merge, then the split that undoes it —
+# stops on the proven cycle). Each plans two task sets untraced and
+# traced and exits non-zero unless every child's result line says
+# `"correct": true` (audit-clean, repeat-identical
 # plans, and the one-worker uncached plan byte-identical to the default
 # configuration's — the harness's "serial engine disagrees" check).
 # Opt-in: the benchmark is its own workspace, so the first run pays a
 # cold release build into benchmark/target. Timings are printed, not
-# gated — two plans are not a measurement.
+# gated — two plans are not a measurement — but the saturated search
+# must know when it is done: `core.planner.hit_round_cap` 0 (the suite
+# leaves zero-valued layer rows out, so: not printed) and a mean of
+# fewer than 32 rounds per plan.
 if [[ "${1:-}" == "--benchmark-smoke" ]]; then
   echo "==> benchmark crate tests + plan-feasible and plan-saturated smoke"
   cargo test -q --offline --manifest-path benchmark/Cargo.toml
@@ -27,7 +31,16 @@ if [[ "${1:-}" == "--benchmark-smoke" ]]; then
       echo "benchmark smoke: a $workload run did not report \"correct\": true" >&2
       exit 1
     fi
-    echo "$out" | grep -E 'operations:|op_ms_p50|core\.build\.tree_us_adaptive|suite '
+    echo "$out" | grep -E 'operations:|op_ms_p50|core\.build\.tree_us_adaptive|core\.planner\.rounds |suite '
+    if [[ "$workload" == plan-saturated ]]; then
+      capped="$(echo "$out" | awk '$1 == "core.planner.hit_round_cap" { print $2 }')"
+      rounds="$(echo "$out" | awk '$1 == "core.planner.rounds" { print $2 }')"
+      echo "  core.planner.hit_round_cap ${capped:-0}"
+      if ! awk -v c="${capped:-0}" -v r="$rounds" 'BEGIN { exit !(r != "" && c + 0 == 0 && r + 0 < 32) }'; then
+        echo "benchmark smoke: plan-saturated ran to the round cap (hit_round_cap '$capped', rounds '$rounds')" >&2
+        exit 1
+      fi
+    fi
   done
   echo "benchmark smoke passed."
   exit 0

@@ -26,6 +26,13 @@ fn example_spec_round_trips_through_planning() {
     let text = String::from_utf8(out.stdout).unwrap();
     assert!(text.contains("monitoring plan:"), "summary output: {text}");
     assert!(text.contains("coverage"));
+    // The summary ends with how the search went and why it stopped.
+    let search = text.lines().last().unwrap();
+    assert!(search.starts_with("search: "), "summary output: {text}");
+    assert!(
+        search.contains("stopped: converged"),
+        "summary output: {text}"
+    );
 
     // DOT mode.
     let out = remo_plan().arg(&path).arg("--dot").output().expect("run");

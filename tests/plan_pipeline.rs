@@ -10,7 +10,7 @@ use remo::prelude::*;
 use remo_audit::{Audit, AuditInput};
 use remo_core::alloc::AllocationScheme;
 use remo_core::build::{AdjustConfig, BuilderKind};
-use remo_core::planner::{PartitionScheme, PlannerConfig};
+use remo_core::planner::{PartitionScheme, PlanReport, PlannerConfig, StopReason};
 use remo_core::TaskId;
 
 fn scenario(nodes: usize, attrs: usize, tasks: usize, budget: f64) -> Scenario {
@@ -226,12 +226,20 @@ fn task_manager_round_trips_through_planner() {
     assert!(plan2.demanded_pairs() < plan.demanded_pairs());
 }
 
-/// FNV-1a of the plan's JSON: one number that moves if any tree edge,
-/// usage float, exclusion or partition set does.
-fn plan_digest(nodes: usize, node_capacity: f64, collector_capacity: f64) -> (u64, f64) {
+/// One of the benchmark's planning shapes: 100 attributes, `tasks`
+/// small-scale tasks, node capacity `node_capacity` x pairs / attrs,
+/// collector capacity `collector_capacity` x nodes, C/a = 20; planned
+/// with the default configuration up to `max_rounds`.
+fn plan_shape(
+    nodes: usize,
+    tasks: usize,
+    node_capacity: f64,
+    collector_capacity: f64,
+    max_rounds: usize,
+) -> (MonitoringPlan, PlanReport) {
     let attrs = 100;
     let mut rng = SmallRng::seed_from_u64(2009);
-    let tasks = TaskGenConfig::small_scale(nodes, attrs).generate(150, TaskId(0), &mut rng);
+    let tasks = TaskGenConfig::small_scale(nodes, attrs).generate(tasks, TaskId(0), &mut rng);
     let pairs: PairSet = tasks.iter().flat_map(|t| t.pairs()).collect();
     let caps = CapacityMap::uniform(
         nodes,
@@ -239,12 +247,27 @@ fn plan_digest(nodes: usize, node_capacity: f64, collector_capacity: f64) -> (u6
         collector_capacity * nodes as f64,
     )
     .unwrap();
-    let plan = Planner::default().plan(&pairs, &caps, CostModel::from_ratio(20.0).unwrap());
+    let planner = Planner::new(PlannerConfig {
+        max_rounds,
+        ..PlannerConfig::default()
+    });
+    let cost = CostModel::from_ratio(20.0).unwrap();
+    planner.plan_with_report(&pairs, &caps, cost, &AttrCatalog::new())
+}
+
+/// FNV-1a of the plan's JSON: one number that moves if any tree edge,
+/// usage float, exclusion or partition set does.
+fn plan_digest(
+    nodes: usize,
+    node_capacity: f64,
+    collector_capacity: f64,
+) -> (u64, f64, PlanReport) {
+    let (plan, report) = plan_shape(nodes, 150, node_capacity, collector_capacity, 128);
     let json = serde_json::to_string(&plan).unwrap();
     let digest = json.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
         (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
     });
-    (digest, plan.coverage())
+    (digest, plan.coverage(), report)
 }
 
 /// The plans of the benchmark's two planning shapes (`plan-feasible`:
@@ -252,17 +275,56 @@ fn plan_digest(nodes: usize, node_capacity: f64, collector_capacity: f64) -> (u6
 /// `plan-saturated`: 0.35x), scaled to n = 300 with the per-node demand
 /// and capacity kept (so 27x and 1.2x of a 3.3x smaller mean). The
 /// digests were taken before the tree kernel was reworked (challenger
-/// pruning, dense tracker, linear relief sweeps): kernel optimisations
-/// must be invisible here.
+/// pruning, dense tracker, linear relief sweeps) and before the search
+/// learned to skip the laps of a cycle and to build a repeated seed
+/// forest once: kernel and search optimisations must be invisible here.
+/// What they may change is the work the report counts: the feasible
+/// search builds its four distinct seeds and converges; the starved one
+/// builds one forest for its two singleton-partition seeds and stops on
+/// a proven cycle instead of at the 128-round cap.
 #[test]
 fn default_planner_plans_are_pinned() {
-    let (feasible, coverage) = plan_digest(300, 27.0, 1_000.0);
+    let (feasible, coverage, report) = plan_digest(300, 27.0, 1_000.0);
     assert!(
         coverage > 0.99,
         "feasible shape must be feasible ({coverage})"
     );
     assert_eq!(format!("{feasible:016x}"), "f16dcf893b88d2ec");
-    let (starved, coverage) = plan_digest(300, 1.2, 40.0);
+    assert_eq!(report.seeds_evaluated, 4, "{report:?}");
+    assert_eq!(report.stop, StopReason::Converged, "{report:?}");
+    assert_eq!(report.rounds_skipped, 0, "{report:?}");
+
+    let (starved, coverage, report) = plan_digest(300, 1.2, 40.0);
     assert!(coverage < 0.5, "starved shape must be starved ({coverage})");
     assert_eq!(format!("{starved:016x}"), "224d727729e2dfb4");
+    assert_eq!(report.seeds_evaluated, 1, "{report:?}");
+    assert!(
+        matches!(report.stop, StopReason::Cycle { .. }),
+        "{report:?}"
+    );
+    assert_eq!(report.rounds + report.rounds_skipped, 128, "{report:?}");
+    assert!(report.rounds <= 32, "{report:?}");
+}
+
+/// `benchmark/README.md` found that on the saturated shape at n = 1 000
+/// the search used every round it was given — 0.05 s at 128 rounds,
+/// 17.5 s at 100 000 — for the same plan. The cap is now only the
+/// logical length of the search: here the state first repeats after a
+/// few hundred rounds (99 tolerant merges, then the 99 splits that undo
+/// them: period 198), one more lap proves it, and the other ~99 000
+/// rounds are skipped.
+#[test]
+fn raising_the_round_cap_stops_costing_once_the_search_cycles() {
+    let (short, capped) = plan_shape(1_000, 500, 0.35, 40.0, 128);
+    let (long, report) = plan_shape(1_000, 500, 0.35, 40.0, 100_000);
+    assert!(short.coverage() < 0.2, "saturated ({})", short.coverage());
+    assert_eq!(capped.stop, StopReason::RoundCap, "{capped:?}");
+    assert_eq!(report.stop, StopReason::Cycle { period: 198 }, "{report:?}");
+    assert!(report.rounds <= 2_048, "{report:?}");
+    assert_eq!(report.rounds + report.rounds_skipped, 100_000);
+    assert_eq!(long.collected_pairs(), short.collected_pairs());
+    assert_eq!(
+        long.message_volume().to_bits(),
+        short.message_volume().to_bits()
+    );
 }
