@@ -14,6 +14,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use crate::AuditBundle;
+use remo_core::corpus::Case;
 use remo_core::planner::{PartitionScheme, Planner};
 use remo_core::reliability::rewrite_ssdp;
 use remo_core::{
@@ -22,17 +23,6 @@ use remo_core::{
 };
 use remo_sim::failure::{FailureSchedule, Outage};
 use serde::{Deserialize, Serialize, Value};
-
-/// One corpus entry: a bundle that must trip `rule` and nothing else.
-#[derive(Debug, Clone)]
-pub struct BadCase {
-    /// The rule the bundle is built to violate.
-    pub rule: &'static str,
-    /// What the corruption models.
-    pub description: &'static str,
-    /// The corrupted audit input.
-    pub bundle: AuditBundle,
-}
 
 fn dense_pairs(nodes: u32, attrs: u32) -> PairSet {
     (0..nodes)
@@ -252,100 +242,87 @@ fn unmeetable_staleness_slo() -> AuditBundle {
 }
 
 /// The full corpus: every entry trips exactly its named rule.
-pub fn known_bad() -> Vec<BadCase> {
+pub fn known_bad() -> Vec<Case<AuditBundle>> {
     use crate::rules;
+    let case = |name, rule, why, input| Case {
+        name,
+        rule,
+        code: crate::rule(rule).expect("registered rule").code,
+        why,
+        input,
+    };
     vec![
-        BadCase {
-            rule: rules::CAPACITY_BUDGET,
-            description: "capacities shrank after planning",
-            bundle: over_budget(),
-        },
-        BadCase {
-            rule: rules::PARTITION_DISJOINT,
-            description: "one attribute deserialized into two sets",
-            bundle: overlapping_partition(),
-        },
-        BadCase {
-            rule: rules::PAIR_COVERAGE,
-            description: "recorded collected pairs inflated",
-            bundle: inflated_coverage(),
-        },
-        BadCase {
-            rule: rules::TREE_ACYCLIC,
-            description: "deserialized tree with a detached cycle",
-            bundle: cyclic_tree(),
-        },
-        BadCase {
-            rule: rules::ALLOC_CONSERVATION,
-            description: "recorded usage doubled for one node",
-            bundle: skewed_allocation(),
-        },
-        BadCase {
-            rule: rules::COST_MODEL_ACCOUNTING,
-            description: "recorded message volume drifted",
-            bundle: wrong_volume(),
-        },
-        BadCase {
-            rule: rules::RELIABILITY_ALIAS_CONSISTENCY,
-            description: "SSDP replicas planned into one tree",
-            bundle: colocated_replicas(),
-        },
-        BadCase {
-            rule: rules::ADAPTATION_MONOTONIC,
-            description: "coverage lost with no failures",
-            bundle: lossy_adaptation(),
-        },
-        BadCase {
-            rule: rules::FAILURE_SCHEDULE_CONSISTENT,
-            description: "outage window that never fires",
-            bundle: bad_schedule(),
-        },
-        BadCase {
-            rule: rules::STALENESS_BOUND,
-            description: "slow attribute can never meet the declared SLO",
-            bundle: unmeetable_staleness_slo(),
-        },
+        case(
+            "over-budget",
+            rules::CAPACITY_BUDGET,
+            "capacities shrank after planning",
+            over_budget(),
+        ),
+        case(
+            "overlapping-partition",
+            rules::PARTITION_DISJOINT,
+            "one attribute deserialized into two sets",
+            overlapping_partition(),
+        ),
+        case(
+            "inflated-coverage",
+            rules::PAIR_COVERAGE,
+            "recorded collected pairs inflated",
+            inflated_coverage(),
+        ),
+        case(
+            "cyclic-tree",
+            rules::TREE_ACYCLIC,
+            "deserialized tree with a detached cycle",
+            cyclic_tree(),
+        ),
+        case(
+            "skewed-allocation",
+            rules::ALLOC_CONSERVATION,
+            "recorded usage doubled for one node",
+            skewed_allocation(),
+        ),
+        case(
+            "wrong-volume",
+            rules::COST_MODEL_ACCOUNTING,
+            "recorded message volume drifted",
+            wrong_volume(),
+        ),
+        case(
+            "colocated-replicas",
+            rules::RELIABILITY_ALIAS_CONSISTENCY,
+            "SSDP replicas planned into one tree",
+            colocated_replicas(),
+        ),
+        case(
+            "lossy-adaptation",
+            rules::ADAPTATION_MONOTONIC,
+            "coverage lost with no failures",
+            lossy_adaptation(),
+        ),
+        case(
+            "bad-schedule",
+            rules::FAILURE_SCHEDULE_CONSISTENT,
+            "outage window that never fires",
+            bad_schedule(),
+        ),
+        case(
+            "unmeetable-staleness-slo",
+            rules::STALENESS_BOUND,
+            "slow attribute can never meet the declared SLO",
+            unmeetable_staleness_slo(),
+        ),
     ]
 }
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::unwrap_used, clippy::expect_used)]
     use super::*;
-    use crate::Audit;
-    use std::collections::BTreeSet;
 
-    /// The acceptance criterion: every corpus bundle trips its named
-    /// rule and *only* its named rule.
+    /// Every corpus bundle trips its named rule and *only* its named
+    /// rule, before and after the CLI's JSON round-trip.
     #[test]
     fn every_case_trips_exactly_its_rule() {
-        for case in known_bad() {
-            let outcome = case.bundle.audit(&Audit::new());
-            let fired: BTreeSet<&str> = outcome.findings.iter().map(|f| f.rule.as_str()).collect();
-            assert_eq!(
-                fired,
-                [case.rule].into_iter().collect::<BTreeSet<_>>(),
-                "case `{}` ({}): fired {fired:?}\n{}",
-                case.rule,
-                case.description,
-                outcome.render()
-            );
-        }
-    }
-
-    /// Corpus bundles survive the CLI's JSON round-trip without the
-    /// corruption being repaired or worsened.
-    #[test]
-    fn corpus_roundtrips_through_json() {
-        for case in known_bad() {
-            let text = case.bundle.to_json().expect("serializes");
-            let back = AuditBundle::from_json(&text).expect("parses");
-            let outcome = back.audit(&Audit::new());
-            assert!(
-                outcome.findings.iter().any(|f| f.rule == case.rule),
-                "case `{}` lost its violation across JSON",
-                case.rule
-            );
-        }
+        remo_core::corpus::check(&known_bad(), |b| b.audit(&crate::Audit::new()).findings);
     }
 }

@@ -7,8 +7,9 @@
 //! ([`cross::check_assignments`]), sim failure schedules checked for
 //! self-consistency ([`cross::check_failure_schedule`]) — a
 //! serializable [`AuditBundle`] input format, SARIF-style JSON
-//! reports ([`sarif`]), a corpus of known-bad plans ([`corpus`]), and
-//! the `remo-audit` CLI.
+//! reports ([`sarif`]), and a corpus of known-bad plans ([`corpus`]).
+//! The CLI is `remo-check audit` (the shared analyzer front-end, in
+//! `crates/mc`).
 //!
 //! The planner maintains the paper's invariants *by construction*;
 //! this crate re-proves them on any plan that crossed a serialization
@@ -57,7 +58,7 @@ use std::collections::BTreeSet;
 /// Everything an offline audit needs, as one serializable document:
 /// the plan, the demand and budgets it claims to satisfy, and the
 /// optional cross-cutting artifacts. This is the input format of the
-/// `remo-audit` CLI.
+/// `remo-check audit` CLI.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct AuditBundle {
     /// The plan under audit.

@@ -66,10 +66,12 @@ mod attribute;
 pub mod build;
 pub mod cache;
 mod capacity;
+pub mod corpus;
 mod cost;
 mod error;
 pub mod estimate;
 pub mod evaluate;
+pub mod explore;
 pub mod export;
 pub mod frequency;
 mod ids;

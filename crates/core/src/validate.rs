@@ -161,6 +161,20 @@ pub mod rules {
     pub const UNBOUNDED_INFLIGHT: &str = "unbounded-inflight";
 }
 
+/// The four analyzers behind `remo-check`. Every rule is checked by
+/// exactly one of them ([`RuleMeta::owner`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Analyzer {
+    /// Whole-plan audit of a serialized bundle (crate `remo-audit`).
+    Audit,
+    /// Bounded model checking of self-healing (crate `remo-mc`).
+    Mc,
+    /// Pre-flight abstract interpretation of a spec (crate `remo-static`).
+    Static,
+    /// Exhaustive control-plane verification (crate `remo-proto`).
+    Proto,
+}
+
 /// Static description of one audit rule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RuleMeta {
@@ -168,6 +182,8 @@ pub struct RuleMeta {
     pub name: &'static str,
     /// Stable short code (`RA…`), for machine consumption.
     pub code: &'static str,
+    /// The analyzer that checks it.
+    pub owner: Analyzer,
     /// Default severity (overridable per [`RuleSet`]).
     pub severity: Severity,
     /// Paper section the invariant comes from.
@@ -183,6 +199,7 @@ pub const RULES: &[RuleMeta] = &[
     RuleMeta {
         name: rules::CAPACITY_BUDGET,
         code: "RA001",
+        owner: Analyzer::Audit,
         severity: Severity::Error,
         paper_section: "§3.2",
         summary: "recomputed node and collector usage stays within capacity budgets",
@@ -191,6 +208,7 @@ pub const RULES: &[RuleMeta] = &[
     RuleMeta {
         name: rules::PARTITION_DISJOINT,
         code: "RA002",
+        owner: Analyzer::Audit,
         severity: Severity::Error,
         paper_section: "§3.1",
         summary: "attribute partition sets are non-empty, disjoint, and parallel to the trees",
@@ -199,6 +217,7 @@ pub const RULES: &[RuleMeta] = &[
     RuleMeta {
         name: rules::PAIR_COVERAGE,
         code: "RA003",
+        owner: Analyzer::Audit,
         severity: Severity::Error,
         paper_section: "§2, §3.2",
         summary: "demanded pairs are planned and pair bookkeeping matches the structures",
@@ -207,6 +226,7 @@ pub const RULES: &[RuleMeta] = &[
     RuleMeta {
         name: rules::TREE_ACYCLIC,
         code: "RA004",
+        owner: Analyzer::Audit,
         severity: Severity::Error,
         paper_section: "§3.2",
         summary: "every collection tree is a rooted acyclic tree with consistent indexes",
@@ -215,6 +235,7 @@ pub const RULES: &[RuleMeta] = &[
     RuleMeta {
         name: rules::ALLOC_CONSERVATION,
         code: "RA005",
+        owner: Analyzer::Audit,
         severity: Severity::Error,
         paper_section: "§5",
         summary: "recorded per-tree usage equals the recomputed capacity allocation",
@@ -223,6 +244,7 @@ pub const RULES: &[RuleMeta] = &[
     RuleMeta {
         name: rules::COST_MODEL_ACCOUNTING,
         code: "RA006",
+        owner: Analyzer::Audit,
         severity: Severity::Error,
         paper_section: "§2.3",
         summary: "recorded message volume matches the C + a·x per-message cost model",
@@ -231,6 +253,7 @@ pub const RULES: &[RuleMeta] = &[
     RuleMeta {
         name: rules::RELIABILITY_ALIAS_CONSISTENCY,
         code: "RA007",
+        owner: Analyzer::Audit,
         severity: Severity::Error,
         paper_section: "§6.2",
         summary: "alias replicas land in distinct trees and forbidden pairs never share a set",
@@ -239,6 +262,7 @@ pub const RULES: &[RuleMeta] = &[
     RuleMeta {
         name: rules::ADAPTATION_MONOTONIC,
         code: "RA008",
+        owner: Analyzer::Audit,
         severity: Severity::Warn,
         paper_section: "§4.2",
         summary: "adaptation does not lose coverage on surviving nodes",
@@ -247,6 +271,7 @@ pub const RULES: &[RuleMeta] = &[
     RuleMeta {
         name: rules::IDLE_MEMBER,
         code: "RA009",
+        owner: Analyzer::Audit,
         severity: Severity::Warn,
         paper_section: "§3.2",
         summary: "every tree member samples or relays at least one attribute",
@@ -255,6 +280,7 @@ pub const RULES: &[RuleMeta] = &[
     RuleMeta {
         name: rules::RELAY_ONLY,
         code: "RA010",
+        owner: Analyzer::Audit,
         severity: Severity::Info,
         paper_section: "§3.2",
         summary: "members that only relay are surfaced (legal, but costs without local pairs)",
@@ -263,6 +289,7 @@ pub const RULES: &[RuleMeta] = &[
     RuleMeta {
         name: rules::DEPLOYMENT_ROUTE_FIDELITY,
         code: "RA011",
+        owner: Analyzer::Audit,
         severity: Severity::Error,
         paper_section: "§3.2",
         summary: "runtime tree assignments mirror the plan's routes, samples, and funnels",
@@ -271,6 +298,7 @@ pub const RULES: &[RuleMeta] = &[
     RuleMeta {
         name: rules::FAILURE_SCHEDULE_CONSISTENT,
         code: "RA012",
+        owner: Analyzer::Audit,
         severity: Severity::Warn,
         paper_section: "§6.2",
         summary: "scripted outages have non-empty windows, real targets, and no duplicates",
@@ -279,6 +307,7 @@ pub const RULES: &[RuleMeta] = &[
     RuleMeta {
         name: rules::REPAIR_CAPACITY,
         code: "RA013",
+        owner: Analyzer::Mc,
         severity: Severity::Error,
         paper_section: "§4.2",
         summary: "confirmed-dead nodes carry no monitoring load while repair is in flight",
@@ -287,6 +316,7 @@ pub const RULES: &[RuleMeta] = &[
     RuleMeta {
         name: rules::REPAIR_IDEMPOTENT,
         code: "RA014",
+        owner: Analyzer::Mc,
         severity: Severity::Error,
         paper_section: "§4.2",
         summary: "re-applying a completed failure repair leaves the plan unchanged",
@@ -295,6 +325,7 @@ pub const RULES: &[RuleMeta] = &[
     RuleMeta {
         name: rules::RECOVERY_CONVERGENCE,
         code: "RA015",
+        owner: Analyzer::Mc,
         severity: Severity::Error,
         paper_section: "§4.2, §7.4",
         summary: "after all failed nodes recover, coverage and cost return near the original",
@@ -303,6 +334,7 @@ pub const RULES: &[RuleMeta] = &[
     RuleMeta {
         name: rules::VALUE_LOSS_ACCOUNTING,
         code: "RA016",
+        owner: Analyzer::Mc,
         severity: Severity::Error,
         paper_section: "§7.4",
         summary: "lost-value accounting is monotone and agrees with health telemetry",
@@ -311,6 +343,7 @@ pub const RULES: &[RuleMeta] = &[
     RuleMeta {
         name: rules::STALENESS_BOUND,
         code: "RA017",
+        owner: Analyzer::Audit,
         severity: Severity::Warn,
         paper_section: "§2.3",
         summary: "effective reporting intervals stay within the declared staleness SLO",
@@ -320,6 +353,7 @@ pub const RULES: &[RuleMeta] = &[
     RuleMeta {
         name: rules::STATIC_INFEASIBLE_CAPACITY,
         code: "RA018",
+        owner: Analyzer::Static,
         severity: Severity::Error,
         paper_section: "§2.3, §3.2",
         summary: "the best-case symbolic plan cost fits every node and collector budget",
@@ -329,6 +363,7 @@ pub const RULES: &[RuleMeta] = &[
     RuleMeta {
         name: rules::SLO_UNREACHABLE_UNDER_NETSPEC,
         code: "RA019",
+        owner: Analyzer::Static,
         severity: Severity::Error,
         paper_section: "§2.3",
         summary: "the staleness SLO is reachable under the declared network fault model",
@@ -338,6 +373,7 @@ pub const RULES: &[RuleMeta] = &[
     RuleMeta {
         name: rules::DEGRADE_DIVERGENCE,
         code: "RA020",
+        owner: Analyzer::Static,
         severity: Severity::Warn,
         paper_section: "§5",
         summary: "the collector backpressure loop converges to a finite degrade level",
@@ -347,6 +383,7 @@ pub const RULES: &[RuleMeta] = &[
     RuleMeta {
         name: rules::UNBOUNDED_QUEUE,
         code: "RA021",
+        owner: Analyzer::Static,
         severity: Severity::Warn,
         paper_section: "§5",
         summary: "the collector ingress queue is bounded without load shedding",
@@ -356,6 +393,7 @@ pub const RULES: &[RuleMeta] = &[
     RuleMeta {
         name: rules::PROTOCOL_DEADLOCK,
         code: "RA022",
+        owner: Analyzer::Proto,
         severity: Severity::Error,
         paper_section: "§4.2",
         summary: "every reachable control-plane state can make progress toward quiescence",
@@ -365,6 +403,7 @@ pub const RULES: &[RuleMeta] = &[
     RuleMeta {
         name: rules::UNEXPECTED_MESSAGE,
         code: "RA023",
+        owner: Analyzer::Proto,
         severity: Severity::Error,
         paper_section: "§4.2",
         summary: "no reachable state delivers a message its transition table leaves undefined",
@@ -374,6 +413,7 @@ pub const RULES: &[RuleMeta] = &[
     RuleMeta {
         name: rules::INCARNATION_REGRESSION,
         code: "RA024",
+        owner: Analyzer::Proto,
         severity: Severity::Error,
         paper_section: "§4.2, §7.4",
         summary: "incarnations grow strictly across restarts and never swallow fresh frames",
@@ -383,6 +423,7 @@ pub const RULES: &[RuleMeta] = &[
     RuleMeta {
         name: rules::UNBOUNDED_INFLIGHT,
         code: "RA025",
+        owner: Analyzer::Proto,
         severity: Severity::Error,
         paper_section: "§2.3, §5",
         summary: "unacked ARQ frames and control queues stay within their declared bounds",
@@ -1265,6 +1306,23 @@ mod tests {
         }
         assert_eq!(rule(rules::CAPACITY_BUDGET).map(|r| r.code), Some("RA001"));
         assert!(rule("no-such-rule").is_none());
+    }
+
+    /// RA001–RA025 with no gap, each owned by exactly one analyzer
+    /// (one field, so "exactly one" holds by construction; this pins
+    /// *which*).
+    #[test]
+    fn every_code_has_its_one_owner() {
+        for (n, r) in (1..).zip(RULES) {
+            let owner = match n {
+                13..=16 => Analyzer::Mc,
+                18..=21 => Analyzer::Static,
+                22..=25 => Analyzer::Proto,
+                _ => Analyzer::Audit,
+            };
+            assert_eq!((r.code, r.owner), (format!("RA{n:03}").as_str(), owner));
+        }
+        assert_eq!(RULES.len(), 25);
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! Bounded exhaustive exploration: DFS over all event interleavings
-//! up to a depth bound, with state-fingerprint deduplication.
+//! Bounded exhaustive exploration: every event interleaving up to a
+//! depth bound, with state-fingerprint deduplication — an
+//! instantiation of the shared [`remo_core::explore`] DFS.
 //!
 //! Every transition clones the [`Harness`], applies one enabled event
 //! through the real planner/runtime code, and re-checks the
@@ -13,20 +14,7 @@ use crate::harness::{Event, Harness, InvariantConfig};
 use crate::minimize;
 use crate::topology::TopologySpec;
 use remo_audit::{Finding, Severity};
-use std::collections::BTreeSet;
-
-/// Exploration counters: `expanded` counts transitions applied,
-/// `visited` counts unique states (by fingerprint), and `deduped`
-/// counts transitions that landed on an already-visited state.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ExploreStats {
-    /// Unique states reached (including the initial state).
-    pub states_visited: u64,
-    /// Transitions applied (states expanded from).
-    pub states_expanded: u64,
-    /// Transitions that reached an already-visited state.
-    pub deduped: u64,
-}
+pub use remo_core::explore::ExploreStats;
 
 /// One invariant violation: the raw trace that found it, the
 /// delta-debugged minimal trace, and the findings at the violating
@@ -44,7 +32,7 @@ pub struct Violation {
 /// Result of one bounded exploration.
 #[derive(Debug, Clone)]
 pub struct ExploreResult {
-    /// Counters.
+    /// Counters (violating transitions are reported, not counted).
     pub stats: ExploreStats,
     /// Violations, each with a minimized counterexample.
     pub violations: Vec<Violation>,
@@ -62,61 +50,30 @@ pub fn explore(
     depth: usize,
 ) -> Result<ExploreResult, remo_core::PlanError> {
     let root = Harness::new(spec.clone(), *cfg)?;
-    let mut seen = BTreeSet::new();
-    seen.insert(root.fingerprint());
-    let mut result = ExploreResult {
-        stats: ExploreStats {
-            states_visited: 1,
-            ..ExploreStats::default()
-        },
-        violations: Vec::new(),
-    };
-    let mut trace = Vec::new();
-    dfs(&root, depth, &mut trace, &mut seen, &mut result);
-    for v in &mut result.violations {
-        v.minimized = minimize::minimize(spec, cfg, &v.trace);
-    }
-    Ok(result)
-}
-
-fn dfs(
-    state: &Harness,
-    depth_left: usize,
-    trace: &mut Vec<Event>,
-    seen: &mut BTreeSet<u64>,
-    result: &mut ExploreResult,
-) {
-    if depth_left == 0 {
-        return;
-    }
-    for event in state.enabled_events() {
-        let mut next = state.clone();
-        result.stats.states_expanded += 1;
-        let findings = next.apply(event);
-        trace.push(event);
-        let errors: Vec<Finding> = findings
-            .into_iter()
-            .filter(|f| f.severity == Severity::Error)
-            .collect();
-        if !errors.is_empty() {
-            result.violations.push(Violation {
-                trace: trace.clone(),
-                minimized: Vec::new(),
-                findings: errors,
-            });
+    let mut violations = Vec::new();
+    let expand = |state: &Harness, trace: &[Event]| {
+        let mut successors = Vec::new();
+        for event in state.enabled_events() {
+            let mut next = state.clone();
+            let mut findings = next.apply(event);
+            findings.retain(|f| f.severity == Severity::Error);
+            if findings.is_empty() {
+                successors.push((event, next));
+                continue;
+            }
             // A violated state is reported, not expanded: deeper
             // suffixes of a broken prefix add no information.
-            trace.pop();
-            continue;
+            let trace = [trace, &[event]].concat();
+            violations.push(Violation {
+                minimized: minimize::minimize(spec, cfg, &trace),
+                trace,
+                findings,
+            });
         }
-        if seen.insert(next.fingerprint()) {
-            result.stats.states_visited += 1;
-            dfs(&next, depth_left - 1, trace, seen, result);
-        } else {
-            result.stats.deduped += 1;
-        }
-        trace.pop();
-    }
+        successors
+    };
+    let stats = remo_core::explore::explore(root, depth, Harness::fingerprint, expand);
+    Ok(ExploreResult { stats, violations })
 }
 
 #[cfg(test)]
@@ -134,15 +91,15 @@ mod tests {
             "seeded small topology must be violation-free: {:?}",
             result.violations.first().map(|v| &v.findings)
         );
-        assert!(result.stats.states_expanded > result.stats.states_visited);
+        assert!(result.stats.expanded > result.stats.visited);
         assert!(
             result.stats.deduped > 0,
             "commuting interleavings must collapse: {:?}",
             result.stats
         );
         assert_eq!(
-            result.stats.states_expanded,
-            result.stats.states_visited - 1 + result.stats.deduped,
+            result.stats.expanded,
+            result.stats.visited - 1 + result.stats.deduped,
             "every transition either discovers a state or dedups"
         );
     }

@@ -213,7 +213,9 @@ impl Harness {
         let mut sessions = BTreeMap::new();
         for n in spec.node_ids() {
             let mut m = SessionMachine::new();
-            debug_assert!(matches!(m.on_hello(0), HelloOutcome::Admitted(_)));
+            // Not inside the assert: release builds must register too.
+            let admitted = m.on_hello(0);
+            debug_assert!(matches!(admitted, HelloOutcome::Admitted(_)));
             sessions.insert(n, m);
         }
         Ok(Harness {

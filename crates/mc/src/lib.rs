@@ -21,9 +21,12 @@
 //!
 //! The explorer deduplicates states by fingerprint, delta-debugs any
 //! violating trace to a minimal counterexample, and emits it in a
-//! serializable replay format (see the committed `corpus/`). The
-//! `remo-mc` CLI drives exploration and replay and reports violations
-//! through the SARIF pipeline.
+//! serializable replay format (see the committed `corpus/`).
+//!
+//! The crate also hosts `remo-check`, the one CLI in front of all
+//! four analyzers (it is the crate that depends on all of them):
+//! `remo-check mc explore|replay` drives exploration and replay and
+//! reports violations through the SARIF pipeline.
 //!
 //! ```
 //! use remo_mc::{explore, InvariantConfig, TopologySpec};
@@ -31,7 +34,7 @@
 //! let spec = TopologySpec::small(1);
 //! let result = explore::explore(&spec, &InvariantConfig::default(), 3).unwrap();
 //! assert!(result.violations.is_empty());
-//! assert!(result.stats.states_visited > 1);
+//! assert!(result.stats.visited > 1);
 //! ```
 
 #![warn(missing_docs)]

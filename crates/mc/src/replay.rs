@@ -3,7 +3,7 @@
 //!
 //! A replay file pins the topology spec, the invariant tolerances the
 //! trace was found under, the event sequence, and the expected
-//! verdict. `remo-mc replay <file>` re-runs it through the same
+//! verdict. `remo-check mc replay <file>` re-runs it through the same
 //! harness and compares; the committed `corpus/` directory is a suite
 //! of these.
 

@@ -99,7 +99,7 @@ impl TopologySpec {
     }
 }
 
-/// The default seeded topology set `remo-mc explore` sweeps: a spread
+/// The default seeded topology set `remo-check mc explore` sweeps: a spread
 /// of sizes, schemes, and detector settings, all within n ≤ 8.
 pub fn seeded_specs() -> Vec<TopologySpec> {
     vec![

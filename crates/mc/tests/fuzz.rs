@@ -1,7 +1,7 @@
 //! Fuzz-shaped property tests: random event sequences longer than the
 //! exhaustive depth bound, run through the same invariant harness. A
 //! failing case is delta-debugged and written in the replay format so
-//! it can be committed to `corpus/` and re-run with `remo-mc replay`.
+//! it can be committed to `corpus/` and re-run with `remo-check mc replay`.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -54,7 +54,7 @@ fn report_violation(spec: &TopologySpec, cfg: &InvariantConfig, applied: Vec<Eve
     std::fs::write(&path, file.to_json().unwrap()).unwrap();
     panic!(
         "invariant violated by fuzzed trace; minimized to {} events, replay written to {} \
-         (verify with `remo-mc replay`)",
+         (verify with `remo-check mc replay`)",
         min.len(),
         path.display()
     );

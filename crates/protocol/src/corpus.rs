@@ -6,21 +6,7 @@
 //! before they shipped.
 
 use crate::spec::{ClientEvent, ClientState, ProtocolSpec, SessionEvent, SessionState};
-
-/// One corpus case: a mutated spec plus the single rule it must trip.
-#[derive(Debug, Clone)]
-pub struct CorpusCase {
-    /// Stable case name.
-    pub name: &'static str,
-    /// The rule the mutation violates (kebab-case name).
-    pub rule: &'static str,
-    /// The rule's stable `RA…` code.
-    pub code: &'static str,
-    /// What was mutated and why it is wrong.
-    pub why: &'static str,
-    /// The mutated spec.
-    pub spec: ProtocolSpec,
-}
+use remo_core::corpus::Case;
 
 /// PR 9 bug #1, as a spec mutation: the receive-side dedup window not
 /// scoped to the sender incarnation, so a restarted sender's fresh
@@ -42,7 +28,7 @@ pub fn straggler_resurrection() -> ProtocolSpec {
 }
 
 /// All corpus cases, in rule-code order.
-pub fn cases() -> Vec<CorpusCase> {
+pub fn cases() -> Vec<Case<ProtocolSpec>> {
     let mut client_drops_conn_lost = ProtocolSpec::shipped();
     client_drops_conn_lost
         .client
@@ -60,63 +46,56 @@ pub fn cases() -> Vec<CorpusCase> {
     unbounded_retransmit.arq.retry_budget_enforced = false;
 
     vec![
-        CorpusCase {
+        Case {
             name: "client-drops-conn-lost",
             rule: "protocol-deadlock",
             code: "RA022",
             why: "the supervisor's Running state has no ConnLost entry, so a node whose \
                   connection dies keeps believing it is connected and can never redial, \
                   drain, or give up",
-            spec: client_drops_conn_lost,
+            input: client_drops_conn_lost,
         },
-        CorpusCase {
+        Case {
             name: "undefined-stale-report",
             rule: "unexpected-message",
             code: "RA023",
             why: "the session's Ticking state has no entry for straggler reports, so a \
                   late frame from a slow node lands on an undefined transition",
-            spec: undefined_stale_report,
+            input: undefined_stale_report,
         },
-        CorpusCase {
+        Case {
             name: "straggler-resurrection",
             rule: "unexpected-message",
             code: "RA023",
             why: "PR 9 bug #2: stale reports credited as attendance resurrect a \
                   confirmed-dead node and double-repair its load",
-            spec: straggler_resurrection(),
+            input: straggler_resurrection(),
         },
-        CorpusCase {
+        Case {
             name: "incarnation-reuse",
             rule: "incarnation-regression",
             code: "RA024",
             why: "fresh Hellos no longer mint a strictly greater incarnation, so a \
                   restarted node is indistinguishable from its previous life",
-            spec: incarnation_reuse,
+            input: incarnation_reuse,
         },
-        CorpusCase {
+        Case {
             name: "seq-restart-swallow",
             rule: "incarnation-regression",
             code: "RA024",
             why: "PR 9 bug #1: the dedup window ignores the sender incarnation, so a \
                   restarted sender's first frames are silently swallowed",
-            spec: seq_restart_swallow(),
+            input: seq_restart_swallow(),
         },
-        CorpusCase {
+        Case {
             name: "unbounded-retransmit",
             rule: "unbounded-inflight",
             code: "RA025",
             why: "the ARQ retry budget is not enforced, so an unreachable peer's frames \
                   are retransmitted forever and the unacked set never drains",
-            spec: unbounded_retransmit,
+            input: unbounded_retransmit,
         },
     ]
-}
-
-/// Looks up a case by name, rule name, or rule code.
-pub fn case(key: &str) -> Option<CorpusCase> {
-    cases()
-        .into_iter()
-        .find(|c| c.name == key || c.rule == key || c.code == key)
 }
 
 #[cfg(test)]
@@ -126,26 +105,12 @@ mod tests {
     use crate::verify::test_verify;
 
     /// The heart of the corpus: every mutation trips its named rule
-    /// and *only* that rule — so a verifier regression (a missed bug
-    /// or a false positive) fails this test by name.
+    /// and *only* that rule, before and after a JSON round-trip — so
+    /// a verifier regression (a missed bug or a false positive) fails
+    /// this test by name.
     #[test]
     fn each_case_trips_exactly_its_rule() {
-        for case in cases() {
-            let report = test_verify(&case.spec);
-            assert!(
-                !report.findings.is_empty(),
-                "corpus case {} tripped nothing",
-                case.name
-            );
-            let codes: Vec<&str> = report.findings.iter().map(|f| f.code.as_str()).collect();
-            assert!(
-                codes.iter().all(|&c| c == case.code),
-                "corpus case {} must trip only {}: got {codes:?}\n{:#?}",
-                case.name,
-                case.code,
-                report.findings
-            );
-        }
+        remo_core::corpus::check(&cases(), |spec| test_verify(spec).findings);
     }
 
     /// Seed-the-bug regression: PR 9's seq-restart dedup bug, caught
@@ -176,13 +141,5 @@ mod tests {
             "the verifier must catch the PR 9 straggler resurrection: {:?}",
             report.findings
         );
-    }
-
-    #[test]
-    fn corpus_cases_round_trip_through_json() {
-        for case in cases() {
-            let text = case.spec.to_json().unwrap();
-            assert_eq!(ProtocolSpec::from_json(&text).unwrap(), case.spec);
-        }
     }
 }

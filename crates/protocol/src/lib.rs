@@ -24,8 +24,9 @@
 //! - [`corpus`] — known-bad spec mutations, one per rule, including
 //!   both PR 9 bugs re-introduced at the spec level.
 //!
-//! The `remo-proto` CLI verifies specs and reports through the shared
-//! SARIF pipeline (`remo_core::sarif`).
+//! `remo-check proto verify` (the shared analyzer CLI, in `crates/mc`)
+//! verifies specs and reports through the shared SARIF pipeline
+//! (`remo_core::sarif`).
 //!
 //! ```
 //! use remo_proto::{ProtocolSpec, verify::verify_with_depth};
@@ -54,4 +55,4 @@ pub use spec::{
     ClientAction, ClientEvent, ClientState, CtrlKind, ProtocolSpec, SessionAction, SessionEvent,
     SessionState,
 };
-pub use verify::{PhaseStats, VerifyReport};
+pub use verify::VerifyReport;

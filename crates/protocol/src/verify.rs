@@ -1,9 +1,10 @@
 //! Exhaustive verification of a [`ProtocolSpec`] under lossy-channel
 //! semantics.
 //!
-//! Three bounded-exhaustive explorations, each a DFS with
-//! state-fingerprint dedup over a *closed* system built from the spec
-//! tables themselves:
+//! Three bounded-exhaustive explorations over a *closed* system built
+//! from the spec tables themselves — the first two instantiate the
+//! shared [`remo_core::explore`] DFS with the state as its own dedup
+//! key, the third enumerates a fixed universe breadth-first:
 //!
 //! 1. **Control plane** (`verify_ctrl`): one node supervisor × one
 //!    collector session over FIFO channels, with the channel faults
@@ -39,36 +40,15 @@ use crate::machine::DedupModel;
 use crate::spec::{
     ClientAction, ClientEvent, ClientState, ProtocolSpec, SessionAction, SessionEvent, SessionState,
 };
-use remo_core::validate::{rule, rules, AuditOutcome, Finding};
+use remo_core::explore::{explore, ExploreStats};
+use remo_core::validate::{rule, rules, Finding};
 use std::collections::{BTreeSet, HashSet};
-
-/// Exploration counters, per phase: `expanded` counts transitions
-/// applied, `visited` unique states, `deduped` transitions that
-/// landed on an already-visited state.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PhaseStats {
-    /// Unique states reached (including the initial state).
-    pub visited: u64,
-    /// Transitions applied.
-    pub expanded: u64,
-    /// Transitions that reached an already-visited state.
-    pub deduped: u64,
-}
-
-/// One verification phase's name and counters.
-#[derive(Debug, Clone, Copy)]
-pub struct PhaseReport {
-    /// Phase name (`ctrl`, `arq`, `dedup`).
-    pub name: &'static str,
-    /// Counters.
-    pub stats: PhaseStats,
-}
 
 /// The full verification result.
 #[derive(Debug, Clone)]
 pub struct VerifyReport {
-    /// Per-phase counters.
-    pub phases: Vec<PhaseReport>,
+    /// Per-phase (`ctrl`, `arq`, `dedup`) counters.
+    pub phases: [(&'static str, ExploreStats); 3],
     /// Deduplicated findings across phases (empty = verified).
     pub findings: Vec<Finding>,
 }
@@ -80,23 +60,12 @@ impl VerifyReport {
     }
 
     /// Summed counters across phases.
-    pub fn totals(&self) -> PhaseStats {
-        let mut t = PhaseStats::default();
-        for p in &self.phases {
-            t.visited += p.stats.visited;
-            t.expanded += p.stats.expanded;
-            t.deduped += p.stats.deduped;
+    pub fn totals(&self) -> ExploreStats {
+        let mut t = ExploreStats::default();
+        for (_, stats) in self.phases {
+            t += stats;
         }
         t
-    }
-
-    /// The findings as an [`AuditOutcome`] for the shared SARIF
-    /// pipeline.
-    pub fn outcome(&self) -> AuditOutcome {
-        AuditOutcome {
-            findings: self.findings.clone(),
-            ..AuditOutcome::default()
-        }
     }
 }
 
@@ -141,20 +110,7 @@ pub fn verify_with_depth(spec: &ProtocolSpec, depth: usize) -> VerifyReport {
     let arq = verify_arq(spec, depth, &mut sink);
     let dedup = verify_dedup(spec, &mut sink);
     VerifyReport {
-        phases: vec![
-            PhaseReport {
-                name: "ctrl",
-                stats: ctrl,
-            },
-            PhaseReport {
-                name: "arq",
-                stats: arq,
-            },
-            PhaseReport {
-                name: "dedup",
-                stats: dedup,
-            },
-        ],
+        phases: [("ctrl", ctrl), ("arq", arq), ("dedup", dedup)],
         findings: sink.findings,
     }
 }
@@ -598,44 +554,35 @@ fn ctrl_successors(s: &Ctrl, spec: &ProtocolSpec, sink: &mut Sink) -> Vec<Ctrl> 
     out
 }
 
+/// Hands successors to the explorer unlabelled (findings here name
+/// states, not paths) and last-first: the order the phases have always
+/// walked them, which fixes the order findings are reported in and
+/// what a `--depth` bound reaches.
+fn walk_order<S>(succs: Vec<S>) -> Vec<((), S)> {
+    succs.into_iter().rev().map(|next| ((), next)).collect()
+}
+
 /// Explores the control-plane product automaton.
-fn verify_ctrl(spec: &ProtocolSpec, depth: usize, sink: &mut Sink) -> PhaseStats {
-    let root = Ctrl::initial(spec);
-    let mut stats = PhaseStats {
-        visited: 1,
-        ..PhaseStats::default()
-    };
-    let mut seen: HashSet<Ctrl> = HashSet::new();
-    seen.insert(root.clone());
-    // Explicit stack: (state, depth spent) — state spaces are small
-    // but traces can be long, so no recursion.
-    let mut stack = vec![(root, 0usize)];
-    while let Some((state, d)) = stack.pop() {
-        if d >= depth {
-            continue;
-        }
-        let succs = ctrl_successors(&state, spec, sink);
-        if succs.is_empty() && !state.terminal() {
-            sink.push(
-                rules::PROTOCOL_DEADLOCK,
-                format!(
-                    "ctrl: stuck non-terminal state (client {:?}, session {:?}, \
+fn verify_ctrl(spec: &ProtocolSpec, depth: usize, sink: &mut Sink) -> ExploreStats {
+    explore(
+        Ctrl::initial(spec),
+        depth,
+        Ctrl::clone,
+        |state, _: &[()]| {
+            let succs = ctrl_successors(state, spec, sink);
+            if succs.is_empty() && !state.terminal() {
+                sink.push(
+                    rules::PROTOCOL_DEADLOCK,
+                    format!(
+                        "ctrl: stuck non-terminal state (client {:?}, session {:?}, \
                      conn {}, epoch {}) has no enabled transition",
-                    state.client, state.session, state.conn, state.epoch
-                ),
-            );
-        }
-        for next in succs {
-            stats.expanded += 1;
-            if seen.insert(next.clone()) {
-                stats.visited += 1;
-                stack.push((next, d + 1));
-            } else {
-                stats.deduped += 1;
+                        state.client, state.session, state.conn, state.epoch
+                    ),
+                );
             }
-        }
-    }
-    stats
+            walk_order(succs)
+        },
+    )
 }
 
 // ================================================================== arq
@@ -818,57 +765,34 @@ fn arq_successors(s: &Arq, spec: &ProtocolSpec, sink: &mut Sink) -> Vec<Arq> {
 }
 
 /// Explores the ARQ sender/receiver automaton.
-fn verify_arq(spec: &ProtocolSpec, depth: usize, sink: &mut Sink) -> PhaseStats {
-    let root = Arq::initial(spec);
-    let mut stats = PhaseStats {
-        visited: 1,
-        ..PhaseStats::default()
-    };
-    let mut seen: HashSet<Arq> = HashSet::new();
-    seen.insert(root.clone());
-    let mut stack = vec![(root, 0usize)];
-    while let Some((state, d)) = stack.pop() {
-        if d >= depth {
-            continue;
-        }
-        let succs = arq_successors(&state, spec, sink);
+fn verify_arq(spec: &ProtocolSpec, depth: usize, sink: &mut Sink) -> ExploreStats {
+    explore(Arq::initial(spec), depth, Arq::clone, |state, _: &[()]| {
+        let succs = arq_successors(state, spec, sink);
         if succs.is_empty() && !state.terminal(spec) {
+            let unresolved = state.frames.iter().filter(|f| !f.acked && !f.abandoned);
             sink.push(
                 rules::PROTOCOL_DEADLOCK,
                 format!(
                     "arq: stuck non-terminal state (inc {}, {} frames unresolved)",
                     state.inc,
-                    state
-                        .frames
-                        .iter()
-                        .filter(|f| !f.acked && !f.abandoned)
-                        .count()
+                    unresolved.count()
                 ),
             );
         }
-        for next in succs {
-            stats.expanded += 1;
-            if seen.insert(next.clone()) {
-                stats.visited += 1;
-                stack.push((next, d + 1));
-            } else {
-                stats.deduped += 1;
-            }
-        }
-    }
-    stats
+        walk_order(succs)
+    })
 }
 
 // ================================================================ dedup
 
 /// Exhaustively enumerates insert sequences over a small
 /// (incarnation, seq) universe and checks the lattice laws.
-fn verify_dedup(spec: &ProtocolSpec, sink: &mut Sink) -> PhaseStats {
+fn verify_dedup(spec: &ProtocolSpec, sink: &mut Sink) -> ExploreStats {
     const INCS: [u8; 2] = [1, 2];
     const SEQS: [u8; 3] = [1, 2, 3];
     const DEPTH: usize = 4;
 
-    let mut stats = PhaseStats::default();
+    let mut stats = ExploreStats::default();
     let universe: Vec<(u8, u8)> = INCS
         .iter()
         .flat_map(|&i| SEQS.iter().map(move |&q| (i, q)))
@@ -973,28 +897,19 @@ mod tests {
         let totals = report.totals();
         assert!(totals.visited > 100, "exploration must be non-trivial");
         assert!(totals.deduped > 0, "interleavings must collapse");
-        for phase in &report.phases {
-            assert!(
-                phase.stats.visited > 0,
-                "phase {} explored nothing",
-                phase.name
-            );
+        for (name, stats) in report.phases {
+            assert!(stats.visited > 0, "phase {name} explored nothing");
         }
     }
 
     #[test]
     fn conservation_of_transitions() {
         let report = test_verify(&ProtocolSpec::shipped());
-        for phase in &report.phases {
+        for (name, stats) in report.phases {
             // Every applied transition either discovers a state or
             // lands on a known one.
-            assert_eq!(
-                phase.stats.expanded,
-                phase.stats.visited - 1 + phase.stats.deduped,
-                "phase {}: {:?}",
-                phase.name,
-                phase.stats
-            );
+            let landed = stats.visited - 1 + stats.deduped;
+            assert_eq!(stats.expanded, landed, "phase {name}: {stats:?}");
         }
     }
 }

@@ -7,22 +7,10 @@
 
 use crate::StaticBundle;
 use remo::spec::{DeploymentSpec, TaskSpec};
+use remo_core::corpus::Case;
 use remo_core::NodeId;
 use remo_runtime::{NetConfig, NetSpec, PartitionWindow};
 use std::collections::BTreeMap;
-
-/// One known-bad bundle and the single rule it must trip.
-#[derive(Debug, Clone)]
-pub struct CorpusCase {
-    /// Short case name.
-    pub name: &'static str,
-    /// The rule every finding must carry.
-    pub rule: &'static str,
-    /// Its stable code.
-    pub code: &'static str,
-    /// The offending bundle.
-    pub bundle: StaticBundle,
-}
 
 fn base_spec(nodes: usize, node_capacity: f64, collector_capacity: f64) -> DeploymentSpec {
     DeploymentSpec {
@@ -43,7 +31,7 @@ fn base_spec(nodes: usize, node_capacity: f64, collector_capacity: f64) -> Deplo
 }
 
 /// The four known-bad cases, in rule order.
-pub fn cases() -> Vec<CorpusCase> {
+pub fn cases() -> Vec<Case<StaticBundle>> {
     // RA018: a node budget below even the single-leaf message cost
     // (C + a·1 = 5 > 1). Collector budget is ample, so the degrade
     // fixed point converges and nothing else fires.
@@ -103,71 +91,49 @@ pub fn cases() -> Vec<CorpusCase> {
     };
 
     vec![
-        CorpusCase {
+        Case {
             name: "infeasible-capacity",
             rule: "static-infeasible-capacity",
             code: "RA018",
-            bundle: infeasible,
+            why: "a node budget below even the single-leaf message cost",
+            input: infeasible,
         },
-        CorpusCase {
+        Case {
             name: "severed-slo",
             rule: "slo-unreachable-under-netspec",
             code: "RA019",
-            bundle: severed,
+            why: "a staleness SLO declared over a partition window that never ends",
+            input: severed,
         },
-        CorpusCase {
+        Case {
             name: "degrade-divergence",
             rule: "degrade-divergence",
             code: "RA020",
-            bundle: diverging,
+            why: "worst-case arrivals outrun collector service at every degrade level",
+            input: diverging,
         },
-        CorpusCase {
+        Case {
             name: "unbounded-queue",
             rule: "unbounded-queue",
             code: "RA021",
-            bundle: unbounded,
+            why: "the same overload with the degrade ladder disabled",
+            input: unbounded,
         },
     ]
 }
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::unwrap_used, clippy::expect_used)]
-
     use super::*;
-    use crate::analyze;
 
-    /// Every corpus case trips its rule — and *only* its rule.
+    /// Every corpus case trips its rule — and *only* its rule —
+    /// before and after the JSON round-trip that makes it a CLI
+    /// `--example` seed.
     #[test]
     fn each_case_trips_exactly_its_rule() {
-        for case in cases() {
-            let report = analyze(&case.bundle)
-                .unwrap_or_else(|e| panic!("corpus case {} failed to analyze: {e}", case.name));
-            assert!(
-                !report.findings.is_empty(),
-                "corpus case {} produced no findings",
-                case.name
-            );
-            for f in &report.findings {
-                assert_eq!(
-                    (f.rule.as_str(), f.code.as_str()),
-                    (case.rule, case.code),
-                    "corpus case {} tripped a foreign rule: {f}",
-                    case.name
-                );
-            }
-        }
-    }
-
-    /// The cases survive a JSON roundtrip (they double as CLI
-    /// `--example` seeds).
-    #[test]
-    fn cases_roundtrip_through_json() {
-        for case in cases() {
-            let json = case.bundle.to_json().unwrap();
-            let back = StaticBundle::from_json(&json).unwrap();
-            assert_eq!(back.spec, case.bundle.spec, "case {}", case.name);
-            assert_eq!(back.staleness_slo, case.bundle.staleness_slo);
-        }
+        remo_core::corpus::check(&cases(), |bundle| match crate::analyze(bundle) {
+            Ok(report) => report.findings,
+            Err(e) => panic!("corpus bundle failed to analyze: {e}"),
+        });
     }
 }

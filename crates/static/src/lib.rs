@@ -36,7 +36,7 @@ pub mod degrade;
 pub mod latency;
 
 use remo::spec::DeploymentSpec;
-use remo_audit::{rule, AuditOutcome, Finding, Severity};
+use remo_audit::{rule, Finding, Severity};
 use remo_core::NodeId;
 use remo_runtime::{NetConfig, NetSpec};
 use serde::{Deserialize, Serialize};
@@ -119,23 +119,8 @@ impl AnalysisReport {
         self.staleness.unreachable.is_empty() && self.degrade.shed_free
     }
 
-    /// Repackages the report as an [`AuditOutcome`] (findings plus the
-    /// worst-case usage figures) so the SARIF renderer and the audit
-    /// tooling can consume it unchanged.
-    pub fn outcome(&self) -> AuditOutcome {
-        AuditOutcome {
-            findings: self.findings.clone(),
-            node_usage: self
-                .cost
-                .per_node
-                .iter()
-                .map(|(&n, iv)| (n, iv.hi()))
-                .collect(),
-            collector_usage: self.cost.collector.hi(),
-        }
-    }
-
-    /// Human-readable rendering.
+    /// Human-readable rendering of the bounds (findings render
+    /// through [`remo_audit::AuditOutcome::render`], like every analyzer's).
     pub fn render(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(
@@ -201,12 +186,6 @@ impl AnalysisReport {
                     self.degrade.arrival.last().copied().unwrap_or(0.0)
                 );
             }
-        }
-        for f in &self.findings {
-            let _ = writeln!(out, "  {f}");
-        }
-        if self.findings.is_empty() {
-            let _ = writeln!(out, "  no findings");
         }
         out
     }
@@ -374,18 +353,5 @@ mod tests {
         // Roundtrip through the bundle shape.
         let back = StaticBundle::from_json(&bundle.to_json().unwrap()).unwrap();
         assert_eq!(back.spec, bundle.spec);
-    }
-
-    #[test]
-    fn report_outcome_feeds_the_sarif_renderer() {
-        let bundle = corpus::cases()
-            .into_iter()
-            .find(|c| c.rule == "static-infeasible-capacity")
-            .unwrap()
-            .bundle;
-        let report = analyze(&bundle).unwrap();
-        let sarif = remo_audit::sarif::sarif_json(&report.outcome());
-        assert!(sarif.contains("RA018"));
-        assert!(sarif.contains("static-infeasible-capacity"));
     }
 }

@@ -46,24 +46,6 @@ if [[ "${1:-}" == "--benchmark-smoke" ]]; then
   exit 0
 fi
 
-# --mc-smoke: fixed-seed bounded model check of the self-healing
-# protocol — the two smallest seeded topologies to depth 4, plus a
-# replay of every committed counterexample/clean trace in the corpus.
-# Deterministic and well under 30s; exits without running the gate.
-if [[ "${1:-}" == "--mc-smoke" ]]; then
-  echo "==> remo-mc explore (n<=5, depth 4) + corpus replay"
-  mc_dir="$(mktemp -d)"
-  trap 'rm -rf "$mc_dir"' EXIT
-  cargo run -q --release -p remo-mc --bin remo-mc -- explore \
-    --depth 4 --max-nodes 5 \
-    --replay-dir "$mc_dir" --sarif "$mc_dir/mc.sarif.json"
-  for trace in crates/mc/corpus/*.json; do
-    cargo run -q --release -p remo-mc --bin remo-mc -- replay "$trace"
-  done
-  echo "mc smoke passed."
-  exit 0
-fi
-
 # --obs-smoke: end-to-end observability pipeline check — plan the
 # example spec with --trace/--metrics, then make `remo-obs dump`
 # summarize both files. Fails if either export is missing or
@@ -81,70 +63,27 @@ if [[ "${1:-}" == "--obs-smoke" ]]; then
   exit 0
 fi
 
-# --static-smoke: pre-flight analyzer gate — every RA018–RA021 corpus
-# case must trip exactly its rule (unit tests), the CLI must flag its
-# own known-bad example with exit code 1, pass a clean spec with exit
-# code 0, and emit parseable SARIF. Deterministic, seconds warm; exits
-# without running the gate.
-if [[ "${1:-}" == "--static-smoke" ]]; then
-  echo "==> remo-static corpus + CLI exit codes + SARIF"
-  static_dir="$(mktemp -d)"
-  trap 'rm -rf "$static_dir"' EXIT
-  cargo test -q -p remo-static --lib
-  cargo run -q --release -p remo-static --bin remo-static -- \
-    --example infeasible-capacity > "$static_dir/bad.json"
-  if cargo run -q --release -p remo-static --bin remo-static -- \
-      analyze "$static_dir/bad.json" --sarif "$static_dir/bad.sarif.json" > /dev/null; then
-    echo "known-bad bundle passed pre-flight" >&2; exit 1
-  fi
-  if command -v python3 >/dev/null 2>&1; then
-    python3 -c "import json,sys; json.load(open(sys.argv[1]))" "$static_dir/bad.sarif.json"
-  fi
-  cargo run -q -p remo --bin remo-plan -- --example > "$static_dir/clean.json"
-  cargo run -q --release -p remo-static --bin remo-static -- \
-    analyze "$static_dir/clean.json" > /dev/null
-  echo "static smoke passed."
-  exit 0
-fi
-
-# --proto-smoke: protocol verifier gate — the shipped control-plane
-# spec must verify clean, every known-bad corpus spec must trip
-# exactly its RA022–RA025 rule (checked via the SARIF ruleIds), and
-# the CLI exit codes must hold (0 clean, 1 findings). Depth 14 reaches
-# every corpus bug while keeping the whole sweep under a second warm;
+# --check-smoke: the four analyzers behind `remo-check`, in release —
+# the table-driven CLI test (every corpus case via --example → file →
+# run trips exactly its rule in the SARIF; exit codes 0/1/2), the
+# fixed-seed model check (n ≤ 5, depth 4) plus a replay of every
+# committed trace, the shipped protocol spec at depth 14, and
+# `remo-plan --example` through the pre-flight analyzer. Seconds warm;
 # exits without running the gate.
-if [[ "${1:-}" == "--proto-smoke" ]]; then
-  echo "==> remo-proto verify (shipped + corpus) + SARIF"
-  proto_dir="$(mktemp -d)"
-  trap 'rm -rf "$proto_dir"' EXIT
-  cargo build -q --release -p remo-proto
-  target/release/remo-proto verify --depth 14
-  for case_rule in \
-    client-drops-conn-lost:RA022 \
-    undefined-stale-report:RA023 \
-    straggler-resurrection:RA023 \
-    incarnation-reuse:RA024 \
-    seq-restart-swallow:RA024 \
-    unbounded-retransmit:RA025; do
-    name="${case_rule%%:*}"; code="${case_rule##*:}"
-    target/release/remo-proto --example "$name" > "$proto_dir/$name.json"
-    rc=0
-    target/release/remo-proto verify "$proto_dir/$name.json" \
-      --depth 14 --sarif "$proto_dir/$name.sarif.json" > /dev/null || rc=$?
-    if [[ "$rc" != 1 ]]; then
-      echo "corpus case $name: expected exit 1, got $rc" >&2; exit 1
-    fi
-    if command -v python3 >/dev/null 2>&1; then
-      python3 - "$proto_dir/$name.sarif.json" "$code" "$name" <<'EOF'
-import json, sys
-doc = json.load(open(sys.argv[1]))
-rules = {r["ruleId"] for r in doc["runs"][0]["results"]}
-assert rules == {sys.argv[2]}, \
-    f"corpus case {sys.argv[3]} must trip exactly {sys.argv[2]}, got {sorted(rules)}"
-EOF
-    fi
+if [[ "${1:-}" == "--check-smoke" ]]; then
+  echo "==> remo-check: CLI contract, mc sweep + corpus replay, proto verify"
+  check_dir="$(mktemp -d)"
+  trap 'rm -rf "$check_dir"' EXIT
+  cargo test -q --release -p remo-mc --test cli
+  cargo build -q --release -p remo-mc -p remo
+  target/release/remo-check mc explore --depth 4 --max-nodes 5 --replay-dir "$check_dir"
+  for trace in crates/mc/corpus/*.json; do
+    target/release/remo-check mc replay "$trace"
   done
-  echo "proto smoke passed."
+  target/release/remo-check proto verify --depth 14
+  target/release/remo-plan --example > "$check_dir/spec.json"
+  target/release/remo-check static analyze "$check_dir/spec.json"
+  echo "check smoke passed."
   exit 0
 fi
 
@@ -252,14 +191,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet \
   -p remo-audit -p remo-mc -p remo-proto -p remo-static -p remo-node \
   -p remo-obs -p remo-bench
 
-# Pre-flight analyzer smoke (also covered by cargo test above; kept as
-# an explicit gate step so CLI exit codes and SARIF stay honest).
-echo "==> static smoke"
-"$0" --static-smoke
-
-# Protocol verifier smoke: shipped spec clean, corpus trips its rules.
-echo "==> proto smoke"
-"$0" --proto-smoke
+# The remo-check contract and sweeps, on the release binaries.
+echo "==> check smoke"
+"$0" --check-smoke
 
 # Interleaving tests for the epoch-deadline health detector and the
 # token-bucket throttle. The loom cfg swaps in the vendored
