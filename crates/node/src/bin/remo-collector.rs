@@ -12,7 +12,6 @@
 use remo_core::{AttrId, CapacityMap, NodeId, PairSet};
 use remo_node::{config, CollectorService, ServiceConfig};
 use std::io::Write as _;
-use std::time::Duration;
 
 struct Args {
     addr: String,
@@ -78,7 +77,6 @@ fn run() -> Result<(), String> {
         "remo-collector {} of {} nodes registered, epochs started",
         connected, args.nodes
     );
-    let interval = config::epoch_interval();
     let summary = service.run(|report| {
         if report.confirmed_dead > 0 || report.repaired > 0 || report.recovered > 0 {
             println!(
@@ -87,9 +85,6 @@ fn run() -> Result<(), String> {
             );
         }
     });
-    // Give node-side shutdowns a beat to land before the process exits
-    // (purely cosmetic: avoids "connection reset" noise in node logs).
-    std::thread::sleep(interval.min(Duration::from_millis(200)));
 
     let json = summary.to_json();
     println!("remo-collector run complete: {json}");

@@ -9,12 +9,20 @@
 //! * a supervisor loop that connects to the collector, registers with
 //!   [`CtrlMsg::Hello`], and reconnects with exponential backoff when
 //!   the connection drops;
-//! * a reader that turns incoming envelopes into [`AgentMsg`]s
-//!   (control frames drive ticks/assignments, data frames carry tree
-//!   traffic and acks);
-//! * a forwarder that turns the agent's per-epoch
-//!   [`TickReport`](remo_runtime::agent::TickReport)s into
-//!   [`CtrlMsg::Report`] frames.
+//! * the read loop, which *is* the node: the supervisor thread reads,
+//!   decodes a whole read's worth of envelopes, steps the protocol
+//!   machine and calls [`Agent::handle`] inline (control frames drive
+//!   ticks/assignments, data frames carry tree traffic and acks);
+//! * one write per batch: everything the agent said while the batch
+//!   was handled — acks, the tick's data frames, and its
+//!   [`TickReport`] as a
+//!   [`CtrlMsg::Report`] frame, in that order — sits in the
+//!   transport's out-buffer and leaves in a single `write_all` once
+//!   the batch is done.
+//!
+//! One thread per node, and it may block in exactly two places: the
+//! `read` it waits for work in, and that `write_all` — safe because the
+//! collector never blocks on a socket, so it always drains its peers.
 //!
 //! Every transition the supervisor takes is driven through the shared
 //! protocol specification (`remo-proto`): a [`ClientMachine`] is
@@ -31,13 +39,14 @@
 //! new socket — re-greets with the incarnation it already holds.
 
 use crate::config;
-use crate::net::{lock, read_envelopes, spawn_writer, TcpTransport};
-use crossbeam::channel::unbounded;
+use crate::net::{lock, read_batches, TcpTransport};
+use crossbeam::channel::{unbounded, Receiver};
 use remo_core::{CostModel, NodeId};
 use remo_proto::{ClientAction, ClientEvent, ClientMachine};
-use remo_runtime::agent::{run_agent, Agent, AgentMsg};
-use remo_runtime::framing::{CHAN_CTRL, CHAN_DATA};
+use remo_runtime::agent::{Agent, AgentMsg, TickReport};
+use remo_runtime::framing::{Envelope, CHAN_CTRL, CHAN_DATA};
 use remo_runtime::proto::{FrameKind, WireMessage};
+use remo_runtime::transport::{NetConfig, Transport};
 use remo_runtime::{CtrlMsg, Sampler};
 use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -113,43 +122,50 @@ pub fn spawn_node(cfg: NodeConfig, sampler: Sampler) -> NodeHandle {
     }
 }
 
-/// One node life: connect → register → pump frames until the
-/// connection dies or the collector says shutdown.
+/// What survives a node's connections: the agent (created by the
+/// first `Welcome`), the protocol machine, and the transport whose
+/// out-buffer the agent speaks into.
 struct NodeState {
     transport: Arc<TcpTransport>,
-    /// Assigned by the collector's `Welcome`; `None` until first
-    /// registration (the agent is created at that moment).
-    agent_tx: Option<crossbeam::channel::Sender<AgentMsg>>,
-    agent_thread: Option<JoinHandle<()>>,
+    /// The executable spec: every connection edge and every decoded
+    /// control frame steps this machine, and the action it returns is
+    /// what gets executed. One machine per process life.
+    machine: ClientMachine,
+    /// `None` until first registration, then the agent and the
+    /// receiving end of its tick-report channel.
+    agent: Option<(Agent, Receiver<TickReport>)>,
+    /// The incarnation the agent stamps on its frames, re-greeted with
+    /// on every reconnect of this life.
     incarnation: Option<u32>,
     sampler: Sampler,
     node: NodeId,
 }
 
 impl NodeState {
-    /// Handles the collector's `Welcome`: the first one creates and
-    /// starts the agent; later ones (reconnects) are consistency
-    /// checks only.
+    /// Handles the collector's `Welcome`: the first one creates the
+    /// agent; later ones (reconnects) are consistency checks only.
     fn on_welcome(
         &mut self,
         capacity: f64,
         per_message: f64,
         per_value: f64,
-        net: remo_runtime::transport::NetConfig,
+        net: NetConfig,
         incarnation: u32,
     ) {
-        if self.agent_tx.is_some() {
+        if self.agent.is_some() {
             return;
         }
         let Ok(cost) = CostModel::new(per_message, per_value) else {
             return;
         };
-        let (tx, rx) = unbounded();
+        // The agent is driven through `Agent::handle`, never `run`, so
+        // its inbox is a closed channel nobody reads.
+        let (_, inbox) = unbounded();
         let (report_tx, report_rx) = unbounded();
         let agent = Agent::new(
             self.node,
-            rx,
-            Arc::clone(&self.transport) as Arc<dyn remo_runtime::transport::Transport>,
+            inbox,
+            Arc::clone(&self.transport) as Arc<dyn Transport>,
             report_tx,
             capacity,
             cost,
@@ -158,22 +174,81 @@ impl NodeState {
             Vec::new(),
         )
         .with_incarnation(incarnation);
-        self.agent_thread = Some(run_agent(agent));
-        self.agent_tx = Some(tx);
+        self.agent = Some((agent, report_rx));
         self.incarnation = Some(incarnation);
-        // Forwarder: every agent tick report becomes a control frame.
-        let transport = Arc::clone(&self.transport);
-        std::thread::spawn(move || {
-            for tr in report_rx {
-                transport.send_ctrl(&CtrlMsg::Report { report: tr }, tr.epoch);
-            }
-        });
     }
 
-    fn send_agent(&self, msg: AgentMsg) {
-        if let Some(tx) = self.agent_tx.as_ref() {
-            let _ = tx.send(msg);
+    /// Runs the agent on `msg`, then queues any tick report it produced
+    /// behind the frames of the same tick.
+    fn handle(&mut self, msg: AgentMsg) {
+        if let Some((agent, reports)) = self.agent.as_mut() {
+            agent.handle(msg);
+            while let Ok(report) = reports.try_recv() {
+                self.transport
+                    .send_ctrl(&CtrlMsg::Report { report }, report.epoch);
+            }
         }
+    }
+
+    /// Executes one envelope; `false` when the spec says stop.
+    fn on_envelope(&mut self, env: Envelope) -> bool {
+        match env.chan {
+            CHAN_CTRL => {
+                let Ok(msg) = CtrlMsg::decode(env.payload) else {
+                    return true;
+                };
+                // The spec decides; the handler executes. An undefined
+                // (state, frame) pair returns None: the frame is
+                // dropped and the reject counted.
+                match (self.machine.step(ClientEvent::recv(msg.kind())), msg) {
+                    (
+                        Some(ClientAction::AdoptWelcome),
+                        CtrlMsg::Welcome {
+                            capacity,
+                            per_message,
+                            per_value,
+                            net,
+                            incarnation,
+                            epoch: _,
+                        },
+                    ) => {
+                        // Adoption refuses a regressed incarnation
+                        // (RA024's client half).
+                        if self.machine.adopt_incarnation(incarnation) {
+                            self.on_welcome(capacity, per_message, per_value, net, incarnation);
+                        }
+                    }
+                    (Some(ClientAction::DropDuplicate), _) => {}
+                    (Some(ClientAction::ApplyAssign), CtrlMsg::Assign { assignments }) => {
+                        self.handle(AgentMsg::Reconfigure { assignments });
+                    }
+                    (Some(ClientAction::RunTick), CtrlMsg::Tick { epoch }) => {
+                        self.handle(AgentMsg::Tick { epoch });
+                    }
+                    (Some(ClientAction::ApplyDegrade), CtrlMsg::Degrade { factor }) => {
+                        self.handle(AgentMsg::SetDegrade { factor });
+                    }
+                    (Some(ClientAction::Stop), _) => return false,
+                    (Some(_) | None, _) => {}
+                }
+            }
+            CHAN_DATA => {
+                if let Ok(msg) = WireMessage::decode(env.payload.clone()) {
+                    match msg.kind {
+                        FrameKind::Ack => self.handle(AgentMsg::Ack {
+                            incarnation: msg.incarnation,
+                            seq: msg.seq,
+                        }),
+                        FrameKind::Data => self.handle(AgentMsg::Data {
+                            sent_epoch: env.sent_epoch,
+                            frame: env.payload,
+                        }),
+                    }
+                }
+            }
+            _ => {}
+        }
+        true
     }
 }
 
@@ -186,8 +261,8 @@ fn run_supervisor(
     let transport = Arc::new(TcpTransport::new(cfg.node));
     let mut state = NodeState {
         transport: Arc::clone(&transport),
-        agent_tx: None,
-        agent_thread: None,
+        machine: ClientMachine::new(),
+        agent: None,
         incarnation: None,
         sampler,
         node: cfg.node,
@@ -196,10 +271,6 @@ fn run_supervisor(
     let max_backoff = cfg.reconnect_base.saturating_mul(32);
     let mut failures: u32 = 0;
     let mut done = false;
-    // The executable spec: every connection edge and every decoded
-    // control frame steps this machine, and the action it returns is
-    // what gets executed. One machine per process life.
-    let mut machine = ClientMachine::new();
 
     while !abort.load(Ordering::SeqCst) && !done {
         let mut stream = match TcpStream::connect(&cfg.addr) {
@@ -209,7 +280,7 @@ fn run_supervisor(
                 // Registered once and the collector has been gone for
                 // a while: the run is over, exit instead of spinning.
                 if state.incarnation.is_some() && failures > cfg.max_reconnect_failures {
-                    machine.step(ClientEvent::GiveUp);
+                    state.machine.step(ClientEvent::GiveUp);
                     break;
                 }
                 std::thread::sleep(backoff);
@@ -223,18 +294,13 @@ fn run_supervisor(
         *lock(stream_slot) = stream.try_clone().ok();
 
         // Register (a reconnect re-greets with the held incarnation).
-        let (wtx, wrx) = unbounded();
-        let writer = match stream.try_clone() {
-            Ok(s) => spawn_writer(s, wrx),
-            Err(_) => continue,
-        };
-        transport.attach(wtx);
-        let action = machine.step(ClientEvent::Connected);
+        transport.attach();
+        let action = state.machine.step(ClientEvent::Connected);
         debug_assert_eq!(
             action,
             Some(ClientAction::SendHello),
             "the spec must define Connected in {:?}",
-            machine.state()
+            state.machine.state()
         );
         if action == Some(ClientAction::SendHello) {
             transport.send_ctrl(
@@ -246,86 +312,22 @@ fn run_supervisor(
             );
         }
 
-        let result = read_envelopes(&mut stream, |env| {
-            match env.chan {
-                CHAN_CTRL => {
-                    if let Ok(msg) = CtrlMsg::decode(env.payload) {
-                        // The spec decides; the handler executes. An
-                        // undefined (state, frame) pair returns None:
-                        // the frame is dropped and the reject counted.
-                        match (machine.step(ClientEvent::recv(msg.kind())), msg) {
-                            (
-                                Some(ClientAction::AdoptWelcome),
-                                CtrlMsg::Welcome {
-                                    capacity,
-                                    per_message,
-                                    per_value,
-                                    net,
-                                    incarnation,
-                                    epoch: _,
-                                },
-                            ) => {
-                                // Adoption refuses a regressed
-                                // incarnation (RA024's client half).
-                                if machine.adopt_incarnation(incarnation) {
-                                    state.on_welcome(
-                                        capacity,
-                                        per_message,
-                                        per_value,
-                                        net,
-                                        incarnation,
-                                    );
-                                }
-                            }
-                            (Some(ClientAction::DropDuplicate), _) => {}
-                            (Some(ClientAction::ApplyAssign), CtrlMsg::Assign { assignments }) => {
-                                state.send_agent(AgentMsg::Reconfigure { assignments });
-                            }
-                            (Some(ClientAction::RunTick), CtrlMsg::Tick { epoch }) => {
-                                state.send_agent(AgentMsg::Tick { epoch });
-                            }
-                            (Some(ClientAction::ApplyDegrade), CtrlMsg::Degrade { factor }) => {
-                                state.send_agent(AgentMsg::SetDegrade { factor });
-                            }
-                            (Some(ClientAction::Stop), _) => {
-                                done = true;
-                                return false;
-                            }
-                            (Some(_) | None, _) => {}
-                        }
-                    }
-                }
-                CHAN_DATA => {
-                    if let Ok(msg) = WireMessage::decode(env.payload.clone()) {
-                        match msg.kind {
-                            FrameKind::Ack => state.send_agent(AgentMsg::Ack {
-                                incarnation: msg.incarnation,
-                                seq: msg.seq,
-                            }),
-                            FrameKind::Data => state.send_agent(AgentMsg::Data {
-                                sent_epoch: env.sent_epoch,
-                                frame: env.payload,
-                            }),
-                        }
-                    }
-                }
-                _ => {}
-            }
-            true
-        });
-        let _ = result;
+        if transport.flush(&mut stream).is_ok() {
+            let _ = read_batches(
+                &mut stream,
+                |env| {
+                    done = !state.on_envelope(env);
+                    !done
+                },
+                |stream| transport.flush(stream),
+            );
+        }
 
         transport.detach();
         let _ = stream.shutdown(Shutdown::Both);
         *lock(stream_slot) = None;
-        let _ = writer.join();
         if !done {
-            machine.step(ClientEvent::ConnLost);
+            state.machine.step(ClientEvent::ConnLost);
         }
-    }
-
-    state.send_agent(AgentMsg::Shutdown);
-    if let Some(h) = state.agent_thread.take() {
-        let _ = h.join();
     }
 }

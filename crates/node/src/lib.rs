@@ -23,14 +23,19 @@
 //! * [`net`] — the socket plumbing both sides share: framed envelopes
 //!   ([`remo_runtime::framing`]) carrying data-plane
 //!   ([`remo_runtime::proto`]) and control-plane
-//!   ([`remo_runtime::ctrl`]) payloads.
+//!   ([`remo_runtime::ctrl`]) payloads, the per-connection out-buffer
+//!   flushed once per batch, and the `poll` wrapper.
 //!
-//! The transport here is intentionally *not* async: the workspace
-//! vendors no async runtime, and one thread per connection at
-//! monitoring fan-ins (tens to hundreds of nodes) is well within what
-//! the paper's collector-capacity model assumes. The `Transport` seam
-//! means an async implementation could replace [`net::TcpTransport`]
-//! without touching the agent or collector logic.
+//! The collection path is run-to-completion, with no async runtime
+//! (the workspace vendors none) and no thread mesh: a node is one
+//! thread that reads a batch, steps the agent inline and answers in
+//! one write; the collector is one thread in a `poll(2)` readiness
+//! loop over non-blocking sockets (`net::poll`, the crate's one
+//! `unsafe` block) that routes, collects and writes each connection
+//! once per round. A fleet of `n` nodes in one process is `n + 1`
+//! threads. The `Transport` seam is unchanged, so the agent and
+//! collector logic do not know. Unix only: the readiness loop is
+//! `poll(2)`.
 //!
 //! ## Configuration knobs
 //!
@@ -42,6 +47,9 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+
+#[cfg(not(unix))]
+compile_error!("remo-node's collector waits in poll(2): Unix only");
 
 pub mod client;
 pub mod config;

@@ -8,6 +8,20 @@
 //! repair around confirmed failures — the distributed deployment adds
 //! only sockets around them.
 //!
+//! All of it runs on one thread. A `Hub` owns the listener, every
+//! connection (non-blocking socket, frame decoder, out-buffer), the
+//! session machines and the assignments, and advances them in rounds
+//! of one `poll(2)`: wait → accept → read each ready
+//! socket → handshake / hub-route / set reports and collector-bound
+//! frames aside → write each out-buffer that has bytes, once. The
+//! epoch loop in [`CollectorService::run`] drives those rounds itself:
+//! it never sleeps and never blocks on a socket, which is what lets a
+//! node block in its own `write_all`. Between
+//! [`CollectorService::start`] and `run` the same rounds run on a
+//! registrar thread that `run` (or `Drop`) wakes, joins, and takes the
+//! hub over from. DESIGN.md "Collection data path" has the ordering
+//! argument the lockstep protocol relies on.
+//!
 //! Session lifecycle is driven through the shared protocol
 //! specification (`remo-proto`): one [`SessionMachine`] per expected
 //! node owns that node's incarnation slot and is stepped for every
@@ -19,25 +33,28 @@
 //! collector logic, not hostile input.
 
 use crate::config;
-use crate::net::{lock, read_envelopes, spawn_writer};
+use crate::net::{
+    ack_envelope, ctrl_envelope, decode_all, lock, poll, OutBuf, PollFd, READ_BUF_LEN,
+};
 use crate::summary::RunSummary;
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use remo_core::adapt::{AdaptScheme, AdaptivePlanner};
 use remo_core::planner::Planner;
 use remo_core::{AttrCatalog, CapacityMap, CostModel, NodeId, PairSet};
 use remo_proto::{HelloOutcome, SessionEvent, SessionMachine};
 use remo_runtime::agent::{TickReport, TreeAssignment};
 use remo_runtime::deployment::plan_assignments;
-use remo_runtime::framing::{Envelope, CHAN_CTRL, CHAN_DATA, DEST_COLLECTOR};
+use remo_runtime::framing::{Envelope, FrameDecoder, CHAN_CTRL, CHAN_DATA, DEST_COLLECTOR};
 use remo_runtime::health::{HealthConfig, HealthMonitor};
-use remo_runtime::proto::WireMessage;
 use remo_runtime::transport::{Endpoint, NetConfig, Transport};
 use remo_runtime::{CollectorCore, CtrlMsg, EpochReport, RepairEngine, Sampler};
 use std::collections::BTreeMap;
+use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::os::unix::net::UnixStream;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Everything a collector run needs.
@@ -101,30 +118,51 @@ impl ServiceConfig {
     }
 }
 
-/// Connection registry: node id → (connection generation, that
-/// connection's writer queue). The generation lets a dying reader
-/// deregister only *its own* entry — a reconnect may already have
-/// replaced it.
-type Registry = Arc<Mutex<BTreeMap<u32, (u64, Sender<Bytes>)>>>;
+/// One node connection as the hub holds it.
+struct Conn {
+    stream: TcpStream,
+    dec: FrameDecoder,
+    out: OutBuf,
+    /// The node this connection registered as.
+    who: Option<u32>,
+}
 
-/// Monotonic connection-generation source (shared by all services in
-/// a process; uniqueness is all that matters).
-static CONN_GEN: AtomicU64 = AtomicU64::new(1);
-
-/// State shared between the accept/reader threads and the epoch loop.
-struct Shared {
+/// Everything the collection path touches, owned by whichever thread
+/// is currently running [`Hub::pump`] — the registrar until `run`, the
+/// epoch loop after.
+struct Hub {
+    cfg: ServiceConfig,
+    listener: TcpListener,
+    /// Connections by slot; a closed connection's slot is reused.
+    conns: Vec<Option<Conn>>,
+    /// Node id → the slot of the connection that owns the node's
+    /// session. A reconnect replaces the entry, and only the owner's
+    /// death is the session's `ConnLost`.
+    owner: BTreeMap<u32, usize>,
+    /// `owner.len()`, readable from [`CollectorService::connected_nodes`]
+    /// while the registrar holds the hub.
+    connected: Arc<AtomicUsize>,
+    /// Per-node protocol session machines. Each owns its node's
+    /// incarnation slot and lives for the collector's whole run,
+    /// across that node's connections, restarts, and deaths.
+    machines: BTreeMap<u32, SessionMachine>,
     /// Current per-node assignments (updated by plan repair; sent to a
     /// node at registration).
     assignments: BTreeMap<NodeId, Vec<TreeAssignment>>,
     /// Current epoch (stamped into `Welcome`).
     epoch: u64,
-    /// Per-node protocol session machines. Each owns its node's
-    /// incarnation slot and lives for the collector's whole run,
-    /// across that node's connections, restarts, and deaths.
-    machines: BTreeMap<u32, SessionMachine>,
+    /// Tick reports and collector-bound data frames `(sent_epoch,
+    /// frame)` read so far and not yet consumed by the epoch loop.
+    reports: Vec<TickReport>,
+    data: Vec<(u64, Bytes)>,
+    /// Scratch reused every round: the poll set, the slot of each of
+    /// its connection entries, and the read buffer.
+    fds: Vec<PollFd>,
+    slots: Vec<usize>,
+    buf: Vec<u8>,
 }
 
-impl Shared {
+impl Hub {
     /// Steps `node`'s session machine for a collector-initiated event.
     /// The collector's own sends must always be spec-defined; an
     /// undefined one is a collector bug, so debug builds assert.
@@ -137,38 +175,276 @@ impl Shared {
             "collector stepped undefined ({before:?}, {event:?}) for node {node}"
         );
     }
-}
 
-/// Collector-side [`Transport`]: routes acks back out through the hub
-/// registry. The collector originates no data frames.
-struct RouterTransport {
-    registry: Registry,
-}
+    /// Queues `env` for `node` if it is connected. Nothing is written
+    /// until the next [`Hub::flush`].
+    fn send(&mut self, node: u32, env: &Envelope) -> bool {
+        let Some(conn) = self
+            .owner
+            .get(&node)
+            .and_then(|&slot| self.conns[slot].as_mut())
+        else {
+            return false;
+        };
+        conn.out.push(env);
+        true
+    }
 
-impl std::fmt::Debug for RouterTransport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("RouterTransport")
+    /// Queues one control message for every connected node, each send
+    /// stepped through that node's session machine first.
+    fn broadcast(&mut self, event: SessionEvent, msg: &CtrlMsg, epoch: u64) {
+        let env = ctrl_envelope(DEST_COLLECTOR, epoch, msg);
+        let nodes: Vec<u32> = self.owner.keys().copied().collect();
+        for node in nodes {
+            self.step_send(node, event);
+            self.send(node, &env);
+        }
+    }
+
+    /// One round: wait up to `timeout` for any socket, accept, read
+    /// every ready connection, flush. Returns whether `wake` became
+    /// readable (the registrar's signal to hand the hub over).
+    fn pump(&mut self, timeout: Duration, wake: Option<&UnixStream>) -> bool {
+        self.fds.clear();
+        self.slots.clear();
+        self.fds.push(PollFd::new(&self.listener, false));
+        if let Some(wake) = wake {
+            self.fds.push(PollFd::new(wake, false));
+        }
+        let first_conn = self.fds.len();
+        for (slot, conn) in self.conns.iter().enumerate() {
+            if let Some(c) = conn {
+                self.fds.push(PollFd::new(&c.stream, c.out.pending() > 0));
+                self.slots.push(slot);
+            }
+        }
+        if poll(&mut self.fds, timeout).unwrap_or(0) == 0 {
+            return false;
+        }
+        if self.fds[0].readable() {
+            self.accept_all();
+        }
+        // Level-triggered: one read per ready connection per round.
+        // What a read leaves behind re-arms the next poll, and no peer
+        // can hold the loop by sending faster than we read.
+        for i in first_conn..self.fds.len() {
+            if self.fds[i].readable() {
+                self.read_conn(self.slots[i - first_conn]);
+            }
+        }
+        self.flush();
+        wake.is_some() && self.fds[1].readable()
+    }
+
+    fn accept_all(&mut self) {
+        loop {
+            let stream = match self.listener.accept() {
+                Ok((stream, _)) => stream,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => return, // WouldBlock: the backlog is empty
+            };
+            if stream.set_nonblocking(true).is_err() {
+                continue;
+            }
+            let _ = stream.set_nodelay(true);
+            let conn = Some(Conn {
+                stream,
+                dec: FrameDecoder::new(),
+                out: OutBuf::default(),
+                who: None,
+            });
+            match self.conns.iter().position(Option::is_none) {
+                Some(free) => self.conns[free] = conn,
+                None => self.conns.push(conn),
+            }
+        }
+    }
+
+    /// Reads `slot` once and executes every envelope that completes.
+    fn read_conn(&mut self, slot: usize) {
+        // Out of the slab while its envelopes are handled, so routing
+        // can reach every other connection.
+        let Some(mut conn) = self.conns[slot].take() else {
+            return;
+        };
+        let mut buf = std::mem::take(&mut self.buf);
+        let alive = match conn.stream.read(&mut buf) {
+            Ok(0) => false,
+            Ok(n) => {
+                let Conn { dec, out, who, .. } = &mut conn;
+                dec.push(&buf[..n]);
+                // A refused registration or a hostile length closes.
+                decode_all(dec, |env| self.on_envelope(slot, who, out, env)).unwrap_or(false)
+            }
+            Err(e) => matches!(
+                e.kind(),
+                io::ErrorKind::WouldBlock | io::ErrorKind::Interrupted
+            ),
+        };
+        self.buf = buf;
+        self.conns[slot] = Some(conn);
+        if !alive {
+            self.close(slot);
+        }
+    }
+
+    /// Executes one envelope read from the connection in `slot` (whose
+    /// `who` and `out` are passed apart, the connection being out of
+    /// the slab). `false` closes the connection.
+    fn on_envelope(
+        &mut self,
+        slot: usize,
+        who: &mut Option<u32>,
+        out: &mut OutBuf,
+        env: Envelope,
+    ) -> bool {
+        match env.chan {
+            CHAN_CTRL => match CtrlMsg::decode(env.payload) {
+                Ok(CtrlMsg::Hello { node, incarnation }) => {
+                    if who.is_some() {
+                        return true; // duplicate Hello: ignore
+                    }
+                    let Some(capacity) = self.cfg.caps.node(node) else {
+                        return false; // unknown node: refuse
+                    };
+                    // The session machine owns the incarnation slot: a
+                    // fresh life (incarnation 0) mints a strictly
+                    // greater one so receivers reset their seq
+                    // watermarks, a reconnect keeps the life it already
+                    // holds. A Hello the spec refuses (e.g. while
+                    // draining) or leaves undefined closes the
+                    // connection.
+                    let outcome = self
+                        .machines
+                        .entry(node.0)
+                        .or_default()
+                        .on_hello(incarnation);
+                    let HelloOutcome::Admitted(assigned) = outcome else {
+                        return false;
+                    };
+                    // Welcome chased by Assign, in one write.
+                    let welcome = CtrlMsg::Welcome {
+                        capacity,
+                        per_message: self.cfg.cost.per_message(),
+                        per_value: self.cfg.cost.per_value(),
+                        net: self.cfg.net,
+                        incarnation: assigned,
+                        epoch: self.epoch,
+                    };
+                    let assignments = self.assignments.get(&node).cloned().unwrap_or_default();
+                    out.push(&ctrl_envelope(node.0, self.epoch, &welcome));
+                    out.push(&ctrl_envelope(
+                        node.0,
+                        self.epoch,
+                        &CtrlMsg::Assign { assignments },
+                    ));
+                    *who = Some(node.0);
+                    // A reconnect supersedes the node's previous
+                    // connection, which is dropped without a ConnLost:
+                    // the session lives on in this one.
+                    if let Some(stale) = self.owner.insert(node.0, slot) {
+                        self.conns[stale] = None;
+                    }
+                    self.connected.store(self.owner.len(), Ordering::SeqCst);
+                }
+                Ok(CtrlMsg::Report { report }) => self.reports.push(report),
+                Ok(_) | Err(_) => {}
+            },
+            CHAN_DATA => {
+                if env.dest == DEST_COLLECTOR {
+                    self.data.push((env.sent_epoch, env.payload));
+                } else if self.owner.get(&env.dest) == Some(&slot) {
+                    out.push(&env);
+                } else {
+                    // Hub routing: node→node tree traffic (data frames
+                    // and peer acks) forwarded by destination tag.
+                    self.send(env.dest, &env);
+                }
+            }
+            _ => {}
+        }
+        true
+    }
+
+    /// Writes every out-buffer that has bytes, once. A connection whose
+    /// write fails, or whose peer has let `net::MAX_PENDING_OUT` pile
+    /// up, is closed.
+    fn flush(&mut self) {
+        for slot in 0..self.conns.len() {
+            let failed = self.conns[slot]
+                .as_mut()
+                .is_some_and(|c| c.out.flush(&mut c.stream).is_err());
+            if failed {
+                self.close(slot);
+            }
+        }
+    }
+
+    /// Drops the connection in `slot`. If it still owns its node's
+    /// session, the session takes `ConnLost` — a superseded connection
+    /// never gets here with an `owner` entry, so the live connection's
+    /// session does not observe the old one's death.
+    fn close(&mut self, slot: usize) {
+        let Some(conn) = self.conns[slot].take() else {
+            return;
+        };
+        if let Some(node) = conn.who {
+            if self.owner.get(&node) == Some(&slot) {
+                self.owner.remove(&node);
+                self.connected.store(self.owner.len(), Ordering::SeqCst);
+                self.machines
+                    .entry(node)
+                    .or_default()
+                    .step(SessionEvent::ConnLost);
+            }
+        }
+    }
+
+    /// Moves the reports read so far into the barrier's books. Every
+    /// received report steps the reporter's session machine:
+    /// current-epoch reports credit the barrier, stale ones are
+    /// observed as liveness hints only.
+    fn credit_reports(
+        &mut self,
+        epoch: u64,
+        missing: &mut std::collections::BTreeSet<NodeId>,
+        reporters: &mut BTreeMap<NodeId, u64>,
+        report: &mut EpochReport,
+    ) {
+        for tr in self.reports.drain(..) {
+            let event = if tr.epoch >= epoch {
+                SessionEvent::RecvReportFresh
+            } else {
+                SessionEvent::RecvReportStale
+            };
+            self.machines.entry(tr.node.0).or_default().step(event);
+            missing.remove(&tr.node);
+            let e = reporters.entry(tr.node).or_insert(tr.epoch);
+            *e = (*e).max(tr.epoch);
+            fold_report(&tr, report);
+        }
     }
 }
 
-impl Transport for RouterTransport {
+/// Collector-side [`Transport`]: holds the acks an intake pass emits
+/// until the pass is over and they can be queued on their nodes'
+/// connections. The collector originates no data frames.
+#[derive(Debug, Default)]
+struct AckSink {
+    acks: Mutex<Vec<Envelope>>,
+}
+
+impl Transport for AckSink {
     fn send_data(&self, _from: NodeId, _to: Endpoint, _seq: u64, _epoch: u64, _frame: Bytes) {}
 
     fn send_ack(&self, _from: Endpoint, to: NodeId, incarnation: u32, seq: u64, epoch: u64) {
-        let ack = WireMessage::ack(0, NodeId(DEST_COLLECTOR), seq)
-            .with_incarnation(incarnation)
-            .encode();
-        if let Some((_, tx)) = lock(&self.registry).get(&to.0) {
-            let _ = tx.send(
-                Envelope {
-                    dest: to.0,
-                    chan: CHAN_DATA,
-                    sent_epoch: epoch,
-                    payload: ack,
-                }
-                .encode(),
-            );
-        }
+        lock(&self.acks).push(ack_envelope(
+            NodeId(DEST_COLLECTOR),
+            to,
+            incarnation,
+            seq,
+            epoch,
+        ));
     }
 
     fn reliable(&self) -> bool {
@@ -180,13 +456,13 @@ impl Transport for RouterTransport {
 /// [`CollectorService::start`], then call [`CollectorService::run`] to
 /// drive the epochs.
 pub struct CollectorService {
-    cfg: ServiceConfig,
     addr: std::net::SocketAddr,
-    running: Arc<AtomicBool>,
-    registry: Registry,
-    shared: Arc<Mutex<Shared>>,
-    data_rx: Receiver<(u64, Bytes)>,
-    reports_rx: Receiver<TickReport>,
+    startup_wait: Duration,
+    connected: Arc<AtomicUsize>,
+    /// The thread serving registrations until `run`, and the socket
+    /// whose other end sits in its poll set: one byte on it makes the
+    /// thread return the hub.
+    registrar: Option<(JoinHandle<Hub>, UnixStream)>,
     engine: RepairEngine,
 }
 
@@ -215,48 +491,36 @@ impl CollectorService {
         let engine = RepairEngine::new(planner);
 
         let listener = TcpListener::bind(&cfg.addr)?;
+        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        let running = Arc::new(AtomicBool::new(true));
-        let registry: Registry = Arc::new(Mutex::new(BTreeMap::new()));
-        let shared = Arc::new(Mutex::new(Shared {
+        let (wake_tx, wake_rx) = UnixStream::pair()?;
+        let connected = Arc::new(AtomicUsize::new(0));
+        let startup_wait = cfg.startup_wait;
+        let mut hub = Hub {
+            cfg,
+            listener,
+            conns: Vec::new(),
+            owner: BTreeMap::new(),
+            connected: Arc::clone(&connected),
+            machines: BTreeMap::new(),
             assignments,
             epoch: 0,
-            machines: BTreeMap::new(),
-        }));
-        let (data_tx, data_rx) = unbounded();
-        let (reports_tx, reports_rx) = unbounded();
-
-        {
-            let running = Arc::clone(&running);
-            let registry = Arc::clone(&registry);
-            let shared = Arc::clone(&shared);
-            let cfg = cfg.clone();
-            std::thread::spawn(move || {
-                for stream in listener.incoming() {
-                    if !running.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let Ok(stream) = stream else { continue };
-                    let registry = Arc::clone(&registry);
-                    let shared = Arc::clone(&shared);
-                    let data_tx = data_tx.clone();
-                    let reports_tx = reports_tx.clone();
-                    let cfg = cfg.clone();
-                    std::thread::spawn(move || {
-                        serve_connection(stream, &cfg, &registry, &shared, &data_tx, &reports_tx);
-                    });
-                }
-            });
-        }
+            reports: Vec::new(),
+            data: Vec::new(),
+            fds: Vec::new(),
+            slots: Vec::new(),
+            buf: vec![0; READ_BUF_LEN],
+        };
+        let registrar = std::thread::spawn(move || {
+            while !hub.pump(Duration::MAX, Some(&wake_rx)) {}
+            hub
+        });
 
         Ok(CollectorService {
-            cfg,
             addr,
-            running,
-            registry,
-            shared,
-            data_rx,
-            reports_rx,
+            startup_wait,
+            connected,
+            registrar: Some((registrar, wake_tx)),
             engine,
         })
     }
@@ -268,13 +532,13 @@ impl CollectorService {
 
     /// Nodes currently registered.
     pub fn connected_nodes(&self) -> usize {
-        lock(&self.registry).len()
+        self.connected.load(Ordering::SeqCst)
     }
 
     /// Waits until `expected` nodes registered or the startup window
     /// elapsed; returns how many are connected.
     pub fn wait_for_nodes(&self, expected: usize) -> usize {
-        let deadline = Instant::now() + self.cfg.startup_wait;
+        let deadline = Instant::now() + self.startup_wait;
         while Instant::now() < deadline {
             let n = self.connected_nodes();
             if n >= expected {
@@ -285,150 +549,107 @@ impl CollectorService {
         self.connected_nodes()
     }
 
+    /// Wakes the registrar, joins it, and returns the hub it was
+    /// serving (or the panic that ended it); `None` once that has
+    /// happened.
+    fn stop_registrar(&mut self) -> Option<std::thread::Result<Hub>> {
+        let (thread, mut wake) = self.registrar.take()?;
+        // A failed write means the registrar is already gone; the join
+        // says why.
+        let _ = wake.write_all(&[1]);
+        Some(thread.join())
+    }
+
     /// Drives the configured number of lockstep epochs, then shuts the
     /// deployment down and returns the reconciliation summary.
     /// `on_epoch` observes every epoch's report (progress logging).
     pub fn run(mut self, mut on_epoch: impl FnMut(&EpochReport)) -> RunSummary {
-        let expected: Vec<NodeId> = self.cfg.caps.node_ids().collect();
-        let mut health =
-            HealthMonitor::new(expected.iter().copied(), self.cfg.health.confirm_after);
-        let mut core = CollectorCore::new(
-            self.cfg.caps.collector(),
-            self.cfg.cost,
-            self.cfg.net,
-            self.cfg.catalog.clone(),
-        );
-        let router = RouterTransport {
-            registry: Arc::clone(&self.registry),
+        let mut hub = match self.stop_registrar() {
+            Some(Ok(hub)) => hub,
+            Some(Err(panic)) => std::panic::resume_unwind(panic),
+            None => return RunSummary::default(),
         };
+        let cfg = hub.cfg.clone();
+        let expected: Vec<NodeId> = cfg.caps.node_ids().collect();
+        let mut health = HealthMonitor::new(expected.iter().copied(), cfg.health.confirm_after);
+        let mut core =
+            CollectorCore::new(cfg.caps.collector(), cfg.cost, cfg.net, cfg.catalog.clone());
+        let acks = AckSink::default();
         let mut summary = RunSummary {
-            planned_pairs: self.cfg.pairs.len() as u64,
+            planned_pairs: cfg.pairs.len() as u64,
             ..RunSummary::default()
         };
 
-        for epoch in 1..=self.cfg.epochs {
+        for epoch in 1..=cfg.epochs {
             let started = Instant::now();
-            lock(&self.shared).epoch = epoch;
+            hub.epoch = epoch;
             let mut report = EpochReport {
                 epoch,
                 ..EpochReport::default()
             };
 
-            // Tick fan-out to every live connection, each send stepped
-            // through that node's session machine first.
-            let tick = Envelope {
-                dest: DEST_COLLECTOR,
-                chan: CHAN_CTRL,
-                sent_epoch: epoch,
-                payload: CtrlMsg::Tick { epoch }.encode(),
-            }
-            .encode();
-            {
-                let reg = lock(&self.registry);
-                let mut sh = lock(&self.shared);
-                for (&node, (_, tx)) in reg.iter() {
-                    sh.step_send(node, SessionEvent::SendTick);
-                    let _ = tx.send(tick.clone());
-                }
-            }
+            // Tick fan-out to every live connection, behind whatever
+            // the last epoch queued for it (intake acks, Assign).
+            hub.broadcast(SessionEvent::SendTick, &CtrlMsg::Tick { epoch }, epoch);
+            hub.flush();
 
             // Deadline-bounded report barrier, crediting each reporter
             // with the freshest epoch it claimed (a stale report is a
             // liveness hint, not attendance — see
-            // `HealthMonitor::observe_reports`).
+            // `HealthMonitor::observe_reports`): pump until no
+            // reporter is missing or the deadline passes.
             let mut missing = health.expected_reporters();
             let mut reporters: BTreeMap<NodeId, u64> = BTreeMap::new();
-            let deadline = started + self.cfg.health.deadline;
-            // Every received report steps the reporter's session
-            // machine: current-epoch reports credit the barrier, stale
-            // ones are observed as liveness hints only.
-            let shared = Arc::clone(&self.shared);
-            let credit = move |tr: &TickReport| {
-                let event = if tr.epoch >= epoch {
-                    SessionEvent::RecvReportFresh
-                } else {
-                    SessionEvent::RecvReportStale
-                };
-                lock(&shared)
-                    .machines
-                    .entry(tr.node.0)
-                    .or_default()
-                    .step(event);
-            };
+            let deadline = started + cfg.health.deadline;
             loop {
-                if missing.is_empty() {
-                    while let Ok(tr) = self.reports_rx.try_recv() {
-                        credit(&tr);
-                        missing.remove(&tr.node);
-                        let e = reporters.entry(tr.node).or_insert(tr.epoch);
-                        *e = (*e).max(tr.epoch);
-                        fold_report(&tr, &mut report);
-                    }
+                hub.credit_reports(epoch, &mut missing, &mut reporters, &mut report);
+                let wait = deadline.saturating_duration_since(Instant::now());
+                if missing.is_empty() || wait.is_zero() {
                     break;
                 }
-                let wait = deadline.saturating_duration_since(Instant::now());
-                match self.reports_rx.recv_timeout(wait) {
-                    Ok(tr) => {
-                        credit(&tr);
-                        missing.remove(&tr.node);
-                        let e = reporters.entry(tr.node).or_insert(tr.epoch);
-                        *e = (*e).max(tr.epoch);
-                        fold_report(&tr, &mut report);
-                    }
-                    Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => break,
-                }
+                hub.pump(wait, None);
             }
 
             // Barrier verdicts, through the spec: every still-missing
             // node takes a MissDeadline step.
-            {
-                let mut sh = lock(&self.shared);
-                for node in &missing {
-                    sh.step_send(node.0, SessionEvent::MissDeadline);
-                }
+            for node in &missing {
+                hub.step_send(node.0, SessionEvent::MissDeadline);
             }
 
             let events = health.observe_reports(epoch, &reporters);
             report.suspected = events.suspected.len() as u64;
             report.confirmed_dead = events.confirmed.len() as u64;
             report.recovered = events.recovered.len() as u64;
-            {
-                let mut sh = lock(&self.shared);
-                for &node in &events.confirmed {
-                    sh.step_send(node.0, SessionEvent::ConfirmDead);
-                }
-                for &node in &events.recovered {
-                    sh.step_send(node.0, SessionEvent::MarkRecovered);
-                }
+            for &node in &events.confirmed {
+                hub.step_send(node.0, SessionEvent::ConfirmDead);
+            }
+            for &node in &events.recovered {
+                hub.step_send(node.0, SessionEvent::MarkRecovered);
             }
 
             // Plan repair around confirmed failures; targeted Assign
-            // fan-out to the survivors whose routes changed.
+            // fan-out to the survivors whose routes changed. Nothing
+            // is routed while the engine plans: the trees are about to
+            // change under that traffic anyway.
             if !events.confirmed.is_empty() || !events.recovered.is_empty() {
-                let current = lock(&self.shared).assignments.clone();
-                let (fresh, changed) =
-                    self.engine
-                        .repair(&events.confirmed, &events.recovered, &current, epoch);
+                let (fresh, changed) = self.engine.repair(
+                    &events.confirmed,
+                    &events.recovered,
+                    &hub.assignments,
+                    epoch,
+                );
                 for node in changed {
-                    let next = fresh.get(&node).cloned().unwrap_or_default();
-                    let assign = Envelope {
-                        dest: node.0,
-                        chan: CHAN_CTRL,
-                        sent_epoch: epoch,
-                        payload: CtrlMsg::Assign { assignments: next }.encode(),
-                    }
-                    .encode();
-                    if let Some((_, tx)) = lock(&self.registry).get(&node.0) {
-                        let _ = tx.send(assign);
+                    let assignments = fresh.get(&node).cloned().unwrap_or_default();
+                    let assign = ctrl_envelope(node.0, epoch, &CtrlMsg::Assign { assignments });
+                    if hub.send(node.0, &assign) {
                         report.reconfigure_messages += 1;
                     }
                 }
-                lock(&self.shared).assignments = fresh;
-                let mut sh = lock(&self.shared);
+                hub.assignments = fresh;
                 for &node in &events.confirmed {
                     health.mark_repaired(node, epoch);
                     report.repaired += 1;
-                    sh.step_send(node.0, SessionEvent::Repair);
+                    hub.step_send(node.0, SessionEvent::Repair);
                 }
             }
 
@@ -436,17 +657,13 @@ impl CollectorService {
             // ARQ path: refill, ack+dedup+stage every frame, then
             // shed/process/backpressure.
             core.refill();
-            while let Ok((sent_epoch, frame)) = self.data_rx.try_recv() {
-                core.accept_arq(epoch, sent_epoch, frame, &router, &mut report);
+            for (sent_epoch, frame) in hub.data.drain(..) {
+                core.accept_arq(epoch, sent_epoch, frame, &acks, &mut report);
+            }
+            for ack in lock(&acks.acks).drain(..) {
+                hub.send(ack.dest, &ack);
             }
             if let Some(factor) = core.drain_arq(epoch, &mut report) {
-                let degrade = Envelope {
-                    dest: DEST_COLLECTOR,
-                    chan: CHAN_CTRL,
-                    sent_epoch: epoch,
-                    payload: CtrlMsg::Degrade { factor }.encode(),
-                }
-                .encode();
                 // Factor 1 is the restore broadcast; anything wider is
                 // a degrade. The spec distinguishes the two edges.
                 let event = if factor > 1 {
@@ -454,12 +671,7 @@ impl CollectorService {
                 } else {
                     SessionEvent::SendRecover
                 };
-                let reg = lock(&self.registry);
-                let mut sh = lock(&self.shared);
-                for (&node, (_, tx)) in reg.iter() {
-                    sh.step_send(node, event);
-                    let _ = tx.send(degrade.clone());
-                }
+                hub.broadcast(event, &CtrlMsg::Degrade { factor }, epoch);
             }
 
             summary.epochs = epoch;
@@ -473,38 +685,36 @@ impl CollectorService {
             summary.degrade_factor = report.degrade_factor;
             on_epoch(&report);
 
-            let elapsed = started.elapsed();
-            if elapsed < self.cfg.epoch_interval {
-                std::thread::sleep(self.cfg.epoch_interval - elapsed);
+            // The rest of the epoch is pumped, not slept: tree traffic
+            // keeps flowing between ticks. What this epoch queued
+            // (acks, Assign, Degrade) leaves in the first of these
+            // rounds, or with the next tick when there is no rest.
+            loop {
+                let rest = cfg.epoch_interval.saturating_sub(started.elapsed());
+                if rest.is_zero() {
+                    break;
+                }
+                hub.pump(rest, None);
             }
         }
 
-        // Goodbye to every node, then unblock the accept loop.
-        let bye = Envelope {
-            dest: DEST_COLLECTOR,
-            chan: CHAN_CTRL,
-            sent_epoch: self.cfg.epochs,
-            payload: CtrlMsg::Shutdown.encode(),
-        }
-        .encode();
-        {
-            let reg = lock(&self.registry);
-            let mut sh = lock(&self.shared);
-            for (&node, (_, tx)) in reg.iter() {
-                sh.step_send(node, SessionEvent::SendShutdown);
-                let _ = tx.send(bye.clone());
+        // Goodbye to every node, then stay until they have hung up (or
+        // a barrier's worth of time): closing first could reset a
+        // connection whose Shutdown is still unread.
+        hub.broadcast(SessionEvent::SendShutdown, &CtrlMsg::Shutdown, cfg.epochs);
+        hub.flush();
+        let deadline = Instant::now() + cfg.health.deadline;
+        while !hub.owner.is_empty() {
+            let wait = deadline.saturating_duration_since(Instant::now());
+            if wait.is_zero() {
+                break;
             }
+            hub.pump(wait, None);
         }
-        self.running.store(false, Ordering::SeqCst);
-        let _ = TcpStream::connect(self.addr);
 
         summary.observed_pairs = core.observed_pairs() as u64;
-        summary.protocol_rejects = lock(&self.shared)
-            .machines
-            .values()
-            .map(SessionMachine::rejects)
-            .sum();
-        if let Some(sampler) = self.cfg.integrity_sampler.as_ref() {
+        summary.protocol_rejects = hub.machines.values().map(SessionMachine::rejects).sum();
+        if let Some(sampler) = cfg.integrity_sampler.as_ref() {
             for (&(node, attr), obs) in core.store() {
                 summary.integrity_checked += 1;
                 if obs.value != sampler(node, attr, obs.produced) {
@@ -516,6 +726,15 @@ impl CollectorService {
     }
 }
 
+impl Drop for CollectorService {
+    /// A service that is dropped without being run still stops and
+    /// joins its registrar; the hub, and with it every socket, goes
+    /// with it.
+    fn drop(&mut self) {
+        let _ = self.stop_registrar();
+    }
+}
+
 fn fold_report(tr: &TickReport, report: &mut EpochReport) {
     report.dropped_messages += tr.dropped_messages as u64;
     report.dropped_readings += tr.dropped_readings as u64;
@@ -523,128 +742,4 @@ fn fold_report(tr: &TickReport, report: &mut EpochReport) {
     report.retransmit_messages += tr.retransmits as u64;
     report.duplicate_messages_ignored += tr.dup_ignored as u64;
     report.abandoned_messages += tr.abandoned as u64;
-}
-
-/// One node connection: registration handshake, then pump frames until
-/// the socket dies.
-fn serve_connection(
-    mut stream: TcpStream,
-    cfg: &ServiceConfig,
-    registry: &Registry,
-    shared: &Arc<Mutex<Shared>>,
-    data_tx: &Sender<(u64, Bytes)>,
-    reports_tx: &Sender<TickReport>,
-) {
-    let _ = stream.set_nodelay(true);
-    // Writer half, cloned up front: the reader loop below holds the
-    // original mutably.
-    let Ok(write_half) = stream.try_clone() else {
-        return;
-    };
-    let mut write_half = Some(write_half);
-    let gen = CONN_GEN.fetch_add(1, Ordering::Relaxed);
-    let mut who: Option<u32> = None;
-    let mut writer: Option<std::thread::JoinHandle<()>> = None;
-
-    let result = read_envelopes(&mut stream, |env| {
-        match env.chan {
-            CHAN_CTRL => match CtrlMsg::decode(env.payload) {
-                Ok(CtrlMsg::Hello { node, incarnation }) => {
-                    if who.is_some() {
-                        return true; // duplicate Hello: ignore
-                    }
-                    let Some(capacity) = cfg.caps.node(node) else {
-                        return false; // unknown node: refuse
-                    };
-                    let (assigned, assignments, epoch) = {
-                        let mut sh = lock(shared);
-                        // The session machine owns the incarnation
-                        // slot: a fresh life (incarnation 0) mints a
-                        // strictly greater one so receivers reset
-                        // their seq watermarks, a reconnect keeps the
-                        // life it already holds. A Hello the spec
-                        // refuses (e.g. while draining) or leaves
-                        // undefined closes the connection.
-                        let outcome = sh.machines.entry(node.0).or_default().on_hello(incarnation);
-                        let assigned = match outcome {
-                            HelloOutcome::Admitted(assigned) => assigned,
-                            HelloOutcome::Refused | HelloOutcome::Rejected => return false,
-                        };
-                        (
-                            assigned,
-                            sh.assignments.get(&node).cloned().unwrap_or_default(),
-                            sh.epoch,
-                        )
-                    };
-                    let (wtx, wrx) = unbounded();
-                    let Some(ws) = write_half.take() else {
-                        return false;
-                    };
-                    writer = Some(spawn_writer(ws, wrx));
-                    let welcome = Envelope {
-                        dest: node.0,
-                        chan: CHAN_CTRL,
-                        sent_epoch: epoch,
-                        payload: CtrlMsg::Welcome {
-                            capacity,
-                            per_message: cfg.cost.per_message(),
-                            per_value: cfg.cost.per_value(),
-                            net: cfg.net,
-                            incarnation: assigned,
-                            epoch,
-                        }
-                        .encode(),
-                    }
-                    .encode();
-                    let assign = Envelope {
-                        dest: node.0,
-                        chan: CHAN_CTRL,
-                        sent_epoch: epoch,
-                        payload: CtrlMsg::Assign { assignments }.encode(),
-                    }
-                    .encode();
-                    let _ = wtx.send(welcome);
-                    let _ = wtx.send(assign);
-                    lock(registry).insert(node.0, (gen, wtx));
-                    who = Some(node.0);
-                }
-                Ok(CtrlMsg::Report { report }) => {
-                    let _ = reports_tx.send(report);
-                }
-                Ok(_) | Err(_) => {}
-            },
-            CHAN_DATA => {
-                if env.dest == DEST_COLLECTOR {
-                    let _ = data_tx.send((env.sent_epoch, env.payload));
-                } else if let Some((_, tx)) = lock(registry).get(&env.dest) {
-                    // Hub routing: node→node tree traffic (data frames
-                    // and peer acks) forwarded by destination tag.
-                    let _ = tx.send(env.encode());
-                }
-            }
-            _ => {}
-        }
-        true
-    });
-    let _ = result;
-
-    // Connection gone: deregister — but only our own generation. A
-    // reconnect may already have replaced the entry, and removing the
-    // fresh one would orphan the live connection (whose session must
-    // not observe our ConnLost either).
-    if let Some(node) = who {
-        let mut reg = lock(registry);
-        if reg.get(&node).is_some_and(|(g, _)| *g == gen) {
-            reg.remove(&node);
-            drop(reg);
-            lock(shared)
-                .machines
-                .entry(node)
-                .or_default()
-                .step(SessionEvent::ConnLost);
-        }
-    }
-    if let Some(w) = writer {
-        let _ = w.join();
-    }
 }

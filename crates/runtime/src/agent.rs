@@ -1,4 +1,7 @@
-//! Node agents: one thread per monitoring node.
+//! Node agents: one state machine per monitoring node — on its own
+//! thread in the in-process `Deployment` ([`run_agent`]), driven inline
+//! through [`Agent::handle`] by the thread that owns the socket in a
+//! `remo-node` process.
 //!
 //! Agents run in coordinator-driven lockstep: each `Tick(e)` starts
 //! epoch `e`, on which the agent refills its token bucket, samples its
@@ -157,7 +160,7 @@ struct Unacked {
 }
 
 /// The agent state machine (runs on its own thread via
-/// [`run_agent`]).
+/// [`run_agent`], or under its caller's via [`Agent::handle`]).
 pub struct Agent {
     id: NodeId,
     inbox: Receiver<AgentMsg>,
@@ -256,43 +259,54 @@ impl Agent {
     /// Processes messages until shutdown.
     pub fn run(mut self) {
         while let Ok(msg) = self.inbox.recv() {
-            match msg {
-                AgentMsg::Shutdown => break,
-                AgentMsg::Reconfigure { assignments } => {
-                    // Buffers and in-flight frames of trees we no
-                    // longer serve are dropped.
-                    let live: Vec<u32> = assignments.iter().map(|a| a.tree).collect();
-                    self.buffers.retain(|tree, _| live.contains(tree));
-                    self.unacked.retain(|_, u| live.contains(&u.tree));
-                    self.assignments = assignments;
-                }
-                AgentMsg::SetDegrade { factor } => {
-                    self.degrade = factor.max(1);
-                }
-                AgentMsg::SetFailed(failed) => {
-                    self.failed = failed;
-                    if failed {
-                        // A crashed process loses its volatile state:
-                        // buffers, retransmit queue, and dedup window.
-                        // `next_seq` survives (monotone identity), so
-                        // post-recovery frames are never taken for
-                        // replays upstream.
-                        self.buffers.clear();
-                        self.unacked.clear();
-                        self.seen.clear();
-                    }
-                }
-                AgentMsg::Data { sent_epoch, frame } => self.on_data(sent_epoch, frame),
-                AgentMsg::Ack { incarnation, seq } => {
-                    // An ack earned under another incarnation says
-                    // nothing about this life's frames.
-                    if !self.failed && incarnation == self.incarnation {
-                        self.unacked.remove(&seq);
-                    }
-                }
-                AgentMsg::Tick { epoch } => self.on_tick(epoch),
+            if !self.handle(msg) {
+                break;
             }
         }
+    }
+
+    /// Applies one message; `false` once the agent was told to shut
+    /// down. [`Agent::run`] is this in a loop over the inbox; a caller
+    /// that owns the agent's thread (a `remo-node` process) calls it
+    /// directly and never touches the inbox.
+    pub fn handle(&mut self, msg: AgentMsg) -> bool {
+        match msg {
+            AgentMsg::Shutdown => return false,
+            AgentMsg::Reconfigure { assignments } => {
+                // Buffers and in-flight frames of trees we no
+                // longer serve are dropped.
+                let live: Vec<u32> = assignments.iter().map(|a| a.tree).collect();
+                self.buffers.retain(|tree, _| live.contains(tree));
+                self.unacked.retain(|_, u| live.contains(&u.tree));
+                self.assignments = assignments;
+            }
+            AgentMsg::SetDegrade { factor } => {
+                self.degrade = factor.max(1);
+            }
+            AgentMsg::SetFailed(failed) => {
+                self.failed = failed;
+                if failed {
+                    // A crashed process loses its volatile state:
+                    // buffers, retransmit queue, and dedup window.
+                    // `next_seq` survives (monotone identity), so
+                    // post-recovery frames are never taken for
+                    // replays upstream.
+                    self.buffers.clear();
+                    self.unacked.clear();
+                    self.seen.clear();
+                }
+            }
+            AgentMsg::Data { sent_epoch, frame } => self.on_data(sent_epoch, frame),
+            AgentMsg::Ack { incarnation, seq } => {
+                // An ack earned under another incarnation says
+                // nothing about this life's frames.
+                if !self.failed && incarnation == self.incarnation {
+                    self.unacked.remove(&seq);
+                }
+            }
+            AgentMsg::Tick { epoch } => self.on_tick(epoch),
+        }
+        true
     }
 
     fn on_data(&mut self, sent_epoch: u64, frame: Bytes) {
@@ -427,8 +441,10 @@ impl Agent {
             self.retransmit_pass(epoch, &mut report);
         }
 
-        for ai in 0..self.assignments.len() {
-            let a = self.assignments[ai].clone();
+        // Taken out for the loop so the body can borrow the rest of
+        // `self` mutably; nothing in it reads `self.assignments`.
+        let assignments = std::mem::take(&mut self.assignments);
+        for a in &assignments {
             let mut readings: Vec<WireReading> = Vec::new();
             for la in &a.local {
                 let period = la.period.max(1).saturating_mul(self.degrade);
@@ -445,20 +461,18 @@ impl Agent {
             }
             // Forward child traffic sent strictly before this epoch.
             if let Some(buf) = self.buffers.get_mut(&a.tree) {
-                let mut keep = Vec::new();
-                for (sent, r) in buf.drain(..) {
-                    if sent < epoch {
+                buf.retain(|&(sent, r)| {
+                    let forward = sent < epoch;
+                    if forward {
                         readings.push(r);
-                    } else {
-                        keep.push((sent, r));
                     }
-                }
-                *buf = keep;
+                    !forward
+                });
             }
             if readings.is_empty() {
                 continue;
             }
-            readings = fold_aggregates(self.id, readings, &a);
+            readings = fold_aggregates(self.id, readings, a);
 
             // Send-side budget enforcement (oldest trimmed first).
             let full = self.cost.message_cost(readings.len() as f64);
@@ -503,6 +517,7 @@ impl Agent {
             }
             self.transport.send_data(self.id, to, seq, epoch, frame);
         }
+        self.assignments = assignments;
         let _ = self.reports.send(report);
     }
 }
@@ -570,4 +585,181 @@ pub fn run_agent(agent: Agent) -> std::thread::JoinHandle<()> {
         .name(name.clone())
         .spawn(move || agent.run())
         .unwrap_or_else(|e| panic!("failed to spawn {name}: {e}"))
+}
+
+#[cfg(test)]
+mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used)]
+
+    use super::*;
+    use crossbeam::channel::unbounded;
+    use std::sync::Mutex;
+
+    /// Records every send, in order.
+    #[derive(Debug, Default)]
+    struct Tape(Mutex<Vec<String>>);
+
+    impl Transport for Tape {
+        fn send_data(&self, from: NodeId, to: Endpoint, seq: u64, epoch: u64, frame: Bytes) {
+            let line = format!(
+                "data {from}->{to:?} seq {seq} epoch {epoch} {:?}",
+                &frame[..]
+            );
+            self.0.lock().unwrap().push(line);
+        }
+
+        fn send_ack(&self, from: Endpoint, to: NodeId, incarnation: u32, seq: u64, epoch: u64) {
+            let line = format!("ack {from:?}->{to} inc {incarnation} seq {seq} epoch {epoch}");
+            self.0.lock().unwrap().push(line);
+        }
+
+        fn reliable(&self) -> bool {
+            false
+        }
+    }
+
+    fn assignment(tree: u32, parent: Route, attrs: &[u32]) -> TreeAssignment {
+        TreeAssignment {
+            tree,
+            parent,
+            local: attrs
+                .iter()
+                .map(|&a| LocalAttr {
+                    attr: AttrId(a),
+                    period: 1,
+                    aggregation: Aggregation::Holistic,
+                })
+                .collect(),
+            relay_aggregation: BTreeMap::new(),
+        }
+    }
+
+    /// A relay's whole repertoire: reconfigure, child traffic (fresh,
+    /// replayed, for the current epoch), acks (own and stale
+    /// incarnation), degrade, crash and heal, a tree dropped with
+    /// frames in flight — and a message after Shutdown that must not
+    /// run.
+    fn script() -> Vec<AgentMsg> {
+        let child = |seq: u64, produced: u64| AgentMsg::Data {
+            sent_epoch: produced,
+            frame: WireMessage::data(
+                0,
+                NodeId(7),
+                seq,
+                vec![WireReading {
+                    node: NodeId(7),
+                    attr: AttrId(1),
+                    value: produced as f64,
+                    produced,
+                    contributors: 1,
+                }],
+            )
+            .encode(),
+        };
+        vec![
+            AgentMsg::Tick { epoch: 1 },
+            AgentMsg::Reconfigure {
+                assignments: vec![
+                    assignment(0, Route::Node(NodeId(2)), &[1, 2]),
+                    assignment(1, Route::Collector, &[3]),
+                ],
+            },
+            child(1, 1),
+            AgentMsg::Tick { epoch: 2 },
+            AgentMsg::Ack {
+                incarnation: 4,
+                seq: 1,
+            },
+            AgentMsg::Ack {
+                incarnation: 3,
+                seq: 2,
+            },
+            child(1, 1),
+            child(2, 2),
+            child(3, 3),
+            AgentMsg::Tick { epoch: 3 },
+            AgentMsg::SetDegrade { factor: 2 },
+            AgentMsg::Tick { epoch: 4 },
+            AgentMsg::Tick { epoch: 5 },
+            AgentMsg::SetFailed(true),
+            child(4, 5),
+            AgentMsg::Tick { epoch: 6 },
+            AgentMsg::SetFailed(false),
+            AgentMsg::Reconfigure {
+                assignments: vec![assignment(1, Route::Collector, &[3])],
+            },
+            AgentMsg::Tick { epoch: 7 },
+            AgentMsg::Tick { epoch: 8 },
+            AgentMsg::Shutdown,
+            AgentMsg::Tick { epoch: 9 },
+        ]
+    }
+
+    struct Rig {
+        inbox: Sender<AgentMsg>,
+        tape: Arc<Tape>,
+        reports: Receiver<TickReport>,
+    }
+
+    fn rig() -> (Agent, Rig) {
+        let (inbox, rx) = unbounded();
+        let (report_tx, reports) = unbounded();
+        let tape = Arc::new(Tape::default());
+        let agent = Agent::new(
+            NodeId(1),
+            rx,
+            Arc::clone(&tape) as Arc<dyn Transport>,
+            report_tx,
+            1_000.0,
+            CostModel::default(),
+            NetConfig::default(),
+            crate::samplers::deterministic(),
+            Vec::new(),
+        )
+        .with_incarnation(4);
+        let rig = Rig {
+            inbox,
+            tape,
+            reports,
+        };
+        (agent, rig)
+    }
+
+    #[test]
+    fn handle_one_by_one_is_run_over_the_inbox() {
+        let (agent, ran) = rig();
+        for msg in script() {
+            ran.inbox.send(msg).unwrap();
+        }
+        agent.run();
+
+        let (mut agent, handled) = rig();
+        let mut stopped_at = None;
+        for (i, msg) in script().into_iter().enumerate() {
+            if !agent.handle(msg) {
+                stopped_at = Some(i);
+                break;
+            }
+        }
+        assert_eq!(stopped_at, Some(script().len() - 2), "stops at Shutdown");
+
+        let sends = |r: &Rig| r.tape.0.lock().unwrap().clone();
+        let reports =
+            |r: &Rig| std::iter::from_fn(|| r.reports.try_recv().ok()).collect::<Vec<_>>();
+        assert_eq!(sends(&handled), sends(&ran));
+        let (a, b) = (reports(&handled), reports(&ran));
+        assert_eq!(a, b);
+        // The script really exercised the agent: ticks 1–5, 7 and 8
+        // report (6 is silent: crashed), frames and acks went out, a
+        // replay was re-acked, and nothing ran after Shutdown.
+        assert_eq!(
+            a.iter().map(|r| r.epoch).collect::<Vec<_>>(),
+            [1, 2, 3, 4, 5, 7, 8]
+        );
+        assert_eq!(a.iter().map(|r| r.dup_ignored).sum::<u32>(), 1);
+        assert!(a.iter().map(|r| r.retransmits).sum::<u32>() > 0);
+        let tape = sends(&ran);
+        assert!(tape.iter().any(|l| l.starts_with("data")));
+        assert_eq!(tape.iter().filter(|l| l.starts_with("ack")).count(), 4);
+    }
 }

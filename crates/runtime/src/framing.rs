@@ -23,7 +23,7 @@
 //! so the collector's staleness accounting matches the in-memory
 //! transports.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, Bytes, BytesMut};
 use std::error::Error as StdError;
 use std::fmt;
 
@@ -58,14 +58,22 @@ pub struct Envelope {
 impl Envelope {
     /// Frames `payload` for the wire.
     pub fn encode(&self) -> Bytes {
+        let mut buf = Vec::with_capacity(4 + ENVELOPE_HEADER_LEN + self.payload.len());
+        self.encode_into(&mut buf);
+        Bytes::from(buf)
+    }
+
+    /// Appends the framed envelope to `out` — the form a connection's
+    /// out-buffer takes, so a batch of envelopes is one allocation and
+    /// one write.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
         let len = ENVELOPE_HEADER_LEN + self.payload.len();
-        let mut buf = BytesMut::with_capacity(4 + len);
-        buf.put_u32(len as u32);
-        buf.put_u32(self.dest);
-        buf.put_u8(self.chan);
-        buf.put_u64(self.sent_epoch);
-        buf.extend_from_slice(&self.payload);
-        buf.freeze()
+        out.reserve(4 + len);
+        out.extend_from_slice(&(len as u32).to_be_bytes());
+        out.extend_from_slice(&self.dest.to_be_bytes());
+        out.push(self.chan);
+        out.extend_from_slice(&self.sent_epoch.to_be_bytes());
+        out.extend_from_slice(&self.payload);
     }
 }
 

@@ -6,38 +6,53 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 # --benchmark-smoke: the end-to-end benchmark (BENCHMARK.json) still
-# builds, passes its own tests, and plans correctly — the benchmark
-# crate's unit tests, then `benchmark/run.sh --seconds 2` on both sides
-# of the candidate-wave trade-off: plan-feasible (n = 1 000, several
-# rejections per round, converges) and plan-saturated (n = 10 000, rank
-# 0 accepted every round — a merge, then the split that undoes it —
-# stops on the proven cycle). Each plans two task sets untraced and
-# traced and exits non-zero unless every child's result line says
-# `"correct": true` (audit-clean, repeat-identical
-# plans, and the one-worker uncached plan byte-identical to the default
-# configuration's — the harness's "serial engine disagrees" check).
+# builds, passes its own tests, and plans and collects correctly — the
+# benchmark crate's unit tests, then `benchmark/run.sh --seconds 2` on
+# both sides of the candidate-wave trade-off: plan-feasible (n = 1 000,
+# several rejections per round, converges) and plan-saturated
+# (n = 10 000, rank 0 accepted every round — a merge, then the split
+# that undoes it — stops on the proven cycle), and on collect-thin (an
+# 8-node TCP fleet, 80 small frames per epoch: the collection path).
+# Each runs untraced and traced and exits non-zero unless every child's
+# result line says `"correct": true` (plans: audit-clean,
+# repeat-identical, and the one-worker uncached plan byte-identical to
+# the default configuration's; collect-thin: every epoch delivers
+# exactly the plan's promise, no retransmit, no duplicate, integrity
+# over every pair, no protocol reject).
 # Opt-in: the benchmark is its own workspace, so the first run pays a
 # cold release build into benchmark/target. Timings are printed, not
-# gated — two plans are not a measurement — but the saturated search
-# must know when it is done: `core.planner.hit_round_cap` 0 (the suite
-# leaves zero-valued layer rows out, so: not printed) and a mean of
-# fewer than 32 rounds per plan.
+# gated — two seconds are not a measurement — but three counts are:
+# the saturated search must know when it is done
+# (`core.planner.hit_round_cap` 0 — the suite leaves zero-valued layer
+# rows out, so: not printed — and a mean of fewer than 32 rounds per
+# plan), and the collection path must stay run-to-completion
+# (`node.proc.threads` at most 12 for the 8-node fleet,
+# `node.proc.ctx_switches_per_epoch` at most 60; the thread mesh it
+# replaced had 50 and ~167).
 if [[ "${1:-}" == "--benchmark-smoke" ]]; then
-  echo "==> benchmark crate tests + plan-feasible and plan-saturated smoke"
+  echo "==> benchmark crate tests + plan-feasible, plan-saturated and collect-thin smoke"
   cargo test -q --offline --manifest-path benchmark/Cargo.toml
-  for workload in plan-feasible plan-saturated; do
+  for workload in plan-feasible plan-saturated collect-thin; do
     if ! out="$(benchmark/run.sh --workload "$workload" --seconds 2)"; then
       echo "$out"
       echo "benchmark smoke: a $workload run did not report \"correct\": true" >&2
       exit 1
     fi
-    echo "$out" | grep -E 'operations:|op_ms_p50|core\.build\.tree_us_adaptive|core\.planner\.rounds |suite '
+    echo "$out" | grep -E 'operations:|op_ms_p50|core\.build\.tree_us_adaptive|core\.planner\.rounds |node\.proc\.|suite '
     if [[ "$workload" == plan-saturated ]]; then
       capped="$(echo "$out" | awk '$1 == "core.planner.hit_round_cap" { print $2 }')"
       rounds="$(echo "$out" | awk '$1 == "core.planner.rounds" { print $2 }')"
       echo "  core.planner.hit_round_cap ${capped:-0}"
       if ! awk -v c="${capped:-0}" -v r="$rounds" 'BEGIN { exit !(r != "" && c + 0 == 0 && r + 0 < 32) }'; then
         echo "benchmark smoke: plan-saturated ran to the round cap (hit_round_cap '$capped', rounds '$rounds')" >&2
+        exit 1
+      fi
+    fi
+    if [[ "$workload" == collect-thin ]]; then
+      threads="$(echo "$out" | awk '$1 == "node.proc.threads" { print $2 }')"
+      switches="$(echo "$out" | awk '$1 == "node.proc.ctx_switches_per_epoch" { print $2 }')"
+      if ! awk -v t="$threads" -v s="$switches" 'BEGIN { exit !(t != "" && s != "" && t + 0 <= 12 && s + 0 <= 60) }'; then
+        echo "benchmark smoke: collect-thin is off the run-to-completion path (threads '$threads', ctx switches per epoch '$switches')" >&2
         exit 1
       fi
     fi
