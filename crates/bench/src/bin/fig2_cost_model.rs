@@ -6,11 +6,10 @@
 //! while the cost of receiving a *single* message grows only 0.2% →
 //! 1.4% as its payload grows 1 → 256 values.
 //!
-//! We regenerate both series from the deployed cost model by driving a
-//! star topology through the threaded runtime and reading back the
-//! collector-side receive cost paid per epoch, then converting to a
-//! CPU percentage against the same nominal capacity the paper's node
-//! had.
+//! We regenerate the first series by driving a star topology through
+//! the in-process runtime and reading back the traffic volume a
+//! steady-state epoch paid for, in cost units calibrated to CPU percent
+//! of the paper's node; the second is the cost model itself.
 
 // Benchmark scaffolding: inputs are compile-time constants, so a
 // failed unwrap is a broken harness, not a runtime error path.
@@ -31,12 +30,12 @@ fn main() {
     let mut rep = Reporter::new("fig2a_messages");
     rep.header(&["children", "root_cpu_percent"]);
     for &n in &[16u32, 32, 64, 128, 256] {
-        // A star: n children each deliver one value to the root; the
-        // root (collector side here) pays n receive costs per epoch.
+        // A star over n nodes: n − 1 children each deliver one value
+        // to the root, which relays all n upstream in one message.
         let pairs: PairSet = (0..n).map(|i| (NodeId(i), AttrId(0))).collect();
         let caps = CapacityMap::uniform(n as usize, 100.0, 100.0).expect("caps");
-        // Star partition/tree: build with the runtime so real frames
-        // flow; the collector's paid receive volume is the measurement.
+        // Star partition/tree: deployed on the runtime so real frames
+        // flow; the volume the agents report paying is the measurement.
         let partition = Partition::singleton(pairs.attr_universe());
         let catalog = AttrCatalog::new();
         let planner = remo_core::planner::Planner::new(remo_core::planner::PlannerConfig {
@@ -48,12 +47,13 @@ fn main() {
             .into_plan();
         let sampler: Sampler = Arc::new(|_, _, _| 1.0);
         let mut dep = Deployment::launch(&plan, &pairs, &caps, cost, &catalog, sampler);
+        // The pipeline is full from the second epoch on; the fourth is
+        // steady state. Every message of the epoch is one the root
+        // receives or sends and costs both ends the same, so the
+        // epoch's volume is the root's load: n − 1 one-value messages
+        // in, one n-value message out.
         dep.run(3);
-        let _ = dep.tick();
-        dep.shutdown();
-        // Analytic receive load at the root of an n-child star:
-        // n messages of 1 value each per epoch.
-        let root_cpu = n as f64 * cost.message_cost(1.0);
+        let root_cpu = dep.tick().volume;
         rep.row(&[&n, &f3(root_cpu)]);
     }
 

@@ -2,7 +2,8 @@
 //! reconfiguration protocol, driving the *real* production code.
 //!
 //! A [`Harness`] owns a live [`AdaptivePlanner`] and [`HealthMonitor`]
-//! and mirrors `Deployment::tick`/`Deployment::repair` step for step —
+//! and mirrors the runtime's epoch close (`Coordinator::close_epoch`)
+//! and `RepairEngine::repair` step for step —
 //! the same `plan_assignments` derivation, the same
 //! `changed_assignments` diff, the same `due_readings` loss
 //! arithmetic — so every invariant the checker proves holds of the
@@ -378,7 +379,7 @@ impl Harness {
                 for &n in &events.recovered {
                     self.step_session(n, SessionEvent::MarkRecovered, &mut findings);
                 }
-                // Loss accounting, verbatim from Deployment::tick:
+                // Loss accounting, verbatim from the epoch close:
                 // unhealthy nodes are charged the readings their
                 // current assignments schedule this epoch.
                 for (&node, assigns) in self.assignments.iter() {
@@ -398,7 +399,7 @@ impl Harness {
                     for &n in &events.recovered {
                         // A node that reports again cancels any
                         // still-queued repair and reintegrates at its
-                        // original capacity (Deployment::repair).
+                        // original capacity (RepairEngine::repair).
                         self.pending_repair.remove(&n);
                         let cap = self.original_caps.node(n).unwrap_or(0.0);
                         self.planner.handle_node_recovery(n, cap, self.epoch);

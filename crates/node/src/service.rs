@@ -1,12 +1,13 @@
 //! The `remo-collector` process: registration, hub routing, lockstep
 //! epochs, failure repair, and capacity-enforced intake.
 //!
-//! The service composes the pieces the in-process runtime already
-//! tests hard: [`CollectorCore`] for ingest (token bucket, dedup,
-//! bounded ingress + shedding, degrade ladder), [`HealthMonitor`] fed
-//! through the epoch-report barrier, and [`RepairEngine`] for plan
-//! repair around confirmed failures — the distributed deployment adds
-//! only sockets around them.
+//! The service closes every epoch with the function the in-process
+//! runtime closes its own with ([`Coordinator::close_epoch`]:
+//! [`HealthMonitor`] fed through the epoch-report barrier,
+//! [`RepairEngine`] for plan repair around confirmed failures,
+//! [`CollectorCore`] for ingest — token bucket, dedup, bounded ingress
+//! and shedding, degrade ladder) — the distributed deployment adds
+//! only sockets and session machines around it.
 //!
 //! All of it runs on one thread. A `Hub` owns the listener, every
 //! connection (non-blocking socket, frame decoder, out-buffer), the
@@ -42,12 +43,12 @@ use remo_core::adapt::{AdaptScheme, AdaptivePlanner};
 use remo_core::planner::Planner;
 use remo_core::{AttrCatalog, CapacityMap, CostModel, NodeId, PairSet};
 use remo_proto::{HelloOutcome, SessionEvent, SessionMachine};
-use remo_runtime::agent::{TickReport, TreeAssignment};
+use remo_runtime::agent::TickReport;
 use remo_runtime::deployment::plan_assignments;
 use remo_runtime::framing::{Envelope, FrameDecoder, CHAN_CTRL, CHAN_DATA, DEST_COLLECTOR};
 use remo_runtime::health::{HealthConfig, HealthMonitor};
 use remo_runtime::transport::{Endpoint, NetConfig, Transport};
-use remo_runtime::{CollectorCore, CtrlMsg, EpochReport, RepairEngine, Sampler};
+use remo_runtime::{CollectorCore, Coordinator, CtrlMsg, EpochReport, RepairEngine, Sampler};
 use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -100,7 +101,6 @@ impl ServiceConfig {
         let health = HealthConfig {
             deadline: config::barrier_deadline(),
             confirm_after: config::confirm_after(),
-            ..HealthConfig::default()
         };
         ServiceConfig {
             addr: addr.into(),
@@ -146,9 +146,10 @@ struct Hub {
     /// incarnation slot and lives for the collector's whole run,
     /// across that node's connections, restarts, and deaths.
     machines: BTreeMap<u32, SessionMachine>,
-    /// Current per-node assignments (updated by plan repair; sent to a
+    /// Failure detector, repair engine, collector core, and the
+    /// current per-node assignments (updated by plan repair; sent to a
     /// node at registration).
-    assignments: BTreeMap<NodeId, Vec<TreeAssignment>>,
+    coord: Coordinator,
     /// Current epoch (stamped into `Welcome`).
     epoch: u64,
     /// Tick reports and collector-bound data frames `(sent_epoch,
@@ -331,7 +332,7 @@ impl Hub {
                         incarnation: assigned,
                         epoch: self.epoch,
                     };
-                    let assignments = self.assignments.get(&node).cloned().unwrap_or_default();
+                    let assignments = self.coord.assigned(node);
                     out.push(&ctrl_envelope(node.0, self.epoch, &welcome));
                     out.push(&ctrl_envelope(
                         node.0,
@@ -400,18 +401,18 @@ impl Hub {
         }
     }
 
-    /// Moves the reports read so far into the barrier's books. Every
-    /// received report steps the reporter's session machine:
-    /// current-epoch reports credit the barrier, stale ones are
-    /// observed as liveness hints only.
+    /// Steps the session machine of every report read since the first
+    /// `credited` (current-epoch reports are attendance, stale ones
+    /// liveness hints only) and strikes its sender from `missing`.
+    /// Returns how many reports are credited now; they stay in
+    /// `self.reports` for the epoch close.
     fn credit_reports(
         &mut self,
         epoch: u64,
+        credited: usize,
         missing: &mut std::collections::BTreeSet<NodeId>,
-        reporters: &mut BTreeMap<NodeId, u64>,
-        report: &mut EpochReport,
-    ) {
-        for tr in self.reports.drain(..) {
+    ) -> usize {
+        for tr in &self.reports[credited..] {
             let event = if tr.epoch >= epoch {
                 SessionEvent::RecvReportFresh
             } else {
@@ -419,10 +420,8 @@ impl Hub {
             };
             self.machines.entry(tr.node.0).or_default().step(event);
             missing.remove(&tr.node);
-            let e = reporters.entry(tr.node).or_insert(tr.epoch);
-            *e = (*e).max(tr.epoch);
-            fold_report(&tr, report);
         }
+        self.reports.len()
     }
 }
 
@@ -463,7 +462,6 @@ pub struct CollectorService {
     /// whose other end sits in its poll set: one byte on it makes the
     /// thread return the hub.
     registrar: Option<(JoinHandle<Hub>, UnixStream)>,
-    engine: RepairEngine,
 }
 
 impl std::fmt::Debug for CollectorService {
@@ -487,8 +485,17 @@ impl CollectorService {
             cfg.cost,
             cfg.catalog.clone(),
         );
-        let assignments = plan_assignments(planner.plan(), planner.pairs(), &cfg.catalog);
-        let engine = RepairEngine::new(planner);
+        let coord = Coordinator {
+            health: HealthMonitor::new(cfg.caps.node_ids(), cfg.health.confirm_after),
+            collector: CollectorCore::new(
+                cfg.caps.collector(),
+                cfg.cost,
+                cfg.net,
+                cfg.catalog.clone(),
+            ),
+            assignments: plan_assignments(planner.plan(), planner.pairs(), &cfg.catalog),
+            healer: Some(RepairEngine::new(planner)),
+        };
 
         let listener = TcpListener::bind(&cfg.addr)?;
         listener.set_nonblocking(true)?;
@@ -503,7 +510,7 @@ impl CollectorService {
             owner: BTreeMap::new(),
             connected: Arc::clone(&connected),
             machines: BTreeMap::new(),
-            assignments,
+            coord,
             epoch: 0,
             reports: Vec::new(),
             data: Vec::new(),
@@ -521,7 +528,6 @@ impl CollectorService {
             startup_wait,
             connected,
             registrar: Some((registrar, wake_tx)),
-            engine,
         })
     }
 
@@ -570,10 +576,6 @@ impl CollectorService {
             None => return RunSummary::default(),
         };
         let cfg = hub.cfg.clone();
-        let expected: Vec<NodeId> = cfg.caps.node_ids().collect();
-        let mut health = HealthMonitor::new(expected.iter().copied(), cfg.health.confirm_after);
-        let mut core =
-            CollectorCore::new(cfg.caps.collector(), cfg.cost, cfg.net, cfg.catalog.clone());
         let acks = AckSink::default();
         let mut summary = RunSummary {
             planned_pairs: cfg.pairs.len() as u64,
@@ -583,26 +585,18 @@ impl CollectorService {
         for epoch in 1..=cfg.epochs {
             let started = Instant::now();
             hub.epoch = epoch;
-            let mut report = EpochReport {
-                epoch,
-                ..EpochReport::default()
-            };
-
             // Tick fan-out to every live connection, behind whatever
             // the last epoch queued for it (intake acks, Assign).
             hub.broadcast(SessionEvent::SendTick, &CtrlMsg::Tick { epoch }, epoch);
             hub.flush();
 
-            // Deadline-bounded report barrier, crediting each reporter
-            // with the freshest epoch it claimed (a stale report is a
-            // liveness hint, not attendance — see
-            // `HealthMonitor::observe_reports`): pump until no
-            // reporter is missing or the deadline passes.
-            let mut missing = health.expected_reporters();
-            let mut reporters: BTreeMap<NodeId, u64> = BTreeMap::new();
+            // Deadline-bounded report barrier: pump until no reporter
+            // is missing or the deadline passes.
+            let mut missing = hub.coord.health.expected_reporters();
+            let mut credited = 0;
             let deadline = started + cfg.health.deadline;
             loop {
-                hub.credit_reports(epoch, &mut missing, &mut reporters, &mut report);
+                credited = hub.credit_reports(epoch, credited, &mut missing);
                 let wait = deadline.saturating_duration_since(Instant::now());
                 if missing.is_empty() || wait.is_zero() {
                     break;
@@ -616,54 +610,35 @@ impl CollectorService {
                 hub.step_send(node.0, SessionEvent::MissDeadline);
             }
 
-            let events = health.observe_reports(epoch, &reporters);
-            report.suspected = events.suspected.len() as u64;
-            report.confirmed_dead = events.confirmed.len() as u64;
-            report.recovered = events.recovered.len() as u64;
-            for &node in &events.confirmed {
+            // The close itself — detector, lost readings, plan repair,
+            // capacity-enforced intake — is the in-process runtime's.
+            // Nothing is routed while it runs: the trees may be about
+            // to change under that traffic anyway.
+            let closed =
+                hub.coord
+                    .close_epoch(epoch, hub.reports.drain(..), hub.data.drain(..), &acks);
+            let mut report = closed.report;
+            for &node in &closed.events.confirmed {
                 hub.step_send(node.0, SessionEvent::ConfirmDead);
             }
-            for &node in &events.recovered {
+            for &node in &closed.events.recovered {
                 hub.step_send(node.0, SessionEvent::MarkRecovered);
             }
-
-            // Plan repair around confirmed failures; targeted Assign
-            // fan-out to the survivors whose routes changed. Nothing
-            // is routed while the engine plans: the trees are about to
-            // change under that traffic anyway.
-            if !events.confirmed.is_empty() || !events.recovered.is_empty() {
-                let (fresh, changed) = self.engine.repair(
-                    &events.confirmed,
-                    &events.recovered,
-                    &hub.assignments,
-                    epoch,
-                );
-                for node in changed {
-                    let assignments = fresh.get(&node).cloned().unwrap_or_default();
-                    let assign = ctrl_envelope(node.0, epoch, &CtrlMsg::Assign { assignments });
-                    if hub.send(node.0, &assign) {
-                        report.reconfigure_messages += 1;
-                    }
-                }
-                hub.assignments = fresh;
-                for &node in &events.confirmed {
-                    health.mark_repaired(node, epoch);
-                    report.repaired += 1;
-                    hub.step_send(node.0, SessionEvent::Repair);
+            // Targeted Assign fan-out to the nodes whose routes changed.
+            for node in closed.reassigned {
+                let assignments = hub.coord.assigned(node);
+                let assign = ctrl_envelope(node.0, epoch, &CtrlMsg::Assign { assignments });
+                if hub.send(node.0, &assign) {
+                    report.reconfigure_messages += 1;
                 }
             }
-
-            // Capacity-enforced intake, identical to the in-process
-            // ARQ path: refill, ack+dedup+stage every frame, then
-            // shed/process/backpressure.
-            core.refill();
-            for (sent_epoch, frame) in hub.data.drain(..) {
-                core.accept_arq(epoch, sent_epoch, frame, &acks, &mut report);
+            for &node in &closed.events.confirmed {
+                hub.step_send(node.0, SessionEvent::Repair);
             }
             for ack in lock(&acks.acks).drain(..) {
                 hub.send(ack.dest, &ack);
             }
-            if let Some(factor) = core.drain_arq(epoch, &mut report) {
+            if let Some(factor) = closed.degrade {
                 // Factor 1 is the restore broadcast; anything wider is
                 // a degrade. The spec distinguishes the two edges.
                 let event = if factor > 1 {
@@ -679,6 +654,7 @@ impl CollectorService {
             summary.confirmed_dead += report.confirmed_dead;
             summary.repaired += report.repaired;
             summary.recovered += report.recovered;
+            summary.values_lost += report.values_lost;
             summary.reconfigure_messages += report.reconfigure_messages;
             summary.duplicate_messages_ignored += report.duplicate_messages_ignored;
             summary.shed_readings += report.shed_readings;
@@ -712,6 +688,7 @@ impl CollectorService {
             hub.pump(wait, None);
         }
 
+        let core = &hub.coord.collector;
         summary.observed_pairs = core.observed_pairs() as u64;
         summary.protocol_rejects = hub.machines.values().map(SessionMachine::rejects).sum();
         if let Some(sampler) = cfg.integrity_sampler.as_ref() {
@@ -733,13 +710,4 @@ impl Drop for CollectorService {
     fn drop(&mut self) {
         let _ = self.stop_registrar();
     }
-}
-
-fn fold_report(tr: &TickReport, report: &mut EpochReport) {
-    report.dropped_messages += tr.dropped_messages as u64;
-    report.dropped_readings += tr.dropped_readings as u64;
-    report.volume += tr.volume;
-    report.retransmit_messages += tr.retransmits as u64;
-    report.duplicate_messages_ignored += tr.dup_ignored as u64;
-    report.abandoned_messages += tr.abandoned as u64;
 }

@@ -21,6 +21,9 @@ pub struct RunSummary {
     pub repaired: u64,
     /// Dead nodes that reported again and were reintegrated.
     pub recovered: u64,
+    /// Readings unhealthy nodes were scheduled to produce but could
+    /// not, until the plan was repaired around them.
+    pub values_lost: u64,
     /// Targeted `Assign` reconfigurations sent by plan repair.
     pub reconfigure_messages: u64,
     /// Duplicate data frames discarded by incarnation-scoped dedup.
@@ -58,6 +61,7 @@ impl RunSummary {
         field(&mut s, "confirmed_dead", self.confirmed_dead);
         field(&mut s, "repaired", self.repaired);
         field(&mut s, "recovered", self.recovered);
+        field(&mut s, "values_lost", self.values_lost);
         field(&mut s, "reconfigure_messages", self.reconfigure_messages);
         field(
             &mut s,
@@ -89,6 +93,7 @@ mod tests {
         let j = s.to_json();
         assert!(j.starts_with('{') && j.ends_with('}'));
         assert!(j.contains("\"planned_pairs\":18"));
+        assert!(j.contains("\"values_lost\":0"));
         assert!(j.contains("\"integrity_violations\":0"));
         assert!(!j.contains(",,"));
     }

@@ -105,6 +105,10 @@ fn killed_node_is_detected_repaired_and_reintegrated_after_restart() {
 
     assert!(summary.confirmed_dead >= 1, "kill must be detected");
     assert!(summary.repaired >= 1, "plan must be repaired around it");
+    assert!(
+        summary.values_lost > 0,
+        "the victim's due readings are charged while it is suspected"
+    );
     assert!(summary.recovered >= 1, "restart must be reintegrated");
     assert_eq!(
         summary.observed_pairs, summary.planned_pairs,

@@ -2,10 +2,13 @@
 //! [`FailureSchedule`].
 //!
 //! `remo-sim`'s failure module scripts outages as data; this adapter
-//! replays the same schedule against the threaded runtime, so chaos
+//! replays the same schedule against the in-process runtime, so chaos
 //! scenarios (crash at epoch E, heal at epoch F, overlapping windows)
 //! can be asserted against the self-healing coordinator with the exact
-//! outage timeline the simulator used. Node outages map to
+//! outage timeline the simulator used. The deployment runs on the
+//! driver's thread with the epoch counter as its only clock, so a
+//! schedule's outcome — the epoch a crash is confirmed at, every
+//! retransmission on a lossy transport — is the same on every run. Node outages map to
 //! [`Deployment::fail_node`] / [`Deployment::heal_node`]; link outages
 //! map to [`Deployment::set_link_down`] — which takes effect on
 //! fault-capable transports (a deployment launched with

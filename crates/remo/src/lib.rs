@@ -10,7 +10,7 @@
 //!   resource-constrained tree construction, capacity allocation,
 //!   runtime adaptation, reliability rewriting, frequency support;
 //! - [`remo_sim`] (re-exported as `sim`) — the epoch-driven evaluation substrate;
-//! - [`remo_runtime`] (re-exported as `runtime`) — the threaded deployment substrate;
+//! - [`remo_runtime`] (re-exported as `runtime`) — the in-process deployment substrate;
 //! - [`remo_workloads`] (re-exported as `workloads`) — synthetic tasks, the System-S-like
 //!   application model, and churn generation.
 //!

@@ -1,7 +1,8 @@
-//! Node agents: one state machine per monitoring node — on its own
-//! thread in the in-process `Deployment` ([`run_agent`]), driven inline
-//! through [`Agent::handle`] by the thread that owns the socket in a
-//! `remo-node` process.
+//! Node agents: one state machine per monitoring node, a plain
+//! function of the messages it is given ([`Agent::handle`]). Nothing
+//! here starts a thread: the in-process `Deployment` steps every agent
+//! on its caller's thread, a `remo-node` process steps its one agent on
+//! the thread that owns the socket.
 //!
 //! Agents run in coordinator-driven lockstep: each `Tick(e)` starts
 //! epoch `e`, on which the agent refills its token bucket, samples its
@@ -113,10 +114,10 @@ pub enum AgentMsg {
     },
     /// Crash or heal the agent (failure injection): a failed agent
     /// drops all data traffic and goes silent — it stops acknowledging
-    /// ticks, so the coordinator's epoch-deadline failure detector
-    /// observes the misses and can confirm the crash.
+    /// ticks, so the coordinator's failure detector observes the
+    /// misses and can confirm the crash.
     SetFailed(bool),
-    /// Terminate the agent thread.
+    /// Stop: [`Agent::run`] returns.
     Shutdown,
 }
 
@@ -159,8 +160,8 @@ struct Unacked {
     next_retry: u64,
 }
 
-/// The agent state machine (runs on its own thread via
-/// [`run_agent`], or under its caller's via [`Agent::handle`]).
+/// The agent state machine, stepped by whoever owns it
+/// ([`Agent::handle`]).
 pub struct Agent {
     id: NodeId,
     inbox: Receiver<AgentMsg>,
@@ -209,7 +210,7 @@ impl std::fmt::Debug for Agent {
 }
 
 impl Agent {
-    /// Creates an agent (not yet running; see [`run_agent`]).
+    /// Creates an agent; it does nothing until it is stepped.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         id: NodeId,
@@ -263,6 +264,17 @@ impl Agent {
                 break;
             }
         }
+    }
+
+    /// Handles every message already in the inbox, without waiting for
+    /// more; whether there was one.
+    pub(crate) fn run_ready(&mut self) -> bool {
+        let mut ran = false;
+        while let Ok(msg) = self.inbox.try_recv() {
+            ran = true;
+            self.handle(msg);
+        }
+        ran
     }
 
     /// Applies one message; `false` once the agent was told to shut
@@ -576,15 +588,6 @@ fn fold(at: NodeId, attr: AttrId, group: &[WireReading], value: f64) -> WireRead
         produced: group.iter().map(|r| r.produced).min().unwrap_or(0),
         contributors: group.iter().map(|r| r.contributors).sum(),
     }
-}
-
-/// Spawns an agent on a dedicated thread.
-pub fn run_agent(agent: Agent) -> std::thread::JoinHandle<()> {
-    let name = format!("remo-agent-{}", agent.id);
-    std::thread::Builder::new()
-        .name(name.clone())
-        .spawn(move || agent.run())
-        .unwrap_or_else(|e| panic!("failed to spawn {name}: {e}"))
 }
 
 #[cfg(test)]

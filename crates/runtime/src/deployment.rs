@@ -1,36 +1,35 @@
 //! Deployment coordinator: launches agents for a monitoring plan and
-//! drives them through lockstep epochs.
+//! drives them through lockstep epochs, all on the caller's thread.
 //!
-//! The tick barrier doubles as a failure detector: instead of blocking
-//! until every agent reports, the coordinator waits up to a
-//! configurable deadline ([`HealthConfig::deadline`]) and feeds the
-//! set of reporters into a [`HealthMonitor`]. A deployment launched
-//! with [`Deployment::launch_self_healing`] closes the loop: confirmed
-//! failures invoke `AdaptivePlanner::handle_node_failure`, the old and
-//! repaired plans are diffed, and only agents whose assignments
-//! changed receive targeted [`AgentMsg::Reconfigure`] messages (with
-//! bounded retry and exponential backoff), so orphaned subtrees
+//! A tick queues `Tick` on every agent's inbox and then runs the agents
+//! to completion: each handles what its inbox holds, round after round,
+//! until no inbox has a message. The epoch counter is the only clock. A
+//! tick report is therefore either in the queue when the agents have
+//! run or it is not coming, and the set of reporters feeds the
+//! [`HealthMonitor`] with no deadline to wait out. A deployment
+//! launched with [`Deployment::launch_self_healing`] closes the loop:
+//! confirmed failures invoke
+//! `AdaptivePlanner::handle_node_failure`, the old and repaired plans
+//! are diffed, and only agents whose assignments changed receive
+//! targeted [`AgentMsg::Reconfigure`] messages, so orphaned subtrees
 //! reattach without restarting the deployment.
 
-use crate::agent::{
-    run_agent, Agent, AgentMsg, LocalAttr, Route, Sampler, TickReport, TreeAssignment,
-};
+use crate::agent::{Agent, AgentMsg, LocalAttr, Route, Sampler, TickReport, TreeAssignment};
 use crate::collector::CollectorCore;
-use crate::health::{HealthConfig, HealthMonitor, HealthReport, HealthState};
+use crate::coordinator::Coordinator;
+use crate::health::{HealthConfig, HealthMonitor, HealthReport};
 use crate::repair::RepairEngine;
 use crate::transport::{
     LossyTransport, NetConfig, NetSpec, PerfectTransport, Transport, TransportStats,
 };
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use remo_core::adapt::AdaptivePlanner;
 use remo_core::{
     AttrCatalog, AttrId, CapacityMap, CostModel, MonitoringPlan, NodeId, PairSet, Parent,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Instant;
 
 pub use crate::collector::{DeliveredReading, EpochReport, Observed};
 
@@ -53,31 +52,24 @@ pub enum TransportSpec {
 /// A running in-process deployment of a monitoring plan.
 #[derive(Debug)]
 pub struct Deployment {
-    agents: Arc<BTreeMap<NodeId, Sender<AgentMsg>>>,
-    handles: Vec<JoinHandle<()>>,
+    /// The agents, stepped in node order, and the sending half of each
+    /// one's inbox (the transport holds the same senders).
+    agents: BTreeMap<NodeId, Agent>,
+    inboxes: Arc<BTreeMap<NodeId, Sender<AgentMsg>>>,
     reports: Receiver<TickReport>,
     collector_rx: Receiver<(u64, Bytes)>,
-    /// The collector's ingest core: capacity enforcement, dedup,
-    /// bounded ingress, backpressure, and the snapshot store.
-    collector: CollectorCore,
+    /// Failure detector, collector core, assignments currently pushed
+    /// to each agent, and (self-healing deployments only) the healer.
+    coord: Coordinator,
     transport: Arc<dyn Transport>,
     net: NetConfig,
-    /// ARQ + backpressure engaged (transport is unreliable).
-    lossy: bool,
     epoch: u64,
-    /// Assignments currently pushed to each agent, diffed at repair
-    /// time so reconfiguration messages stay targeted.
-    assignments: BTreeMap<NodeId, Vec<TreeAssignment>>,
-    health_cfg: HealthConfig,
-    health: HealthMonitor,
-    /// Present only for self-healing deployments.
-    healer: Option<RepairEngine>,
 }
 
 impl Deployment {
-    /// Launches one agent thread per node in `caps` and wires them
-    /// according to `plan`, with default failure-detection settings
-    /// (see [`HealthConfig`]).
+    /// Launches one agent per node in `caps` and wires them according
+    /// to `plan`, with default failure-detection settings (see
+    /// [`HealthConfig`]).
     pub fn launch(
         plan: &MonitoringPlan,
         pairs: &PairSet,
@@ -162,40 +154,40 @@ impl Deployment {
                 net,
             ),
         };
-        let lossy = !transport.reliable();
 
         let assignments = plan_assignments(plan, pairs, catalog);
-        let mut handles = Vec::new();
-        for (node, inbox) in inboxes {
-            let agent = Agent::new(
-                node,
-                inbox,
-                Arc::clone(&transport),
-                report_tx.clone(),
-                caps.node(node).unwrap_or(0.0),
-                cost,
-                net,
-                Arc::clone(&sampler),
-                assignments.get(&node).cloned().unwrap_or_default(),
-            );
-            handles.push(run_agent(agent));
-        }
+        let agents = inboxes
+            .into_iter()
+            .map(|(node, inbox)| {
+                let agent = Agent::new(
+                    node,
+                    inbox,
+                    Arc::clone(&transport),
+                    report_tx.clone(),
+                    caps.node(node).unwrap_or(0.0),
+                    cost,
+                    net,
+                    Arc::clone(&sampler),
+                    assignments.get(&node).cloned().unwrap_or_default(),
+                );
+                (node, agent)
+            })
+            .collect();
 
-        let health = HealthMonitor::new(peers.keys().copied(), health_cfg.confirm_after);
         Deployment {
-            agents: peers,
-            handles,
+            agents,
             reports: report_rx,
             collector_rx,
-            collector: CollectorCore::new(caps.collector(), cost, net, catalog.clone()),
+            coord: Coordinator {
+                health: HealthMonitor::new(peers.keys().copied(), health_cfg.confirm_after),
+                collector: CollectorCore::new(caps.collector(), cost, net, catalog.clone()),
+                healer: None,
+                assignments,
+            },
+            inboxes: peers,
             transport,
             net,
-            lossy,
             epoch: 0,
-            assignments,
-            health_cfg,
-            health,
-            healer: None,
         }
     }
 
@@ -239,7 +231,7 @@ impl Deployment {
             health_cfg,
             tspec,
         );
-        dep.healer = Some(RepairEngine::new(planner));
+        dep.coord.healer = Some(RepairEngine::new(planner));
         dep
     }
 
@@ -253,22 +245,22 @@ impl Deployment {
     /// `remo-audit` crate checks these against the plan they claim to
     /// implement.
     pub fn assignments(&self) -> &BTreeMap<NodeId, Vec<TreeAssignment>> {
-        &self.assignments
+        &self.coord.assignments
     }
 
     /// The collector's snapshot of a pair.
     pub fn observed(&self, node: NodeId, attr: AttrId) -> Option<Observed> {
-        self.collector.observed(node, attr)
+        self.coord.collector.observed(node, attr)
     }
 
     /// The collector's snapshot of an aggregated attribute.
     pub fn observed_aggregate(&self, attr: AttrId) -> Option<Observed> {
-        self.collector.observed_aggregate(attr)
+        self.coord.collector.observed_aggregate(attr)
     }
 
     /// Number of distinct pairs ever observed.
     pub fn observed_pairs(&self) -> usize {
-        self.collector.observed_pairs()
+        self.coord.collector.observed_pairs()
     }
 
     /// Snapshot of an explicit pair list: observed values plus the
@@ -278,7 +270,7 @@ impl Deployment {
         let mut values = BTreeMap::new();
         let mut missing = Vec::new();
         for (n, a) in pairs {
-            match self.collector.store().get(&(n, a)) {
+            match self.coord.collector.store().get(&(n, a)) {
                 Some(&o) => {
                     values.insert((n, a), o);
                 }
@@ -291,7 +283,7 @@ impl Deployment {
     /// Current health snapshot (states and incident statistics as of
     /// the last completed tick).
     pub fn health_report(&self) -> HealthReport {
-        self.health.report(self.epoch)
+        self.coord.health.report(self.epoch)
     }
 
     /// Fault counters of the underlying transport (all zero on the
@@ -310,13 +302,13 @@ impl Deployment {
     /// Effective reporting-interval multiplier currently in force
     /// (1 = no degradation).
     pub fn degrade_factor(&self) -> u64 {
-        self.collector.degrade_factor()
+        self.coord.collector.degrade_factor()
     }
 
     /// Readings accepted into the store, in order (only populated when
     /// [`NetConfig::record_deliveries`] is set).
     pub fn delivery_log(&self) -> &[DeliveredReading] {
-        self.collector.delivery_log()
+        self.coord.collector.delivery_log()
     }
 
     /// Per-attribute staleness bounds under the current degradation
@@ -332,9 +324,9 @@ impl Deployment {
     pub fn staleness_bounds(&self) -> BTreeMap<AttrId, u64> {
         let factor = self.degrade_factor();
         let mut out: BTreeMap<AttrId, u64> = BTreeMap::new();
-        for (&node, assigns) in &self.assignments {
+        for (&node, assigns) in &self.coord.assignments {
             for a in assigns {
-                let depth = route_depth(&self.assignments, node, a.tree);
+                let depth = route_depth(&self.coord.assignments, node, a.tree);
                 for la in &a.local {
                     let bound =
                         la.period.max(1).saturating_mul(factor) + depth + self.net.base_rto + 1;
@@ -348,164 +340,62 @@ impl Deployment {
 
     /// Advances one lockstep epoch and returns its aggregate report.
     ///
-    /// The tick barrier waits up to [`HealthConfig::deadline`] for
-    /// every non-dead agent's report; stragglers are fed to the
-    /// failure detector, and (in self-healing deployments) confirmed
-    /// failures trigger plan repair before the epoch completes.
+    /// Agents that did not report this epoch are fed to the failure
+    /// detector, and (in self-healing deployments) confirmed failures
+    /// trigger plan repair before the epoch completes.
     pub fn tick(&mut self) -> EpochReport {
         let _tick_span = remo_obs::span!("runtime.tick");
         self.epoch += 1;
         let epoch = self.epoch;
-        let mut report = EpochReport {
-            epoch,
-            ..EpochReport::default()
-        };
 
         // Release transport-delayed frames due this epoch before the
         // agents start processing it.
         self.transport.advance(epoch);
 
-        for tx in self.agents.values() {
+        for tx in self.inboxes.values() {
             let _ = tx.send(AgentMsg::Tick { epoch });
         }
-
-        // Deadline-bounded barrier: wait for every expected (non-dead)
-        // reporter, but never past the health deadline. Each reporter
-        // is credited with the freshest epoch it claimed — a report
-        // proves its sender's process is alive *as of that epoch*, so
-        // a stale report racing in late cannot satisfy this epoch's
-        // liveness check (it is counted as a miss-then-arrival by
-        // [`HealthMonitor::observe_reports`]).
-        let mut missing: BTreeSet<NodeId> = self.health.expected_reporters();
-        let mut reporters: BTreeMap<NodeId, u64> = BTreeMap::new();
-        let deadline = Instant::now() + self.health_cfg.deadline;
+        // Run to completion. A round can only leave behind what it
+        // provoked — an ack for a data frame, nothing for an ack, and a
+        // relay forwards child traffic on the *next* tick — so the
+        // third round at the latest finds every inbox empty.
         loop {
-            let fold = |tr: TickReport, report: &mut EpochReport| {
-                report.dropped_messages += tr.dropped_messages as u64;
-                report.dropped_readings += tr.dropped_readings as u64;
-                report.volume += tr.volume;
-                report.retransmit_messages += tr.retransmits as u64;
-                report.duplicate_messages_ignored += tr.dup_ignored as u64;
-                report.abandoned_messages += tr.abandoned as u64;
-            };
-            let credit = |tr: &TickReport, reporters: &mut BTreeMap<NodeId, u64>| {
-                let e = reporters.entry(tr.node).or_insert(tr.epoch);
-                *e = (*e).max(tr.epoch);
-            };
-            if missing.is_empty() {
-                // Barrier satisfied; drain anything already queued so
-                // reports from recovering (previously dead) agents are
-                // seen this epoch rather than next.
-                while let Ok(tr) = self.reports.try_recv() {
-                    missing.remove(&tr.node);
-                    credit(&tr, &mut reporters);
-                    fold(tr, &mut report);
-                }
+            let mut ran = false;
+            for agent in self.agents.values_mut() {
+                ran |= agent.run_ready();
+            }
+            if !ran {
                 break;
             }
-            let wait = deadline.saturating_duration_since(Instant::now());
-            match self.reports.recv_timeout(wait) {
-                Ok(tr) => {
-                    missing.remove(&tr.node);
-                    credit(&tr, &mut reporters);
-                    fold(tr, &mut report);
-                }
-                Err(RecvTimeoutError::Timeout) => break,
-                Err(RecvTimeoutError::Disconnected) => break,
-            }
         }
 
-        let events = self.health.observe_reports(epoch, &reporters);
-        report.suspected = events.suspected.len() as u64;
-        report.confirmed_dead = events.confirmed.len() as u64;
-        report.recovered = events.recovered.len() as u64;
-
-        // Degradation telemetry: readings unhealthy nodes were
-        // scheduled to produce this epoch are lost until the plan is
-        // repaired around them (their assignments then become empty).
-        for (&node, assigns) in self.assignments.iter() {
-            if self.health.state(node) == HealthState::Healthy {
-                continue;
-            }
-            let due = due_readings(assigns, epoch);
-            if due > 0 {
-                self.health.add_values_lost(node, due);
-                report.values_lost += due;
-            }
+        let closed = self.coord.close_epoch(
+            epoch,
+            std::iter::from_fn(|| self.reports.try_recv().ok()),
+            std::iter::from_fn(|| self.collector_rx.try_recv().ok()),
+            self.transport.as_ref(),
+        );
+        let mut report = closed.report;
+        for node in closed.reassigned {
+            let assignments = self.coord.assigned(node);
+            let sent = self.send(node, AgentMsg::Reconfigure { assignments });
+            report.reconfigure_messages += u64::from(sent);
         }
-
-        if !events.confirmed.is_empty() || !events.recovered.is_empty() {
-            self.repair(&events.confirmed, &events.recovered, epoch, &mut report);
-        }
-        report.planner_cache = self.healer.as_ref().map(|e| e.planner().cache_stats());
-
-        if self.lossy {
-            self.collector_intake_arq(epoch, &mut report);
-        } else {
-            self.collector_intake_perfect(&mut report);
+        if let Some(factor) = closed.degrade {
+            for tx in self.inboxes.values() {
+                let _ = tx.send(AgentMsg::SetDegrade { factor });
+            }
         }
         export_epoch_metrics(&report);
         report
     }
 
-    /// Collector intake on the reliable transport: frames roots sent
-    /// this epoch, processed immediately. This is the pre-transport
-    /// behavior, bit for bit — the perfect-path regression test pins
-    /// its `EpochReport`s.
-    fn collector_intake_perfect(&mut self, report: &mut EpochReport) {
-        self.collector.refill();
-        while let Ok((sent_epoch, frame)) = self.collector_rx.try_recv() {
-            self.collector.accept_perfect(sent_epoch, frame, report);
-        }
-    }
-
-    /// Collector intake on an unreliable transport: ack + dedup every
-    /// arriving frame, stage its readings in the bounded ingress
-    /// queue, shed the least valuable readings when the queue
-    /// overflows, process under the per-value budget (the paper's
-    /// collector-capacity constraint), and signal backpressure to the
-    /// agents when the queue stays saturated.
-    fn collector_intake_arq(&mut self, epoch: u64, report: &mut EpochReport) {
-        self.collector.refill();
-        while let Ok((sent_epoch, frame)) = self.collector_rx.try_recv() {
-            self.collector
-                .accept_arq(epoch, sent_epoch, frame, self.transport.as_ref(), report);
-        }
-        if let Some(factor) = self.collector.drain_arq(epoch, report) {
-            for tx in self.agents.values() {
-                let _ = tx.send(AgentMsg::SetDegrade { factor });
-            }
-        }
-    }
-
-    /// Repairs the plan around newly confirmed failures and
-    /// reintegrates recovered nodes, sending targeted `Reconfigure`
-    /// messages only to agents whose assignments changed.
-    fn repair(
-        &mut self,
-        confirmed: &[NodeId],
-        recovered: &[NodeId],
-        epoch: u64,
-        report: &mut EpochReport,
-    ) {
-        let Some(healer) = self.healer.as_mut() else {
-            return;
-        };
-        let (fresh, changed) = healer.repair(confirmed, recovered, &self.assignments, epoch);
-        for node in changed {
-            let Some(tx) = self.agents.get(&node) else {
-                continue;
-            };
-            let next = fresh.get(&node).cloned().unwrap_or_default();
-            if send_reconfigure(tx, next, &self.health_cfg) {
-                report.reconfigure_messages += 1;
-            }
-        }
-        self.assignments = fresh;
-        for &node in confirmed {
-            self.health.mark_repaired(node, epoch);
-            report.repaired += 1;
-        }
+    /// Queues `msg` on `node`'s inbox, where it waits for the next
+    /// tick; whether there is such a node.
+    fn send(&self, node: NodeId, msg: AgentMsg) -> bool {
+        self.inboxes
+            .get(&node)
+            .is_some_and(|tx| tx.send(msg).is_ok())
     }
 
     /// Runs `epochs` ticks, returning the summed report.
@@ -547,51 +437,28 @@ impl Deployment {
         catalog: &AttrCatalog,
     ) -> usize {
         let assignments = plan_assignments(plan, pairs, catalog);
-        let mut sent = 0;
-        for (&node, tx) in self.agents.iter() {
+        for (&node, tx) in self.inboxes.iter() {
             let a = assignments.get(&node).cloned().unwrap_or_default();
             let _ = tx.send(AgentMsg::Reconfigure { assignments: a });
-            sent += 1;
         }
-        self.assignments = assignments;
-        sent
+        self.coord.assignments = assignments;
+        self.inboxes.len()
     }
 
     /// Crashes a node: it drops all traffic until healed. Takes
     /// effect from the next tick.
     pub fn fail_node(&mut self, node: NodeId) {
-        if let Some(tx) = self.agents.get(&node) {
-            let _ = tx.send(AgentMsg::SetFailed(true));
-        }
+        self.send(node, AgentMsg::SetFailed(true));
     }
 
     /// Heals a crashed node.
     pub fn heal_node(&mut self, node: NodeId) {
-        if let Some(tx) = self.agents.get(&node) {
-            let _ = tx.send(AgentMsg::SetFailed(false));
-        }
+        self.send(node, AgentMsg::SetFailed(false));
     }
 
-    /// Stops all agent threads and waits for them.
-    pub fn shutdown(mut self) {
-        for tx in self.agents.values() {
-            let _ = tx.send(AgentMsg::Shutdown);
-        }
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for Deployment {
-    fn drop(&mut self) {
-        for tx in self.agents.values() {
-            let _ = tx.send(AgentMsg::Shutdown);
-        }
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-    }
+    /// Ends the deployment. Dropping it does the same: there is no
+    /// thread to stop.
+    pub fn shutdown(self) {}
 }
 
 /// Publishes one epoch's aggregate report into the process-wide
@@ -610,38 +477,6 @@ fn export_epoch_metrics(report: &EpochReport) {
     remo_obs::counter("remo_runtime_values_lost_total").inc_by(report.values_lost as f64);
     remo_obs::counter("remo_runtime_reconfigure_messages_total")
         .inc_by(report.reconfigure_messages as f64);
-}
-
-/// Sends a targeted `Reconfigure` with bounded retry and exponential
-/// backoff; returns whether the send eventually succeeded.
-fn send_reconfigure(
-    tx: &Sender<AgentMsg>,
-    assignments: Vec<TreeAssignment>,
-    cfg: &HealthConfig,
-) -> bool {
-    let attempts = cfg.reconfigure_retries.max(1);
-    let mut backoff = cfg.backoff;
-    let mut msg = AgentMsg::Reconfigure { assignments };
-    for attempt in 0..attempts {
-        match tx.send(msg) {
-            Ok(()) => return true,
-            Err(err) => {
-                msg = err.0;
-                if remo_obs::enabled() {
-                    remo_obs::counter("remo_runtime_reconfigure_retries_total").inc();
-                }
-                remo_obs::event!("runtime.reconfigure.retry",
-                    "attempt" => attempt + 1,
-                    "backoff_ms" => backoff.as_millis() as u64);
-                if attempt + 1 < attempts {
-                    std::thread::sleep(backoff);
-                    backoff = backoff.saturating_mul(2);
-                }
-            }
-        }
-    }
-    remo_obs::event!("runtime.reconfigure.failed", "attempts" => attempts);
-    false
 }
 
 /// Computes every node's tree assignments from a plan. This is the
@@ -764,6 +599,7 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
 
     use super::*;
+    use crate::health::HealthState;
     use remo_core::planner::Planner;
 
     fn sampler() -> Sampler {
@@ -918,7 +754,6 @@ mod tests {
 
     fn fast_health(confirm_after: u32) -> HealthConfig {
         HealthConfig {
-            deadline: std::time::Duration::from_millis(60),
             confirm_after,
             ..HealthConfig::default()
         }

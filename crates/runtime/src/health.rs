@@ -3,9 +3,11 @@
 //! The coordinator drives agents in lockstep epochs; a healthy agent
 //! acknowledges every `Tick` with a [`TickReport`](crate::TickReport).
 //! A crashed agent goes silent, so liveness falls out of the tick
-//! barrier itself: any agent that misses the per-epoch report deadline
-//! is *suspected*, and after [`HealthConfig::confirm_after`]
-//! consecutive misses it is *confirmed dead*. Confirmation is the
+//! barrier itself: any agent whose report for the epoch is missing when
+//! the epoch closes (in process: when the agents have run; over TCP:
+//! at [`HealthConfig::deadline`]) is *suspected*, and after
+//! [`HealthConfig::confirm_after`] consecutive misses it is
+//! *confirmed dead*. Confirmation is the
 //! signal the self-healing deployment uses to invoke
 //! `AdaptivePlanner::handle_node_failure` and reconfigure the
 //! survivors; an agent that reports again after confirmation is
@@ -33,20 +35,18 @@ pub enum HealthState {
     Dead,
 }
 
-/// Failure-detector and repair tuning.
+/// Failure-detector tuning.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct HealthConfig {
-    /// How long the coordinator waits each epoch for outstanding tick
-    /// reports before declaring the stragglers missed.
+    /// How long the `remo-collector` service waits each epoch for
+    /// outstanding tick reports before declaring the stragglers
+    /// missed. Unused in process: a [`Deployment`](crate::Deployment)
+    /// runs its agents to completion, so a report that is not there
+    /// when they have run is not coming.
     pub deadline: Duration,
-    /// Consecutive missed deadlines before a suspect is confirmed
-    /// dead (the paper-style `K`).
+    /// Consecutive missed epochs before a suspect is confirmed dead
+    /// (the paper-style `K`).
     pub confirm_after: u32,
-    /// Attempts per targeted `Reconfigure` send during plan repair.
-    pub reconfigure_retries: u32,
-    /// Initial backoff between reconfigure retries; doubles per
-    /// attempt.
-    pub backoff: Duration,
 }
 
 impl Default for HealthConfig {
@@ -54,8 +54,6 @@ impl Default for HealthConfig {
         HealthConfig {
             deadline: Duration::from_millis(200),
             confirm_after: 3,
-            reconfigure_retries: 3,
-            backoff: Duration::from_millis(2),
         }
     }
 }

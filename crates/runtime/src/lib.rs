@@ -1,20 +1,24 @@
 //! # remo-runtime
 //!
-//! A real, threaded deployment substrate for REMO monitoring plans:
-//! one agent thread per monitoring node, channel-based messaging with
-//! a binary wire protocol ([`proto`]), token-bucket capacity emulation
+//! A real deployment substrate for REMO monitoring plans: one agent
+//! state machine per monitoring node ([`agent`]), messaging with a
+//! binary wire protocol ([`proto`]), token-bucket capacity emulation
 //! ([`throttle`]), coordinator-driven lockstep epochs, in-network
 //! aggregation at relay points, live topology reconfiguration, and a
-//! self-healing control loop ([`health`]): epoch-deadline failure
+//! self-healing control loop ([`health`]): epoch-barrier failure
 //! detection, automatic plan repair through
 //! `remo_core::adapt::AdaptivePlanner`, and targeted reconfiguration
 //! of the surviving agents.
 //!
-//! Where [`remo-sim`](../remo_sim/index.html) is the fast, fully
-//! deterministic model used for the paper's parameter sweeps, this
-//! crate actually moves bytes between threads — it validates that a
-//! plan's trees carry real traffic end to end (the role the
-//! BlueGene/System S deployment plays in the paper).
+//! Where [`remo-sim`](../remo_sim/index.html) is the fast model used
+//! for the paper's parameter sweeps, this crate encodes, routes and
+//! decodes the real wire frames — it validates that a plan's trees
+//! carry real traffic end to end (the role the BlueGene/System S
+//! deployment plays in the paper). In process ([`Deployment`]) every
+//! agent is stepped to completion on the caller's thread and the epoch
+//! counter is the only clock, so a run is a function of its inputs;
+//! the `remo-node` crate runs the same agents and the same epoch close
+//! ([`Coordinator`]) as processes over TCP.
 //!
 //! ```
 //! use remo_core::{CapacityMap, CostModel, NodeId, AttrId, PairSet, AttrCatalog};
@@ -43,6 +47,7 @@
 
 pub mod agent;
 pub mod collector;
+pub mod coordinator;
 pub mod ctrl;
 pub mod deployment;
 pub mod framing;
@@ -55,6 +60,7 @@ pub mod transport;
 
 pub use agent::{AgentMsg, LocalAttr, Route, Sampler, TickReport, TreeAssignment};
 pub use collector::{CollectorCore, DeliveredReading, EpochReport, Observed};
+pub use coordinator::{Coordinator, EpochClose};
 pub use ctrl::{CtrlError, CtrlMsg};
 pub use deployment::{
     changed_assignments, due_readings, plan_assignments, Deployment, Snapshot, TransportSpec,

@@ -1,7 +1,7 @@
 //! Token-bucket capacity emulation.
 //!
 //! On the BlueGene testbed the per-node monitoring budget is real CPU
-//! headroom; in the threaded runtime we emulate it with a token bucket
+//! headroom; in this runtime we emulate it with a token bucket
 //! refilled once per epoch with the node's capacity, from which every
 //! send and receive draws its `C + a·x` cost.
 

@@ -4,7 +4,7 @@
 //! the *declarative* inputs — a [`DeploymentSpec`], an optional
 //! [`NetSpec`]/[`NetConfig`], and an optional staleness SLO — compute
 //! sound bounds on what any concrete plan and any run of the lossy
-//! runtime can do, before a single agent thread is spawned:
+//! runtime can do, before a single agent is launched:
 //!
 //! * **Capacity** ([`cost`]): per-node and collector usage intervals
 //!   over the `C + a·x` model, valid for every partition shape the

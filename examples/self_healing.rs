@@ -13,7 +13,6 @@
 use remo::prelude::*;
 use remo::runtime::Sampler;
 use std::sync::Arc;
-use std::time::Duration;
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -54,7 +53,6 @@ fn main() {
     let sampler: Sampler =
         Arc::new(|n: NodeId, a: AttrId, e: u64| (n.0 * 100 + a.0 * 10) as f64 + (e % 7) as f64);
     let health = HealthConfig {
-        deadline: Duration::from_millis(80),
         confirm_after,
         ..HealthConfig::default()
     };

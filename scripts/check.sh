@@ -11,14 +11,16 @@ cd "$(dirname "$0")/.."
 # both sides of the candidate-wave trade-off: plan-feasible (n = 1 000,
 # several rejections per round, converges) and plan-saturated
 # (n = 10 000, rank 0 accepted every round — a merge, then the split
-# that undoes it — stops on the proven cycle), and on collect-thin (an
-# 8-node TCP fleet, 80 small frames per epoch: the collection path).
+# that undoes it — stops on the proven cycle), on collect-thin (an
+# 8-node TCP fleet, 80 small frames per epoch: the collection path) and
+# on collect-lossy (the in-process deployment on the lossy transport).
 # Each runs untraced and traced and exits non-zero unless every child's
 # result line says `"correct": true` (plans: audit-clean,
 # repeat-identical, and the one-worker uncached plan byte-identical to
 # the default configuration's; collect-thin: every epoch delivers
 # exactly the plan's promise, no retransmit, no duplicate, integrity
-# over every pair, no protocol reject).
+# over every pair, no protocol reject; collect-lossy: every value due
+# delivered, nothing abandoned, integrity over every pair).
 # Opt-in: the benchmark is its own workspace, so the first run pays a
 # cold release build into benchmark/target. Timings are printed, not
 # gated — two seconds are not a measurement — but three counts are:
@@ -28,16 +30,27 @@ cd "$(dirname "$0")/.."
 # plan), and the collection path must stay run-to-completion
 # (`node.proc.threads` at most 12 for the 8-node fleet,
 # `node.proc.ctx_switches_per_epoch` at most 60; the thread mesh it
-# replaced had 50 and ~167).
+# replaced had 50 and ~167), and the in-process deployment must stay
+# thread-free and repeatable (collect-lossy: `node.proc.threads` at most
+# 2 and at most 5 context switches per epoch, where an agent thread per
+# node had 17 and ~43; and a second run with the same seed must print
+# the same `collect-lossy:` note lines — frames sent, retransmits,
+# duplicates, retried readings).
 if [[ "${1:-}" == "--benchmark-smoke" ]]; then
-  echo "==> benchmark crate tests + plan-feasible, plan-saturated and collect-thin smoke"
+  echo "==> benchmark crate tests + plan-feasible, plan-saturated, collect-thin and collect-lossy smoke"
   cargo test -q --offline --manifest-path benchmark/Cargo.toml
-  for workload in plan-feasible plan-saturated collect-thin; do
-    if ! out="$(benchmark/run.sh --workload "$workload" --seconds 2)"; then
+  # A run's note lines ("<workload>: N epochs: ... retransmits ...")
+  # go to stderr; keep them for the repeatability check below.
+  notes="$(mktemp)"
+  trap 'rm -f "$notes"' EXIT
+  for workload in plan-feasible plan-saturated collect-thin collect-lossy; do
+    if ! out="$(benchmark/run.sh --workload "$workload" --seconds 2 2> "$notes")"; then
+      cat "$notes" >&2
       echo "$out"
       echo "benchmark smoke: a $workload run did not report \"correct\": true" >&2
       exit 1
     fi
+    cat "$notes" >&2
     echo "$out" | grep -E 'operations:|op_ms_p50|core\.build\.tree_us_adaptive|core\.planner\.rounds |node\.proc\.|suite '
     if [[ "$workload" == plan-saturated ]]; then
       capped="$(echo "$out" | awk '$1 == "core.planner.hit_round_cap" { print $2 }')"
@@ -48,13 +61,28 @@ if [[ "${1:-}" == "--benchmark-smoke" ]]; then
         exit 1
       fi
     fi
+    threads="$(echo "$out" | awk '$1 == "node.proc.threads" { print $2 }')"
+    switches="$(echo "$out" | awk '$1 == "node.proc.ctx_switches_per_epoch" { print $2 }')"
     if [[ "$workload" == collect-thin ]]; then
-      threads="$(echo "$out" | awk '$1 == "node.proc.threads" { print $2 }')"
-      switches="$(echo "$out" | awk '$1 == "node.proc.ctx_switches_per_epoch" { print $2 }')"
       if ! awk -v t="$threads" -v s="$switches" 'BEGIN { exit !(t != "" && s != "" && t + 0 <= 12 && s + 0 <= 60) }'; then
         echo "benchmark smoke: collect-thin is off the run-to-completion path (threads '$threads', ctx switches per epoch '$switches')" >&2
         exit 1
       fi
+    fi
+    if [[ "$workload" == collect-lossy ]]; then
+      # A zero-valued layer row is left out: no switches row means 0.
+      echo "  node.proc.ctx_switches_per_epoch ${switches:-0}"
+      if ! awk -v t="$threads" -v s="${switches:-0}" 'BEGIN { exit !(t != "" && t + 0 <= 2 && s + 0 <= 5) }'; then
+        echo "benchmark smoke: the in-process deployment is not thread-free (threads '$threads', ctx switches per epoch '${switches:-0}')" >&2
+        exit 1
+      fi
+      first="$(grep '^collect-lossy: ' "$notes")"
+      again="$(benchmark/run.sh --workload collect-lossy --seconds 2 2>&1 >/dev/null | grep '^collect-lossy: ')"
+      if [[ -z "$first" ]] || ! diff <(echo "$first") <(echo "$again"); then
+        echo "benchmark smoke: two collect-lossy runs with one seed differ (or printed no note line)" >&2
+        exit 1
+      fi
+      echo "  same seed, same note lines"
     fi
   done
   echo "benchmark smoke passed."
@@ -190,6 +218,14 @@ fi
 
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
+
+# The in-process deployment runs on its caller's thread under virtual
+# time: the epoch counter is its only clock.
+echo "==> no thread and no wall clock in crates/runtime/src/deployment.rs"
+if grep -nE 'std::thread|Instant|recv_timeout|sleep' crates/runtime/src/deployment.rs; then
+  echo "deployment.rs must not start threads or read the wall clock" >&2
+  exit 1
+fi
 
 echo "==> cargo clippy --all-targets --all-features -- -D warnings"
 cargo clippy --all-targets --all-features -- -D warnings

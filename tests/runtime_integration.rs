@@ -1,4 +1,4 @@
-//! Threaded-runtime integration: plans must carry real traffic end to
+//! In-process runtime integration: plans must carry real traffic end to
 //! end, and the deployment's behavior must mirror the simulator's
 //! semantics (latency = depth, capacity enforcement, reconfiguration).
 
@@ -62,7 +62,7 @@ fn values_arrive_untampered() {
 
 #[test]
 fn runtime_and_sim_agree_on_steady_state_delivery() {
-    // Same plan, same budgets: the threaded runtime and the simulator
+    // Same plan, same budgets: the in-process runtime and the simulator
     // should deliver the same pairs per epoch in steady state.
     let caps = CapacityMap::uniform(10, 40.0, 1_000.0).unwrap();
     let cost = CostModel::new(2.0, 1.0).unwrap();

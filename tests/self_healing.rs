@@ -8,7 +8,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use remo::prelude::*;
-use remo::runtime::Sampler;
+use remo::runtime::{EpochReport, Sampler};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -28,7 +28,6 @@ fn fast_health() -> HealthConfig {
     HealthConfig {
         deadline: Duration::from_millis(80),
         confirm_after: CONFIRM_AFTER,
-        ..HealthConfig::default()
     }
 }
 
@@ -36,6 +35,10 @@ fn fast_health() -> HealthConfig {
 /// set and the root of the first monitoring tree (a relay whose crash
 /// orphans a whole subtree).
 fn launch(nodes: usize, attrs: u32) -> (Deployment, PairSet, NodeId) {
+    launch_with(nodes, attrs, fast_health())
+}
+
+fn launch_with(nodes: usize, attrs: u32, health: HealthConfig) -> (Deployment, PairSet, NodeId) {
     let caps = CapacityMap::uniform(nodes, 100.0, 10_000.0).unwrap();
     let cost = CostModel::new(2.0, 1.0).unwrap();
     let pairs = dense_pairs(nodes as u32, attrs);
@@ -52,7 +55,7 @@ fn launch(nodes: usize, attrs: u32) -> (Deployment, PairSet, NodeId) {
         .as_ref()
         .expect("first tree planned")
         .root();
-    let dep = Deployment::launch_self_healing(planner, sampler(), fast_health());
+    let dep = Deployment::launch_self_healing(planner, sampler(), health);
     (dep, pairs, root)
 }
 
@@ -88,8 +91,8 @@ fn crashed_relay_confirmed_repaired_and_survivors_recover() {
     let crash_epoch = dep.epoch();
     dep.fail_node(victim);
 
-    // The coordinator must confirm within K epochs of the first miss
-    // (plus the epoch where the crash takes effect).
+    // The coordinator must confirm at the K-th miss, the first being
+    // the tick after the crash.
     let mut confirm_epoch = None;
     for _ in 0..CONFIRM_AFTER as u64 + 1 {
         dep.tick();
@@ -99,7 +102,7 @@ fn crashed_relay_confirmed_repaired_and_survivors_recover() {
         }
     }
     let confirm_epoch = confirm_epoch.expect("confirmed within K epochs of the crash");
-    assert!(confirm_epoch <= crash_epoch + CONFIRM_AFTER as u64 + 1);
+    assert_eq!(confirm_epoch, crash_epoch + CONFIRM_AFTER as u64);
 
     // Confirmation triggered handle_node_failure + targeted repair.
     let hr = dep.health_report();
@@ -147,6 +150,16 @@ fn chaos_schedule_crashes_and_heals_agents_mid_run() {
         recovered, 1,
         "healing at the end of the union window reintegrates"
     );
+    // Silent from epoch 4: suspected at 4, confirmed and repaired at
+    // the K-th miss, back on the first tick after the union window.
+    let epoch_of = |count: fn(&EpochReport) -> u64| {
+        let hit = reports.iter().find(|r| count(r) > 0);
+        hit.map(|r| r.epoch)
+    };
+    assert_eq!(epoch_of(|r| r.suspected), Some(4));
+    assert_eq!(epoch_of(|r| r.confirmed_dead), Some(5));
+    assert_eq!(epoch_of(|r| r.repaired), Some(5));
+    assert_eq!(epoch_of(|r| r.recovered), Some(15));
 
     let hr = dep.health_report();
     assert_eq!(hr.states[&victim], HealthState::Healthy);
@@ -175,5 +188,51 @@ fn epoch_reports_aggregate_health_counters() {
     assert_eq!(total.repaired, 1);
     assert!(total.reconfigure_messages >= 1, "survivors re-routed");
     assert!(total.values_lost > 0);
+    dep.shutdown();
+}
+
+/// The epoch counter is the only clock. With an hour-long report
+/// deadline a crashed relay is still suspected on the next tick,
+/// confirmed dead at exactly `crash + confirm_after`, and repaired —
+/// in the time it takes to step the agents, because a report that is
+/// not there when they have run is not coming. (A coordinator that
+/// waits out `HealthConfig::deadline` spends the hour on the first
+/// suspected epoch.)
+#[test]
+fn detection_counts_epochs_and_never_waits_for_the_deadline() {
+    const K: u32 = 3;
+    let started = std::time::Instant::now();
+    let health = HealthConfig {
+        deadline: Duration::from_secs(3600),
+        confirm_after: K,
+    };
+    let (mut dep, pairs, victim) = launch_with(12, 2, health);
+    dep.run(6);
+    assert_eq!(dep.observed_pairs(), pairs.len());
+
+    let crash_epoch = dep.epoch();
+    dep.fail_node(victim);
+    let reports: Vec<EpochReport> = (0..K + 2).map(|_| dep.tick()).collect();
+    let at = |offset: u64| &reports[offset as usize - 1];
+    assert_eq!(at(1).suspected, 1, "first miss is the tick after the crash");
+    for offset in 1..K as u64 {
+        assert_eq!(at(offset).confirmed_dead, 0, "confirmed early at +{offset}");
+    }
+    assert_eq!(at(K as u64).epoch, crash_epoch + K as u64);
+    assert_eq!((at(K as u64).confirmed_dead, at(K as u64).repaired), (1, 1));
+    let stats = dep.health_report().stats[&victim];
+    assert_eq!(stats.time_to_detect, K as u64 - 1);
+    assert_eq!(stats.mttr_epochs, K as u64 - 1);
+    assert_eq!(
+        stats.values_lost,
+        2 * K as u64,
+        "two pairs, K silent epochs"
+    );
+
+    assert!(
+        started.elapsed() < Duration::from_secs(60),
+        "a tick waited on the wall clock: {:?}",
+        started.elapsed()
+    );
     dep.shutdown();
 }
