@@ -232,20 +232,23 @@ impl NodeState {
                     (Some(_) | None, _) => {}
                 }
             }
-            CHAN_DATA => {
-                if let Ok(msg) = WireMessage::decode(env.payload.clone()) {
-                    match msg.kind {
-                        FrameKind::Ack => self.handle(AgentMsg::Ack {
+            // The header says which; the agent decodes its own data
+            // frames, so only an ack (a bare header) is decoded here.
+            CHAN_DATA => match WireMessage::peek_kind(&env.payload) {
+                Ok(FrameKind::Ack) => {
+                    if let Ok(msg) = WireMessage::decode(env.payload) {
+                        self.handle(AgentMsg::Ack {
                             incarnation: msg.incarnation,
                             seq: msg.seq,
-                        }),
-                        FrameKind::Data => self.handle(AgentMsg::Data {
-                            sent_epoch: env.sent_epoch,
-                            frame: env.payload,
-                        }),
+                        });
                     }
                 }
-            }
+                Ok(FrameKind::Data) => self.handle(AgentMsg::Data {
+                    sent_epoch: env.sent_epoch,
+                    frame: env.payload,
+                }),
+                Err(_) => {}
+            },
             _ => {}
         }
         true

@@ -23,19 +23,20 @@
 //! * [`net`] — the socket plumbing both sides share: framed envelopes
 //!   ([`remo_runtime::framing`]) carrying data-plane
 //!   ([`remo_runtime::proto`]) and control-plane
-//!   ([`remo_runtime::ctrl`]) payloads, the per-connection out-buffer
-//!   flushed once per batch, and the `poll` wrapper.
+//!   ([`remo_runtime::ctrl`]) payloads, the per-connection out-buffer,
+//!   and the `poll` wrapper.
 //!
 //! The collection path is run-to-completion, with no async runtime
 //! (the workspace vendors none) and no thread mesh: a node is one
 //! thread that reads a batch, steps the agent inline and answers in
 //! one write; the collector is one thread in a `poll(2)` readiness
 //! loop over non-blocking sockets (`net::poll`, the crate's one
-//! `unsafe` block) that routes, collects and writes each connection
-//! once per round. A fleet of `n` nodes in one process is `n + 1`
-//! threads. The `Transport` seam is unchanged, so the agent and
-//! collector logic do not know. Unix only: the readiness loop is
-//! `poll(2)`.
+//! `unsafe` block) that routes and collects as bytes arrive and writes
+//! each connection once per epoch: what it routes is held for the
+//! destination's next `Tick` and leaves in the write that carries it.
+//! A fleet of `n` nodes in one process is `n + 1` threads. The
+//! `Transport` seam is unchanged, so the agent and collector logic do
+//! not know. Unix only: the readiness loop is `poll(2)`.
 //!
 //! ## Configuration knobs
 //!

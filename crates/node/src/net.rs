@@ -1,17 +1,18 @@
 //! Socket plumbing shared by the node client and the collector
 //! service: the TCP-backed [`Transport`] the agent state machine runs
-//! on, the per-connection out-buffer both sides flush once per batch,
-//! the framed read loops, and the safe `poll` wrapper the collector's
-//! readiness loop waits in.
+//! on, the per-connection out-buffer (a node writes it once per batch
+//! it read, the collector once per tick), the framed read loops, and
+//! the safe `poll` wrapper the collector's readiness loop waits in.
 //!
 //! Topology is hub-and-spoke: every node holds exactly one TCP
 //! connection to the collector, and the collector forwards node→node
-//! tree traffic by the envelope's `dest` tag. That keeps connection
-//! count linear in nodes and puts reconnection logic in one place.
+//! tree traffic by the envelope's `dest` tag, holding it for the
+//! destination's next tick. That keeps connection count linear in
+//! nodes, a node's traffic at one read and one write per epoch, and
+//! reconnection logic in one place.
 //!
-//! Nothing here owns a thread of its own any more, with one exception:
-//! [`spawn_writer`] is kept only because the benchmark's
-//! `node.net.hop_us_p50` layer metric is built from it.
+//! Nothing the product runs here owns a thread: [`spawn_writer`] is
+//! called by the benchmark's `node.net.hop_us_p50` layer metric alone.
 
 use bytes::Bytes;
 use crossbeam::channel::Receiver;
@@ -35,7 +36,9 @@ pub fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 /// Size of the buffer one `read` fills: a whole epoch's traffic of one
-/// connection in the shapes we run, so a batch is one syscall.
+/// connection in the shapes we run, so a batch is one syscall. Also the
+/// most the collector holds for a connection between ticks: more would
+/// cost the peer a second read anyway.
 pub(crate) const READ_BUF_LEN: usize = 64 * 1024;
 
 /// Most bytes a connection may have queued and unwritten. A peer that
@@ -47,10 +50,11 @@ pub(crate) const MAX_PENDING_OUT: usize = 4 * MAX_FRAME_LEN;
 /// Encoded envelopes waiting for a connection's next write, in the
 /// order they were produced.
 ///
-/// Every batch of work appends here and ends in one
-/// [`OutBuf::flush`]. On a blocking socket that is a `write_all`; on a
-/// non-blocking one a short write keeps the unwritten tail for the
-/// next flush.
+/// Work appends here and [`OutBuf::flush`] writes it: a node once per
+/// batch it read, the collector when a tick (or something else that
+/// cannot wait) is among it. On a blocking socket that is a
+/// `write_all`; on a non-blocking one a short write keeps the
+/// unwritten tail for the next flush.
 #[derive(Debug, Default)]
 pub(crate) struct OutBuf {
     buf: Vec<u8>,
@@ -496,5 +500,54 @@ mod tests {
         let mut fds = [PollFd::new(&b, false)];
         assert_eq!(poll(&mut fds, Duration::from_secs(5)).unwrap(), 1);
         assert!(fds[0].readable());
+    }
+
+    /// A descriptor number with nothing behind the borrow: what a poll
+    /// set holds for a connection closed under it.
+    #[cfg(unix)]
+    struct RawFdOnly(std::os::fd::RawFd);
+
+    #[cfg(unix)]
+    impl std::os::fd::AsRawFd for RawFdOnly {
+        fn as_raw_fd(&self) -> std::os::fd::RawFd {
+            self.0
+        }
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn a_closed_fd_in_the_set_reads_as_ready_and_is_not_an_error() {
+        use std::os::fd::AsRawFd;
+        use std::os::unix::net::UnixStream;
+        let (a, b) = UnixStream::pair().unwrap();
+        // Far above anything the test binary's other threads open, so
+        // the number stays closed.
+        let closed = RawFdOnly(a.as_raw_fd() + 50_000);
+        let mut fds = [PollFd::new(&b, false), PollFd::new(&closed, true)];
+        // POLLNVAL: the round goes on, the owner's read fails with
+        // EBADF and closes that connection alone.
+        assert_eq!(poll(&mut fds, Duration::from_secs(5)).unwrap(), 1);
+        assert!(!fds[0].readable());
+        assert!(fds[1].readable());
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_set_the_kernel_refuses_is_an_error_not_a_timeout() {
+        let limits = std::fs::read_to_string("/proc/self/limits").unwrap();
+        let soft: Option<usize> = limits
+            .lines()
+            .find_map(|l| l.strip_prefix("Max open files"))
+            .and_then(|rest| rest.split_whitespace().next()?.parse().ok());
+        // An unlimited (or absurd) RLIMIT_NOFILE cannot be exceeded
+        // with a set worth allocating.
+        let Some(soft) = soft.filter(|&n| n <= 1 << 20) else {
+            return;
+        };
+        // Negative descriptors are skipped by the kernel; the count
+        // alone is over the limit.
+        let mut fds = vec![PollFd::new(&RawFdOnly(-1), false); soft + 1];
+        let err = poll(&mut fds, Duration::from_secs(5)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
     }
 }

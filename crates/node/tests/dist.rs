@@ -82,7 +82,11 @@ fn killed_node_is_detected_repaired_and_reintegrated_after_restart() {
         .collect();
     assert_eq!(service.wait_for_nodes(NODES as usize), NODES as usize);
 
-    let runner = std::thread::spawn(move || service.run(|_| {}));
+    let runner = std::thread::spawn(move || {
+        let mut retransmits = 0;
+        let summary = service.run(|r| retransmits += r.retransmit_messages);
+        (summary, retransmits)
+    });
 
     // Let the deployment reach steady state, then kill the victim the
     // hard way: socket torn down mid-run, no goodbye.
@@ -98,11 +102,28 @@ fn killed_node_is_detected_repaired_and_reintegrated_after_restart() {
         dist_sampler(),
     ));
 
-    let summary = runner.join().unwrap();
+    let (summary, retransmits) = runner.join().unwrap();
     for h in handles {
         h.join();
     }
 
+    // What the hub held for the victim's connection when it died is
+    // lost exactly like bytes in a dead socket, and the only frames ARQ
+    // may re-send are the ones the outage explains: at most one per
+    // surviving node for each epoch between the kill and the
+    // reintegration (1.5 s of 120 ms epochs, plus detection and
+    // reconnect slack), each re-sent once. A retransmit that repeated
+    // every epoch for the rest of the run would be many times that.
+    let explained = u64::from(NODES - 1) * (1500 / 120 + 8);
+    assert!(
+        retransmits <= explained,
+        "{retransmits} retransmits: more than the outage explains"
+    );
+    assert!(
+        summary.duplicate_messages_ignored <= explained,
+        "{} duplicates: more than the outage explains",
+        summary.duplicate_messages_ignored
+    );
     assert!(summary.confirmed_dead >= 1, "kill must be detected");
     assert!(summary.repaired >= 1, "plan must be repaired around it");
     assert!(

@@ -6,6 +6,11 @@
 //! epoch late (a delivered count off the plan's promise) or ARQ would
 //! fire (a retransmit, then a duplicate). Until this test only the
 //! benchmark's `collect-thin` checks saw that.
+//!
+//! The hub holds what it routes until the destination's next tick, so
+//! the same must hold with a real `epoch_interval`: whatever arrives
+//! while the hub pumps out the rest of an interval (and whatever the
+//! epoch close queued) has to be in the write that carries the tick.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -27,6 +32,15 @@ const EPOCHS: u64 = 320;
 
 #[test]
 fn every_epoch_delivers_the_plans_promise_and_arq_stays_idle() {
+    exact_promise_every_epoch(Duration::ZERO);
+}
+
+#[test]
+fn held_frames_make_the_tick_across_a_real_epoch_interval() {
+    exact_promise_every_epoch(Duration::from_millis(5));
+}
+
+fn exact_promise_every_epoch(epoch_interval: Duration) {
     let pairs: PairSet = (0..NODES)
         .flat_map(|n| (0..ATTRS).map(move |a| (NodeId(n), AttrId(a))))
         .collect();
@@ -55,7 +69,7 @@ fn every_epoch_delivers_the_plans_promise_and_arq_stays_idle() {
 
     let mut cfg = ServiceConfig::new("127.0.0.1:0", pairs, caps);
     cfg.epochs = EPOCHS;
-    cfg.epoch_interval = Duration::ZERO;
+    cfg.epoch_interval = epoch_interval;
     // Generous: load must never fake a miss, which would repair the
     // plan and change the promise.
     cfg.health.deadline = Duration::from_secs(5);

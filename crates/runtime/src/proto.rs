@@ -202,6 +202,40 @@ impl WireMessage {
         buf.freeze()
     }
 
+    /// Validates a frame's header — magic, version, kind, and that the
+    /// declared reading count fits the bytes that follow — and returns
+    /// its kind without decoding (or allocating for) the readings.
+    /// Succeeds exactly when [`WireMessage::decode`] does, so a caller
+    /// that only dispatches on the kind can leave the one full decode
+    /// to whoever consumes the frame.
+    ///
+    /// # Errors
+    ///
+    /// The [`DecodeError`] `decode` returns for the same bytes. Never
+    /// panics, whatever the input bytes.
+    pub fn peek_kind(frame: &[u8]) -> Result<FrameKind, DecodeError> {
+        let Some((header, body)) = frame.split_at_checked(HEADER_LEN) else {
+            return Err(DecodeError::Truncated);
+        };
+        let magic = u16::from_be_bytes([header[0], header[1]]);
+        if magic != MAGIC {
+            return Err(DecodeError::BadMagic(magic));
+        }
+        if header[2] != VERSION {
+            return Err(DecodeError::BadVersion(header[2]));
+        }
+        let Some(kind) = FrameKind::from_u8(header[3]) else {
+            return Err(DecodeError::BadKind(header[3]));
+        };
+        let count = u32::from_be_bytes([header[24], header[25], header[26], header[27]]);
+        // checked_mul: a hostile count must not overflow into a bogus
+        // "fits" verdict on 32-bit targets (or wrap the Vec capacity).
+        match (count as usize).checked_mul(READING_LEN) {
+            Some(payload) if payload <= body.len() => Ok(kind),
+            _ => Err(DecodeError::BadCount(count)),
+        }
+    }
+
     /// Decodes a frame.
     ///
     /// # Errors
@@ -209,34 +243,13 @@ impl WireMessage {
     /// Returns a [`DecodeError`] on truncated, foreign, or corrupt
     /// frames. Never panics, whatever the input bytes.
     pub fn decode(mut frame: Bytes) -> Result<Self, DecodeError> {
-        if frame.len() < HEADER_LEN {
-            return Err(DecodeError::Truncated);
-        }
-        let magic = frame.get_u16();
-        if magic != MAGIC {
-            return Err(DecodeError::BadMagic(magic));
-        }
-        let version = frame.get_u8();
-        if version != VERSION {
-            return Err(DecodeError::BadVersion(version));
-        }
-        let kind_raw = frame.get_u8();
-        let Some(kind) = FrameKind::from_u8(kind_raw) else {
-            return Err(DecodeError::BadKind(kind_raw));
-        };
+        let kind = Self::peek_kind(&frame)?;
+        frame.advance(4); // magic, version, kind: checked by the peek
         let tree = frame.get_u32();
         let from = NodeId(frame.get_u32());
         let incarnation = frame.get_u32();
         let seq = frame.get_u64();
         let count = frame.get_u32();
-        // checked_mul: a hostile count must not overflow into a bogus
-        // "fits" verdict on 32-bit targets (or wrap the Vec capacity).
-        let Some(payload) = (count as usize).checked_mul(READING_LEN) else {
-            return Err(DecodeError::BadCount(count));
-        };
-        if frame.remaining() < payload {
-            return Err(DecodeError::BadCount(count));
-        }
         let mut readings = Vec::with_capacity(count as usize);
         for _ in 0..count {
             readings.push(WireReading {

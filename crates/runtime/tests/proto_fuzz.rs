@@ -31,6 +31,19 @@ fn valid_frame(readings: usize) -> Bytes {
     .encode()
 }
 
+/// [`WireMessage::decode`], with the header-only peek held to it on
+/// the way: whatever the bytes, `peek_kind` must not panic and must
+/// return the kind — or the error — the full decode does.
+fn decode(frame: Bytes) -> Result<WireMessage, DecodeError> {
+    let peeked = WireMessage::peek_kind(&frame);
+    let decoded = WireMessage::decode(frame);
+    assert_eq!(
+        peeked,
+        decoded.as_ref().map(|m| m.kind).map_err(Clone::clone)
+    );
+    decoded
+}
+
 proptest! {
     /// Arbitrary byte strings decode to Ok or a structured error —
     /// never a panic, never an unbounded allocation.
@@ -39,7 +52,7 @@ proptest! {
         bytes in prop::collection::vec(0u16..256, 0..512),
     ) {
         let raw: Vec<u8> = bytes.into_iter().map(|b| b as u8).collect();
-        let _ = WireMessage::decode(Bytes::from(raw));
+        let _ = decode(Bytes::from(raw));
     }
 
     /// Every strict prefix of a valid frame is rejected with a
@@ -51,13 +64,13 @@ proptest! {
     ) {
         let frame = valid_frame(readings);
         let len = (cut % frame.len() as u64) as usize; // strict prefix
-        let err = WireMessage::decode(frame.slice(0..len)).unwrap_err();
+        let err = decode(frame.slice(0..len)).unwrap_err();
         if len < HEADER_LEN {
             prop_assert_eq!(err, DecodeError::Truncated);
         } else {
             prop_assert!(matches!(err, DecodeError::BadCount(_)));
         }
-        prop_assert!(WireMessage::decode(frame).is_ok());
+        prop_assert!(decode(frame).is_ok());
     }
 
     /// Single-byte corruption never panics, and corrupting the fixed
@@ -74,7 +87,7 @@ proptest! {
         let val = val as u8;
         if raw[pos] != val {
             raw[pos] = val;
-            match WireMessage::decode(raw.freeze()) {
+            match decode(raw.freeze()) {
                 // Corruption past the magic/version/kind prefix can
                 // still parse (tree, from, seq, count-shrink, payload
                 // bytes all remain structurally valid frames).
@@ -108,7 +121,7 @@ proptest! {
         buf.put_u32(0); // incarnation
         buf.put_u64(0); // seq
         buf.put_u32(count);
-        let res = WireMessage::decode(buf.freeze());
+        let res = decode(buf.freeze());
         if count == 0 {
             prop_assert!(res.is_ok());
         } else {

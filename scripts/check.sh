@@ -28,9 +28,13 @@ cd "$(dirname "$0")/.."
 # (`core.planner.hit_round_cap` 0 — the suite leaves zero-valued layer
 # rows out, so: not printed — and a mean of fewer than 32 rounds per
 # plan), and the collection path must stay run-to-completion
-# (`node.proc.threads` at most 12 for the 8-node fleet,
-# `node.proc.ctx_switches_per_epoch` at most 60; the thread mesh it
-# replaced had 50 and ~167), and the in-process deployment must stay
+# (`node.proc.threads` at most 12 for the 8-node fleet; the thread mesh
+# it replaced had 50) and tick-aligned
+# (`node.proc.ctx_switches_per_epoch` at most 16: the hub writes to a
+# node once per epoch, so an epoch is 8 node wake-ups plus at most 8
+# blocking polls at the hub, one per report it waits for — 9 measured;
+# a hub that writes what it routes at once wakes every node 2-3 times,
+# 18-20), and the in-process deployment must stay
 # thread-free and repeatable (collect-lossy: `node.proc.threads` at most
 # 2 and at most 5 context switches per epoch, where an agent thread per
 # node had 17 and ~43; and a second run with the same seed must print
@@ -64,8 +68,8 @@ if [[ "${1:-}" == "--benchmark-smoke" ]]; then
     threads="$(echo "$out" | awk '$1 == "node.proc.threads" { print $2 }')"
     switches="$(echo "$out" | awk '$1 == "node.proc.ctx_switches_per_epoch" { print $2 }')"
     if [[ "$workload" == collect-thin ]]; then
-      if ! awk -v t="$threads" -v s="$switches" 'BEGIN { exit !(t != "" && s != "" && t + 0 <= 12 && s + 0 <= 60) }'; then
-        echo "benchmark smoke: collect-thin is off the run-to-completion path (threads '$threads', ctx switches per epoch '$switches')" >&2
+      if ! awk -v t="$threads" -v s="$switches" 'BEGIN { exit !(t != "" && s != "" && t + 0 <= 12 && s + 0 <= 16) }'; then
+        echo "benchmark smoke: collect-thin is off the run-to-completion, tick-aligned path (threads '$threads', ctx switches per epoch '$switches')" >&2
         exit 1
       fi
     fi
@@ -224,6 +228,17 @@ cargo fmt --all -- --check
 echo "==> no thread and no wall clock in crates/runtime/src/deployment.rs"
 if grep -nE 'std::thread|Instant|recv_timeout|sleep' crates/runtime/src/deployment.rs; then
   echo "deployment.rs must not start threads or read the wall clock" >&2
+  exit 1
+fi
+
+# The hub's writes are tick-aligned: a round writes only what cannot
+# wait (`flush_due`); releasing everything held is the tick's and the
+# shutdown's.
+echo "==> no flush-everything inside Hub::pump (crates/node/src/service.rs)"
+pump_body="$(awk '/^    fn pump\(/ { inside = 1; next } inside && /^    fn / { inside = 0 } inside' \
+  crates/node/src/service.rs)"
+if ! grep -q 'self\.flush_due()' <<< "$pump_body" || grep -n 'self\.flush()' <<< "$pump_body"; then
+  echo "Hub::pump must end in flush_due(), not flush()" >&2
   exit 1
 fi
 
