@@ -1,7 +1,11 @@
 //! Runs every figure harness in sequence, leaving all series under
 //! `results/`. This is the one-shot reproduction of the paper's §7.
 //!
+//! It launches the figure binaries that sit next to it, so build the
+//! whole package first (`cargo run --bin` builds only the one binary):
+//!
 //! ```sh
+//! cargo build --release -p remo-bench
 //! cargo run --release -p remo-bench --bin all_figures
 //! ```
 
@@ -28,9 +32,10 @@ fn main() {
     let mut failures = Vec::new();
     for fig in FIGURES.iter().chain(["fig12_extensions"].iter()) {
         eprintln!("==> {fig}");
-        let status = Command::new(dir.join(fig))
-            .status()
-            .unwrap_or_else(|e| panic!("failed to launch {fig}: {e}"));
+        let status = Command::new(dir.join(fig)).status().unwrap_or_else(|e| {
+            eprintln!("cannot launch {fig} ({e}); run `cargo build --release -p remo-bench` first");
+            std::process::exit(2);
+        });
         if !status.success() {
             failures.push(*fig);
         }

@@ -10,11 +10,9 @@
 //! schedule's outcome — the epoch a crash is confirmed at, every
 //! retransmission on a lossy transport — is the same on every run. Node outages map to
 //! [`Deployment::fail_node`] / [`Deployment::heal_node`]; link outages
-//! map to [`Deployment::set_link_down`] — which takes effect on
-//! fault-capable transports (a deployment launched with
-//! `TransportSpec::Lossy`). On the perfect transport, which cannot
-//! model link faults, the driver logs a warning once per link instead
-//! of silently ignoring the outage.
+//! map to [`Deployment::set_link_down`], which both in-process
+//! transports honour: a frame sent over a down link is lost (and, on
+//! `TransportSpec::Lossy`, retransmitted by the ARQ layer).
 
 use remo_core::NodeId;
 use remo_runtime::{Deployment, EpochReport};
@@ -24,15 +22,14 @@ use std::collections::BTreeMap;
 /// Replays a [`FailureSchedule`]'s node and link outages against a
 /// [`Deployment`], tick by tick.
 ///
-/// The driver tracks the last state it pushed per target so agents and
-/// the transport only see transitions, not a re-assertion every epoch.
+/// The driver tracks the last state it pushed per node so an agent
+/// only sees transitions, not a crash re-asserted every epoch (which
+/// would clear its buffers again); a link's state is a set membership
+/// and is simply re-asserted.
 #[derive(Debug, Clone)]
 pub struct ChaosDriver {
     schedule: FailureSchedule,
     pushed: BTreeMap<NodeId, bool>,
-    pushed_links: BTreeMap<(NodeId, NodeId), bool>,
-    /// Links already warned about on a transport without link faults.
-    warned_links: BTreeMap<(NodeId, NodeId), ()>,
 }
 
 impl ChaosDriver {
@@ -41,8 +38,6 @@ impl ChaosDriver {
         ChaosDriver {
             schedule,
             pushed: BTreeMap::new(),
-            pushed_links: BTreeMap::new(),
-            warned_links: BTreeMap::new(),
         }
     }
 
@@ -70,17 +65,7 @@ impl ChaosDriver {
             changed.push(node);
         }
         for ((a, b), down) in self.schedule.link_states_at(epoch) {
-            if self.pushed_links.get(&(a, b)) == Some(&down) {
-                continue;
-            }
-            if dep.set_link_down(a, b, down) {
-                self.pushed_links.insert((a, b), down);
-            } else if self.warned_links.insert((a, b), ()).is_none() {
-                remo_obs::event!("chaos.link_outage.unsupported",
-                    "from" => u64::from(a.0),
-                    "to" => u64::from(b.0),
-                    "epoch" => epoch);
-            }
+            dep.set_link_down(a, b, down);
         }
         changed
     }

@@ -9,7 +9,8 @@
 //! - [`remo_core`] (re-exported as `core`) — the planner: task dedup, partition search,
 //!   resource-constrained tree construction, capacity allocation,
 //!   runtime adaptation, reliability rewriting, frequency support;
-//! - [`remo_sim`] (re-exported as `sim`) — the epoch-driven evaluation substrate;
+//! - [`remo_sim`] (re-exported as `sim`) — the evaluation substrate: seeded true values,
+//!   error metrics and failure schedules over the runtime's agents;
 //! - [`remo_runtime`] (re-exported as `runtime`) — the in-process deployment substrate;
 //! - [`remo_workloads`] (re-exported as `workloads`) — synthetic tasks, the System-S-like
 //!   application model, and churn generation.

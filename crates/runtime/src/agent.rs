@@ -637,6 +637,79 @@ mod tests {
         }
     }
 
+    /// Holistic samples of attribute 0, one per value, and an
+    /// assignment that relays attribute 0 under `kind`.
+    fn fold_input(values: &[f64], kind: Aggregation) -> (Vec<WireReading>, TreeAssignment) {
+        let readings = values
+            .iter()
+            .enumerate()
+            .map(|(i, &value)| WireReading {
+                node: NodeId(i as u32),
+                attr: AttrId(0),
+                value,
+                produced: 100 + i as u64,
+                contributors: 1,
+            })
+            .collect();
+        let mut a = assignment(0, Route::Collector, &[]);
+        a.relay_aggregation.insert(AttrId(0), kind);
+        (readings, a)
+    }
+
+    #[test]
+    fn sum_folds_to_one() {
+        let (rs, a) = fold_input(&[1.0, 2.0, 3.0], Aggregation::Sum);
+        let out = fold_aggregates(NodeId(9), rs, &a);
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].value, 6.0);
+        assert_eq!(out[0].contributors, 3);
+        assert_eq!(out[0].node, NodeId(9));
+    }
+
+    #[test]
+    fn max_keeps_oldest_contributors_epoch() {
+        let (mut rs, a) = fold_input(&[5.0, 9.0], Aggregation::Max);
+        rs[1].produced = 8;
+        let out = fold_aggregates(NodeId(2), rs, &a);
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].value, 9.0);
+        assert_eq!(out[0].contributors, 2);
+        assert_eq!(out[0].produced, 8, "oldest contributor's epoch");
+    }
+
+    #[test]
+    fn topk_keeps_largest() {
+        let (rs, a) = fold_input(&[5.0, 1.0, 9.0, 3.0], Aggregation::Top(2));
+        let out = fold_aggregates(NodeId(9), rs, &a);
+        assert_eq!(out.len(), 2);
+        assert_eq!(out[0].value, 9.0);
+        assert_eq!(out[1].value, 5.0);
+    }
+
+    #[test]
+    fn holistic_passthrough() {
+        let (rs, a) = fold_input(&[4.0, 2.0], Aggregation::Holistic);
+        let out = fold_aggregates(NodeId(9), rs.clone(), &a);
+        assert_eq!(out, rs);
+    }
+
+    #[test]
+    fn empty_is_empty() {
+        let (_, a) = fold_input(&[], Aggregation::Sum);
+        assert!(fold_aggregates(NodeId(0), Vec::new(), &a).is_empty());
+    }
+
+    #[test]
+    fn nested_sum_preserves_contributor_count() {
+        let (rs, a) = fold_input(&[1.0, 1.0], Aggregation::Sum);
+        let first = fold_aggregates(NodeId(5), rs, &a);
+        let (mut next, _) = fold_input(&[1.0], Aggregation::Sum);
+        next.extend(first);
+        let out = fold_aggregates(NodeId(6), next, &a);
+        assert_eq!(out[0].contributors, 3);
+        assert_eq!(out[0].value, 3.0);
+    }
+
     /// A relay's whole repertoire: reconfigure, child traffic (fresh,
     /// replayed, for the current epoch), acks (own and stale
     /// incarnation), degrade, crash and heal, a tree dropped with

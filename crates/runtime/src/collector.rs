@@ -17,10 +17,11 @@ use crate::throttle::TokenBucket;
 use crate::transport::{Endpoint, IncarnationTracker, NetConfig, Transport};
 use bytes::Bytes;
 use remo_core::{AttrCatalog, AttrId, CostModel, NodeId};
+use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
 
 /// A value stored at the collector.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Observed {
     /// Reported value.
     pub value: f64,
@@ -108,6 +109,10 @@ pub struct CollectorCore {
     catalog: AttrCatalog,
     store: BTreeMap<(NodeId, AttrId), Observed>,
     aggregates: BTreeMap<AttrId, Observed>,
+    /// Alias attribute → original attribute (SSDP/DSDP reliability
+    /// rewrites); empty unless [`CollectorCore::set_aliases`] was
+    /// called.
+    aliases: BTreeMap<AttrId, AttrId>,
     /// Bounded ingress queue: `(reading, sent_epoch)` awaiting budget
     /// (ARQ path only).
     ingress: VecDeque<(WireReading, u64)>,
@@ -131,11 +136,26 @@ impl CollectorCore {
             catalog,
             store: BTreeMap::new(),
             aggregates: BTreeMap::new(),
+            aliases: BTreeMap::new(),
             ingress: VecDeque::new(),
             seen: BTreeMap::new(),
             degrade_level: 0,
             delivery_log: Vec::new(),
         }
+    }
+
+    /// Installs the alias map of a reliability rewrite
+    /// (`rewrite_ssdp`/`rewrite_dsdp`): a replica's readings are stored
+    /// under, and queries for it answered from, the original attribute.
+    pub fn set_aliases(&mut self, aliases: BTreeMap<AttrId, AttrId>) {
+        self.aliases = aliases;
+    }
+
+    /// Resolves an attribute through the alias map. `record` calls
+    /// this per value; with no rewrite installed the map has no root
+    /// node and the lookup is one branch.
+    fn resolve(&self, attr: AttrId) -> AttrId {
+        self.aliases.get(&attr).copied().unwrap_or(attr)
     }
 
     /// Starts a new collection epoch (refills the token bucket).
@@ -303,8 +323,10 @@ impl CollectorCore {
 
     /// Records one reading into the snapshot store (shared by both
     /// intake paths): a reading only replaces the stored one if it was
-    /// produced no earlier, so replays and stragglers never regress
-    /// the snapshot.
+    /// produced no earlier, so replays, stragglers and a slower replica
+    /// path never regress the snapshot. Aliases are stored under their
+    /// original attribute; the delivery log keeps the attribute as it
+    /// arrived.
     pub fn record(&mut self, r: &WireReading, received: u64, report: &mut EpochReport) {
         let observed = Observed {
             value: r.value,
@@ -323,13 +345,14 @@ impl CollectorCore {
                 received,
             });
         }
+        let attr = self.resolve(r.attr);
         if r.contributors > 1 {
-            let slot = self.aggregates.entry(r.attr).or_insert(observed);
+            let slot = self.aggregates.entry(attr).or_insert(observed);
             if observed.produced >= slot.produced {
                 *slot = observed;
             }
         } else {
-            let slot = self.store.entry((r.node, r.attr)).or_insert(observed);
+            let slot = self.store.entry((r.node, attr)).or_insert(observed);
             if observed.produced >= slot.produced {
                 *slot = observed;
             }
@@ -338,12 +361,12 @@ impl CollectorCore {
 
     /// The snapshot of a pair.
     pub fn observed(&self, node: NodeId, attr: AttrId) -> Option<Observed> {
-        self.store.get(&(node, attr)).copied()
+        self.store.get(&(node, self.resolve(attr))).copied()
     }
 
     /// The snapshot of an aggregated attribute.
     pub fn observed_aggregate(&self, attr: AttrId) -> Option<Observed> {
-        self.aggregates.get(&attr).copied()
+        self.aggregates.get(&self.resolve(attr)).copied()
     }
 
     /// Number of distinct pairs ever observed.
@@ -351,7 +374,8 @@ impl CollectorCore {
         self.store.len()
     }
 
-    /// The full per-pair snapshot store.
+    /// The full per-pair snapshot store (keyed by original attributes
+    /// when aliases are installed).
     pub fn store(&self) -> &BTreeMap<(NodeId, AttrId), Observed> {
         &self.store
     }
@@ -436,6 +460,20 @@ mod tests {
         c.record(&reading(0, 0, 9.0, 10), 11, &mut report);
         c.record(&reading(0, 0, 1.0, 5), 12, &mut report);
         assert_eq!(c.observed(NodeId(0), AttrId(0)).unwrap().value, 9.0);
+    }
+
+    #[test]
+    fn aliases_fold_to_original() {
+        let mut c = core(100.0);
+        let mut report = EpochReport::default();
+        c.set_aliases([(AttrId(100), AttrId(0))].into_iter().collect());
+        c.record(&reading(2, 100, 7.0, 1), 2, &mut report);
+        assert_eq!(c.observed(NodeId(2), AttrId(0)).unwrap().value, 7.0);
+        assert_eq!(c.observed(NodeId(2), AttrId(100)).unwrap().value, 7.0);
+        assert_eq!(c.observed_pairs(), 1, "one pair, not one per replica");
+        // The slower replica path never regresses the snapshot.
+        c.record(&reading(2, 0, 3.0, 0), 3, &mut report);
+        assert_eq!(c.observed(NodeId(2), AttrId(0)).unwrap().value, 7.0);
     }
 
     #[test]

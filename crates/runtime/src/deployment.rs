@@ -248,6 +248,18 @@ impl Deployment {
         &self.coord.assignments
     }
 
+    /// The collector's ingest core and snapshot store.
+    pub fn collector(&self) -> &CollectorCore {
+        &self.coord.collector
+    }
+
+    /// Installs the alias → original map of a reliability rewrite
+    /// (`rewrite_ssdp`/`rewrite_dsdp`) at the collector, so every
+    /// replica path refreshes the original pair.
+    pub fn set_aliases(&mut self, aliases: BTreeMap<AttrId, AttrId>) {
+        self.coord.collector.set_aliases(aliases);
+    }
+
     /// The collector's snapshot of a pair.
     pub fn observed(&self, node: NodeId, attr: AttrId) -> Option<Observed> {
         self.coord.collector.observed(node, attr)
@@ -270,8 +282,8 @@ impl Deployment {
         let mut values = BTreeMap::new();
         let mut missing = Vec::new();
         for (n, a) in pairs {
-            match self.coord.collector.store().get(&(n, a)) {
-                Some(&o) => {
+            match self.coord.collector.observed(n, a) {
+                Some(o) => {
                     values.insert((n, a), o);
                 }
                 None => missing.push((n, a)),
@@ -293,8 +305,9 @@ impl Deployment {
     }
 
     /// Forces a directed link up or down on the transport (chaos
-    /// injection). Returns `false` when the transport cannot model
-    /// link faults — the perfect transport cannot.
+    /// injection); a frame sent over a down link is lost. Returns
+    /// `false` when the transport cannot model link faults — both
+    /// in-process transports can.
     pub fn set_link_down(&self, from: NodeId, to: NodeId, down: bool) -> bool {
         self.transport.set_link_down(from, to, down)
     }

@@ -10,11 +10,12 @@
 //! `remo_core::adapt::AdaptivePlanner`, and targeted reconfiguration
 //! of the surviving agents.
 //!
-//! Where [`remo-sim`](../remo_sim/index.html) is the fast model used
-//! for the paper's parameter sweeps, this crate encodes, routes and
-//! decodes the real wire frames — it validates that a plan's trees
-//! carry real traffic end to end (the role the BlueGene/System S
-//! deployment plays in the paper). In process ([`Deployment`]) every
+//! This crate encodes, routes and decodes the real wire frames and
+//! charges the `C + a·x` cost model at both endpoints — it is the role
+//! the BlueGene/System S deployment plays in the paper, and the one
+//! engine the evaluation runs on:
+//! [`remo-sim`](../remo_sim/index.html) steps a [`Deployment`] against
+//! seeded true values rather than modelling one. In process every
 //! agent is stepped to completion on the caller's thread and the epoch
 //! counter is the only clock, so a run is a function of its inputs;
 //! the `remo-node` crate runs the same agents and the same epoch close

@@ -332,9 +332,14 @@ pub trait Transport: Send + Sync + std::fmt::Debug {
 // ----------------------------------------------------------------- perfect
 
 /// Immediate, loss-free channel delivery — the deterministic default.
+/// The only fault it models is a scripted link outage
+/// ([`Transport::set_link_down`]): a node→node frame sent over a down
+/// link is dropped and counted, nothing is retried.
 pub struct PerfectTransport {
     peers: Arc<BTreeMap<NodeId, Sender<AgentMsg>>>,
     collector: Sender<(u64, Bytes)>,
+    /// Down links (directed) and the frames dropped on them.
+    outages: Mutex<(BTreeSet<(NodeId, NodeId)>, u64)>,
 }
 
 impl std::fmt::Debug for PerfectTransport {
@@ -351,18 +356,25 @@ impl PerfectTransport {
         peers: Arc<BTreeMap<NodeId, Sender<AgentMsg>>>,
         collector: Sender<(u64, Bytes)>,
     ) -> Self {
-        PerfectTransport { peers, collector }
+        PerfectTransport {
+            peers,
+            collector,
+            outages: Mutex::default(),
+        }
     }
 }
 
 impl Transport for PerfectTransport {
-    fn send_data(&self, _from: NodeId, to: Endpoint, _seq: u64, epoch: u64, frame: Bytes) {
+    fn send_data(&self, from: NodeId, to: Endpoint, _seq: u64, epoch: u64, frame: Bytes) {
         match to {
             Endpoint::Collector => {
                 let _ = self.collector.send((epoch, frame));
             }
             Endpoint::Node(n) => {
-                if let Some(tx) = self.peers.get(&n) {
+                let mut outages = self.outages.lock().unwrap_or_else(|e| e.into_inner());
+                if outages.0.contains(&(from, n)) {
+                    outages.1 += 1;
+                } else if let Some(tx) = self.peers.get(&n) {
                     let _ = tx.send(AgentMsg::Data {
                         sent_epoch: epoch,
                         frame,
@@ -380,6 +392,23 @@ impl Transport for PerfectTransport {
 
     fn reliable(&self) -> bool {
         true
+    }
+
+    fn set_link_down(&self, from: NodeId, to: NodeId, down: bool) -> bool {
+        let links = &mut self.outages.lock().unwrap_or_else(|e| e.into_inner()).0;
+        if down {
+            links.insert((from, to));
+        } else {
+            links.remove(&(from, to));
+        }
+        true
+    }
+
+    fn stats(&self) -> TransportStats {
+        TransportStats {
+            dropped_link_down: self.outages.lock().unwrap_or_else(|e| e.into_inner()).1,
+            ..TransportStats::default()
+        }
     }
 }
 

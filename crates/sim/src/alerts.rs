@@ -3,8 +3,8 @@
 //! monitoring operations including collecting and aggregating
 //! attribute values, triggering warnings").
 
-use crate::collector::CollectorStore;
 use remo_core::{AttrId, NodeId};
+use remo_runtime::CollectorCore;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -131,7 +131,7 @@ impl ResultProcessor {
     /// epoch `now`; returns how many alerts fired this round.
     pub fn evaluate(
         &mut self,
-        store: &CollectorStore,
+        store: &CollectorCore,
         pairs: impl IntoIterator<Item = (NodeId, AttrId)>,
         now: u64,
     ) -> usize {
@@ -139,7 +139,7 @@ impl ResultProcessor {
         let mut fired = 0;
         for (idx, rule) in self.rules.iter().enumerate() {
             for &(node, attr) in pairs.iter().filter(|&&(_, a)| a == rule.attr) {
-                let Some(s) = store.get(node, attr) else {
+                let Some(s) = store.observed(node, attr) else {
                     continue;
                 };
                 if let Some(max) = rule.max_staleness {
@@ -166,7 +166,7 @@ impl ResultProcessor {
                 }
             }
             // Aggregated attributes: one snapshot per attr.
-            if let Some(s) = store.aggregate(rule.attr) {
+            if let Some(s) = store.observed_aggregate(rule.attr) {
                 let within = rule
                     .max_staleness
                     .is_none_or(|max| now.saturating_sub(s.produced) <= max);
@@ -197,14 +197,12 @@ impl ResultProcessor {
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
     use super::*;
-    use crate::reading::Reading;
+    use crate::collector::fixture::{self, record};
+    use remo_runtime::WireReading;
 
-    fn store_with(node: u32, attr: u32, value: f64, produced: u64) -> CollectorStore {
-        let mut s = CollectorStore::new();
-        s.record(
-            &Reading::sample(NodeId(node), AttrId(attr), value, produced),
-            produced + 1,
-        );
+    fn store_with(node: u32, attr: u32, value: f64, produced: u64) -> CollectorCore {
+        let mut s = fixture::store();
+        record(&mut s, (node, attr), value, produced, produced + 1);
         s
     }
 
@@ -219,10 +217,10 @@ mod tests {
         // Still violating: edge-triggered, no re-fire.
         assert_eq!(rp.evaluate(&s, pairs, 12), 0);
         // Clears...
-        s.record(&Reading::sample(NodeId(1), AttrId(0), 50.0, 13), 14);
+        record(&mut s, (1, 0), 50.0, 13, 14);
         assert_eq!(rp.evaluate(&s, pairs, 14), 0);
         // ...then violates again: re-fires.
-        s.record(&Reading::sample(NodeId(1), AttrId(0), 99.0, 15), 16);
+        record(&mut s, (1, 0), 99.0, 15, 16);
         assert_eq!(rp.evaluate(&s, pairs, 16), 1);
         assert_eq!(rp.alerts().len(), 2);
     }
@@ -258,7 +256,7 @@ mod tests {
     fn missing_snapshot_is_silent() {
         let mut rp = ResultProcessor::new();
         rp.add_rule(AlertRule::above("hot", AttrId(0), 1.0));
-        let s = CollectorStore::new();
+        let s = fixture::store();
         assert_eq!(rp.evaluate(&s, [(NodeId(0), AttrId(0))], 1), 0);
     }
 
@@ -266,9 +264,10 @@ mod tests {
     fn aggregate_snapshots_fire_rules() {
         let mut rp = ResultProcessor::new();
         rp.add_rule(AlertRule::above("agg", AttrId(7), 40.0));
-        let mut s = CollectorStore::new();
-        s.record(
-            &Reading {
+        let mut s = fixture::store();
+        fixture::record_reading(
+            &mut s,
+            WireReading {
                 node: NodeId(3),
                 attr: AttrId(7),
                 value: 42.0,

@@ -3,12 +3,12 @@
 //!
 //! The paper's Fig. 8 observation — bushier trees produce fresher
 //! snapshots — is a structural claim: a value produced at depth `d`
-//! arrives `d + 1` epochs later. This module decomposes a snapshot's
+//! is stamped received `d + 1` epochs later. This module decomposes a snapshot's
 //! staleness by each pair's depth in the deployed forest, turning the
 //! claim into a measurable distribution.
 
-use crate::collector::CollectorStore;
 use remo_core::{AttrId, MonitoringPlan, NodeId, PairSet};
+use remo_runtime::CollectorCore;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -77,7 +77,8 @@ impl StalenessProfile {
 ///     aliases: Default::default(), config: SimConfig::default(),
 /// });
 /// sim.run(10);
-/// let profile = staleness_profile(sim.collector(), &plan, &pairs, sim.epoch());
+/// // The store after step `e` holds what is stamped received `e + 1`.
+/// let profile = staleness_profile(sim.collector(), &plan, &pairs, sim.epoch() + 1);
 /// assert_eq!(profile.unobserved, 0);
 /// // Depth-d pairs are exactly d+1 epochs stale in steady state.
 /// for (&depth, stats) in &profile.by_depth {
@@ -87,7 +88,7 @@ impl StalenessProfile {
 /// # }
 /// ```
 pub fn staleness_profile(
-    store: &CollectorStore,
+    store: &CollectorCore,
     plan: &MonitoringPlan,
     pairs: &PairSet,
     now: u64,
@@ -110,7 +111,7 @@ pub fn staleness_profile(
     let mut sums: BTreeMap<usize, (f64, usize, u64)> = BTreeMap::new();
     let mut profile = StalenessProfile::default();
     for (n, a) in pairs.iter() {
-        let Some(s) = store.get(n, a) else {
+        let Some(s) = store.observed(n, a) else {
             profile.unobserved += 1;
             continue;
         };
@@ -175,7 +176,9 @@ mod tests {
             config: SimConfig::default(),
         });
         sim.run(15);
-        staleness_profile(sim.collector(), &plan, &pairs, sim.epoch())
+        // Profiled at the epoch the store's freshest values are stamped
+        // received: what the roots sent during step `e` arrives `e + 1`.
+        staleness_profile(sim.collector(), &plan, &pairs, sim.epoch() + 1)
     }
 
     #[test]
@@ -209,7 +212,7 @@ mod tests {
             &CapacityMap::uniform(3, 50.0, 100.0).unwrap(),
             CostModel::default(),
         );
-        let store = CollectorStore::new();
+        let store = crate::collector::fixture::store();
         let p = staleness_profile(&store, &plan, &pairs, 5);
         assert_eq!(p.unobserved, 3);
         assert_eq!(p.mean_staleness(), 0.0);

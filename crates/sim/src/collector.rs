@@ -1,145 +1,114 @@
-//! The central data collector's snapshot store.
+//! Scores of the collector's snapshot store against ground truth.
 //!
-//! Keeps, for every node-attribute pair, the freshest value that has
-//! reached the collector, and computes the percentage-error metric the
-//! paper's real-system experiments report (Fig. 8): the relative
-//! difference between the collector's snapshot and the true values.
+//! The store itself is the runtime's
+//! [`CollectorCore`]: it keeps, for every
+//! node-attribute pair, the freshest value that has reached the
+//! collector (aliases of a reliability rewrite folded onto their
+//! original). This module computes what the paper's real-system
+//! experiments report about it (Fig. 8): the relative difference
+//! between the collector's snapshot and the true values.
 
-use crate::reading::Reading;
 use remo_core::{AttrId, NodeId};
-use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use remo_runtime::CollectorCore;
 
-/// One stored observation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct StoredValue {
-    /// The reported value.
-    pub value: f64,
-    /// Epoch the sample was produced at the source.
-    pub produced: u64,
-    /// Epoch it reached the collector.
-    pub received: u64,
-}
-
-/// The collector's snapshot store with SSDP/DSDP alias resolution.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct CollectorStore {
-    latest: BTreeMap<(NodeId, AttrId), StoredValue>,
-    /// alias attribute → original attribute (reliability rewrites).
-    aliases: BTreeMap<AttrId, AttrId>,
-    /// Latest partial-aggregate values per (aggregated) attribute.
-    aggregates: BTreeMap<AttrId, StoredValue>,
-}
-
-impl CollectorStore {
-    /// Creates an empty store.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Installs the alias map from a reliability rewrite; readings for
-    /// alias attributes are recorded under the original id.
-    pub fn set_aliases(&mut self, aliases: BTreeMap<AttrId, AttrId>) {
-        self.aliases = aliases;
-    }
-
-    /// Resolves an attribute through the alias map.
-    pub fn resolve(&self, attr: AttrId) -> AttrId {
-        self.aliases.get(&attr).copied().unwrap_or(attr)
-    }
-
-    /// Records an arrived reading at epoch `now`. A reading only
-    /// replaces the stored one if it was produced no earlier (a replica
-    /// arriving late never regresses the snapshot). Aggregate readings
-    /// (`contributors > 1`) are stored per attribute.
-    pub fn record(&mut self, reading: &Reading, now: u64) {
-        let attr = self.resolve(reading.attr);
-        let stored = StoredValue {
-            value: reading.value,
-            produced: reading.produced,
-            received: now,
+/// Mean relative error of the snapshot against `truth`
+/// (`((node, attr), true value)`, summed in the order given), each
+/// pair's error capped at `cap`. Pairs never observed score the full
+/// cap — a dropped pair is as wrong as it gets.
+pub fn mean_error(
+    store: &CollectorCore,
+    truth: impl IntoIterator<Item = ((NodeId, AttrId), f64)>,
+    cap: f64,
+) -> f64 {
+    let (mut total, mut pairs) = (0.0, 0usize);
+    for ((node, attr), actual) in truth {
+        pairs += 1;
+        total += match store.observed(node, attr) {
+            None => cap,
+            Some(s) => ((s.value - actual).abs() / actual.abs().max(1e-9)).min(cap),
         };
-        if reading.contributors > 1 {
-            let slot = self.aggregates.entry(attr).or_insert(stored);
-            if reading.produced >= slot.produced {
-                *slot = stored;
-            }
-            return;
+    }
+    if pairs == 0 {
+        0.0
+    } else {
+        total / pairs as f64
+    }
+}
+
+/// Fraction of `pairs` with a snapshot received within the last
+/// `window` epochs of `now`.
+pub fn fresh_fraction(
+    store: &CollectorCore,
+    pairs: impl IntoIterator<Item = (NodeId, AttrId)>,
+    now: u64,
+    window: u64,
+) -> f64 {
+    let (mut fresh, mut total) = (0usize, 0usize);
+    for (n, a) in pairs {
+        total += 1;
+        if store
+            .observed(n, a)
+            .is_some_and(|s| now.saturating_sub(s.received) <= window)
+        {
+            fresh += 1;
         }
-        let slot = self.latest.entry((reading.node, attr)).or_insert(stored);
-        if reading.produced >= slot.produced {
-            *slot = stored;
-        }
+    }
+    if total == 0 {
+        1.0
+    } else {
+        fresh as f64 / total as f64
+    }
+}
+
+/// A collector core nothing is ever refused by, plus the helper the
+/// crate's tests record fixtures through.
+#[cfg(test)]
+pub(crate) mod fixture {
+    use remo_core::{AttrCatalog, AttrId, CostModel, NodeId};
+    use remo_runtime::{CollectorCore, EpochReport, NetConfig, WireReading};
+
+    pub(crate) fn store() -> CollectorCore {
+        CollectorCore::new(
+            f64::INFINITY,
+            CostModel::default(),
+            NetConfig::default(),
+            AttrCatalog::new(),
+        )
     }
 
-    /// The stored snapshot for a pair, if any value ever arrived.
-    pub fn get(&self, node: NodeId, attr: AttrId) -> Option<StoredValue> {
-        self.latest.get(&(node, self.resolve(attr))).copied()
+    /// Records one single-sample reading, received at `received`.
+    pub(crate) fn record(
+        store: &mut CollectorCore,
+        (node, attr): (u32, u32),
+        value: f64,
+        produced: u64,
+        received: u64,
+    ) {
+        record_reading(
+            store,
+            WireReading {
+                node: NodeId(node),
+                attr: AttrId(attr),
+                value,
+                produced,
+                contributors: 1,
+            },
+            received,
+        );
     }
 
-    /// The stored aggregate for an attribute, if any.
-    pub fn aggregate(&self, attr: AttrId) -> Option<StoredValue> {
-        self.aggregates.get(&self.resolve(attr)).copied()
-    }
-
-    /// Number of distinct pairs ever observed.
-    pub fn len(&self) -> usize {
-        self.latest.len()
-    }
-
-    /// Returns `true` if nothing has ever been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.latest.is_empty() && self.aggregates.is_empty()
-    }
-
-    /// Mean relative error of the snapshot against `truth`
-    /// (`(node, attr) → true value`), each pair's error capped at
-    /// `cap`. Pairs never observed score the full cap — a dropped pair
-    /// is as wrong as it gets.
-    pub fn mean_error(&self, truth: &BTreeMap<(NodeId, AttrId), f64>, cap: f64) -> f64 {
-        if truth.is_empty() {
-            return 0.0;
-        }
-        let mut total = 0.0;
-        for (&(node, attr), &actual) in truth {
-            let err = match self.get(node, attr) {
-                None => cap,
-                Some(s) => {
-                    let denom = actual.abs().max(1e-9);
-                    ((s.value - actual).abs() / denom).min(cap)
-                }
-            };
-            total += err;
-        }
-        total / truth.len() as f64
-    }
-
-    /// Fraction of `truth`'s pairs with a snapshot received within the
-    /// last `window` epochs of `now`.
-    pub fn fresh_fraction(
-        &self,
-        truth: &BTreeMap<(NodeId, AttrId), f64>,
-        now: u64,
-        window: u64,
-    ) -> f64 {
-        if truth.is_empty() {
-            return 1.0;
-        }
-        let fresh = truth
-            .keys()
-            .filter(|&&(n, a)| {
-                self.get(n, a)
-                    .is_some_and(|s| now.saturating_sub(s.received) <= window)
-            })
-            .count();
-        fresh as f64 / truth.len() as f64
+    pub(crate) fn record_reading(store: &mut CollectorCore, reading: WireReading, received: u64) {
+        store.record(&reading, received, &mut EpochReport::default());
     }
 }
 
 #[cfg(test)]
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
+    use super::fixture::{record, record_reading, store};
     use super::*;
+    use remo_runtime::WireReading;
+    use std::collections::BTreeMap;
 
     fn truth(entries: &[(u32, u32, f64)]) -> BTreeMap<(NodeId, AttrId), f64> {
         entries
@@ -150,9 +119,9 @@ mod tests {
 
     #[test]
     fn record_and_get() {
-        let mut c = CollectorStore::new();
-        c.record(&Reading::sample(NodeId(0), AttrId(1), 5.0, 3), 4);
-        let s = c.get(NodeId(0), AttrId(1)).unwrap();
+        let mut c = store();
+        record(&mut c, (0, 1), 5.0, 3, 4);
+        let s = c.observed(NodeId(0), AttrId(1)).unwrap();
         assert_eq!(s.value, 5.0);
         assert_eq!(s.produced, 3);
         assert_eq!(s.received, 4);
@@ -160,59 +129,51 @@ mod tests {
 
     #[test]
     fn stale_replica_does_not_regress() {
-        let mut c = CollectorStore::new();
-        c.record(&Reading::sample(NodeId(0), AttrId(0), 9.0, 10), 11);
-        c.record(&Reading::sample(NodeId(0), AttrId(0), 1.0, 5), 12);
-        assert_eq!(c.get(NodeId(0), AttrId(0)).unwrap().value, 9.0);
-    }
-
-    #[test]
-    fn aliases_fold_to_original() {
-        let mut c = CollectorStore::new();
-        c.set_aliases([(AttrId(100), AttrId(0))].into_iter().collect());
-        c.record(&Reading::sample(NodeId(2), AttrId(100), 7.0, 1), 2);
-        assert_eq!(c.get(NodeId(2), AttrId(0)).unwrap().value, 7.0);
+        let mut c = store();
+        record(&mut c, (0, 0), 9.0, 10, 11);
+        record(&mut c, (0, 0), 1.0, 5, 12);
+        assert_eq!(c.observed(NodeId(0), AttrId(0)).unwrap().value, 9.0);
     }
 
     #[test]
     fn mean_error_counts_missing_as_cap() {
-        let mut c = CollectorStore::new();
-        c.record(&Reading::sample(NodeId(0), AttrId(0), 50.0, 1), 1);
+        let mut c = store();
+        record(&mut c, (0, 0), 50.0, 1, 1);
         let t = truth(&[(0, 0, 100.0), (1, 0, 100.0)]);
         // Observed pair: 50% error; missing pair: capped 100%.
-        assert!((c.mean_error(&t, 1.0) - 0.75).abs() < 1e-12);
+        assert!((mean_error(&c, t, 1.0) - 0.75).abs() < 1e-12);
     }
 
     #[test]
     fn error_cap_applies() {
-        let mut c = CollectorStore::new();
-        c.record(&Reading::sample(NodeId(0), AttrId(0), 1000.0, 1), 1);
+        let mut c = store();
+        record(&mut c, (0, 0), 1000.0, 1, 1);
         let t = truth(&[(0, 0, 1.0)]);
-        assert_eq!(c.mean_error(&t, 1.0), 1.0);
+        assert_eq!(mean_error(&c, t, 1.0), 1.0);
     }
 
     #[test]
     fn fresh_fraction_windows() {
-        let mut c = CollectorStore::new();
-        c.record(&Reading::sample(NodeId(0), AttrId(0), 1.0, 1), 2);
-        c.record(&Reading::sample(NodeId(1), AttrId(0), 1.0, 9), 10);
+        let mut c = store();
+        record(&mut c, (0, 0), 1.0, 1, 2);
+        record(&mut c, (1, 0), 1.0, 9, 10);
         let t = truth(&[(0, 0, 1.0), (1, 0, 1.0)]);
-        assert_eq!(c.fresh_fraction(&t, 10, 1), 0.5);
-        assert_eq!(c.fresh_fraction(&t, 10, 100), 1.0);
+        assert_eq!(fresh_fraction(&c, t.keys().copied(), 10, 1), 0.5);
+        assert_eq!(fresh_fraction(&c, t.keys().copied(), 10, 100), 1.0);
     }
 
     #[test]
     fn aggregates_stored_per_attr() {
-        let mut c = CollectorStore::new();
-        let agg = Reading {
+        let mut c = store();
+        let agg = WireReading {
             node: NodeId(3),
             attr: AttrId(7),
             value: 42.0,
             produced: 5,
             contributors: 4,
         };
-        c.record(&agg, 6);
-        assert_eq!(c.aggregate(AttrId(7)).unwrap().value, 42.0);
-        assert!(c.get(NodeId(3), AttrId(7)).is_none());
+        record_reading(&mut c, agg, 6);
+        assert_eq!(c.observed_aggregate(AttrId(7)).unwrap().value, 42.0);
+        assert!(c.observed(NodeId(3), AttrId(7)).is_none());
     }
 }

@@ -1,31 +1,34 @@
-//! The epoch-driven monitoring-network simulator.
+//! The evaluation substrate: seeded ground truth over the real agents.
 //!
 //! Replaces the paper's BlueGene/P + System S testbed with a
-//! deterministic, seeded simulation that exercises the identical
-//! planner outputs. The model (paper §2.3, §3.3):
+//! deterministic, seeded run of the deployed system itself. A
+//! [`Simulator`] owns a [`Deployment`] on the loss-free in-process
+//! transport and supplies what the testbed supplied: the values the
+//! nodes observe (seeded [`ValueProcess`]es the agents sample) and the
+//! comparison of the collector's snapshot against them. Everything the
+//! cost model is about happens in `remo-runtime` (paper §2.3, §3.3):
 //!
 //! - datacenter-like network: any two endpoints communicate at equal
 //!   cost; only endpoint CPU matters;
 //! - a message with `x` values costs `C + a·x` at the sender *and* at
 //!   the receiver, charged against each node's per-epoch budget;
 //! - store-and-forward with one hop per epoch: a value produced at
-//!   depth `d` reaches the collector `d + 1` epochs later — the
+//!   depth `d` is stamped received `d + 1` epochs later — the
 //!   latency-staleness that drives the Fig. 8 percentage-error metric;
 //! - a node over budget drops traffic (receive side: whole messages;
 //!   send side: oldest readings first), which is how overload turns
 //!   into observation error.
 
-use crate::collector::CollectorStore;
+use crate::collector::{fresh_fraction, mean_error};
 use crate::metrics::{EpochStats, SimMetrics};
-use crate::reading::{aggregate, Reading};
 use crate::values::{ValueModel, ValueProcess};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use remo_core::{
-    AttrCatalog, AttrId, AttrSet, CapacityMap, CostModel, MonitoringPlan, NodeId, PairSet, Parent,
-};
+use remo_core::{AttrCatalog, AttrId, CapacityMap, CostModel, MonitoringPlan, NodeId, PairSet};
+use remo_runtime::{CollectorCore, Deployment, Sampler};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Simulator tuning knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -72,135 +75,98 @@ pub struct SimSetup<'a> {
     pub config: SimConfig,
 }
 
-#[derive(Debug, Clone)]
-struct TreeRoute {
-    attrs: AttrSet,
-    parent: BTreeMap<NodeId, Parent>,
-    members: Vec<NodeId>,
-    /// Per member: the attrs it locally samples for this tree.
-    local: BTreeMap<NodeId, Vec<AttrId>>,
-}
-
-#[derive(Debug, Clone)]
-struct Message {
-    tree: usize,
-    from: NodeId,
-    to: Parent,
-    readings: Vec<Reading>,
-}
-
-/// The epoch-driven simulator.
+/// The ground truth: one value process per pair, shared with the
+/// agents' sampler. An alias reads its original's process, so every
+/// replica of a pair observes the same value.
 #[derive(Debug)]
-pub struct Simulator {
-    caps: CapacityMap,
-    cost: CostModel,
-    catalog: AttrCatalog,
-    config: SimConfig,
-    rng: SmallRng,
-    epoch: u64,
-    routes: Vec<TreeRoute>,
+struct Truth {
     values: BTreeMap<(NodeId, AttrId), ValueProcess>,
-    metric_pairs: PairSet,
     aliases: BTreeMap<AttrId, AttrId>,
-    inbox: BTreeMap<(usize, NodeId), Vec<Reading>>,
-    in_transit: Vec<Message>,
-    collector: CollectorStore,
-    metrics: SimMetrics,
-    failed_nodes: BTreeSet<NodeId>,
-    failed_links: BTreeSet<(NodeId, NodeId)>,
-    control_charges: BTreeMap<NodeId, f64>,
-    pending_control_volume: f64,
 }
 
-impl Simulator {
-    /// Builds a simulator for a deployed plan.
-    pub fn new(setup: SimSetup<'_>) -> Self {
-        let metric_pairs = setup.metric_pairs.unwrap_or(setup.planned_pairs).clone();
-        let mut collector = CollectorStore::new();
-        collector.set_aliases(setup.aliases.clone());
-
-        let mut sim = Simulator {
-            caps: setup.caps.clone(),
-            cost: setup.cost,
-            catalog: setup.catalog.clone(),
-            config: setup.config,
-            rng: SmallRng::seed_from_u64(setup.config.seed),
-            epoch: 0,
-            routes: Vec::new(),
-            values: BTreeMap::new(),
-            metric_pairs,
-            aliases: setup.aliases,
-            inbox: BTreeMap::new(),
-            in_transit: Vec::new(),
-            collector,
-            metrics: SimMetrics::new(),
-            failed_nodes: BTreeSet::new(),
-            failed_links: BTreeSet::new(),
-            control_charges: BTreeMap::new(),
-            pending_control_volume: 0.0,
-        };
-        sim.routes = sim.routes_of(setup.plan, setup.planned_pairs);
-        sim.ensure_values(setup.planned_pairs);
-        let metric_pairs = sim.metric_pairs.clone();
-        sim.ensure_values(&metric_pairs);
-        sim
+impl Truth {
+    fn key(&self, node: NodeId, attr: AttrId) -> (NodeId, AttrId) {
+        (node, self.aliases.get(&attr).copied().unwrap_or(attr))
     }
 
-    fn resolve(&self, attr: AttrId) -> AttrId {
-        self.aliases.get(&attr).copied().unwrap_or(attr)
+    /// The value of a pair [`Truth::ensure`] was given.
+    fn value(&self, node: NodeId, attr: AttrId) -> f64 {
+        self.values[&self.key(node, attr)].value()
     }
 
-    fn ensure_values(&mut self, pairs: &PairSet) {
+    fn ensure(&mut self, pairs: &PairSet, model: ValueModel) {
         for (node, attr) in pairs.iter() {
-            let key = (node, self.resolve(attr));
-            let model = self.config.default_model;
+            let key = self.key(node, attr);
             self.values
                 .entry(key)
                 .or_insert_with(|| ValueProcess::new(model));
         }
     }
+}
 
-    fn routes_of(&self, plan: &MonitoringPlan, pairs: &PairSet) -> Vec<TreeRoute> {
-        plan.partition()
-            .sets()
-            .iter()
-            .zip(plan.trees())
-            .filter_map(|(set, planned)| {
-                let tree = planned.tree.as_ref()?;
-                let members: Vec<NodeId> = tree.nodes().collect();
-                let parent = members
-                    .iter()
-                    .map(|&n| {
-                        (
-                            n,
-                            tree.parent(n)
-                                .unwrap_or_else(|| unreachable!("member has parent")),
-                        )
-                    })
-                    .collect();
-                let local = members
-                    .iter()
-                    .map(|&n| {
-                        let attrs: Vec<AttrId> = pairs
-                            .attrs_of(n)
-                            .map(|owned| owned.intersection(set).copied().collect())
-                            .unwrap_or_default();
-                        (n, attrs)
-                    })
-                    .collect();
-                Some(TreeRoute {
-                    attrs: set.clone(),
-                    parent,
-                    members,
-                    local,
-                })
-            })
-            .collect()
+fn lock(truth: &Mutex<Truth>) -> MutexGuard<'_, Truth> {
+    truth.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// A deployment stepped against seeded ground truth.
+#[derive(Debug)]
+pub struct Simulator {
+    dep: Deployment,
+    /// The deployed plan (what [`Simulator::apply_plan`] diffs against).
+    plan: MonitoringPlan,
+    cost: CostModel,
+    catalog: AttrCatalog,
+    config: SimConfig,
+    rng: SmallRng,
+    truth: Arc<Mutex<Truth>>,
+    metric_pairs: PairSet,
+    metrics: SimMetrics,
+    pending_control_volume: f64,
+}
+
+impl Simulator {
+    /// Deploys a plan.
+    pub fn new(setup: SimSetup<'_>) -> Self {
+        let metric_pairs = setup.metric_pairs.unwrap_or(setup.planned_pairs).clone();
+        let mut truth = Truth {
+            values: BTreeMap::new(),
+            aliases: setup.aliases.clone(),
+        };
+        truth.ensure(setup.planned_pairs, setup.config.default_model);
+        truth.ensure(&metric_pairs, setup.config.default_model);
+        let truth = Arc::new(Mutex::new(truth));
+
+        let sampler: Sampler = {
+            let truth = Arc::clone(&truth);
+            Arc::new(move |node, attr, _epoch| lock(&truth).value(node, attr))
+        };
+        let mut dep = Deployment::launch(
+            setup.plan,
+            setup.planned_pairs,
+            setup.caps,
+            setup.cost,
+            setup.catalog,
+            sampler,
+        );
+        dep.set_aliases(setup.aliases);
+
+        Simulator {
+            dep,
+            plan: setup.plan.clone(),
+            cost: setup.cost,
+            catalog: setup.catalog.clone(),
+            config: setup.config,
+            rng: SmallRng::seed_from_u64(setup.config.seed),
+            truth,
+            metric_pairs,
+            metrics: SimMetrics::new(),
+            pending_control_volume: 0.0,
+        }
     }
 
     /// Current epoch (number of completed steps).
     pub fn epoch(&self) -> u64 {
-        self.epoch
+        self.dep.epoch()
     }
 
     /// Recorded metrics so far.
@@ -208,132 +174,56 @@ impl Simulator {
         &self.metrics
     }
 
-    /// The collector's snapshot store.
-    pub fn collector(&self) -> &CollectorStore {
-        &self.collector
+    /// The collector's snapshot store. After step `e` it holds what the
+    /// roots sent during `e`, stamped received `e + 1`.
+    pub fn collector(&self) -> &CollectorCore {
+        self.dep.collector()
     }
 
     /// The true value of a pair right now (aliases resolve to their
     /// original's process).
     pub fn true_value(&self, node: NodeId, attr: AttrId) -> Option<f64> {
-        self.values
-            .get(&(node, self.resolve(attr)))
-            .map(ValueProcess::value)
+        let truth = lock(&self.truth);
+        let key = truth.key(node, attr);
+        truth.values.get(&key).map(ValueProcess::value)
     }
 
     /// Overrides the value process of one pair.
     pub fn set_model(&mut self, node: NodeId, attr: AttrId, model: ValueModel) {
-        let key = (node, self.resolve(attr));
-        self.values.insert(key, ValueProcess::new(model));
+        let mut truth = lock(&self.truth);
+        let key = truth.key(node, attr);
+        truth.values.insert(key, ValueProcess::new(model));
     }
 
     /// Marks a node crashed: it neither sends nor receives.
     pub fn fail_node(&mut self, node: NodeId) {
-        self.failed_nodes.insert(node);
+        self.dep.fail_node(node);
     }
 
     /// Heals a crashed node.
     pub fn heal_node(&mut self, node: NodeId) {
-        self.failed_nodes.remove(&node);
+        self.dep.heal_node(node);
     }
 
     /// Fails the directed link `from → to`.
     pub fn fail_link(&mut self, from: NodeId, to: NodeId) {
-        self.failed_links.insert((from, to));
+        self.dep.set_link_down(from, to, true);
     }
 
     /// Heals a failed link.
     pub fn heal_link(&mut self, from: NodeId, to: NodeId) {
-        self.failed_links.remove(&(from, to));
+        self.dep.set_link_down(from, to, false);
     }
 
     /// Deploys a new plan (runtime adaptation). Topology changes cost
-    /// one control message per changed edge, charged to the re-parented
-    /// node's budget next epoch; buffered traffic of restructured trees
-    /// is lost. Returns the number of control messages.
+    /// one control message per changed edge (`M_adapt`, paper §4.2),
+    /// reported as the next epoch's control volume. Returns the number
+    /// of control messages.
     pub fn apply_plan(&mut self, plan: &MonitoringPlan, pairs: &PairSet) -> usize {
-        let new_routes = self.routes_of(plan, pairs);
-        self.ensure_values(pairs);
-
-        // Edge changes: per attribute set, compare parent assignments.
-        let old_by_set: BTreeMap<Vec<AttrId>, &TreeRoute> = self
-            .routes
-            .iter()
-            .map(|r| (r.attrs.iter().copied().collect(), r))
-            .collect();
-        let mut control = 0usize;
-        let mut changed_sets: BTreeSet<Vec<AttrId>> = BTreeSet::new();
-        for route in &new_routes {
-            let key: Vec<AttrId> = route.attrs.iter().copied().collect();
-            match old_by_set.get(&key) {
-                None => {
-                    changed_sets.insert(key);
-                    for &n in &route.members {
-                        control += 1;
-                        *self.control_charges.entry(n).or_insert(0.0) +=
-                            self.cost.message_cost(1.0);
-                    }
-                }
-                Some(old) => {
-                    let mut any = false;
-                    for &n in &route.members {
-                        if old.parent.get(&n) != route.parent.get(&n) {
-                            any = true;
-                            control += 1;
-                            *self.control_charges.entry(n).or_insert(0.0) +=
-                                self.cost.message_cost(1.0);
-                        }
-                    }
-                    for &n in old.members.iter() {
-                        if !route.parent.contains_key(&n) {
-                            any = true;
-                            control += 1;
-                            *self.control_charges.entry(n).or_insert(0.0) +=
-                                self.cost.message_cost(1.0);
-                        }
-                    }
-                    if any {
-                        changed_sets.insert(key);
-                    }
-                }
-            }
-        }
-        for route in &self.routes {
-            let key: Vec<AttrId> = route.attrs.iter().copied().collect();
-            if !new_routes.iter().any(|r| r.attrs == route.attrs) {
-                changed_sets.insert(key);
-                for &n in &route.members {
-                    control += 1;
-                    *self.control_charges.entry(n).or_insert(0.0) += self.cost.message_cost(1.0);
-                }
-            }
-        }
-
-        // Migrate buffers of unchanged trees to their new index; drop
-        // the rest (reconfiguration disruption).
-        let mut new_inbox: BTreeMap<(usize, NodeId), Vec<Reading>> = BTreeMap::new();
-        let mut new_transit: Vec<Message> = Vec::new();
-        for (new_idx, route) in new_routes.iter().enumerate() {
-            let key: Vec<AttrId> = route.attrs.iter().copied().collect();
-            if changed_sets.contains(&key) {
-                continue;
-            }
-            if let Some(old_idx) = self.routes.iter().position(|r| r.attrs == route.attrs) {
-                for &n in &route.members {
-                    if let Some(buf) = self.inbox.remove(&(old_idx, n)) {
-                        new_inbox.insert((new_idx, n), buf);
-                    }
-                }
-                for msg in self.in_transit.iter().filter(|m| m.tree == old_idx) {
-                    let mut m = msg.clone();
-                    m.tree = new_idx;
-                    new_transit.push(m);
-                }
-            }
-        }
-        self.inbox = new_inbox;
-        self.in_transit = new_transit;
-        self.routes = new_routes;
+        lock(&self.truth).ensure(pairs, self.config.default_model);
+        let control = self.plan.edge_diff(plan);
+        self.dep.apply_plan(plan, pairs, &self.catalog);
+        self.plan = plan.clone();
         self.pending_control_volume += control as f64 * self.cost.message_cost(1.0);
         control
     }
@@ -341,164 +231,34 @@ impl Simulator {
     /// Advances one epoch; returns that epoch's stats (also recorded in
     /// [`metrics`](Self::metrics)).
     pub fn step(&mut self) -> EpochStats {
-        self.epoch += 1;
-        let now = self.epoch;
-        let mut stats = EpochStats {
-            epoch: now,
-            control_volume: std::mem::take(&mut self.pending_control_volume),
-            ..EpochStats::default()
+        // True values advance, and what the collector holds at the
+        // start of the epoch is scored against them.
+        let avg_error = {
+            let mut truth = lock(&self.truth);
+            for process in truth.values.values_mut() {
+                process.step(&mut self.rng);
+            }
+            let now = self
+                .metric_pairs
+                .iter()
+                .map(|(n, a)| ((n, a), truth.value(n, a)));
+            mean_error(self.dep.collector(), now, self.config.error_cap)
         };
 
-        // 1. True values advance.
-        for process in self.values.values_mut() {
-            process.step(&mut self.rng);
-        }
-
-        // 2. Per-epoch budgets, minus pending control charges.
-        let mut budget: BTreeMap<NodeId, f64> = self.caps.iter().collect();
-        for (n, charge) in std::mem::take(&mut self.control_charges) {
-            if let Some(b) = budget.get_mut(&n) {
-                *b -= charge;
-            }
-        }
-        let mut collector_budget = self.caps.collector();
-
-        // 3. Delivery of last epoch's messages.
-        let transit = std::mem::take(&mut self.in_transit);
-        for msg in transit {
-            let cost = self.cost.message_cost(msg.readings.len() as f64);
-            if self.failed_nodes.contains(&msg.from) {
-                stats.dropped_messages += 1;
-                stats.dropped_readings += msg.readings.len() as u64;
-                continue;
-            }
-            match msg.to {
-                Parent::Collector => {
-                    if collector_budget >= cost {
-                        collector_budget -= cost;
-                        for r in &msg.readings {
-                            self.collector.record(r, now);
-                            stats.delivered_values += r.contributors as u64;
-                        }
-                    } else {
-                        stats.dropped_messages += 1;
-                        stats.dropped_readings += msg.readings.len() as u64;
-                    }
-                }
-                Parent::Node(p) => {
-                    let link_down = self.failed_links.contains(&(msg.from, p));
-                    if self.failed_nodes.contains(&p) || link_down {
-                        stats.dropped_messages += 1;
-                        stats.dropped_readings += msg.readings.len() as u64;
-                        continue;
-                    }
-                    let b = budget
-                        .get_mut(&p)
-                        .unwrap_or_else(|| unreachable!("member node has a budget"));
-                    if *b >= cost {
-                        *b -= cost;
-                        self.inbox
-                            .entry((msg.tree, p))
-                            .or_default()
-                            .extend(msg.readings);
-                    } else {
-                        stats.dropped_messages += 1;
-                        stats.dropped_readings += msg.readings.len() as u64;
-                    }
-                }
-            }
-        }
-
-        // 4. Send phase.
-        for k in 0..self.routes.len() {
-            let members = self.routes[k].members.clone();
-            for node in members {
-                if self.failed_nodes.contains(&node) {
-                    continue;
-                }
-                let mut readings: Vec<Reading> = Vec::new();
-                // Fresh local samples, gated by update frequency.
-                for &attr in &self.routes[k].local[&node] {
-                    let freq = self.catalog.get_or_default(attr).frequency();
-                    let period = (1.0 / freq).round().max(1.0) as u64;
-                    if !now.is_multiple_of(period) {
-                        continue;
-                    }
-                    let value = self.values[&(node, self.resolve(attr))].value();
-                    readings.push(Reading::sample(node, attr, value, now));
-                }
-                // Relayed traffic buffered since last epoch.
-                if let Some(buf) = self.inbox.remove(&(k, node)) {
-                    readings.extend(buf);
-                }
-                if readings.is_empty() {
-                    continue;
-                }
-                // In-network aggregation per funnel attribute.
-                readings = self.aggregate_at(node, readings);
-
-                // Send-side budget enforcement: trim oldest first.
-                let b = budget
-                    .get_mut(&node)
-                    .unwrap_or_else(|| unreachable!("member node has a budget"));
-                let full_cost = self.cost.message_cost(readings.len() as f64);
-                let kept = if *b >= full_cost {
-                    readings
-                } else {
-                    let affordable =
-                        ((*b - self.cost.per_message()) / self.cost.per_value()).floor();
-                    if affordable < 1.0 {
-                        stats.dropped_readings += readings.len() as u64;
-                        continue;
-                    }
-                    readings.sort_by_key(|r| std::cmp::Reverse(r.produced));
-                    let keep = (affordable as usize).min(readings.len());
-                    stats.dropped_readings += (readings.len() - keep) as u64;
-                    readings.truncate(keep);
-                    readings
-                };
-                let cost = self.cost.message_cost(kept.len() as f64);
-                *budget
-                    .get_mut(&node)
-                    .unwrap_or_else(|| unreachable!("member")) -= cost;
-                stats.monitoring_volume += cost;
-                let to = self.routes[k].parent[&node];
-                self.in_transit.push(Message {
-                    tree: k,
-                    from: node,
-                    to,
-                    readings: kept,
-                });
-            }
-        }
-
-        // 5. Error metric against true values.
-        let truth: BTreeMap<(NodeId, AttrId), f64> = self
-            .metric_pairs
-            .iter()
-            .map(|(n, a)| ((n, a), self.values[&(n, self.resolve(a))].value()))
-            .collect();
-        stats.avg_error = self.collector.mean_error(&truth, self.config.error_cap);
-        stats.error_cap = self.config.error_cap;
-
+        let report = self.dep.tick();
+        let stats = EpochStats {
+            epoch: report.epoch,
+            delivered_values: report.delivered_values,
+            dropped_messages: report.dropped_messages,
+            dropped_readings: report.dropped_readings,
+            avg_error,
+            error_cap: self.config.error_cap,
+            monitoring_volume: report.volume,
+            control_volume: std::mem::take(&mut self.pending_control_volume),
+        };
         stats.export_metrics();
         self.metrics.push(stats);
         stats
-    }
-
-    /// Applies in-network aggregation at `node`: readings of each
-    /// funnel attribute fold into partial aggregates.
-    fn aggregate_at(&self, node: NodeId, readings: Vec<Reading>) -> Vec<Reading> {
-        let mut by_attr: BTreeMap<AttrId, Vec<Reading>> = BTreeMap::new();
-        for r in readings {
-            by_attr.entry(r.attr).or_default().push(r);
-        }
-        let mut out = Vec::new();
-        for (attr, group) in by_attr {
-            let kind = self.catalog.get_or_default(attr).aggregation();
-            out.extend(aggregate(kind, node, group));
-        }
-        out
     }
 
     /// Runs `epochs` steps.
@@ -511,12 +271,12 @@ impl Simulator {
     /// Fraction of metric pairs with a snapshot received within
     /// `window` epochs of now.
     pub fn fresh_fraction(&self, window: u64) -> f64 {
-        let truth: BTreeMap<(NodeId, AttrId), f64> = self
-            .metric_pairs
-            .iter()
-            .map(|(n, a)| ((n, a), 0.0))
-            .collect();
-        self.collector.fresh_fraction(&truth, self.epoch, window)
+        fresh_fraction(
+            self.dep.collector(),
+            self.metric_pairs.iter(),
+            self.epoch(),
+            window,
+        )
     }
 }
 
@@ -557,7 +317,7 @@ mod tests {
         sim.run(10);
         assert!(sim.metrics().total_delivered() > 0);
         // Every pair should eventually land.
-        assert_eq!(sim.collector().len(), pairs.len());
+        assert_eq!(sim.collector().observed_pairs(), pairs.len());
     }
 
     #[test]

@@ -253,14 +253,17 @@ mod tests {
         sched.run(&mut s, 25);
         // Between epoch 13 (where the buggy per-outage loop healed the
         // victim) and 25, nothing fresh from the victim arrives.
-        let stored = s.collector().get(victim, AttrId(0)).expect("seen early");
+        let stored = s
+            .collector()
+            .observed(victim, AttrId(0))
+            .expect("seen early");
         assert!(
             stored.produced < 13,
             "victim healed mid-outage: fresh value produced at {}",
             stored.produced
         );
         sched.run(&mut s, 10);
-        let healed = s.collector().get(victim, AttrId(0)).expect("resumes");
+        let healed = s.collector().observed(victim, AttrId(0)).expect("resumes");
         assert!(
             healed.produced > 25,
             "victim flows again after the union window"

@@ -1,18 +1,25 @@
 //! # remo-sim
 //!
-//! Epoch-driven simulator of REMO monitoring overlays.
+//! The evaluation substrate of REMO monitoring overlays: seeded ground
+//! truth, metrics and schedules over the real agents.
 //!
 //! The paper evaluates REMO on a BlueGene/P rack running IBM System S;
-//! this crate substitutes a deterministic, seeded simulation of the
-//! same environment (see DESIGN.md for the substitution argument):
-//! per-node CPU budgets, the `C + a·x` message cost model charged at
-//! both endpoints, store-and-forward hop latency, overload-induced
-//! drops, failure injection, and the collector-side percentage-error
-//! metric of the paper's real-system experiments.
+//! this crate substitutes a deterministic, seeded run of the system
+//! itself (see DESIGN.md for the substitution argument). Per-node CPU
+//! budgets, the `C + a·x` message cost model charged at both
+//! endpoints, store-and-forward hop latency, overload-induced drops
+//! and failure injection are `remo-runtime`'s agents and collector on
+//! the loss-free in-process transport — there is no second
+//! implementation of them here. What this crate owns is what the
+//! testbed supplied around the system: the values the nodes observe,
+//! the collector-side percentage-error and staleness metrics of the
+//! paper's real-system experiments, scripted outages, and the churn
+//! driver.
 //!
 //! Entry points:
 //! - [`Simulator`] — deploy a [`MonitoringPlan`](remo_core::MonitoringPlan)
-//!   and step it through epochs;
+//!   on a [`Deployment`](remo_runtime::Deployment) and step it through
+//!   epochs against seeded true values;
 //! - [`run_adaptation_experiment`] — drive a plan through task churn
 //!   under one of the adaptation schemes (Fig. 9);
 //! - [`ValueModel`] — the true-value processes.
@@ -57,16 +64,14 @@ pub mod engine;
 pub mod failure;
 pub mod metrics;
 pub mod query;
-pub mod reading;
 pub mod runner;
 pub mod values;
 
 pub use alerts::{Alert, AlertRule, ResultProcessor};
 pub use analysis::{staleness_profile, StalenessProfile};
-pub use collector::{CollectorStore, StoredValue};
+pub use collector::{fresh_fraction, mean_error};
 pub use engine::{SimConfig, SimSetup, Simulator};
 pub use failure::{FailureSchedule, FailureTarget, Outage};
 pub use metrics::{EpochStats, SimMetrics};
-pub use reading::Reading;
 pub use runner::{run_adaptation_experiment, AdaptationRunStats};
 pub use values::{ValueModel, ValueProcess};

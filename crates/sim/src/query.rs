@@ -3,8 +3,8 @@
 //! provides monitoring data access to users and high-level
 //! applications").
 
-use crate::collector::{CollectorStore, StoredValue};
 use remo_core::{AttrId, MonitoringTask, NodeId};
+use remo_runtime::{CollectorCore, Observed};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -13,7 +13,7 @@ use std::collections::BTreeMap;
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TaskSnapshot {
     /// Values present at the collector, keyed by pair.
-    pub values: BTreeMap<(NodeId, AttrId), StoredValue>,
+    pub values: BTreeMap<(NodeId, AttrId), Observed>,
     /// Requested pairs with no observation yet.
     pub missing: Vec<(NodeId, AttrId)>,
     /// Epoch the snapshot was taken.
@@ -49,7 +49,7 @@ impl TaskSnapshot {
     }
 
     /// The pair with the largest observed value.
-    pub fn max_pair(&self) -> Option<((NodeId, AttrId), StoredValue)> {
+    pub fn max_pair(&self) -> Option<((NodeId, AttrId), Observed)> {
         self.values
             .iter()
             .max_by(|a, b| {
@@ -67,18 +67,21 @@ impl TaskSnapshot {
 ///
 /// ```
 /// use remo_sim::query::snapshot_for_task;
-/// use remo_sim::{CollectorStore, Reading};
-/// use remo_core::{MonitoringTask, TaskId, NodeId, AttrId};
+/// use remo_runtime::{CollectorCore, EpochReport, NetConfig, WireReading};
+/// use remo_core::{AttrCatalog, CostModel, MonitoringTask, TaskId, NodeId, AttrId};
 ///
-/// let mut store = CollectorStore::new();
-/// store.record(&Reading::sample(NodeId(0), AttrId(0), 42.0, 5), 6);
+/// let (cost, net) = (CostModel::default(), NetConfig::default());
+/// let mut store = CollectorCore::new(100.0, cost, net, AttrCatalog::new());
+/// let (node, attr) = (NodeId(0), AttrId(0));
+/// let reading = WireReading { node, attr, value: 42.0, produced: 5, contributors: 1 };
+/// store.record(&reading, 6, &mut EpochReport::default());
 /// let task = MonitoringTask::new(TaskId(0), [AttrId(0)], [NodeId(0), NodeId(1)]);
 /// let snap = snapshot_for_task(&store, &task, 7);
 /// assert_eq!(snap.values.len(), 1);
 /// assert_eq!(snap.missing.len(), 1);
 /// assert_eq!(snap.completeness(), 0.5);
 /// ```
-pub fn snapshot_for_task(store: &CollectorStore, task: &MonitoringTask, now: u64) -> TaskSnapshot {
+pub fn snapshot_for_task(store: &CollectorCore, task: &MonitoringTask, now: u64) -> TaskSnapshot {
     snapshot_for_pairs(store, task.pairs(), now)
 }
 
@@ -86,14 +89,14 @@ pub fn snapshot_for_task(store: &CollectorStore, task: &MonitoringTask, now: u64
 /// when a task's node-attribute cross product includes pairs the
 /// application cannot observe (pass the observable subset instead).
 pub fn snapshot_for_pairs(
-    store: &CollectorStore,
+    store: &CollectorCore,
     pairs: impl IntoIterator<Item = (NodeId, AttrId)>,
     now: u64,
 ) -> TaskSnapshot {
     let mut values = BTreeMap::new();
     let mut missing = Vec::new();
     for (node, attr) in pairs {
-        match store.get(node, attr) {
+        match store.observed(node, attr) {
             Some(s) => {
                 values.insert((node, attr), s);
             }
@@ -111,13 +114,13 @@ pub fn snapshot_for_pairs(
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
     use super::*;
-    use crate::reading::Reading;
+    use crate::collector::fixture;
     use remo_core::TaskId;
 
-    fn store() -> CollectorStore {
-        let mut s = CollectorStore::new();
-        s.record(&Reading::sample(NodeId(0), AttrId(0), 10.0, 4), 5);
-        s.record(&Reading::sample(NodeId(1), AttrId(0), 30.0, 8), 9);
+    fn store() -> CollectorCore {
+        let mut s = fixture::store();
+        fixture::record(&mut s, (0, 0), 10.0, 4, 5);
+        fixture::record(&mut s, (1, 0), 30.0, 8, 9);
         s
     }
 

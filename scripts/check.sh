@@ -134,6 +134,33 @@ if [[ "${1:-}" == "--check-smoke" ]]; then
   exit 0
 fi
 
+# --figures: results/ is what the code produces. Rebuilds remo-bench,
+# regenerates every figure (all_figures writes into results/; the
+# committed files are set aside first and put back afterwards) and fails
+# if any of the 23 deterministic CSVs differs from the committed one.
+# fig9a, fig10a and fig10b hold wall-clock times and are skipped. About
+# half a minute on 2 cores; exits without running the gate.
+if [[ "${1:-}" == "--figures" ]]; then
+  echo "==> all_figures against results/"
+  committed="$(mktemp -d)"
+  cp results/*.csv "$committed"/
+  trap 'cp "$committed"/*.csv results/; rm -rf "$committed"' EXIT
+  cargo build -q --release -p remo-bench
+  target/release/all_figures > /dev/null
+  stale=0
+  for csv in "$committed"/*.csv; do
+    name="$(basename "$csv")"
+    case "$name" in fig9a_*|fig10a_*|fig10b_*) continue ;; esac
+    if ! diff -u "$csv" "results/$name"; then
+      echo "results/$name is not what all_figures produces" >&2
+      stale=1
+    fi
+  done
+  [[ "$stale" == 0 ]] || exit 1
+  echo "figures passed: 23 deterministic CSVs reproduce."
+  exit 0
+fi
+
 # --net-smoke: fast seeded lossy-network soak — wire-decoder fuzz
 # tests plus the mini chaos soak (drops, delay, duplication, a
 # partition window, and a node outage over 80 epochs) asserting
@@ -239,6 +266,14 @@ pump_body="$(awk '/^    fn pump\(/ { inside = 1; next } inside && /^    fn / { i
   crates/node/src/service.rs)"
 if ! grep -q 'self\.flush_due()' <<< "$pump_body" || grep -n 'self\.flush()' <<< "$pump_body"; then
   echo "Hub::pump must end in flush_due(), not flush()" >&2
+  exit 1
+fi
+
+# One engine: the evaluation substrate steps the real agents. None of
+# the deleted epoch engine's types may come back beside them.
+echo "==> no second epoch engine (crates/, tests/, examples/)"
+if grep -rn 'TreeRoute\|in_transit\|CollectorStore\|StoredValue\|mod reading' crates/ tests/ examples/; then
+  echo "remo-sim must step remo-runtime's agents, not its own engine" >&2
   exit 1
 fi
 

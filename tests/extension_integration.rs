@@ -69,7 +69,10 @@ fn aggregated_values_are_correct_in_simulation() {
         sim.set_model(NodeId(n), m, ValueModel::Constant(10.0 + n as f64));
     }
     sim.run(12);
-    let agg = sim.collector().aggregate(m).expect("aggregate recorded");
+    let agg = sim
+        .collector()
+        .observed_aggregate(m)
+        .expect("aggregate recorded");
     assert_eq!(agg.value, 15.0, "MAX over 10..=15");
 }
 
@@ -177,7 +180,7 @@ fn ssdp_delivers_every_attribute_with_replica_tree_root_down() {
     // Every original pair not sourced at the dead node is still being
     // delivered through the surviving replica's tree.
     for (n, a) in metric_pairs.iter().filter(|(n, _)| *n != victim) {
-        let stored = sim.collector().get(n, a).expect("pair delivered");
+        let stored = sim.collector().observed(n, a).expect("pair delivered");
         assert!(
             now - stored.produced <= 12,
             "pair {n}/{a} went stale with one replica root down: produced {} at epoch {now}",

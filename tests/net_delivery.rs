@@ -11,8 +11,10 @@
 
 use proptest::prelude::*;
 use remo::prelude::*;
-use remo_runtime::{Deployment, NetConfig, NetSpec, PartitionWindow, Sampler, TransportSpec};
-use remo_sim::CollectorStore;
+use remo_runtime::{
+    CollectorCore, Deployment, EpochReport, NetConfig, NetSpec, PartitionWindow, Sampler,
+    TransportSpec, WireReading,
+};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -65,7 +67,7 @@ proptest! {
     /// the perfect one once the network heals, every stored value is
     /// bit-exact against the sampler, and `received >= produced`
     /// always holds — including in the raw delivery log replayed into
-    /// a fresh `CollectorStore`.
+    /// a fresh `CollectorCore`.
     #[test]
     fn lossy_store_converges_to_perfect(
         seed in 0u64..u64::MAX,
@@ -132,14 +134,19 @@ proptest! {
             }
         }
 
-        // Replay the raw delivery log into the simulator's collector
-        // store: same final snapshot, and received >= produced on
-        // every single accepted reading, not just the survivors.
-        let mut replay = CollectorStore::new();
+        // Replay the raw delivery log into a fresh collector store:
+        // same final snapshot, and received >= produced on every
+        // single accepted reading, not just the survivors.
+        let mut replay = CollectorCore::new(
+            COLLECTOR_BUDGET,
+            CostModel::new(2.0, 1.0).unwrap(),
+            NetConfig::default(),
+            AttrCatalog::new(),
+        );
         for d in lossy.delivery_log() {
             prop_assert!(d.received >= d.produced, "log time travel");
             replay.record(
-                &remo_sim::Reading {
+                &WireReading {
                     node: d.node,
                     attr: d.attr,
                     value: d.value,
@@ -147,11 +154,12 @@ proptest! {
                     contributors: d.contributors,
                 },
                 d.received,
+                &mut EpochReport::default(),
             );
         }
         for (n, a) in pairs.iter() {
             let p = perfect.observed(n, a);
-            let r = replay.get(n, a);
+            let r = replay.observed(n, a);
             match (p, r) {
                 (Some(p), Some(r)) => {
                     prop_assert_eq!((r.value, r.produced), (p.value, p.produced));

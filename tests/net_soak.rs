@@ -74,8 +74,8 @@ fn perfect_path_reports_are_byte_identical_to_pre_transport_runtime() {
     }
     assert_eq!(dep.net_stats(), Default::default());
     assert!(
-        !dep.set_link_down(NodeId(0), NodeId(1), true),
-        "perfect transport cannot model link faults"
+        dep.set_link_down(NodeId(0), NodeId(1), true),
+        "the perfect transport models scripted link outages"
     );
     dep.shutdown();
 }

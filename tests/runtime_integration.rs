@@ -4,9 +4,14 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
 use remo::prelude::*;
-use remo_runtime::{Deployment, Sampler};
-use std::sync::Arc;
+use remo::sim::ValueProcess;
+use remo_core::reliability::rewrite_ssdp;
+use remo_runtime::{Deployment, EpochReport, Sampler};
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex};
 
 fn sampler() -> Sampler {
     Arc::new(|n: NodeId, a: AttrId, e: u64| {
@@ -95,6 +100,167 @@ fn runtime_and_sim_agree_on_steady_state_delivery() {
         runtime_rate, sim_rate,
         "substrates disagree on steady-state delivery"
     );
+}
+
+/// The `Simulator` is a `Deployment` plus ground truth: on the same
+/// plan, with a sampler reading the same seeded value map, both report
+/// the same traffic in every one of 50 epochs and end with the same
+/// store. `outage` crashes a node over `[from, until)`.
+fn simulator_steps_the_deployment(
+    nodes: usize,
+    attrs: u32,
+    (plan_budget, run_budget): (f64, f64),
+    outage: Option<(NodeId, u64, u64)>,
+) -> EpochReport {
+    let plan_caps = CapacityMap::uniform(nodes, plan_budget, 10_000.0).unwrap();
+    let run_caps = CapacityMap::uniform(nodes, run_budget, 10_000.0).unwrap();
+    let cost = CostModel::new(2.0, 1.0).unwrap();
+    let pairs: PairSet = (0..nodes as u32)
+        .flat_map(|n| (0..attrs).map(move |a| (NodeId(n), AttrId(a))))
+        .collect();
+    let catalog = AttrCatalog::new();
+    let plan = plan_for(&pairs, &plan_caps, cost, &catalog);
+
+    let config = SimConfig::default();
+    let mut sim = Simulator::new(SimSetup {
+        plan: &plan,
+        planned_pairs: &pairs,
+        metric_pairs: None,
+        caps: &run_caps,
+        cost,
+        catalog: &catalog,
+        aliases: BTreeMap::new(),
+        config,
+    });
+
+    // The simulator's ground truth, rebuilt by hand: one process per
+    // pair, advanced in pair order from the configured seed.
+    let values: BTreeMap<(NodeId, AttrId), ValueProcess> = pairs
+        .iter()
+        .map(|pair| (pair, ValueProcess::new(config.default_model)))
+        .collect();
+    let values = Arc::new(Mutex::new(values));
+    let mut rng = SmallRng::seed_from_u64(config.seed);
+    let reader = Arc::clone(&values);
+    let sampler: Sampler = Arc::new(move |n, a, _| reader.lock().unwrap()[&(n, a)].value());
+    let mut dep = Deployment::launch(&plan, &pairs, &run_caps, cost, &catalog, sampler);
+
+    let mut total = EpochReport::default();
+    for epoch in 1..=50u64 {
+        if let Some((victim, from, until)) = outage {
+            if epoch == from {
+                sim.fail_node(victim);
+                dep.fail_node(victim);
+            } else if epoch == until {
+                sim.heal_node(victim);
+                dep.heal_node(victim);
+            }
+        }
+        for process in values.lock().unwrap().values_mut() {
+            process.step(&mut rng);
+        }
+        let (s, r) = (sim.step(), dep.tick());
+        assert_eq!(
+            (
+                s.monitoring_volume,
+                s.dropped_messages,
+                s.dropped_readings,
+                s.delivered_values
+            ),
+            (
+                r.volume,
+                r.dropped_messages,
+                r.dropped_readings,
+                r.delivered_values
+            ),
+            "simulator and deployment diverge at epoch {epoch}"
+        );
+        total.delivered_values += r.delivered_values;
+        total.dropped_messages += r.dropped_messages;
+        total.dropped_readings += r.dropped_readings;
+        total.values_lost += r.values_lost;
+    }
+    assert_eq!(sim.collector().store(), dep.collector().store());
+    total
+}
+
+#[test]
+fn simulator_steps_the_deployment_on_a_roomy_fleet() {
+    let total = simulator_steps_the_deployment(16, 4, (100.0, 100.0), None);
+    assert!(total.delivered_values > 0);
+    assert_eq!(total.dropped_readings + total.dropped_messages, 0);
+}
+
+#[test]
+fn simulator_steps_the_deployment_on_a_starved_fleet() {
+    // Planned at budget 1 000, run at 7: the overload regime where the
+    // old epoch engine and the agents disagreed.
+    let total = simulator_steps_the_deployment(12, 3, (1_000.0, 7.0), None);
+    assert!(total.dropped_readings + total.dropped_messages > 0);
+}
+
+#[test]
+fn simulator_steps_the_deployment_across_a_node_outage() {
+    let total = simulator_steps_the_deployment(16, 4, (100.0, 100.0), Some((NodeId(5), 15, 30)));
+    assert!(
+        total.values_lost > 0,
+        "the outage window is charged to the victim"
+    );
+}
+
+/// §6 on the real runtime: an SSDP-rewritten plan carries every pair
+/// down two trees under alias attributes. With the original tree's
+/// links into its root cut, the replica tree alone must keep refreshing
+/// the *original* pair at the collector.
+#[test]
+fn ssdp_replica_refreshes_the_original_pair_on_a_bare_deployment() {
+    let mut catalog = AttrCatalog::new();
+    let attr = catalog.register(AttrInfo::new("critical"));
+    let task = MonitoringTask::new(TaskId(0), [attr], (0..12).map(NodeId));
+    let rw = rewrite_ssdp(&task, 2, &mut catalog, TaskId(1)).unwrap();
+    let pairs: PairSet = rw.tasks.iter().flat_map(MonitoringTask::pairs).collect();
+    let aliases: BTreeMap<AttrId, AttrId> = rw
+        .aliases
+        .iter()
+        .flat_map(|(&orig, ids)| ids.iter().map(move |&id| (id, orig)))
+        .collect();
+    let caps = CapacityMap::uniform(12, 40.0, 400.0).unwrap();
+    let cost = CostModel::default();
+    let plan = Planner::new(PlannerConfig {
+        forbidden_pairs: rw.forbidden_pairs.clone(),
+        ..PlannerConfig::default()
+    })
+    .plan_with_catalog(&pairs, &caps, cost, &catalog);
+
+    let mut dep = Deployment::launch(&plan, &pairs, &caps, cost, &catalog, sampler());
+    dep.set_aliases(aliases);
+    dep.run(10);
+    // Only original pairs are stored: a replica is not another attribute.
+    assert_eq!(dep.observed_pairs(), 12);
+
+    // Cut every link into the root of the tree that carries the
+    // original attribute; its subtree now reaches the collector through
+    // the replica tree only.
+    let k = plan.tree_of_attr(attr).expect("original attr planned");
+    let tree = plan.trees()[k].tree.as_ref().unwrap();
+    let root = tree.root();
+    let cut = tree.children(root).to_vec();
+    assert!(!cut.is_empty(), "the original tree has relayed members");
+    for &child in &cut {
+        assert!(dep.set_link_down(child, root, true));
+    }
+    dep.run(20);
+    assert!(dep.net_stats().dropped_link_down > 0);
+    let now = dep.epoch();
+    for &node in &cut {
+        let obs = dep.observed(node, attr).expect("original pair observed");
+        assert!(
+            now - obs.produced <= 12,
+            "{node}'s original pair went stale behind the cut: produced {} at {now}",
+            obs.produced
+        );
+    }
+    dep.shutdown();
 }
 
 #[test]
