@@ -11,6 +11,14 @@
 //! message per tree upstream — exactly the per-epoch behavior the
 //! planner budgets for.
 //!
+//! Per reading the relay does no more than move it: a child's frame
+//! is decoded record by record into the tree's buffer, a tick gathers
+//! what is due into one reused vector, one stable sort by attribute
+//! lines up the runs `fold_aggregates` copies or folds, and the frame
+//! is encoded from that slice into one pre-sized buffer. What a tick
+//! allocates is per frame sent, never per reading or per attribute
+//! (`tests/alloc_budget.rs`).
+//!
 //! All upstream traffic goes through a [`Transport`]. On a reliable
 //! transport (the deterministic default) the agent behaves exactly as
 //! it always has. On an unreliable one it runs an ARQ layer: every
@@ -20,7 +28,7 @@
 //! retransmitted on an exponential-backoff timer until a retry budget
 //! runs out.
 
-use crate::proto::{FrameKind, WireMessage, WireReading};
+use crate::proto::{encode_frame, parse_frame, FrameKind, WireReading};
 use crate::throttle::TokenBucket;
 use crate::transport::{Endpoint, IncarnationTracker, NetConfig, Transport};
 use bytes::Bytes;
@@ -83,7 +91,7 @@ pub enum AgentMsg {
     Data {
         /// Sender's epoch.
         sent_epoch: u64,
-        /// Encoded [`WireMessage`].
+        /// Encoded [`WireMessage`](crate::proto::WireMessage).
         frame: Bytes,
     },
     /// The upstream receiver acknowledged this agent's data frame
@@ -174,8 +182,15 @@ pub struct Agent {
     arq: bool,
     sampler: Sampler,
     assignments: Vec<TreeAssignment>,
-    /// Buffered readings per tree: `(sent_epoch, reading)`.
+    /// Buffered readings per tree: `(sent_epoch, reading)`, decoded
+    /// straight out of the child's frame.
     buffers: BTreeMap<u32, Vec<(u64, WireReading)>>,
+    /// The readings one tree forwards this tick, before and after the
+    /// fold; both are emptied and reused, tree after tree, tick after
+    /// tick, so a tick allocates for the frames it sends and nothing
+    /// per reading.
+    gathered: Vec<WireReading>,
+    outgoing: Vec<WireReading>,
     /// This process's incarnation, stamped on every outgoing frame.
     /// In-process agents never restart and stay at 0; distributed
     /// node processes get a fresh (higher) incarnation per restart.
@@ -236,6 +251,8 @@ impl Agent {
             sampler,
             assignments,
             buffers: BTreeMap::new(),
+            gathered: Vec::new(),
+            outgoing: Vec::new(),
             incarnation: 0,
             next_seq: 0,
             unacked: BTreeMap::new(),
@@ -322,16 +339,14 @@ impl Agent {
     }
 
     fn on_data(&mut self, sent_epoch: u64, frame: Bytes) {
-        if self.failed {
-            if let Ok(msg) = WireMessage::decode(frame) {
-                self.pending_drop(msg.readings.len() as u32);
-            }
-            return;
-        }
-        let Ok(msg) = WireMessage::decode(frame) else {
+        let Ok((header, readings)) = parse_frame(&frame) else {
             return; // corrupt frames are silently dropped
         };
-        if msg.kind != FrameKind::Data {
+        if self.failed {
+            self.pending_drop(readings.len() as u32);
+            return;
+        }
+        if header.kind != FrameKind::Data {
             return; // acks arrive as AgentMsg::Ack, not as frames
         }
         if self.arq {
@@ -339,45 +354,45 @@ impl Agent {
             // discard — dedup keeps duplicates out of the buffers.
             if self
                 .seen
-                .get(&msg.from)
-                .is_some_and(|t| t.contains(msg.incarnation, msg.seq))
+                .get(&header.from)
+                .is_some_and(|t| t.contains(header.incarnation, header.seq))
             {
                 self.transport.send_ack(
                     Endpoint::Node(self.id),
-                    msg.from,
-                    msg.incarnation,
-                    msg.seq,
+                    header.from,
+                    header.incarnation,
+                    header.seq,
                     self.epoch,
                 );
                 self.dup_ignored += 1;
                 return;
             }
         }
-        let cost = self.cost.message_cost(msg.readings.len() as f64);
+        let cost = self.cost.message_cost(readings.len() as f64);
         if !self.bucket.try_consume(cost) {
             // Receive-side drop; reported with the next tick. No ack:
             // on an unreliable transport the sender will retry once
             // budget pressure eases.
-            self.pending_drop(msg.readings.len() as u32);
+            self.pending_drop(readings.len() as u32);
             return;
         }
         if self.arq {
             self.transport.send_ack(
                 Endpoint::Node(self.id),
-                msg.from,
-                msg.incarnation,
-                msg.seq,
+                header.from,
+                header.incarnation,
+                header.seq,
                 self.epoch,
             );
             self.seen
-                .entry(msg.from)
+                .entry(header.from)
                 .or_default()
-                .insert(msg.incarnation, msg.seq);
+                .insert(header.incarnation, header.seq);
         }
-        let buf = self.buffers.entry(msg.tree).or_default();
-        for r in msg.readings {
-            buf.push((sent_epoch, r));
-        }
+        self.buffers
+            .entry(header.tree)
+            .or_default()
+            .extend(readings.map(|r| (sent_epoch, r)));
     }
 
     // Receive-side drops accumulate between ticks.
@@ -454,16 +469,18 @@ impl Agent {
         }
 
         // Taken out for the loop so the body can borrow the rest of
-        // `self` mutably; nothing in it reads `self.assignments`.
+        // `self` mutably; nothing in it reads them.
         let assignments = std::mem::take(&mut self.assignments);
+        let mut gathered = std::mem::take(&mut self.gathered);
+        let mut readings = std::mem::take(&mut self.outgoing);
         for a in &assignments {
-            let mut readings: Vec<WireReading> = Vec::new();
+            gathered.clear();
             for la in &a.local {
                 let period = la.period.max(1).saturating_mul(self.degrade);
                 if !epoch.is_multiple_of(period) {
                     continue;
                 }
-                readings.push(WireReading {
+                gathered.push(WireReading {
                     node: self.id,
                     attr: la.attr,
                     value: (self.sampler)(self.id, la.attr, epoch),
@@ -476,15 +493,16 @@ impl Agent {
                 buf.retain(|&(sent, r)| {
                     let forward = sent < epoch;
                     if forward {
-                        readings.push(r);
+                        gathered.push(r);
                     }
                     !forward
                 });
             }
-            if readings.is_empty() {
+            if gathered.is_empty() {
                 continue;
             }
-            readings = fold_aggregates(self.id, readings, a);
+            readings.clear();
+            fold_aggregates(self.id, &mut gathered, a, &mut readings);
 
             // Send-side budget enforcement (oldest trimmed first).
             let full = self.cost.message_cost(readings.len() as f64);
@@ -507,12 +525,17 @@ impl Agent {
 
             self.next_seq += 1;
             let seq = self.next_seq;
-            let msg = WireMessage::data(a.tree, self.id, seq, readings)
-                .with_incarnation(self.incarnation);
             report.sent_messages += 1;
-            report.sent_readings += msg.readings.len() as u32;
-            report.volume += self.cost.message_cost(msg.readings.len() as f64);
-            let frame = msg.encode();
+            report.sent_readings += readings.len() as u32;
+            report.volume += self.cost.message_cost(readings.len() as f64);
+            let frame = encode_frame(
+                FrameKind::Data,
+                a.tree,
+                self.id,
+                self.incarnation,
+                seq,
+                &readings,
+            );
             let to = a.parent.endpoint();
             if self.arq {
                 self.unacked.insert(
@@ -521,7 +544,7 @@ impl Agent {
                         to,
                         tree: a.tree,
                         frame: frame.clone(),
-                        readings: msg.readings.len() as u32,
+                        readings: readings.len() as u32,
                         attempts: 1,
                         next_retry: epoch + self.net.backoff(1),
                     },
@@ -529,55 +552,57 @@ impl Agent {
             }
             self.transport.send_data(self.id, to, seq, epoch, frame);
         }
+        self.gathered = gathered;
+        self.outgoing = readings;
         self.assignments = assignments;
         let _ = self.reports.send(report);
     }
 }
 
-/// Applies in-network aggregation at a relay point.
+/// Applies in-network aggregation at a relay point: appends to `out`
+/// what `readings` fold to, grouped by attribute in ascending order
+/// and, within an attribute, in the order they were given. One stable
+/// sort brings each attribute's readings together as a run; a run is
+/// copied as it is (holistic, distinct) or folded (sum, max, top-k),
+/// with no allocation per attribute. `readings` is left reordered.
 fn fold_aggregates(
     at: NodeId,
-    readings: Vec<WireReading>,
+    readings: &mut [WireReading],
     assignment: &TreeAssignment,
-) -> Vec<WireReading> {
-    let mut by_attr: BTreeMap<AttrId, Vec<WireReading>> = BTreeMap::new();
-    for r in readings {
-        by_attr.entry(r.attr).or_default().push(r);
-    }
-    let mut out = Vec::new();
-    for (attr, group) in by_attr {
+    out: &mut Vec<WireReading>,
+) {
+    readings.sort_by_key(|r| r.attr);
+    for group in readings.chunk_by_mut(|a, b| a.attr == b.attr) {
+        let attr = group[0].attr;
         let kind = assignment
             .relay_aggregation
             .get(&attr)
             .copied()
             .unwrap_or(Aggregation::Holistic);
         match kind {
-            Aggregation::Holistic | Aggregation::Distinct => out.extend(group),
+            Aggregation::Holistic | Aggregation::Distinct => out.extend_from_slice(group),
             Aggregation::Sum => {
-                out.push(fold(at, attr, &group, group.iter().map(|r| r.value).sum()))
+                out.push(fold(at, attr, group, group.iter().map(|r| r.value).sum()))
             }
             Aggregation::Max => out.push(fold(
                 at,
                 attr,
-                &group,
+                group,
                 group
                     .iter()
                     .map(|r| r.value)
                     .fold(f64::NEG_INFINITY, f64::max),
             )),
             Aggregation::Top(k) => {
-                let mut g = group;
-                g.sort_by(|a, b| {
+                group.sort_by(|a, b| {
                     b.value
                         .partial_cmp(&a.value)
                         .unwrap_or(std::cmp::Ordering::Equal)
                 });
-                g.truncate(k as usize);
-                out.extend(g);
+                out.extend_from_slice(&group[..group.len().min(k as usize)]);
             }
         }
     }
-    out
 }
 
 fn fold(at: NodeId, attr: AttrId, group: &[WireReading], value: f64) -> WireReading {
@@ -595,7 +620,9 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
 
     use super::*;
+    use crate::proto::WireMessage;
     use crossbeam::channel::unbounded;
+    use proptest::prelude::*;
     use std::sync::Mutex;
 
     /// Records every send, in order.
@@ -656,10 +683,107 @@ mod tests {
         (readings, a)
     }
 
+    /// What `readings` fold to at `at`.
+    fn folded(at: u32, mut readings: Vec<WireReading>, a: &TreeAssignment) -> Vec<WireReading> {
+        let mut out = Vec::new();
+        fold_aggregates(NodeId(at), &mut readings, a, &mut out);
+        out
+    }
+
+    /// The fold as it was before the run-sorted one: regroup every
+    /// reading through a map of per-attribute vectors. Kept as the
+    /// reference the property test below holds the new one to.
+    fn fold_by_map(
+        at: NodeId,
+        readings: Vec<WireReading>,
+        assignment: &TreeAssignment,
+    ) -> Vec<WireReading> {
+        let mut by_attr: BTreeMap<AttrId, Vec<WireReading>> = BTreeMap::new();
+        for r in readings {
+            by_attr.entry(r.attr).or_default().push(r);
+        }
+        let mut out = Vec::new();
+        for (attr, group) in by_attr {
+            let kind = assignment
+                .relay_aggregation
+                .get(&attr)
+                .copied()
+                .unwrap_or(Aggregation::Holistic);
+            match kind {
+                Aggregation::Holistic | Aggregation::Distinct => out.extend(group),
+                Aggregation::Sum => {
+                    out.push(fold(at, attr, &group, group.iter().map(|r| r.value).sum()))
+                }
+                Aggregation::Max => out.push(fold(
+                    at,
+                    attr,
+                    &group,
+                    group
+                        .iter()
+                        .map(|r| r.value)
+                        .fold(f64::NEG_INFINITY, f64::max),
+                )),
+                Aggregation::Top(k) => {
+                    let mut g = group;
+                    g.sort_by(|a, b| {
+                        b.value
+                            .partial_cmp(&a.value)
+                            .unwrap_or(std::cmp::Ordering::Equal)
+                    });
+                    g.truncate(k as usize);
+                    out.extend(g);
+                }
+            }
+        }
+        out
+    }
+
+    proptest! {
+        /// Same readings, same order, as the map-grouped fold: over
+        /// mixed aggregation kinds, attributes the map does not name
+        /// (holistic), duplicate attributes and tied values.
+        #[test]
+        fn fold_matches_the_map_grouped_reference(
+            kinds in prop::collection::vec((0u32..8, 0u32..6, 0u32..4), 0..8),
+            input in prop::collection::vec(
+                (0u32..12, 0u32..8, 0u32..6, 0u64..50, 1u32..4),
+                0..120,
+            ),
+        ) {
+            let mut a = assignment(0, Route::Collector, &[]);
+            for (attr, kind, k) in kinds {
+                let kind = match kind {
+                    0 => Aggregation::Holistic,
+                    1 => Aggregation::Distinct,
+                    2 => Aggregation::Sum,
+                    3 => Aggregation::Max,
+                    _ => Aggregation::Top(k),
+                };
+                a.relay_aggregation.insert(AttrId(attr), kind);
+            }
+            let readings: Vec<WireReading> = input
+                .into_iter()
+                .map(|(node, attr, value, produced, contributors)| WireReading {
+                    node: NodeId(node),
+                    attr: AttrId(attr),
+                    // Few distinct values: top-k must break ties the
+                    // same way.
+                    value: f64::from(value) * 0.5 - 1.0,
+                    produced,
+                    contributors,
+                })
+                .collect();
+            prop_assert_eq!(
+                folded(9, readings.clone(), &a),
+                fold_by_map(NodeId(9), readings, &a)
+            );
+        }
+    }
+
     #[test]
     fn sum_folds_to_one() {
         let (rs, a) = fold_input(&[1.0, 2.0, 3.0], Aggregation::Sum);
-        let out = fold_aggregates(NodeId(9), rs, &a);
+        let out = folded(9, rs, &a);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].value, 6.0);
         assert_eq!(out[0].contributors, 3);
@@ -670,7 +794,7 @@ mod tests {
     fn max_keeps_oldest_contributors_epoch() {
         let (mut rs, a) = fold_input(&[5.0, 9.0], Aggregation::Max);
         rs[1].produced = 8;
-        let out = fold_aggregates(NodeId(2), rs, &a);
+        let out = folded(2, rs, &a);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].value, 9.0);
         assert_eq!(out[0].contributors, 2);
@@ -680,7 +804,7 @@ mod tests {
     #[test]
     fn topk_keeps_largest() {
         let (rs, a) = fold_input(&[5.0, 1.0, 9.0, 3.0], Aggregation::Top(2));
-        let out = fold_aggregates(NodeId(9), rs, &a);
+        let out = folded(9, rs, &a);
         assert_eq!(out.len(), 2);
         assert_eq!(out[0].value, 9.0);
         assert_eq!(out[1].value, 5.0);
@@ -689,23 +813,23 @@ mod tests {
     #[test]
     fn holistic_passthrough() {
         let (rs, a) = fold_input(&[4.0, 2.0], Aggregation::Holistic);
-        let out = fold_aggregates(NodeId(9), rs.clone(), &a);
+        let out = folded(9, rs.clone(), &a);
         assert_eq!(out, rs);
     }
 
     #[test]
     fn empty_is_empty() {
         let (_, a) = fold_input(&[], Aggregation::Sum);
-        assert!(fold_aggregates(NodeId(0), Vec::new(), &a).is_empty());
+        assert!(folded(0, Vec::new(), &a).is_empty());
     }
 
     #[test]
     fn nested_sum_preserves_contributor_count() {
         let (rs, a) = fold_input(&[1.0, 1.0], Aggregation::Sum);
-        let first = fold_aggregates(NodeId(5), rs, &a);
+        let first = folded(5, rs, &a);
         let (mut next, _) = fold_input(&[1.0], Aggregation::Sum);
         next.extend(first);
-        let out = fold_aggregates(NodeId(6), next, &a);
+        let out = folded(6, next, &a);
         assert_eq!(out[0].contributors, 3);
         assert_eq!(out[0].value, 3.0);
     }

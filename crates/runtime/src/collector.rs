@@ -11,14 +11,21 @@
 //! deployment lets the TCP collector service reuse the exact same
 //! capacity-enforcement arithmetic the in-memory runtime pins in its
 //! perfect-path equivalence test.
+//!
+//! A reading is touched once per stage: intake decodes a frame's
+//! records straight into the ingress queue (no intermediate message),
+//! shedding picks all its victims in one pass, and the per-pair store
+//! is a hash map ([`PairStore`]) — the per-value cost `a` of this hop
+//! is a decode, a queue slot and one O(1) lookup.
 
-use crate::proto::{FrameKind, WireMessage, WireReading};
+use crate::proto::{parse_frame, FrameKind, WireReading};
 use crate::throttle::TokenBucket;
 use crate::transport::{Endpoint, IncarnationTracker, NetConfig, Transport};
 use bytes::Bytes;
-use remo_core::{AttrCatalog, AttrId, CostModel, NodeId};
+use remo_core::{AttrCatalog, AttrId, AttrInfo, CostModel, NodeId};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// A value stored at the collector.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -100,6 +107,36 @@ pub struct DeliveredReading {
     pub received: u64,
 }
 
+/// Hasher of the per-pair store's `(NodeId, AttrId)` keys: one
+/// rotate-xor-multiply per `u32`. `record` looks a pair up for every
+/// delivered value, and the default SipHash costs more than the rest
+/// of `record` together. It is not collision-resistant; the keys come
+/// from the deployment's own registered nodes, not from strangers.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct PairHasher(u64);
+
+impl Hasher for PairHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u32(u32::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, v: u32) {
+        self.0 = (self.0.rotate_left(5) ^ u64::from(v)).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn finish(&self) -> u64 {
+        // The multiply leaves its entropy in the high bits; the table
+        // indexes with the low ones.
+        self.0.rotate_left(26)
+    }
+}
+
+/// The per-pair snapshot store: freshest [`Observed`] per `(node,
+/// attribute)`, O(1) per lookup. Iteration order is unspecified.
+pub type PairStore = HashMap<(NodeId, AttrId), Observed, BuildHasherDefault<PairHasher>>;
+
 /// The collector's capacity-enforcing ingest state machine.
 #[derive(Debug)]
 pub struct CollectorCore {
@@ -107,7 +144,7 @@ pub struct CollectorCore {
     cost: CostModel,
     net: NetConfig,
     catalog: AttrCatalog,
-    store: BTreeMap<(NodeId, AttrId), Observed>,
+    store: PairStore,
     aggregates: BTreeMap<AttrId, Observed>,
     /// Alias attribute → original attribute (SSDP/DSDP reliability
     /// rewrites); empty unless [`CollectorCore::set_aliases`] was
@@ -134,7 +171,7 @@ impl CollectorCore {
             cost,
             net,
             catalog,
-            store: BTreeMap::new(),
+            store: PairStore::default(),
             aggregates: BTreeMap::new(),
             aliases: BTreeMap::new(),
             ingress: VecDeque::new(),
@@ -168,16 +205,16 @@ impl CollectorCore {
     /// This is the pre-transport behavior, bit for bit — the
     /// perfect-path regression test pins its `EpochReport`s.
     pub fn accept_perfect(&mut self, sent_epoch: u64, frame: Bytes, report: &mut EpochReport) {
-        let Ok(msg) = WireMessage::decode(frame) else {
+        let Ok((_, readings)) = parse_frame(&frame) else {
             return;
         };
-        let cost = self.cost.message_cost(msg.readings.len() as f64);
+        let cost = self.cost.message_cost(readings.len() as f64);
         if !self.bucket.try_consume(cost) {
             report.dropped_messages += 1;
-            report.dropped_readings += msg.readings.len() as u64;
+            report.dropped_readings += readings.len() as u64;
             return;
         }
-        for r in msg.readings {
+        for r in readings {
             self.record(&r, sent_epoch + 1, report);
         }
     }
@@ -194,24 +231,24 @@ impl CollectorCore {
         transport: &dyn Transport,
         report: &mut EpochReport,
     ) {
-        let Ok(msg) = WireMessage::decode(frame) else {
+        let Ok((header, readings)) = parse_frame(&frame) else {
             return;
         };
-        if msg.kind != FrameKind::Data {
+        if header.kind != FrameKind::Data {
             return;
         }
         // Replayed frame: re-ack (the first ack may have been lost)
         // and discard.
         if self
             .seen
-            .get(&msg.from)
-            .is_some_and(|t| t.contains(msg.incarnation, msg.seq))
+            .get(&header.from)
+            .is_some_and(|t| t.contains(header.incarnation, header.seq))
         {
             transport.send_ack(
                 Endpoint::Collector,
-                msg.from,
-                msg.incarnation,
-                msg.seq,
+                header.from,
+                header.incarnation,
+                header.seq,
                 epoch,
             );
             report.duplicate_messages_ignored += 1;
@@ -222,22 +259,20 @@ impl CollectorCore {
         }
         transport.send_ack(
             Endpoint::Collector,
-            msg.from,
-            msg.incarnation,
-            msg.seq,
+            header.from,
+            header.incarnation,
+            header.seq,
             epoch,
         );
         self.seen
-            .entry(msg.from)
+            .entry(header.from)
             .or_default()
-            .insert(msg.incarnation, msg.seq);
+            .insert(header.incarnation, header.seq);
         // The fixed per-message overhead C is paid on arrival —
         // parsing a frame costs the collector whether or not its
         // readings are ever processed.
         self.bucket.charge(self.cost.per_message());
-        for r in msg.readings {
-            self.ingress.push_back((r, sent_epoch));
-        }
+        self.ingress.extend(readings.map(|r| (r, sent_epoch)));
     }
 
     /// Sheds the queue down to capacity, processes under the per-value
@@ -251,24 +286,12 @@ impl CollectorCore {
         // load; ties broken oldest-produced first), exactly the
         // degradation order the paper's collector-capacity constraint
         // suggests.
-        while self.ingress.len() > self.net.ingress_capacity {
-            let victim = self
-                .ingress
-                .iter()
-                .enumerate()
-                .min_by(|(_, (a, _)), (_, (b, _))| {
-                    let fa = self.catalog.get_or_default(a.attr).frequency();
-                    let fb = self.catalog.get_or_default(b.attr).frequency();
-                    fa.partial_cmp(&fb)
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                        .then(a.produced.cmp(&b.produced))
-                })
-                .map(|(i, _)| i);
-            let Some(i) = victim else { break };
-            self.ingress.remove(i);
-            report.shed_readings += 1;
+        let excess = self.ingress.len().saturating_sub(self.net.ingress_capacity);
+        if excess > 0 {
+            self.shed(excess);
+            report.shed_readings += excess as u64;
             if remo_obs::enabled() {
-                remo_obs::counter("remo_collector_shed_readings_total").inc();
+                remo_obs::counter("remo_collector_shed_readings_total").inc_by(excess as f64);
             }
         }
 
@@ -319,6 +342,40 @@ impl CollectorCore {
         }
         report.degrade_factor = NetConfig::degrade_factor_at(self.degrade_level);
         transitioned.then(|| NetConfig::degrade_factor_at(self.degrade_level))
+    }
+
+    /// Removes the `excess` readings that rank lowest by (attribute
+    /// frequency, producing epoch, queue position) in one pass — the
+    /// ones taking the first minimum `excess` times over would take —
+    /// and keeps the rest in queue order.
+    fn shed(&mut self, excess: usize) {
+        let mut rank: Vec<(f64, u64, usize)> = self
+            .ingress
+            .iter()
+            .enumerate()
+            .map(|(i, (r, _))| (self.frequency(r.attr), r.produced, i))
+            .collect();
+        let (victims, last, _) = rank.select_nth_unstable_by(excess - 1, |a, b| {
+            (a.0.partial_cmp(&b.0))
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then(a.1.cmp(&b.1))
+                .then(a.2.cmp(&b.2))
+        });
+        let mut shed = vec![false; self.ingress.len()];
+        for &(_, _, i) in victims.iter().chain(std::iter::once(&*last)) {
+            shed[i] = true;
+        }
+        let mut shed = shed.into_iter();
+        self.ingress.retain(|_| shed.next() != Some(true));
+    }
+
+    /// An attribute's update frequency (an unregistered attribute's is
+    /// [`AttrCatalog::get_or_default`]'s, without building its name).
+    fn frequency(&self, attr: AttrId) -> f64 {
+        match self.catalog.get(attr) {
+            Some(info) => info.frequency(),
+            None => AttrInfo::new(String::new()).frequency(),
+        }
     }
 
     /// Records one reading into the snapshot store (shared by both
@@ -376,7 +433,7 @@ impl CollectorCore {
 
     /// The full per-pair snapshot store (keyed by original attributes
     /// when aliases are installed).
-    pub fn store(&self) -> &BTreeMap<(NodeId, AttrId), Observed> {
+    pub fn store(&self) -> &PairStore {
         &self.store
     }
 
@@ -408,6 +465,8 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
 
     use super::*;
+    use crate::proto::WireMessage;
+    use proptest::prelude::*;
 
     fn reading(node: u32, attr: u32, value: f64, produced: u64) -> WireReading {
         WireReading {
@@ -500,6 +559,105 @@ mod tests {
         );
         c.drain_arq(5, &mut report);
         assert_eq!(c.observed(NodeId(1), AttrId(0)).unwrap().value, 7.0);
+    }
+
+    /// Shedding as it was: take the first minimum by (frequency,
+    /// produced) and `VecDeque::remove` it, once per victim — O(k·n),
+    /// two catalog clones per comparison. The reference
+    /// `CollectorCore::shed` must agree with.
+    fn shed_one_by_one(
+        ingress: &mut VecDeque<(WireReading, u64)>,
+        capacity: usize,
+        catalog: &AttrCatalog,
+    ) -> u64 {
+        let mut shed = 0;
+        while ingress.len() > capacity {
+            let victim = ingress
+                .iter()
+                .enumerate()
+                .min_by(|(_, (a, _)), (_, (b, _))| {
+                    let fa = catalog.get_or_default(a.attr).frequency();
+                    let fb = catalog.get_or_default(b.attr).frequency();
+                    fa.partial_cmp(&fb)
+                        .unwrap_or(std::cmp::Ordering::Equal)
+                        .then(a.produced.cmp(&b.produced))
+                })
+                .map(|(i, _)| i);
+            let Some(i) = victim else { break };
+            ingress.remove(i);
+            shed += 1;
+        }
+        shed
+    }
+
+    /// A collector with `capacity` ingress slots, no budget to process
+    /// anything (so a drain only sheds), attributes 0–2 registered at
+    /// frequencies 1, ½ and ½ and every other attribute left to the
+    /// catalog's default.
+    fn shedding_core(capacity: usize) -> CollectorCore {
+        let mut catalog = AttrCatalog::new();
+        for f in [1.0, 0.5, 0.5] {
+            catalog.register(AttrInfo::new("a").with_frequency(f).unwrap());
+        }
+        let net = NetConfig {
+            ingress_capacity: capacity,
+            ..NetConfig::default()
+        };
+        CollectorCore::new(0.0, CostModel::new(2.0, 1.0).unwrap(), net, catalog)
+    }
+
+    proptest! {
+        /// One pass sheds the victims the one-by-one loop sheds and
+        /// leaves the survivors in the same order, ties in frequency
+        /// and in `produced` included.
+        #[test]
+        fn shed_matches_one_by_one_removal(
+            queue in prop::collection::vec((0u32..5, 0u64..4), 0..80),
+            capacity in 0usize..40,
+        ) {
+            let mut c = shedding_core(capacity);
+            // Node and value number the queue positions, so equal
+            // queues are equal position by position.
+            c.ingress = queue
+                .iter()
+                .enumerate()
+                .map(|(i, &(attr, produced))| (reading(i as u32, attr, i as f64, produced), 7))
+                .collect();
+            let mut expected = c.ingress.clone();
+            let expected_shed = shed_one_by_one(&mut expected, capacity, &c.catalog);
+
+            let mut report = EpochReport::default();
+            c.drain_arq(9, &mut report);
+            prop_assert_eq!(report.shed_readings, expected_shed);
+            prop_assert_eq!(&c.ingress, &expected);
+            prop_assert_eq!(report.ingress_depth, expected.len() as u64);
+        }
+    }
+
+    #[test]
+    fn shedding_eight_ninths_of_a_large_queue_is_one_pass() {
+        // 32 768 victims out of 36 864: minutes one victim at a time.
+        let (total, capacity) = (36_864u32, 4_096usize);
+        let mut c = shedding_core(capacity);
+        c.ingress = (0..total)
+            .map(|i| (reading(i, i % 7, 0.0, u64::from(i % 11)), 0))
+            .collect();
+        let mut report = EpochReport::default();
+        let started = std::time::Instant::now();
+        c.drain_arq(1, &mut report);
+        assert!(
+            started.elapsed() < std::time::Duration::from_secs(10),
+            "shedding took {:?}",
+            started.elapsed()
+        );
+        assert_eq!(report.shed_readings, u64::from(total) - capacity as u64);
+        assert_eq!(c.ingress_depth(), capacity);
+        // Survivors are the highest-ranked readings, still in queue
+        // order: every unit-frequency attribute (0 and 3–6) outranks
+        // every half-frequency one (1, 2).
+        let survivors: Vec<u32> = c.ingress.iter().map(|(r, _)| r.node.0).collect();
+        assert!(survivors.is_sorted());
+        assert!(c.ingress.iter().all(|(r, _)| ![1, 2].contains(&r.attr.0)));
     }
 
     #[derive(Debug, Default)]

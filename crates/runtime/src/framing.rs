@@ -23,7 +23,8 @@
 //! so the collector's staleness accounting matches the in-memory
 //! transports.
 
-use bytes::{Buf, Bytes, BytesMut};
+use crate::proto::{be_u32, be_u64};
+use bytes::Bytes;
 use std::error::Error as StdError;
 use std::fmt;
 
@@ -108,9 +109,16 @@ impl StdError for FrameError {}
 
 /// Incremental decoder: feed it arbitrary byte chunks, pull complete
 /// envelopes out. Tolerates any segmentation the network produces.
+///
+/// The buffer is a plain byte vector with a read cursor: `try_next`
+/// parses at the cursor and copies the payload out once, and the
+/// consumed prefix is dropped once per [`FrameDecoder::push`] — a read
+/// that delivers `k` frames costs O(bytes), not O(`k` · bytes).
 #[derive(Debug, Default)]
 pub struct FrameDecoder {
-    buf: BytesMut,
+    buf: Vec<u8>,
+    /// Bytes of `buf` already handed out as envelopes.
+    head: usize,
 }
 
 impl FrameDecoder {
@@ -121,21 +129,23 @@ impl FrameDecoder {
 
     /// Appends raw bytes read from the stream.
     pub fn push(&mut self, bytes: &[u8]) {
+        self.buf.drain(..self.head);
+        self.head = 0;
         self.buf.extend_from_slice(bytes);
     }
 
     /// Bytes buffered but not yet consumed as envelopes.
     pub fn pending(&self) -> usize {
-        self.buf.len()
+        self.buf.len() - self.head
     }
 
     /// Pulls the next complete envelope, `Ok(None)` if more bytes are
     /// needed, or an error if the peer declared a hostile length.
     pub fn try_next(&mut self) -> Result<Option<Envelope>, FrameError> {
-        if self.buf.len() < 4 {
+        let Some((prefix, rest)) = self.buf[self.head..].split_at_checked(4) else {
             return Ok(None);
-        }
-        let declared = u32::from_be_bytes([self.buf[0], self.buf[1], self.buf[2], self.buf[3]]);
+        };
+        let declared = be_u32(prefix, 0);
         let len = declared as usize;
         // Validate the length *before* waiting for (or allocating) the
         // body: a hostile 4 GiB prefix must fail now, not buffer
@@ -146,20 +156,17 @@ impl FrameDecoder {
         if len < ENVELOPE_HEADER_LEN {
             return Err(FrameError::TooShort(declared));
         }
-        if self.buf.len() < 4 + len {
+        let Some(frame) = rest.get(..len) else {
             return Ok(None);
-        }
-        self.buf.advance(4);
-        let mut frame = self.buf.split_to(len);
-        let dest = frame.get_u32();
-        let chan = frame.get_u8();
-        let sent_epoch = frame.get_u64();
-        Ok(Some(Envelope {
-            dest,
-            chan,
-            sent_epoch,
-            payload: frame.freeze(),
-        }))
+        };
+        let envelope = Envelope {
+            dest: be_u32(frame, 0),
+            chan: frame[4],
+            sent_epoch: be_u64(frame, 5),
+            payload: Bytes::copy_from_slice(&frame[ENVELOPE_HEADER_LEN..]),
+        };
+        self.head += 4 + len;
+        Ok(Some(envelope))
     }
 }
 

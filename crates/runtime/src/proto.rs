@@ -21,7 +21,7 @@
 //! incarnation 0 and their byte streams change only by the widened
 //! header.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 use remo_core::{AttrId, NodeId};
 use std::error::Error as StdError;
 use std::fmt;
@@ -183,23 +183,14 @@ impl WireMessage {
     /// assert_eq!(WireMessage::decode(frame).unwrap(), msg);
     /// ```
     pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(HEADER_LEN + self.readings.len() * READING_LEN);
-        buf.put_u16(MAGIC);
-        buf.put_u8(VERSION);
-        buf.put_u8(self.kind.to_u8());
-        buf.put_u32(self.tree);
-        buf.put_u32(self.from.0);
-        buf.put_u32(self.incarnation);
-        buf.put_u64(self.seq);
-        buf.put_u32(self.readings.len() as u32);
-        for r in &self.readings {
-            buf.put_u32(r.node.0);
-            buf.put_u32(r.attr.0);
-            buf.put_f64(r.value);
-            buf.put_u64(r.produced);
-            buf.put_u32(r.contributors);
-        }
-        buf.freeze()
+        encode_frame(
+            self.kind,
+            self.tree,
+            self.from,
+            self.incarnation,
+            self.seq,
+            &self.readings,
+        )
     }
 
     /// Validates a frame's header — magic, version, kind, and that the
@@ -227,7 +218,7 @@ impl WireMessage {
         let Some(kind) = FrameKind::from_u8(header[3]) else {
             return Err(DecodeError::BadKind(header[3]));
         };
-        let count = u32::from_be_bytes([header[24], header[25], header[26], header[27]]);
+        let count = be_u32(header, 24);
         // checked_mul: a hostile count must not overflow into a bogus
         // "fits" verdict on 32-bit targets (or wrap the Vec capacity).
         match (count as usize).checked_mul(READING_LEN) {
@@ -242,31 +233,15 @@ impl WireMessage {
     ///
     /// Returns a [`DecodeError`] on truncated, foreign, or corrupt
     /// frames. Never panics, whatever the input bytes.
-    pub fn decode(mut frame: Bytes) -> Result<Self, DecodeError> {
-        let kind = Self::peek_kind(&frame)?;
-        frame.advance(4); // magic, version, kind: checked by the peek
-        let tree = frame.get_u32();
-        let from = NodeId(frame.get_u32());
-        let incarnation = frame.get_u32();
-        let seq = frame.get_u64();
-        let count = frame.get_u32();
-        let mut readings = Vec::with_capacity(count as usize);
-        for _ in 0..count {
-            readings.push(WireReading {
-                node: NodeId(frame.get_u32()),
-                attr: AttrId(frame.get_u32()),
-                value: frame.get_f64(),
-                produced: frame.get_u64(),
-                contributors: frame.get_u32(),
-            });
-        }
+    pub fn decode(frame: Bytes) -> Result<Self, DecodeError> {
+        let (header, readings) = parse_frame(&frame)?;
         Ok(WireMessage {
-            kind,
-            tree,
-            from,
-            incarnation,
-            seq,
-            readings,
+            kind: header.kind,
+            tree: header.tree,
+            from: header.from,
+            incarnation: header.incarnation,
+            seq: header.seq,
+            readings: readings.collect(),
         })
     }
 
@@ -276,11 +251,112 @@ impl WireMessage {
     }
 }
 
+/// The fixed header of a frame, less what [`WireMessage::peek_kind`]
+/// checks and the reading count: what a receiver needs to dedup, ack
+/// and route the frame.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct FrameHeader {
+    pub(crate) kind: FrameKind,
+    pub(crate) tree: u32,
+    pub(crate) from: NodeId,
+    pub(crate) incarnation: u32,
+    pub(crate) seq: u64,
+}
+
+/// Validates `frame` ([`WireMessage::peek_kind`] is the only validator)
+/// and returns its header and its readings, decoded in place one
+/// fixed-size record at a time — a receiver that keeps readings in a
+/// buffer of its own never builds a [`WireMessage`]. The iterator
+/// knows its length (the header's count), so `collect` and `extend`
+/// reserve once.
+///
+/// # Errors
+///
+/// The [`DecodeError`] `decode` returns for the same bytes.
+pub(crate) fn parse_frame(
+    frame: &[u8],
+) -> Result<(FrameHeader, impl ExactSizeIterator<Item = WireReading> + '_), DecodeError> {
+    let kind = WireMessage::peek_kind(frame)?;
+    let header = FrameHeader {
+        kind,
+        tree: be_u32(frame, 4),
+        from: NodeId(be_u32(frame, 8)),
+        incarnation: be_u32(frame, 12),
+        seq: be_u64(frame, 16),
+    };
+    let count = be_u32(frame, 24) as usize;
+    let records = frame[HEADER_LEN..HEADER_LEN + count * READING_LEN].as_chunks::<READING_LEN>();
+    let readings = records.0.iter().map(|rec| WireReading {
+        node: NodeId(be_u32(rec, 0)),
+        attr: AttrId(be_u32(rec, 4)),
+        value: f64::from_bits(be_u64(rec, 8)),
+        produced: be_u64(rec, 16),
+        contributors: be_u32(rec, 24),
+    });
+    Ok((header, readings))
+}
+
+/// Encodes a frame from its parts into one pre-sized buffer — what
+/// [`WireMessage::encode`] does, for a sender that keeps its readings
+/// in a buffer it reuses.
+pub(crate) fn encode_frame(
+    kind: FrameKind,
+    tree: u32,
+    from: NodeId,
+    incarnation: u32,
+    seq: u64,
+    readings: &[WireReading],
+) -> Bytes {
+    let mut buf = vec![0u8; HEADER_LEN + readings.len() * READING_LEN];
+    let (header, body) = buf.split_at_mut(HEADER_LEN);
+    header[0..2].copy_from_slice(&MAGIC.to_be_bytes());
+    header[2] = VERSION;
+    header[3] = kind.to_u8();
+    header[4..8].copy_from_slice(&tree.to_be_bytes());
+    header[8..12].copy_from_slice(&from.0.to_be_bytes());
+    header[12..16].copy_from_slice(&incarnation.to_be_bytes());
+    header[16..24].copy_from_slice(&seq.to_be_bytes());
+    header[24..28].copy_from_slice(&(readings.len() as u32).to_be_bytes());
+    for (rec, r) in body
+        .as_chunks_mut::<READING_LEN>()
+        .0
+        .iter_mut()
+        .zip(readings)
+    {
+        rec[0..4].copy_from_slice(&r.node.0.to_be_bytes());
+        rec[4..8].copy_from_slice(&r.attr.0.to_be_bytes());
+        rec[8..16].copy_from_slice(&r.value.to_bits().to_be_bytes());
+        rec[16..24].copy_from_slice(&r.produced.to_be_bytes());
+        rec[24..28].copy_from_slice(&r.contributors.to_be_bytes());
+    }
+    Bytes::from(buf)
+}
+
+/// The big-endian `u32` at `b[at..]`.
+pub(crate) fn be_u32(b: &[u8], at: usize) -> u32 {
+    u32::from_be_bytes([b[at], b[at + 1], b[at + 2], b[at + 3]])
+}
+
+/// The big-endian `u64` at `b[at..]`.
+pub(crate) fn be_u64(b: &[u8], at: usize) -> u64 {
+    u64::from_be_bytes([
+        b[at],
+        b[at + 1],
+        b[at + 2],
+        b[at + 3],
+        b[at + 4],
+        b[at + 5],
+        b[at + 6],
+        b[at + 7],
+    ])
+}
+
 #[cfg(test)]
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
 
     use super::*;
+    use bytes::{BufMut, BytesMut};
 
     fn sample_msg(n: usize) -> WireMessage {
         WireMessage::data(

@@ -10,7 +10,10 @@ use bytes::{BufMut, Bytes, BytesMut};
 use proptest::prelude::*;
 use remo_core::{AttrId, NodeId};
 use remo_runtime::ctrl::{CtrlError, CtrlMsg, CTRL_MAGIC, CTRL_VERSION};
-use remo_runtime::framing::{Envelope, FrameDecoder, FrameError, MAX_FRAME_LEN};
+use remo_runtime::framing::{
+    Envelope, FrameDecoder, FrameError, CHAN_DATA, DEST_COLLECTOR, ENVELOPE_HEADER_LEN,
+    MAX_FRAME_LEN,
+};
 use remo_runtime::proto::{DecodeError, WireMessage, WireReading, HEADER_LEN, MAGIC, VERSION};
 
 fn valid_frame(readings: usize) -> Bytes {
@@ -33,15 +36,109 @@ fn valid_frame(readings: usize) -> Bytes {
 
 /// [`WireMessage::decode`], with the header-only peek held to it on
 /// the way: whatever the bytes, `peek_kind` must not panic and must
-/// return the kind — or the error — the full decode does.
+/// return the kind — or the error — the full decode does. And what
+/// decodes, encodes back to the bytes it was decoded from (less
+/// anything after the declared readings) and decodes to itself again.
 fn decode(frame: Bytes) -> Result<WireMessage, DecodeError> {
     let peeked = WireMessage::peek_kind(&frame);
-    let decoded = WireMessage::decode(frame);
+    let decoded = WireMessage::decode(frame.clone());
     assert_eq!(
         peeked,
         decoded.as_ref().map(|m| m.kind).map_err(Clone::clone)
     );
+    if let Ok(msg) = &decoded {
+        let again = msg.encode();
+        assert_eq!(again.len(), msg.encoded_len());
+        assert_eq!(&again[..], &frame[..again.len()]);
+        // Compared as bytes: a random payload may hold a NaN value,
+        // which is not equal to itself as an `f64`.
+        assert_eq!(WireMessage::decode(again.clone()).unwrap().encode(), again);
+    }
     decoded
+}
+
+fn hex(s: &str) -> Vec<u8> {
+    (0..s.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&s[i..i + 2], 16).unwrap())
+        .collect()
+}
+
+/// The bytes on the wire, pinned: header + 3 readings, incarnation ≠ 0.
+/// A codec change that moves one of them is a protocol change
+/// (`remo-proto`'s tables and `VERSION` first).
+#[test]
+fn golden_data_frame() {
+    let reading = |node, attr, value, produced, contributors| WireReading {
+        node: NodeId(node),
+        attr: AttrId(attr),
+        value,
+        produced,
+        contributors,
+    };
+    let msg = WireMessage::data(
+        0x0102_0304,
+        NodeId(7),
+        0x1122_3344_5566_7788,
+        vec![
+            reading(1, 10, 0.5, 42, 1),
+            reading(2, 11, -2.25, 43, 1),
+            reading(u32::MAX, 0, 1e300, u64::MAX, 9),
+        ],
+    )
+    .with_incarnation(0xA1B2_C3D4);
+    let golden = hex(concat!(
+        "5235",
+        "03",
+        "00",
+        "01020304",
+        "00000007",
+        "a1b2c3d4",
+        "1122334455667788",
+        "00000003",
+        "00000001",
+        "0000000a",
+        "3fe0000000000000",
+        "000000000000002a",
+        "00000001",
+        "00000002",
+        "0000000b",
+        "c002000000000000",
+        "000000000000002b",
+        "00000001",
+        "ffffffff",
+        "00000000",
+        "7e37e43c8800759c",
+        "ffffffffffffffff",
+        "00000009",
+    ));
+    assert_eq!(&msg.encode()[..], &golden[..]);
+    assert_eq!(decode(Bytes::from(golden)).unwrap(), msg);
+}
+
+#[test]
+fn golden_envelope() {
+    let env = Envelope {
+        dest: DEST_COLLECTOR,
+        chan: CHAN_DATA,
+        sent_epoch: 0x0102_0304_0506_0708,
+        payload: Bytes::from_vec(vec![0xDE, 0xAD, 0xBE, 0xEF, 0x00]),
+    };
+    let golden = hex(concat!(
+        "00000012",
+        "ffffffff",
+        "00",
+        "0102030405060708",
+        "deadbeef00"
+    ));
+    assert_eq!(&env.encode()[..], &golden[..]);
+    let mut appended = vec![0x55];
+    env.encode_into(&mut appended);
+    assert_eq!(&appended[1..], &golden[..]);
+    let mut dec = FrameDecoder::new();
+    dec.push(&golden);
+    assert_eq!(dec.try_next(), Ok(Some(env)));
+    assert_eq!(dec.pending(), 0);
 }
 
 proptest! {
@@ -130,6 +227,51 @@ proptest! {
     }
 }
 
+/// One envelope per payload length, every header field varying.
+fn envelopes(payload_lens: &[usize]) -> Vec<Envelope> {
+    payload_lens
+        .iter()
+        .enumerate()
+        .map(|(i, &n)| Envelope {
+            dest: i as u32,
+            chan: (i % 2) as u8,
+            sent_epoch: i as u64,
+            payload: Bytes::from_vec((0..n).map(|b| (b + i) as u8).collect()),
+        })
+        .collect()
+}
+
+fn wire_of(envelopes: &[Envelope]) -> Vec<u8> {
+    envelopes.iter().flat_map(|e| e.encode().to_vec()).collect()
+}
+
+/// The framing, parsed from the whole byte string at once: what the
+/// incremental decoder must agree with however the bytes arrive.
+fn parse_whole(mut wire: &[u8]) -> (Vec<Envelope>, Option<FrameError>) {
+    let mut out = Vec::new();
+    while let Some((prefix, rest)) = wire.split_first_chunk::<4>() {
+        let declared = u32::from_be_bytes(*prefix);
+        let len = declared as usize;
+        if len > MAX_FRAME_LEN {
+            return (out, Some(FrameError::TooLong(declared)));
+        }
+        if len < ENVELOPE_HEADER_LEN {
+            return (out, Some(FrameError::TooShort(declared)));
+        }
+        let Some((frame, rest)) = rest.split_at_checked(len) else {
+            break;
+        };
+        out.push(Envelope {
+            dest: u32::from_be_bytes(frame[0..4].try_into().unwrap()),
+            chan: frame[4],
+            sent_epoch: u64::from_be_bytes(frame[5..13].try_into().unwrap()),
+            payload: Bytes::copy_from_slice(&frame[13..]),
+        });
+        wire = rest;
+    }
+    (out, None)
+}
+
 proptest! {
     /// Arbitrary byte streams fed to the framing decoder in arbitrary
     /// chunks either produce envelopes or a structured [`FrameError`]
@@ -158,37 +300,85 @@ proptest! {
     }
 
     /// A sequence of valid envelopes survives any adversarial
-    /// segmentation of the byte stream: every envelope comes back
-    /// intact and in order regardless of chunk boundaries.
+    /// segmentation of the byte stream: whatever the split points,
+    /// the decoder hands out what parsing the whole stream at once
+    /// does, and `pending()` is the bytes pushed less the bytes of the
+    /// envelopes handed out, after every pull.
     #[test]
     fn framing_reassembles_across_any_segmentation(
-        payload_lens in prop::collection::vec(0usize..96, 1..8),
-        chunk in 1usize..48,
+        payload_lens in prop::collection::vec(0usize..96, 1..200),
+        cuts in prop::collection::vec(0u64..u64::MAX, 0..40),
     ) {
-        let envelopes: Vec<Envelope> = payload_lens
-            .iter()
-            .enumerate()
-            .map(|(i, &n)| Envelope {
-                dest: i as u32,
-                chan: (i % 2) as u8,
-                sent_epoch: i as u64,
-                payload: Bytes::from_vec((0..n).map(|b| b as u8).collect()),
-            })
-            .collect();
-        let mut wire = Vec::new();
-        for e in &envelopes {
-            wire.extend_from_slice(&e.encode());
-        }
+        let envelopes = envelopes(&payload_lens);
+        let wire = wire_of(&envelopes);
+        prop_assert_eq!(parse_whole(&wire), (envelopes.clone(), None));
+
+        let mut cuts: Vec<usize> = cuts.iter().map(|c| (c % wire.len() as u64) as usize).collect();
+        cuts.push(wire.len());
+        cuts.sort_unstable();
         let mut dec = FrameDecoder::new();
         let mut out = Vec::new();
-        for piece in wire.chunks(chunk) {
-            dec.push(piece);
+        let (mut pushed, mut pulled) = (0, 0);
+        for cut in cuts {
+            dec.push(&wire[pushed..cut]);
+            pushed = cut;
             while let Some(e) = dec.try_next().unwrap() {
+                pulled += 4 + ENVELOPE_HEADER_LEN + e.payload.len();
+                prop_assert_eq!(dec.pending(), pushed - pulled);
                 out.push(e);
             }
+            prop_assert_eq!(dec.pending(), pushed - pulled);
         }
         prop_assert_eq!(out, envelopes);
         prop_assert_eq!(dec.pending(), 0);
+    }
+
+    /// A hostile or undersized length in the middle of a batch: the
+    /// envelopes before it still come out, then the error — the same
+    /// one every time it is asked — whether the batch arrives in one
+    /// push or in pieces.
+    #[test]
+    fn framing_bad_length_mid_batch_keeps_what_came_before(
+        payload_lens in prop::collection::vec(0usize..300, 0..30),
+        bad in 0u64..u64::MAX,
+        chunk in 1usize..700,
+    ) {
+        let envelopes = envelopes(&payload_lens);
+        // Either side of the valid range [ENVELOPE_HEADER_LEN, MAX_FRAME_LEN].
+        let too_short = ENVELOPE_HEADER_LEN as u64;
+        let bad = match bad % (2 * too_short) {
+            n if n < too_short => n as u32,
+            n => MAX_FRAME_LEN as u32 + 1 + (n - too_short) as u32,
+        };
+        let mut wire = wire_of(&envelopes);
+        wire.extend_from_slice(&bad.to_be_bytes());
+        wire.extend_from_slice(&wire_of(&envelopes)); // never reached
+        let expected = if (bad as usize) < ENVELOPE_HEADER_LEN {
+            FrameError::TooShort(bad)
+        } else {
+            FrameError::TooLong(bad)
+        };
+        prop_assert_eq!(parse_whole(&wire), (envelopes.clone(), Some(expected.clone())));
+
+        let mut dec = FrameDecoder::new();
+        let mut out = Vec::new();
+        let mut failed = None;
+        'stream: for piece in wire.chunks(chunk) {
+            dec.push(piece);
+            loop {
+                match dec.try_next() {
+                    Ok(Some(e)) => out.push(e),
+                    Ok(None) => break,
+                    Err(e) => {
+                        failed = Some(e);
+                        break 'stream;
+                    }
+                }
+            }
+        }
+        prop_assert_eq!(out, envelopes);
+        prop_assert_eq!(failed, Some(expected.clone()));
+        prop_assert_eq!(dec.try_next(), Err(expected));
     }
 
     /// Hostile length prefixes fail immediately — before the decoder

@@ -12,15 +12,19 @@ cd "$(dirname "$0")/.."
 # several rejections per round, converges) and plan-saturated
 # (n = 10 000, rank 0 accepted every round — a merge, then the split
 # that undoes it — stops on the proven cycle), on collect-thin (an
-# 8-node TCP fleet, 80 small frames per epoch: the collection path) and
-# on collect-lossy (the in-process deployment on the lossy transport).
+# 8-node TCP fleet, 80 small frames per epoch: the collection path),
+# on collect-fat (the same fleet, one tree, 8 frames of 128-1 024
+# values: the per-value path — fold, codec, stream decoder, collector
+# store) and on collect-lossy (the in-process deployment on the lossy
+# transport).
 # Each runs untraced and traced and exits non-zero unless every child's
 # result line says `"correct": true` (plans: audit-clean,
 # repeat-identical, and the one-worker uncached plan byte-identical to
-# the default configuration's; collect-thin: every epoch delivers
-# exactly the plan's promise, no retransmit, no duplicate, integrity
-# over every pair, no protocol reject; collect-lossy: every value due
-# delivered, nothing abandoned, integrity over every pair).
+# the default configuration's; collect-thin and collect-fat: every
+# epoch delivers exactly the plan's promise, no retransmit, no
+# duplicate, integrity over every pair, no protocol reject;
+# collect-lossy: every value due delivered, nothing abandoned,
+# integrity over every pair).
 # Opt-in: the benchmark is its own workspace, so the first run pays a
 # cold release build into benchmark/target. Timings are printed, not
 # gated — two seconds are not a measurement — but three counts are:
@@ -41,13 +45,13 @@ cd "$(dirname "$0")/.."
 # the same `collect-lossy:` note lines — frames sent, retransmits,
 # duplicates, retried readings).
 if [[ "${1:-}" == "--benchmark-smoke" ]]; then
-  echo "==> benchmark crate tests + plan-feasible, plan-saturated, collect-thin and collect-lossy smoke"
+  echo "==> benchmark crate tests + plan-feasible, plan-saturated, collect-thin, collect-fat and collect-lossy smoke"
   cargo test -q --offline --manifest-path benchmark/Cargo.toml
   # A run's note lines ("<workload>: N epochs: ... retransmits ...")
   # go to stderr; keep them for the repeatability check below.
   notes="$(mktemp)"
   trap 'rm -f "$notes"' EXIT
-  for workload in plan-feasible plan-saturated collect-thin collect-lossy; do
+  for workload in plan-feasible plan-saturated collect-thin collect-fat collect-lossy; do
     if ! out="$(benchmark/run.sh --workload "$workload" --seconds 2 2> "$notes")"; then
       cat "$notes" >&2
       echo "$out"
