@@ -285,7 +285,17 @@ pub fn build_tree_for_set_cached<B: BudgetView + ?Sized>(
 /// # }
 /// ```
 pub fn build_forest(partition: &Partition, ctx: &EvalContext<'_>) -> MonitoringPlan {
-    build_forest_cached(partition, ctx, None)
+    build_whole_forest(partition, ctx, None)
+}
+
+/// [`build_forest_cached`] with no floor: always a forest.
+pub(crate) fn build_whole_forest(
+    partition: &Partition,
+    ctx: &EvalContext<'_>,
+    cache: Option<&TreeCache>,
+) -> MonitoringPlan {
+    build_forest_cached(partition, ctx, cache, 0)
+        .unwrap_or_else(|| unreachable!("no forest is below a floor of 0"))
 }
 
 /// The sets of `partition` in the order [`build_forest`] constructs
@@ -303,16 +313,31 @@ pub(crate) fn build_sequence<'p>(
     order.into_iter().map(|k| &sets[k]).collect()
 }
 
-/// [`build_forest`] with an optional [`TreeCache`]; whole-forest
-/// rebuilds in the planner's global phase and warm-started repairs
-/// reuse trees built in earlier rounds or epochs.
+/// [`build_forest`] with an optional [`TreeCache`] and a `floor` in
+/// collected pairs; whole-forest rebuilds in the planner's global phase
+/// and warm-started repairs reuse trees built in earlier rounds or
+/// epochs.
+///
+/// The result is `Some` exactly when the finished forest collects at
+/// least `floor` pairs, and is then the forest an unbounded build
+/// returns. A tree collects at most what its set demands, so once the
+/// pairs collected so far plus the pairs the unbuilt sets demand fall
+/// below `floor`, the forest cannot reach it and the remaining trees
+/// are not built.
 pub fn build_forest_cached(
     partition: &Partition,
     ctx: &EvalContext<'_>,
     cache: Option<&TreeCache>,
-) -> MonitoringPlan {
+    floor: usize,
+) -> Option<MonitoringPlan> {
     let sets = partition.sets();
     let idx = ctx.pairs.index();
+    let demanded = |set: &AttrSet| -> usize { set.iter().map(|&a| idx.owners(a).len()).sum() };
+    // Upper bound on what the finished forest collects.
+    let mut reachable: usize = sets.iter().map(demanded).sum();
+    if reachable < floor {
+        return None;
+    }
     // Dense participant lists per set (ascending = NodeId order).
     let mut row = Vec::new();
     let participants: Vec<Vec<u32>> = sets
@@ -391,16 +416,20 @@ pub fn build_forest_cached(
             }
             collector_remaining -= tree.collector_usage;
         }
+        reachable -= tree.demanded_pairs - tree.collected_pairs;
         planned[k] = Some(tree);
+        if reachable < floor {
+            return None;
+        }
     }
 
-    MonitoringPlan::new(
+    Some(MonitoringPlan::new(
         partition.clone(),
         planned
             .into_iter()
             .map(|t| t.unwrap_or_else(|| unreachable!("every set planned")))
             .collect(),
-    )
+    ))
 }
 
 #[cfg(test)]
@@ -622,6 +651,67 @@ mod tests {
         let aware = build_forest(&Partition::one_set(pairs.attr_universe()), &awarectx);
         assert!(aware.collected_pairs() >= naive.collected_pairs());
         assert!(aware.collected_pairs() > 0);
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The floor is exact: a bounded build returns a forest exactly
+        /// when the unbounded build collects at least `floor` pairs, and
+        /// that forest is the unbounded one byte for byte — under every
+        /// allocation scheme, whatever order it builds the sets in.
+        #[test]
+        fn floor_cuts_exactly_the_forests_below_it(
+            raw in prop::collection::vec((0u32..12, 0u32..9), 1..90),
+            bins in prop::collection::vec(0usize..4, 9),
+            per_node in 3u32..14,
+            collector in 8u32..60,
+            slack in 0usize..40,
+        ) {
+            let pairs: PairSet = raw.iter().map(|&(n, a)| (NodeId(n), AttrId(a))).collect();
+            let caps =
+                CapacityMap::uniform(12, f64::from(per_node), f64::from(collector)).unwrap();
+            let catalog = AttrCatalog::new();
+            let base = EvalContext::basic(&pairs, &caps, CostModel::new(2.0, 1.0).unwrap(), &catalog);
+            let mut grouped = vec![AttrSet::new(); 4];
+            for a in pairs.attrs() {
+                grouped[bins[a.0 as usize]].insert(a);
+            }
+            grouped.retain(|s| !s.is_empty());
+            let partitions = [
+                Partition::singleton(pairs.attr_universe()),
+                Partition::from_sets(grouped).unwrap(),
+            ];
+            for allocation in [
+                AllocationScheme::Uniform,
+                AllocationScheme::Proportional,
+                AllocationScheme::OnDemand,
+                AllocationScheme::Ordered,
+            ] {
+                let ctx = EvalContext { allocation, ..base };
+                for partition in &partitions {
+                    let full = build_forest(partition, &ctx);
+                    let (got, want) = (full.collected_pairs(), full.demanded_pairs());
+                    let json = serde_json::to_string(&full).unwrap();
+                    let floors =
+                        [0, got.saturating_sub(slack), got.saturating_sub(1), got, got + 1, want, want + 1];
+                    for floor in floors {
+                        let bounded = build_forest_cached(partition, &ctx, None, floor);
+                        prop_assert_eq!(
+                            bounded.is_some(),
+                            got >= floor,
+                            "{:?}, floor {} against {} of {} pairs",
+                            allocation, floor, got, want
+                        );
+                        if let Some(plan) = bounded {
+                            prop_assert_eq!(serde_json::to_string(&plan).unwrap(), json.clone());
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -20,8 +20,8 @@ use crate::capacity::CapacityMap;
 use crate::cost::CostModel;
 use crate::estimate::GainEstimator;
 use crate::evaluate::{
-    build_forest, build_forest_cached, build_sequence, build_tree_for_set_cached, BudgetOverlay,
-    EvalContext,
+    build_forest, build_forest_cached, build_sequence, build_tree_for_set_cached,
+    build_whole_forest, BudgetOverlay, EvalContext,
 };
 use crate::ids::{AttrId, NodeId};
 use crate::pairs::PairSet;
@@ -203,8 +203,12 @@ pub enum StopReason {
 /// search knobs and for the planning-cost experiments (Fig. 9a).
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct PlanReport {
-    /// Seed forests built before refinement (a twin seed borrows one).
+    /// Seed forests started before refinement (a twin seed borrows one).
     pub seeds_evaluated: usize,
+    /// Of those, abandoned part-built because they could no longer
+    /// collect as many pairs as the initial seed's forest.
+    #[serde(default)]
+    pub seeds_abandoned: usize,
     /// Search rounds executed.
     pub rounds: usize,
     /// Rounds of proven cycle laps not executed.
@@ -249,6 +253,7 @@ impl PlanReport {
             return;
         }
         remo_obs::counter("remo_planner_plans_total").inc();
+        remo_obs::counter("remo_planner_seeds_abandoned_total").inc_by(self.seeds_abandoned as f64);
         remo_obs::counter("remo_planner_rounds_total").inc_by(self.rounds as f64);
         remo_obs::counter("remo_planner_rounds_skipped_total").inc_by(self.rounds_skipped as f64);
         for (name, hit) in [
@@ -384,23 +389,34 @@ impl Planner {
         let t_seed = Instant::now();
         {
             let _seed_span = remo_obs::span!("planner.seed");
-            report.seeds_evaluated = distinct.len();
-            // Seed forests are independent, pure constructions; they
-            // fan out over the pool and selection stays in seed order,
-            // so the chosen start never depends on the worker count.
-            let built: Vec<MonitoringPlan> = pool.install(|| {
-                distinct
+            // Selection orders by pairs first, so a forest that cannot
+            // reach the initial seed's pair count cannot be chosen: the
+            // initial seed is built to the end, the others race that
+            // floor and are abandoned once they cannot reach it (a tie
+            // is kept for the volume comparison). The floor is fixed
+            // before the fan-out, so what is abandoned never depends on
+            // the worker count; selection stays in seed order.
+            let initial = build_whole_forest(&seeds[0], &ctx, cache);
+            let floor = initial.collected_pairs();
+            let raced: Vec<Option<MonitoringPlan>> = pool.install(|| {
+                distinct[1..]
                     .par_iter()
-                    .map(|&i| build_forest_cached(&seeds[i], &ctx, cache))
+                    .map(|&i| build_forest_cached(&seeds[i], &ctx, cache, floor))
                     .collect()
             });
-            let mut built = built.into_iter();
-            let mut plans: Vec<MonitoringPlan> = Vec::new();
-            for (i, seed) in seeds.iter().enumerate() {
-                let borrowed = twin_of(i).map(|j| plans[j].reordered(seed));
-                plans.extend(borrowed.or_else(|| built.next()));
+            report.seeds_evaluated = distinct.len();
+            report.seeds_abandoned = raced.iter().filter(|p| p.is_none()).count();
+            let mut raced = raced.into_iter();
+            // Per seed, its forest; `None` for an abandoned seed and
+            // for the twins that drop out with it.
+            let mut plans: Vec<Option<MonitoringPlan>> = vec![Some(initial)];
+            for (i, seed) in seeds.iter().enumerate().skip(1) {
+                plans.push(match twin_of(i) {
+                    Some(j) => plans[j].as_ref().map(|p| p.reordered(seed)),
+                    None => raced.next().flatten(),
+                });
             }
-            for plan in plans {
+            for plan in plans.into_iter().flatten() {
                 let better = match &best {
                     None => true,
                     Some(b) => {
@@ -611,14 +627,6 @@ impl Planner {
         let pair_tol = (demanded / 200).max(2);
         let drift_cap = (demanded / 50).max(8);
 
-        // Waves of one candidate per worker: acceptance almost always
-        // lands in the first few ranks, so an eager full-window wave
-        // would waste a window's worth of tree builds per round. Wave
-        // size only shapes wall-clock — every candidate is evaluated
-        // against round-start state and acceptance scans in rank order,
-        // so the chosen candidate never depends on the worker count.
-        let wave = pool.current_num_threads().max(1);
-
         // Termination (DESIGN.md): the next state is a function of
         // `state`, `best`'s pairs and `global_budget`. A repeated digest
         // nominates a lap; laps are skipped only once one has ended
@@ -678,39 +686,30 @@ impl Planner {
                 .map(|&(op, _)| op)
                 .filter(|&op| !self.op_violates_constraints(op, &state.partition))
                 .collect();
-            let mut accepted: Option<(usize, bool, CandidateEval)> = None;
-            let mut scanned = 0usize;
-            for wave_ops in window.chunks(wave) {
-                let evals: Vec<Option<CandidateEval>> = pool.install(|| {
-                    wave_ops
-                        .par_iter()
-                        .map(|&op| state.eval(op, ctx, cache))
-                        .collect()
-                });
-                for (off, ev) in evals.into_iter().enumerate() {
-                    let Some(ev) = ev else { continue };
+            let accepted = first_accepted(
+                pool,
+                &window,
+                |&op| state.eval(op, ctx, cache),
+                |ev| {
+                    let ev = ev?;
                     let (strict, ok) = accepts(&ev.score, best.2.pairs, &state.score);
                     if ok {
-                        accepted = Some((scanned + off, strict, ev));
-                        break;
+                        return Some((strict, ev));
                     }
                     if remo_obs::enabled() {
                         rejected_counter().inc();
                     }
                     remo_obs::event!("planner.local.reject", "round" => round);
-                }
-                if accepted.is_some() {
-                    break;
-                }
-                scanned += wave_ops.len();
-            }
+                    None
+                },
+            );
             // Charged: evaluations up to and including the accepted
             // rank, whatever a wider wave evaluated beyond it, so the
             // report does not depend on the worker count either.
             report.local_evals += accepted
                 .as_ref()
-                .map_or(window.len(), |&(rank, ..)| rank + 1);
-            if let Some((_, strict, ev)) = accepted {
+                .map_or(window.len(), |&(rank, _)| rank + 1);
+            if let Some((_, (strict, ev))) = accepted {
                 report.local_accepts += 1;
                 if !strict {
                     report.tolerant_accepts += 1;
@@ -737,7 +736,7 @@ impl Planner {
                 // First, pure redistribution under the same partition.
                 global_budget -= 1;
                 report.global_evals += 1;
-                let rebuilt = build_forest_cached(&state.partition, ctx, cache);
+                let rebuilt = build_whole_forest(&state.partition, ctx, cache);
                 if Score::of(rebuilt.trees()).better_than(&state.score) {
                     state = SearchState::from_plan(&rebuilt, ctx.caps);
                     applied = true;
@@ -753,37 +752,52 @@ impl Planner {
                         ));
                     }
                 } else {
-                    // Then, the top candidates evaluated globally.
-                    for (op, _gain) in ranked.iter().take(self.config.global_candidates).copied() {
-                        if global_budget == 0 {
-                            break;
-                        }
-                        if self.op_violates_constraints(op, &state.partition) {
-                            continue;
-                        }
-                        let mut cand = state.partition.clone();
-                        if cand.apply(op).is_err() {
-                            continue;
-                        }
-                        global_budget -= 1;
-                        report.global_evals += 1;
-                        let plan = build_forest_cached(&cand, ctx, cache);
-                        if Score::of(plan.trees()).better_than(&state.score) {
-                            report.global_accepts += 1;
-                            state = SearchState::from_plan(&plan, ctx.caps);
-                            applied = true;
-                            remo_obs::event!("planner.global.accept",
-                                "round" => round,
-                                "op" => format!("{op:?}"),
-                                "pairs" => state.score.pairs,
-                                "volume" => state.score.volume);
-                            if debug {
-                                remo_obs::debug_echo(&format!(
-                                    "round {round}: global {op:?}, score {} / vol {:.0}",
-                                    state.score.pairs, state.score.volume
-                                ));
-                            }
-                            break;
+                    // Then, the top candidates evaluated globally, as
+                    // many as the budget still pays for. They race no
+                    // floor: measured, a losing candidate falls below
+                    // the state only at its last tree (DESIGN.md).
+                    let candidates: Vec<(PartitionOp, Partition)> = ranked
+                        .iter()
+                        .take(self.config.global_candidates)
+                        .filter(|&&(op, _)| !self.op_violates_constraints(op, &state.partition))
+                        .filter_map(|&(op, _)| {
+                            let mut cand = state.partition.clone();
+                            cand.apply(op).ok().map(|_| (op, cand))
+                        })
+                        .take(global_budget)
+                        .collect();
+                    let accepted = first_accepted(
+                        pool,
+                        &candidates,
+                        |(_, cand)| build_whole_forest(cand, ctx, cache),
+                        |plan| {
+                            Score::of(plan.trees())
+                                .better_than(&state.score)
+                                .then_some(plan)
+                        },
+                    );
+                    // Charged like the local window: up to and
+                    // including the accepted rank.
+                    let charged = accepted
+                        .as_ref()
+                        .map_or(candidates.len(), |&(rank, _)| rank + 1);
+                    global_budget -= charged;
+                    report.global_evals += charged;
+                    if let Some((rank, plan)) = accepted {
+                        let op = candidates[rank].0;
+                        report.global_accepts += 1;
+                        state = SearchState::from_plan(&plan, ctx.caps);
+                        applied = true;
+                        remo_obs::event!("planner.global.accept",
+                            "round" => round,
+                            "op" => format!("{op:?}"),
+                            "pairs" => state.score.pairs,
+                            "volume" => state.score.volume);
+                        if debug {
+                            remo_obs::debug_echo(&format!(
+                                "round {round}: global {op:?}, score {} / vol {:.0}",
+                                state.score.pairs, state.score.volume
+                            ));
                         }
                     }
                 }
@@ -847,6 +861,33 @@ impl Planner {
             }
         }
     }
+}
+
+/// Evaluates `items` in waves of one per worker and returns the first,
+/// in input order, that `accept` takes, with its rank.
+///
+/// Acceptance almost always lands in the first few ranks, so evaluating
+/// the whole list eagerly would waste most of the builds. Wave size only
+/// shapes wall-clock: every item is evaluated against the same state and
+/// the scan is in rank order, so the accepted item never depends on the
+/// worker count. Callers charge `rank + 1` evaluations, whatever a wider
+/// wave evaluated beyond the accepted rank.
+fn first_accepted<T: Sync, E: Send, A>(
+    pool: &rayon::ThreadPool,
+    items: &[T],
+    eval: impl Fn(&T) -> E + Sync,
+    mut accept: impl FnMut(E) -> Option<A>,
+) -> Option<(usize, A)> {
+    let wave = pool.current_num_threads().max(1);
+    for (w, wave_items) in items.chunks(wave).enumerate() {
+        let evals: Vec<E> = pool.install(|| wave_items.par_iter().map(&eval).collect());
+        for (off, ev) in evals.into_iter().enumerate() {
+            if let Some(a) = accept(ev) {
+                return Some((w * wave + off, a));
+            }
+        }
+    }
+    None
 }
 
 /// What the local search walks: a partition, its forest, and the
@@ -1536,7 +1577,7 @@ mod tests {
         (plan, report)
     }
 
-    /// Plans with `config` and with the oracle and checks the two
+    /// Plans with `config` and with the oracle and checks the
     /// optimisations changed nothing but the work done; returns the
     /// planner's report.
     fn assert_matches_oracle(
@@ -1545,6 +1586,16 @@ mod tests {
         caps: &CapacityMap,
         cost: CostModel,
     ) -> PlanReport {
+        plan_matching_oracle(config, pairs, caps, cost).1
+    }
+
+    /// [`assert_matches_oracle`], also returning the plan as JSON.
+    fn plan_matching_oracle(
+        config: PlannerConfig,
+        pairs: &PairSet,
+        caps: &CapacityMap,
+        cost: CostModel,
+    ) -> (String, PlanReport) {
         let planner = Planner::new(config);
         let what = format!("{:?}", planner.config);
         let (plan, report) = planner.plan_with_report(pairs, caps, cost, &AttrCatalog::new());
@@ -1553,6 +1604,8 @@ mod tests {
         // Every logical round is either run or skipped ...
         assert_eq!(report.rounds + report.rounds_skipped, full.rounds, "{what}");
         assert!(report.seeds_evaluated <= full.seeds_evaluated, "{what}");
+        // The initial seed sets the floor; it is never abandoned itself.
+        assert!(report.seeds_abandoned < report.seeds_evaluated, "{what}");
         // ... and the rounds that ran are the oracle's first ones.
         assert!(report.local_evals <= full.local_evals, "{what}");
         assert!(report.local_accepts <= full.local_accepts, "{what}");
@@ -1568,7 +1621,7 @@ mod tests {
                 assert_eq!(report.rounds_skipped, 0, "{what}");
             }
         }
-        report
+        (json(&plan), report)
     }
 
     /// A shape whose default search converges and one whose default
@@ -1785,6 +1838,88 @@ mod tests {
         // Distinct seeds are all still built.
         let (built, listed) = seeds_built(PlannerConfig::default(), &feasible.0, &feasible.1);
         assert!((2..=listed).contains(&built), "{built} of {listed}");
+    }
+
+    /// Racing the seeds against the initial seed's pair count and
+    /// evaluating the global candidates in waves change neither the plan
+    /// nor what the report counts, for any worker count and allocation
+    /// scheme — where a balanced seed out-collects the initial one,
+    /// where one only ties it and wins on volume, and where one is cut.
+    #[test]
+    fn seed_race_and_global_waves_are_invisible_for_every_worker_count() {
+        let cost = CostModel::new(2.0, 1.0).unwrap();
+        let [sparse, _] = feasible_and_starved();
+        let dense = (
+            dense_pairs(12, 6),
+            CapacityMap::uniform(12, 100.0, 1e3).unwrap(),
+        );
+        let allocations = [
+            AllocationScheme::Uniform,
+            AllocationScheme::Proportional,
+            AllocationScheme::OnDemand,
+            AllocationScheme::Ordered,
+        ];
+        // Every seed forest built to the end, initial seed first.
+        let seed_scores = |allocation, (pairs, caps): &(PairSet, CapacityMap)| -> Vec<Score> {
+            let planner = Planner::new(PlannerConfig {
+                allocation,
+                ..PlannerConfig::default()
+            });
+            let catalog = AttrCatalog::new();
+            let ctx = planner.eval_context(pairs, caps, cost, &catalog);
+            let mut seeds = vec![planner.initial_partition(pairs)];
+            seeds.extend(planner.balanced_seeds(pairs, caps, cost));
+            let score = |seed| Score::of(build_forest(seed, &ctx).trees());
+            seeds.iter().map(score).collect()
+        };
+        let mut abandoned = Vec::new();
+        let mut global_evals = 0;
+        for shape in [&sparse, &dense] {
+            for allocation in allocations {
+                let run = |parallelism| {
+                    let config = PlannerConfig {
+                        allocation,
+                        parallelism,
+                        ..PlannerConfig::default()
+                    };
+                    let (plan, report) = plan_matching_oracle(config, &shape.0, &shape.1, cost);
+                    let counters = PlanReport {
+                        seed_ms: 0.0,
+                        rank_ms: 0.0,
+                        local_ms: 0.0,
+                        global_ms: 0.0,
+                        ..report
+                    };
+                    (plan, counters)
+                };
+                let one = run(1);
+                for parallelism in [2, 3, 4] {
+                    assert_eq!(
+                        one,
+                        run(parallelism),
+                        "{allocation:?}, {parallelism} workers"
+                    );
+                }
+                abandoned.push(one.1.seeds_abandoned);
+                global_evals += one.1.global_evals;
+            }
+        }
+        assert!(global_evals > 0, "no shape reached the global phase");
+
+        // Sparse, ordered allocation: a balanced seed collects more
+        // than the initial one and nothing is below the floor.
+        let scores = seed_scores(AllocationScheme::Ordered, &sparse);
+        assert!(scores[1..].iter().any(|s| s.pairs > scores[0].pairs));
+        assert!(scores.iter().all(|s| s.pairs >= scores[0].pairs));
+        // Dense, dynamic allocation: one balanced seed falls short and
+        // is cut, two tie the initial seed on pairs and beat it on
+        // volume — cutting at `<=` would lose the start the oracle picks.
+        let scores = seed_scores(AllocationScheme::Ordered, &dense);
+        let below = |s: &&Score| s.pairs < scores[0].pairs;
+        let ties = |s: &&Score| s.pairs == scores[0].pairs && s.volume < scores[0].volume;
+        assert_eq!(scores[1..].iter().filter(below).count(), 1, "{scores:?}");
+        assert_eq!(scores[1..].iter().filter(ties).count(), 2, "{scores:?}");
+        assert_eq!(abandoned, [0, 0, 2, 0, 0, 0, 1, 1], "by shape, then scheme");
     }
 
     proptest! {

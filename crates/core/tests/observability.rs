@@ -117,11 +117,15 @@ fn prometheus_export_round_trips_cache_counters() {
         cache: true,
         ..PlannerConfig::default()
     });
-    let _ = planner.plan_with_report(&pairs, &caps, CostModel::default(), &catalog);
+    let (_, report) = planner.plan_with_report(&pairs, &caps, CostModel::default(), &catalog);
     remo_obs::disable();
 
     let text = remo_obs::registry::registry().render_prometheus();
     let samples = remo_obs::summary::parse_prometheus(&text).expect("export must parse");
+    assert_eq!(
+        samples["remo_planner_seeds_abandoned_total"],
+        report.seeds_abandoned as f64
+    );
     let misses = samples["remo_planner_cache_misses_total"];
     let hits = samples["remo_planner_cache_hits_total"];
     assert!(misses > 0.0, "first builds always miss the cache");

@@ -95,8 +95,8 @@ fn search_line(report: &PlanReport) -> String {
         StopReason::RoundCap => "round cap".to_string(),
     };
     format!(
-        "search: {} seed forests, {} rounds run, {} skipped; stopped: {stop}",
-        report.seeds_evaluated, report.rounds, report.rounds_skipped
+        "search: {} seed forests ({} abandoned), {} rounds run, {} skipped; stopped: {stop}",
+        report.seeds_evaluated, report.seeds_abandoned, report.rounds, report.rounds_skipped
     )
 }
 

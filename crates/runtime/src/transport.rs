@@ -800,10 +800,15 @@ pub struct SeqTracker {
 impl SeqTracker {
     /// Records `seq`; returns `true` iff it was never seen before.
     pub fn insert(&mut self, seq: u64) -> bool {
-        if seq <= self.contiguous || self.pending.contains(&seq) {
+        if seq <= self.contiguous {
             return false;
         }
-        self.pending.insert(seq);
+        // `pending` never holds `contiguous + 1`, so a seq past it can
+        // fill no gap and the in-order seq is fresh without a lookup.
+        if seq != self.contiguous + 1 {
+            return self.pending.insert(seq);
+        }
+        self.contiguous = seq;
         while self.pending.remove(&(self.contiguous + 1)) {
             self.contiguous += 1;
         }

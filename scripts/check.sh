@@ -26,8 +26,12 @@ cd "$(dirname "$0")/.."
 # collect-lossy: every value due delivered, nothing abandoned,
 # integrity over every pair).
 # Opt-in: the benchmark is its own workspace, so the first run pays a
-# cold release build into benchmark/target. Timings are printed, not
-# gated — two seconds are not a measurement — but three counts are:
+# cold release build into benchmark/target. That build rewrites
+# benchmark/Cargo.lock (only a [benchmark] PR may commit under
+# benchmark/), so the file is put back as it was found. Timings are
+# printed, not gated — two seconds are not a measurement; for the plan
+# workloads that includes the phase split (`core.planner.seed_ms`,
+# `local_ms`, `global_ms`) — but three counts are:
 # the saturated search must know when it is done
 # (`core.planner.hit_round_cap` 0 — the suite leaves zero-valued layer
 # rows out, so: not printed — and a mean of fewer than 32 rounds per
@@ -46,11 +50,13 @@ cd "$(dirname "$0")/.."
 # duplicates, retried readings).
 if [[ "${1:-}" == "--benchmark-smoke" ]]; then
   echo "==> benchmark crate tests + plan-feasible, plan-saturated, collect-thin, collect-fat and collect-lossy smoke"
-  cargo test -q --offline --manifest-path benchmark/Cargo.toml
   # A run's note lines ("<workload>: N epochs: ... retransmits ...")
   # go to stderr; keep them for the repeatability check below.
   notes="$(mktemp)"
-  trap 'rm -f "$notes"' EXIT
+  lock="$(mktemp)"
+  cp benchmark/Cargo.lock "$lock"
+  trap 'cp "$lock" benchmark/Cargo.lock; rm -f "$notes" "$lock"' EXIT
+  cargo test -q --offline --manifest-path benchmark/Cargo.toml
   for workload in plan-feasible plan-saturated collect-thin collect-fat collect-lossy; do
     if ! out="$(benchmark/run.sh --workload "$workload" --seconds 2 2> "$notes")"; then
       cat "$notes" >&2
@@ -59,7 +65,7 @@ if [[ "${1:-}" == "--benchmark-smoke" ]]; then
       exit 1
     fi
     cat "$notes" >&2
-    echo "$out" | grep -E 'operations:|op_ms_p50|core\.build\.tree_us_adaptive|core\.planner\.rounds |node\.proc\.|suite '
+    echo "$out" | grep -E 'operations:|op_ms_p50|core\.build\.tree_us_adaptive|core\.planner\.(rounds|seed_ms|local_ms|global_ms) |node\.proc\.|suite '
     if [[ "$workload" == plan-saturated ]]; then
       capped="$(echo "$out" | awk '$1 == "core.planner.hit_round_cap" { print $2 }')"
       rounds="$(echo "$out" | awk '$1 == "core.planner.rounds" { print $2 }')"

@@ -29,6 +29,7 @@ fn example_spec_round_trips_through_planning() {
     // The summary ends with how the search went and why it stopped.
     let search = text.lines().last().unwrap();
     assert!(search.starts_with("search: "), "summary output: {text}");
+    assert!(search.contains(" abandoned), "), "summary output: {text}");
     assert!(
         search.contains("stopped: converged"),
         "summary output: {text}"

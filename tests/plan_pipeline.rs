@@ -279,9 +279,10 @@ fn plan_digest(
 /// learned to skip the laps of a cycle and to build a repeated seed
 /// forest once: kernel and search optimisations must be invisible here.
 /// What they may change is the work the report counts: the feasible
-/// search builds its four distinct seeds and converges; the starved one
-/// builds one forest for its two singleton-partition seeds and stops on
-/// a proven cycle instead of at the 128-round cap.
+/// search starts its four distinct seed forests, abandons the two that
+/// cannot reach the singleton seed's pair count, and converges; the
+/// starved one builds one forest for its two singleton-partition seeds
+/// and stops on a proven cycle instead of at the 128-round cap.
 #[test]
 fn default_planner_plans_are_pinned() {
     let (feasible, coverage, report) = plan_digest(300, 27.0, 1_000.0);
@@ -291,6 +292,7 @@ fn default_planner_plans_are_pinned() {
     );
     assert_eq!(format!("{feasible:016x}"), "f16dcf893b88d2ec");
     assert_eq!(report.seeds_evaluated, 4, "{report:?}");
+    assert_eq!(report.seeds_abandoned, 2, "{report:?}");
     assert_eq!(report.stop, StopReason::Converged, "{report:?}");
     assert_eq!(report.rounds_skipped, 0, "{report:?}");
 
@@ -298,6 +300,7 @@ fn default_planner_plans_are_pinned() {
     assert!(coverage < 0.5, "starved shape must be starved ({coverage})");
     assert_eq!(format!("{starved:016x}"), "224d727729e2dfb4");
     assert_eq!(report.seeds_evaluated, 1, "{report:?}");
+    assert_eq!(report.seeds_abandoned, 0, "{report:?}");
     assert!(
         matches!(report.stop, StopReason::Cycle { .. }),
         "{report:?}"
