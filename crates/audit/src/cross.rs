@@ -16,16 +16,8 @@ fn finding(ruleset: &RuleSet, name: &str, message: String) -> Option<Finding> {
     }
     let meta = rule(name)?;
     Some(Finding {
-        rule: meta.name.to_string(),
-        code: meta.code.to_string(),
         severity: ruleset.severity(meta),
-        message,
-        tree: None,
-        node: None,
-        attr: None,
-        actual: None,
-        limit: None,
-        fix_hint: meta.fix_hint.to_string(),
+        ..Finding::new(meta, message)
     })
 }
 

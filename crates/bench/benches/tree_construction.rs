@@ -1,7 +1,7 @@
 //! Tree-construction benchmarks: the four builders (Fig. 7's
 //! candidates), the adjustment-optimization variants (Fig. 10's
-//! timing dimension), and the feasible regime the planner's cold plans
-//! spend their time in.
+//! timing dimension), and the feasible and saturated regimes the
+//! planner's cold plans spend their time in.
 
 // Benchmark scaffolding: inputs are compile-time constants, so a
 // failed unwrap is a broken harness, not a runtime error path.
@@ -74,6 +74,30 @@ fn feasible_request(nodes: usize) -> BuildRequest {
     }
 }
 
+/// The `plan-saturated` benchmark's first singleton tree: C/a = 20,
+/// unit loads, and one budget (0.35x the mean pairs per attribute) that
+/// fits a relay chain of 81 nodes — the pass builds that chain, its
+/// first relief sweep finds nothing to move, and the other ~500 nodes
+/// stay out.
+fn saturated_request(nodes: usize) -> BuildRequest {
+    // A k-node chain charges its root 2C - a + 2ak.
+    let budget = 2.0 * 20.0 - 1.0 + 2.0 * 81.0 + 1.0;
+    BuildRequest {
+        attrs: [AttrId(0)].into_iter().collect(),
+        demand: (0..nodes)
+            .map(|i| NodeDemand {
+                node: NodeId(i as u32),
+                load: LocalLoad::holistic(1.0),
+                budget,
+                pairs: 1,
+            })
+            .collect(),
+        collector_budget: 1e9,
+        cost: CostModel::new(20.0, 1.0).expect("cost"),
+        funnels: Vec::new(),
+    }
+}
+
 const SCHEMES: [(&str, BuilderKind); 4] = [
     ("star", BuilderKind::Star),
     ("chain", BuilderKind::Chain),
@@ -117,6 +141,21 @@ fn bench_feasible(c: &mut Criterion) {
     group.finish();
 }
 
+/// Where the adaptive builder's challengers continue from its own pass
+/// instead of rebuilding the shared chain.
+fn bench_saturated(c: &mut Criterion) {
+    let mut group = c.benchmark_group("saturated");
+    group.sample_size(20);
+    let nodes = 580;
+    let req = saturated_request(nodes);
+    for (name, kind) in SCHEMES {
+        group.bench_with_input(BenchmarkId::new(name, nodes), &kind, |b, &kind| {
+            b.iter(|| build_tree(kind, &req));
+        });
+    }
+    group.finish();
+}
+
 fn bench_adjust_optimizations(c: &mut Criterion) {
     let mut group = c.benchmark_group("adjusting_procedure");
     group.sample_size(10);
@@ -143,6 +182,7 @@ criterion_group!(
     benches,
     bench_builders,
     bench_adjust_optimizations,
-    bench_feasible
+    bench_feasible,
+    bench_saturated
 );
 criterion_main!(benches);

@@ -26,17 +26,19 @@
 //! journal every touched slot and restore the exact prior floats on
 //! rollback, preserving the transactional semantics.
 //!
-//! The adaptive scheme builds a simple-scheme challenger only when it
-//! could displace the incumbent (`provably_loses`); DESIGN.md, "Tree
-//! kernel", has the exactness arguments and `tests/golden_build.rs`
-//! pins every scheme's outcomes to the bit.
+//! The adaptive scheme finishes a simple-scheme challenger only when it
+//! could displace the incumbent, and continues CHAIN and MAX_AVB from
+//! where its own pass stopped matching them instead of rebuilding the
+//! shared prefix (`adjusted_pass`); DESIGN.md, "Tree kernel", has the
+//! exactness arguments and `tests/golden_build.rs` pins every scheme's
+//! outcomes to the bit.
 
 use crate::cost::{Aggregation, CostModel};
 use crate::ids::NodeId;
 use crate::partition::AttrSet;
 use crate::tree::Tree;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// Slack tolerated in floating-point budget comparisons.
 const EPS: f64 = 1e-9;
@@ -299,9 +301,11 @@ pub struct LoadTracker {
     send: Vec<f64>,
     recv: Vec<f64>,
     free: Vec<u32>,
-    /// Nodes whose availability changed in the last successful
-    /// mutation (cleared at the start of each mutating call); the
-    /// greedy builders use this to keep their parent ranking fresh.
+    /// Nodes that joined, or whose availability rose, in the last
+    /// successful mutation (cleared at the start of each mutating
+    /// call); the greedy builders use this to keep their parent ranking
+    /// fresh. An attach only lowers its ancestors' availability, which
+    /// the ranking re-checks lazily, so they are not listed.
     dirty: Vec<NodeId>,
     /// Bumped on every successful mutation. Failed operations roll
     /// back to the exact prior state and leave it unchanged, so equal
@@ -423,6 +427,13 @@ impl LoadTracker {
     /// differ then). With `check` set, verifies each touched node's
     /// budget on the way up and the collector constraint at the root,
     /// returning the first violation (the caller rolls back).
+    ///
+    /// A checked bubble follows an attach: the start node's incoming
+    /// values grew, funnels are non-decreasing and `a > 0`, so every
+    /// send cost on the path grows or stays and every touched node's
+    /// availability falls or stays — those nodes are not marked dirty.
+    /// An unchecked bubble follows a detach and marks every node it
+    /// touches.
     fn bubble(
         &mut self,
         start: u32,
@@ -433,10 +444,16 @@ impl LoadTracker {
         loop {
             let i = n as usize;
             self.save(journal, n);
-            self.dirty.push(self.ids[i]);
+            if !check {
+                self.dirty.push(self.ids[i]);
+            }
             let new_out = self.apply_funnels(self.incoming[i].clone());
             let old_send = self.send[i];
             self.send[i] = self.cost.message_cost(new_out.total());
+            debug_assert!(
+                !check || self.send[i] >= old_send,
+                "an attach lowered a send cost (negative load?)"
+            );
             if check && self.send[i] + self.recv[i] > self.budget[i] + EPS {
                 return Err(AttachError::BudgetExceeded);
             }
@@ -523,6 +540,17 @@ impl LoadTracker {
         ids.into_iter()
     }
 
+    /// Every tracked node with its remaining budget, in no particular
+    /// order.
+    fn availability(&self) -> impl Iterator<Item = (NodeId, f64)> + '_ {
+        self.idx.iter().map(|(&n, &s)| (n, self.avail_at(s)))
+    }
+
+    fn avail_at(&self, slot: u32) -> f64 {
+        let s = slot as usize;
+        self.budget[s] - (self.send[s] + self.recv[s])
+    }
+
     /// Whether `node` is tracked.
     pub fn contains(&self, node: NodeId) -> bool {
         self.idx.contains_key(&node)
@@ -561,8 +589,7 @@ impl LoadTracker {
 
     /// Remaining budget of `node`.
     pub fn available(&self, node: NodeId) -> Option<f64> {
-        let s = self.slot(node)? as usize;
-        Some(self.budget[s] - (self.send[s] + self.recv[s]))
+        Some(self.avail_at(self.slot(node)?))
     }
 
     /// Collector-side usage: receive cost of the root's message.
@@ -917,18 +944,33 @@ fn empty_outcome(request: &BuildRequest) -> BuildOutcome {
 }
 
 fn finish(tracker: &LoadTracker, request: &BuildRequest, excluded: Vec<NodeId>) -> BuildOutcome {
-    let pairs_of: BTreeMap<NodeId, usize> =
-        request.demand.iter().map(|d| (d.node, d.pairs)).collect();
-    let collected = tracker.nodes().map(|n| pairs_of[&n]).sum();
     BuildOutcome {
         tree: tracker.to_tree(request.attrs.clone()),
         usage: tracker.usage_map(),
         collector_usage: tracker.collector_usage(),
-        collected_pairs: collected,
+        collected_pairs: collected_pairs(tracker, request),
         demanded_pairs: request.demand.iter().map(|d| d.pairs).sum(),
         excluded,
         message_volume: tracker.message_volume(),
     }
+}
+
+/// Σ pairs over the demand `tracker` holds. A node the demand lists
+/// more than once is held once and counts its last listing's pairs.
+fn collected_pairs(tracker: &LoadTracker, request: &BuildRequest) -> usize {
+    let held = request.demand.iter().filter(|d| tracker.contains(d.node));
+    let (listings, pairs) = held.fold((0, 0), |(n, p), d| (n + 1, p + d.pairs));
+    if listings == tracker.len() {
+        return pairs;
+    }
+    let mut counted = HashSet::new();
+    request
+        .demand
+        .iter()
+        .rev()
+        .filter(|d| tracker.contains(d.node) && counted.insert(d.node))
+        .map(|d| d.pairs)
+        .sum()
 }
 
 /// What every scheme starts from, computed once per request: the
@@ -989,21 +1031,47 @@ impl<'a> Seed<'a> {
             .filter(move |&(i, _)| i != root)
             .map(|(_, &d)| d)
     }
+
+    /// A placement loop's state before its first placement.
+    fn start(&self) -> Start {
+        Start {
+            tracker: self.tracker.clone(),
+            next: 0,
+            excluded: Vec::new(),
+            memo: PlaceMemo::new(),
+        }
+    }
+}
+
+/// A simple scheme's placement-loop state: where it starts from the
+/// seed, or where the adjusted pass forked it off (`adjusted_pass`).
+#[derive(Debug, Clone)]
+struct Start {
+    tracker: LoadTracker,
+    /// Position within [`Seed::rest`] of the next node to place.
+    next: usize,
+    excluded: Vec<NodeId>,
+    memo: PlaceMemo,
 }
 
 /// STAR and CHAIN: every node has exactly one candidate parent, which
-/// `next_parent` derives from the node just attached.
+/// `next_parent` derives from the node just attached. The loop runs
+/// from `start` with `parent` as the first candidate.
 fn build_fixed_parent(
     seed: &Seed<'_>,
+    start: Start,
+    mut parent: NodeId,
     next_parent: impl Fn(NodeId, NodeId) -> NodeId,
 ) -> BuildOutcome {
-    let mut t = seed.tracker.clone();
-    let mut parent = seed.root().node;
-    let mut excluded = Vec::new();
     // The candidate parent moves only on success — the failed-placement
     // memo applies verbatim.
-    let mut memo = PlaceMemo::new();
-    for d in seed.rest() {
+    let Start {
+        tracker: mut t,
+        next,
+        mut excluded,
+        mut memo,
+    } = start;
+    for d in seed.rest().skip(next) {
         let total = d.load.total();
         if memo.known_to_fail(&t, total) {
             excluded.push(d.node);
@@ -1021,20 +1089,23 @@ fn build_fixed_parent(
 }
 
 fn build_star(seed: &Seed<'_>) -> BuildOutcome {
-    build_fixed_parent(seed, |root, _| root)
+    build_fixed_parent(seed, seed.start(), seed.root().node, |root, _| root)
 }
 
 fn build_chain(seed: &Seed<'_>) -> BuildOutcome {
-    build_fixed_parent(seed, |_, tail| tail)
+    chain_from(seed, seed.start(), seed.root().node)
 }
 
-/// Members ranked by available budget, best first.
+/// CHAIN from `start`, whose tail is `tail`.
+fn chain_from(seed: &Seed<'_>, start: Start, tail: NodeId) -> BuildOutcome {
+    build_fixed_parent(seed, start, tail, |_, tail| tail)
+}
+
+/// Members ranked by available budget, best first: `(avail desc, id
+/// asc)`, a total order on members since availability is never NaN.
 fn members_by_avail(t: &LoadTracker) -> Vec<NodeId> {
-    let mut m: Vec<(NodeId, f64)> = t
-        .nodes()
-        .map(|n| (n, t.available(n).unwrap_or_else(|| unreachable!("member"))))
-        .collect();
-    m.sort_by(|a, b| {
+    let mut m: Vec<(NodeId, f64)> = t.availability().collect();
+    m.sort_unstable_by(|a, b| {
         b.1.partial_cmp(&a.1)
             .unwrap_or(std::cmp::Ordering::Equal)
             .then(a.0.cmp(&b.0))
@@ -1072,22 +1143,31 @@ impl Ord for AvailEntry {
 
 /// Lazily-invalidated availability ranking over the tracker's members.
 ///
-/// A fresh entry is pushed for every node the tracker reports dirty
-/// after a successful mutation, so the current availability of every
-/// member always has a live entry; stale entries (value no longer
-/// matching, or node detached) are discarded on pop. Popping therefore
-/// yields members in exact `(avail desc, id asc)` order without the
-/// O(members · log) re-sort per placement the builders used to pay.
+/// Invariant: every member has an entry keyed at or above its current
+/// availability. A node that joins or whose availability rises gets a
+/// fresh entry (the tracker reports it dirty); one whose availability
+/// falls — an attach beneath it — keeps its old, now stale-high entry.
+/// Popping an entry that matches its node's availability therefore
+/// yields the best remaining member: any other member's entry ranks at
+/// or above that member and at or below the popped one. A stale-high
+/// entry is re-pushed at the node's current availability, a stale-low
+/// one (a fresher entry exists) or a detached node's is dropped. Pops
+/// come out in exact `(avail desc, id asc)` order, and an attach at
+/// depth d costs one push instead of d.
 #[derive(Debug, Default)]
 struct AvailHeap {
     heap: std::collections::BinaryHeap<AvailEntry>,
 }
 
 impl AvailHeap {
-    fn seeded(t: &mut LoadTracker) -> Self {
-        let mut h = AvailHeap::default();
-        h.refresh(t);
-        h
+    /// A ranking over every current member of `t`.
+    fn over(t: &LoadTracker) -> Self {
+        AvailHeap {
+            heap: t
+                .availability()
+                .map(|(node, avail)| AvailEntry { avail, node })
+                .collect(),
+        }
     }
 
     /// Absorbs the tracker's dirty set after a successful mutation.
@@ -1106,13 +1186,19 @@ impl AvailHeap {
         let mut keep = Vec::with_capacity(k);
         while out.len() < k {
             let Some(e) = self.heap.pop() else { break };
+            if out.contains(&e.node) {
+                // A duplicate entry; one survivor suffices.
+                continue;
+            }
             match t.available(e.node) {
-                Some(avail) if avail == e.avail && !out.contains(&e.node) => {
+                Some(avail) if avail == e.avail => {
                     out.push(e.node);
                     keep.push(e);
                 }
-                // Stale entries and duplicate live entries for the
-                // same node are dropped; one survivor suffices.
+                Some(avail) if avail < e.avail => self.heap.push(AvailEntry {
+                    avail,
+                    node: e.node,
+                }),
                 _ => {}
             }
         }
@@ -1161,20 +1247,25 @@ impl PlaceMemo {
     }
 }
 
-/// Greedy placement under the best-available parents.
+/// Greedy placement under the best-available parents. `before_try`
+/// sees the tracker, the candidate's rank and the candidate before each
+/// attach attempt — every failed attempt rolls back, so that is the
+/// state before `d` each time.
 fn try_place(
     t: &mut LoadTracker,
     heap: &mut AvailHeap,
     scratch: &mut Vec<NodeId>,
     d: &NodeDemand,
     memo: &mut PlaceMemo,
+    mut before_try: impl FnMut(&LoadTracker, usize, NodeId),
 ) -> bool {
     let total = d.load.total();
     if memo.known_to_fail(t, total) {
         return false;
     }
     heap.top(t, PARENT_CANDIDATES, scratch);
-    for &parent in scratch.iter() {
+    for (rank, &parent) in scratch.iter().enumerate() {
+        before_try(t, rank, parent);
         if t.try_attach(d.node, d.load.clone(), d.budget, parent)
             .is_ok()
         {
@@ -1187,13 +1278,21 @@ fn try_place(
 }
 
 fn build_max_avb(seed: &Seed<'_>) -> BuildOutcome {
-    let mut t = seed.tracker.clone();
-    let mut heap = AvailHeap::seeded(&mut t);
+    max_avb_from(seed, seed.start())
+}
+
+/// MAX_AVB from `start`.
+fn max_avb_from(seed: &Seed<'_>, start: Start) -> BuildOutcome {
+    let Start {
+        tracker: mut t,
+        next,
+        mut excluded,
+        mut memo,
+    } = start;
+    let mut heap = AvailHeap::over(&t);
     let mut scratch = Vec::new();
-    let mut excluded = Vec::new();
-    let mut memo = PlaceMemo::new();
-    for d in seed.rest() {
-        if !try_place(&mut t, &mut heap, &mut scratch, d, &mut memo) {
+    for d in seed.rest().skip(next) {
+        if !try_place(&mut t, &mut heap, &mut scratch, d, &mut memo, |_, _, _| {}) {
             excluded.push(d.node);
         }
     }
@@ -1339,12 +1438,29 @@ fn cannot_win(seed: &Seed<'_>, chain: bool, best: &BuildOutcome) -> bool {
             .is_some_and(|(volume, margin)| volume - margin >= best.message_volume - 1e-9)
 }
 
+/// What the adjusted pass hands the fold.
+struct Adjusted {
+    outcome: BuildOutcome,
+    /// Relief sweeps run.
+    sweeps: u64,
+    /// Where CHAIN stopped making the pass's placements, with its tail
+    /// there; `None` when it made all of them.
+    chain: Option<(Start, NodeId)>,
+    /// Where MAX_AVB stopped making the pass's placements (just before
+    /// the first relief sweep); `None` when it made all of them.
+    max_avb: Option<Start>,
+}
+
 /// The adjusting procedure's own pass: greedy placement with
-/// congestion relief. Returns the outcome and the number of relief
-/// sweeps it ran.
-fn adjusted_pass(seed: &Seed<'_>, cfg: AdjustConfig) -> (BuildOutcome, u64) {
+/// congestion relief. It shadows CHAIN and MAX_AVB on the way: while a
+/// scheme would have made the same placements from the same seed, the
+/// pass's state *is* that scheme's state, and at the first placement
+/// where it would act differently the pass hands over a copy of that
+/// state for the scheme to continue from. DESIGN.md, "Tree kernel",
+/// has the argument.
+fn adjusted_pass(seed: &Seed<'_>, cfg: AdjustConfig) -> Adjusted {
     let mut t = seed.tracker.clone();
-    let mut heap = AvailHeap::seeded(&mut t);
+    let mut heap = AvailHeap::over(&t);
     let mut scratch = Vec::new();
     let mut excluded = Vec::new();
     let mut sweeps = 0;
@@ -1365,16 +1481,63 @@ fn adjusted_pass(seed: &Seed<'_>, cfg: AdjustConfig) -> (BuildOutcome, u64) {
     // futile full-tree sweeps into one.
     let mut relief_futile = false;
     let mut memo = PlaceMemo::new();
-    for d in seed.rest() {
-        let mut placed = try_place(&mut t, &mut heap, &mut scratch, d, &mut memo);
+    // CHAIN's tail while CHAIN is in step. In step it has placed every
+    // node so far, so its own memo has recorded nothing.
+    let mut tail = Some(seed.root().node);
+    let mut chain = None;
+    let mut max_avb = None;
+    for (i, d) in seed.rest().enumerate() {
+        // CHAIN's state before `d`, copied before the first attempt
+        // CHAIN would not make: a first candidate other than the tail,
+        // or any second candidate.
+        let mut fork = None;
+        let mut placed = try_place(
+            &mut t,
+            &mut heap,
+            &mut scratch,
+            d,
+            &mut memo,
+            |t, rank, parent| {
+                if fork.is_none() && tail.is_some_and(|tail| rank > 0 || parent != tail) {
+                    fork = Some(t.clone());
+                }
+            },
+        );
+        if let Some(at) = tail {
+            if placed && fork.is_none() {
+                // Attached at the tail on the first try: CHAIN's move.
+                tail = Some(d.node);
+            } else {
+                let start = Start {
+                    tracker: fork.unwrap_or_else(|| t.clone()),
+                    next: i,
+                    excluded: excluded.clone(),
+                    memo: PlaceMemo::new(),
+                };
+                chain = Some((start, at));
+                tail = None;
+            }
+        }
         while !placed && moves_left > 0 && !relief_futile {
+            if sweeps == 0 {
+                // MAX_AVB has made every placement so far, this failed
+                // one included; it excludes `d` and moves on.
+                let mut excluded = excluded.clone();
+                excluded.push(d.node);
+                max_avb = Some(Start {
+                    tracker: t.clone(),
+                    next: i + 1,
+                    excluded,
+                    memo,
+                });
+            }
             moves_left -= 1;
             sweeps += 1;
             if !relieve_congestion(&mut t, &mut heap, cfg) {
                 relief_futile = true;
                 break;
             }
-            placed = try_place(&mut t, &mut heap, &mut scratch, d, &mut memo);
+            placed = try_place(&mut t, &mut heap, &mut scratch, d, &mut memo, |_, _, _| {});
         }
         if placed {
             relief_futile = false;
@@ -1382,75 +1545,97 @@ fn adjusted_pass(seed: &Seed<'_>, cfg: AdjustConfig) -> (BuildOutcome, u64) {
             excluded.push(d.node);
         }
     }
-    (finish(&t, seed.request, excluded), sweeps)
+    Adjusted {
+        outcome: finish(&t, seed.request, excluded),
+        sweeps,
+        chain,
+        max_avb,
+    }
 }
 
-type Scheme = fn(&Seed<'_>) -> BuildOutcome;
-
-/// The three simple schemes the adjusting procedure is seeded against,
-/// in fold order.
-const CHALLENGERS: [(&str, Scheme); 3] = [
-    ("star", build_star),
-    ("chain", build_chain),
-    ("max_avb", build_max_avb),
-];
-
-/// Whether challenger `which` provably cannot displace `best`, the
-/// incumbent at its position in the fold, after an adjusted pass that
-/// ran `sweeps` relief sweeps:
-///
-/// - (a) MAX_AVB, when there was no sweep. The two passes then
-///   performed the same placements on the same seed, so MAX_AVB's
-///   outcome *is* the adjusted outcome, which the incumbent either is
-///   or has strictly beaten.
-/// - (b) STAR and CHAIN, when [`cannot_win`] says so.
-fn provably_loses(which: usize, seed: &Seed<'_>, sweeps: u64, best: &BuildOutcome) -> bool {
-    match which {
-        2 => sweeps == 0,
-        _ => cannot_win(seed, which == 1, best),
-    }
+/// How the fold disposed of one challenger.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Fate {
+    /// Proved equal to the adjusted outcome, or unable to win.
+    Skipped,
+    /// Built from the seed.
+    Built,
+    /// Continued from where the adjusted pass forked it.
+    Forked,
 }
 
 /// The adjusting procedure is seeded against the simple schemes and
 /// keeps the best outcome (more pairs, then lower volume) — the
 /// dominance the paper reports in Fig. 7 holds by construction. The
-/// fold runs adjusted → STAR → CHAIN → MAX_AVB, building only the
-/// challengers that could displace the incumbent they meet.
+/// fold runs adjusted → STAR → CHAIN → MAX_AVB, finishing only the
+/// challengers that could displace the incumbent they meet:
+///
+/// - a challenger the adjusted pass kept in step to the end has the
+///   adjusted outcome, which the incumbent either is or has strictly
+///   beaten, so it cannot win;
+/// - STAR and CHAIN cannot win when [`cannot_win`] says so;
+/// - STAR is built from the seed, CHAIN and MAX_AVB continue from the
+///   adjusted pass's forks.
 fn build_adaptive(seed: &Seed<'_>, cfg: AdjustConfig) -> BuildOutcome {
-    let (mut best, sweeps) = adjusted_pass(seed, cfg);
-    let mut built = [false; 3];
-    for (which, (_, build)) in CHALLENGERS.iter().enumerate() {
-        if !provably_loses(which, seed, sweeps, &best) {
-            built[which] = true;
-            let cand = build(seed);
-            if better(&cand, &best) {
-                best = cand;
-            }
+    let Adjusted {
+        outcome: mut best,
+        sweeps,
+        chain,
+        max_avb,
+    } = adjusted_pass(seed, cfg);
+    let mut fates = [Fate::Skipped; 3];
+    let consider = |best: &mut BuildOutcome, cand: BuildOutcome| {
+        if better(&cand, best) {
+            *best = cand;
         }
+    };
+    if !cannot_win(seed, false, &best) {
+        fates[0] = Fate::Built;
+        consider(&mut best, build_star(seed));
+    }
+    if let Some((start, tail)) = chain.filter(|_| !cannot_win(seed, true, &best)) {
+        fates[1] = Fate::Forked;
+        consider(&mut best, chain_from(seed, start, tail));
+    }
+    if let Some(start) = max_avb {
+        fates[2] = Fate::Forked;
+        consider(&mut best, max_avb_from(seed, start));
     }
     if remo_obs::enabled() {
-        record_build(&built, sweeps);
+        record_build(&fates, sweeps);
     }
     best
 }
 
-/// Exports what one adaptive build did: which challengers it built or
-/// skipped, and how many relief sweeps its adjusted pass ran.
-fn record_build(built: &[bool; 3], sweeps: u64) {
-    static HANDLES: std::sync::OnceLock<([[remo_obs::Counter; 2]; 3], remo_obs::Counter)> =
-        std::sync::OnceLock::new();
+/// Exports what one adaptive build did: which challengers it built,
+/// continued from a fork or skipped, and how many relief sweeps its
+/// adjusted pass ran.
+fn record_build(fates: &[Fate; 3], sweeps: u64) {
+    type Handles = [[Option<remo_obs::Counter>; 3]; 3];
+    static HANDLES: std::sync::OnceLock<(Handles, remo_obs::Counter)> = std::sync::OnceLock::new();
     let (challengers, relief) = HANDLES.get_or_init(|| {
         (
-            CHALLENGERS.map(|(scheme, _)| {
-                ["skipped", "built"].map(|what| {
-                    remo_obs::counter(&format!("remo_build_challengers_{what}_{scheme}_total"))
+            ["star", "chain", "max_avb"].map(|scheme| {
+                [Fate::Skipped, Fate::Built, Fate::Forked].map(|fate| {
+                    let what = match fate {
+                        Fate::Skipped => "skipped",
+                        Fate::Built => "built",
+                        // STAR is never forked.
+                        Fate::Forked if scheme == "star" => return None,
+                        Fate::Forked => "forked",
+                    };
+                    Some(remo_obs::counter(&format!(
+                        "remo_build_challengers_{what}_{scheme}_total"
+                    )))
                 })
             }),
             remo_obs::counter("remo_build_relief_sweeps_total"),
         )
     });
-    for (handles, &built) in challengers.iter().zip(built) {
-        handles[usize::from(built)].inc();
+    for (handles, &fate) in challengers.iter().zip(fates) {
+        if let Some(counter) = &handles[fate as usize] {
+            counter.inc();
+        }
     }
     relief.inc_by(sweeps as f64);
 }
@@ -1639,10 +1824,20 @@ mod tests {
         assert!((lt.outgoing_values(NodeId(0)).unwrap() - before_root_out).abs() < 1e-9);
     }
 
-    /// The unpruned four-way fold: every challenger is built. Returns
-    /// the outcome and who produced it (0 = the adjusted pass).
+    type Scheme = fn(&Seed<'_>) -> BuildOutcome;
+
+    /// The three simple schemes built from the seed, in fold order.
+    const CHALLENGERS: [(&str, Scheme); 3] = [
+        ("star", build_star),
+        ("chain", build_chain),
+        ("max_avb", build_max_avb),
+    ];
+
+    /// The unpruned four-way fold: every challenger is built from the
+    /// seed. Returns the outcome and who produced it (0 = the adjusted
+    /// pass).
     fn build_adaptive_unpruned(seed: &Seed<'_>, cfg: AdjustConfig) -> (BuildOutcome, usize) {
-        let (adjusted, _) = adjusted_pass(seed, cfg);
+        let adjusted = adjusted_pass(seed, cfg).outcome;
         CHALLENGERS
             .iter()
             .enumerate()
@@ -1670,22 +1865,44 @@ mod tests {
     }
 
     /// Checks one request: the pruned fold returns the unpruned fold's
-    /// outcome, and whenever a rule would skip a challenger, building
+    /// outcome; a challenger the adjusted pass kept in step to the end
+    /// has the adjusted outcome, and a forked one continues to its
+    /// from-scratch outcome; whenever a challenger is skipped, building
     /// it anyway shows it would not have displaced the incumbent.
-    fn assert_pruning_is_exact(req: &BuildRequest, cfg: AdjustConfig) {
-        let Some(seed) = Seed::new(req) else { return };
+    /// Returns the adjusted pass, for the caller to look at its forks.
+    fn assert_pruning_is_exact(req: &BuildRequest, cfg: AdjustConfig) -> Option<Adjusted> {
+        let seed = Seed::new(req)?;
         let (reference, _) = build_adaptive_unpruned(&seed, cfg);
         assert!(same(&build_adaptive(&seed, cfg), &reference), "{req:?}");
-        let (mut best, sweeps) = adjusted_pass(&seed, cfg);
-        for (which, (name, build)) in CHALLENGERS.iter().enumerate() {
-            let cand = build(&seed);
-            if provably_loses(which, &seed, sweeps, &best) {
+        let pass = adjusted_pass(&seed, cfg);
+        let [star, chain, max_avb] = CHALLENGERS.map(|(_, build)| build(&seed));
+        let continued = match &pass.chain {
+            None => pass.outcome.clone(),
+            Some((start, tail)) => chain_from(&seed, start.clone(), *tail),
+        };
+        assert!(same(&continued, &chain), "chain: {req:?}");
+        let continued = match &pass.max_avb {
+            None => pass.outcome.clone(),
+            Some(start) => max_avb_from(&seed, start.clone()),
+        };
+        assert!(same(&continued, &max_avb), "max_avb: {req:?}");
+        assert_eq!(pass.max_avb.is_none(), pass.sweeps == 0, "{req:?}");
+        let mut best = pass.outcome.clone();
+        for (which, cand) in [star, chain, max_avb].into_iter().enumerate() {
+            let skipped = match which {
+                0 => cannot_win(&seed, false, &best),
+                1 => pass.chain.is_none() || cannot_win(&seed, true, &best),
+                _ => pass.max_avb.is_none(),
+            };
+            if skipped {
+                let name = CHALLENGERS[which].0;
                 assert!(!better(&cand, &best), "{name} skipped but wins: {req:?}");
             }
             if better(&cand, &best) {
                 best = cand;
             }
         }
+        Some(pass)
     }
 
     fn request_of(
@@ -1744,6 +1961,54 @@ mod tests {
             );
             let cfg = AdjustConfig { branch_based: flags & 1 != 0, subtree_only: flags & 2 != 0 };
             assert_pruning_is_exact(&req, cfg);
+        }
+
+        #[test]
+        fn heap_ranks_members_like_a_full_sort(
+            ops in proptest::prop::collection::vec((0u8..4, 0u32..24, 0u32..24, 1u32..6, 0usize..10), 1..80),
+            c in 0.0f64..8.0,
+        ) {
+            let mut t = LoadTracker::new(CostModel::new(c, 1.0).unwrap(), Vec::new(), 1e9);
+            t.init_root(NodeId(0), LocalLoad::holistic(1.0), 400.0).unwrap();
+            let mut heap = AvailHeap::over(&t);
+            let mut out = Vec::new();
+            for (op, a, b, load, k) in ops {
+                let pick = |t: &LoadTracker, x: u32| {
+                    let members: Vec<NodeId> = t.nodes().collect();
+                    members[x as usize % members.len()]
+                };
+                match op {
+                    // A new leaf, on budgets from too tight for its own
+                    // message to roomy.
+                    0 => {
+                        let load = LocalLoad::holistic(f64::from(load));
+                        let _ = t.try_attach(NodeId(1 + a), load, f64::from(b) * 10.0, pick(&t, b));
+                    }
+                    // A leaf its ancestors cannot afford.
+                    1 => {
+                        let load = LocalLoad::holistic(1e6);
+                        let _ = t.try_attach(NodeId(100 + a), load, 1e9, pick(&t, b));
+                    }
+                    // Detach a branch; leave it out, or move it under
+                    // another member (back where it was if that fails).
+                    _ => {
+                        let node = pick(&t, a);
+                        if let Some(old) = t.parent(node) {
+                            let branch = t.detach_subtree(node);
+                            heap.refresh(&mut t);
+                            if op == 3 {
+                                if let Err((back, _)) = t.try_attach_branch(branch, pick(&t, b)) {
+                                    t.try_attach_branch(back, old).unwrap();
+                                }
+                            }
+                        }
+                    }
+                }
+                heap.refresh(&mut t);
+                heap.top(&t, k, &mut out);
+                let ranked = members_by_avail(&t);
+                assert_eq!(&out[..], &ranked[..k.min(ranked.len())]);
+            }
         }
     }
 
@@ -1821,7 +2086,8 @@ mod tests {
             &[(1.0, 100.0), (1.0, 100.0), (hair, 100.0)],
         );
         let seed = Seed::new(&req).unwrap();
-        let (adjusted, sweeps) = adjusted_pass(&seed, AdjustConfig::default());
+        let pass = adjusted_pass(&seed, AdjustConfig::default());
+        let adjusted = &pass.outcome;
         assert_eq!(adjusted.tree.as_ref().map(Tree::height), Some(2));
         let (star, margin) = complete_volume(&seed, false).unwrap();
         let gap = adjusted.message_volume - star;
@@ -1829,15 +2095,13 @@ mod tests {
             gap < 1e-9 && gap + margin > 1e-9,
             "gap {gap}, margin {margin}"
         );
+        assert!(!cannot_win(&seed, false, adjusted), "inside the margin");
         assert!(
-            !provably_loses(0, &seed, sweeps, &adjusted),
-            "inside the margin"
-        );
-        assert!(
-            provably_loses(1, &seed, sweeps, &adjusted),
+            cannot_win(&seed, true, adjusted),
             "a chain equals the incumbent"
         );
-        assert!(provably_loses(2, &seed, sweeps, &adjusted), "no relief ran");
+        assert!(pass.chain.is_none(), "CHAIN made every placement");
+        assert!(pass.max_avb.is_none(), "no relief ran");
         assert_pruning_is_exact(&req, AdjustConfig::default());
         // Clear of the margin on either side, the rule decides.
         for (load, skipped) in [(1e-9 - 1e-11, true), (1e-9 + 1e-11, false)] {
@@ -1848,9 +2112,111 @@ mod tests {
                 &[(1.0, 100.0), (1.0, 100.0), (load, 100.0)],
             );
             let seed = Seed::new(&req).unwrap();
-            let (adjusted, sweeps) = adjusted_pass(&seed, AdjustConfig::default());
-            assert_eq!(provably_loses(0, &seed, sweeps, &adjusted), skipped);
+            let adjusted = adjusted_pass(&seed, AdjustConfig::default()).outcome;
+            assert_eq!(cannot_win(&seed, false, &adjusted), skipped);
             assert_pruning_is_exact(&req, AdjustConfig::default());
+        }
+    }
+
+    /// Unit loads at C/a = 20 under one budget that fits a relay chain
+    /// of `depth` nodes — `plan-saturated`'s trees, in small. (A chain
+    /// of k nodes charges its root 2C − a + 2ak.)
+    fn saturated_chain(n: usize, depth: u32) -> BuildRequest {
+        let budget = 40.0 + 2.0 * f64::from(depth);
+        request_of(20.0, 1e9, Vec::new(), &vec![(1.0, budget); n])
+    }
+
+    #[test]
+    fn saturated_chain_forks_before_the_sweep_and_ends_where_the_pass_does() {
+        let req = saturated_chain(40, 10);
+        let seed = Seed::new(&req).unwrap();
+        let pass = assert_pruning_is_exact(&req, AdjustConfig::default()).unwrap();
+        assert_eq!(pass.outcome.tree.as_ref().map(Tree::height), Some(9));
+        assert_eq!(pass.sweeps, 1, "one futile sweep, then the memo");
+        // Both forks are taken at the first node that does not fit:
+        // CHAIN before trying it, MAX_AVB after.
+        let (chain, tail) = pass.chain.as_ref().unwrap();
+        assert_eq!((chain.next, chain.tracker.len()), (9, 10));
+        assert_eq!(members_by_avail(&chain.tracker)[0], *tail);
+        let max_avb = pass.max_avb.as_ref().unwrap();
+        assert_eq!((max_avb.next, max_avb.excluded.len()), (10, 1));
+        // A futile sweep on a chain puts it back exactly, so all three
+        // schemes end in the adjusted pass's tree.
+        assert!(same(&build_chain(&seed), &pass.outcome));
+        assert!(same(&build_max_avb(&seed), &pass.outcome));
+    }
+
+    #[test]
+    fn bushy_request_forks_chain_at_its_first_choice_of_parent() {
+        // A roomy root: the pass hangs everyone off it, CHAIN relays.
+        let mut demand = vec![(1.0, 1000.0)];
+        demand.extend([(1.0, 10.0); 7]);
+        let req = request_of(2.0, 1e9, Vec::new(), &demand);
+        let pass = assert_pruning_is_exact(&req, AdjustConfig::default()).unwrap();
+        assert_eq!(pass.outcome.tree.as_ref().map(Tree::height), Some(1));
+        // The first placement has one candidate, the root, which is
+        // CHAIN's tail too; at the second the root outranks the tail.
+        let (chain, tail) = pass.chain.as_ref().unwrap();
+        assert_eq!((chain.next, chain.tracker.len(), *tail), (1, 2, NodeId(1)));
+        assert!(chain.excluded.is_empty());
+        assert!(pass.max_avb.is_none(), "no relief ran");
+    }
+
+    #[test]
+    fn a_node_the_tail_refuses_forks_chain_before_it() {
+        // The pass relays its first six nodes as a chain; the tail — the
+        // best-ranked member — refuses the seventh, and a relief move
+        // (whole branches, anywhere in the tree) makes room for it.
+        // CHAIN, forked before that node, leaves it out.
+        let req = request_of(
+            6.0,
+            1e9,
+            Vec::new(),
+            &[
+                (1.0, 41.0),
+                (3.0, 32.0),
+                (2.0, 27.0),
+                (3.0, 14.0),
+                (1.0, 27.0),
+                (1.0, 34.0),
+                (2.0, 20.0),
+                (3.0, 33.0),
+                (3.0, 16.0),
+            ],
+        );
+        let cfg = AdjustConfig {
+            branch_based: true,
+            subtree_only: false,
+        };
+        let seed = Seed::new(&req).unwrap();
+        let pass = assert_pruning_is_exact(&req, cfg).unwrap();
+        let (chain, tail) = pass.chain.as_ref().unwrap();
+        assert_eq!((chain.next, chain.tracker.len()), (5, 6));
+        assert_eq!(members_by_avail(&chain.tracker)[0], *tail);
+        let refused = seed.rest().nth(chain.next).unwrap().node;
+        assert!(pass.sweeps > 0);
+        assert!(pass.outcome.tree.as_ref().unwrap().contains(refused));
+        assert!(build_chain(&seed).excluded.contains(&refused));
+    }
+
+    #[test]
+    fn forks_are_exact_under_fractional_loads_and_a_sum_funnel() {
+        for (scale, funnels) in [(0.25, vec![]), (1.0, vec![Aggregation::Sum])] {
+            let mut forked = [false; 2];
+            for n in [12u32, 24, 40] {
+                for budget in [30.0, 45.0, 60.0, 90.0] {
+                    let demand: Vec<(f64, f64)> = (0..n)
+                        .map(|i| (f64::from(1 + i % 3) * scale, budget + f64::from(i * 7 % 11)))
+                        .collect();
+                    let req = request_of(6.0, 1e9, funnels.clone(), &demand);
+                    for cfg in [AdjustConfig::default(), AdjustConfig::basic()] {
+                        let pass = assert_pruning_is_exact(&req, cfg).unwrap();
+                        forked[0] |= pass.chain.is_some_and(|(start, _)| start.next > 1);
+                        forked[1] |= pass.max_avb.is_some();
+                    }
+                }
+            }
+            assert_eq!(forked, [true; 2], "scale {scale}, funnels {funnels:?}");
         }
     }
 

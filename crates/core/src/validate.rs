@@ -496,7 +496,7 @@ impl RuleSet {
 // ------------------------------------------------------------------ findings
 
 /// One diagnostic produced by a rule.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Finding {
     /// Rule name (see [`rules`]).
     pub rule: String,
@@ -523,6 +523,22 @@ pub struct Finding {
     pub limit: Option<f64>,
     /// How to fix it.
     pub fix_hint: String,
+}
+
+impl Finding {
+    /// A finding of the registry row `meta` at its default severity,
+    /// scoped to no tree, node or attribute and carrying no figures;
+    /// callers fill in the rest with struct-update syntax.
+    pub fn new(meta: &RuleMeta, message: String) -> Self {
+        Finding {
+            rule: meta.name.to_string(),
+            code: meta.code.to_string(),
+            severity: meta.severity,
+            message,
+            fix_hint: meta.fix_hint.to_string(),
+            ..Finding::default()
+        }
+    }
 }
 
 impl fmt::Display for Finding {
@@ -702,16 +718,8 @@ impl Emitter<'_> {
         }
         let meta = rule(name).unwrap_or(&RULES[0]);
         self.findings.push(Finding {
-            rule: meta.name.to_string(),
-            code: meta.code.to_string(),
             severity: self.rules.severity(meta),
-            message,
-            tree: None,
-            node: None,
-            attr: None,
-            actual: None,
-            limit: None,
-            fix_hint: meta.fix_hint.to_string(),
+            ..Finding::new(meta, message)
         });
         self.findings.last_mut()
     }

@@ -139,16 +139,29 @@ fn prometheus_export_round_trips_cache_counters() {
     assert_eq!(samples["remo_planner_stops_cycle_total"], 0.0);
     assert_eq!(samples["remo_planner_stops_round_cap_total"], 0.0);
     assert_eq!(samples["remo_planner_rounds_skipped_total"], 0.0);
-    // The tree kernel says which challengers it built and which it
-    // proved could not win: every adaptive build accounts for each of
-    // the three schemes exactly once.
+    // The tree kernel says which challengers it built from the seed,
+    // which it continued from where its own pass forked them, and which
+    // it proved equal or unable to win: every adaptive build accounts
+    // for each of the three schemes exactly once. STAR is never forked,
+    // and CHAIN and MAX_AVB are never rebuilt from the seed.
+    let count = |what: &str, scheme: &str| {
+        samples
+            .get(&format!("remo_build_challengers_{what}_{scheme}_total"))
+            .copied()
+    };
     let builds = |scheme: &str| {
-        samples[&format!("remo_build_challengers_built_{scheme}_total")]
-            + samples[&format!("remo_build_challengers_skipped_{scheme}_total")]
+        ["built", "forked", "skipped"]
+            .iter()
+            .map(|what| count(what, scheme).unwrap_or(0.0))
+            .sum::<f64>()
     };
     assert!(builds("star") > 0.0, "the planner built adaptive trees");
-    assert_eq!(builds("chain"), builds("star"));
-    assert_eq!(builds("max_avb"), builds("star"));
+    assert_eq!(count("forked", "star"), None);
+    for scheme in ["chain", "max_avb"] {
+        assert_eq!(builds(scheme), builds("star"), "{scheme}");
+        assert_eq!(count("built", scheme), Some(0.0), "{scheme}");
+        assert!(count("forked", scheme).is_some(), "{scheme}");
+    }
     assert!(samples["remo_build_relief_sweeps_total"] >= 0.0);
     // Histogram series render as _bucket/_sum/_count families.
     assert!(samples.contains_key("remo_planner_local_duration_ms_count"));

@@ -133,19 +133,7 @@ impl Default for InvariantConfig {
 /// Builds a finding for an `remo-mc` sequence rule at its registry
 /// severity.
 fn mc_finding(name: &str, message: String) -> Option<Finding> {
-    let meta = rule(name)?;
-    Some(Finding {
-        rule: meta.name.to_string(),
-        code: meta.code.to_string(),
-        severity: meta.severity,
-        message,
-        tree: None,
-        node: None,
-        attr: None,
-        actual: None,
-        limit: None,
-        fix_hint: meta.fix_hint.to_string(),
-    })
+    Some(Finding::new(rule(name)?, message))
 }
 
 /// One explorable protocol state (clonable, so the DFS can fork it).

@@ -70,18 +70,14 @@ impl VerifyReport {
 }
 
 fn finding(name: &str, message: String) -> Finding {
-    let meta = rule(name);
-    Finding {
-        rule: name.to_string(),
-        code: meta.map(|m| m.code).unwrap_or("RA000").to_string(),
-        severity: meta.map(|m| m.severity).unwrap_or_default(),
-        message,
-        tree: None,
-        node: None,
-        attr: None,
-        actual: None,
-        limit: None,
-        fix_hint: meta.map(|m| m.fix_hint).unwrap_or_default().to_string(),
+    match rule(name) {
+        Some(meta) => Finding::new(meta, message),
+        None => Finding {
+            rule: name.to_string(),
+            code: "RA000".to_string(),
+            message,
+            ..Finding::default()
+        },
     }
 }
 

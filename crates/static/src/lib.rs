@@ -191,7 +191,7 @@ impl AnalysisReport {
     }
 }
 
-/// Builds a finding from the rule registry, like the mc harness does.
+/// Builds a finding from the rule registry.
 fn static_finding(
     name: &str,
     message: String,
@@ -199,18 +199,11 @@ fn static_finding(
     actual: Option<f64>,
     limit: Option<f64>,
 ) -> Option<Finding> {
-    let meta = rule(name)?;
     Some(Finding {
-        rule: meta.name.to_string(),
-        code: meta.code.to_string(),
-        severity: meta.severity,
-        message,
-        tree: None,
         node,
-        attr: None,
         actual,
         limit,
-        fix_hint: meta.fix_hint.to_string(),
+        ..Finding::new(rule(name)?, message)
     })
 }
 

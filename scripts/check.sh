@@ -31,7 +31,8 @@ cd "$(dirname "$0")/.."
 # benchmark/), so the file is put back as it was found. Timings are
 # printed, not gated — two seconds are not a measurement; for the plan
 # workloads that includes the phase split (`core.planner.seed_ms`,
-# `local_ms`, `global_ms`) — but three counts are:
+# `local_ms`, `global_ms`) and the singleton seed forest inside the seed
+# phase (`core.evaluate.singleton_ms`) — but three counts are:
 # the saturated search must know when it is done
 # (`core.planner.hit_round_cap` 0 — the suite leaves zero-valued layer
 # rows out, so: not printed — and a mean of fewer than 32 rounds per
@@ -65,7 +66,7 @@ if [[ "${1:-}" == "--benchmark-smoke" ]]; then
       exit 1
     fi
     cat "$notes" >&2
-    echo "$out" | grep -E 'operations:|op_ms_p50|core\.build\.tree_us_adaptive|core\.planner\.(rounds|seed_ms|local_ms|global_ms) |node\.proc\.|suite '
+    echo "$out" | grep -E 'operations:|op_ms_p50|core\.build\.tree_us_adaptive|core\.planner\.(rounds|seed_ms|local_ms|global_ms) |core\.evaluate\.singleton_ms |node\.proc\.|suite '
     if [[ "$workload" == plan-saturated ]]; then
       capped="$(echo "$out" | awk '$1 == "core.planner.hit_round_cap" { print $2 }')"
       rounds="$(echo "$out" | awk '$1 == "core.planner.rounds" { print $2 }')"
