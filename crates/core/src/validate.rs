@@ -398,7 +398,7 @@ pub const RULES: &[RuleMeta] = &[
         paper_section: "§4.2",
         summary: "every reachable control-plane state can make progress toward quiescence",
         fix_hint: "add the missing transition (usually a ConnLost / Shutdown handler) so \
-                   the stuck role can drain; re-run `remo-proto verify` on the spec",
+                   the stuck role can drain; re-run `remo-check proto verify` on the spec",
     },
     RuleMeta {
         name: rules::UNEXPECTED_MESSAGE,
