@@ -51,7 +51,7 @@ fn coverage(alloc: AllocationScheme, pairs: &PairSet, caps: &CapacityMap, cost: 
         cost,
         &catalog,
     );
-    remo_audit::assert_plan_clean(&ev.plan, pairs, caps, cost, &catalog);
+    remo_core::validate::assert_plan_clean(&ev.plan, pairs, caps, cost, &catalog);
     ev.coverage() * 100.0
 }
 

@@ -72,8 +72,8 @@ fn fig12a() {
         })
         .plan_with_catalog(&pairs, &caps, cost, &catalog);
         // Self-audit with the same extension flags the planner used.
-        let outcome = remo_audit::Audit::new().run(
-            &remo_audit::AuditInput::new(&plan, &pairs, &caps, cost, &catalog)
+        let outcome = remo_core::validate::Audit::new().run(
+            &remo_core::validate::AuditInput::new(&plan, &pairs, &caps, cost, &catalog)
                 .aggregation_aware(agg)
                 .frequency_aware(freq),
         );
@@ -126,7 +126,7 @@ fn fig12b() {
             ..PlannerConfig::default()
         })
         .plan_with_catalog(&pairs, &caps, cost, &catalog);
-        remo_audit::assert_plan_clean(&remo2, &pairs, &caps, cost, &catalog);
+        remo_core::validate::assert_plan_clean(&remo2, &pairs, &caps, cost, &catalog);
         rep.row(&[&count, &"REMO-2", &f3(remo2.coverage() * 100.0)]);
 
         // SINGLETON-SET-2: every attribute (original or alias) in its

@@ -53,7 +53,7 @@ fn collected(builder: BuilderKind, pairs: &PairSet, caps: &CapacityMap, cost: Co
         .collect();
     let partition = Partition::from_sets(sets).expect("disjoint");
     let ev = planner.evaluate_partition(&partition, pairs, caps, cost, &catalog);
-    remo_audit::assert_plan_clean(&ev.plan, pairs, caps, cost, &catalog);
+    remo_core::validate::assert_plan_clean(&ev.plan, pairs, caps, cost, &catalog);
     ev.coverage() * 100.0
 }
 

@@ -131,7 +131,7 @@ pub fn eval_scheme(
             EvalBreakdown::from_plan(plan, t0.elapsed())
         }
     };
-    remo_audit::assert_plan_clean(&breakdown.plan, pairs, caps, cost, catalog);
+    remo_core::validate::assert_plan_clean(&breakdown.plan, pairs, caps, cost, catalog);
     breakdown
 }
 

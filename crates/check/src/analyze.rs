@@ -1,20 +1,18 @@
-//! # remo-static
+//! The pre-flight analyzer: abstract interpretation of a deployment
+//! before a single agent is launched. Given only the *declarative*
+//! inputs — a [`DeploymentSpec`], an optional [`NetSpec`]/[`NetConfig`],
+//! and an optional staleness SLO — it computes sound bounds on what any
+//! concrete plan and any run of the lossy runtime can do:
 //!
-//! Pre-flight abstract interpretation for REMO deployments: given only
-//! the *declarative* inputs — a [`DeploymentSpec`], an optional
-//! [`NetSpec`]/[`NetConfig`], and an optional staleness SLO — compute
-//! sound bounds on what any concrete plan and any run of the lossy
-//! runtime can do, before a single agent is launched:
-//!
-//! * **Capacity** ([`cost`]): per-node and collector usage intervals
-//!   over the `C + a·x` model, valid for every partition shape the
-//!   planner could pick. A best-shape lower bound exceeding a budget
-//!   is infeasibility, not a tuning problem → **RA018**.
-//! * **Staleness** ([`latency`]): closed-form worst-case snapshot age
-//!   under the ARQ transport (geometric backoff series, delivery
+//! * **Capacity** ([`crate::cost`]): per-node and collector usage
+//!   intervals over the `C + a·x` model, valid for every partition
+//!   shape the planner could pick. A best-shape lower bound exceeding
+//!   a budget is infeasibility, not a tuning problem → **RA018**.
+//! * **Staleness** ([`crate::latency`]): closed-form worst-case snapshot
+//!   age under the ARQ transport (geometric backoff series, delivery
 //!   delay, degrade-widened reporting gaps). Permanently severed
 //!   nodes make a declared SLO unreachable → **RA019**.
-//! * **Degradation** ([`degrade`]): fluid fixed point of the
+//! * **Degradation** ([`crate::degrade`]): fluid fixed point of the
 //!   backpressure loop. A degrade ladder too short to shed load is
 //!   **RA020**; a disabled ladder over an overloaded collector is
 //!   **RA021**. When the system keeps up at level 0 and every
@@ -23,28 +21,18 @@
 //!
 //! The dynamic layers prove these bounds honest: a property test
 //! drives random triples through the real lossy runtime and asserts
-//! observations never escape the intervals, and the `remo-mc`
+//! observations never escape the intervals, and the model checker's
 //! exhaustive sweep cross-checks every explored plan state against
 //! the capacity bounds.
 
-#![warn(missing_docs)]
-#![warn(missing_debug_implementations)]
-
-pub mod corpus;
-pub mod cost;
-pub mod degrade;
-pub mod latency;
-
-use remo::spec::DeploymentSpec;
-use remo_audit::{rule, Finding, Severity};
-use remo_core::NodeId;
+use crate::cost::{cost_bounds, CostBounds, CostFlags};
+use crate::degrade::{degrade_analysis, DegradeAnalysis};
+use crate::latency::{staleness_bounds, StalenessBounds};
+use remo_core::spec::DeploymentSpec;
+use remo_core::validate::{rules, Finding, RuleSet, Severity};
 use remo_runtime::{NetConfig, NetSpec};
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
-
-pub use cost::{cost_bounds, CostBounds, CostFlags};
-pub use degrade::{degrade_analysis, DegradeAnalysis};
-pub use latency::{period_of, staleness_bounds, StalenessBounds};
 
 /// Everything the analyzer consumes, as one serializable document.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -120,7 +108,7 @@ impl AnalysisReport {
     }
 
     /// Human-readable rendering of the bounds (findings render
-    /// through [`remo_audit::AuditOutcome::render`], like every analyzer's).
+    /// through `AuditOutcome::render`, like every analyzer's).
     pub fn render(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(
@@ -191,22 +179,6 @@ impl AnalysisReport {
     }
 }
 
-/// Builds a finding from the rule registry.
-fn static_finding(
-    name: &str,
-    message: String,
-    node: Option<NodeId>,
-    actual: Option<f64>,
-    limit: Option<f64>,
-) -> Option<Finding> {
-    Some(Finding {
-        node,
-        actual,
-        limit,
-        ..Finding::new(rule(name)?, message)
-    })
-}
-
 /// Runs the full pre-flight analysis on a bundle.
 ///
 /// # Errors
@@ -230,15 +202,27 @@ pub fn analyze(bundle: &StaticBundle) -> Result<AnalysisReport, String> {
     let staleness = staleness_bounds(&pairs, &catalog, &net, &cfg);
     let degrade = degrade_analysis(&pairs, &catalog, cost, caps.collector(), &net, &cfg);
 
+    // Every finding carries the offending node (if any) and the bound
+    // it broke: `actual` against `limit`.
+    let registry = RuleSet::all();
     let mut findings = Vec::new();
+    let mut report = |name, message, node, actual, limit| {
+        let scoped = |f| Finding {
+            node,
+            actual,
+            limit,
+            ..f
+        };
+        findings.extend(registry.finding(name, message).map(scoped));
+    };
 
     // RA018: even the cheapest shape overruns a budget — the pairs
     // cannot all be collected, no matter how the planner partitions.
     for (&n, iv) in &bounds.per_node {
         let budget = caps.node(n).unwrap_or(0.0);
         if iv.lo() > budget * (1.0 + 1e-6) {
-            findings.extend(static_finding(
-                remo_core::validate::rules::STATIC_INFEASIBLE_CAPACITY,
+            report(
+                rules::STATIC_INFEASIBLE_CAPACITY,
                 format!(
                     "node {n}: best-shape usage lower bound {:.2} exceeds its budget {budget:.2}; \
                      its pairs are uncollectable under any partition",
@@ -247,12 +231,12 @@ pub fn analyze(bundle: &StaticBundle) -> Result<AnalysisReport, String> {
                 Some(n),
                 Some(iv.lo()),
                 Some(budget),
-            ));
+            );
         }
     }
     if bounds.collector.lo() > caps.collector() * (1.0 + 1e-6) {
-        findings.extend(static_finding(
-            remo_core::validate::rules::STATIC_INFEASIBLE_CAPACITY,
+        report(
+            rules::STATIC_INFEASIBLE_CAPACITY,
             format!(
                 "collector: best-shape intake lower bound {:.2} exceeds the collector budget {:.2}",
                 bounds.collector.lo(),
@@ -261,15 +245,15 @@ pub fn analyze(bundle: &StaticBundle) -> Result<AnalysisReport, String> {
             None,
             Some(bounds.collector.lo()),
             Some(caps.collector()),
-        ));
+        );
     }
 
     // RA019: an SLO was declared but some demanded node can never
     // deliver again under this fault model.
     if let Some(slo) = bundle.staleness_slo {
         for &n in &staleness.unreachable {
-            findings.extend(static_finding(
-                remo_core::validate::rules::SLO_UNREACHABLE_UNDER_NETSPEC,
+            report(
+                rules::SLO_UNREACHABLE_UNDER_NETSPEC,
                 format!(
                     "node {n} is permanently severed from the collector under this NetSpec; \
                      the {slo}-epoch staleness SLO can never be met for its pairs"
@@ -277,7 +261,7 @@ pub fn analyze(bundle: &StaticBundle) -> Result<AnalysisReport, String> {
                 Some(n),
                 None,
                 Some(slo),
-            ));
+            );
         }
     }
 
@@ -286,8 +270,8 @@ pub fn analyze(bundle: &StaticBundle) -> Result<AnalysisReport, String> {
     if degrade.converges_at.is_none() {
         let arrival_floor = degrade.arrival.last().copied().unwrap_or(0.0);
         if cfg.max_degrade_level > 0 {
-            findings.extend(static_finding(
-                remo_core::validate::rules::DEGRADE_DIVERGENCE,
+            report(
+                rules::DEGRADE_DIVERGENCE,
                 format!(
                     "arrival rate at the deepest degrade level ({arrival_floor:.2}/epoch) still \
                      exceeds the worst-case collector service rate ({:.2}/epoch); \
@@ -297,10 +281,10 @@ pub fn analyze(bundle: &StaticBundle) -> Result<AnalysisReport, String> {
                 None,
                 Some(arrival_floor),
                 Some(degrade.service_worst),
-            ));
+            );
         } else {
-            findings.extend(static_finding(
-                remo_core::validate::rules::UNBOUNDED_QUEUE,
+            report(
+                rules::UNBOUNDED_QUEUE,
                 format!(
                     "degradation is disabled (max_degrade_level = 0) but the arrival rate \
                      ({arrival_floor:.2}/epoch) exceeds the worst-case collector service rate \
@@ -310,7 +294,7 @@ pub fn analyze(bundle: &StaticBundle) -> Result<AnalysisReport, String> {
                 None,
                 Some(arrival_floor),
                 Some(degrade.service_worst),
-            ));
+            );
         }
     }
 
@@ -320,31 +304,4 @@ pub fn analyze(bundle: &StaticBundle) -> Result<AnalysisReport, String> {
         degrade,
         findings,
     })
-}
-
-#[cfg(test)]
-mod tests {
-    #![allow(clippy::unwrap_used, clippy::expect_used)]
-
-    use super::*;
-
-    #[test]
-    fn a_bare_spec_document_parses_as_a_bundle() {
-        let json = r#"{
-            "nodes": 3,
-            "node_capacity": 20.0,
-            "collector_capacity": 100.0,
-            "per_message_cost": 2.0,
-            "per_value_cost": 1.0,
-            "tasks": [{"attrs": [0], "nodes": [0, 1, 2]}]
-        }"#;
-        let bundle = StaticBundle::from_json(json).unwrap();
-        assert!(bundle.net.is_none());
-        let report = analyze(&bundle).unwrap();
-        assert!(report.is_clean());
-        assert!(report.findings.is_empty());
-        // Roundtrip through the bundle shape.
-        let back = StaticBundle::from_json(&bundle.to_json().unwrap()).unwrap();
-        assert_eq!(back.spec, bundle.spec);
-    }
 }

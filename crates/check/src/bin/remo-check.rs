@@ -12,12 +12,18 @@
 //! passes when the trace reproduces the verdict recorded in its file —
 //! a recorded violation included — and fails when it does not.
 
-use remo_audit::{rule, sarif, Audit, AuditBundle, AuditOutcome, Finding, RuleSet, Severity};
+use remo_check::corpus::{audit_cases, proto_cases, static_cases};
+use remo_check::verify::verify_with_depth;
+use remo_check::{
+    analyze, explore, seeded_specs, AuditBundle, InvariantConfig, ReplayFile, ReplayOutcome,
+    StaticBundle, TopologySpec,
+};
 use remo_core::corpus::example;
-use remo_core::validate::{Analyzer, RuleMeta, RULES};
-use remo_mc::{explore, seeded_specs, InvariantConfig, ReplayFile, ReplayOutcome, TopologySpec};
-use remo_proto::{verify::verify_with_depth, ProtocolSpec};
-use remo_static::StaticBundle;
+use remo_core::sarif;
+use remo_core::validate::{
+    rule, Analyzer, Audit, AuditOutcome, Finding, RuleMeta, RuleSet, Severity, RULES,
+};
+use remo_runtime::spec::ProtocolSpec;
 use std::fmt::Write as _;
 use std::process::ExitCode;
 use std::str::FromStr;
@@ -92,7 +98,7 @@ const ANALYZERS: &[Row] = &[
         verb: "",
         owner: Analyzer::Audit,
         fails_on: Severity::Error,
-        example: |key| example(&remo_audit::corpus::known_bad(), key),
+        example: |key| example(&audit_cases(), key),
         flags: &[
             "--errors-only",
             "--disable <rule>",
@@ -106,7 +112,7 @@ const ANALYZERS: &[Row] = &[
         verb: "analyze",
         owner: Analyzer::Static,
         fails_on: Severity::Info,
-        example: |key| example(&remo_static::corpus::cases(), key),
+        example: |key| example(&static_cases(), key),
         flags: &[],
         input: "<bundle.json>",
         run: static_analyze,
@@ -116,12 +122,12 @@ const ANALYZERS: &[Row] = &[
         verb: "verify",
         owner: Analyzer::Proto,
         fails_on: Severity::Info,
-        example: |key| example(&remo_proto::corpus::cases(), key),
+        example: |key| example(&proto_cases(), key),
         flags: &["--depth <n>"],
         input: "[<spec.json>]",
         run: proto_verify,
     },
-    // The mc corpus is replay files (crates/mc/corpus), not inputs built
+    // The mc corpus is replay files (crates/check/corpus), not inputs built
     // to trip one rule, so there is nothing for `--example` to print.
     Row {
         name: "mc",
@@ -220,7 +226,7 @@ fn static_analyze(args: &Args) -> Result<Run, String> {
     let path = &args.path;
     let bundle = StaticBundle::from_json(&args.text)
         .map_err(|e| format!("{path} is not a valid bundle: {e}"))?;
-    let report = remo_static::analyze(&bundle).map_err(|e| format!("{path}: {e}"))?;
+    let report = analyze(&bundle).map_err(|e| format!("{path}: {e}"))?;
     Ok(Run {
         report: report.render(),
         findings: report.findings,

@@ -1,28 +1,42 @@
-//! A seed corpus of known-bad plans, each constructed to trip exactly
-//! one named rule.
+//! The known-bad corpora of the audit, static and protocol analyzers:
+//! each [`Case`] is an input engineered to trip exactly one named rule.
+//! They are the analyzers' regression anchors and the CLI's `--example`
+//! seeds. (The model checker's corpus is replay traces, committed under
+//! `corpus/`, not inputs built to trip one rule.)
 //!
-//! The planner cannot be coaxed into emitting these (it maintains the
-//! invariants by construction), so the corpus builds them the way
-//! real corruption arrives: by tampering with the plan's public
-//! bookkeeping fields, or by deserializing structures whose
+//! The planner cannot be coaxed into emitting the bad plans (it
+//! maintains the invariants by construction), so [`audit_cases`] builds
+//! them the way real corruption arrives: by tampering with the plan's
+//! public bookkeeping fields, or by deserializing structures whose
 //! constructors would have rejected them — exactly what a plan that
-//! crossed a serialization boundary can contain.
+//! crossed a serialization boundary can contain. [`static_cases`] are
+//! minimal deployment bundles; [`proto_cases`] are one-knob mutations of
+//! the shipped protocol spec, two of them PR 9's real bugs re-introduced
+//! at the spec level, so the corpus is also the proof that the verifier
+//! would have caught both before they shipped.
 
 // Corpus fixtures are built from constant inputs whose constructors
 // cannot fail; a panic here is a broken fixture, not a runtime error
 // path, so the workspace unwrap/expect deny is relaxed for this module.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use crate::AuditBundle;
+use crate::{AuditBundle, StaticBundle};
 use remo_core::corpus::Case;
 use remo_core::planner::{PartitionScheme, Planner};
 use remo_core::reliability::rewrite_ssdp;
+use remo_core::spec::{DeploymentSpec, TaskSpec};
+use remo_core::validate::{rule, rules};
 use remo_core::{
     AttrCatalog, AttrId, AttrSet, CapacityMap, CostModel, MonitoringPlan, MonitoringTask, NodeId,
     PairSet, Partition, TaskId,
 };
-use remo_sim::failure::{FailureSchedule, Outage};
+use remo_runtime::failure::{FailureSchedule, Outage};
+use remo_runtime::spec::{ClientEvent, ClientState, ProtocolSpec, SessionEvent, SessionState};
+use remo_runtime::{NetConfig, NetSpec, PartitionWindow};
 use serde::{Deserialize, Serialize, Value};
+use std::collections::BTreeMap;
+
+// ------------------------------------------------------------------ audit
 
 fn dense_pairs(nodes: u32, attrs: u32) -> PairSet {
     (0..nodes)
@@ -241,13 +255,12 @@ fn unmeetable_staleness_slo() -> AuditBundle {
     b
 }
 
-/// The full corpus: every entry trips exactly its named rule.
-pub fn known_bad() -> Vec<Case<AuditBundle>> {
-    use crate::rules;
-    let case = |name, rule, why, input| Case {
+/// The audit corpus, in rule order.
+pub fn audit_cases() -> Vec<Case<AuditBundle>> {
+    let case = |name, rule_name, why, input| Case {
         name,
-        rule,
-        code: crate::rule(rule).expect("registered rule").code,
+        rule: rule_name,
+        code: rule(rule_name).expect("registered rule").code,
         why,
         input,
     };
@@ -315,14 +328,264 @@ pub fn known_bad() -> Vec<Case<AuditBundle>> {
     ]
 }
 
+// ----------------------------------------------------------------- static
+
+fn base_spec(nodes: usize, node_capacity: f64, collector_capacity: f64) -> DeploymentSpec {
+    DeploymentSpec {
+        nodes,
+        node_capacity,
+        capacity_overrides: BTreeMap::new(),
+        collector_capacity,
+        per_message_cost: 4.0,
+        per_value_cost: 1.0,
+        attributes: Vec::new(),
+        tasks: vec![TaskSpec {
+            attrs: vec![0],
+            nodes: (0..nodes as u32).collect(),
+        }],
+        aggregation_aware: false,
+        frequency_aware: false,
+    }
+}
+
+/// The static corpus (RA018–RA021), in rule order.
+pub fn static_cases() -> Vec<Case<StaticBundle>> {
+    // RA018: a node budget below even the single-leaf message cost
+    // (C + a·1 = 5 > 1). Collector budget is ample, so the degrade
+    // fixed point converges and nothing else fires.
+    let infeasible = StaticBundle {
+        spec: base_spec(2, 1.0, 1_000.0),
+        net: None,
+        net_config: None,
+        staleness_slo: None,
+    };
+
+    // RA019: generous budgets, but node 1 sits inside a partition
+    // window that never ends while a staleness SLO is declared.
+    let severed = StaticBundle {
+        spec: base_spec(2, 100.0, 1_000.0),
+        net: Some(NetSpec {
+            partitions: vec![PartitionWindow {
+                name: "island".into(),
+                members: [NodeId(1)].into_iter().collect(),
+                from_epoch: 0,
+                until_epoch: None,
+            }],
+            ..NetSpec::default()
+        }),
+        net_config: None,
+        staleness_slo: Some(50.0),
+    };
+
+    // RA020: eight holistic attributes on two nodes with a heavy
+    // per-message overhead. Collector lower bound 100 + 16 = 116 fits
+    // the 200 budget (no RA018), but the worst-case service rate is
+    // (200 − 100·8)/1 < 0 — no degrade level can ever keep up.
+    let diverging_spec = DeploymentSpec {
+        per_message_cost: 100.0,
+        tasks: vec![TaskSpec {
+            attrs: (0..8).collect(),
+            nodes: vec![0, 1],
+        }],
+        ..base_spec(2, 10_000.0, 200.0)
+    };
+    let diverging = StaticBundle {
+        spec: diverging_spec.clone(),
+        net: None,
+        net_config: None,
+        staleness_slo: None,
+    };
+
+    // RA021: the same overload with the degrade ladder disabled —
+    // the queue is bounded only by shedding.
+    let unbounded = StaticBundle {
+        spec: diverging_spec,
+        net: None,
+        net_config: Some(NetConfig {
+            max_degrade_level: 0,
+            ..NetConfig::default()
+        }),
+        staleness_slo: None,
+    };
+
+    vec![
+        Case {
+            name: "infeasible-capacity",
+            rule: "static-infeasible-capacity",
+            code: "RA018",
+            why: "a node budget below even the single-leaf message cost",
+            input: infeasible,
+        },
+        Case {
+            name: "severed-slo",
+            rule: "slo-unreachable-under-netspec",
+            code: "RA019",
+            why: "a staleness SLO declared over a partition window that never ends",
+            input: severed,
+        },
+        Case {
+            name: "degrade-divergence",
+            rule: "degrade-divergence",
+            code: "RA020",
+            why: "worst-case arrivals outrun collector service at every degrade level",
+            input: diverging,
+        },
+        Case {
+            name: "unbounded-queue",
+            rule: "unbounded-queue",
+            code: "RA021",
+            why: "the same overload with the degrade ladder disabled",
+            input: unbounded,
+        },
+    ]
+}
+
+// ------------------------------------------------------------------ proto
+
+/// PR 9 bug #1, as a spec mutation: the receive-side dedup window not
+/// scoped to the sender incarnation, so a restarted sender's fresh
+/// frames (seqs starting over at 1) sit below the old watermark and
+/// are silently swallowed.
+pub fn seq_restart_swallow() -> ProtocolSpec {
+    let mut spec = ProtocolSpec::shipped();
+    spec.dedup.incarnation_scoped = false;
+    spec
+}
+
+/// PR 9 bug #2, as a spec mutation: stale (closed-epoch) straggler
+/// reports credited as barrier attendance, resurrecting confirmed-dead
+/// nodes and double-repairing already-repaired load.
+pub fn straggler_resurrection() -> ProtocolSpec {
+    let mut spec = ProtocolSpec::shipped();
+    spec.barrier.credit_stale_reports = true;
+    spec
+}
+
+/// The protocol corpus (RA022–RA025), in rule-code order.
+pub fn proto_cases() -> Vec<Case<ProtocolSpec>> {
+    let mut client_drops_conn_lost = ProtocolSpec::shipped();
+    client_drops_conn_lost
+        .client
+        .retain(|r| !(r.state == ClientState::Running && r.event == ClientEvent::ConnLost));
+
+    let mut undefined_stale_report = ProtocolSpec::shipped();
+    undefined_stale_report.session.retain(|r| {
+        !(r.state == SessionState::Ticking && r.event == SessionEvent::RecvReportStale)
+    });
+
+    let mut incarnation_reuse = ProtocolSpec::shipped();
+    incarnation_reuse.fresh_bump = false;
+
+    let mut unbounded_retransmit = ProtocolSpec::shipped();
+    unbounded_retransmit.arq.retry_budget_enforced = false;
+
+    vec![
+        Case {
+            name: "client-drops-conn-lost",
+            rule: "protocol-deadlock",
+            code: "RA022",
+            why: "the supervisor's Running state has no ConnLost entry, so a node whose \
+                  connection dies keeps believing it is connected and can never redial, \
+                  drain, or give up",
+            input: client_drops_conn_lost,
+        },
+        Case {
+            name: "undefined-stale-report",
+            rule: "unexpected-message",
+            code: "RA023",
+            why: "the session's Ticking state has no entry for straggler reports, so a \
+                  late frame from a slow node lands on an undefined transition",
+            input: undefined_stale_report,
+        },
+        Case {
+            name: "straggler-resurrection",
+            rule: "unexpected-message",
+            code: "RA023",
+            why: "PR 9 bug #2: stale reports credited as attendance resurrect a \
+                  confirmed-dead node and double-repair its load",
+            input: straggler_resurrection(),
+        },
+        Case {
+            name: "incarnation-reuse",
+            rule: "incarnation-regression",
+            code: "RA024",
+            why: "fresh Hellos no longer mint a strictly greater incarnation, so a \
+                  restarted node is indistinguishable from its previous life",
+            input: incarnation_reuse,
+        },
+        Case {
+            name: "seq-restart-swallow",
+            rule: "incarnation-regression",
+            code: "RA024",
+            why: "PR 9 bug #1: the dedup window ignores the sender incarnation, so a \
+                  restarted sender's first frames are silently swallowed",
+            input: seq_restart_swallow(),
+        },
+        Case {
+            name: "unbounded-retransmit",
+            rule: "unbounded-inflight",
+            code: "RA025",
+            why: "the ARQ retry budget is not enforced, so an unreachable peer's frames \
+                  are retransmitted forever and the unacked set never drains",
+            input: unbounded_retransmit,
+        },
+    ]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::verify::test_verify;
+    use remo_core::corpus::check;
+    use remo_core::validate::Audit;
 
-    /// Every corpus bundle trips its named rule and *only* its named
-    /// rule, before and after the CLI's JSON round-trip.
+    /// The heart of the corpora: every case trips its named rule and
+    /// *only* that rule, before and after the JSON round-trip that
+    /// makes it a CLI `--example` seed — so an analyzer regression (a
+    /// missed bug or a false positive) fails this test by case name.
     #[test]
     fn every_case_trips_exactly_its_rule() {
-        remo_core::corpus::check(&known_bad(), |b| b.audit(&crate::Audit::new()).findings);
+        check(&audit_cases(), |b| b.audit(&Audit::new()).findings);
+    }
+
+    /// The same law for the pre-deployment analyzers: the static
+    /// bounds and the protocol verifier.
+    #[test]
+    fn each_case_trips_exactly_its_rule() {
+        check(&static_cases(), |bundle| match crate::analyze(bundle) {
+            Ok(report) => report.findings,
+            Err(e) => panic!("corpus bundle failed to analyze: {e}"),
+        });
+        check(&proto_cases(), |spec| test_verify(spec).findings);
+    }
+
+    /// Seed-the-bug regression: PR 9's seq-restart dedup bug, caught
+    /// as RA024 by the ARQ and lattice phases.
+    #[test]
+    fn verifier_catches_the_seq_restart_bug() {
+        let report = test_verify(&seq_restart_swallow());
+        assert!(
+            report
+                .findings
+                .iter()
+                .any(|f| f.code == "RA024" && f.message.contains("swallowed")),
+            "the verifier must catch the PR 9 seq-restart swallow: {:?}",
+            report.findings
+        );
+    }
+
+    /// Seed-the-bug regression: PR 9's straggler-resurrection bug,
+    /// caught as RA023 by the control-plane phase.
+    #[test]
+    fn verifier_catches_the_straggler_resurrection_bug() {
+        let report = test_verify(&straggler_resurrection());
+        assert!(
+            report
+                .findings
+                .iter()
+                .any(|f| f.code == "RA023" && f.message.contains("resurrected")),
+            "the verifier must catch the PR 9 straggler resurrection: {:?}",
+            report.findings
+        );
     }
 }

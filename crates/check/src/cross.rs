@@ -1,25 +1,13 @@
-//! Cross-layer checks: artifacts from the runtime and sim crates
-//! audited against the plan (or against themselves). These live here
-//! rather than in `remo_core::validate` because they need types from
-//! crates that depend on core.
+//! Cross-layer checks: runtime artifacts audited against the plan (or
+//! against themselves). These live here rather than in
+//! `remo_core::validate` because they need `remo-runtime`'s types.
 
-use crate::{rule, rules, Finding, RuleSet};
+use remo_core::validate::{rules, Finding, RuleSet};
 use remo_core::{AttrCatalog, MonitoringPlan, NodeId, PairSet};
+use remo_runtime::failure::{FailureSchedule, FailureTarget};
 use remo_runtime::{plan_assignments, TreeAssignment};
-use remo_sim::failure::{FailureSchedule, FailureTarget};
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
-
-fn finding(ruleset: &RuleSet, name: &str, message: String) -> Option<Finding> {
-    if !ruleset.is_enabled(name) {
-        return None;
-    }
-    let meta = rule(name)?;
-    Some(Finding {
-        severity: ruleset.severity(meta),
-        ..Finding::new(meta, message)
-    })
-}
 
 /// Checks live runtime assignments against the plan they claim to
 /// implement (`deployment-route-fidelity`): every tree member must
@@ -49,8 +37,7 @@ pub fn check_assignments(
         let have_by_tree: BTreeMap<u32, &TreeAssignment> =
             have.iter().map(|a| (a.tree, a)).collect();
         if have.len() != have_by_tree.len() {
-            if let Some(mut f) = finding(
-                ruleset,
+            if let Some(mut f) = ruleset.finding(
                 rules::DEPLOYMENT_ROUTE_FIDELITY,
                 format!("node {node} holds duplicate assignments for one tree"),
             ) {
@@ -61,8 +48,7 @@ pub fn check_assignments(
         for (tree, want_a) in &want_by_tree {
             match have_by_tree.get(tree) {
                 None => {
-                    if let Some(mut f) = finding(
-                        ruleset,
+                    if let Some(mut f) = ruleset.finding(
                         rules::DEPLOYMENT_ROUTE_FIDELITY,
                         format!("node {node} is a member of tree {tree} but holds no assignment"),
                     ) {
@@ -79,8 +65,7 @@ pub fn check_assignments(
                     } else {
                         "applies the wrong relay aggregations"
                     };
-                    if let Some(mut f) = finding(
-                        ruleset,
+                    if let Some(mut f) = ruleset.finding(
                         rules::DEPLOYMENT_ROUTE_FIDELITY,
                         format!("node {node} in tree {tree} {what}"),
                     ) {
@@ -94,8 +79,7 @@ pub fn check_assignments(
         }
         for tree in have_by_tree.keys() {
             if !want_by_tree.contains_key(tree) {
-                if let Some(mut f) = finding(
-                    ruleset,
+                if let Some(mut f) = ruleset.finding(
                     rules::DEPLOYMENT_ROUTE_FIDELITY,
                     format!("node {node} holds an assignment for tree {tree} it is not in"),
                 ) {
@@ -117,8 +101,7 @@ pub fn check_failure_schedule(schedule: &FailureSchedule, ruleset: &RuleSet) -> 
     let mut seen = BTreeSet::new();
     for (i, o) in schedule.outages().iter().enumerate() {
         if o.until_epoch.is_some_and(|u| u < o.from_epoch) {
-            if let Some(f) = finding(
-                ruleset,
+            if let Some(f) = ruleset.finding(
                 rules::FAILURE_SCHEDULE_CONSISTENT,
                 format!(
                     "outage {i} has an empty window [{}, {}] and never fires",
@@ -131,8 +114,7 @@ pub fn check_failure_schedule(schedule: &FailureSchedule, ruleset: &RuleSet) -> 
         }
         if let FailureTarget::Link(a, b) = o.target {
             if a == b {
-                if let Some(mut f) = finding(
-                    ruleset,
+                if let Some(mut f) = ruleset.finding(
                     rules::FAILURE_SCHEDULE_CONSISTENT,
                     format!("outage {i} targets the self-loop link {a} → {b}"),
                 ) {
@@ -143,8 +125,7 @@ pub fn check_failure_schedule(schedule: &FailureSchedule, ruleset: &RuleSet) -> 
         }
         let key = format!("{:?}", o);
         if !seen.insert(key) {
-            if let Some(f) = finding(
-                ruleset,
+            if let Some(f) = ruleset.finding(
                 rules::FAILURE_SCHEDULE_CONSISTENT,
                 format!("outage {i} exactly duplicates an earlier one"),
             ) {
@@ -161,8 +142,8 @@ mod tests {
     use super::*;
     use remo_core::planner::Planner;
     use remo_core::{AttrId, CapacityMap, CostModel};
+    use remo_runtime::failure::Outage;
     use remo_runtime::Route;
-    use remo_sim::failure::Outage;
 
     fn setup() -> (MonitoringPlan, PairSet, AttrCatalog) {
         let pairs: PairSet = (0..6)

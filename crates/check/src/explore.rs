@@ -9,12 +9,21 @@
 //! either order, say) collapse into one subtree. Violating traces are
 //! delta-debugged down to minimal counterexamples before being
 //! reported.
+//!
+//! ```
+//! use remo_check::{explore, InvariantConfig, TopologySpec};
+//!
+//! let spec = TopologySpec::small(1);
+//! let result = explore::explore(&spec, &InvariantConfig::default(), 3).unwrap();
+//! assert!(result.violations.is_empty());
+//! assert!(result.stats.visited > 1);
+//! ```
 
 use crate::harness::{Event, Harness, InvariantConfig};
 use crate::minimize;
 use crate::topology::TopologySpec;
-use remo_audit::{Finding, Severity};
 pub use remo_core::explore::ExploreStats;
+use remo_core::validate::{Finding, Severity};
 
 /// One invariant violation: the raw trace that found it, the
 /// delta-debugged minimal trace, and the findings at the violating
@@ -117,7 +126,7 @@ mod tests {
                 .violations
                 .iter()
                 .flat_map(|v| &v.findings)
-                .filter(|f| f.rule == remo_audit::rules::STATIC_INFEASIBLE_CAPACITY)
+                .filter(|f| f.rule == remo_core::validate::rules::STATIC_INFEASIBLE_CAPACITY)
                 .collect();
             assert!(
                 bound_violations.is_empty(),
@@ -155,7 +164,7 @@ mod tests {
         assert!(v
             .findings
             .iter()
-            .any(|f| f.rule == remo_audit::rules::RECOVERY_CONVERGENCE));
+            .any(|f| f.rule == remo_core::validate::rules::RECOVERY_CONVERGENCE));
         assert!(!v.minimized.is_empty());
         assert!(v.minimized.len() <= v.trace.len());
         // The minimized trace still needs a failure and a recovery.

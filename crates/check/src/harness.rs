@@ -18,7 +18,7 @@
 //! [`AdaptivePlanner::audit`] plus the cross-layer assignment check,
 //! and the protocol-sequence rules RA013–RA016.
 //!
-//! The harness also carries one `remo-proto` [`SessionMachine`] per
+//! The harness also carries one `remo-runtime` [`SessionMachine`] per
 //! node and replays every explored collector step (tick fan-out,
 //! report credit, missed barriers, death confirmation, repair,
 //! reintegration) through the shared protocol spec: an explored
@@ -26,16 +26,18 @@
 //! as RA023, so the model checker and the protocol verifier can never
 //! silently disagree about what the control plane is allowed to do.
 
+use crate::cost::{cost_bounds, CostBounds, CostFlags};
+use crate::cross;
 use crate::topology::TopologySpec;
-use remo_audit::{cross, rule, Finding, RuleSet, Severity};
 use remo_core::adapt::AdaptivePlanner;
+use remo_core::validate::{rules, Finding, RuleSet, Severity};
 use remo_core::{CapacityMap, NodeId};
-use remo_proto::{HelloOutcome, SessionEvent, SessionMachine};
 use remo_runtime::health::HealthState;
+use remo_runtime::machine::{HelloOutcome, SessionMachine};
+use remo_runtime::spec::SessionEvent;
 use remo_runtime::{
     changed_assignments, due_readings, plan_assignments, HealthMonitor, TreeAssignment,
 };
-use remo_static::{cost_bounds, CostBounds, CostFlags};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -130,12 +132,6 @@ impl Default for InvariantConfig {
     }
 }
 
-/// Builds a finding for an `remo-mc` sequence rule at its registry
-/// severity.
-fn mc_finding(name: &str, message: String) -> Option<Finding> {
-    Some(Finding::new(rule(name)?, message))
-}
-
 /// One explorable protocol state (clonable, so the DFS can fork it).
 #[derive(Debug, Clone)]
 pub struct Harness {
@@ -169,7 +165,7 @@ pub struct Harness {
     /// Static-bound comparisons performed so far (soundness witness
     /// for the sweep: checked everywhere, violated nowhere).
     bound_checks: u64,
-    /// Per-node `remo-proto` session machines the explored collector
+    /// Per-node session machines the explored collector
     /// steps are replayed through (RA023 conformance cross-check).
     sessions: BTreeMap<NodeId, SessionMachine>,
     /// Session-machine steps replayed so far (conformance witness).
@@ -250,8 +246,8 @@ impl Harness {
         let m = self.sessions.entry(n).or_default();
         let state = m.state();
         if m.step(event).is_none() {
-            if let Some(mut f) = mc_finding(
-                remo_audit::rules::UNEXPECTED_MESSAGE,
+            if let Some(mut f) = RuleSet::all().finding(
+                rules::UNEXPECTED_MESSAGE,
                 format!(
                     "explored collector step ({state:?}, {event:?}) for node {n} is undefined \
                      in the protocol spec"
@@ -408,8 +404,8 @@ impl Harness {
                 if drift != 0
                     || again.plan().collected_pairs() != self.planner.plan().collected_pairs()
                 {
-                    if let Some(mut f) = mc_finding(
-                        remo_audit::rules::REPAIR_IDEMPOTENT,
+                    if let Some(mut f) = RuleSet::all().finding(
+                        rules::REPAIR_IDEMPOTENT,
                         format!(
                             "re-applying the repair of node {n} moved {drift} edges and changed \
                              collected pairs {} → {}",
@@ -431,6 +427,7 @@ impl Harness {
 
     /// Re-proves every state invariant, returning the findings.
     fn check(&mut self) -> Vec<Finding> {
+        let registry = RuleSet::all();
         let mut findings = Vec::new();
 
         // Audit-clean: the full RA001–RA010 registry over the live
@@ -450,7 +447,7 @@ impl Harness {
             self.planner.pairs(),
             self.planner.catalog(),
             &self.assignments,
-            &RuleSet::all(),
+            &registry,
         ));
 
         // RA018 cross-check: every explored plan state must sit inside
@@ -464,8 +461,8 @@ impl Harness {
             let u = usage.get(&n).copied().unwrap_or(0.0);
             self.bound_checks += 1;
             if u > iv.hi() * (1.0 + 1e-6) {
-                if let Some(mut f) = mc_finding(
-                    remo_audit::rules::STATIC_INFEASIBLE_CAPACITY,
+                if let Some(mut f) = registry.finding(
+                    rules::STATIC_INFEASIBLE_CAPACITY,
                     format!(
                         "node {n} usage {u:.2} escaped the static worst-shape bound {:.2}",
                         iv.hi()
@@ -478,8 +475,8 @@ impl Harness {
                 }
             }
             if full_collection && u < iv.lo() * (1.0 - 1e-6) {
-                if let Some(mut f) = mc_finding(
-                    remo_audit::rules::STATIC_INFEASIBLE_CAPACITY,
+                if let Some(mut f) = registry.finding(
+                    rules::STATIC_INFEASIBLE_CAPACITY,
                     format!(
                         "node {n} usage {u:.2} undercuts the static best-shape bound {:.2} \
                          with every pair collected",
@@ -498,8 +495,8 @@ impl Harness {
         if collector > self.static_bounds.collector.hi() * (1.0 + 1e-6)
             || (full_collection && collector < self.static_bounds.collector.lo() * (1.0 - 1e-6))
         {
-            if let Some(mut f) = mc_finding(
-                remo_audit::rules::STATIC_INFEASIBLE_CAPACITY,
+            if let Some(mut f) = registry.finding(
+                rules::STATIC_INFEASIBLE_CAPACITY,
                 format!(
                     "collector usage {collector:.2} escaped the static interval [{:.2}, {:.2}]",
                     self.static_bounds.collector.lo(),
@@ -526,8 +523,8 @@ impl Harness {
                 .copied()
                 .unwrap_or(0.0);
             if usage > 0.0 {
-                if let Some(mut f) = mc_finding(
-                    remo_audit::rules::REPAIR_CAPACITY,
+                if let Some(mut f) = registry.finding(
+                    rules::REPAIR_CAPACITY,
                     format!("repaired node {n} still carries {usage:.2} load in the plan"),
                 ) {
                     f.node = Some(n);
@@ -537,8 +534,8 @@ impl Harness {
                 }
             }
             if self.assignments.get(&n).is_some_and(|a| !a.is_empty()) {
-                if let Some(mut f) = mc_finding(
-                    remo_audit::rules::REPAIR_CAPACITY,
+                if let Some(mut f) = registry.finding(
+                    rules::REPAIR_CAPACITY,
                     format!("repaired node {n} still holds tree assignments"),
                 ) {
                     f.node = Some(n);
@@ -552,8 +549,8 @@ impl Harness {
         if self.recoveries > 0 && self.down.is_empty() && self.pending_repair.is_empty() {
             let collected = self.planner.plan().collected_pairs();
             if collected + (self.cfg.pair_slack as usize) < self.baseline_pairs {
-                if let Some(mut f) = mc_finding(
-                    remo_audit::rules::RECOVERY_CONVERGENCE,
+                if let Some(mut f) = registry.finding(
+                    rules::RECOVERY_CONVERGENCE,
                     format!(
                         "recovered system collects {collected} pairs, original collected {} \
                          (slack {})",
@@ -568,8 +565,8 @@ impl Harness {
             let volume = self.planner.plan().message_volume();
             let limit = self.baseline_volume * self.cfg.volume_tolerance;
             if volume > limit + 1e-9 {
-                if let Some(mut f) = mc_finding(
-                    remo_audit::rules::RECOVERY_CONVERGENCE,
+                if let Some(mut f) = registry.finding(
+                    rules::RECOVERY_CONVERGENCE,
                     format!(
                         "recovered system's volume {volume:.2} exceeds {:.2}x the original \
                          {:.2}",
@@ -587,8 +584,8 @@ impl Harness {
         // telemetry must agree, and the telemetry must be monotone.
         let reported = self.health.report(self.epoch).total_values_lost();
         if reported != self.values_lost {
-            if let Some(mut f) = mc_finding(
-                remo_audit::rules::VALUE_LOSS_ACCOUNTING,
+            if let Some(mut f) = registry.finding(
+                rules::VALUE_LOSS_ACCOUNTING,
                 format!(
                     "health telemetry reports {reported} values lost, harness accounted {}",
                     self.values_lost
@@ -600,8 +597,8 @@ impl Harness {
             }
         }
         if reported < self.last_reported_lost {
-            if let Some(mut f) = mc_finding(
-                remo_audit::rules::VALUE_LOSS_ACCOUNTING,
+            if let Some(mut f) = registry.finding(
+                rules::VALUE_LOSS_ACCOUNTING,
                 format!(
                     "value-loss telemetry went backwards: {} → {reported}",
                     self.last_reported_lost

@@ -20,7 +20,7 @@
 //! bound is *conditional*: it holds when the degrade analysis
 //! certifies the collector keeps up (no shedding, no unbounded queue
 //! wait) and no permanent partition window or certain-loss link cuts a
-//! demanded node off — those conditions are what [`crate::analyze`]
+//! demanded node off — those conditions are what [`crate::analyze()`]
 //! turns into RA019 findings when violated.
 
 use remo_core::{AttrCatalog, AttrId, NodeId, PairSet};

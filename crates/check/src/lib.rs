@@ -1,57 +1,87 @@
-//! # remo-audit
+//! # remo-check
 //!
-//! Whole-plan static analysis for REMO monitoring plans: the
-//! rule-registry engine from `remo_core::validate` plus everything
-//! that needs to see across crate layers — runtime tree assignments
-//! checked against the plan they claim to implement
-//! ([`cross::check_assignments`]), sim failure schedules checked for
-//! self-consistency ([`cross::check_failure_schedule`]) — a
-//! serializable [`AuditBundle`] input format, SARIF-style JSON
-//! reports ([`sarif`]), and a corpus of known-bad plans ([`corpus`]).
-//! The CLI is `remo-check audit` (the shared analyzer front-end, in
-//! `crates/mc`).
+//! REMO's analyzers. The paper's guarantees are invariants — per-node
+//! budgets under the `C + a·x` cost model, tree structure and coverage,
+//! monotone adaptation and failure handling — and each is a rule of the
+//! one registry, `remo_core::validate::RULES`, checked by exactly one of
+//! four analyzers:
 //!
-//! The planner maintains the paper's invariants *by construction*;
-//! this crate re-proves them on any plan that crossed a serialization
-//! boundary, was repaired by the self-healing runtime, or was
-//! rewritten for reliability.
+//! - **audit** (RA001–RA012, RA017) re-proves the plan rules on an
+//!   [`AuditBundle`]: a plan that crossed a serialization boundary, was
+//!   repaired by the self-healing runtime, or was rewritten for
+//!   reliability. [`cross`] checks runtime assignments and failure
+//!   schedules against it.
+//! - **mc** (RA013–RA016) model-checks self-healing: [`explore`]
+//!   enumerates interleavings of failure, recovery, epoch-tick and
+//!   repair events on small seeded topologies ([`topology`]), driving the
+//!   real `AdaptivePlanner` and the deployment's assignment and loss
+//!   arithmetic ([`harness`]); [`mod@minimize`] delta-debugs a violating
+//!   trace and [`replay`] freezes it as a regression file.
+//! - **static** (RA018–RA021) bounds a deployment before it runs
+//!   ([`analyze()`](fn@analyze)): usage intervals over every partition
+//!   shape ([`cost`]), worst-case staleness under the ARQ transport
+//!   ([`latency`]) and the backpressure fixed point ([`degrade`]).
+//! - **proto** (RA022–RA025) explores the control-plane tables that
+//!   `remo-runtime` executes under lossy-channel semantics ([`verify`]).
+//!
+//! [`corpus`] holds the known-bad inputs, one per rule. The `remo-check`
+//! binary is the one CLI in front of all four (`remo-check audit`,
+//! `static analyze`, `proto verify`, `mc explore|replay`), reporting
+//! through `remo_core::sarif`.
 //!
 //! ```
-//! use remo_core::{CapacityMap, CostModel, NodeId, AttrId, PairSet, AttrCatalog};
+//! use remo_check::AuditBundle;
 //! use remo_core::planner::Planner;
-//! use remo_audit::AuditBundle;
+//! use remo_core::validate::Audit;
+//! use remo_core::{AttrCatalog, AttrId, CapacityMap, CostModel, NodeId, PairSet};
 //!
 //! # fn main() -> Result<(), remo_core::PlanError> {
+//! // A planned bundle is clean, also after the CLI's JSON trip.
 //! let caps = CapacityMap::uniform(6, 30.0, 200.0)?;
 //! let pairs: PairSet = (0..6).map(|n| (NodeId(n), AttrId(0))).collect();
-//! let catalog = AttrCatalog::new();
 //! let cost = CostModel::default();
-//! let plan = Planner::default().plan_with_catalog(&pairs, &caps, cost, &catalog);
+//! let plan = Planner::default().plan_with_catalog(&pairs, &caps, cost, &AttrCatalog::new());
 //! let bundle = AuditBundle::new(plan, pairs, caps, cost);
-//! let outcome = bundle.audit(&remo_audit::Audit::new());
-//! assert!(outcome.is_clean());
-//! // The bundle round-trips through JSON for the CLI.
+//! assert!(bundle.audit(&Audit::new()).is_clean());
 //! let text = bundle.to_json().unwrap();
-//! assert!(AuditBundle::from_json(&text).unwrap().audit(&remo_audit::Audit::new()).is_clean());
+//! assert!(AuditBundle::from_json(&text).unwrap().audit(&Audit::new()).is_clean());
 //! # Ok(())
 //! # }
 //! ```
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![deny(clippy::print_stdout)]
+#![deny(clippy::print_stderr)]
 
+pub mod analyze;
 pub mod corpus;
+pub mod cost;
 pub mod cross;
+pub mod degrade;
+pub mod explore;
+pub mod harness;
+pub mod latency;
+pub mod minimize;
+pub mod replay;
+pub mod topology;
+pub mod verify;
 
-pub use remo_core::sarif;
-
-pub use remo_core::validate::{
-    rule, rules, Audit, AuditInput, AuditOutcome, Finding, RuleMeta, RuleSet, Severity, RULES,
-};
+pub use analyze::{analyze, AnalysisReport, StaticBundle};
+pub use cost::{cost_bounds, CostBounds, CostFlags};
+pub use degrade::{degrade_analysis, DegradeAnalysis};
+pub use explore::{ExploreResult, ExploreStats, Violation};
+pub use harness::{Event, Harness, InvariantConfig};
+pub use latency::{period_of, staleness_bounds, StalenessBounds};
+pub use minimize::{minimize, replay_events, ReplayOutcome};
+pub use replay::{Expectation, ReplayFile, Verdict};
+pub use topology::{seeded_specs, TopologySpec};
+pub use verify::VerifyReport;
 
 use remo_core::reliability::ReliabilityRewrite;
+use remo_core::validate::{Audit, AuditInput, AuditOutcome};
 use remo_core::{AttrCatalog, CapacityMap, CostModel, MonitoringPlan, NodeId, PairSet};
-use remo_sim::failure::FailureSchedule;
+use remo_runtime::failure::FailureSchedule;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
@@ -188,31 +218,15 @@ impl AuditBundle {
     }
 }
 
-/// Asserts that `plan` passes every error-severity rule; panics with
-/// the rendered findings otherwise. Bench binaries call this after
-/// planning so every reported figure comes from an audited plan.
-pub fn assert_plan_clean(
-    plan: &MonitoringPlan,
-    pairs: &PairSet,
-    caps: &CapacityMap,
-    cost: CostModel,
-    catalog: &AttrCatalog,
-) {
-    let outcome = Audit::new().run(&AuditInput::new(plan, pairs, caps, cost, catalog));
-    assert!(
-        outcome.is_clean(),
-        "plan failed its audit:\n{}",
-        outcome.render()
-    );
-}
-
+// The two input documents: each round-trips through JSON and runs.
 #[cfg(test)]
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
     use super::*;
     use remo_core::planner::Planner;
-    use remo_core::{AttrId, NodeId};
-    use remo_sim::failure::Outage;
+    use remo_core::validate::{assert_plan_clean, rules};
+    use remo_core::AttrId;
+    use remo_runtime::failure::Outage;
 
     fn bundle() -> AuditBundle {
         let pairs: PairSet = (0..6)
@@ -260,5 +274,25 @@ mod tests {
         let b = bundle();
         let tight = CapacityMap::uniform(6, 1.0, 300.0).unwrap();
         assert_plan_clean(&b.plan, &b.pairs, &tight, b.cost, &b.catalog);
+    }
+
+    #[test]
+    fn a_bare_spec_document_parses_as_a_bundle() {
+        let json = r#"{
+            "nodes": 3,
+            "node_capacity": 20.0,
+            "collector_capacity": 100.0,
+            "per_message_cost": 2.0,
+            "per_value_cost": 1.0,
+            "tasks": [{"attrs": [0], "nodes": [0, 1, 2]}]
+        }"#;
+        let bundle = StaticBundle::from_json(json).unwrap();
+        assert!(bundle.net.is_none());
+        let report = analyze(&bundle).unwrap();
+        assert!(report.is_clean());
+        assert!(report.findings.is_empty());
+        // Roundtrip through the bundle shape.
+        let back = StaticBundle::from_json(&bundle.to_json().unwrap()).unwrap();
+        assert_eq!(back.spec, bundle.spec);
     }
 }

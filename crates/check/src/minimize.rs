@@ -9,7 +9,7 @@
 
 use crate::harness::{Event, Harness, InvariantConfig};
 use crate::topology::TopologySpec;
-use remo_audit::{Finding, Severity};
+use remo_core::validate::{Finding, Severity};
 
 /// Outcome of replaying an event sequence from the initial state.
 #[derive(Debug, Clone)]

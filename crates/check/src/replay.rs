@@ -173,7 +173,7 @@ mod tests {
         assert_eq!(file.expect.verdict, Verdict::Violation);
         assert_eq!(
             file.expect.rule.as_deref(),
-            Some(remo_audit::rules::RECOVERY_CONVERGENCE)
+            Some(remo_core::validate::rules::RECOVERY_CONVERGENCE)
         );
         file.verify().unwrap();
     }

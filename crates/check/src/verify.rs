@@ -35,13 +35,26 @@
 //! exploration continues, so one mutation yields one rule); an
 //! undefined **internal** event (connection edges, fan-out) leaves
 //! the machine unmoved — the resulting starvation surfaces as RA022.
+//!
+//! ```
+//! use remo_check::verify::verify_with_depth;
+//! use remo_runtime::spec::ProtocolSpec;
+//!
+//! let report = verify_with_depth(&ProtocolSpec::shipped(), 16);
+//! assert!(report.is_clean());
+//!
+//! let mut buggy = ProtocolSpec::shipped();
+//! buggy.dedup.incarnation_scoped = false; // the seq-restart dedup bug
+//! let report = verify_with_depth(&buggy, 16);
+//! assert!(report.findings.iter().any(|f| f.code == "RA024"));
+//! ```
 
-use crate::machine::DedupModel;
-use crate::spec::{
+use remo_core::explore::{explore, ExploreStats};
+use remo_core::validate::{rules, Finding, RuleSet};
+use remo_runtime::machine::DedupModel;
+use remo_runtime::spec::{
     ClientAction, ClientEvent, ClientState, ProtocolSpec, SessionAction, SessionEvent, SessionState,
 };
-use remo_core::explore::{explore, ExploreStats};
-use remo_core::validate::{rule, rules, Finding};
 use std::collections::{BTreeSet, HashSet};
 
 /// The full verification result.
@@ -69,18 +82,6 @@ impl VerifyReport {
     }
 }
 
-fn finding(name: &str, message: String) -> Finding {
-    match rule(name) {
-        Some(meta) => Finding::new(meta, message),
-        None => Finding {
-            rule: name.to_string(),
-            code: "RA000".to_string(),
-            message,
-            ..Finding::default()
-        },
-    }
-}
-
 /// Collects findings with message-level dedup so a violation reached
 /// through many interleavings reports once.
 #[derive(Debug, Default)]
@@ -92,7 +93,7 @@ struct Sink {
 impl Sink {
     fn push(&mut self, name: &str, message: String) {
         if self.seen.insert((name.to_string(), message.clone())) {
-            self.findings.push(finding(name, message));
+            self.findings.extend(RuleSet::all().finding(name, message));
         }
     }
 }

@@ -6,9 +6,9 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use remo_audit::{rule, Severity, RULES};
+use remo_check::corpus::{audit_cases, proto_cases, static_cases};
 use remo_core::corpus::Case;
-use remo_core::validate::Analyzer;
+use remo_core::validate::{rule, Analyzer, Severity, RULES};
 use remo_core::CapacityMap;
 use serde_json::Value;
 use std::collections::BTreeSet;
@@ -25,9 +25,9 @@ type Words = &'static [&'static str];
 /// documented `fails_on`, and the corpus.
 fn rows() -> [(Words, Analyzer, Severity, Vec<[&'static str; 3]>); 4] {
     use Severity::{Error, Info};
-    let audit = names(remo_audit::corpus::known_bad());
-    let stat = names(remo_static::corpus::cases());
-    let proto = names(remo_proto::corpus::cases());
+    let audit = names(audit_cases());
+    let stat = names(static_cases());
+    let proto = names(proto_cases());
     // Depth 14 reaches every protocol corpus bug and keeps debug runs fast.
     let verify: Words = &["proto", "verify", "--depth", "14"];
     [
@@ -97,7 +97,7 @@ fn rule_ids(sarif_path: &str) -> BTreeSet<String> {
 
 /// The `over-budget` corpus bundle with its capacities restored.
 fn clean_bundle() -> String {
-    let mut bundle = remo_audit::corpus::known_bad().remove(0).input;
+    let mut bundle = audit_cases().remove(0).input;
     bundle.caps = CapacityMap::uniform(8, 100.0, 500.0).unwrap();
     write("clean.json", &bundle.to_json().unwrap())
 }
@@ -162,7 +162,7 @@ fn example_bundle_feeds_back_into_the_cli() {
 fn clean_bundle_exits_zero() {
     let bundle = clean_bundle();
     // A bare deployment spec, the shape `remo-plan --example` prints.
-    let mut roomy = remo_static::corpus::cases().remove(0).input;
+    let mut roomy = static_cases().remove(0).input;
     roomy.spec.node_capacity = 100.0;
     let spec = serde_json::to_string_pretty(&roomy.spec).unwrap();
     let spec = write("spec.json", &spec);

@@ -1,17 +1,17 @@
 //! Replays every committed trace in `corpus/` and asserts its
-//! recorded verdict, mirroring remo-audit's known-bad corpus: each
+//! recorded verdict, mirroring the analyzers' known-bad corpora: each
 //! file is a frozen regression test for the model-checking harness.
 //!
 //! To regenerate the corpus after an intentional semantics change:
 //!
 //! ```text
-//! cargo test -p remo-mc --test corpus -- --ignored regenerate_corpus
+//! cargo test -p remo-check --test corpus -- --ignored regenerate_corpus
 //! ```
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
+use remo_check::{seeded_specs, Event, InvariantConfig, ReplayFile, TopologySpec, Verdict};
 use remo_core::NodeId;
-use remo_mc::{seeded_specs, Event, InvariantConfig, ReplayFile, TopologySpec, Verdict};
 use std::fs;
 use std::path::PathBuf;
 
@@ -143,7 +143,7 @@ fn committed_corpus_matches_the_canonical_set() {
         assert_eq!(
             committed,
             fresh,
-            "{} is stale — rerun `cargo test -p remo-mc --test corpus -- --ignored regenerate_corpus`",
+            "{} is stale — rerun `cargo test -p remo-check --test corpus -- --ignored regenerate_corpus`",
             path.display()
         );
     }

@@ -6,12 +6,12 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use proptest::prelude::*;
-use remo_audit::Severity;
-use remo_core::NodeId;
-use remo_mc::{
+use remo_check::{
     minimize, replay_events, seeded_specs, Event, Harness, InvariantConfig, ReplayFile,
     TopologySpec,
 };
+use remo_core::validate::Severity;
+use remo_core::NodeId;
 
 /// Decodes a raw `(kind, node)` pair into a protocol event.
 fn decode(kind: u8, node: u8, nodes: u32) -> Event {

@@ -11,16 +11,17 @@
 //! the depth of the CLI test and of `scripts/check.sh --check-smoke`.
 //!
 //! Regenerate (only when a report change is intended and explained):
-//! `cargo test -p remo-mc --test sarif_golden -- --ignored regenerate`
+//! `cargo test -p remo-check --test sarif_golden -- --ignored regenerate`
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use remo_audit::{Audit, AuditOutcome, Finding};
+use remo_check::corpus::{audit_cases, proto_cases, static_cases};
+use remo_check::verify::verify_with_depth;
+use remo_check::{analyze, explore, seeded_specs, InvariantConfig, ReplayFile, ReplayOutcome};
 use remo_core::sarif::sarif_json;
+use remo_core::validate::{Audit, AuditOutcome, Finding};
 use remo_core::CapacityMap;
-use remo_mc::{explore, seeded_specs, InvariantConfig, ReplayFile, ReplayOutcome};
-use remo_proto::verify::verify_with_depth;
-use remo_proto::ProtocolSpec;
+use remo_runtime::spec::ProtocolSpec;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
@@ -36,15 +37,15 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// Every run, as (analyzer, run name, findings).
 fn runs() -> Vec<(&'static str, String, Vec<Finding>)> {
     let mut out = Vec::new();
-    for case in remo_audit::corpus::known_bad() {
+    for case in audit_cases() {
         let findings = case.input.audit(&Audit::new()).findings;
         out.push(("audit", case.name.to_string(), findings));
     }
-    for case in remo_static::corpus::cases() {
-        let findings = remo_static::analyze(&case.input).unwrap().findings;
+    for case in static_cases() {
+        let findings = analyze(&case.input).unwrap().findings;
         out.push(("static", case.name.to_string(), findings));
     }
-    for case in remo_proto::corpus::cases() {
+    for case in proto_cases() {
         let findings = verify_with_depth(&case.input, PROTO_DEPTH).findings;
         out.push(("proto", case.name.to_string(), findings));
     }
@@ -68,13 +69,13 @@ fn runs() -> Vec<(&'static str, String, Vec<Finding>)> {
     // One clean run per analyzer: the first audit case with its
     // capacities restored, the first static case with a roomy node
     // budget, the shipped protocol spec, and a small sweep.
-    let mut bundle = remo_audit::corpus::known_bad().remove(0).input;
+    let mut bundle = audit_cases().remove(0).input;
     bundle.caps = CapacityMap::uniform(8, 100.0, 500.0).unwrap();
     let findings = bundle.audit(&Audit::new()).findings;
     out.push(("audit", "clean".into(), findings));
-    let mut roomy = remo_static::corpus::cases().remove(0).input;
+    let mut roomy = static_cases().remove(0).input;
     roomy.spec.node_capacity = 100.0;
-    let findings = remo_static::analyze(&roomy).unwrap().findings;
+    let findings = analyze(&roomy).unwrap().findings;
     out.push(("static", "clean".into(), findings));
     let findings = verify_with_depth(&ProtocolSpec::shipped(), PROTO_DEPTH).findings;
     out.push(("proto", "clean".into(), findings));

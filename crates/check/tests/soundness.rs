@@ -24,13 +24,13 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use proptest::prelude::*;
-use remo::spec::{AttrSpec, DeploymentSpec, TaskSpec};
+use remo_check::{analyze, StaticBundle};
 use remo_core::planner::Planner;
+use remo_core::spec::{AttrSpec, DeploymentSpec, TaskSpec};
 use remo_core::{AttrId, NodeId};
 use remo_runtime::{
     Deployment, HealthConfig, NetConfig, NetSpec, PartitionWindow, Sampler, TransportSpec,
 };
-use remo_static::{analyze, StaticBundle};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 

@@ -1,6 +1,6 @@
 //! The one explicit-state explorer: depth-bounded, pre-order DFS with
-//! a visited set, shared by the `remo-mc` interleaving sweep and the
-//! `remo-proto` product-automaton phases.
+//! a visited set, shared by the `remo-check mc` interleaving sweep and
+//! the `remo-check proto` product-automaton phases.
 //!
 //! The explorer owns the visited set, the trace stack and the
 //! counters; the caller owns the model. `expand` runs once per state

@@ -23,7 +23,9 @@
 //!   ([`adapt`]),
 //! - extensions: in-network aggregation funnels ([`Aggregation`]),
 //!   reliability rewriting ([`reliability`]), and heterogeneous update
-//!   frequencies ([`frequency`]).
+//!   frequencies ([`frequency`]),
+//! - the serializable deployment spec ([`spec`]) and the rule registry
+//!   every analyzer checks plans against ([`validate`]).
 //!
 //! ## Quick start
 //!
@@ -82,6 +84,7 @@ pub mod plan;
 pub mod planner;
 pub mod reliability;
 pub mod sarif;
+pub mod spec;
 pub mod symbolic;
 mod task;
 mod taskman;

@@ -1,9 +1,10 @@
 //! The deployment spec: a serializable description of a monitoring
 //! problem (nodes, capacities, cost model, tasks) that external tools
-//! and the `remo-plan` CLI consume.
+//! and the `remo-plan` CLI consume, and the input of the pre-flight
+//! analyzer (`remo-check static`).
 
-use remo_core::planner::{PlanReport, Planner, PlannerConfig};
-use remo_core::{
+use crate::planner::{PlanReport, Planner, PlannerConfig};
+use crate::{
     Aggregation, AttrCatalog, AttrId, AttrInfo, CapacityMap, CostModel, MonitoringPlan,
     MonitoringTask, NodeId, PairSet, PlanError, TaskId, TaskManager,
 };

@@ -1,5 +1,5 @@
 //! Interval arithmetic over the `C + a·x` cost model: the abstract
-//! domain of the pre-flight analyzer (`remo-static`).
+//! domain of the pre-flight analyzer (`remo-check static`).
 //!
 //! A monitoring spec constrains a plan without determining it — the
 //! partition shape, tree topology, and funnel placement are all

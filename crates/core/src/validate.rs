@@ -101,23 +101,23 @@ pub mod rules {
     /// A tree member relays for children but samples nothing itself.
     pub const RELAY_ONLY: &str = "relay-only";
     /// Runtime assignments faithfully implement the plan (checked by
-    /// the `remo-audit` crate's cross-layer pass).
+    /// the audit's cross-layer pass in `remo-check`).
     pub const DEPLOYMENT_ROUTE_FIDELITY: &str = "deployment-route-fidelity";
-    /// Failure schedules are self-consistent (checked by the
-    /// `remo-audit` crate's cross-layer pass).
+    /// Failure schedules are self-consistent (checked by the audit's
+    /// cross-layer pass in `remo-check`).
     pub const FAILURE_SCHEDULE_CONSISTENT: &str = "failure-schedule-consistent";
     /// Nodes confirmed dead carry no load while their repair is in
-    /// flight (checked by the `remo-mc` model checker).
+    /// flight (checked by the `remo-check mc` model checker).
     pub const REPAIR_CAPACITY: &str = "repair-capacity";
     /// Re-applying a completed failure repair changes nothing
-    /// (checked by the `remo-mc` model checker).
+    /// (checked by the `remo-check mc` model checker).
     pub const REPAIR_IDEMPOTENT: &str = "repair-idempotent";
     /// After every failed node recovers, the plan converges back to a
-    /// cost-equivalent of the original (checked by the `remo-mc`
+    /// cost-equivalent of the original (checked by the `remo-check mc`
     /// model checker).
     pub const RECOVERY_CONVERGENCE: &str = "recovery-convergence";
     /// Values lost to failures are accounted monotonically and agree
-    /// with the health telemetry (checked by the `remo-mc` model
+    /// with the health telemetry (checked by the `remo-check mc` model
     /// checker).
     pub const VALUE_LOSS_ACCOUNTING: &str = "value-loss-accounting";
     /// Effective per-attribute reporting intervals (sampling period ×
@@ -126,52 +126,52 @@ pub mod rules {
     /// Even the cheapest legal plan shape (one message, maximal
     /// piggybacking, every funnel applied) overruns a node or
     /// collector budget — no plan can exist (checked pre-flight by
-    /// the `remo-static` analyzer).
+    /// `remo-check static`).
     pub const STATIC_INFEASIBLE_CAPACITY: &str = "static-infeasible-capacity";
     /// The declared staleness SLO cannot be met under the declared
     /// `NetSpec` — a permanent partition or dead link cuts demanded
     /// traffic, or the SLO is below the network's guaranteed minimum
-    /// latency (checked pre-flight by the `remo-static` analyzer).
+    /// latency (checked pre-flight by `remo-check static`).
     pub const SLO_UNREACHABLE_UNDER_NETSPEC: &str = "slo-unreachable-under-netspec";
     /// The power-of-two backpressure loop has no fixed point: even at
     /// the maximum degrade level the collector's worst-case arrival
-    /// rate exceeds its service rate (checked pre-flight by the
-    /// `remo-static` analyzer).
+    /// rate exceeds its service rate (checked pre-flight by
+    /// `remo-check static`).
     pub const DEGRADE_DIVERGENCE: &str = "degrade-divergence";
     /// With degradation disabled (or absent), worst-case arrivals
     /// exceed collector service, so the bounded ingress queue stays
     /// full and only shedding keeps it finite (checked pre-flight by
-    /// the `remo-static` analyzer).
+    /// `remo-check static`).
     pub const UNBOUNDED_QUEUE: &str = "unbounded-queue";
     /// The control-plane product automaton reaches a state where no
     /// role can make progress toward quiescence (checked by the
-    /// `remo-proto` protocol verifier).
+    /// `remo-check proto` protocol verifier).
     pub const PROTOCOL_DEADLOCK: &str = "protocol-deadlock";
     /// A reachable state delivers a message its role's transition
     /// table does not define — or treats a stale frame as fresh
-    /// evidence (checked by the `remo-proto` protocol verifier).
+    /// evidence (checked by the `remo-check proto` protocol verifier).
     pub const UNEXPECTED_MESSAGE: &str = "unexpected-message";
     /// Incarnation numbers assigned across node restarts regress or
     /// repeat, or a fresh-incarnation frame is swallowed by the dedup
-    /// lattice (checked by the `remo-proto` protocol verifier).
+    /// lattice (checked by the `remo-check proto` protocol verifier).
     pub const INCARNATION_REGRESSION: &str = "incarnation-regression";
     /// The ARQ sender exceeds its declared unacked window, or a
     /// control channel exceeds its declared bound (checked by the
-    /// `remo-proto` protocol verifier).
+    /// `remo-check proto` protocol verifier).
     pub const UNBOUNDED_INFLIGHT: &str = "unbounded-inflight";
 }
 
-/// The four analyzers behind `remo-check`. Every rule is checked by
-/// exactly one of them ([`RuleMeta::owner`]).
+/// The four analyzers of the `remo-check` crate and CLI. Every rule is
+/// checked by exactly one of them ([`RuleMeta::owner`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Analyzer {
-    /// Whole-plan audit of a serialized bundle (crate `remo-audit`).
+    /// Whole-plan audit of a serialized bundle (`remo-check audit`).
     Audit,
-    /// Bounded model checking of self-healing (crate `remo-mc`).
+    /// Bounded model checking of self-healing (`remo-check mc`).
     Mc,
-    /// Pre-flight abstract interpretation of a spec (crate `remo-static`).
+    /// Pre-flight abstract interpretation of a spec (`remo-check static`).
     Static,
-    /// Exhaustive control-plane verification (crate `remo-proto`).
+    /// Exhaustive control-plane verification (`remo-check proto`).
     Proto,
 }
 
@@ -491,6 +491,19 @@ impl RuleSet {
             .copied()
             .unwrap_or(meta.severity)
     }
+
+    /// A finding of the rule `name` at this set's severity for it —
+    /// the one way every analyzer turns a rule name into a [`Finding`].
+    /// `None` when the set disables the rule (or no rule has that name,
+    /// which `registry_is_consistent` rules out for every [`rules`]
+    /// constant).
+    pub fn finding(&self, name: &str, message: String) -> Option<Finding> {
+        let meta = rule(name).filter(|_| self.is_enabled(name))?;
+        Some(Finding {
+            severity: self.severity(meta),
+            ..Finding::new(meta, message)
+        })
+    }
 }
 
 // ------------------------------------------------------------------ findings
@@ -713,14 +726,8 @@ struct Emitter<'r> {
 
 impl Emitter<'_> {
     fn emit(&mut self, name: &str, message: String) -> Option<&mut Finding> {
-        if !self.rules.is_enabled(name) {
-            return None;
-        }
-        let meta = rule(name).unwrap_or(&RULES[0]);
-        self.findings.push(Finding {
-            severity: self.rules.severity(meta),
-            ..Finding::new(meta, message)
-        });
+        let finding = self.rules.finding(name, message)?;
+        self.findings.push(finding);
         self.findings.last_mut()
     }
 }
@@ -1276,6 +1283,28 @@ impl Audit {
     }
 }
 
+/// Asserts that `plan` passes every error-severity rule; panics with
+/// the rendered findings otherwise. Bench binaries call this after
+/// planning so every reported figure comes from an audited plan.
+///
+/// # Panics
+///
+/// When the audit finds an error-severity violation.
+pub fn assert_plan_clean(
+    plan: &MonitoringPlan,
+    pairs: &PairSet,
+    caps: &CapacityMap,
+    cost: CostModel,
+    catalog: &AttrCatalog,
+) {
+    let outcome = Audit::new().run(&AuditInput::new(plan, pairs, caps, cost, catalog));
+    assert!(
+        outcome.is_clean(),
+        "plan failed its audit:\n{}",
+        outcome.render()
+    );
+}
+
 #[cfg(test)]
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -1314,6 +1343,59 @@ mod tests {
         }
         assert_eq!(rule(rules::CAPACITY_BUDGET).map(|r| r.code), Some("RA001"));
         assert!(rule("no-such-rule").is_none());
+        assert!(RuleSet::all()
+            .finding("no-such-rule", String::new())
+            .is_none());
+        // Every named constant resolves, once each and in code order, so
+        // `RuleSet::finding` never sees an unregistered name from them.
+        let named = [
+            rules::CAPACITY_BUDGET,
+            rules::PARTITION_DISJOINT,
+            rules::PAIR_COVERAGE,
+            rules::TREE_ACYCLIC,
+            rules::ALLOC_CONSERVATION,
+            rules::COST_MODEL_ACCOUNTING,
+            rules::RELIABILITY_ALIAS_CONSISTENCY,
+            rules::ADAPTATION_MONOTONIC,
+            rules::IDLE_MEMBER,
+            rules::RELAY_ONLY,
+            rules::DEPLOYMENT_ROUTE_FIDELITY,
+            rules::FAILURE_SCHEDULE_CONSISTENT,
+            rules::REPAIR_CAPACITY,
+            rules::REPAIR_IDEMPOTENT,
+            rules::RECOVERY_CONVERGENCE,
+            rules::VALUE_LOSS_ACCOUNTING,
+            rules::STALENESS_BOUND,
+            rules::STATIC_INFEASIBLE_CAPACITY,
+            rules::SLO_UNREACHABLE_UNDER_NETSPEC,
+            rules::DEGRADE_DIVERGENCE,
+            rules::UNBOUNDED_QUEUE,
+            rules::PROTOCOL_DEADLOCK,
+            rules::UNEXPECTED_MESSAGE,
+            rules::INCARNATION_REGRESSION,
+            rules::UNBOUNDED_INFLIGHT,
+        ];
+        let registered: Vec<&str> = RULES.iter().map(|r| r.name).collect();
+        assert_eq!(named.as_slice(), registered.as_slice());
+        for name in named {
+            let f = RuleSet::all().finding(name, String::new()).unwrap();
+            assert_eq!(
+                (f.rule.as_str(), f.code.as_str()),
+                (name, rule(name).unwrap().code)
+            );
+        }
+    }
+
+    #[test]
+    fn finding_follows_the_rule_set() {
+        let mut rs = RuleSet::all();
+        rs.set_severity(rules::CAPACITY_BUDGET, Severity::Warn);
+        let f = rs
+            .finding(rules::CAPACITY_BUDGET, "over".to_string())
+            .unwrap();
+        assert_eq!((f.severity, f.message.as_str()), (Severity::Warn, "over"));
+        rs.disable(rules::CAPACITY_BUDGET);
+        assert!(rs.finding(rules::CAPACITY_BUDGET, String::new()).is_none());
     }
 
     /// RA001–RA025 with no gap, each owned by exactly one analyzer

@@ -25,7 +25,7 @@
 //! collector never blocks on a socket, so it always drains its peers.
 //!
 //! Every transition the supervisor takes is driven through the shared
-//! protocol specification (`remo-proto`): a [`ClientMachine`] is
+//! protocol specification (`remo_runtime::spec`): a [`ClientMachine`] is
 //! stepped for each connection edge and each decoded control frame,
 //! and the action it returns is what the handler executes. A frame the
 //! spec leaves undefined in the current state (a Hello or Report
@@ -42,10 +42,11 @@ use crate::config;
 use crate::net::{lock, read_batches, TcpTransport};
 use crossbeam::channel::{unbounded, Receiver};
 use remo_core::{CostModel, NodeId};
-use remo_proto::{ClientAction, ClientEvent, ClientMachine};
 use remo_runtime::agent::{Agent, AgentMsg, TickReport};
 use remo_runtime::framing::{Envelope, CHAN_CTRL, CHAN_DATA};
+use remo_runtime::machine::ClientMachine;
 use remo_runtime::proto::{FrameKind, WireMessage};
+use remo_runtime::spec::{ClientAction, ClientEvent};
 use remo_runtime::transport::{NetConfig, Transport};
 use remo_runtime::{CtrlMsg, Sampler};
 use std::net::{Shutdown, TcpStream};

@@ -30,9 +30,10 @@
 //! argument the lockstep protocol relies on.
 //!
 //! Session lifecycle is driven through the shared protocol
-//! specification (`remo-proto`): one [`SessionMachine`] per expected
-//! node owns that node's incarnation slot and is stepped for every
-//! Hello, report, barrier verdict, and fan-out the collector performs.
+//! specification (`remo_runtime::spec`): one [`SessionMachine`] per
+//! expected node owns that node's incarnation slot and is stepped for
+//! every Hello, report, barrier verdict, and fan-out the collector
+//! performs.
 //! Frames the spec leaves undefined in the session's current state are
 //! dropped and counted (surfaced as `protocol_rejects` in the run
 //! summary); the collector's own sends `debug_assert!` on spec
@@ -48,11 +49,12 @@ use bytes::Bytes;
 use remo_core::adapt::{AdaptScheme, AdaptivePlanner};
 use remo_core::planner::Planner;
 use remo_core::{AttrCatalog, CapacityMap, CostModel, NodeId, PairSet};
-use remo_proto::{HelloOutcome, SessionEvent, SessionMachine};
 use remo_runtime::agent::TickReport;
 use remo_runtime::deployment::plan_assignments;
 use remo_runtime::framing::{Envelope, FrameDecoder, CHAN_CTRL, CHAN_DATA, DEST_COLLECTOR};
 use remo_runtime::health::{HealthConfig, HealthMonitor};
+use remo_runtime::machine::{HelloOutcome, SessionMachine};
+use remo_runtime::spec::SessionEvent;
 use remo_runtime::transport::{Endpoint, NetConfig, Transport};
 use remo_runtime::{CollectorCore, Coordinator, CtrlMsg, EpochReport, RepairEngine, Sampler};
 use std::collections::{BTreeMap, BTreeSet};
@@ -852,7 +854,7 @@ mod tests {
 
     use super::*;
     use remo_core::AttrId;
-    use remo_proto::CtrlKind;
+    use remo_runtime::spec::CtrlKind;
 
     const WAIT: Duration = Duration::from_secs(10);
 

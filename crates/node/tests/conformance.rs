@@ -1,7 +1,7 @@
 //! Protocol conformance: random valid + hostile control-frame
 //! interleavings are driven through the *real* collector and node
-//! handlers over real TCP sockets, with the `remo-proto` machines as
-//! the oracle.
+//! handlers over real TCP sockets, with `remo_runtime`'s spec machines
+//! as the oracle.
 //!
 //! Collector side: every Hello the collector answers must carry
 //! exactly the incarnation the spec's [`SessionMachine`] assigns for
@@ -15,8 +15,9 @@
 use proptest::prelude::*;
 use remo_core::{AttrId, CapacityMap, NodeId, PairSet};
 use remo_node::{dist_sampler, spawn_node, CollectorService, NodeConfig, ServiceConfig};
-use remo_proto::{ClientAction, ClientEvent, ClientMachine, HelloOutcome, SessionMachine};
 use remo_runtime::framing::{Envelope, FrameDecoder, CHAN_CTRL, DEST_COLLECTOR};
+use remo_runtime::machine::{ClientMachine, HelloOutcome, SessionMachine};
+use remo_runtime::spec::{ClientAction, ClientEvent};
 use remo_runtime::transport::NetConfig;
 use remo_runtime::CtrlMsg;
 use std::io::{Read, Write};

@@ -5,7 +5,7 @@
 //!                                  # the search went and why it ended
 //! remo-plan spec.json --dot        # Graphviz DOT of the forest
 //! remo-plan spec.json --audit      # run the full rule registry
-//! remo-plan spec.json --bundle     # emit a bundle for remo-audit
+//! remo-plan spec.json --bundle     # emit a bundle for remo-check audit
 //! remo-plan --example              # print a starter spec
 //! ```
 //!
@@ -15,9 +15,10 @@
 //! collection for the run; summarize the files with `remo-obs dump`.
 
 use remo::spec::{AttrSpec, DeploymentSpec, TaskSpec};
-use remo_audit::{Audit, AuditBundle};
+use remo_check::AuditBundle;
 use remo_core::export::{summarize, to_dot};
 use remo_core::planner::{PlanReport, StopReason};
+use remo_core::validate::Audit;
 use std::process::ExitCode;
 
 fn example_spec() -> DeploymentSpec {

@@ -9,9 +9,10 @@
 //! - [`remo_core`] (re-exported as `core`) — the planner: task dedup, partition search,
 //!   resource-constrained tree construction, capacity allocation,
 //!   runtime adaptation, reliability rewriting, frequency support;
-//! - [`remo_sim`] (re-exported as `sim`) — the evaluation substrate: seeded true values,
-//!   error metrics and failure schedules over the runtime's agents;
-//! - [`remo_runtime`] (re-exported as `runtime`) — the in-process deployment substrate;
+//! - [`remo_sim`] (re-exported as `sim`) — the evaluation substrate: seeded true values
+//!   and error metrics over the runtime's agents;
+//! - [`remo_runtime`] (re-exported as `runtime`) — the in-process deployment substrate
+//!   and the failure schedules that drive it;
 //! - [`remo_workloads`] (re-exported as `workloads`) — synthetic tasks, the System-S-like
 //!   application model, and churn generation.
 //!
@@ -35,10 +36,8 @@
 
 #![warn(missing_docs)]
 
-pub mod chaos;
-pub mod spec;
-
 pub use remo_core as core;
+pub use remo_core::spec;
 pub use remo_runtime as runtime;
 pub use remo_sim as sim;
 pub use remo_workloads as workloads;
@@ -51,7 +50,6 @@ pub use remo_core::{
 
 /// Convenient glob import of the most used types across all layers.
 pub mod prelude {
-    pub use crate::chaos::ChaosDriver;
     pub use remo_core::adapt::{AdaptScheme, AdaptivePlanner};
     pub use remo_core::alloc::AllocationScheme;
     pub use remo_core::build::BuilderKind;
@@ -60,8 +58,8 @@ pub mod prelude {
         Aggregation, AttrCatalog, AttrId, AttrInfo, CapacityMap, CostModel, MonitoringPlan,
         MonitoringTask, NodeId, PairSet, Partition, PlanError, TaskChange, TaskId, TaskManager,
     };
+    pub use remo_runtime::failure::{FailureSchedule, Outage};
     pub use remo_runtime::{Deployment, HealthConfig, HealthReport, HealthState, NodeHealthStats};
-    pub use remo_sim::failure::{FailureSchedule, Outage};
     pub use remo_sim::{SimConfig, SimSetup, Simulator, ValueModel};
     pub use remo_workloads::{
         AppModel, AppModelConfig, ChurnConfig, Scenario, ScenarioConfig, TaskGenConfig,

@@ -15,6 +15,7 @@
 //! rejected immediately instead of being misparsed.
 
 use crate::agent::{LocalAttr, Route, TickReport, TreeAssignment};
+use crate::spec::CtrlKind;
 use crate::transport::NetConfig;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use remo_core::{Aggregation, AttrId, NodeId};
@@ -210,17 +211,17 @@ impl CtrlMsg {
     }
 
     /// The abstract protocol kind of this frame — the alphabet the
-    /// `remo-proto` spec tables are written over. Stepping the shared
+    /// [`crate::spec`] tables are written over. Stepping the shared
     /// spec machines starts here.
-    pub fn kind(&self) -> remo_proto::CtrlKind {
+    pub fn kind(&self) -> CtrlKind {
         match self {
-            CtrlMsg::Hello { .. } => remo_proto::CtrlKind::Hello,
-            CtrlMsg::Welcome { .. } => remo_proto::CtrlKind::Welcome,
-            CtrlMsg::Assign { .. } => remo_proto::CtrlKind::Assign,
-            CtrlMsg::Tick { .. } => remo_proto::CtrlKind::Tick,
-            CtrlMsg::Report { .. } => remo_proto::CtrlKind::Report,
-            CtrlMsg::Degrade { .. } => remo_proto::CtrlKind::Degrade,
-            CtrlMsg::Shutdown => remo_proto::CtrlKind::Shutdown,
+            CtrlMsg::Hello { .. } => CtrlKind::Hello,
+            CtrlMsg::Welcome { .. } => CtrlKind::Welcome,
+            CtrlMsg::Assign { .. } => CtrlKind::Assign,
+            CtrlMsg::Tick { .. } => CtrlKind::Tick,
+            CtrlMsg::Report { .. } => CtrlKind::Report,
+            CtrlMsg::Degrade { .. } => CtrlKind::Degrade,
+            CtrlMsg::Shutdown => CtrlKind::Shutdown,
         }
     }
 

@@ -241,8 +241,8 @@ impl Deployment {
     }
 
     /// The assignments currently pushed to each agent (updated by
-    /// launch, [`Deployment::apply_plan`], and plan repair). The
-    /// `remo-audit` crate checks these against the plan they claim to
+    /// launch, [`Deployment::apply_plan`], and plan repair). The audit
+    /// in `remo-check` checks these against the plan they claim to
     /// implement.
     pub fn assignments(&self) -> &BTreeMap<NodeId, Vec<TreeAssignment>> {
         &self.coord.assignments
@@ -494,7 +494,7 @@ fn export_epoch_metrics(report: &EpochReport) {
 
 /// Computes every node's tree assignments from a plan. This is the
 /// single source of truth the deployment configures agents from; the
-/// `remo-audit` crate re-derives it to cross-check live assignments
+/// audit in `remo-check` re-derives it to cross-check live assignments
 /// against the plan they claim to implement.
 pub fn plan_assignments(
     plan: &MonitoringPlan,
@@ -579,7 +579,7 @@ fn route_depth(
 
 /// Readings `assigns` schedules for production at `epoch` — the per-
 /// epoch quantum the deployment charges to `values_lost` while the
-/// owning node is unhealthy. Shared with the `remo-mc` model checker
+/// owning node is unhealthy. Shared with the `remo-check mc` model checker
 /// so its loss accounting audits the real deployment arithmetic.
 pub fn due_readings(assigns: &[TreeAssignment], epoch: u64) -> u64 {
     assigns
@@ -591,7 +591,7 @@ pub fn due_readings(assigns: &[TreeAssignment], epoch: u64) -> u64 {
 
 /// Nodes whose assignments differ between `old` and `new` (a missing
 /// entry counts as empty) — exactly the agents plan repair sends a
-/// targeted `Reconfigure` to. Shared with the `remo-mc` model checker
+/// targeted `Reconfigure` to. Shared with the `remo-check mc` model checker
 /// so its reconfiguration counts match the deployment's.
 pub fn changed_assignments(
     old: &BTreeMap<NodeId, Vec<TreeAssignment>>,

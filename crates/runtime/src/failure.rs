@@ -1,11 +1,19 @@
 //! Declarative failure scenarios: scripted node and link outages
-//! applied to a [`Simulator`] as it steps.
+//! applied to a [`Deployment`] as it ticks.
 //!
-//! Reliability experiments (Fig. 12b and the SSDP/DSDP tests) need
-//! repeatable outage patterns; this module expresses them as data
-//! instead of imperative `fail_node`/`heal_node` call sites.
+//! Reliability experiments (Fig. 12b and the SSDP/DSDP tests) and the
+//! chaos tests need repeatable outage patterns; this module expresses
+//! them as data, and [`FailureSchedule::apply`] is the one translation
+//! of that data into [`Deployment::fail_node`] /
+//! [`Deployment::heal_node`] / [`Deployment::set_link_down`] calls —
+//! `remo-sim`'s `Simulator` drives its deployment through it too. The
+//! deployment runs on the caller's thread with the epoch counter as its
+//! only clock, so a schedule's outcome — the epoch a crash is confirmed
+//! at, every retransmission on a lossy transport — is the same on every
+//! run.
 
-use crate::engine::Simulator;
+use crate::collector::EpochReport;
+use crate::deployment::Deployment;
 use remo_core::NodeId;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -54,12 +62,12 @@ impl Outage {
     }
 }
 
-/// A schedule of outages driven alongside the simulator.
+/// A schedule of outages driven alongside a deployment.
 ///
 /// # Examples
 ///
 /// ```
-/// use remo_sim::failure::{FailureSchedule, Outage};
+/// use remo_runtime::failure::{FailureSchedule, Outage};
 /// use remo_core::NodeId;
 /// let mut sched = FailureSchedule::new();
 /// sched.add(Outage::node(NodeId(3), 10, Some(20)));
@@ -124,37 +132,39 @@ impl FailureSchedule {
         states
     }
 
-    /// Applies the schedule's state for the *upcoming* epoch to the
-    /// simulator (call immediately before each `step()`).
+    /// Applies the schedule's net node and link state for the
+    /// *upcoming* epoch (call immediately before each
+    /// [`Deployment::tick`]).
     ///
-    /// Each target's state is the OR over all outages covering it, so
-    /// overlapping windows on the same target compose correctly: an
-    /// outage that has ended cannot heal a target another outage still
-    /// holds down.
-    pub fn apply(&self, sim: &mut Simulator) {
-        let epoch = sim.epoch() + 1;
-        for (n, failed) in self.node_states_at(epoch) {
+    /// Every scheduled target is re-asserted, its state the OR over all
+    /// outages covering it, so overlapping windows on the same target
+    /// compose correctly: an outage that has ended cannot heal a target
+    /// another outage still holds down. Re-asserting changes nothing: a
+    /// crashed agent has no volatile state left to lose, and a link's
+    /// state is set membership.
+    pub fn apply(&self, dep: &mut Deployment) {
+        let epoch = dep.epoch() + 1;
+        for (node, failed) in self.node_states_at(epoch) {
             if failed {
-                sim.fail_node(n);
+                dep.fail_node(node);
             } else {
-                sim.heal_node(n);
+                dep.heal_node(node);
             }
         }
-        for ((a, b), failed) in self.link_states_at(epoch) {
-            if failed {
-                sim.fail_link(a, b);
-            } else {
-                sim.heal_link(a, b);
-            }
+        for ((a, b), down) in self.link_states_at(epoch) {
+            dep.set_link_down(a, b, down);
         }
     }
 
-    /// Steps the simulator `epochs` times under this schedule.
-    pub fn run(&self, sim: &mut Simulator, epochs: u64) {
-        for _ in 0..epochs {
-            self.apply(sim);
-            sim.step();
-        }
+    /// Runs `epochs` ticks under the schedule, returning every epoch's
+    /// report (in order).
+    pub fn run(&self, dep: &mut Deployment, epochs: u64) -> Vec<EpochReport> {
+        (0..epochs)
+            .map(|_| {
+                self.apply(dep);
+                dep.tick()
+            })
+            .collect()
     }
 }
 
@@ -162,28 +172,22 @@ impl FailureSchedule {
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
     use super::*;
-    use crate::engine::{SimConfig, SimSetup};
+    use crate::samplers;
     use remo_core::planner::Planner;
     use remo_core::{AttrCatalog, AttrId, CapacityMap, CostModel, PairSet};
-    use std::collections::BTreeMap;
 
-    fn sim() -> Simulator {
+    fn deployment() -> Deployment {
         let pairs: PairSet = (0..6).map(|n| (NodeId(n), AttrId(0))).collect();
         let caps = CapacityMap::uniform(6, 50.0, 500.0).unwrap();
         let cost = CostModel::default();
         let catalog = AttrCatalog::new();
         let plan = Planner::default().plan_with_catalog(&pairs, &caps, cost, &catalog);
-        // Leak-free owned setup: build inside and clone what we need.
-        Simulator::new(SimSetup {
-            plan: &plan,
-            planned_pairs: &pairs,
-            metric_pairs: None,
-            caps: &caps,
-            cost,
-            catalog: &catalog,
-            aliases: BTreeMap::new(),
-            config: SimConfig::default(),
-        })
+        let sampler = samplers::deterministic();
+        Deployment::launch(&plan, &pairs, &caps, cost, &catalog, sampler)
+    }
+
+    fn delivered(reports: &[EpochReport]) -> u64 {
+        reports.iter().map(|r| r.delivered_values).sum()
     }
 
     #[test]
@@ -199,33 +203,28 @@ mod tests {
 
     #[test]
     fn windowed_node_outage_degrades_then_recovers() {
-        let mut s = sim();
+        let mut dep = deployment();
         let mut sched = FailureSchedule::new();
         // All nodes down for epochs 11..=20.
         for n in 0..6 {
             sched.add(Outage::node(NodeId(n), 11, Some(20)));
         }
-        sched.run(&mut s, 10);
-        let before = s.metrics().total_delivered();
+        let before = delivered(&sched.run(&mut dep, 10));
         assert!(before > 0);
-        sched.run(&mut s, 10); // outage window
-        let during = s.metrics().total_delivered() - before;
+        let during = delivered(&sched.run(&mut dep, 10)); // outage window
         assert!(during <= 6, "at most the pipeline tail leaks through");
-        sched.run(&mut s, 10); // healed
-        let after = s.metrics().total_delivered() - before - during;
+        let after = delivered(&sched.run(&mut dep, 10)); // healed
         assert!(after > 0, "flow resumes after the window");
     }
 
     #[test]
     fn link_outage_blocks_one_edge_only() {
-        let mut s = sim();
-        s.run(5);
-        let delivered_before = s.metrics().total_delivered();
+        let mut dep = deployment();
+        dep.run(5);
         // Fail a single leaf-to-parent edge forever; the rest flows.
         let mut sched = FailureSchedule::new();
         sched.add(Outage::link(NodeId(5), NodeId(0), 6, None));
-        sched.run(&mut s, 10);
-        assert!(s.metrics().total_delivered() > delivered_before);
+        assert!(delivered(&sched.run(&mut dep, 10)) > 0);
     }
 
     #[test]
@@ -245,25 +244,22 @@ mod tests {
         assert!(!sched.node_states_at(21)[&NodeId(2)]);
 
         // End-to-end: the node stays dark for the whole union window.
-        let mut s = sim();
+        let mut dep = deployment();
         let victim = NodeId(5);
         let mut sched = FailureSchedule::new();
         sched.add(Outage::node(victim, 10, Some(25)));
         sched.add(Outage::node(victim, 5, Some(12))); // ends inside the first
-        sched.run(&mut s, 25);
+        sched.run(&mut dep, 25);
         // Between epoch 13 (where the buggy per-outage loop healed the
         // victim) and 25, nothing fresh from the victim arrives.
-        let stored = s
-            .collector()
-            .observed(victim, AttrId(0))
-            .expect("seen early");
+        let stored = dep.observed(victim, AttrId(0)).expect("seen early");
         assert!(
             stored.produced < 13,
             "victim healed mid-outage: fresh value produced at {}",
             stored.produced
         );
-        sched.run(&mut s, 10);
-        let healed = s.collector().observed(victim, AttrId(0)).expect("resumes");
+        sched.run(&mut dep, 10);
+        let healed = dep.observed(victim, AttrId(0)).expect("resumes");
         assert!(
             healed.produced > 25,
             "victim flows again after the union window"
@@ -278,10 +274,9 @@ mod tests {
 
     #[test]
     fn empty_schedule_is_a_noop() {
-        let mut a = sim();
-        let mut b = sim();
-        FailureSchedule::new().run(&mut a, 8);
-        b.run(8);
-        assert_eq!(a.metrics().total_delivered(), b.metrics().total_delivered());
+        let mut a = deployment();
+        let mut b = deployment();
+        let scheduled = delivered(&FailureSchedule::new().run(&mut a, 8));
+        assert_eq!(scheduled, b.run(8).delivered_values);
     }
 }

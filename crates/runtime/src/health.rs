@@ -184,7 +184,7 @@ impl HealthMonitor {
     }
 
     /// Consecutive missed deadlines of a node's current incident
-    /// (zero for healthy or untracked nodes). The `remo-mc` model
+    /// (zero for healthy or untracked nodes). The `remo-check mc` model
     /// checker folds this into its state fingerprint: two states with
     /// equal miss counts are behaviorally equivalent to the detector.
     pub fn consecutive_misses(&self, node: NodeId) -> u32 {

@@ -8,7 +8,10 @@
 //! self-healing control loop ([`health`]): epoch-barrier failure
 //! detection, automatic plan repair through
 //! `remo_core::adapt::AdaptivePlanner`, and targeted reconfiguration
-//! of the surviving agents.
+//! of the surviving agents. The control plane steps the protocol's
+//! transition tables ([`spec`]) through spec-driven machines
+//! ([`machine`]), and scripted outages ([`failure`]) drive a deployment
+//! from data.
 //!
 //! This crate encodes, routes and decodes the real wire frames and
 //! charges the `C + a·x` cost model at both endpoints — it is the role
@@ -51,11 +54,14 @@ pub mod collector;
 pub mod coordinator;
 pub mod ctrl;
 pub mod deployment;
+pub mod failure;
 pub mod framing;
 pub mod health;
+pub mod machine;
 pub mod proto;
 pub mod repair;
 pub mod samplers;
+pub mod spec;
 pub mod throttle;
 pub mod transport;
 

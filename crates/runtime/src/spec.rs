@@ -5,13 +5,12 @@
 //! serializable document listing, for every `(state, event)` pair a
 //! role defines, the action taken and the successor state. The
 //! runtime drives its real transitions through these tables (see
-//! [`crate::machine`]), the verifier exhaustively explores their
-//! product under lossy-channel semantics (see [`crate::verify`]), and
-//! the known-bad corpus mutates them one knob at a time (see
-//! [`crate::corpus`]). A `(state, event)` pair *absent* from a table
-//! is an undefined transition: the verifier reports it as RA023 if
-//! any reachable interleaving delivers it, and the runtime counts it
-//! as a protocol reject.
+//! [`crate::machine`]), `remo-check proto verify` exhaustively explores
+//! their product under lossy-channel semantics, and its known-bad
+//! corpus mutates them one knob at a time. A `(state, event)` pair
+//! *absent* from a table is an undefined transition: the verifier
+//! reports it as RA023 if any reachable interleaving delivers it, and
+//! the runtime counts it as a protocol reject.
 
 use serde::{Deserialize, Serialize};
 

@@ -832,12 +832,13 @@ impl SeqTracker {
 pub struct IncarnationTracker {
     incarnation: u32,
     seqs: SeqTracker,
-    /// Debug-build shadow of the `remo-proto` dedup specification: the
-    /// compact watermark implementation must agree with the explicit
-    /// seen-set model on every call, or the disagreement is a spec
-    /// violation caught at the exact call site.
+    /// Debug-build shadow of the dedup specification
+    /// ([`crate::machine::DedupModel`]): the compact watermark
+    /// implementation must agree with the explicit seen-set model on
+    /// every call, or the disagreement is a spec violation caught at
+    /// the exact call site.
     #[cfg(debug_assertions)]
-    shadow: remo_proto::DedupModel,
+    shadow: crate::machine::DedupModel,
 }
 
 impl IncarnationTracker {

@@ -66,7 +66,7 @@ fn hex(s: &str) -> Vec<u8> {
 
 /// The bytes on the wire, pinned: header + 3 readings, incarnation ≠ 0.
 /// A codec change that moves one of them is a protocol change
-/// (`remo-proto`'s tables and `VERSION` first).
+/// (the `remo_runtime::spec` tables and `VERSION` first).
 #[test]
 fn golden_data_frame() {
     let reading = |node, attr, value, produced, contributors| WireReading {

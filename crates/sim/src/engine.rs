@@ -25,6 +25,7 @@ use crate::values::{ValueModel, ValueProcess};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use remo_core::{AttrCatalog, AttrId, CapacityMap, CostModel, MonitoringPlan, NodeId, PairSet};
+use remo_runtime::failure::FailureSchedule;
 use remo_runtime::{CollectorCore, Deployment, Sampler};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -264,6 +265,16 @@ impl Simulator {
     /// Runs `epochs` steps.
     pub fn run(&mut self, epochs: u64) {
         for _ in 0..epochs {
+            self.step();
+        }
+    }
+
+    /// Runs `epochs` steps under `schedule`: before each one the
+    /// schedule's state for the upcoming epoch is applied to the
+    /// deployment ([`FailureSchedule::apply`]).
+    pub fn run_schedule(&mut self, schedule: &FailureSchedule, epochs: u64) {
+        for _ in 0..epochs {
+            schedule.apply(&mut self.dep);
             self.step();
         }
     }

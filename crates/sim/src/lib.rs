@@ -13,8 +13,9 @@
 //! implementation of them here. What this crate owns is what the
 //! testbed supplied around the system: the values the nodes observe,
 //! the collector-side percentage-error and staleness metrics of the
-//! paper's real-system experiments, scripted outages, and the churn
-//! driver.
+//! paper's real-system experiments, and the churn driver. Scripted
+//! outages are `remo_runtime::failure` data, which
+//! [`Simulator::run_schedule`] applies as it steps.
 //!
 //! Entry points:
 //! - [`Simulator`] — deploy a [`MonitoringPlan`](remo_core::MonitoringPlan)
@@ -61,7 +62,6 @@ pub mod alerts;
 pub mod analysis;
 pub mod collector;
 pub mod engine;
-pub mod failure;
 pub mod metrics;
 pub mod query;
 pub mod runner;
@@ -71,7 +71,6 @@ pub use alerts::{Alert, AlertRule, ResultProcessor};
 pub use analysis::{staleness_profile, StalenessProfile};
 pub use collector::{fresh_fraction, mean_error};
 pub use engine::{SimConfig, SimSetup, Simulator};
-pub use failure::{FailureSchedule, FailureTarget, Outage};
 pub use metrics::{EpochStats, SimMetrics};
 pub use runner::{run_adaptation_experiment, AdaptationRunStats};
 pub use values::{ValueModel, ValueProcess};

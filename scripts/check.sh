@@ -132,10 +132,10 @@ if [[ "${1:-}" == "--check-smoke" ]]; then
   echo "==> remo-check: CLI contract, mc sweep + corpus replay, proto verify"
   check_dir="$(mktemp -d)"
   trap 'rm -rf "$check_dir"' EXIT
-  cargo test -q --release -p remo-mc --test cli
-  cargo build -q --release -p remo-mc -p remo
+  cargo test -q --release -p remo-check --test cli
+  cargo build -q --release -p remo-check -p remo
   target/release/remo-check mc explore --depth 4 --max-nodes 5 --replay-dir "$check_dir"
-  for trace in crates/mc/corpus/*.json; do
+  for trace in crates/check/corpus/*.json; do
     target/release/remo-check mc replay "$trace"
   done
   target/release/remo-check proto verify --depth 14
@@ -300,8 +300,7 @@ cargo test -q
 echo "==> cargo doc --no-deps (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet \
   -p remo -p remo-core -p remo-sim -p remo-runtime -p remo-workloads \
-  -p remo-audit -p remo-mc -p remo-proto -p remo-static -p remo-node \
-  -p remo-obs -p remo-bench
+  -p remo-check -p remo-node -p remo-obs -p remo-bench
 
 # The remo-check contract and sweeps, on the release binaries.
 echo "==> check smoke"

@@ -174,7 +174,7 @@ fn ssdp_delivers_every_attribute_with_replica_tree_root_down() {
     let victim = plan.trees()[k].tree.as_ref().unwrap().root();
     let mut sched = FailureSchedule::new();
     sched.add(Outage::node(victim, 11, None));
-    sched.run(&mut sim, 20);
+    sim.run_schedule(&sched, 20);
 
     let now = sim.epoch();
     // Every original pair not sourced at the dead node is still being

@@ -145,7 +145,7 @@ fn seeded_chaos_run() -> (
     let mut schedule = FailureSchedule::new();
     schedule.add(Outage::link(child, parent, 5, Some(12)));
     schedule.add(Outage::node(NodeId(4), 15, Some(25)));
-    let reports = ChaosDriver::new(schedule).run(&mut dep, 60);
+    let reports = schedule.run(&mut dep, 60);
     (reports, dep.net_stats(), dep.delivery_log().to_vec())
 }
 
@@ -317,9 +317,8 @@ fn chaos_soak_converges_with_bounded_staleness() {
     schedule.add(Outage::link(child, parent, 20, Some(50)));
     schedule.add(Outage::node(NodeId(5), 60, Some(90)));
     schedule.add(Outage::node(NodeId(7), 180, Some(210)));
-    let mut chaos = ChaosDriver::new(schedule);
 
-    let reports = chaos.run(&mut dep, EPOCHS);
+    let reports = schedule.run(&mut dep, EPOCHS);
     remo_obs::disable();
     assert_eq!(reports.len(), EPOCHS as usize);
 
@@ -677,8 +676,7 @@ fn net_smoke_mini_soak() {
     let (mut dep, pairs) = lossy_self_healing(6, 2, spec, NetConfig::default());
     let mut schedule = FailureSchedule::new();
     schedule.add(Outage::node(NodeId(4), 20, Some(35)));
-    let mut chaos = ChaosDriver::new(schedule);
-    let reports = chaos.run(&mut dep, EPOCHS);
+    let reports = schedule.run(&mut dep, EPOCHS);
 
     assert!(reports.iter().map(|r| r.retransmit_messages).sum::<u64>() > 0);
     // Silent from 20, K = 2: confirmed and repaired at 21; the outage

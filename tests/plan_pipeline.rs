@@ -7,10 +7,10 @@
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use remo::prelude::*;
-use remo_audit::{Audit, AuditInput};
 use remo_core::alloc::AllocationScheme;
 use remo_core::build::{AdjustConfig, BuilderKind};
 use remo_core::planner::{PartitionScheme, PlanReport, PlannerConfig, StopReason};
+use remo_core::validate::{Audit, AuditInput};
 use remo_core::TaskId;
 
 fn scenario(nodes: usize, attrs: usize, tasks: usize, budget: f64) -> Scenario {

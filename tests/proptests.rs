@@ -107,7 +107,7 @@ proptest! {
         builder_ix in 0usize..4,
     ) {
         use rand::{Rng, SeedableRng, rngs::SmallRng};
-        use remo_audit::{Audit, AuditInput};
+        use remo_core::validate::{Audit, AuditInput};
         use remo_core::build::AdjustConfig;
         use remo_core::planner::{PartitionScheme, PlannerConfig};
 

@@ -135,9 +135,8 @@ fn chaos_schedule_crashes_and_heals_agents_mid_run() {
     let mut sched = FailureSchedule::new();
     sched.add(Outage::node(victim, 4, Some(14)));
     sched.add(Outage::node(victim, 6, Some(10)));
-    let mut chaos = ChaosDriver::new(sched);
 
-    let reports = chaos.run(&mut dep, 30);
+    let reports = sched.run(&mut dep, 30);
     let confirmed: u64 = reports.iter().map(|r| r.confirmed_dead).sum();
     let repaired: u64 = reports.iter().map(|r| r.repaired).sum();
     let recovered: u64 = reports.iter().map(|r| r.recovered).sum();
