@@ -27,10 +27,10 @@ use crate::ids::{AttrId, NodeId};
 use crate::pairs::PairSet;
 use crate::partition::{AttrSet, Partition, PartitionOp};
 use crate::plan::{MonitoringPlan, PlannedTree};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{DefaultHasher, Hash, Hasher};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -372,7 +372,7 @@ impl Planner {
         cache: Option<&TreeCache>,
     ) -> (MonitoringPlan, PlanReport) {
         let ctx = self.eval_context(pairs, caps, cost, catalog);
-        let pool = self.pool();
+        let workers = workers(self.config.parallelism);
         let mut report = PlanReport::default();
         let mut seeds = vec![self.initial_partition(pairs)];
         if self.config.forbidden_pairs.is_empty() {
@@ -398,11 +398,8 @@ impl Planner {
             // the worker count; selection stays in seed order.
             let initial = build_whole_forest(&seeds[0], &ctx, cache);
             let floor = initial.collected_pairs();
-            let raced: Vec<Option<MonitoringPlan>> = pool.install(|| {
-                distinct[1..]
-                    .par_iter()
-                    .map(|&i| build_forest_cached(&seeds[i], &ctx, cache, floor))
-                    .collect()
+            let raced = par_map(workers, &distinct[1..], |&i| {
+                build_forest_cached(&seeds[i], &ctx, cache, floor)
             });
             report.seeds_evaluated = distinct.len();
             report.seeds_abandoned = raced.iter().filter(|p| p.is_none()).count();
@@ -432,7 +429,7 @@ impl Planner {
         }
         let plan = best.unwrap_or_else(|| unreachable!("at least one seed"));
         report.seed_ms = t_seed.elapsed().as_secs_f64() * 1e3;
-        let refined = self.refine_with_report(&plan, &ctx, &mut report, cache, &pool, true);
+        let refined = self.refine_with_report(&plan, &ctx, &mut report, cache, workers, true);
         report.export_metrics();
         #[cfg(debug_assertions)]
         {
@@ -539,16 +536,8 @@ impl Planner {
         let ctx = self.eval_context(pairs, caps, cost, catalog);
         let local = self.config.cache.then(TreeCache::new);
         let mut report = PlanReport::default();
-        self.refine_with_report(&plan, &ctx, &mut report, local.as_ref(), &self.pool(), true)
-    }
-
-    /// The workers of one planning call: the seed fan-out and every
-    /// candidate wave run on it.
-    fn pool(&self) -> rayon::ThreadPool {
-        rayon::ThreadPoolBuilder::new()
-            .num_threads(self.config.parallelism)
-            .build()
-            .unwrap_or_else(|e| panic!("thread pool: {e}"))
+        let workers = workers(self.config.parallelism);
+        self.refine_with_report(&plan, &ctx, &mut report, local.as_ref(), workers, true)
     }
 
     fn eval_context<'a>(
@@ -599,7 +588,7 @@ impl Planner {
         ctx: &EvalContext<'_>,
         report: &mut PlanReport,
         cache: Option<&TreeCache>,
-        pool: &rayon::ThreadPool,
+        workers: usize,
         mut skip_laps: bool,
     ) -> MonitoringPlan {
         let mut state = SearchState::from_plan(plan, ctx.caps);
@@ -687,7 +676,7 @@ impl Planner {
                 .filter(|&op| !self.op_violates_constraints(op, &state.partition))
                 .collect();
             let accepted = first_accepted(
-                pool,
+                workers,
                 &window,
                 |&op| state.eval(op, ctx, cache),
                 |ev| {
@@ -767,7 +756,7 @@ impl Planner {
                         .take(global_budget)
                         .collect();
                     let accepted = first_accepted(
-                        pool,
+                        workers,
                         &candidates,
                         |(_, cand)| build_whole_forest(cand, ctx, cache),
                         |plan| {
@@ -873,21 +862,65 @@ impl Planner {
 /// worker count. Callers charge `rank + 1` evaluations, whatever a wider
 /// wave evaluated beyond the accepted rank.
 fn first_accepted<T: Sync, E: Send, A>(
-    pool: &rayon::ThreadPool,
+    workers: usize,
     items: &[T],
     eval: impl Fn(&T) -> E + Sync,
     mut accept: impl FnMut(E) -> Option<A>,
 ) -> Option<(usize, A)> {
-    let wave = pool.current_num_threads().max(1);
-    for (w, wave_items) in items.chunks(wave).enumerate() {
-        let evals: Vec<E> = pool.install(|| wave_items.par_iter().map(&eval).collect());
-        for (off, ev) in evals.into_iter().enumerate() {
+    for (w, wave_items) in items.chunks(workers).enumerate() {
+        for (off, ev) in par_map(workers, wave_items, &eval).into_iter().enumerate() {
             if let Some(a) = accept(ev) {
-                return Some((w * wave + off, a));
+                return Some((w * workers + off, a));
             }
         }
     }
     None
+}
+
+/// The worker count of one planning call: `parallelism`, or one per
+/// available core for 0.
+fn workers(parallelism: usize) -> usize {
+    match parallelism {
+        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        n => n,
+    }
+}
+
+/// Maps `items` through `f` on up to `workers` threads, the calling
+/// thread among them, and returns the results in input order.
+///
+/// Workers claim items one at a time from a shared index, so one
+/// expensive item never strands the cheap ones behind it on the same
+/// worker (`first_accepted` and the seed race rely on that). A worker's
+/// panic is re-raised on the caller. At one worker, or one item, every
+/// item runs inline on the calling thread and nothing is spawned.
+fn par_map<T: Sync, R: Send>(workers: usize, items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
+    let threads = workers.clamp(1, items.len().max(1));
+    if threads == 1 {
+        return items.iter().map(f).collect();
+    }
+    // Relaxed: the index publishes nothing but itself; results travel
+    // through `join`.
+    let next = AtomicUsize::new(0);
+    let work = || {
+        let mut mine = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = items.get(i) else { break mine };
+            mine.push((i, f(item)));
+        }
+    };
+    let mut done = std::thread::scope(|s| {
+        let helpers: Vec<_> = (1..threads).map(|_| s.spawn(work)).collect();
+        let mut done = work();
+        for h in helpers {
+            done.extend(h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
+        }
+        done
+    });
+    // Every index was claimed exactly once: sorted, this is the input.
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, r)| r).collect()
 }
 
 /// What the local search walks: a partition, its forest, and the
@@ -1571,9 +1604,9 @@ mod tests {
                 best = Some(plan);
             }
         }
-        let pool = planner.pool();
+        let workers = workers(planner.config.parallelism);
         let plan =
-            planner.refine_with_report(&best.unwrap(), &ctx, &mut report, None, &pool, false);
+            planner.refine_with_report(&best.unwrap(), &ctx, &mut report, None, workers, false);
         (plan, report)
     }
 
@@ -1969,5 +2002,94 @@ mod tests {
         assert!(!b.better_than(&a));
         assert!(c.better_than(&a));
         assert!(!a.better_than(&a));
+    }
+
+    /// Item 0 does not finish until every other item has been mapped,
+    /// so whoever holds it cannot map anything else: one worker per
+    /// contiguous chunk would never reach item 1. Handing items out one
+    /// at a time lets the other worker drain the rest; the output is in
+    /// input order all the same and every item is mapped exactly once.
+    #[test]
+    fn uneven_items_are_handed_out_one_at_a_time_in_input_order() {
+        use std::sync::{mpsc, Mutex};
+
+        let xs: Vec<usize> = (0..9).collect();
+        let mapped: Vec<AtomicUsize> = xs.iter().map(|_| AtomicUsize::new(0)).collect();
+        let (done_tx, done_rx) = mpsc::channel::<usize>();
+        let done_rx = Mutex::new(done_rx);
+        let out = par_map(2, &xs, |&x| {
+            mapped[x].fetch_add(1, Ordering::SeqCst);
+            if x == 0 {
+                let rx = done_rx.lock().expect("only item 0 locks");
+                for _ in 1..xs.len() {
+                    rx.recv_timeout(Duration::from_secs(10))
+                        .expect("the other worker maps the rest meanwhile");
+                }
+            } else {
+                done_tx.send(x).expect("receiver outlives the map");
+            }
+            x * 10
+        });
+        assert_eq!(out, xs.iter().map(|x| x * 10).collect::<Vec<_>>());
+        for (x, n) in mapped.iter().enumerate() {
+            assert_eq!(n.load(Ordering::SeqCst), 1, "item {x}");
+        }
+
+        // Items 0 and 1 meet at a barrier, so they are on two threads,
+        // and the helper's one waits while the caller maps the rest: the
+        // caller works too, and the items it mapped after the helper's
+        // still come back behind it.
+        let caller = std::thread::current().id();
+        let both = std::sync::Barrier::new(2);
+        let (rest_tx, rest_rx) = mpsc::channel::<usize>();
+        let rest_rx = Mutex::new(rest_rx);
+        let out = par_map(2, &xs, |&x| {
+            if x >= 2 {
+                rest_tx.send(x).expect("receiver outlives the map");
+                return x * 10;
+            }
+            both.wait();
+            if std::thread::current().id() != caller {
+                let rx = rest_rx.lock().expect("only the helper's item locks");
+                for _ in 2..xs.len() {
+                    rx.recv_timeout(Duration::from_secs(10))
+                        .expect("the caller maps the rest meanwhile");
+                }
+            }
+            x * 10
+        });
+        assert_eq!(out, xs.iter().map(|x| x * 10).collect::<Vec<_>>());
+
+        // Any worker count, more than there are items included, returns
+        // the serial map; at one worker every item runs on the caller.
+        let ys: Vec<u64> = (0..257).collect();
+        let serial: Vec<u64> = ys.iter().map(|&y| y * y).collect();
+        for workers in [1, 2, 4, 300] {
+            assert_eq!(
+                par_map(workers, &ys, |&y| y * y),
+                serial,
+                "{workers} workers"
+            );
+        }
+        let caller = std::thread::current().id();
+        let ran_on = par_map(1, &ys, |_| std::thread::current().id());
+        assert!(ran_on.iter().all(|&t| t == caller));
+    }
+
+    /// Two items meet at a barrier, so they are on two threads; the one
+    /// that is not the calling thread panics, and `par_map` re-raises it.
+    #[test]
+    fn worker_panic_propagates() {
+        let caller = std::thread::current().id();
+        let both = std::sync::Barrier::new(2);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            par_map(2, &[0u8, 1], |&x| {
+                both.wait();
+                assert!(std::thread::current().id() == caller, "worker down");
+                x
+            })
+        }));
+        let payload = caught.expect_err("the worker's panic reaches the caller");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"worker down"));
     }
 }

@@ -264,7 +264,8 @@ static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(1);
 
 thread_local! {
     /// Open span ids on this thread, innermost last. Parenthood is
-    /// per-thread: rayon workers start their own root spans.
+    /// per-thread: the planner's worker threads start their own root
+    /// spans.
     static SPAN_STACK: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
 }
 

@@ -326,25 +326,39 @@ mod tests {
 
     #[test]
     fn silent_node_is_suspected_then_confirmed() {
-        let mut m = HealthMonitor::new((0..4).map(NodeId), 3);
-        let mut reporters = all(4);
-        reporters.remove(&NodeId(2));
+        for confirm_after in [3, 2] {
+            let mut m = HealthMonitor::new((0..4).map(NodeId), confirm_after);
+            let mut reporters = all(4);
+            reporters.remove(&NodeId(2));
 
-        let e1 = m.observe(1, &reporters);
-        assert_eq!(e1.suspected, vec![NodeId(2)]);
-        assert!(e1.confirmed.is_empty());
-        assert_eq!(m.state(NodeId(2)), HealthState::Suspected);
+            let e1 = m.observe(1, &reporters);
+            assert_eq!(e1.suspected, vec![NodeId(2)]);
+            assert!(e1.confirmed.is_empty());
+            assert_eq!(m.state(NodeId(2)), HealthState::Suspected);
 
-        let e2 = m.observe(2, &reporters);
-        assert!(e2.is_empty(), "second miss is not yet confirmation");
+            let confirm = u64::from(confirm_after);
+            for epoch in 2..confirm {
+                let e = m.observe(epoch, &reporters);
+                assert!(e.is_empty(), "miss {epoch} is not yet confirmation");
+                assert_eq!(m.state(NodeId(2)), HealthState::Suspected);
+            }
 
-        let e3 = m.observe(3, &reporters);
-        assert_eq!(e3.confirmed, vec![NodeId(2)]);
-        assert_eq!(m.state(NodeId(2)), HealthState::Dead);
-        let r = m.report(3);
-        assert_eq!(r.stats[&NodeId(2)].time_to_detect, 2);
-        assert_eq!(r.dead_nodes(), vec![NodeId(2)]);
-        assert_eq!(r.total_confirmed(), 1);
+            let e = m.observe(confirm, &reporters);
+            assert_eq!(e.confirmed, vec![NodeId(2)]);
+            assert_eq!(m.state(NodeId(2)), HealthState::Dead);
+            // Silent on: still dead, confirmed once; the reporters never
+            // left healthy.
+            assert!(m.observe(confirm + 1, &reporters).is_empty());
+            assert_eq!(m.state(NodeId(2)), HealthState::Dead);
+            assert!(reporters
+                .iter()
+                .all(|&n| m.state(n) == HealthState::Healthy));
+            let r = m.report(confirm + 1);
+            // First miss at epoch 1, confirmed at epoch `confirm_after`.
+            assert_eq!(r.stats[&NodeId(2)].time_to_detect, confirm - 1);
+            assert_eq!(r.dead_nodes(), vec![NodeId(2)]);
+            assert_eq!(r.total_confirmed(), 1);
+        }
     }
 
     #[test]
@@ -366,21 +380,31 @@ mod tests {
 
     #[test]
     fn dead_node_reporting_again_is_recovered() {
-        let mut m = HealthMonitor::new((0..3).map(NodeId), 1);
-        let mut down = all(3);
-        down.remove(&NodeId(0));
-        let e = m.observe(1, &down);
-        assert_eq!(
-            e.confirmed,
-            vec![NodeId(0)],
-            "confirm_after=1 confirms at once"
-        );
-        assert_eq!(m.expected_reporters(), down);
+        // Back at the epoch after its confirmation, or one silent epoch
+        // later.
+        for back in [2, 3] {
+            let mut m = HealthMonitor::new((0..3).map(NodeId), 1);
+            let mut down = all(3);
+            down.remove(&NodeId(0));
+            let e = m.observe(1, &down);
+            assert_eq!(
+                e.confirmed,
+                vec![NodeId(0)],
+                "confirm_after=1 confirms at once"
+            );
+            for epoch in 2..back {
+                assert!(m.observe(epoch, &down).is_empty());
+            }
+            assert_eq!(m.expected_reporters(), down);
+            assert_eq!(m.state(NodeId(0)), HealthState::Dead);
 
-        let e = m.observe(2, &all(3));
-        assert_eq!(e.recovered, vec![NodeId(0)]);
-        assert_eq!(m.state(NodeId(0)), HealthState::Healthy);
-        assert_eq!(m.report(2).stats[&NodeId(0)].recovered, 1);
+            let e = m.observe(back, &all(3));
+            assert_eq!(e.recovered, vec![NodeId(0)]);
+            assert_eq!(m.state(NodeId(0)), HealthState::Healthy);
+            // Reporting on is not another recovery.
+            assert!(m.observe(back + 1, &all(3)).is_empty());
+            assert_eq!(m.report(back + 1).stats[&NodeId(0)].recovered, 1);
+        }
     }
 
     /// A slow-but-alive node whose report always arrives one barrier

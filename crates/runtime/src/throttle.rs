@@ -79,9 +79,13 @@ mod tests {
 
     #[test]
     fn consume_within_capacity() {
-        let mut b = TokenBucket::new(5.0);
-        assert!(b.try_consume(5.0));
-        assert!(!b.try_consume(0.1));
+        // The second of two 0.6 consumes does not fit in 1.0.
+        for (capacity, first, second) in [(5.0, 5.0, 0.1), (1.0, 0.6, 0.6)] {
+            let mut b = TokenBucket::new(capacity);
+            assert!(b.try_consume(first));
+            assert!(!b.try_consume(second));
+            assert!(b.available() >= -1e-9, "try_consume overdrew the bucket");
+        }
     }
 
     #[test]
@@ -98,6 +102,28 @@ mod tests {
         b.charge(8.0); // 3 tokens of debt
         b.refill();
         assert!((b.available() - 2.0).abs() < 1e-12);
+
+        // A forced charge and a consume in either order: the consume
+        // fits only before the charge, and the debt (-1.9 or -1.5) is
+        // not forgiven by the refill.
+        for (consume_first, expected) in [(true, -0.9), (false, -0.5)] {
+            let mut b = TokenBucket::new(1.0);
+            let consumed = if consume_first {
+                let consumed = b.try_consume(0.4);
+                b.charge(2.5);
+                consumed
+            } else {
+                b.charge(2.5);
+                b.try_consume(0.4)
+            };
+            assert_eq!(consumed, consume_first);
+            b.refill();
+            assert!(
+                (b.available() - expected).abs() < 1e-9,
+                "available {} expected {expected}",
+                b.available()
+            );
+        }
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //!
 //! - [`PerfectTransport`] — immediate, loss-free, in-order delivery
 //!   over the same crossbeam channels the runtime has always used.
-//!   This is the deterministic default that keeps the mc/loom/chaos
-//!   suites honest, and it is bit-for-bit the pre-transport behavior.
+//!   This is the deterministic default that keeps the model checker
+//!   and the failure-schedule suites honest, and it is bit-for-bit the
+//!   pre-transport behavior.
 //! - [`LossyTransport`] — a fault-injecting transport driven by a
 //!   declarative [`NetSpec`]: per-link drop probability, uniform delay
 //!   in epochs, duplication, reordering, named partition windows, and

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Repo gate: formatting, lints, the full test suite, the loom-style
-# concurrency suite, and (when the toolchain provides it) miri.
+# Repo gate: formatting, lints, the full test suite, the analyzer, net
+# and dist smokes, and (when the toolchain provides it) miri.
 # Run from anywhere; everything executes at the workspace root.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -305,17 +305,6 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet \
 # The remo-check contract and sweeps, on the release binaries.
 echo "==> check smoke"
 "$0" --check-smoke
-
-# Interleaving tests for the epoch-deadline health detector and the
-# token-bucket throttle. The loom cfg swaps in the vendored
-# bounded-preemption scheduler (DFS over thread interleavings, at
-# most LOOM_MAX_PREEMPTIONS forced switches per schedule); the
-# iteration budget keeps the gate fast, and a separate target dir
-# keeps the main cache warm.
-echo "==> loom concurrency suite"
-CARGO_TARGET_DIR=target/loom RUSTFLAGS="--cfg loom" \
-  LOOM_MAX_ITER="${LOOM_MAX_ITER:-400}" \
-  cargo test -p remo-runtime --test loom
 
 # Seeded lossy-network smoke (also covered by cargo test above; kept
 # as an explicit, individually-runnable gate step).
