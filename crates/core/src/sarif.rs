@@ -106,7 +106,7 @@ pub fn to_sarif(outcome: &AuditOutcome) -> Value {
                     obj(vec![(
                         "driver",
                         obj(vec![
-                            ("name", s("remo-audit")),
+                            ("name", s("remo-check")),
                             ("informationUri", s("https://example.com/remo")),
                             ("rules", rules_value()),
                         ]),
