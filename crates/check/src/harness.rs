@@ -1,14 +1,15 @@
 //! The protocol harness: one explorable state of the self-healing
 //! reconfiguration protocol, driving the *real* production code.
 //!
-//! A [`Harness`] owns a live [`AdaptivePlanner`] and [`HealthMonitor`]
-//! and mirrors the runtime's epoch close (`Coordinator::close_epoch`)
-//! and `RepairEngine::repair` step for step —
-//! the same `plan_assignments` derivation, the same
-//! `changed_assignments` diff, the same `due_readings` loss
-//! arithmetic — so every invariant the checker proves holds of the
-//! deployed code path, not of a re-model. The one deliberate
-//! difference: repair completion is its own schedulable event
+//! A [`Harness`] holds a runtime [`Coordinator`] with a self-healing
+//! [`RepairEngine`] and drives the two halves of the runtime's epoch
+//! close (`Coordinator::close_epoch`) itself: a tick is
+//! [`Coordinator::observe`] — the report fold, the failure detector,
+//! the charge for lost readings — followed by
+//! [`Coordinator::repair`] for the nodes the detector saw recover.
+//! Every invariant the checker proves therefore holds of the deployed
+//! code path, not of a re-model. The one deliberate difference: repair
+//! around a confirmed failure is its own schedulable event
 //! ([`Event::Repair`]) instead of running synchronously inside the
 //! tick, which exposes the confirmation-to-repair window where values
 //! are lost and capacity must not be oversubscribed.
@@ -16,7 +17,9 @@
 //! After every transition [`Harness::apply`] re-checks the named
 //! invariants: the full RA001–RA012 registry via
 //! [`AdaptivePlanner::audit`] plus the cross-layer assignment check,
-//! and the protocol-sequence rules RA013–RA016.
+//! and the protocol-sequence rules RA013–RA016. RA016 compares the two
+//! books the close keeps: the sum of [`Coordinator::observe`]'s
+//! `values_lost` and the detector's per-node telemetry.
 //!
 //! The harness also carries one `remo-runtime` [`SessionMachine`] per
 //! node and replays every explored collector step (tick fan-out,
@@ -31,12 +34,13 @@ use crate::cross;
 use crate::topology::TopologySpec;
 use remo_core::adapt::AdaptivePlanner;
 use remo_core::validate::{rules, Finding, RuleSet, Severity};
-use remo_core::{CapacityMap, NodeId};
+use remo_core::NodeId;
 use remo_runtime::health::HealthState;
 use remo_runtime::machine::{HelloOutcome, SessionMachine};
 use remo_runtime::spec::SessionEvent;
 use remo_runtime::{
-    changed_assignments, due_readings, plan_assignments, HealthMonitor, TreeAssignment,
+    plan_assignments, CollectorCore, Coordinator, EpochReport, HealthMonitor, NetConfig,
+    RepairEngine, TickReport,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
@@ -137,10 +141,9 @@ impl Default for InvariantConfig {
 pub struct Harness {
     spec: TopologySpec,
     cfg: InvariantConfig,
-    planner: AdaptivePlanner,
-    health: HealthMonitor,
-    assignments: BTreeMap<NodeId, Vec<TreeAssignment>>,
-    original_caps: CapacityMap,
+    /// The runtime's coordinator: detector, assignments and a healer
+    /// that is always present. Its collector receives no frames.
+    coord: Coordinator,
     epoch: u64,
     /// Physically crashed (silent) nodes.
     down: BTreeSet<NodeId>,
@@ -148,8 +151,8 @@ pub struct Harness {
     pending_repair: BTreeSet<NodeId>,
     /// Recoveries reintegrated so far (arms the convergence check).
     recoveries: u64,
-    /// The harness's own running loss total, kept independently of
-    /// the monitor's telemetry so RA016 cross-checks the two.
+    /// The sum of the epoch reports' `values_lost`, which RA016 checks
+    /// against the detector's per-node telemetry.
     values_lost: u64,
     /// Telemetry total at the previous check (monotonicity witness).
     last_reported_lost: u64,
@@ -181,9 +184,6 @@ impl Harness {
     /// Propagates [`remo_core::PlanError`] from spec construction.
     pub fn new(spec: TopologySpec, cfg: InvariantConfig) -> Result<Self, remo_core::PlanError> {
         let planner = spec.planner()?;
-        let original_caps = planner.caps().clone();
-        let health = HealthMonitor::new(spec.node_ids(), spec.confirm_after);
-        let assignments = plan_assignments(planner.plan(), planner.pairs(), planner.catalog());
         let baseline_pairs = planner.plan().collected_pairs();
         let baseline_volume = planner.plan().message_volume();
         let static_bounds = cost_bounds(
@@ -192,6 +192,17 @@ impl Harness {
             planner.cost(),
             CostFlags::default(),
         );
+        let coord = Coordinator {
+            health: HealthMonitor::new(spec.node_ids(), spec.confirm_after),
+            collector: CollectorCore::new(
+                planner.caps().collector(),
+                planner.cost(),
+                NetConfig::default(),
+                planner.catalog().clone(),
+            ),
+            assignments: plan_assignments(planner.plan(), planner.pairs(), planner.catalog()),
+            healer: Some(RepairEngine::new(planner)),
+        };
         // Every node starts registered: the explored system begins in
         // the post-handshake steady state, so each session machine is
         // walked through its fresh Hello + Assign once up front.
@@ -206,10 +217,7 @@ impl Harness {
         Ok(Harness {
             spec,
             cfg,
-            planner,
-            health,
-            assignments,
-            original_caps,
+            coord,
             epoch: 0,
             down: BTreeSet::new(),
             pending_repair: BTreeSet::new(),
@@ -269,7 +277,7 @@ impl Harness {
         self.epoch
     }
 
-    /// The harness's independent running loss total.
+    /// The running sum of the epoch reports' `values_lost`.
     pub fn values_lost(&self) -> u64 {
         self.values_lost
     }
@@ -281,7 +289,7 @@ impl Harness {
 
     /// The live planner under check.
     pub fn planner(&self) -> &AdaptivePlanner {
-        &self.planner
+        healer(&self.coord)
     }
 
     /// Whether `event` may fire in this state.
@@ -311,19 +319,6 @@ impl Harness {
         events
     }
 
-    /// Recomputes assignments from the current plan (the deployment's
-    /// own derivation) and counts the targeted reconfigurations the
-    /// diff implies.
-    fn rediff(&mut self) {
-        let fresh = plan_assignments(
-            self.planner.plan(),
-            self.planner.pairs(),
-            self.planner.catalog(),
-        );
-        self.reconfigures += changed_assignments(&self.assignments, &fresh).len() as u64;
-        self.assignments = fresh;
-    }
-
     /// Applies one event and re-checks every invariant, returning the
     /// findings (error severity means a violated invariant).
     pub fn apply(&mut self, event: Event) -> Vec<Finding> {
@@ -337,12 +332,19 @@ impl Harness {
             }
             Event::Tick => {
                 self.epoch += 1;
-                let reporters: BTreeSet<NodeId> = self
+                let epoch = self.epoch;
+                // Every node that is not down answers the tick.
+                let reports = self
                     .spec
                     .node_ids()
                     .filter(|n| !self.down.contains(n))
-                    .collect();
-                let events = self.health.observe(self.epoch, &reporters);
+                    .map(|node| TickReport {
+                        node,
+                        epoch,
+                        ..TickReport::default()
+                    });
+                let (mut report, events) = self.coord.observe(epoch, reports);
+                self.values_lost += report.values_lost;
                 // Conformance cross-check: replay the collector's
                 // epoch through each session machine — tick fan-out
                 // reaches the connected (non-crashed) nodes, reports
@@ -363,62 +365,50 @@ impl Harness {
                 for &n in &events.recovered {
                     self.step_session(n, SessionEvent::MarkRecovered, &mut findings);
                 }
-                // Loss accounting, verbatim from the epoch close:
-                // unhealthy nodes are charged the readings their
-                // current assignments schedule this epoch.
-                for (&node, assigns) in self.assignments.iter() {
-                    if self.health.state(node) == HealthState::Healthy {
-                        continue;
-                    }
-                    let due = due_readings(assigns, self.epoch);
-                    if due > 0 {
-                        self.health.add_values_lost(node, due);
-                        self.values_lost += due;
-                    }
+                // Confirmed failures wait for their own Repair event. A
+                // node that reports again cancels any still-queued
+                // repair and is reintegrated now, as the close does.
+                self.pending_repair.extend(&events.confirmed);
+                for n in &events.recovered {
+                    self.pending_repair.remove(n);
                 }
-                for n in events.confirmed {
-                    self.pending_repair.insert(n);
-                }
-                if !events.recovered.is_empty() {
-                    for &n in &events.recovered {
-                        // A node that reports again cancels any
-                        // still-queued repair and reintegrates at its
-                        // original capacity (RepairEngine::repair).
-                        self.pending_repair.remove(&n);
-                        let cap = self.original_caps.node(n).unwrap_or(0.0);
-                        self.planner.handle_node_recovery(n, cap, self.epoch);
-                        self.recoveries += 1;
-                    }
-                    self.rediff();
-                }
+                self.recoveries += events.recovered.len() as u64;
+                let changed = self
+                    .coord
+                    .repair(&[], &events.recovered, epoch, &mut report);
+                self.reconfigures += changed.len() as u64;
             }
             Event::Repair(n) => {
                 self.pending_repair.remove(&n);
                 self.step_session(n, SessionEvent::Repair, &mut findings);
-                self.planner.handle_node_failure(n, self.epoch);
-                // RA014: a completed repair is a fixpoint — applying
-                // the same failure again must change nothing.
-                let mut again = self.planner.clone();
-                again.handle_node_failure(n, self.epoch);
-                let drift = again.plan().edge_diff(self.planner.plan());
-                if drift != 0
-                    || again.plan().collected_pairs() != self.planner.plan().collected_pairs()
+                let changed = self
+                    .coord
+                    .repair(&[n], &[], self.epoch, &mut EpochReport::default());
+                self.reconfigures += changed.len() as u64;
+                // RA014: a completed repair is a fixpoint — repairing
+                // the same failure again must reassign no node, move no
+                // edge and keep the pair count.
+                let mut again = self.coord.clone();
+                let reassigned = again.repair(&[n], &[], self.epoch, &mut EpochReport::default());
+                let (plan, replan) = (self.planner().plan(), healer(&again).plan());
+                let drift = replan.edge_diff(plan);
+                if !reassigned.is_empty()
+                    || drift != 0
+                    || replan.collected_pairs() != plan.collected_pairs()
                 {
                     if let Some(mut f) = RuleSet::all().finding(
                         rules::REPAIR_IDEMPOTENT,
                         format!(
                             "re-applying the repair of node {n} moved {drift} edges and changed \
                              collected pairs {} → {}",
-                            self.planner.plan().collected_pairs(),
-                            again.plan().collected_pairs()
+                            plan.collected_pairs(),
+                            replan.collected_pairs()
                         ),
                     ) {
                         f.node = Some(n);
                         findings.push(f);
                     }
                 }
-                self.rediff();
-                self.health.mark_repaired(n, self.epoch);
             }
         }
         findings.extend(self.check());
@@ -429,11 +419,12 @@ impl Harness {
     fn check(&mut self) -> Vec<Finding> {
         let registry = RuleSet::all();
         let mut findings = Vec::new();
+        let planner = healer(&self.coord);
 
         // Audit-clean: the full RA001–RA010 registry over the live
         // planner state, with the planner's own accounting flags.
         findings.extend(
-            self.planner
+            planner
                 .audit()
                 .findings
                 .into_iter()
@@ -443,10 +434,10 @@ impl Harness {
         // RA011 cross-layer: the assignments the harness would have
         // pushed to agents faithfully implement the current plan.
         findings.extend(cross::check_assignments(
-            self.planner.plan(),
-            self.planner.pairs(),
-            self.planner.catalog(),
-            &self.assignments,
+            planner.plan(),
+            planner.pairs(),
+            planner.catalog(),
+            &self.coord.assignments,
             &registry,
         ));
 
@@ -455,8 +446,8 @@ impl Harness {
         // upper ends always, lower ends whenever the plan collects the
         // full original demand (the lo bound is conditional on full
         // collection).
-        let usage = self.planner.plan().node_usage();
-        let full_collection = self.planner.plan().collected_pairs() == self.planner.pairs().len();
+        let usage = planner.plan().node_usage();
+        let full_collection = planner.plan().collected_pairs() == planner.pairs().len();
         for (&n, iv) in &self.static_bounds.per_node {
             let u = usage.get(&n).copied().unwrap_or(0.0);
             self.bound_checks += 1;
@@ -491,7 +482,7 @@ impl Harness {
             }
         }
         self.bound_checks += 1;
-        let collector = self.planner.plan().collector_usage();
+        let collector = planner.plan().collector_usage();
         if collector > self.static_bounds.collector.hi() * (1.0 + 1e-6)
             || (full_collection && collector < self.static_bounds.collector.lo() * (1.0 - 1e-6))
         {
@@ -512,16 +503,10 @@ impl Harness {
         // must carry no load — absent from trees, empty assignments,
         // zero capacity.
         for &n in &self.down {
-            if self.health.state(n) != HealthState::Dead || self.pending_repair.contains(&n) {
+            if self.coord.health.state(n) != HealthState::Dead || self.pending_repair.contains(&n) {
                 continue;
             }
-            let usage = self
-                .planner
-                .plan()
-                .node_usage()
-                .get(&n)
-                .copied()
-                .unwrap_or(0.0);
+            let usage = planner.plan().node_usage().get(&n).copied().unwrap_or(0.0);
             if usage > 0.0 {
                 if let Some(mut f) = registry.finding(
                     rules::REPAIR_CAPACITY,
@@ -533,7 +518,7 @@ impl Harness {
                     findings.push(f);
                 }
             }
-            if self.assignments.get(&n).is_some_and(|a| !a.is_empty()) {
+            if !self.coord.assigned(n).is_empty() {
                 if let Some(mut f) = registry.finding(
                     rules::REPAIR_CAPACITY,
                     format!("repaired node {n} still holds tree assignments"),
@@ -547,7 +532,7 @@ impl Harness {
         // RA015: once every failed node has recovered and no repair is
         // pending, the plan must be back near the original.
         if self.recoveries > 0 && self.down.is_empty() && self.pending_repair.is_empty() {
-            let collected = self.planner.plan().collected_pairs();
+            let collected = planner.plan().collected_pairs();
             if collected + (self.cfg.pair_slack as usize) < self.baseline_pairs {
                 if let Some(mut f) = registry.finding(
                     rules::RECOVERY_CONVERGENCE,
@@ -562,7 +547,7 @@ impl Harness {
                     findings.push(f);
                 }
             }
-            let volume = self.planner.plan().message_volume();
+            let volume = planner.plan().message_volume();
             let limit = self.baseline_volume * self.cfg.volume_tolerance;
             if volume > limit + 1e-9 {
                 if let Some(mut f) = registry.finding(
@@ -580,14 +565,14 @@ impl Harness {
             }
         }
 
-        // RA016: the harness's independent loss total and the health
-        // telemetry must agree, and the telemetry must be monotone.
-        let reported = self.health.report(self.epoch).total_values_lost();
+        // RA016: the close's two loss books (epoch reports, detector
+        // telemetry) must agree, and the telemetry must be monotone.
+        let reported = self.coord.health.report(self.epoch).total_values_lost();
         if reported != self.values_lost {
             if let Some(mut f) = registry.finding(
                 rules::VALUE_LOSS_ACCOUNTING,
                 format!(
-                    "health telemetry reports {reported} values lost, harness accounted {}",
+                    "health telemetry reports {reported} values lost, the epoch reports {}",
                     self.values_lost
                 ),
             ) {
@@ -630,23 +615,32 @@ impl Harness {
             text.push_str(&format!(
                 "h{}:{:?}:{}|",
                 n.0,
-                self.health.state(n),
-                self.health.consecutive_misses(n)
+                self.coord.health.state(n),
+                self.coord.health.consecutive_misses(n)
             ));
         }
-        for (n, c) in self.planner.caps().iter() {
+        for (n, c) in self.planner().caps().iter() {
             text.push_str(&format!("c{}:{}|", n.0, c.to_bits()));
         }
         for (n, m) in &self.sessions {
             text.push_str(&format!("s{}:{:?}|", n.0, m.state()));
         }
-        if let Ok(plan) = serde_json::to_string(self.planner.plan()) {
+        if let Ok(plan) = serde_json::to_string(self.planner().plan()) {
             text.push_str(&plan);
         }
-        for (n, assigns) in &self.assignments {
+        for (n, assigns) in &self.coord.assignments {
             text.push_str(&format!("a{}:{:?}|", n.0, assigns));
         }
         fnv1a(text.as_bytes())
+    }
+}
+
+/// The self-healing planner of a harness's coordinator, which always
+/// has one.
+fn healer(coord: &Coordinator) -> &AdaptivePlanner {
+    match &coord.healer {
+        Some(engine) => engine.planner(),
+        None => unreachable!("Harness::new installs a healer"),
     }
 }
 

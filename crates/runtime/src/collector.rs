@@ -138,7 +138,7 @@ impl Hasher for PairHasher {
 pub type PairStore = HashMap<(NodeId, AttrId), Observed, BuildHasherDefault<PairHasher>>;
 
 /// The collector's capacity-enforcing ingest state machine.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct CollectorCore {
     bucket: TokenBucket,
     cost: CostModel,

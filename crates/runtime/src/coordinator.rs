@@ -1,16 +1,19 @@
 //! The coordinator's books and the one way an epoch is closed — shared
-//! by the in-process [`Deployment`](crate::Deployment) and the
-//! distributed `remo-collector` service.
+//! by the in-process [`Deployment`](crate::Deployment), the
+//! distributed `remo-collector` service and the `remo-check mc` model
+//! checker.
 //!
-//! Both drive the same lockstep protocol: tick every agent, gather the
-//! tick reports and the collector-bound frames the epoch produced, then
-//! *close* the epoch — fold the reports, run the failure detector,
-//! charge lost readings, repair the plan around confirmed failures, and
-//! take the frames in under the collector's budget.
+//! The two runtimes drive the same lockstep protocol: tick every agent,
+//! gather the tick reports and the collector-bound frames the epoch
+//! produced, then *close* the epoch — fold the reports, run the failure
+//! detector, charge lost readings, repair the plan around confirmed
+//! failures, and take the frames in under the collector's budget.
 //! [`Coordinator::close_epoch`] is that close. It does no I/O: what has
 //! to be told to the agents comes back in an [`EpochClose`], and each
 //! caller sends it its own way (`AgentMsg` over queues in process,
 //! control envelopes over sockets).
+//! The model checker calls its halves, [`Coordinator::observe`] and
+//! [`Coordinator::repair`], itself, to hold a repair back as an event.
 
 use crate::agent::{TickReport, TreeAssignment};
 use crate::collector::{CollectorCore, EpochReport};
@@ -23,7 +26,7 @@ use remo_core::NodeId;
 use std::collections::BTreeMap;
 
 /// Everything a coordinator keeps between epochs.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Coordinator {
     /// The failure detector, fed by each epoch's tick reports.
     pub health: HealthMonitor,
@@ -72,6 +75,40 @@ impl Coordinator {
         frames: impl IntoIterator<Item = (u64, Bytes)>,
         transport: &dyn Transport,
     ) -> EpochClose {
+        let (mut report, events) = self.observe(epoch, reports);
+        let reassigned = self.repair(&events.confirmed, &events.recovered, epoch, &mut report);
+        report.planner_cache = self.healer.as_ref().map(|h| h.planner().cache_stats());
+
+        self.collector.refill();
+        let mut degrade = None;
+        if transport.reliable() {
+            for (sent_epoch, frame) in frames {
+                self.collector
+                    .accept_perfect(sent_epoch, frame, &mut report);
+            }
+        } else {
+            for (sent_epoch, frame) in frames {
+                self.collector
+                    .accept_arq(epoch, sent_epoch, frame, transport, &mut report);
+            }
+            degrade = self.collector.drain_arq(epoch, &mut report);
+        }
+
+        EpochClose {
+            report,
+            events,
+            reassigned,
+            degrade,
+        }
+    }
+
+    /// The first half of [`Coordinator::close_epoch`]: the report fold,
+    /// the failure detector and the charge for lost readings.
+    pub fn observe(
+        &mut self,
+        epoch: u64,
+        reports: impl IntoIterator<Item = TickReport>,
+    ) -> (EpochReport, HealthEvents) {
         let mut report = EpochReport {
             epoch,
             ..EpochReport::default()
@@ -111,46 +148,29 @@ impl Coordinator {
                 report.values_lost += due;
             }
         }
+        (report, events)
+    }
 
-        let mut reassigned = Vec::new();
-        if let Some(healer) = self.healer.as_mut() {
-            if !events.confirmed.is_empty() || !events.recovered.is_empty() {
-                let (fresh, changed) = healer.repair(
-                    &events.confirmed,
-                    &events.recovered,
-                    &self.assignments,
-                    epoch,
-                );
-                self.assignments = fresh;
-                reassigned = changed;
-                for &node in &events.confirmed {
-                    self.health.mark_repaired(node, epoch);
-                    report.repaired += 1;
-                }
-            }
-            report.planner_cache = Some(healer.planner().cache_stats());
+    /// The second half of [`Coordinator::close_epoch`]: plan repair
+    /// around `confirmed` failures and `recovered` nodes. Returns the
+    /// nodes whose assignments changed; a no-op without a healer.
+    pub fn repair(
+        &mut self,
+        confirmed: &[NodeId],
+        recovered: &[NodeId],
+        epoch: u64,
+        report: &mut EpochReport,
+    ) -> Vec<NodeId> {
+        let idle = confirmed.is_empty() && recovered.is_empty();
+        let Some(healer) = self.healer.as_mut().filter(|_| !idle) else {
+            return Vec::new();
+        };
+        let (fresh, changed) = healer.repair(confirmed, recovered, &self.assignments, epoch);
+        self.assignments = fresh;
+        for &node in confirmed {
+            self.health.mark_repaired(node, epoch);
+            report.repaired += 1;
         }
-
-        self.collector.refill();
-        let mut degrade = None;
-        if transport.reliable() {
-            for (sent_epoch, frame) in frames {
-                self.collector
-                    .accept_perfect(sent_epoch, frame, &mut report);
-            }
-        } else {
-            for (sent_epoch, frame) in frames {
-                self.collector
-                    .accept_arq(epoch, sent_epoch, frame, transport, &mut report);
-            }
-            degrade = self.collector.drain_arq(epoch, &mut report);
-        }
-
-        EpochClose {
-            report,
-            events,
-            reassigned,
-            degrade,
-        }
+        changed
     }
 }

@@ -477,7 +477,7 @@ impl Deployment {
 /// Publishes one epoch's aggregate report into the process-wide
 /// metrics registry (no-op while observability is disabled). The
 /// suspected/confirmed/recovered transitions are counted at their
-/// source in [`HealthMonitor::observe`], not re-counted here.
+/// source in [`HealthMonitor::observe_reports`], not re-counted here.
 fn export_epoch_metrics(report: &EpochReport) {
     if !remo_obs::enabled() {
         return;
@@ -579,9 +579,8 @@ fn route_depth(
 
 /// Readings `assigns` schedules for production at `epoch` — the per-
 /// epoch quantum the deployment charges to `values_lost` while the
-/// owning node is unhealthy. Shared with the `remo-check mc` model checker
-/// so its loss accounting audits the real deployment arithmetic.
-pub fn due_readings(assigns: &[TreeAssignment], epoch: u64) -> u64 {
+/// owning node is unhealthy.
+pub(crate) fn due_readings(assigns: &[TreeAssignment], epoch: u64) -> u64 {
     assigns
         .iter()
         .flat_map(|a| a.local.iter())
@@ -591,9 +590,8 @@ pub fn due_readings(assigns: &[TreeAssignment], epoch: u64) -> u64 {
 
 /// Nodes whose assignments differ between `old` and `new` (a missing
 /// entry counts as empty) — exactly the agents plan repair sends a
-/// targeted `Reconfigure` to. Shared with the `remo-check mc` model checker
-/// so its reconfiguration counts match the deployment's.
-pub fn changed_assignments(
+/// targeted `Reconfigure` to.
+pub(crate) fn changed_assignments(
     old: &BTreeMap<NodeId, Vec<TreeAssignment>>,
     new: &BTreeMap<NodeId, Vec<TreeAssignment>>,
 ) -> Vec<NodeId> {

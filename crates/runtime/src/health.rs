@@ -201,19 +201,9 @@ impl HealthMonitor {
             .collect()
     }
 
-    /// Folds one epoch's reporter set into the detector and returns
-    /// the transitions. Every reporter is taken to have reported *for*
-    /// `epoch` — correct for in-process lockstep, where agents answer
-    /// the tick they were sent. Distributed coordinators, where a
-    /// slow-but-alive node's report can arrive a barrier late, must
-    /// use [`HealthMonitor::observe_reports`] instead.
-    pub fn observe(&mut self, epoch: u64, reporters: &BTreeSet<NodeId>) -> HealthEvents {
-        let reports: BTreeMap<NodeId, u64> = reporters.iter().map(|&n| (n, epoch)).collect();
-        self.observe_reports(epoch, &reports)
-    }
-
     /// Folds one epoch's reports — `node → newest report epoch heard
-    /// during this barrier` — into the detector.
+    /// during this barrier` — into the detector and returns the
+    /// transitions.
     ///
     /// Liveness for `epoch` requires a report *for* `epoch` (or
     /// newer): a late frame from a previous epoch is real evidence the
@@ -324,6 +314,13 @@ mod tests {
         (0..n).map(NodeId).collect()
     }
 
+    /// One lockstep barrier: every node in `reporters` reported for
+    /// `epoch`.
+    fn observe(m: &mut HealthMonitor, epoch: u64, reporters: &BTreeSet<NodeId>) -> HealthEvents {
+        let reports: BTreeMap<NodeId, u64> = reporters.iter().map(|&n| (n, epoch)).collect();
+        m.observe_reports(epoch, &reports)
+    }
+
     #[test]
     fn silent_node_is_suspected_then_confirmed() {
         for confirm_after in [3, 2] {
@@ -331,24 +328,24 @@ mod tests {
             let mut reporters = all(4);
             reporters.remove(&NodeId(2));
 
-            let e1 = m.observe(1, &reporters);
+            let e1 = observe(&mut m, 1, &reporters);
             assert_eq!(e1.suspected, vec![NodeId(2)]);
             assert!(e1.confirmed.is_empty());
             assert_eq!(m.state(NodeId(2)), HealthState::Suspected);
 
             let confirm = u64::from(confirm_after);
             for epoch in 2..confirm {
-                let e = m.observe(epoch, &reporters);
+                let e = observe(&mut m, epoch, &reporters);
                 assert!(e.is_empty(), "miss {epoch} is not yet confirmation");
                 assert_eq!(m.state(NodeId(2)), HealthState::Suspected);
             }
 
-            let e = m.observe(confirm, &reporters);
+            let e = observe(&mut m, confirm, &reporters);
             assert_eq!(e.confirmed, vec![NodeId(2)]);
             assert_eq!(m.state(NodeId(2)), HealthState::Dead);
             // Silent on: still dead, confirmed once; the reporters never
             // left healthy.
-            assert!(m.observe(confirm + 1, &reporters).is_empty());
+            assert!(observe(&mut m, confirm + 1, &reporters).is_empty());
             assert_eq!(m.state(NodeId(2)), HealthState::Dead);
             assert!(reporters
                 .iter()
@@ -366,15 +363,15 @@ mod tests {
         let mut m = HealthMonitor::new((0..2).map(NodeId), 3);
         let mut some = all(2);
         some.remove(&NodeId(1));
-        m.observe(1, &some);
+        observe(&mut m, 1, &some);
         assert_eq!(m.state(NodeId(1)), HealthState::Suspected);
-        m.observe(2, &all(2));
+        observe(&mut m, 2, &all(2));
         assert_eq!(m.state(NodeId(1)), HealthState::Healthy);
         // Misses are consecutive: a fresh incident restarts the count.
-        m.observe(3, &some);
-        m.observe(4, &some);
+        observe(&mut m, 3, &some);
+        observe(&mut m, 4, &some);
         assert_eq!(m.state(NodeId(1)), HealthState::Suspected);
-        m.observe(5, &some);
+        observe(&mut m, 5, &some);
         assert_eq!(m.state(NodeId(1)), HealthState::Dead);
     }
 
@@ -386,23 +383,23 @@ mod tests {
             let mut m = HealthMonitor::new((0..3).map(NodeId), 1);
             let mut down = all(3);
             down.remove(&NodeId(0));
-            let e = m.observe(1, &down);
+            let e = observe(&mut m, 1, &down);
             assert_eq!(
                 e.confirmed,
                 vec![NodeId(0)],
                 "confirm_after=1 confirms at once"
             );
             for epoch in 2..back {
-                assert!(m.observe(epoch, &down).is_empty());
+                assert!(observe(&mut m, epoch, &down).is_empty());
             }
             assert_eq!(m.expected_reporters(), down);
             assert_eq!(m.state(NodeId(0)), HealthState::Dead);
 
-            let e = m.observe(back, &all(3));
+            let e = observe(&mut m, back, &all(3));
             assert_eq!(e.recovered, vec![NodeId(0)]);
             assert_eq!(m.state(NodeId(0)), HealthState::Healthy);
             // Reporting on is not another recovery.
-            assert!(m.observe(back + 1, &all(3)).is_empty());
+            assert!(observe(&mut m, back + 1, &all(3)).is_empty());
             assert_eq!(m.report(back + 1).stats[&NodeId(0)].recovered, 1);
         }
     }
@@ -492,8 +489,8 @@ mod tests {
         let mut m = HealthMonitor::new((0..2).map(NodeId), 2);
         let mut down = all(2);
         down.remove(&NodeId(1));
-        m.observe(5, &down);
-        m.observe(6, &down);
+        observe(&mut m, 5, &down);
+        observe(&mut m, 6, &down);
         assert_eq!(m.state(NodeId(1)), HealthState::Dead);
         m.add_values_lost(NodeId(1), 3);
         m.mark_repaired(NodeId(1), 7);
@@ -509,8 +506,8 @@ mod tests {
         let mut m = HealthMonitor::new((0..3).map(NodeId), 2);
         let mut down = all(3);
         down.remove(&NodeId(2));
-        m.observe(1, &down);
-        m.observe(2, &down);
+        observe(&mut m, 1, &down);
+        observe(&mut m, 2, &down);
         let report = m.report(2);
         let v = serde::Serialize::serialize(&report);
         let back: HealthReport = serde::Deserialize::deserialize(&v).unwrap();

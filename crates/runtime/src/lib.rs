@@ -69,9 +69,7 @@ pub use agent::{AgentMsg, LocalAttr, Route, Sampler, TickReport, TreeAssignment}
 pub use collector::{CollectorCore, DeliveredReading, EpochReport, Observed};
 pub use coordinator::{Coordinator, EpochClose};
 pub use ctrl::{CtrlError, CtrlMsg};
-pub use deployment::{
-    changed_assignments, due_readings, plan_assignments, Deployment, Snapshot, TransportSpec,
-};
+pub use deployment::{plan_assignments, Deployment, Snapshot, TransportSpec};
 pub use framing::{Envelope, FrameDecoder, FrameError};
 pub use health::{
     HealthConfig, HealthEvents, HealthMonitor, HealthReport, HealthState, NodeHealthStats,

@@ -16,7 +16,7 @@ use remo_core::{AttrCatalog, CapacityMap, NodeId};
 use std::collections::BTreeMap;
 
 /// Repairs the monitoring plan around node failures and recoveries.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct RepairEngine {
     healer: AdaptivePlanner,
     /// Capacities as launched, used to reintegrate recovered nodes.
