@@ -529,9 +529,18 @@ impl Harness {
             }
         }
 
-        // RA015: once every failed node has recovered and no repair is
-        // pending, the plan must be back near the original.
-        if self.recoveries > 0 && self.down.is_empty() && self.pending_repair.is_empty() {
+        // RA015: once every failed node has recovered, no repair is
+        // pending and the detector has heard from every node again, the
+        // plan must be back near the original. A node that is up but
+        // not yet Healthy is still converging: the next tick
+        // reintegrates it.
+        let settled = self.down.is_empty()
+            && self.pending_repair.is_empty()
+            && self
+                .spec
+                .node_ids()
+                .all(|n| self.coord.health.state(n) == HealthState::Healthy);
+        if self.recoveries > 0 && settled {
             let collected = planner.plan().collected_pairs();
             if collected + (self.cfg.pair_slack as usize) < self.baseline_pairs {
                 if let Some(mut f) = registry.finding(

@@ -102,6 +102,24 @@ fn canonical_corpus() -> Vec<(&'static str, TopologySpec, InvariantConfig, Vec<E
             ],
         ),
         (
+            // Node 1 is up again when its repair lands, but the detector
+            // has not heard from it yet, so the repair takes it out of
+            // the plan; the next tick reintegrates it. RA015 waits for
+            // that tick instead of judging the plan in between.
+            "clean-repair-after-silent-recovery.json",
+            specs[2].clone(),
+            InvariantConfig::default(),
+            vec![
+                Event::Fail(NodeId(0)),
+                Event::Fail(NodeId(1)),
+                Event::Tick,
+                Event::Recover(NodeId(0)),
+                Event::Tick,
+                Event::Recover(NodeId(1)),
+                Event::Repair(NodeId(1)),
+            ],
+        ),
+        (
             "clean-rebuild-scheme.json",
             specs[3].clone(),
             InvariantConfig::default(),
