@@ -13,6 +13,10 @@
 //! event trace as JSON lines; `--metrics <file.prom>` writes the
 //! metrics registry in Prometheus text format. Either flag enables
 //! collection for the run; summarize the files with `remo-obs dump`.
+//!
+//! Exit status, as for `remo-check`: 0 when the run passed, 1 when
+//! `--audit` found an error, 2 on a usage, I/O or spec problem (an
+//! unknown option or a second spec path is a usage problem).
 
 use remo::spec::{AttrSpec, DeploymentSpec, TaskSpec};
 use remo_check::AuditBundle;
@@ -101,119 +105,82 @@ fn search_line(report: &PlanReport) -> String {
     )
 }
 
+/// What follows `remo-plan` in a usage error.
+const USAGE: &str = "usage: remo-plan <spec.json> [--dot|--audit|--bundle] \
+                     [--trace <file.jsonl>] [--metrics <file.prom>] | remo-plan --example";
+
+/// The output flags: `--dot` wins over `--bundle`, which wins over
+/// `--audit`; without one, the plan summary.
+const MODES: [&str; 3] = ["--dot", "--audit", "--bundle"];
+
 fn main() -> ExitCode {
+    run().unwrap_or_else(|message| {
+        eprintln!("remo-plan: {message}");
+        ExitCode::from(2)
+    })
+}
+
+fn run() -> Result<ExitCode, String> {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--example") {
         println!("{}", example_spec().to_json());
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
-    let (trace_path, metrics_path) = match (|| -> Result<_, String> {
-        Ok((
-            take_value_flag(&mut args, "--trace")?,
-            take_value_flag(&mut args, "--metrics")?,
-        ))
-    })() {
-        Ok(paths) => paths,
-        Err(e) => {
-            eprintln!("remo-plan: {e}");
-            return ExitCode::FAILURE;
-        }
+    let usage = |message: String| format!("{message}\n{USAGE}");
+    let trace_path = take_value_flag(&mut args, "--trace").map_err(usage)?;
+    let metrics_path = take_value_flag(&mut args, "--metrics").map_err(usage)?;
+    let (flags, paths): (Vec<&String>, Vec<&String>) =
+        args.iter().partition(|a| a.starts_with("--"));
+    if let Some(flag) = flags.iter().find(|f| !MODES.contains(&f.as_str())) {
+        return Err(usage(format!("unknown option `{flag}`")));
+    }
+    let path = match paths[..] {
+        [path] => path,
+        [] => return Err(usage("no spec file given".to_string())),
+        _ => return Err(usage("more than one spec file given".to_string())),
     };
     if trace_path.is_some() || metrics_path.is_some() {
         remo_obs::enable();
     }
-    let Some(path) = args.iter().find(|a| !a.starts_with("--")) else {
-        eprintln!(
-            "usage: remo-plan <spec.json> [--dot|--audit|--bundle] \
-             [--trace <file.jsonl>] [--metrics <file.prom>] | remo-plan --example"
-        );
-        return ExitCode::FAILURE;
-    };
-    let json = match std::fs::read_to_string(path) {
-        Ok(j) => j,
-        Err(e) => {
-            eprintln!("remo-plan: cannot read {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let spec = match DeploymentSpec::from_json(&json) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("remo-plan: bad spec: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let (plan, report) = match spec.plan_with_report() {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("remo-plan: planning failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let json = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let spec = DeploymentSpec::from_json(&json).map_err(|e| format!("bad spec: {e}"))?;
+    let (plan, report) = spec
+        .plan_with_report()
+        .map_err(|e| format!("planning failed: {e}"))?;
     // Planner activity is over: export collected observability now so
     // the files exist whichever output mode (and exit path) follows.
-    if let Err(e) = write_obs_outputs(trace_path.as_deref(), metrics_path.as_deref()) {
-        eprintln!("remo-plan: {e}");
-        return ExitCode::FAILURE;
-    }
+    write_obs_outputs(trace_path.as_deref(), metrics_path.as_deref())?;
 
-    if args.iter().any(|a| a == "--dot") {
+    let has = |mode: &str| flags.iter().any(|f| f.as_str() == mode);
+    if has("--dot") {
         print!("{}", to_dot(&plan));
-    } else if args.iter().any(|a| a == "--audit" || a == "--bundle") {
-        let caps = match spec.capacities() {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!("remo-plan: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let cost = match spec.cost() {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!("remo-plan: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let catalog = match spec.catalog() {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!("remo-plan: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let pairs = match spec.pairs() {
-            Ok(p) => p,
-            Err(e) => {
-                eprintln!("remo-plan: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let mut bundle = AuditBundle::new(plan, pairs, caps, cost);
-        bundle.catalog = catalog;
-        bundle.aggregation_aware = spec.aggregation_aware;
-        bundle.frequency_aware = spec.frequency_aware;
-        if args.iter().any(|a| a == "--bundle") {
-            match bundle.to_json() {
-                Ok(text) => println!("{text}"),
-                Err(e) => {
-                    eprintln!("remo-plan: cannot serialize bundle: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        } else {
-            let outcome = bundle.audit(&Audit::new());
-            if outcome.findings.is_empty() {
-                println!("audit clean: plan satisfies all rules");
-            } else {
-                print!("{}", outcome.render());
-            }
-            if !outcome.is_clean() {
-                return ExitCode::FAILURE;
-            }
-        }
-    } else {
+        return Ok(ExitCode::SUCCESS);
+    }
+    if !has("--audit") && !has("--bundle") {
         print!("{}", summarize(&plan));
         println!("{}", search_line(&report));
+        return Ok(ExitCode::SUCCESS);
     }
-    ExitCode::SUCCESS
+    let caps = spec.capacities().map_err(|e| e.to_string())?;
+    let cost = spec.cost().map_err(|e| e.to_string())?;
+    let catalog = spec.catalog()?;
+    let pairs = spec.pairs().map_err(|e| e.to_string())?;
+    let mut bundle = AuditBundle::new(plan, pairs, caps, cost);
+    bundle.catalog = catalog;
+    bundle.aggregation_aware = spec.aggregation_aware;
+    bundle.frequency_aware = spec.frequency_aware;
+    if has("--bundle") {
+        let text = bundle
+            .to_json()
+            .map_err(|e| format!("cannot serialize bundle: {e}"))?;
+        println!("{text}");
+        return Ok(ExitCode::SUCCESS);
+    }
+    let outcome = bundle.audit(&Audit::new());
+    if outcome.findings.is_empty() {
+        println!("audit clean: plan satisfies all rules");
+    } else {
+        print!("{}", outcome.render());
+    }
+    Ok(ExitCode::from(u8::from(!outcome.is_clean())))
 }

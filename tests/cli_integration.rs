@@ -95,7 +95,7 @@ fn missing_file_fails_cleanly() {
         .arg("/nonexistent/spec.json")
         .output()
         .expect("run");
-    assert!(!out.status.success());
+    assert_eq!(out.status.code(), Some(2));
     let err = String::from_utf8(out.stderr).unwrap();
     assert!(err.contains("cannot read"));
 }
@@ -107,7 +107,7 @@ fn malformed_spec_fails_cleanly() {
     let path = dir.join("bad.json");
     std::fs::write(&path, "{\"nodes\": }").unwrap();
     let out = remo_plan().arg(&path).output().expect("run");
-    assert!(!out.status.success());
+    assert_eq!(out.status.code(), Some(2));
     let err = String::from_utf8(out.stderr).unwrap();
     assert!(err.contains("bad spec"));
 }
@@ -115,7 +115,31 @@ fn malformed_spec_fails_cleanly() {
 #[test]
 fn no_arguments_prints_usage() {
     let out = remo_plan().output().expect("run");
-    assert!(!out.status.success());
+    assert_eq!(out.status.code(), Some(2));
     let err = String::from_utf8(out.stderr).unwrap();
     assert!(err.contains("usage:"));
+
+    // A mistyped option and a second spec path are usage errors too,
+    // not a summary of the first spec.
+    let dir = std::env::temp_dir().join("remo-plan-test-usage");
+    std::fs::create_dir_all(&dir).unwrap();
+    let spec = dir.join("spec.json");
+    let example = remo_plan().arg("--example").output().expect("run");
+    std::fs::write(&spec, &example.stdout).unwrap();
+    for (args, says) in [
+        (
+            vec![spec.clone(), "--audti".into()],
+            "unknown option `--audti`",
+        ),
+        (
+            vec![spec.clone(), spec.clone(), "--dot".into()],
+            "more than one",
+        ),
+    ] {
+        let out = remo_plan().args(&args).output().expect("run");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?}");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert!(err.contains(says) && err.contains("usage:"), "{err}");
+    }
 }
