@@ -124,10 +124,11 @@ fi
 # --check-smoke: the four analyzers behind `remo-check`, in release —
 # the table-driven CLI test (every corpus case via --example → file →
 # run trips exactly its rule in the SARIF; exit codes 0/1/2), the
-# fixed-seed model check (n ≤ 5, depth 4) plus a replay of every
-# committed trace, the shipped protocol spec at depth 14, and
-# `remo-plan --example` through the pre-flight analyzer. Seconds warm;
-# exits without running the gate.
+# fixed-seed model check (n ≤ 5, depth 4, and all four seeded
+# topologies at depth 7, ~0.5 s) plus a replay of every committed
+# trace, the shipped protocol spec at depth 14, and `remo-plan
+# --example` through the pre-flight analyzer. Seconds warm; exits
+# without running the gate.
 if [[ "${1:-}" == "--check-smoke" ]]; then
   echo "==> remo-check: CLI contract, mc sweep + corpus replay, proto verify"
   check_dir="$(mktemp -d)"
@@ -135,6 +136,7 @@ if [[ "${1:-}" == "--check-smoke" ]]; then
   cargo test -q --release -p remo-check --test cli
   cargo build -q --release -p remo-check -p remo
   target/release/remo-check mc explore --depth 4 --max-nodes 5 --replay-dir "$check_dir"
+  target/release/remo-check mc explore --depth 7 --replay-dir "$check_dir"
   for trace in crates/check/corpus/*.json; do
     target/release/remo-check mc replay "$trace"
   done
@@ -285,6 +287,15 @@ fi
 echo "==> no second epoch engine (crates/, tests/, examples/)"
 if grep -rn 'TreeRoute\|in_transit\|CollectorStore\|StoredValue\|mod reading' crates/ tests/ examples/; then
   echo "remo-sim must step remo-runtime's agents, not its own engine" >&2
+  exit 1
+fi
+
+# One epoch close: the model checker drives Coordinator::observe and
+# Coordinator::repair. It may not call the pieces they are made of.
+echo "==> no copy of the epoch close in the model checker (crates/check/src)"
+if grep -rnE '\b(handle_node_failure|handle_node_recovery|add_values_lost|mark_repaired|due_readings|changed_assignments)\s*\(' \
+  crates/check/src; then
+  echo "remo-check mc must drive the coordinator, not re-implement its epoch close" >&2
   exit 1
 fi
 
