@@ -153,7 +153,8 @@ impl Coordinator {
 
     /// The second half of [`Coordinator::close_epoch`]: plan repair
     /// around `confirmed` failures and `recovered` nodes. Returns the
-    /// nodes whose assignments changed; a no-op without a healer.
+    /// nodes whose assignments changed; a no-op without a healer or
+    /// with both lists empty.
     pub fn repair(
         &mut self,
         confirmed: &[NodeId],
