@@ -141,6 +141,69 @@ fn task_level_changes_flow_through_task_manager() {
     assert!(ap.plan().tree_of_attr(AttrId(999)).is_none());
 }
 
+/// FNV-1a of every plan one adaptation stream passes through: the
+/// initial plan's JSON, then per step the report's counts and the
+/// adapted plan's JSON. Six churn steps through `update`, one failure
+/// (step 3) and the recovery (step 6) of node 4.
+fn trajectory_digest(scheme: AdaptScheme) -> String {
+    let s = scenario();
+    let mut ap = AdaptivePlanner::new(
+        Planner::default(),
+        scheme,
+        s.pairs.clone(),
+        s.caps.clone(),
+        s.cost,
+        AttrCatalog::new(),
+    );
+    let cfg = ChurnConfig {
+        attr_universe: 25,
+        ..ChurnConfig::default()
+    };
+    let mut rng = SmallRng::seed_from_u64(77);
+    let mut pairs = s.pairs.clone();
+    let victim = NodeId(4);
+    let mut text = serde_json::to_string(ap.plan()).unwrap();
+    for step in 1..=8u64 {
+        let now = 10 * step;
+        let report = match step {
+            3 => ap.handle_node_failure(victim, now),
+            6 => ap.handle_node_recovery(victim, s.caps.node(victim).unwrap(), now),
+            _ => {
+                pairs = churn_pairs(&pairs, &cfg, &mut rng);
+                ap.update(pairs.clone(), now)
+            }
+        };
+        text += &format!(
+            "|{} {} {} {}|",
+            report.adaptation_messages,
+            report.trees_rebuilt,
+            report.ops_applied,
+            report.ops_throttled
+        );
+        text += &serde_json::to_string(ap.plan()).unwrap();
+    }
+    let digest = text.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    format!("{digest:016x}")
+}
+
+/// Every adapted plan, byte for byte, per scheme. Refactors of the
+/// adaptation step must leave these digests where they are.
+#[test]
+fn adaptation_trajectories_are_pinned() {
+    assert_eq!(
+        trajectory_digest(AdaptScheme::DirectApply),
+        "7c28fe1739ec3cf2"
+    );
+    assert_eq!(trajectory_digest(AdaptScheme::Rebuild), "2c9834d7a384a8da");
+    assert_eq!(
+        trajectory_digest(AdaptScheme::NoThrottle),
+        "afa9f3e2992c2769"
+    );
+    assert_eq!(trajectory_digest(AdaptScheme::Adaptive), "70ac3f3cfda3e3df");
+}
+
 #[test]
 fn adaptation_is_deterministic() {
     let run = || {
