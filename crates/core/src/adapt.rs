@@ -26,6 +26,12 @@
 //! `C_cur − C_adj` of the paper's threshold with the value of newly
 //! collected pairs (`a` per pair), so coverage-improving operations are
 //! throttled on the same scale as efficiency-improving ones.
+//!
+//! Churn ([`AdaptivePlanner::update`]) and node failure or recovery
+//! (paper §2.2) share one adaptation step: keep the trees the change
+//! leaves alone, rebuild the others against the capacity the kept
+//! trees leave, run the restricted search (NO-THROTTLE, ADAPTIVE), and
+//! account the edge changes. They differ only in which trees they keep.
 
 use crate::attribute::AttrCatalog;
 use crate::cache::{CacheStats, TreeCache};
@@ -74,6 +80,9 @@ pub struct AdaptationReport {
     pub ops_throttled: usize,
 }
 
+/// Cap on local-search operations per adaptation round.
+const MAX_OPS: usize = 32;
+
 /// Stateful adaptive planner: owns the current plan and applies task
 /// churn under a chosen [`AdaptScheme`].
 ///
@@ -120,8 +129,6 @@ pub struct AdaptivePlanner {
     plan: MonitoringPlan,
     /// Last epoch each tree (keyed by its attribute set) was adjusted.
     last_adjust: BTreeMap<Vec<AttrId>, u64>,
-    /// Cap on local-search operations per adaptation round.
-    max_ops: usize,
     /// Memoized tree builds, reused across adaptation rounds (consulted
     /// only when the planner's `cache` knob is on). Pair churn
     /// invalidates it; capacity changes miss naturally because budgets
@@ -159,7 +166,6 @@ impl AdaptivePlanner {
             pairs,
             plan,
             last_adjust: BTreeMap::new(),
-            max_ops: 32,
             cache,
         }
     }
@@ -209,66 +215,27 @@ impl AdaptivePlanner {
     /// manager after churn) at epoch `now`, returning what changed.
     pub fn update(&mut self, new_pairs: PairSet, now: u64) -> AdaptationReport {
         let t0 = Instant::now();
-        let old_plan = self.plan.clone();
         // Cached trees embed participant sets derived from the old pair
         // universe; churn makes them unsound, not merely suboptimal.
         self.cache.invalidate();
-
-        let report = match self.scheme {
-            AdaptScheme::Rebuild => {
-                let plan = self
-                    .planner
-                    .plan_with_report_cached(
-                        &new_pairs,
-                        &self.caps,
-                        self.cost,
-                        &self.catalog,
-                        self.cache_ref(),
-                    )
-                    .0;
-                self.plan = plan;
-                AdaptationReport {
-                    adaptation_messages: 0,
-                    planning_time: Duration::ZERO,
-                    trees_rebuilt: self.plan.trees().len(),
-                    ops_applied: 0,
-                    ops_throttled: 0,
-                }
-            }
-            AdaptScheme::DirectApply => {
-                let (rebuilt, ..) = self.direct_apply(&new_pairs);
-                AdaptationReport {
-                    adaptation_messages: 0,
-                    planning_time: Duration::ZERO,
-                    trees_rebuilt: rebuilt,
-                    ops_applied: 0,
-                    ops_throttled: 0,
-                }
-            }
-            AdaptScheme::NoThrottle | AdaptScheme::Adaptive => {
-                let (rebuilt, affected) = self.direct_apply(&new_pairs);
-                let throttle = self.scheme == AdaptScheme::Adaptive;
-                let (ops_applied, ops_throttled) =
-                    self.restricted_search(&new_pairs, affected, throttle, now);
-                AdaptationReport {
-                    adaptation_messages: 0,
-                    planning_time: Duration::ZERO,
-                    trees_rebuilt: rebuilt,
-                    ops_applied,
-                    ops_throttled,
-                }
-            }
-        };
-
-        self.pairs = new_pairs;
-        let adaptation_messages = old_plan.edge_diff(&self.plan);
-        self.stamp_adjust_times(&old_plan, now);
-        self.debug_audit();
-        AdaptationReport {
-            adaptation_messages,
-            planning_time: t0.elapsed(),
-            ..report
+        if self.scheme == AdaptScheme::Rebuild {
+            self.pairs = new_pairs;
+            let base = self
+                .planner
+                .plan_with_report_cached(
+                    &self.pairs,
+                    &self.caps,
+                    self.cost,
+                    &self.catalog,
+                    self.cache_ref(),
+                )
+                .0;
+            return self.adapt(t0, now, base, None);
         }
+        let (partition, kept) = self.carry_over(&new_pairs);
+        self.pairs = new_pairs;
+        let (base, rebuilt) = self.rebuild(partition, kept);
+        self.adapt(t0, now, base, Some(rebuilt))
     }
 
     /// Runs the full rule-registry audit over the current plan against
@@ -287,21 +254,6 @@ impl AdaptivePlanner {
             .aggregation_aware(self.planner.config().aggregation_aware)
             .frequency_aware(self.planner.config().frequency_aware),
         )
-    }
-
-    /// Post-condition (debug builds): the adapted plan must still pass
-    /// every error-severity audit rule against the current demand and
-    /// capacities.
-    fn debug_audit(&self) {
-        #[cfg(debug_assertions)]
-        {
-            let outcome = self.audit();
-            debug_assert!(
-                outcome.is_clean(),
-                "adaptation produced a plan that fails the audit:\n{}",
-                outcome.render()
-            );
-        }
     }
 
     /// Handles a node failure (paper §2.2: the management core's
@@ -326,7 +278,6 @@ impl AdaptivePlanner {
 
     fn set_node_capacity(&mut self, node: NodeId, capacity: f64, now: u64) -> AdaptationReport {
         let t0 = Instant::now();
-        let old_plan = self.plan.clone();
         self.caps
             .set_node(node, capacity)
             .unwrap_or_else(|e| panic!("non-negative capacity: {e}"));
@@ -338,72 +289,91 @@ impl AdaptivePlanner {
             .attrs_of(node)
             .map(|s| s.iter().copied().collect())
             .unwrap_or_default();
-        let affected: BTreeSet<usize> = self
+        let kept = self
             .plan
             .partition()
             .sets()
             .iter()
             .zip(self.plan.trees())
-            .enumerate()
-            .filter(|(_, (set, planned))| {
-                planned.tree.as_ref().is_some_and(|t| t.contains(node))
-                    || set.iter().any(|a| demanded.contains(a))
+            .map(|(set, planned)| {
+                let affected = planned.tree.as_ref().is_some_and(|t| t.contains(node))
+                    || set.iter().any(|a| demanded.contains(a));
+                (!affected).then(|| planned.clone())
             })
-            .map(|(i, _)| i)
             .collect();
+        let (base, rebuilt) = self.rebuild(self.plan.partition().clone(), kept);
+        self.adapt(t0, now, base, Some(rebuilt))
+    }
 
-        let pairs = self.pairs.clone();
-        let rebuilt = self.rebuild_trees(&affected, &pairs);
-        let (ops_applied, ops_throttled) = match self.scheme {
-            AdaptScheme::DirectApply | AdaptScheme::Rebuild => (0, 0),
-            AdaptScheme::NoThrottle => self.restricted_search(&pairs, affected, false, now),
-            AdaptScheme::Adaptive => self.restricted_search(&pairs, affected, true, now),
+    /// The one adaptation step both churn and capacity changes end in:
+    /// the restricted search from `base` over the `rebuilt` trees
+    /// (NO-THROTTLE and ADAPTIVE; `None` when REBUILD planned `base`
+    /// from scratch), then the swap, the edge diff and the adjustment
+    /// stamps.
+    fn adapt(
+        &mut self,
+        t0: Instant,
+        now: u64,
+        base: MonitoringPlan,
+        rebuilt: Option<BTreeSet<usize>>,
+    ) -> AdaptationReport {
+        let trees_rebuilt = rebuilt.as_ref().map_or(base.trees().len(), BTreeSet::len);
+        let (plan, ops_applied, ops_throttled) = match (self.scheme, rebuilt) {
+            (AdaptScheme::NoThrottle | AdaptScheme::Adaptive, Some(touched)) => {
+                self.restricted_search(&base, touched, now)
+            }
+            _ => (base, 0, 0),
         };
-
+        let old_plan = std::mem::replace(&mut self.plan, plan);
         let adaptation_messages = old_plan.edge_diff(&self.plan);
         self.stamp_adjust_times(&old_plan, now);
-        self.debug_audit();
+        // Post-condition (debug builds): the adapted plan still passes
+        // every error-severity audit rule.
+        #[cfg(debug_assertions)]
+        {
+            let outcome = self.audit();
+            debug_assert!(
+                outcome.is_clean(),
+                "adaptation produced a plan that fails the audit:\n{}",
+                outcome.render()
+            );
+        }
         AdaptationReport {
             adaptation_messages,
             planning_time: t0.elapsed(),
-            trees_rebuilt: rebuilt,
+            trees_rebuilt,
             ops_applied,
             ops_throttled,
         }
     }
 
-    /// Rebuilds the given trees (by index) against the residual
-    /// capacity left by the others, smallest demand first. The
-    /// partition is unchanged. Returns how many trees were rebuilt.
-    fn rebuild_trees(&mut self, affected: &BTreeSet<usize>, pairs: &PairSet) -> usize {
-        let partition = self.plan.partition().clone();
-        let mut avail: BTreeMap<NodeId, f64> = self.caps.iter().collect();
-        let mut collector_avail = self.caps.collector();
-        let mut new_trees: Vec<Option<PlannedTree>> = vec![None; partition.len()];
-        for (i, t) in self.plan.trees().iter().enumerate() {
-            if affected.contains(&i) {
-                continue;
-            }
+    /// Builds every `None` slot of `kept` against the capacity the kept
+    /// trees leave, smallest participant count first, and assembles the
+    /// plan over `partition`. Returns the plan and the slots it built.
+    fn rebuild(
+        &self,
+        partition: Partition,
+        mut kept: Vec<Option<PlannedTree>>,
+    ) -> (MonitoringPlan, BTreeSet<usize>) {
+        fn charge(t: &PlannedTree, avail: &mut BTreeMap<NodeId, f64>, collector_avail: &mut f64) {
             for (&n, &u) in &t.usage {
                 if let Some(r) = avail.get_mut(&n) {
                     *r -= u;
                 }
             }
-            collector_avail -= t.collector_usage;
-            new_trees[i] = Some(t.clone());
+            *collector_avail -= t.collector_usage;
         }
-        let ctx = crate::evaluate::EvalContext {
-            pairs,
-            caps: &self.caps,
-            cost: self.cost,
-            catalog: &self.catalog,
-            builder: self.planner.config().builder,
-            allocation: self.planner.config().allocation,
-            aggregation_aware: self.planner.config().aggregation_aware,
-            frequency_aware: self.planner.config().frequency_aware,
-        };
-        let mut order: Vec<usize> = affected.iter().copied().collect();
-        order.sort_by_key(|&i| pairs.participants(&partition.sets()[i]).len());
+        let mut avail: BTreeMap<NodeId, f64> = self.caps.iter().collect();
+        let mut collector_avail = self.caps.collector();
+        for t in kept.iter().flatten() {
+            charge(t, &mut avail, &mut collector_avail);
+        }
+        let ctx = self
+            .planner
+            .eval_context(&self.pairs, &self.caps, self.cost, &self.catalog);
+        let rebuilt: BTreeSet<usize> = (0..kept.len()).filter(|&i| kept[i].is_none()).collect();
+        let mut order: Vec<usize> = rebuilt.iter().copied().collect();
+        order.sort_by_key(|&i| self.pairs.participants(&partition.sets()[i]).len());
         for i in order {
             let t = build_tree_for_set_cached(
                 &partition.sets()[i],
@@ -412,29 +382,20 @@ impl AdaptivePlanner {
                 collector_avail,
                 self.cache_ref(),
             );
-            for (&n, &u) in &t.usage {
-                if let Some(r) = avail.get_mut(&n) {
-                    *r -= u;
-                }
-            }
-            collector_avail -= t.collector_usage;
-            new_trees[i] = Some(t);
+            charge(&t, &mut avail, &mut collector_avail);
+            kept[i] = Some(t);
         }
-        let rebuilt = affected.len();
-        self.plan = MonitoringPlan::new(
-            partition,
-            new_trees
-                .into_iter()
-                .map(|t| t.unwrap_or_else(|| unreachable!("every set planned")))
-                .collect(),
-        );
-        rebuilt
+        let trees = kept
+            .into_iter()
+            .map(|t| t.unwrap_or_else(|| unreachable!("every set planned")))
+            .collect();
+        (MonitoringPlan::new(partition, trees), rebuilt)
     }
 
-    /// D-A: carry the partition over to the new pair universe, reuse
-    /// untouched trees, rebuild affected ones against residual
-    /// capacity. Returns `(trees_rebuilt, affected_indexes)`.
-    fn direct_apply(&mut self, new_pairs: &PairSet) -> (usize, BTreeSet<usize>) {
+    /// D-A: carry the partition over to the new pair universe. Returns
+    /// the partition and, per set, the old tree it keeps (`None` where
+    /// the set is affected).
+    fn carry_over(&self, new_pairs: &PairSet) -> (Partition, Vec<Option<PlannedTree>>) {
         let (added, removed) = self.pairs.diff(new_pairs);
         let touched: BTreeSet<AttrId> = added
             .iter()
@@ -474,107 +435,42 @@ impl AdaptivePlanner {
         let partition = Partition::from_sets(sets)
             .unwrap_or_else(|e| panic!("filtered sets remain disjoint and non-empty: {e}"));
 
-        // Affected sets: contain a touched attribute, shrank, or are new.
-        let mut affected: BTreeSet<usize> = BTreeSet::new();
-        for (i, set) in partition.sets().iter().enumerate() {
-            let is_new = kept_from_old[i].is_none();
-            let shrank = kept_from_old[i]
-                .map(|k| self.plan.partition().sets()[k] != *set)
-                .unwrap_or(true);
-            if is_new || shrank || set.iter().any(|a| touched.contains(a)) {
-                affected.insert(i);
-            }
-        }
-
-        // Residual capacity after the unaffected trees.
-        let mut avail: BTreeMap<NodeId, f64> = self.caps.iter().collect();
-        let mut collector_avail = self.caps.collector();
-        let mut new_trees: Vec<Option<PlannedTree>> = vec![None; partition.len()];
-        for (i, old_idx) in kept_from_old.iter().enumerate() {
-            if affected.contains(&i) {
-                continue;
-            }
-            let k =
-                old_idx.unwrap_or_else(|| unreachable!("unaffected trees come from the old plan"));
-            let t = self.plan.trees()[k].clone();
-            for (&n, &u) in &t.usage {
-                if let Some(r) = avail.get_mut(&n) {
-                    *r -= u;
-                }
-            }
-            collector_avail -= t.collector_usage;
-            new_trees[i] = Some(t);
-        }
-
-        // Rebuild affected trees, smallest first, drawing down residual.
-        let ctx = crate::evaluate::EvalContext {
-            pairs: new_pairs,
-            caps: &self.caps,
-            cost: self.cost,
-            catalog: &self.catalog,
-            builder: self.planner.config().builder,
-            allocation: self.planner.config().allocation,
-            aggregation_aware: self.planner.config().aggregation_aware,
-            frequency_aware: self.planner.config().frequency_aware,
-        };
-        let mut order: Vec<usize> = affected.iter().copied().collect();
-        order.sort_by_key(|&i| new_pairs.participants(&partition.sets()[i]).len());
-        for i in order {
-            let t = build_tree_for_set_cached(
-                &partition.sets()[i],
-                &ctx,
-                &avail,
-                collector_avail,
-                self.cache_ref(),
-            );
-            for (&n, &u) in &t.usage {
-                if let Some(r) = avail.get_mut(&n) {
-                    *r -= u;
-                }
-            }
-            collector_avail -= t.collector_usage;
-            new_trees[i] = Some(t);
-        }
-
-        let rebuilt = affected.len();
-        self.plan = MonitoringPlan::new(
-            partition,
-            new_trees
-                .into_iter()
-                .map(|t| t.unwrap_or_else(|| unreachable!("every set planned")))
-                .collect(),
-        );
-        (rebuilt, affected)
+        // Affected sets: contain a touched attribute, shrank, or are new;
+        // the others keep their old tree.
+        let kept = partition
+            .sets()
+            .iter()
+            .zip(kept_from_old)
+            .map(|(set, k)| {
+                k.filter(|&k| self.plan.partition().sets()[k] == *set)
+                    .filter(|_| !set.iter().any(|a| touched.contains(a)))
+                    .map(|k| self.plan.trees()[k].clone())
+            })
+            .collect();
+        (partition, kept)
     }
 
-    /// The §4.1 restricted local search over the D-A base topology.
-    /// Returns `(ops_applied, ops_throttled)`.
+    /// The §4.1 restricted local search from `base`, throttled under
+    /// ADAPTIVE. Returns `(plan, ops_applied, ops_throttled)`.
     fn restricted_search(
-        &mut self,
-        new_pairs: &PairSet,
+        &self,
+        base: &MonitoringPlan,
         mut touched: BTreeSet<usize>,
-        throttle: bool,
         now: u64,
-    ) -> (usize, usize) {
-        let ctx = crate::evaluate::EvalContext {
-            pairs: new_pairs,
-            caps: &self.caps,
-            cost: self.cost,
-            catalog: &self.catalog,
-            builder: self.planner.config().builder,
-            allocation: self.planner.config().allocation,
-            aggregation_aware: self.planner.config().aggregation_aware,
-            frequency_aware: self.planner.config().frequency_aware,
-        };
+    ) -> (MonitoringPlan, usize, usize) {
+        let throttle = self.scheme == AdaptScheme::Adaptive;
+        let ctx = self
+            .planner
+            .eval_context(&self.pairs, &self.caps, self.cost, &self.catalog);
         let max_budget = self.caps.iter().map(|(_, b)| b).fold(0.0f64, f64::max);
-        let estimator = GainEstimator::with_capacity(new_pairs, self.cost, max_budget);
+        let estimator = GainEstimator::with_capacity(&self.pairs, self.cost, max_budget);
 
-        let mut state = SearchState::from_plan(&self.plan, &self.caps);
+        let mut state = SearchState::from_plan(base, &self.caps);
 
         let mut ops_applied = 0usize;
         let mut ops_throttled = 0usize;
 
-        while ops_applied + ops_throttled < self.max_ops {
+        while ops_applied + ops_throttled < MAX_OPS {
             let (partition, trees, score) = (state.partition(), state.trees(), state.score());
             let ranked = estimator.rank_ops_trees(partition, trees);
 
@@ -583,6 +479,9 @@ impl AdaptivePlanner {
             let mut merges: Vec<(PartitionOp, f64)> = Vec::new();
             let mut splits: Vec<(PartitionOp, f64)> = Vec::new();
             for (op, gain) in ranked {
+                if self.planner.op_violates_constraints(op, partition) {
+                    continue;
+                }
                 match op {
                     PartitionOp::Merge(i, j) => {
                         if touched.contains(&i) || touched.contains(&j) {
@@ -635,18 +534,14 @@ impl AdaptivePlanner {
             let new_trees = next.trees();
 
             if throttle {
-                let affected_old: Vec<usize> = match op {
-                    PartitionOp::Merge(i, j) => vec![i, j],
-                    PartitionOp::Split(i, _) => vec![i],
+                let (affected_old, new_affected) = match op {
+                    PartitionOp::Merge(i, j) => (vec![i, j], vec![i.min(j)]),
+                    PartitionOp::Split(i, _) => (vec![i], vec![i, new_trees.len() - 1]),
                 };
-                let m_adapt = op_edge_changes(op, trees, new_trees);
+                let m_adapt = op_edge_changes(trees, &affected_old, new_trees, &new_affected);
                 let m_adapt_volume = m_adapt as f64 * self.cost.message_cost(1.0);
 
                 let c_cur: f64 = affected_old.iter().map(|&k| trees[k].message_volume).sum();
-                let new_affected: Vec<usize> = match op {
-                    PartitionOp::Merge(i, j) => vec![i.min(j)],
-                    PartitionOp::Split(i, _) => vec![i, new_trees.len() - 1],
-                };
                 let c_adj: f64 = new_affected
                     .iter()
                     .map(|&k| new_trees[k].message_volume)
@@ -678,8 +573,7 @@ impl AdaptivePlanner {
             ops_applied += 1;
         }
 
-        self.plan = state.into_plan();
-        (ops_applied, ops_throttled)
+        (state.into_plan(), ops_applied, ops_throttled)
     }
 
     /// Records adjustment timestamps for trees whose topology changed.
@@ -713,26 +607,18 @@ impl AdaptivePlanner {
     }
 }
 
-/// Edges (control messages) the op changes: new edges whose parent
-/// differs from every old assignment of that node in the affected
-/// trees, plus nodes dropped from the affected trees.
+/// Edges (control messages) an op changes: new edges whose parent
+/// differs from every old assignment of that node in the old trees it
+/// replaced (`affected_old`), plus nodes dropped from them.
 fn op_edge_changes(
-    op: PartitionOp,
     old_trees: &[std::sync::Arc<PlannedTree>],
+    affected_old: &[usize],
     new_trees: &[std::sync::Arc<PlannedTree>],
+    new_affected: &[usize],
 ) -> usize {
-    let affected_old: Vec<usize> = match op {
-        PartitionOp::Merge(i, j) => vec![i, j],
-        PartitionOp::Split(i, _) => vec![i],
-    };
-    let new_affected: Vec<usize> = match op {
-        PartitionOp::Merge(i, j) => vec![i.min(j)],
-        PartitionOp::Split(i, _) => vec![i, new_trees.len() - 1],
-    };
-
     let mut old_parents: BTreeMap<NodeId, BTreeSet<Parent>> = BTreeMap::new();
     let mut old_nodes: BTreeSet<NodeId> = BTreeSet::new();
-    for &k in &affected_old {
+    for &k in affected_old {
         if let Some(t) = old_trees[k].tree.as_ref() {
             for n in t.nodes() {
                 old_nodes.insert(n);
@@ -745,7 +631,7 @@ fn op_edge_changes(
     }
     let mut changed = 0usize;
     let mut new_nodes: BTreeSet<NodeId> = BTreeSet::new();
-    for &k in &new_affected {
+    for &k in new_affected {
         if let Some(t) = new_trees[k].tree.as_ref() {
             for n in t.nodes() {
                 new_nodes.insert(n);
@@ -895,7 +781,7 @@ mod tests {
         let report = ap.update(new_pairs, 5);
         // With abundant capacity the restricted search can merge the
         // new singleton tree into an existing one.
-        assert!(report.ops_applied <= ap.max_ops);
+        assert!(report.ops_applied <= MAX_OPS);
         assert!(ap.plan().partition().is_valid());
     }
 
@@ -959,6 +845,47 @@ mod tests {
             .iter()
             .any(|t| t.tree.as_ref().is_some_and(|tr| tr.contains(victim)));
         assert!(back, "recovered node should rejoin the topology");
+    }
+
+    /// The restricted search obeys the planner's SSDP constraint: churn
+    /// and failure may not merge attributes that must stay apart.
+    #[test]
+    fn adaptation_keeps_forbidden_pairs_apart() {
+        let mut forbidden = vec![(AttrId(0), AttrId(1)), (AttrId(2), AttrId(3))];
+        forbidden.extend((0..4).map(|a| (AttrId(a), AttrId(100))));
+        let apart = |ap: &AdaptivePlanner, when: &str| {
+            for set in ap.plan().partition().sets() {
+                for (a, b) in &forbidden {
+                    assert!(
+                        !(set.contains(a) && set.contains(b)),
+                        "{:?} {when}: {a:?} and {b:?} share {set:?}",
+                        ap.scheme()
+                    );
+                }
+            }
+        };
+        for scheme in [AdaptScheme::NoThrottle, AdaptScheme::Adaptive] {
+            let mut ap = AdaptivePlanner::new(
+                Planner::new(PlannerConfig {
+                    forbidden_pairs: forbidden.clone(),
+                    ..PlannerConfig::default()
+                }),
+                scheme,
+                dense_pairs(10, 4),
+                CapacityMap::uniform(10, 100.0, 1000.0).unwrap(),
+                CostModel::new(2.0, 1.0).unwrap(),
+                AttrCatalog::new(),
+            );
+            apart(&ap, "initially");
+            let mut pairs = ap.pairs().clone();
+            for n in 0..10 {
+                pairs.insert(NodeId(n), AttrId(100));
+            }
+            ap.update(pairs, 50);
+            apart(&ap, "after update");
+            ap.handle_node_failure(NodeId(3), 100);
+            apart(&ap, "after failure");
+        }
     }
 
     #[test]

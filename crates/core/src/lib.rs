@@ -56,9 +56,8 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
-// Planner diagnostics go through remo-obs (structured events plus the
-// REMO_PLANNER_DEBUG echo); direct prints from library code are build
-// errors so they cannot creep back in.
+// Planner diagnostics go through remo-obs as structured events; direct
+// prints from library code are build errors so they cannot creep back in.
 #![deny(clippy::print_stdout)]
 #![deny(clippy::print_stderr)]
 

@@ -522,25 +522,7 @@ impl Planner {
         EvalBreakdown::from_plan(plan, t0.elapsed())
     }
 
-    /// Resumes the local search from an existing plan (used by the
-    /// runtime-adaptation schemes, which seed the search with the
-    /// direct-apply base topology).
-    pub fn refine_plan(
-        &self,
-        plan: MonitoringPlan,
-        pairs: &PairSet,
-        caps: &CapacityMap,
-        cost: CostModel,
-        catalog: &AttrCatalog,
-    ) -> MonitoringPlan {
-        let ctx = self.eval_context(pairs, caps, cost, catalog);
-        let local = self.config.cache.then(TreeCache::new);
-        let mut report = PlanReport::default();
-        let workers = workers(self.config.parallelism);
-        self.refine_with_report(&plan, &ctx, &mut report, local.as_ref(), workers, true)
-    }
-
-    fn eval_context<'a>(
+    pub(crate) fn eval_context<'a>(
         &self,
         pairs: &'a PairSet,
         caps: &'a CapacityMap,
@@ -603,9 +585,6 @@ impl Planner {
         // and evaluates the top candidates against the full
         // reconstruction. Global rebuilds are budgeted because each
         // one costs a complete forest construction.
-        // `env_flag` (not `var(..).is_ok()`): `REMO_PLANNER_DEBUG=0`,
-        // empty, `false`, `off`, and `no` all leave the echo off.
-        let debug = remo_obs::env_flag("REMO_PLANNER_DEBUG");
         let mut global_budget = self.config.global_evals;
 
         // Best-so-far snapshot: tolerant plateau moves may transiently
@@ -629,15 +608,8 @@ impl Planner {
                 let now = (best.2.pairs, global_budget);
                 if let Some((_, period, ..)) = lap.take().filter(|l| l.2 == now && l.3 == state) {
                     let skipped = (self.config.max_rounds - round) / period * period;
-                    let since = round - period;
                     remo_obs::event!("planner.cycle",
                         "round" => round, "period" => period, "skipped" => skipped);
-                    if debug {
-                        remo_obs::debug_echo(&format!(
-                            "round {round}: state of round {since} again, period {period}, \
-                             {skipped} rounds skipped"
-                        ));
-                    }
                     if skipped > 0 {
                         report.stop = StopReason::Cycle { period };
                     }
@@ -734,12 +706,6 @@ impl Planner {
                         "round" => round,
                         "pairs" => state.score.pairs,
                         "volume" => state.score.volume);
-                    if debug {
-                        remo_obs::debug_echo(&format!(
-                            "round {round}: redistribution, score {} / vol {:.0}",
-                            state.score.pairs, state.score.volume
-                        ));
-                    }
                 } else {
                     // Then, the top candidates evaluated globally, as
                     // many as the budget still pays for. They race no
@@ -782,12 +748,6 @@ impl Planner {
                             "op" => format!("{op:?}"),
                             "pairs" => state.score.pairs,
                             "volume" => state.score.volume);
-                        if debug {
-                            remo_obs::debug_echo(&format!(
-                                "round {round}: global {op:?}, score {} / vol {:.0}",
-                                state.score.pairs, state.score.volume
-                            ));
-                        }
                     }
                 }
             }
@@ -805,28 +765,13 @@ impl Planner {
                     "round" => round,
                     "pairs" => state.score.pairs,
                     "volume" => state.score.volume);
-                if debug {
-                    remo_obs::debug_echo(&format!(
-                        "round {round}: converged, score {} / vol {:.0}",
-                        state.score.pairs, state.score.volume
-                    ));
-                }
                 break;
-            } else {
-                remo_obs::event!("planner.round",
-                    "round" => round,
-                    "pairs" => state.score.pairs,
-                    "volume" => state.score.volume,
-                    "trees" => state.partition.len());
-                if debug {
-                    remo_obs::debug_echo(&format!(
-                        "round {round}: score {} / vol {:.0}, {} trees",
-                        state.score.pairs,
-                        state.score.volume,
-                        state.partition.len()
-                    ));
-                }
             }
+            remo_obs::event!("planner.round",
+                "round" => round,
+                "pairs" => state.score.pairs,
+                "volume" => state.score.volume,
+                "trees" => state.partition.len());
             round += 1;
         }
 
@@ -837,7 +782,7 @@ impl Planner {
         }
     }
 
-    fn op_violates_constraints(&self, op: PartitionOp, partition: &Partition) -> bool {
+    pub(crate) fn op_violates_constraints(&self, op: PartitionOp, partition: &Partition) -> bool {
         if self.config.forbidden_pairs.is_empty() {
             return false;
         }

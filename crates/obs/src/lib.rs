@@ -90,71 +90,10 @@ pub fn test_guard() -> MutexGuard<'static, ()> {
     }
 }
 
-/// Reads an environment variable as a boolean feature flag.
-///
-/// A flag is **on** only when the variable is set to something other
-/// than the conventional "off" spellings: unset, empty, `0`, `false`,
-/// `off`, and `no` (case-insensitive) all read as off. This is the
-/// predicate `REMO_PLANNER_DEBUG` should always have used —
-/// `std::env::var(..).is_ok()` treated `REMO_PLANNER_DEBUG=0` as
-/// enabled.
-///
-/// # Examples
-///
-/// ```
-/// std::env::set_var("REMO_OBS_DOCTEST_FLAG", "0");
-/// assert!(!remo_obs::env_flag("REMO_OBS_DOCTEST_FLAG"));
-/// std::env::set_var("REMO_OBS_DOCTEST_FLAG", "1");
-/// assert!(remo_obs::env_flag("REMO_OBS_DOCTEST_FLAG"));
-/// ```
-pub fn env_flag(name: &str) -> bool {
-    match std::env::var(name) {
-        Ok(v) => {
-            let v = v.trim();
-            !(v.is_empty()
-                || v == "0"
-                || v.eq_ignore_ascii_case("false")
-                || v.eq_ignore_ascii_case("off")
-                || v.eq_ignore_ascii_case("no"))
-        }
-        Err(_) => false,
-    }
-}
-
-/// Mirrors a debug line to stderr on behalf of crates whose lint
-/// configuration denies direct printing (e.g. `remo-core`, where
-/// `clippy::print_stderr` is a build error). Used by the planner's
-/// `REMO_PLANNER_DEBUG` path alongside the structured event.
-#[allow(clippy::print_stderr)]
-pub fn debug_echo(line: &str) {
-    eprintln!("{line}");
-}
-
 #[cfg(test)]
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
     use super::*;
-
-    #[test]
-    fn env_flag_off_spellings() {
-        let var = "REMO_OBS_TEST_FLAG_OFF";
-        for off in ["", "0", "false", "FALSE", "off", "Off", "no", "  "] {
-            std::env::set_var(var, off);
-            assert!(!env_flag(var), "{off:?} must read as off");
-        }
-        std::env::remove_var(var);
-        assert!(!env_flag(var), "unset must read as off");
-    }
-
-    #[test]
-    fn env_flag_on_spellings() {
-        let var = "REMO_OBS_TEST_FLAG_ON";
-        for on in ["1", "true", "yes", "debug", "anything-else"] {
-            std::env::set_var(var, on);
-            assert!(env_flag(var), "{on:?} must read as on");
-        }
-        std::env::remove_var(var);
-    }
 
     #[test]
     fn enable_disable_roundtrip() {
