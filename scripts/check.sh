@@ -299,6 +299,24 @@ if grep -rnE '\b(handle_node_failure|handle_node_recovery|add_values_lost|mark_r
   exit 1
 fi
 
+# One adaptation step: churn and capacity changes share one residual
+# rebuild and take their evaluation context from the planner. The
+# planner's stderr echo is gone for good.
+echo "==> one adaptation step (crates/core/src/adapt.rs), no planner debug echo"
+if grep -n 'EvalContext {' crates/core/src/adapt.rs; then
+  echo "adapt.rs must take its EvalContext from Planner::eval_context" >&2
+  exit 1
+fi
+builds=$(grep -c 'build_tree_for_set_cached(' crates/core/src/adapt.rs || true)
+if [ "$builds" -gt 1 ]; then
+  echo "adapt.rs must rebuild trees in one place, found $builds build_tree_for_set_cached( calls" >&2
+  exit 1
+fi
+if grep -rn 'REMO_PLANNER_DEBUG\|debug_echo\|env_flag' crates/; then
+  echo "the REMO_PLANNER_DEBUG echo was removed; use remo-plan --trace and remo-obs dump" >&2
+  exit 1
+fi
+
 echo "==> cargo clippy --all-targets --all-features -- -D warnings"
 cargo clippy --all-targets --all-features -- -D warnings
 
