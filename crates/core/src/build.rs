@@ -973,6 +973,69 @@ fn collected_pairs(tracker: &LoadTracker, request: &BuildRequest) -> usize {
         .sum()
 }
 
+/// An upper bound on the pairs any tree over `request` collects, in one
+/// pass over the demand and before anything is built.
+///
+/// A tree's root sends one message carrying every value the tree
+/// collects, `x`, and unless it is alone it receives at least one child
+/// message carrying the `x − own` values below it. At `C + a·x` a
+/// message on either end its usage is at least `2C + a·(2x − own)`, so
+/// a root with budget `B` collects at most `max(own, (B − 2C + a·own) / 2a)`,
+/// and only a node that can afford its own message is ever a root. The
+/// collector caps `x` at `(collector − C) / a`, the demand caps it too.
+///
+/// Values are pairs only when every node is listed once with a
+/// holistic load equal to its pair count: no funnels and unit weights,
+/// which is what the planner asks by default. For any other request
+/// (or a NaN budget the tracker would never refuse) this is the demand.
+///
+/// The tracker accepts a usage up to `EPS` over budget, and its sums
+/// round. Loads that equal pair counts are integers, so every value
+/// total is exact and only the costs round: each send cost twice from
+/// an exact total, and a parent's running receive sum once more per
+/// update. An adaptive build makes at most 17n² updates that reach the
+/// root: n placements, and up to 2n relief sweeps, each moving the
+/// subtrees of at most four donors, 8n node attaches and detaches
+/// (rolled-back attempts restore exact floats). Each is off by at most
+/// `2ε` of the root's budget plus the largest send `C + a·demand`, and
+/// a challenger forked off the pass inherits its drift. `128(n+2)²·ε`
+/// of that sum, added to the budget with `EPS`, covers it with room to
+/// spare. A looser cap only cuts less, it never cuts a tree that could
+/// pass.
+pub fn pair_cap(request: &BuildRequest) -> usize {
+    let demanded: usize = request.demand.iter().map(|d| d.pairs).sum();
+    let pairs_are_values = request.funnels.is_empty()
+        && request.demand.windows(2).all(|w| w[0].node < w[1].node)
+        && request.demand.iter().all(|d| {
+            d.load.holistic == d.pairs as f64
+                && d.load.funnel.iter().all(|&f| f == 0.0)
+                && !d.budget.is_nan()
+        });
+    if !pairs_are_values {
+        return demanded;
+    }
+    let (c, a) = (request.cost.per_message(), request.cost.per_value());
+    let n = request.demand.len() as f64 + 2.0;
+    let largest_send = c + a * demanded as f64;
+    let room = |budget: f64| {
+        budget + EPS + 128.0 * n * n * f64::EPSILON * (budget.max(0.0) + largest_send)
+    };
+    // `as usize` saturates: a negative room is 0 pairs, an infinite one
+    // is bounded by the demand below.
+    let mut cap = 0;
+    for d in &request.demand {
+        let (own, room) = (d.pairs as f64, room(d.budget));
+        if c + a * own <= room {
+            let relayed = ((room - 2.0 * c + a * own) / (2.0 * a)).floor() as usize;
+            cap = cap.max(d.pairs.max(relayed));
+        }
+    }
+    if !request.collector_budget.is_nan() {
+        cap = cap.min(((room(request.collector_budget) - c) / a).floor() as usize);
+    }
+    cap.min(demanded)
+}
+
 /// What every scheme starts from, computed once per request: the
 /// placement order and a tracker with the first workable root
 /// installed.
@@ -2217,6 +2280,118 @@ mod tests {
                 }
             }
             assert_eq!(forked, [true; 2], "scale {scale}, funnels {funnels:?}");
+        }
+    }
+
+    /// A holistic request whose loads are its nodes' pair counts, node
+    /// ids ascending: what the planner asks by default.
+    fn unit_request(c: f64, a: f64, collector: f64, demand: &[(usize, f64)]) -> BuildRequest {
+        BuildRequest {
+            attrs: [AttrId(0)].into_iter().collect(),
+            demand: demand
+                .iter()
+                .enumerate()
+                .map(|(i, &(pairs, budget))| NodeDemand {
+                    node: NodeId(i as u32),
+                    load: LocalLoad::holistic(pairs as f64),
+                    budget,
+                    pairs,
+                })
+                .collect(),
+            collector_budget: collector,
+            cost: CostModel::new(c, a).unwrap(),
+            funnels: Vec::new(),
+        }
+    }
+
+    /// A root of budget 14 sending 4 values of its own, one relay of
+    /// budget 11 and six leaves that can only send their own value, at
+    /// `C = a = 1`. The root can afford to collect (14 − 2 + 4) / 2 = 8
+    /// values: its own, the relay's and three leaves'. The adaptive
+    /// builder finds exactly that tree.
+    fn capped_at_eight() -> BuildRequest {
+        let mut demand = vec![(4, 14.0), (1, 11.0)];
+        demand.extend([(1, 2.0); 6]);
+        unit_request(1.0, 1.0, 1e9, &demand)
+    }
+
+    #[test]
+    fn pair_cap_is_attained_by_a_relayed_root() {
+        let req = capped_at_eight();
+        assert_eq!(req.demand.iter().map(|d| d.pairs).sum::<usize>(), 11);
+        assert_eq!(pair_cap(&req), 8);
+        let out = build_tree(BuilderKind::default(), &req);
+        assert_eq!(out.collected_pairs, 8, "{:?}", out.tree);
+        for kind in ALL {
+            assert!(build_tree(kind, &req).collected_pairs <= 8, "{kind:?}");
+        }
+        // The collector caps the root's message: (6 − C) / a = 5 values.
+        let tight = BuildRequest {
+            collector_budget: 6.0,
+            ..req.clone()
+        };
+        assert_eq!(pair_cap(&tight), 5);
+        // A root that cannot afford its own message is no root at all.
+        let broke = unit_request(1.0, 1.0, 1e9, &[(4, 4.5), (1, 1.5)]);
+        assert_eq!(pair_cap(&broke), 0);
+        assert_eq!(
+            build_tree(BuilderKind::default(), &broke).collected_pairs,
+            0
+        );
+    }
+
+    #[test]
+    fn pair_cap_is_the_demand_unless_values_are_pairs() {
+        let req = capped_at_eight();
+        let demanded = 11;
+        // A funnel shrinks what a node forwards below what it collects.
+        let mut funnelled = req.clone();
+        funnelled.funnels = vec![Aggregation::Sum];
+        for d in &mut funnelled.demand {
+            d.load.funnel = vec![1.0];
+        }
+        assert_eq!(pair_cap(&funnelled), demanded);
+        // Frequency weights make a pair cheaper than a value.
+        let mut weighted = req.clone();
+        for d in &mut weighted.demand {
+            d.load.holistic *= 0.25;
+        }
+        assert_eq!(pair_cap(&weighted), demanded);
+        // A node listed twice is held once; nodes out of order are not
+        // checked for that.
+        let mut twice = req.clone();
+        twice.demand[1].node = NodeId(0);
+        assert_eq!(pair_cap(&twice), demanded);
+        twice.demand.reverse();
+        assert_eq!(pair_cap(&twice), demanded);
+        // The tracker never refuses a NaN budget.
+        let mut nan = req;
+        nan.demand[2].budget = f64::NAN;
+        assert_eq!(pair_cap(&nan), demanded);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(300))]
+
+        /// No builder collects more than the pair cap, under fractional
+        /// costs and budgets, an ample or a binding collector, and
+        /// pair-less nodes.
+        #[test]
+        fn no_builder_collects_more_than_the_pair_cap(
+            demand in proptest::prop::collection::vec((0usize..9, 0.0f64..90.0), 1..48),
+            c in 0.0f64..12.0,
+            a in 0.1f64..3.0,
+            collector in 0.5f64..160.0,
+            ample in 0u8..2,
+            flags in 0u8..4,
+        ) {
+            let req = unit_request(c, a, if ample == 1 { 1e9 } else { collector }, &demand);
+            let cap = pair_cap(&req);
+            let cfg = AdjustConfig { branch_based: flags & 1 != 0, subtree_only: flags & 2 != 0 };
+            for kind in [BuilderKind::Star, BuilderKind::Chain, BuilderKind::MaxAvb, BuilderKind::Adaptive(cfg)] {
+                let got = build_tree(kind, &req).collected_pairs;
+                proptest::prop_assert!(got <= cap, "{:?} collects {} over a cap of {}", kind, got, cap);
+            }
         }
     }
 

@@ -203,6 +203,21 @@ impl TreeCache {
         avail: &B,
         collector_avail: f64,
     ) -> PlannedTree {
+        let build = || build_tree_for_set(set, ctx, avail, collector_avail);
+        self.get_or_build_with(set, ctx, avail, collector_avail, build)
+    }
+
+    /// [`get_or_build`](Self::get_or_build) with the build on a miss
+    /// left to `build`, which must build this very problem (a caller
+    /// that already holds its request need not assemble it twice).
+    pub(crate) fn get_or_build_with<B: BudgetView + ?Sized>(
+        &self,
+        set: &AttrSet,
+        ctx: &EvalContext<'_>,
+        avail: &B,
+        collector_avail: f64,
+        build: impl FnOnce() -> PlannedTree,
+    ) -> PlannedTree {
         // Assemble the key outside the lock (it walks participant
         // bitsets); only the generation stamp needs the mutex.
         let mut key = CacheKey::new(0, ctx, set, avail, collector_avail);
@@ -229,7 +244,7 @@ impl TreeCache {
         if let Some(tree) = cached {
             return tree;
         }
-        let tree = build_tree_for_set(set, ctx, avail, collector_avail);
+        let tree = build();
         let mut inner = self.lock();
         if key.generation == inner.generation {
             if inner.map.len() >= MAX_ENTRIES {

@@ -8,7 +8,9 @@
 
 use crate::alloc::AllocationScheme;
 use crate::attribute::AttrCatalog;
-use crate::build::{build_tree, BuildRequest, BuilderKind, LocalLoad, NodeDemand};
+use crate::build::{
+    build_tree, pair_cap, BuildOutcome, BuildRequest, BuilderKind, LocalLoad, NodeDemand,
+};
 use crate::cache::TreeCache;
 use crate::capacity::CapacityMap;
 use crate::cost::{Aggregation, CostModel};
@@ -234,7 +236,10 @@ pub fn build_tree_for_set<B: BudgetView + ?Sized>(
     collector_avail: f64,
 ) -> PlannedTree {
     let req = make_request(set, ctx, avail, collector_avail);
-    let out = build_tree(ctx.builder, &req);
+    into_planned(build_tree(ctx.builder, &req))
+}
+
+fn into_planned(out: BuildOutcome) -> PlannedTree {
     PlannedTree {
         tree: out.tree,
         usage: out.usage,
@@ -260,6 +265,39 @@ pub fn build_tree_for_set_cached<B: BudgetView + ?Sized>(
         Some(cache) => cache.get_or_build(set, ctx, avail, collector_avail),
         None => build_tree_for_set(set, ctx, avail, collector_avail),
     }
+}
+
+/// [`build_tree_for_set_cached`] for a caller that only wants the tree
+/// if it collects at least `floor` pairs: `None`, and nothing built or
+/// cached, when the [`pair_cap`] of the request the build would use is
+/// below `floor`. The cap is checked before the cache is, so what is
+/// cut never depends on what an earlier search happened to cache.
+pub(crate) fn build_tree_reaching<B: BudgetView + ?Sized>(
+    set: &AttrSet,
+    ctx: &EvalContext<'_>,
+    avail: &B,
+    collector_avail: f64,
+    cache: Option<&TreeCache>,
+    floor: usize,
+) -> Option<PlannedTree> {
+    if floor == 0 {
+        return Some(build_tree_for_set_cached(
+            set,
+            ctx,
+            avail,
+            collector_avail,
+            cache,
+        ));
+    }
+    let req = make_request(set, ctx, avail, collector_avail);
+    if pair_cap(&req) < floor {
+        return None;
+    }
+    let build = || into_planned(build_tree(ctx.builder, &req));
+    Some(match cache {
+        Some(cache) => cache.get_or_build_with(set, ctx, avail, collector_avail, build),
+        None => build(),
+    })
 }
 
 /// Constructs the full forest for `partition` under the context's
@@ -320,10 +358,15 @@ pub(crate) fn build_sequence<'p>(
 ///
 /// The result is `Some` exactly when the finished forest collects at
 /// least `floor` pairs, and is then the forest an unbounded build
-/// returns. A tree collects at most what its set demands, so once the
-/// pairs collected so far plus the pairs the unbuilt sets demand fall
-/// below `floor`, the forest cannot reach it and the remaining trees
-/// are not built.
+/// returns. A tree collects at most what its set demands, and under a
+/// dynamic allocation at most its [`pair_cap`] under the starting
+/// budgets: budgets only fall as trees are built, and the cap falls
+/// with them. So once the pairs collected so far plus those bounds for
+/// the unbuilt sets fall below `floor`, the forest cannot reach it and
+/// the remaining trees are not built. Each tree is also held to the cap
+/// of the request it is built from, under the budgets it actually sees:
+/// one that cannot make up what the others at their bounds leave short
+/// is not built either.
 pub fn build_forest_cached(
     partition: &Partition,
     ctx: &EvalContext<'_>,
@@ -332,9 +375,18 @@ pub fn build_forest_cached(
 ) -> Option<MonitoringPlan> {
     let sets = partition.sets();
     let idx = ctx.pairs.index();
-    let demanded = |set: &AttrSet| -> usize { set.iter().map(|&a| idx.owners(a).len()).sum() };
+    let mut remaining: BTreeMap<NodeId, f64> = ctx.caps.iter().collect();
+    let mut collector_remaining = ctx.caps.collector();
+    // Per set, an upper bound on what its tree collects.
+    let bound: Vec<usize> = if floor > 0 && !ctx.allocation.is_static() {
+        let cap = |set| pair_cap(&make_request(set, ctx, &remaining, collector_remaining));
+        sets.iter().map(cap).collect()
+    } else {
+        let demanded = |set: &AttrSet| set.iter().map(|&a| idx.owners(a).len()).sum();
+        sets.iter().map(demanded).collect()
+    };
     // Upper bound on what the finished forest collects.
-    let mut reachable: usize = sets.iter().map(demanded).sum();
+    let mut reachable: usize = bound.iter().sum();
     if reachable < floor {
         return None;
     }
@@ -365,8 +417,6 @@ pub fn build_forest_cached(
         }
     }
 
-    let mut remaining: BTreeMap<NodeId, f64> = ctx.caps.iter().collect();
-    let mut collector_remaining = ctx.caps.collector();
     // Uniform splits the collector over trees that can actually send
     // to it: a participant-less set builds an empty tree, and counting
     // it would strand a share of the collector budget.
@@ -375,6 +425,9 @@ pub fn build_forest_cached(
     let mut planned: Vec<Option<PlannedTree>> = (0..sets.len()).map(|_| None).collect();
     for k in order {
         let set = &sets[k];
+        // What this tree must collect for the forest to reach `floor`
+        // with every other tree at its bound.
+        let need = floor.saturating_sub(reachable - bound[k]);
         // Budgets visible to this tree. Static schemes compute each
         // tree's share; dynamic schemes read the running residual map
         // directly (no per-tree clone).
@@ -404,9 +457,9 @@ pub fn build_forest_cached(
                 }
                 _ => unreachable!("static schemes only"),
             };
-            build_tree_for_set_cached(set, ctx, &budgets, collector_budget, cache)
+            build_tree_reaching(set, ctx, &budgets, collector_budget, cache, need)?
         } else {
-            build_tree_for_set_cached(set, ctx, &remaining, collector_remaining, cache)
+            build_tree_reaching(set, ctx, &remaining, collector_remaining, cache, need)?
         };
         if !ctx.allocation.is_static() {
             for (&n, &u) in &tree.usage {
@@ -416,7 +469,7 @@ pub fn build_forest_cached(
             }
             collector_remaining -= tree.collector_usage;
         }
-        reachable -= tree.demanded_pairs - tree.collected_pairs;
+        reachable = reachable - bound[k] + tree.collected_pairs;
         planned[k] = Some(tree);
         if reachable < floor {
             return None;

@@ -20,8 +20,8 @@ use crate::capacity::CapacityMap;
 use crate::cost::CostModel;
 use crate::estimate::GainEstimator;
 use crate::evaluate::{
-    build_forest, build_forest_cached, build_sequence, build_tree_for_set_cached,
-    build_whole_forest, BudgetOverlay, EvalContext,
+    build_forest, build_forest_cached, build_sequence, build_tree_reaching, build_whole_forest,
+    BudgetOverlay, EvalContext,
 };
 use crate::ids::{AttrId, NodeId};
 use crate::pairs::PairSet;
@@ -182,6 +182,46 @@ impl Score {
     }
 }
 
+/// The local phase's acceptance rule: strict improvement, or a
+/// tolerant plateau move that lowers volume for at most `pair_tol`
+/// pairs below the state and `drift_cap` below the best state visited.
+#[derive(Debug, Clone, Copy)]
+struct Acceptance {
+    pair_tol: usize,
+    drift_cap: usize,
+}
+
+impl Acceptance {
+    /// The rule for a search over `demanded` pairs.
+    fn of(demanded: usize) -> Self {
+        Acceptance {
+            pair_tol: (demanded / 200).max(2),
+            drift_cap: (demanded / 50).max(8),
+        }
+    }
+
+    /// Whether a candidate scoring `new` is accepted against `score`,
+    /// and whether strictly: `(strict, accepted)`.
+    fn accepts(&self, new: &Score, best_pairs: usize, score: &Score) -> (bool, bool) {
+        let strict = new.better_than(score);
+        let tolerant = new.volume < score.volume - 1e-9
+            && new.pairs + self.pair_tol >= score.pairs
+            && new.pairs + self.drift_cap >= best_pairs;
+        (strict, strict || tolerant)
+    }
+
+    /// The fewest pairs an accepted candidate collects: `score.pairs`
+    /// for a strict improvement, and for a tolerant move the larger of
+    /// the two distances the tolerances allow, whichever is lower.
+    fn need(&self, best_pairs: usize, score: &Score) -> usize {
+        let tolerant = score
+            .pairs
+            .saturating_sub(self.pair_tol)
+            .max(best_pairs.saturating_sub(self.drift_cap));
+        score.pairs.min(tolerant)
+    }
+}
+
 /// Why a search ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum StopReason {
@@ -225,8 +265,13 @@ pub struct PlanReport {
     /// Whole-forest reconstructions accepted (redistribution or global
     /// candidate evaluation).
     pub global_accepts: usize,
-    /// Candidate evaluations performed (incremental tree rebuilds).
+    /// Local candidates started: built, or cut short by the pair cap.
     pub local_evals: usize,
+    /// Of those, cut before all their trees were built: the pair cap
+    /// ([`crate::build::pair_cap`]) showed they could not collect the
+    /// pairs acceptance needs.
+    #[serde(default)]
+    pub candidates_cut: usize,
     /// Whole-forest reconstructions performed.
     pub global_evals: usize,
     /// Wall milliseconds spent evaluating seed partitions.
@@ -264,6 +309,7 @@ impl PlanReport {
             remo_obs::counter(&format!("remo_planner_stops_{name}_total")).inc_by(f64::from(hit));
         }
         remo_obs::counter("remo_planner_local_evals_total").inc_by(self.local_evals as f64);
+        remo_obs::counter("remo_planner_candidates_cut_total").inc_by(self.candidates_cut as f64);
         remo_obs::counter("remo_planner_local_accepts_total").inc_by(self.local_accepts as f64);
         remo_obs::counter("remo_planner_tolerant_accepts_total")
             .inc_by(self.tolerant_accepts as f64);
@@ -274,10 +320,12 @@ impl PlanReport {
         remo_obs::histogram("remo_planner_local_duration_ms").observe(self.local_ms);
         remo_obs::histogram("remo_planner_global_duration_ms").observe(self.global_ms);
         // Candidate throughput of the local phase — the number the
-        // arena/bitset/delta work moves, worth a first-class series.
-        if self.local_ms > 0.0 && self.local_evals > 0 {
+        // arena/bitset/delta work moves, worth a first-class series. A
+        // cut candidate costs next to nothing, so only built ones count.
+        let built = self.local_evals - self.candidates_cut;
+        if self.local_ms > 0.0 && built > 0 {
             remo_obs::histogram("remo_planner_candidate_evals_per_sec")
-                .observe(self.local_evals as f64 / self.local_ms * 1e3);
+                .observe(built as f64 / self.local_ms * 1e3);
         }
     }
 }
@@ -592,8 +640,7 @@ impl Planner {
         // always returns the best state it visited.
         let mut best = (state.partition.clone(), state.trees.clone(), state.score);
         let demanded: usize = state.trees.iter().map(|t| t.demanded_pairs).sum();
-        let pair_tol = (demanded / 200).max(2);
-        let drift_cap = (demanded / 50).max(8);
+        let rule = Acceptance::of(demanded);
 
         // Termination (DESIGN.md): the next state is a function of
         // `state`, `best`'s pairs and `global_budget`. A repeated digest
@@ -634,42 +681,48 @@ impl Planner {
 
             // ---- local phase: incremental first improvement, with a
             // small pair tolerance for strong volume reductions ----
-            let accepts = |new_score: &Score, best_pairs: usize, score: &Score| {
-                let strict = new_score.better_than(score);
-                let tolerant = new_score.volume < score.volume - 1e-9
-                    && new_score.pairs + pair_tol >= score.pairs
-                    && new_score.pairs + drift_cap >= best_pairs;
-                (strict, strict || tolerant)
-            };
             let window: Vec<PartitionOp> = ranked
                 .iter()
                 .take(self.config.candidates_per_round)
                 .map(|&(op, _)| op)
                 .filter(|&op| !self.op_violates_constraints(op, &state.partition))
                 .collect();
+            // A candidate that cannot collect this many pairs is
+            // rejected whatever its volume, so it need not be built.
+            let need = rule.need(best.2.pairs, &state.score);
+            let mut cut = 0;
             let accepted = first_accepted(
                 workers,
                 &window,
-                |&op| state.eval(op, ctx, cache),
+                |&op| state.eval_reaching(op, ctx, cache, need),
                 |ev| {
-                    let ev = ev?;
-                    let (strict, ok) = accepts(&ev.score, best.2.pairs, &state.score);
-                    if ok {
-                        return Some((strict, ev));
+                    let ok = match ev? {
+                        Ok(ev) => {
+                            let (strict, ok) = rule.accepts(&ev.score, best.2.pairs, &state.score);
+                            ok.then_some((strict, ev))
+                        }
+                        Err(Cut) => {
+                            cut += 1;
+                            None
+                        }
+                    };
+                    if ok.is_none() {
+                        if remo_obs::enabled() {
+                            rejected_counter().inc();
+                        }
+                        remo_obs::event!("planner.local.reject", "round" => round);
                     }
-                    if remo_obs::enabled() {
-                        rejected_counter().inc();
-                    }
-                    remo_obs::event!("planner.local.reject", "round" => round);
-                    None
+                    ok
                 },
             );
             // Charged: evaluations up to and including the accepted
             // rank, whatever a wider wave evaluated beyond it, so the
-            // report does not depend on the worker count either.
+            // report does not depend on the worker count either. The
+            // scan stops at that rank, so `cut` counts the same way.
             report.local_evals += accepted
                 .as_ref()
                 .map_or(window.len(), |&(rank, _)| rank + 1);
+            report.candidates_cut += cut;
             if let Some((_, (strict, ev))) = accepted {
                 report.local_accepts += 1;
                 if !strict {
@@ -694,11 +747,17 @@ impl Planner {
             let t_global = Instant::now();
             let global_span = remo_obs::span!("planner.global");
             if !applied && global_budget > 0 {
+                // Every forest here must beat the state, so must
+                // collect at least its pairs: each races that floor.
+                let floor = state.score.pairs;
+                let better = |plan: Option<MonitoringPlan>| {
+                    plan.filter(|p| Score::of(p.trees()).better_than(&state.score))
+                };
                 // First, pure redistribution under the same partition.
                 global_budget -= 1;
                 report.global_evals += 1;
-                let rebuilt = build_whole_forest(&state.partition, ctx, cache);
-                if Score::of(rebuilt.trees()).better_than(&state.score) {
+                let rebuilt = build_forest_cached(&state.partition, ctx, cache, floor);
+                if let Some(rebuilt) = better(rebuilt) {
                     state = SearchState::from_plan(&rebuilt, ctx.caps);
                     applied = true;
                     report.global_accepts += 1;
@@ -708,9 +767,7 @@ impl Planner {
                         "volume" => state.score.volume);
                 } else {
                     // Then, the top candidates evaluated globally, as
-                    // many as the budget still pays for. They race no
-                    // floor: measured, a losing candidate falls below
-                    // the state only at its last tree (DESIGN.md).
+                    // many as the budget still pays for.
                     let candidates: Vec<(PartitionOp, Partition)> = ranked
                         .iter()
                         .take(self.config.global_candidates)
@@ -724,12 +781,8 @@ impl Planner {
                     let accepted = first_accepted(
                         workers,
                         &candidates,
-                        |(_, cand)| build_whole_forest(cand, ctx, cache),
-                        |plan| {
-                            Score::of(plan.trees())
-                                .better_than(&state.score)
-                                .then_some(plan)
-                        },
+                        |(_, cand)| build_forest_cached(cand, ctx, cache, floor),
+                        better,
                     );
                     // Charged like the local window: up to and
                     // including the accepted rank.
@@ -950,6 +1003,23 @@ impl SearchState {
         ctx: &EvalContext<'_>,
         cache: Option<&TreeCache>,
     ) -> Option<CandidateEval> {
+        self.eval_reaching(op, ctx, cache, 0)
+            .map(|ev| ev.unwrap_or_else(|Cut| unreachable!("nothing is below a floor of 0")))
+    }
+
+    /// [`eval`](Self::eval) for a caller that rejects any candidate
+    /// collecting fewer than `need` pairs: `Err(Cut)` as soon as the
+    /// kept trees, the trees rebuilt so far and a bound on each tree
+    /// still to build cannot reach `need` — the trees built so far
+    /// count, the next one is bounded by its [`crate::build::pair_cap`]
+    /// and the one after it by its demand.
+    pub(crate) fn eval_reaching(
+        &self,
+        op: PartitionOp,
+        ctx: &EvalContext<'_>,
+        cache: Option<&TreeCache>,
+        need: usize,
+    ) -> Option<Result<CandidateEval, Cut>> {
         let (partition, trees) = (&self.partition, &self.trees);
         // Applicability, mirroring `Partition::apply`'s error cases
         // without cloning the partition.
@@ -999,12 +1069,29 @@ impl SearchState {
 
         // Build smaller-first (ordered on-demand within the candidate),
         // drawing down the freed residual.
+        let idx = ctx.pairs.index();
         let mut order: Vec<usize> = (0..new_sets.len()).collect();
-        order.sort_by_key(|&x| ctx.pairs.index().participant_count(&new_sets[x].1));
+        order.sort_by_key(|&x| idx.participant_count(&new_sets[x].1));
+        let kept: usize = self.score.pairs
+            - affected_old
+                .iter()
+                .map(|&k| trees[k].collected_pairs)
+                .sum::<usize>();
+        // Pairs the rebuilt trees must still collect between them.
+        let mut short = need.saturating_sub(kept);
         let mut built: BTreeMap<usize, Arc<PlannedTree>> = BTreeMap::new();
-        for x in order {
+        for (p, &x) in order.iter().enumerate() {
             let (k, set) = &new_sets[x];
-            let t = build_tree_for_set_cached(set, ctx, &view, collector, cache);
+            let later: usize = order[p + 1..]
+                .iter()
+                .flat_map(|&y| &new_sets[y].1)
+                .map(|&a| idx.owners(a).len())
+                .sum();
+            let floor = short.saturating_sub(later);
+            let Some(t) = build_tree_reaching(set, ctx, &view, collector, cache, floor) else {
+                return Some(Err(Cut));
+            };
+            short = short.saturating_sub(t.collected_pairs);
             for (&n, &u) in &t.usage {
                 view.add(n, -u);
             }
@@ -1025,13 +1112,13 @@ impl SearchState {
             score.volume += t.message_volume;
         }
 
-        Some(CandidateEval {
+        Some(Ok(CandidateEval {
             op,
             built,
             touched: view.into_touched(),
             collector_after: collector,
             score,
-        })
+        }))
     }
 
     /// Steps to the state `ev` describes. `ev` must come from
@@ -1061,6 +1148,11 @@ fn plan_of(partition: Partition, trees: Vec<Arc<PlannedTree>>) -> MonitoringPlan
         trees.into_iter().map(Arc::unwrap_or_clone).collect(),
     )
 }
+
+/// A candidate [`SearchState::eval_reaching`] stopped building: it
+/// could not collect the pairs its caller needs.
+#[derive(Debug)]
+pub(crate) struct Cut;
 
 /// One evaluated candidate: just the op's newly built trees plus the
 /// final budget values of the nodes it touched — everything needed to
@@ -1851,6 +1943,7 @@ mod tests {
             seeds.iter().map(score).collect()
         };
         let mut abandoned = Vec::new();
+        let mut cut = Vec::new();
         let mut global_evals = 0;
         for shape in [&sparse, &dense] {
             for allocation in allocations {
@@ -1879,6 +1972,7 @@ mod tests {
                     );
                 }
                 abandoned.push(one.1.seeds_abandoned);
+                cut.push(one.1.candidates_cut);
                 global_evals += one.1.global_evals;
             }
         }
@@ -1898,6 +1992,7 @@ mod tests {
         assert_eq!(scores[1..].iter().filter(below).count(), 1, "{scores:?}");
         assert_eq!(scores[1..].iter().filter(ties).count(), 2, "{scores:?}");
         assert_eq!(abandoned, [0, 0, 2, 0, 0, 0, 1, 1], "by shape, then scheme");
+        assert_eq!(cut, [12, 20, 12, 9, 6, 6, 1, 1], "by shape, then scheme");
     }
 
     proptest! {
@@ -1927,6 +2022,85 @@ mod tests {
                 prop_assert!(report.rounds < max_rounds);
             }
         }
+    }
+
+    /// `need` is the fewest pairs `accepts` takes: below it every
+    /// volume is rejected, at it some lower volume is accepted — where
+    /// the plateau tolerance binds, where the drift from the best state
+    /// does, and where neither reaches below the state.
+    #[test]
+    fn need_is_the_fewest_pairs_a_candidate_is_accepted_with() {
+        let score = |pairs, volume| Score { pairs, volume };
+        let mut tolerant = 0;
+        for demanded in [0, 400, 1_000, 5_000] {
+            let rule = Acceptance::of(demanded);
+            for pairs in [0, 1, 5, 60, 300, 1_000] {
+                for ahead in [0, 3, 9, 30, 200] {
+                    let (state, best) = (score(pairs, 500.0), pairs + ahead);
+                    let need = rule.need(best, &state);
+                    let cheaper = score(need, state.volume - 1.0);
+                    assert!(
+                        rule.accepts(&cheaper, best, &state).1,
+                        "{rule:?} {state:?} {best}"
+                    );
+                    if need > 0 {
+                        let short = score(need - 1, f64::NEG_INFINITY);
+                        assert!(
+                            !rule.accepts(&short, best, &state).1,
+                            "{rule:?} {state:?} {best}"
+                        );
+                    }
+                    tolerant += usize::from(need < pairs);
+                }
+            }
+        }
+        assert!(tolerant > 0, "no state let a tolerant move lose pairs");
+    }
+
+    /// On every state the search walks from the feasible and the starved
+    /// shapes' singleton starts, each candidate of the window that
+    /// `eval_reaching` cuts is rejected when fully evaluated, and each
+    /// it does not cut scores what the full evaluation scores.
+    #[test]
+    fn the_window_cuts_only_candidates_it_would_reject() {
+        let cost = CostModel::new(2.0, 1.0).unwrap();
+        let planner = Planner::default();
+        let catalog = AttrCatalog::new();
+        let mut cuts = [0; 2];
+        for (shape, (pairs, caps)) in feasible_and_starved().iter().enumerate() {
+            let ctx = planner.eval_context(pairs, caps, cost, &catalog);
+            let start = build_forest(&planner.initial_partition(pairs), &ctx);
+            let mut state = SearchState::from_plan(&start, caps);
+            let rule = Acceptance::of(start.demanded_pairs());
+            let mut best = state.score.pairs;
+            let max_budget = caps.iter().map(|(_, b)| b).fold(0.0f64, f64::max);
+            let estimator = GainEstimator::with_capacity(pairs, cost, max_budget);
+            for _ in 0..24 {
+                let need = rule.need(best, &state.score);
+                let ranked = estimator.rank_ops_trees(&state.partition, &state.trees);
+                let mut accepted = None;
+                for &(op, _) in ranked.iter().take(planner.config.candidates_per_round) {
+                    let full = state.eval(op, &ctx, None).unwrap();
+                    let (_, ok) = rule.accepts(&full.score, best, &state.score);
+                    match state.eval_reaching(op, &ctx, None, need).unwrap() {
+                        Ok(ev) => assert_eq!(ev.score, full.score, "{op:?}"),
+                        Err(Cut) => {
+                            assert!(!ok, "{op:?} was cut but scores {:?}", full.score);
+                            cuts[shape] += 1;
+                        }
+                    }
+                    if ok && accepted.is_none() {
+                        accepted = Some(full);
+                    }
+                }
+                let Some(ev) = accepted else { break };
+                state.apply(ev);
+                best = best.max(state.score.pairs);
+            }
+        }
+        // Starved budgets leave every tree's cap above what the window
+        // needs; the feasible shape cuts.
+        assert!(cuts[0] > 0, "cuts by shape: {cuts:?}");
     }
 
     #[test]

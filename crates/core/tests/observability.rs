@@ -190,3 +190,36 @@ fn cycle_stop_is_traced_and_counted() {
     );
     assert_eq!(samples["remo_planner_rounds_total"], report.rounds as f64);
 }
+
+/// A local candidate cut on its pair cap is a rejected candidate like
+/// any other: it ticks `remo_planner_candidates_rejected_total` and
+/// emits `planner.local.reject`, and the cut counter matches the report.
+#[test]
+fn cut_candidates_are_counted_as_rejected() {
+    let _g = remo_obs::test_guard();
+    remo_obs::registry::registry().reset();
+    remo_obs::drain_trace();
+    remo_obs::enable();
+    let pairs = demand(14, 7);
+    let caps = CapacityMap::uniform(14, 25.0, 300.0).unwrap();
+    let catalog = AttrCatalog::new();
+    let (_, report) =
+        Planner::default().plan_with_report(&pairs, &caps, CostModel::default(), &catalog);
+    remo_obs::disable();
+    let records = remo_obs::drain_trace();
+    assert!(report.candidates_cut > 0, "{report:?}");
+
+    let text = remo_obs::registry::registry().render_prometheus();
+    let samples = remo_obs::summary::parse_prometheus(&text).expect("export must parse");
+    assert_eq!(
+        samples["remo_planner_candidates_cut_total"],
+        report.candidates_cut as f64
+    );
+    let rejected = (report.local_evals - report.local_accepts) as f64;
+    assert_eq!(samples["remo_planner_candidates_rejected_total"], rejected);
+    let events = remo_obs::trace::to_jsonl(&records)
+        .lines()
+        .filter(|l| l.contains("\"planner.local.reject\""))
+        .count();
+    assert_eq!(events as f64, rejected);
+}

@@ -100,8 +100,13 @@ fn search_line(report: &PlanReport) -> String {
         StopReason::RoundCap => "round cap".to_string(),
     };
     format!(
-        "search: {} seed forests ({} abandoned), {} rounds run, {} skipped; stopped: {stop}",
-        report.seeds_evaluated, report.seeds_abandoned, report.rounds, report.rounds_skipped
+        "search: {} seed forests ({} abandoned), {} rounds run, {} skipped, \
+         {} candidates cut; stopped: {stop}",
+        report.seeds_evaluated,
+        report.seeds_abandoned,
+        report.rounds,
+        report.rounds_skipped,
+        report.candidates_cut
     )
 }
 

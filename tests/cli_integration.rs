@@ -31,6 +31,10 @@ fn example_spec_round_trips_through_planning() {
     assert!(search.starts_with("search: "), "summary output: {text}");
     assert!(search.contains(" abandoned), "), "summary output: {text}");
     assert!(
+        search.contains(" candidates cut; "),
+        "summary output: {text}"
+    );
+    assert!(
         search.contains("stopped: converged"),
         "summary output: {text}"
     );

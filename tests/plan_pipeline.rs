@@ -280,9 +280,11 @@ fn plan_digest(
 /// forest once: kernel and search optimisations must be invisible here.
 /// What they may change is the work the report counts: the feasible
 /// search starts its four distinct seed forests, abandons the two that
-/// cannot reach the singleton seed's pair count, and converges; the
-/// starved one builds one forest for its two singleton-partition seeds
-/// and stops on a proven cycle instead of at the 128-round cap.
+/// cannot reach the singleton seed's pair count, cuts 23 of its 25 local
+/// candidates on their pair caps, and converges; the starved one builds
+/// one forest for its two singleton-partition seeds, cuts nothing (its
+/// every candidate is accepted) and stops on a proven cycle instead of
+/// at the 128-round cap.
 #[test]
 fn default_planner_plans_are_pinned() {
     let (feasible, coverage, report) = plan_digest(300, 27.0, 1_000.0);
@@ -293,6 +295,7 @@ fn default_planner_plans_are_pinned() {
     assert_eq!(format!("{feasible:016x}"), "f16dcf893b88d2ec");
     assert_eq!(report.seeds_evaluated, 4, "{report:?}");
     assert_eq!(report.seeds_abandoned, 2, "{report:?}");
+    assert_eq!(report.candidates_cut, 23, "{report:?}");
     assert_eq!(report.stop, StopReason::Converged, "{report:?}");
     assert_eq!(report.rounds_skipped, 0, "{report:?}");
 
@@ -301,6 +304,7 @@ fn default_planner_plans_are_pinned() {
     assert_eq!(format!("{starved:016x}"), "224d727729e2dfb4");
     assert_eq!(report.seeds_evaluated, 1, "{report:?}");
     assert_eq!(report.seeds_abandoned, 0, "{report:?}");
+    assert_eq!(report.candidates_cut, 0, "{report:?}");
     assert!(
         matches!(report.stop, StopReason::Cycle { .. }),
         "{report:?}"
