@@ -317,6 +317,16 @@ if grep -rn 'REMO_PLANNER_DEBUG\|debug_echo\|env_flag' crates/; then
   exit 1
 fi
 
+# Every planner forest but the initial seed's is only compared against a
+# pair floor, so it races that floor: one unbounded forest build.
+echo "==> one forest build without a floor (crates/core/src/planner.rs)"
+whole=$(grep -c 'build_whole_forest(' crates/core/src/planner.rs || true)
+if [ "$whole" -gt 1 ]; then
+  echo "planner.rs must race a floor in every forest build but the initial seed's," \
+    "found $whole build_whole_forest( calls" >&2
+  exit 1
+fi
+
 echo "==> cargo clippy --all-targets --all-features -- -D warnings"
 cargo clippy --all-targets --all-features -- -D warnings
 
