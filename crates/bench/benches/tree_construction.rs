@@ -1,7 +1,8 @@
 //! Tree-construction benchmarks: the four builders (Fig. 7's
 //! candidates), the adjustment-optimization variants (Fig. 10's
-//! timing dimension), and the feasible and saturated regimes the
-//! planner's cold plans spend their time in.
+//! timing dimension), the feasible and saturated regimes the planner's
+//! cold plans spend their time in, and the load tracker's attach at the
+//! saturated trees' depth.
 
 // Benchmark scaffolding: inputs are compile-time constants, so a
 // failed unwrap is a broken harness, not a runtime error path.
@@ -9,7 +10,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use remo_core::build::{
-    build_tree, AdjustConfig, BuildRequest, BuilderKind, LocalLoad, NodeDemand,
+    build_tree, AdjustConfig, BuildRequest, BuilderKind, LoadTracker, LocalLoad, NodeDemand,
 };
 use remo_core::{AttrId, CostModel, NodeId};
 
@@ -156,6 +157,58 @@ fn bench_saturated(c: &mut Criterion) {
     group.finish();
 }
 
+/// A relay chain `depth` nodes deep below its root, at C/a = 20 with
+/// unit loads: the saturated trees' shape. The relays have room to
+/// spare and the root is the binding budget, with room for one more
+/// value.
+fn root_bound_chain(depth: u32) -> LoadTracker {
+    let mut t = LoadTracker::new(CostModel::new(20.0, 1.0).expect("cost"), Vec::new(), 1e9);
+    // A k-node chain charges its root 2C - a + 2ak; one more value
+    // relayed to it costs it 2a more.
+    let k = f64::from(depth + 1);
+    let root_budget = 2.0 * 20.0 - 1.0 + 2.0 * k + 2.0;
+    t.init_root(NodeId(0), LocalLoad::holistic(1.0), root_budget)
+        .expect("root");
+    for i in 1..=depth {
+        t.try_attach(NodeId(i), LocalLoad::holistic(1.0), 1e9, NodeId(i - 1))
+            .expect("relay");
+    }
+    t
+}
+
+/// One leaf attach below a 40-deep chain's tail, `ATTACHES` times per
+/// iteration: each walks the whole path to the root. An accepted attach
+/// is followed by the leaf's detach (which walks the path again), so
+/// every attach sees the same chain; a refused one is turned down at
+/// the root and leaves the chain as it was.
+fn bench_tracker(c: &mut Criterion) {
+    const ATTACHES: u32 = 1_000;
+    let mut group = c.benchmark_group("tracker");
+    let depth = 40;
+    let mut t = root_bound_chain(depth);
+    let (leaf, tail) = (NodeId(depth + 1), NodeId(depth));
+    let accepted = BenchmarkId::new(format!("accepted_attach_detach_x{ATTACHES}"), depth);
+    group.bench_with_input(accepted, &depth, |b, _| {
+        b.iter(|| {
+            for _ in 0..ATTACHES {
+                t.try_attach(leaf, LocalLoad::holistic(1.0), 1e9, tail)
+                    .expect("one more value fits");
+                t.detach_subtree(leaf);
+            }
+        });
+    });
+    let refused = BenchmarkId::new(format!("refused_attach_x{ATTACHES}"), depth);
+    group.bench_with_input(refused, &depth, |b, _| {
+        b.iter(|| {
+            for _ in 0..ATTACHES {
+                t.try_attach(leaf, LocalLoad::holistic(2.0), 1e9, tail)
+                    .expect_err("two more values do not");
+            }
+        });
+    });
+    group.finish();
+}
+
 fn bench_adjust_optimizations(c: &mut Criterion) {
     let mut group = c.benchmark_group("adjusting_procedure");
     group.sample_size(10);
@@ -183,6 +236,7 @@ criterion_group!(
     bench_builders,
     bench_adjust_optimizations,
     bench_feasible,
-    bench_saturated
+    bench_saturated,
+    bench_tracker
 );
 criterion_main!(benches);

@@ -19,19 +19,22 @@
 //! All schemes share the [`LoadTracker`], an incrementally-maintained
 //! account of per-node outgoing values (with in-network aggregation
 //! funnels), usage, and budget feasibility. The tracker stores its
-//! per-node state in flat parallel arrays (slot arena indexed through
-//! one id map) and keeps usage cached per node — send cost plus a
-//! running receive sum — so a budget check is O(1) and an attach costs
-//! O(path length) instead of O(children) per ancestor. Mutations
-//! journal every touched slot and restore the exact prior floats on
-//! rollback, preserving the transactional semantics.
+//! per-node state in flat per-slot columns (slot arena indexed through
+//! one id map; funnel values in one row-major side table) and keeps
+//! usage cached per node — send cost plus a running receive sum — so a
+//! budget check is O(1) and an attach costs O(path length) instead of
+//! O(children) per ancestor. A mutation computes its root-ward
+//! accounting into a buffer first and writes it only once every budget
+//! on the path holds, so a refused attach writes nothing.
 //!
 //! The adaptive scheme finishes a simple-scheme challenger only when it
 //! could displace the incumbent, and continues CHAIN and MAX_AVB from
 //! where its own pass stopped matching them instead of rebuilding the
-//! shared prefix (`adjusted_pass`); DESIGN.md, "Tree kernel", has the
-//! exactness arguments and `tests/golden_build.rs` pins every scheme's
-//! outcomes to the bit.
+//! shared prefix (`adjusted_pass`). Every scheme hands back its tracker
+//! scored by pairs and volume, and only the winner is materialized as a
+//! [`BuildOutcome`]. DESIGN.md, "Tree kernel", has the exactness
+//! arguments and `tests/golden_build.rs` pins every scheme's outcomes
+//! to the bit.
 
 use crate::cost::{Aggregation, CostModel};
 use crate::ids::NodeId;
@@ -86,15 +89,6 @@ impl LocalLoad {
         self.holistic -= other.holistic;
         for (a, b) in self.funnel.iter_mut().zip(&other.funnel) {
             *a -= *b;
-        }
-    }
-
-    /// Applies the element-wise change `new - old` to `self` — the
-    /// delta-propagation step when a child's outgoing vector changes.
-    fn add_delta(&mut self, new: &LocalLoad, old: &LocalLoad) {
-        self.holistic += new.holistic - old.holistic;
-        for ((a, b), c) in self.funnel.iter_mut().zip(&new.funnel).zip(&old.funnel) {
-            *a += *b - *c;
         }
     }
 
@@ -256,16 +250,55 @@ impl Branch {
     }
 }
 
-/// Rollback record: the exact float state of one slot before an
-/// operation first touched it. Restoring entries in reverse order
-/// reproduces the pre-operation state bit-for-bit.
-#[derive(Debug)]
-struct Saved {
+/// One per-slot load column: the holistic value of every slot, and its
+/// funnel values as one row-major `slots × funnels` table (empty when
+/// the funnel table is).
+#[derive(Debug, Clone, Default)]
+struct Column {
+    holistic: Vec<f64>,
+    funnel: Vec<f64>,
+}
+
+impl Column {
+    fn row(&self, width: usize, slot: usize) -> &[f64] {
+        &self.funnel[slot * width..(slot + 1) * width]
+    }
+
+    /// Slot `slot`'s load, as the public currency.
+    fn load(&self, width: usize, slot: usize) -> LocalLoad {
+        LocalLoad {
+            holistic: self.holistic[slot],
+            funnel: self.row(width, slot).to_vec(),
+        }
+    }
+
+    /// Writes slot `slot`, appending it when it is one past the end.
+    /// `row` holds exactly `width` values.
+    fn set(&mut self, width: usize, slot: usize, holistic: f64, row: &[f64]) {
+        if slot == self.holistic.len() {
+            self.holistic.push(holistic);
+            self.funnel.extend_from_slice(row);
+        } else {
+            self.holistic[slot] = holistic;
+            self.funnel[slot * width..(slot + 1) * width].copy_from_slice(row);
+        }
+    }
+}
+
+/// One node on a mutation's root-ward path, as [`LoadTracker::propagate`]
+/// computed it. Its funnel rows (incoming, then outgoing) sit in the
+/// tracker's row buffer at the step's position.
+#[derive(Debug, Clone, Copy)]
+struct Step {
     slot: u32,
-    incoming: LocalLoad,
-    outgoing: LocalLoad,
+    /// New holistic incoming value, which is also the holistic outgoing
+    /// value (funnels leave it alone).
+    holistic: f64,
     send: f64,
     recv: f64,
+    /// Whether the outgoing vector is written: false at the node where
+    /// the walk stopped because nothing changed.
+    sets_outgoing: bool,
 }
 
 /// Incrementally-maintained load accounting for a tree under
@@ -277,8 +310,8 @@ struct Saved {
 /// message (`C + a·x` each, paper §2.3). Attach operations are
 /// transactional — on budget violation the tracker is left unchanged.
 ///
-/// Internally the per-node state lives in parallel arrays indexed by
-/// slot (freed slots are recycled): `incoming` is the pre-funnel value
+/// Internally the per-node state lives in flat columns indexed by slot
+/// (freed slots are recycled): `incoming` is the pre-funnel value
 /// vector (local plus children's outgoing), `outgoing` its
 /// post-funnel image, `send` the cached cost of the node's own
 /// message, and `recv` the cached sum of children receive costs — so
@@ -294,23 +327,27 @@ pub struct LoadTracker {
     ids: Vec<NodeId>,
     parent: Vec<Option<u32>>,
     children: Vec<Vec<NodeId>>,
-    local: Vec<LocalLoad>,
+    local: Column,
     budget: Vec<f64>,
-    incoming: Vec<LocalLoad>,
-    outgoing: Vec<LocalLoad>,
+    incoming: Column,
+    outgoing: Column,
     send: Vec<f64>,
     recv: Vec<f64>,
     free: Vec<u32>,
+    /// [`LoadTracker::propagate`]'s buffers, kept for reuse: the path it
+    /// computed, and two funnel rows per step.
+    path: Vec<Step>,
+    path_rows: Vec<f64>,
     /// Nodes that joined, or whose availability rose, in the last
     /// successful mutation (cleared at the start of each mutating
     /// call); the greedy builders use this to keep their parent ranking
     /// fresh. An attach only lowers its ancestors' availability, which
     /// the ranking re-checks lazily, so they are not listed.
     dirty: Vec<NodeId>,
-    /// Bumped on every successful mutation. Failed operations roll
-    /// back to the exact prior state and leave it unchanged, so equal
-    /// epochs mean the tracker is bit-identical — the builders' failed-
-    /// placement memo keys on this.
+    /// Bumped on every successful mutation. A refused operation writes
+    /// nothing and leaves it unchanged, so equal epochs mean the
+    /// tracker is bit-identical — the builders' failed-placement memo
+    /// keys on this.
     epoch: u64,
 }
 
@@ -326,20 +363,22 @@ impl LoadTracker {
             ids: Vec::new(),
             parent: Vec::new(),
             children: Vec::new(),
-            local: Vec::new(),
+            local: Column::default(),
             budget: Vec::new(),
-            incoming: Vec::new(),
-            outgoing: Vec::new(),
+            incoming: Column::default(),
+            outgoing: Column::default(),
             send: Vec::new(),
             recv: Vec::new(),
             free: Vec::new(),
+            path: Vec::new(),
+            path_rows: Vec::new(),
             dirty: Vec::new(),
             epoch: 0,
         }
     }
 
     /// Mutation epoch: bumped on every successful mutation, untouched
-    /// by rolled-back failures.
+    /// by refused ones.
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
@@ -350,15 +389,21 @@ impl LoadTracker {
         self.funnels.is_empty()
     }
 
+    fn width(&self) -> usize {
+        self.funnels.len()
+    }
+
+    /// Installs `node` in a free slot with only its own load: incoming
+    /// is `local` (padded to the funnel table), nothing received yet.
     fn alloc_slot(
         &mut self,
         node: NodeId,
         parent: Option<u32>,
-        local: LocalLoad,
+        local: &LocalLoad,
         budget: f64,
     ) -> u32 {
-        let incoming = local.clone();
-        let outgoing = self.apply_funnels(incoming.clone());
+        let w = self.width();
+        let outgoing = self.apply_funnels(local.clone());
         let send = self.cost.message_cost(outgoing.total());
         let slot = match self.free.pop() {
             Some(s) => {
@@ -366,10 +411,7 @@ impl LoadTracker {
                 self.ids[i] = node;
                 self.parent[i] = parent;
                 self.children[i].clear();
-                self.local[i] = local;
                 self.budget[i] = budget;
-                self.incoming[i] = incoming;
-                self.outgoing[i] = outgoing;
                 self.send[i] = send;
                 self.recv[i] = 0.0;
                 s
@@ -380,15 +422,16 @@ impl LoadTracker {
                 self.ids.push(node);
                 self.parent.push(parent);
                 self.children.push(Vec::new());
-                self.local.push(local);
                 self.budget.push(budget);
-                self.incoming.push(incoming);
-                self.outgoing.push(outgoing);
                 self.send.push(send);
                 self.recv.push(0.0);
                 s
             }
         };
+        let i = slot as usize;
+        self.local.set(w, i, local.holistic, &local.funnel);
+        self.incoming.set(w, i, local.holistic, &local.funnel);
+        self.outgoing.set(w, i, outgoing.holistic, &outgoing.funnel);
         self.idx.insert(node, slot);
         slot
     }
@@ -399,89 +442,112 @@ impl LoadTracker {
         self.free.push(slot);
     }
 
-    fn save(&self, journal: &mut Vec<Saved>, slot: u32) {
-        let i = slot as usize;
-        journal.push(Saved {
-            slot,
-            incoming: self.incoming[i].clone(),
-            outgoing: self.outgoing[i].clone(),
-            send: self.send[i],
-            recv: self.recv[i],
-        });
-    }
-
-    fn restore(&mut self, journal: Vec<Saved>) {
-        for s in journal.into_iter().rev() {
-            let i = s.slot as usize;
-            self.incoming[i] = s.incoming;
-            self.outgoing[i] = s.outgoing;
-            self.send[i] = s.send;
-            self.recv[i] = s.recv;
-        }
-    }
-
-    /// Re-derives `outgoing`/`send` from the (already updated)
-    /// `incoming` of `start` and propagates the change root-ward,
-    /// journaling every touched slot. Stops as soon as a node's
-    /// outgoing vector and send cost are unchanged (nothing above can
-    /// differ then). With `check` set, verifies each touched node's
-    /// budget on the way up and the collector constraint at the root,
-    /// returning the first violation (the caller rolls back).
+    /// Gives `start` the incoming vector `incoming` and receive sum
+    /// `recv`, re-derives its outgoing vector and send cost, and carries
+    /// the change root-ward. Stops as soon as a node's outgoing vector
+    /// and send cost are unchanged (nothing above can differ then).
     ///
-    /// A checked bubble follows an attach: the start node's incoming
+    /// The whole path is computed into a buffer first and written only
+    /// if it fits: with `check` set, the first node whose usage would
+    /// exceed its budget, or a root message over the collector budget,
+    /// is returned and nothing is written. Every float is the same
+    /// expression, in the same order, as an in-place walk's.
+    ///
+    /// A checked walk follows an attach: the start node's incoming
     /// values grew, funnels are non-decreasing and `a > 0`, so every
     /// send cost on the path grows or stays and every touched node's
     /// availability falls or stays — those nodes are not marked dirty.
-    /// An unchecked bubble follows a detach and marks every node it
+    /// An unchecked walk follows a detach and marks every node it
     /// touches.
-    fn bubble(
+    fn propagate(
         &mut self,
         start: u32,
-        journal: &mut Vec<Saved>,
+        incoming: LocalLoad,
+        recv: f64,
         check: bool,
     ) -> Result<(), AttachError> {
-        let mut n = start;
-        loop {
+        let w = self.width();
+        let mut path = std::mem::take(&mut self.path);
+        let mut rows = std::mem::take(&mut self.path_rows);
+        rows.extend_from_slice(&incoming.funnel);
+        let (mut n, mut holistic, mut recv) = (start, incoming.holistic, recv);
+        let verdict = loop {
             let i = n as usize;
-            self.save(journal, n);
-            if !check {
-                self.dirty.push(self.ids[i]);
+            // This step's incoming row is the buffer's last; append its
+            // outgoing row.
+            let base = rows.len() - w;
+            for k in 0..w {
+                let v = self.funnels[k].funnel(rows[base + k]);
+                rows.push(v);
             }
-            let new_out = self.apply_funnels(self.incoming[i].clone());
+            let out_row = &rows[base + w..];
+            let send = self
+                .cost
+                .message_cost(holistic + out_row.iter().sum::<f64>());
             let old_send = self.send[i];
-            self.send[i] = self.cost.message_cost(new_out.total());
             debug_assert!(
-                !check || self.send[i] >= old_send,
+                !check || send >= old_send,
                 "an attach lowered a send cost (negative load?)"
             );
-            if check && self.send[i] + self.recv[i] > self.budget[i] + EPS {
-                return Err(AttachError::BudgetExceeded);
+            if check && send + recv > self.budget[i] + EPS {
+                break Err(AttachError::BudgetExceeded);
             }
-            let out_changed = new_out != self.outgoing[i];
-            if !out_changed && self.send[i] == old_send {
-                return Ok(());
+            let moved = holistic != self.outgoing.holistic[i]
+                || out_row != self.outgoing.row(w, i)
+                || send != old_send;
+            path.push(Step {
+                slot: n,
+                holistic,
+                send,
+                recv,
+                sets_outgoing: moved,
+            });
+            if !moved {
+                break Ok(());
             }
             match self.parent[i] {
                 None => {
-                    self.outgoing[i] = new_out;
-                    if check && self.send[i] > self.collector_budget + EPS {
-                        return Err(AttachError::CollectorExceeded);
+                    if check && send > self.collector_budget + EPS {
+                        break Err(AttachError::CollectorExceeded);
                     }
-                    return Ok(());
+                    break Ok(());
                 }
                 Some(p) => {
-                    self.save(journal, p);
+                    // The parent takes this node's change: `+= new − old`.
                     let pi = p as usize;
-                    self.recv[pi] += self.send[i] - old_send;
-                    let old_out = std::mem::replace(&mut self.outgoing[i], new_out);
-                    // Split borrows: clone the new outgoing for the
-                    // delta (funnel vectors are tiny).
-                    let new_ref = self.outgoing[i].clone();
-                    self.incoming[pi].add_delta(&new_ref, &old_out);
+                    recv = self.recv[pi] + (send - old_send);
+                    holistic = self.incoming.holistic[pi] + (holistic - self.outgoing.holistic[i]);
+                    for k in 0..w {
+                        let v = self.incoming.funnel[pi * w + k]
+                            + (rows[base + w + k] - self.outgoing.funnel[i * w + k]);
+                        rows.push(v);
+                    }
                     n = p;
                 }
             }
+        };
+        if verdict.is_ok() {
+            for (j, step) in path.iter().enumerate() {
+                let i = step.slot as usize;
+                let in_row = &rows[2 * j * w..(2 * j + 1) * w];
+                self.incoming.set(w, i, step.holistic, in_row);
+                if step.sets_outgoing {
+                    let out_row = &rows[(2 * j + 1) * w..(2 * j + 2) * w];
+                    self.outgoing.set(w, i, step.holistic, out_row);
+                }
+                self.send[i] = step.send;
+                self.recv[i] = step.recv;
+                if !check {
+                    self.dirty.push(self.ids[i]);
+                }
+            }
         }
+        // Emptied, so a tracker copy does not copy the last walk.
+        path.clear();
+        rows.clear();
+        self.path = path;
+        self.path_rows = rows;
+        verdict
     }
 
     /// Installs the root node.
@@ -502,7 +568,7 @@ impl LoadTracker {
             return Err(AttachError::DuplicateNode);
         }
         self.dirty.clear();
-        let local = load.padded(self.funnels.len());
+        let local = load.padded(self.width());
         let outgoing = self.apply_funnels(local.clone());
         let send = self.cost.message_cost(outgoing.total());
         if send > budget + EPS {
@@ -511,7 +577,7 @@ impl LoadTracker {
         if send > self.collector_budget + EPS {
             return Err(AttachError::CollectorExceeded);
         }
-        self.alloc_slot(node, None, local, budget);
+        self.alloc_slot(node, None, &local, budget);
         self.root = Some(node);
         self.dirty.push(node);
         self.epoch += 1;
@@ -577,7 +643,7 @@ impl LoadTracker {
     /// Values leaving `node` per epoch (after funnels).
     pub fn outgoing_values(&self, node: NodeId) -> Option<f64> {
         let s = self.slot(node)?;
-        Some(self.outgoing[s as usize].total())
+        Some(self.outgoing.load(self.width(), s as usize).total())
     }
 
     /// Current usage of `node`: send cost of its message plus receive
@@ -632,6 +698,10 @@ impl LoadTracker {
 
     /// Attaches `node` as a leaf under `parent`, transactionally.
     ///
+    /// The leaf's message and the path above it are computed before
+    /// anything is written, so a refused attach leaves the tracker
+    /// untouched: no slot taken, no child listed.
+    ///
     /// # Errors
     ///
     /// Returns the violated constraint; the tracker is unchanged on
@@ -650,33 +720,22 @@ impl LoadTracker {
             return Err(AttachError::MissingParent);
         };
         self.dirty.clear();
-        let local = load.padded(self.funnels.len());
-        let s = self.alloc_slot(node, Some(p), local, budget);
-        if self.send[s as usize] > budget + EPS {
-            self.free_slot(node, s);
+        let w = self.width();
+        let local = load.padded(w);
+        let leaf_out = self.apply_funnels(local.clone());
+        let leaf_send = self.cost.message_cost(leaf_out.total());
+        if leaf_send > budget + EPS {
             return Err(AttachError::BudgetExceeded);
         }
         let pi = p as usize;
+        let mut incoming = self.incoming.load(w, pi);
+        incoming.add(&leaf_out);
+        self.propagate(p, incoming, self.recv[pi] + leaf_send, true)?;
+        self.alloc_slot(node, Some(p), &local, budget);
         self.children[pi].push(node);
-        let mut journal = Vec::new();
-        self.save(&mut journal, p);
-        let child_out = self.outgoing[s as usize].clone();
-        self.incoming[pi].add(&child_out);
-        self.recv[pi] += self.send[s as usize];
         self.dirty.push(node);
-        match self.bubble(p, &mut journal, true) {
-            Ok(()) => {
-                self.epoch += 1;
-                Ok(())
-            }
-            Err(e) => {
-                self.restore(journal);
-                self.children[pi].pop();
-                self.free_slot(node, s);
-                self.dirty.clear();
-                Err(e)
-            }
-        }
+        self.epoch += 1;
+        Ok(())
     }
 
     /// Detaches the subtree rooted at `node` and returns it as a
@@ -690,6 +749,7 @@ impl LoadTracker {
         assert!(s.is_some(), "detach of absent node");
         let s = s.unwrap_or_else(|| unreachable!("checked above"));
         self.dirty.clear();
+        let w = self.width();
         // Preorder walk over slots.
         let mut order = vec![s];
         let mut i = 0;
@@ -702,7 +762,7 @@ impl LoadTracker {
             i += 1;
         }
         let old_parent = self.parent[s as usize];
-        let detached_out = self.outgoing[s as usize].clone();
+        let detached_out = self.outgoing.load(w, s as usize);
         let detached_send = self.send[s as usize];
         let mut nodes = Vec::with_capacity(order.len());
         for (k, &slot) in order.iter().enumerate() {
@@ -713,19 +773,17 @@ impl LoadTracker {
             } else {
                 self.parent[i].map(|p| self.ids[p as usize])
             };
-            nodes.push((n, parent_in_branch, self.local[i].clone(), self.budget[i]));
+            nodes.push((n, parent_in_branch, self.local.load(w, i), self.budget[i]));
             self.free_slot(n, slot);
         }
         match old_parent {
             Some(p) => {
                 let pi = p as usize;
                 self.children[pi].retain(|&k| k != node);
-                let mut journal = Vec::new();
-                self.save(&mut journal, p);
-                self.incoming[pi].sub(&detached_out);
-                self.recv[pi] -= detached_send;
-                self.bubble(p, &mut journal, false)
-                    .unwrap_or_else(|_| unreachable!("unchecked bubble cannot fail"));
+                let mut incoming = self.incoming.load(w, pi);
+                incoming.sub(&detached_out);
+                self.propagate(p, incoming, self.recv[pi] - detached_send, false)
+                    .unwrap_or_else(|_| unreachable!("an unchecked walk cannot fail"));
             }
             None => self.root = None,
         }
@@ -751,6 +809,7 @@ impl LoadTracker {
             return Err((branch, AttachError::DuplicateNode));
         }
         self.dirty.clear();
+        let w = self.width();
 
         // Insert structurally in preorder (parents before children).
         let mut slots = Vec::with_capacity(branch.nodes.len());
@@ -761,12 +820,7 @@ impl LoadTracker {
                     .unwrap_or_else(|| unreachable!("branch parent inserted first")),
                 None => t,
             };
-            let slot = self.alloc_slot(
-                *n,
-                Some(p),
-                local.clone().padded(self.funnels.len()),
-                *budget,
-            );
+            let slot = self.alloc_slot(*n, Some(p), &local.clone().padded(w), *budget);
             slots.push(slot);
         }
         for (n, parent_in_branch, ..) in branch.nodes.iter() {
@@ -782,7 +836,7 @@ impl LoadTracker {
         // node's incoming sums its children's final outgoing).
         for &slot in slots.iter().rev() {
             let i = slot as usize;
-            let mut incoming = self.local[i].clone();
+            let mut incoming = self.local.load(w, i);
             let mut recv = 0.0;
             for ck in 0..self.children[i].len() {
                 let c = self.children[i][ck];
@@ -790,49 +844,45 @@ impl LoadTracker {
                     .slot(c)
                     .unwrap_or_else(|| unreachable!("branch child present"))
                     as usize;
-                incoming.add(&self.outgoing[cs]);
+                incoming.add(&self.outgoing.load(w, cs));
                 recv += self.send[cs];
             }
-            self.outgoing[i] = self.apply_funnels(incoming.clone());
-            self.incoming[i] = incoming;
-            self.send[i] = self.cost.message_cost(self.outgoing[i].total());
+            let outgoing = self.apply_funnels(incoming.clone());
+            self.send[i] = self.cost.message_cost(outgoing.total());
+            self.incoming.set(w, i, incoming.holistic, &incoming.funnel);
+            self.outgoing.set(w, i, outgoing.holistic, &outgoing.funnel);
             self.recv[i] = recv;
         }
 
-        let rollback = |me: &mut Self, journal: Vec<Saved>| {
-            me.restore(journal);
+        // A refusal wrote only the branch's own slots: free them.
+        let rollback = |me: &mut Self| {
             for (&slot, (n, ..)) in slots.iter().zip(&branch.nodes).rev() {
                 me.free_slot(*n, slot);
             }
-            let ti = t as usize;
-            me.children[ti].retain(|k| branch.nodes[0].0 != *k);
-            me.dirty.clear();
+            me.children[t as usize].retain(|k| branch.nodes[0].0 != *k);
         };
 
         // Branch-node budget checks (their accounting is final).
         for &slot in &slots {
             let i = slot as usize;
             if self.send[i] + self.recv[i] > self.budget[i] + EPS {
-                rollback(self, Vec::new());
+                rollback(self);
                 return Err((branch, AttachError::BudgetExceeded));
             }
         }
 
-        let mut journal = Vec::new();
-        self.save(&mut journal, t);
         let ti = t as usize;
         let root_slot = slots[0] as usize;
-        let branch_out = self.outgoing[root_slot].clone();
-        self.incoming[ti].add(&branch_out);
-        self.recv[ti] += self.send[root_slot];
-        match self.bubble(t, &mut journal, true) {
+        let mut incoming = self.incoming.load(w, ti);
+        incoming.add(&self.outgoing.load(w, root_slot));
+        match self.propagate(t, incoming, self.recv[ti] + self.send[root_slot], true) {
             Ok(()) => {
                 self.dirty.extend(branch.nodes.iter().map(|(n, ..)| *n));
                 self.epoch += 1;
                 Ok(())
             }
             Err(e) => {
-                rollback(self, journal);
+                rollback(self);
                 Err((branch, e))
             }
         }
@@ -842,6 +892,7 @@ impl LoadTracker {
     /// recomputation (and the structural indices against each other).
     pub fn check_consistency(&self) -> bool {
         let close = |a: f64, b: f64| (a - b).abs() <= 1e-6;
+        let w = self.width();
         for n in self.nodes() {
             let s = self.slot(n).unwrap_or_else(|| unreachable!("tracked node"));
             let i = s as usize;
@@ -861,31 +912,30 @@ impl LoadTracker {
                 }
             }
             // Recompute incoming/recv from the children lists.
-            let mut incoming = self.local[i].clone();
+            let mut incoming = self.local.load(w, i);
             let mut recv = 0.0;
             for c in &self.children[i] {
                 let cs = match self.slot(*c) {
                     Some(cs) if self.parent[cs as usize] == Some(s) => cs as usize,
                     _ => return false,
                 };
-                incoming.add(&self.outgoing[cs]);
+                incoming.add(&self.outgoing.load(w, cs));
                 recv += self.send[cs];
             }
             let fresh_out = self.apply_funnels(incoming.clone());
-            if !close(incoming.holistic, self.incoming[i].holistic)
-                || !close(fresh_out.holistic, self.outgoing[i].holistic)
-                || fresh_out.funnel.len() != self.outgoing[i].funnel.len()
+            if !close(incoming.holistic, self.incoming.holistic[i])
+                || !close(fresh_out.holistic, self.outgoing.holistic[i])
             {
                 return false;
             }
-            for (a, b) in fresh_out.funnel.iter().zip(&self.outgoing[i].funnel) {
+            for (a, b) in fresh_out.funnel.iter().zip(self.outgoing.row(w, i)) {
                 if !close(*a, *b) {
                     return false;
                 }
             }
             if !close(recv, self.recv[i])
                 || !close(
-                    self.cost.message_cost(self.outgoing[i].total()),
+                    self.cost.message_cost(self.outgoing.load(w, i).total()),
                     self.send[i],
                 )
             {
@@ -923,12 +973,13 @@ pub fn build_tree(kind: BuilderKind, request: &BuildRequest) -> BuildOutcome {
     let Some(seed) = Seed::new(request) else {
         return empty_outcome(request);
     };
-    match kind {
+    let built = match kind {
         BuilderKind::Star => build_star(&seed),
         BuilderKind::Chain => build_chain(&seed),
         BuilderKind::MaxAvb => build_max_avb(&seed),
         BuilderKind::Adaptive(cfg) => build_adaptive(&seed, cfg),
-    }
+    };
+    finish(built, request)
 }
 
 fn empty_outcome(request: &BuildRequest) -> BuildOutcome {
@@ -943,15 +994,38 @@ fn empty_outcome(request: &BuildRequest) -> BuildOutcome {
     }
 }
 
-fn finish(tracker: &LoadTracker, request: &BuildRequest, excluded: Vec<NodeId>) -> BuildOutcome {
+/// One scheme's finished placement loop, scored for the fold but not
+/// yet materialized: only the winner becomes a [`BuildOutcome`].
+#[derive(Debug, Clone)]
+struct Built {
+    tracker: LoadTracker,
+    excluded: Vec<NodeId>,
+    /// [`BuildOutcome::collected_pairs`].
+    pairs: usize,
+    /// [`BuildOutcome::message_volume`].
+    volume: f64,
+}
+
+impl Built {
+    fn new(tracker: LoadTracker, request: &BuildRequest, excluded: Vec<NodeId>) -> Self {
+        Built {
+            pairs: collected_pairs(&tracker, request),
+            volume: tracker.message_volume(),
+            tracker,
+            excluded,
+        }
+    }
+}
+
+fn finish(built: Built, request: &BuildRequest) -> BuildOutcome {
     BuildOutcome {
-        tree: tracker.to_tree(request.attrs.clone()),
-        usage: tracker.usage_map(),
-        collector_usage: tracker.collector_usage(),
-        collected_pairs: collected_pairs(tracker, request),
+        tree: built.tracker.to_tree(request.attrs.clone()),
+        usage: built.tracker.usage_map(),
+        collector_usage: built.tracker.collector_usage(),
+        collected_pairs: built.pairs,
         demanded_pairs: request.demand.iter().map(|d| d.pairs).sum(),
-        excluded,
-        message_volume: tracker.message_volume(),
+        excluded: built.excluded,
+        message_volume: built.volume,
     }
 }
 
@@ -996,7 +1070,7 @@ fn collected_pairs(tracker: &LoadTracker, request: &BuildRequest) -> usize {
 /// update. An adaptive build makes at most 17n² updates that reach the
 /// root: n placements, and up to 2n relief sweeps, each moving the
 /// subtrees of at most four donors, 8n node attaches and detaches
-/// (rolled-back attempts restore exact floats). Each is off by at most
+/// (refused attempts write nothing). Each is off by at most
 /// `2ε` of the root's budget plus the largest send `C + a·demand`, and
 /// a challenger forked off the pass inherits its drift. `128(n+2)²·ε`
 /// of that sum, added to the budget with `EPS`, covers it with room to
@@ -1125,7 +1199,7 @@ fn build_fixed_parent(
     start: Start,
     mut parent: NodeId,
     next_parent: impl Fn(NodeId, NodeId) -> NodeId,
-) -> BuildOutcome {
+) -> Built {
     // The candidate parent moves only on success — the failed-placement
     // memo applies verbatim.
     let Start {
@@ -1148,19 +1222,19 @@ fn build_fixed_parent(
             }
         }
     }
-    finish(&t, seed.request, excluded)
+    Built::new(t, seed.request, excluded)
 }
 
-fn build_star(seed: &Seed<'_>) -> BuildOutcome {
+fn build_star(seed: &Seed<'_>) -> Built {
     build_fixed_parent(seed, seed.start(), seed.root().node, |root, _| root)
 }
 
-fn build_chain(seed: &Seed<'_>) -> BuildOutcome {
+fn build_chain(seed: &Seed<'_>) -> Built {
     chain_from(seed, seed.start(), seed.root().node)
 }
 
 /// CHAIN from `start`, whose tail is `tail`.
-fn chain_from(seed: &Seed<'_>, start: Start, tail: NodeId) -> BuildOutcome {
+fn chain_from(seed: &Seed<'_>, start: Start, tail: NodeId) -> Built {
     build_fixed_parent(seed, start, tail, |_, tail| tail)
 }
 
@@ -1275,7 +1349,7 @@ impl AvailHeap {
 /// feasibility is monotone: every budget check a load of `L` fails, a
 /// load `≥ L` fails at least as hard (given equal-or-smaller own
 /// budget, which the budget-descending demand order guarantees). A
-/// failed placement rolls back without touching the tracker, so while
+/// failed placement writes nothing to the tracker, so while
 /// the epoch stands still the same candidate parents would be retried
 /// to the same verdict — the memo turns each of those retries into one
 /// comparison. On saturated instances most of the demand is excluded,
@@ -1312,7 +1386,7 @@ impl PlaceMemo {
 
 /// Greedy placement under the best-available parents. `before_try`
 /// sees the tracker, the candidate's rank and the candidate before each
-/// attach attempt — every failed attempt rolls back, so that is the
+/// attach attempt — a failed attempt writes nothing, so that is the
 /// state before `d` each time.
 fn try_place(
     t: &mut LoadTracker,
@@ -1340,12 +1414,12 @@ fn try_place(
     false
 }
 
-fn build_max_avb(seed: &Seed<'_>) -> BuildOutcome {
+fn build_max_avb(seed: &Seed<'_>) -> Built {
     max_avb_from(seed, seed.start())
 }
 
 /// MAX_AVB from `start`.
-fn max_avb_from(seed: &Seed<'_>, start: Start) -> BuildOutcome {
+fn max_avb_from(seed: &Seed<'_>, start: Start) -> Built {
     let Start {
         tracker: mut t,
         next,
@@ -1359,7 +1433,7 @@ fn max_avb_from(seed: &Seed<'_>, start: Start) -> BuildOutcome {
             excluded.push(d.node);
         }
     }
-    finish(&t, seed.request, excluded)
+    Built::new(t, seed.request, excluded)
 }
 
 /// One congestion-relief attempt: relocate load away from the most
@@ -1391,8 +1465,6 @@ fn relieve_congestion(t: &mut LoadTracker, heap: &mut AvailHeap, cfg: AdjustConf
                 .unwrap_or_else(|| unreachable!("movable unit has a parent"));
             let branch = t.detach_subtree(unit);
             heap.refresh(t);
-            let in_branch: std::collections::BTreeSet<NodeId> =
-                branch.nodes.iter().map(|(n, ..)| *n).collect();
             let targets: Vec<NodeId> = if cfg.subtree_only {
                 // Restrict to the donor's remaining subtree (§5.1.2).
                 let mut sub = vec![donor];
@@ -1411,11 +1483,7 @@ fn relieve_congestion(t: &mut LoadTracker, heap: &mut AvailHeap, cfg: AdjustConf
                 ranked
             };
             let mut carried = Some(branch);
-            for target in targets
-                .into_iter()
-                .filter(|n| !in_branch.contains(n))
-                .take(PARENT_CANDIDATES)
-            {
+            for target in targets.into_iter().take(PARENT_CANDIDATES) {
                 match t.try_attach_branch(
                     carried
                         .take()
@@ -1485,25 +1553,23 @@ fn complete_volume(seed: &Seed<'_>, chain: bool) -> Option<(f64, f64)> {
 }
 
 /// Whether `cand` displaces `best`: more pairs, then lower volume.
-fn better(cand: &BuildOutcome, best: &BuildOutcome) -> bool {
-    cand.collected_pairs > best.collected_pairs
-        || (cand.collected_pairs == best.collected_pairs
-            && cand.message_volume < best.message_volume - 1e-9)
+fn better(cand: &Built, best: &Built) -> bool {
+    cand.pairs > best.pairs || (cand.pairs == best.pairs && cand.volume < best.volume - 1e-9)
 }
 
 /// Pruning rule (b): a STAR or CHAIN challenger cannot displace an
 /// incumbent that collects every demanded pair unless it is complete
 /// too (else it loses on pairs) and cheaper (else it loses on volume).
 /// A complete challenger's volume is known without building it.
-fn cannot_win(seed: &Seed<'_>, chain: bool, best: &BuildOutcome) -> bool {
-    best.collected_pairs == best.demanded_pairs
+fn cannot_win(seed: &Seed<'_>, chain: bool, best: &Built) -> bool {
+    best.pairs == seed.request.demand.iter().map(|d| d.pairs).sum::<usize>()
         && complete_volume(seed, chain)
-            .is_some_and(|(volume, margin)| volume - margin >= best.message_volume - 1e-9)
+            .is_some_and(|(volume, margin)| volume - margin >= best.volume - 1e-9)
 }
 
 /// What the adjusted pass hands the fold.
 struct Adjusted {
-    outcome: BuildOutcome,
+    built: Built,
     /// Relief sweeps run.
     sweeps: u64,
     /// Where CHAIN stopped making the pass's placements, with its tail
@@ -1609,7 +1675,7 @@ fn adjusted_pass(seed: &Seed<'_>, cfg: AdjustConfig) -> Adjusted {
         }
     }
     Adjusted {
-        outcome: finish(&t, seed.request, excluded),
+        built: Built::new(t, seed.request, excluded),
         sweeps,
         chain,
         max_avb,
@@ -1639,15 +1705,15 @@ enum Fate {
 /// - STAR and CHAIN cannot win when [`cannot_win`] says so;
 /// - STAR is built from the seed, CHAIN and MAX_AVB continue from the
 ///   adjusted pass's forks.
-fn build_adaptive(seed: &Seed<'_>, cfg: AdjustConfig) -> BuildOutcome {
+fn build_adaptive(seed: &Seed<'_>, cfg: AdjustConfig) -> Built {
     let Adjusted {
-        outcome: mut best,
+        built: mut best,
         sweeps,
         chain,
         max_avb,
     } = adjusted_pass(seed, cfg);
     let mut fates = [Fate::Skipped; 3];
-    let consider = |best: &mut BuildOutcome, cand: BuildOutcome| {
+    let consider = |best: &mut Built, cand: Built| {
         if better(&cand, best) {
             *best = cand;
         }
@@ -1887,7 +1953,7 @@ mod tests {
         assert!((lt.outgoing_values(NodeId(0)).unwrap() - before_root_out).abs() < 1e-9);
     }
 
-    type Scheme = fn(&Seed<'_>) -> BuildOutcome;
+    type Scheme = fn(&Seed<'_>) -> Built;
 
     /// The three simple schemes built from the seed, in fold order.
     const CHALLENGERS: [(&str, Scheme); 3] = [
@@ -1899,8 +1965,8 @@ mod tests {
     /// The unpruned four-way fold: every challenger is built from the
     /// seed. Returns the outcome and who produced it (0 = the adjusted
     /// pass).
-    fn build_adaptive_unpruned(seed: &Seed<'_>, cfg: AdjustConfig) -> (BuildOutcome, usize) {
-        let adjusted = adjusted_pass(seed, cfg).outcome;
+    fn build_adaptive_unpruned(seed: &Seed<'_>, cfg: AdjustConfig) -> (Built, usize) {
+        let adjusted = adjusted_pass(seed, cfg).built;
         CHALLENGERS
             .iter()
             .enumerate()
@@ -1914,16 +1980,23 @@ mod tests {
             })
     }
 
-    /// Bit-for-bit equality of two outcomes.
-    fn same(a: &BuildOutcome, b: &BuildOutcome) -> bool {
-        let bits = |o: &BuildOutcome| -> Vec<(NodeId, u64)> {
-            o.usage.iter().map(|(&n, u)| (n, u.to_bits())).collect()
+    /// The tree a build holds.
+    fn tree_of(b: &Built) -> Option<Tree> {
+        b.tracker.to_tree(AttrSet::new())
+    }
+
+    /// Bit-for-bit equality of the outcomes two builds of one request
+    /// would materialize.
+    fn same(a: &Built, b: &Built) -> bool {
+        let bits = |o: &Built| -> Vec<(NodeId, u64)> {
+            let usage = o.tracker.usage_map();
+            usage.iter().map(|(&n, u)| (n, u.to_bits())).collect()
         };
-        a.tree == b.tree
+        tree_of(a) == tree_of(b)
             && bits(a) == bits(b)
-            && a.collector_usage.to_bits() == b.collector_usage.to_bits()
-            && a.message_volume.to_bits() == b.message_volume.to_bits()
-            && (a.collected_pairs, a.demanded_pairs) == (b.collected_pairs, b.demanded_pairs)
+            && a.tracker.collector_usage().to_bits() == b.tracker.collector_usage().to_bits()
+            && a.volume.to_bits() == b.volume.to_bits()
+            && a.pairs == b.pairs
             && a.excluded == b.excluded
     }
 
@@ -1940,17 +2013,17 @@ mod tests {
         let pass = adjusted_pass(&seed, cfg);
         let [star, chain, max_avb] = CHALLENGERS.map(|(_, build)| build(&seed));
         let continued = match &pass.chain {
-            None => pass.outcome.clone(),
+            None => pass.built.clone(),
             Some((start, tail)) => chain_from(&seed, start.clone(), *tail),
         };
         assert!(same(&continued, &chain), "chain: {req:?}");
         let continued = match &pass.max_avb {
-            None => pass.outcome.clone(),
+            None => pass.built.clone(),
             Some(start) => max_avb_from(&seed, start.clone()),
         };
         assert!(same(&continued, &max_avb), "max_avb: {req:?}");
         assert_eq!(pass.max_avb.is_none(), pass.sweeps == 0, "{req:?}");
-        let mut best = pass.outcome.clone();
+        let mut best = pass.built.clone();
         for (which, cand) in [star, chain, max_avb].into_iter().enumerate() {
             let skipped = match which {
                 0 => cannot_win(&seed, false, &best),
@@ -2150,10 +2223,10 @@ mod tests {
         );
         let seed = Seed::new(&req).unwrap();
         let pass = adjusted_pass(&seed, AdjustConfig::default());
-        let adjusted = &pass.outcome;
-        assert_eq!(adjusted.tree.as_ref().map(Tree::height), Some(2));
+        let adjusted = &pass.built;
+        assert_eq!(tree_of(adjusted).as_ref().map(Tree::height), Some(2));
         let (star, margin) = complete_volume(&seed, false).unwrap();
-        let gap = adjusted.message_volume - star;
+        let gap = adjusted.volume - star;
         assert!(
             gap < 1e-9 && gap + margin > 1e-9,
             "gap {gap}, margin {margin}"
@@ -2175,7 +2248,7 @@ mod tests {
                 &[(1.0, 100.0), (1.0, 100.0), (load, 100.0)],
             );
             let seed = Seed::new(&req).unwrap();
-            let adjusted = adjusted_pass(&seed, AdjustConfig::default()).outcome;
+            let adjusted = adjusted_pass(&seed, AdjustConfig::default()).built;
             assert_eq!(cannot_win(&seed, false, &adjusted), skipped);
             assert_pruning_is_exact(&req, AdjustConfig::default());
         }
@@ -2194,7 +2267,7 @@ mod tests {
         let req = saturated_chain(40, 10);
         let seed = Seed::new(&req).unwrap();
         let pass = assert_pruning_is_exact(&req, AdjustConfig::default()).unwrap();
-        assert_eq!(pass.outcome.tree.as_ref().map(Tree::height), Some(9));
+        assert_eq!(tree_of(&pass.built).as_ref().map(Tree::height), Some(9));
         assert_eq!(pass.sweeps, 1, "one futile sweep, then the memo");
         // Both forks are taken at the first node that does not fit:
         // CHAIN before trying it, MAX_AVB after.
@@ -2205,8 +2278,8 @@ mod tests {
         assert_eq!((max_avb.next, max_avb.excluded.len()), (10, 1));
         // A futile sweep on a chain puts it back exactly, so all three
         // schemes end in the adjusted pass's tree.
-        assert!(same(&build_chain(&seed), &pass.outcome));
-        assert!(same(&build_max_avb(&seed), &pass.outcome));
+        assert!(same(&build_chain(&seed), &pass.built));
+        assert!(same(&build_max_avb(&seed), &pass.built));
     }
 
     #[test]
@@ -2216,7 +2289,7 @@ mod tests {
         demand.extend([(1.0, 10.0); 7]);
         let req = request_of(2.0, 1e9, Vec::new(), &demand);
         let pass = assert_pruning_is_exact(&req, AdjustConfig::default()).unwrap();
-        assert_eq!(pass.outcome.tree.as_ref().map(Tree::height), Some(1));
+        assert_eq!(tree_of(&pass.built).as_ref().map(Tree::height), Some(1));
         // The first placement has one candidate, the root, which is
         // CHAIN's tail too; at the second the root outranks the tail.
         let (chain, tail) = pass.chain.as_ref().unwrap();
@@ -2258,7 +2331,7 @@ mod tests {
         assert_eq!(members_by_avail(&chain.tracker)[0], *tail);
         let refused = seed.rest().nth(chain.next).unwrap().node;
         assert!(pass.sweeps > 0);
-        assert!(pass.outcome.tree.as_ref().unwrap().contains(refused));
+        assert!(tree_of(&pass.built).unwrap().contains(refused));
         assert!(build_chain(&seed).excluded.contains(&refused));
     }
 

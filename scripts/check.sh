@@ -327,6 +327,24 @@ if [ "$whole" -gt 1 ]; then
   exit 1
 fi
 
+# The load tracker computes a mutation's accounting before it writes
+# any, so a refusal has nothing to undo; and the adaptive fold compares
+# scored trackers, so only the winner is materialized.
+echo "==> compute-then-write tracker, one finish (crates/core/src/build.rs)"
+kernel=$(sed '/^mod tests {/,$d' crates/core/src/build.rs)
+if grep -n 'struct Saved\|fn restore(\|journal' <<<"$kernel"; then
+  echo "build.rs must not journal and restore tracker state; compute, then write" >&2
+  exit 1
+fi
+outside=$(awk '/^pub fn build_tree\(/ { inside = 1 }
+  inside && /^}/ { inside = 0; next }
+  !inside && /finish\(/ && !/fn finish\(/' crates/core/src/build.rs)
+if [ -n "$outside" ]; then
+  echo "build.rs must materialize an outcome (finish) in build_tree only, found:" >&2
+  echo "$outside" >&2
+  exit 1
+fi
+
 echo "==> cargo clippy --all-targets --all-features -- -D warnings"
 cargo clippy --all-targets --all-features -- -D warnings
 

@@ -4,8 +4,40 @@
 
 use proptest::prelude::*;
 use remo::prelude::*;
-use remo_core::build::{build_tree, BuildRequest, BuilderKind, LocalLoad, NodeDemand};
+use remo_core::build::{build_tree, BuildRequest, BuilderKind, LoadTracker, LocalLoad, NodeDemand};
 use remo_core::{AttrSet, Partition};
+
+/// Slack the tracker grants a budget comparison.
+const TRACKER_EPS: f64 = 1e-9;
+
+/// Everything a load tracker shows of itself, floats as bits: its epoch,
+/// and per node in id order the parent, the children, the usage, the
+/// remaining budget and the outgoing values.
+type TrackerView = (u64, Vec<(NodeId, Option<NodeId>, Vec<NodeId>, [u64; 3])>);
+
+fn tracker_view(lt: &LoadTracker) -> TrackerView {
+    let nodes = lt
+        .nodes()
+        .map(|n| {
+            let bits = [
+                lt.usage(n).unwrap().to_bits(),
+                lt.available(n).unwrap().to_bits(),
+                lt.outgoing_values(n).unwrap().to_bits(),
+            ];
+            (n, lt.parent(n), lt.children(n).to_vec(), bits)
+        })
+        .collect();
+    (lt.epoch(), nodes)
+}
+
+/// Attaches a leaf that brings `parent`'s usage to within `slack` of its
+/// budget, on a budget of its own within `slack` of its own message, at
+/// per-value cost 1 and no funnels: a parent's usage grows by
+/// `C + 2x` for a leaf of `x` values. The load is clamped to zero.
+fn attach_at_the_limit(lt: &mut LoadTracker, c: f64, node: NodeId, parent: NodeId, slack: f64) {
+    let x = ((lt.available(parent).unwrap() - c + slack) / 2.0).max(0.0);
+    let _ = lt.try_attach(node, LocalLoad::holistic(x), c + x + slack, parent);
+}
 
 fn arb_universe(max: u32) -> impl Strategy<Value = Vec<AttrId>> {
     prop::collection::btree_set(0..max, 1..(max as usize))
@@ -266,18 +298,23 @@ proptest! {
 
     /// Random attach/detach/reattach sequences keep the load tracker's
     /// incremental accounting consistent with a from-scratch
-    /// recomputation.
+    /// recomputation, under fractional `C` and budgets within the
+    /// tracker's slack of their limit, and a refused attach leaves the
+    /// tracker bit-identical.
     #[test]
     fn load_tracker_incremental_accounting_is_consistent(
-        ops in prop::collection::vec((0u8..3, 0u32..12, 0u32..12, 1u32..4), 1..60),
+        ops in prop::collection::vec((0u8..4, 0u32..12, 0u32..12, 1u32..4), 1..60),
         c in 0.0f64..10.0,
         budget in 20.0f64..200.0,
+        slack in 0usize..5,
     ) {
-        use remo_core::build::{LoadTracker, LocalLoad};
+        let slack = [-2.0, -0.5, 0.0, 0.5, 2.0][slack] * TRACKER_EPS;
         let cost = CostModel::new(c, 1.0).unwrap();
         let mut lt = LoadTracker::new(cost, Vec::new(), 1e9);
         lt.init_root(NodeId(100), LocalLoad::holistic(1.0), budget).unwrap();
         for (kind, a, b, load) in ops {
+            let before = tracker_view(&lt);
+            let epoch = lt.epoch();
             match kind {
                 0 => {
                     // Attach a fresh leaf under some present node.
@@ -290,6 +327,13 @@ proptest! {
                         parent,
                     );
                 }
+                3 => {
+                    // A leaf that fills its parent to the limit, give or
+                    // take a fraction of the slack.
+                    let members: Vec<NodeId> = lt.nodes().collect();
+                    let parent = members[a as usize % members.len()];
+                    attach_at_the_limit(&mut lt, c, NodeId(b), parent, slack);
+                }
                 1 => {
                     // Detach a non-root subtree and reattach it
                     // somewhere (or back where it came from).
@@ -300,11 +344,13 @@ proptest! {
                     }
                     let old_parent = lt.parent(victim).unwrap();
                     let branch = lt.detach_subtree(victim);
+                    let detached = tracker_view(&lt);
                     let remaining: Vec<NodeId> = lt.nodes().collect();
                     let target = remaining[b as usize % remaining.len()];
                     match lt.try_attach_branch(branch, target) {
                         Ok(()) => {}
                         Err((back, _)) => {
+                            prop_assert_eq!(&tracker_view(&lt), &detached, "refused branch wrote");
                             lt.try_attach_branch(back, old_parent)
                                 .expect("restore cannot fail");
                         }
@@ -323,6 +369,9 @@ proptest! {
                         .expect("restore cannot fail");
                 }
             }
+            if matches!(kind, 0 | 3) && lt.epoch() == epoch {
+                prop_assert_eq!(&tracker_view(&lt), &before, "refused attach wrote");
+            }
             prop_assert!(lt.check_consistency(), "incremental state diverged");
             for n in lt.nodes().collect::<Vec<_>>() {
                 prop_assert!(
@@ -335,26 +384,37 @@ proptest! {
     }
 
     /// The incremental accounting also holds with funnel metrics in
-    /// play (SUM collapses, TOP-k caps) across attach/detach churn.
+    /// play (SUM collapses, TOP-k caps) across attach/detach churn, under
+    /// fractional `C` and binding budgets, and a refused attach or
+    /// branch move leaves the tracker bit-identical. A heavy root's own
+    /// payload (2^60 values) absorbs funnel changes in its total, so its
+    /// outgoing vector changes while its send cost does not.
     #[test]
     fn load_tracker_consistent_with_funnels(
-        ops in prop::collection::vec((0u8..2, 0u32..10, 0u32..10), 1..40),
+        ops in prop::collection::vec((0u8..3, 0u32..10, 0u32..10), 1..40),
         k in 1u32..5,
+        c in 0.0f64..6.0,
+        budget in 12.0f64..80.0,
+        heavy in 0u8..2,
     ) {
-        use remo_core::build::{LoadTracker, LocalLoad};
-        let cost = CostModel::new(3.0, 1.0).unwrap();
+        let cost = CostModel::new(c, 1.0).unwrap();
         let funnels = vec![Aggregation::Sum, Aggregation::Top(k)];
-        let mut lt = LoadTracker::new(cost, funnels, 1e9);
+        let mut lt = LoadTracker::new(cost, funnels, 1e30);
         let load = |h: f64| LocalLoad { holistic: h, funnel: vec![1.0, 1.0] };
-        lt.init_root(NodeId(50), load(1.0), 1e9).unwrap();
+        let heavy = heavy == 1;
+        let root_load = if heavy { 2f64.powi(60) } else { 1.0 };
+        lt.init_root(NodeId(50), load(root_load), 1e30).unwrap();
         for (kind, a, b) in ops {
             let members: Vec<NodeId> = lt.nodes().collect();
             match kind {
                 0 => {
                     let parent = members[a as usize % members.len()];
-                    let _ = lt.try_attach(NodeId(b), load((b % 3) as f64), 1e9, parent);
+                    let before = tracker_view(&lt);
+                    if lt.try_attach(NodeId(b), load((b % 3) as f64), budget, parent).is_err() {
+                        prop_assert_eq!(&tracker_view(&lt), &before, "refused attach wrote");
+                    }
                 }
-                _ => {
+                1 => {
                     let victim = members[a as usize % members.len()];
                     if Some(victim) == lt.root() {
                         continue;
@@ -363,15 +423,33 @@ proptest! {
                     let branch = lt.detach_subtree(victim);
                     lt.try_attach_branch(branch, parent).expect("restore");
                 }
+                _ => {
+                    // Move a branch elsewhere, back home if refused.
+                    let victim = members[a as usize % members.len()];
+                    if Some(victim) == lt.root() {
+                        continue;
+                    }
+                    let parent = lt.parent(victim).unwrap();
+                    let branch = lt.detach_subtree(victim);
+                    let before = tracker_view(&lt);
+                    let remaining: Vec<NodeId> = lt.nodes().collect();
+                    let target = remaining[b as usize % remaining.len()];
+                    if let Err((back, _)) = lt.try_attach_branch(branch, target) {
+                        prop_assert_eq!(&tracker_view(&lt), &before, "refused branch wrote");
+                        lt.try_attach_branch(back, parent).expect("restore");
+                    }
+                }
             }
             prop_assert!(lt.check_consistency(), "funnel accounting diverged");
             // TOP-k funnel: no node emits more than k values of the
             // capped metric plus its holistic + 1 (SUM) load bound.
+            // (Plus a heavy root's own payload.)
             let n = lt.len() as f64;
             for node in lt.nodes().collect::<Vec<_>>() {
                 let out = lt.outgoing_values(node).unwrap();
+                let own = if heavy && Some(node) == lt.root() { root_load } else { 0.0 };
                 prop_assert!(
-                    out <= 3.0 * n + 1.0 + k as f64,
+                    out <= 3.0 * n + 1.0 + k as f64 + own,
                     "outgoing {} too large at {}",
                     out,
                     node
