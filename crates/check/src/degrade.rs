@@ -18,7 +18,6 @@
 //! is bounded only by shedding: RA020 when the degrade ladder exists
 //! but is too short, RA021 when it was disabled outright.
 
-use crate::latency::period_of;
 use remo_core::{AttrCatalog, CostModel, PairSet};
 use remo_runtime::{NetConfig, NetSpec};
 
@@ -60,7 +59,7 @@ pub fn degrade_analysis(
 
     let base_rate: f64 = pairs
         .iter()
-        .map(|(_, b)| 1.0 / period_of(catalog.get_or_default(b).frequency()) as f64)
+        .map(|(_, b)| 1.0 / catalog.get_or_default(b).period() as f64)
         .sum();
     let arrival: Vec<f64> = (0..=cfg.max_degrade_level)
         .map(|l| base_rate / NetConfig::degrade_factor_at(l) as f64)
@@ -84,7 +83,7 @@ pub fn degrade_analysis(
     let in_flight_hi: u64 = pairs
         .iter()
         .map(|(_, b)| {
-            let period = period_of(catalog.get_or_default(b).frequency());
+            let period = catalog.get_or_default(b).period();
             lifetime.div_ceil(period)
         })
         .sum();

@@ -21,13 +21,13 @@
 //! books the close keeps: the sum of [`Coordinator::observe`]'s
 //! `values_lost` and the detector's per-node telemetry.
 //!
-//! The harness also carries one `remo-runtime` [`SessionMachine`] per
-//! node and replays every explored collector step (tick fan-out,
-//! report credit, missed barriers, death confirmation, repair,
-//! reintegration) through the shared protocol spec: an explored
-//! transition the spec's session table leaves undefined is reported
-//! as RA023, so the model checker and the protocol verifier can never
-//! silently disagree about what the control plane is allowed to do.
+//! The harness also carries the collector's session book,
+//! `remo-runtime`'s [`Sessions`], and steps it through the same calls
+//! the TCP hub makes (tick fan-out, report credit, the barrier's
+//! verdicts, repair): an explored collector step the spec's session
+//! table leaves undefined is reported as RA023, so the model checker
+//! and the protocol verifier can never silently disagree about what
+//! the control plane is allowed to do.
 
 use crate::cost::{cost_bounds, CostBounds, CostFlags};
 use crate::cross;
@@ -36,14 +36,13 @@ use remo_core::adapt::AdaptivePlanner;
 use remo_core::validate::{rules, Finding, RuleSet, Severity};
 use remo_core::NodeId;
 use remo_runtime::health::HealthState;
-use remo_runtime::machine::{HelloOutcome, SessionMachine};
-use remo_runtime::spec::SessionEvent;
+use remo_runtime::machine::{HelloOutcome, Sessions};
 use remo_runtime::{
     plan_assignments, CollectorCore, Coordinator, EpochReport, HealthMonitor, NetConfig,
     RepairEngine, TickReport,
 };
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
 
 /// One schedulable protocol event.
@@ -168,11 +167,9 @@ pub struct Harness {
     /// Static-bound comparisons performed so far (soundness witness
     /// for the sweep: checked everywhere, violated nowhere).
     bound_checks: u64,
-    /// Per-node session machines the explored collector
-    /// steps are replayed through (RA023 conformance cross-check).
-    sessions: BTreeMap<NodeId, SessionMachine>,
-    /// Session-machine steps replayed so far (conformance witness).
-    conformance_checks: u64,
+    /// The collector's sessions, stepped as the hub steps them
+    /// (RA023 conformance cross-check).
+    sessions: Sessions,
 }
 
 impl Harness {
@@ -204,15 +201,13 @@ impl Harness {
             healer: Some(RepairEngine::new(planner)),
         };
         // Every node starts registered: the explored system begins in
-        // the post-handshake steady state, so each session machine is
-        // walked through its fresh Hello + Assign once up front.
-        let mut sessions = BTreeMap::new();
+        // the post-handshake steady state, so each session is walked
+        // through its fresh Hello + Assign once up front.
+        let mut sessions = Sessions::default();
         for n in spec.node_ids() {
-            let mut m = SessionMachine::new();
             // Not inside the assert: release builds must register too.
-            let admitted = m.on_hello(0);
+            let admitted = sessions.hello(n, 0);
             debug_assert!(matches!(admitted, HelloOutcome::Admitted(_)));
-            sessions.insert(n, m);
         }
         Ok(Harness {
             spec,
@@ -230,7 +225,6 @@ impl Harness {
             static_bounds,
             bound_checks: 0,
             sessions,
-            conformance_checks: 0,
         })
     }
 
@@ -239,21 +233,17 @@ impl Harness {
         self.bound_checks
     }
 
-    /// Session-machine steps replayed through the protocol spec so
-    /// far (the RA023 conformance witness).
+    /// Collector session steps taken through the protocol spec so far
+    /// (the RA023 conformance witness).
     pub fn conformance_checks(&self) -> u64 {
-        self.conformance_checks
+        self.sessions.steps()
     }
 
-    /// Replays one explored collector step through `n`'s session
-    /// machine; an undefined transition is an RA023 finding — the
-    /// model checker reached a control-plane step the protocol spec
-    /// does not allow.
-    fn step_session(&mut self, n: NodeId, event: SessionEvent, findings: &mut Vec<Finding>) {
-        self.conformance_checks += 1;
-        let m = self.sessions.entry(n).or_default();
-        let state = m.state();
-        if m.step(event).is_none() {
+    /// Every collector step the session book found undefined since the
+    /// last call, as an RA023 finding — the model checker reached a
+    /// control-plane step the protocol spec does not allow.
+    fn undefined_steps(&mut self, findings: &mut Vec<Finding>) {
+        for (n, state, event) in self.sessions.take_undefined() {
             if let Some(mut f) = RuleSet::all().finding(
                 rules::UNEXPECTED_MESSAGE,
                 format!(
@@ -333,38 +323,29 @@ impl Harness {
             Event::Tick => {
                 self.epoch += 1;
                 let epoch = self.epoch;
-                // Every node that is not down answers the tick.
-                let reports = self
+                // Every node that is not down is connected: it takes
+                // the tick and answers it in time. The barrier's
+                // session steps are the hub's.
+                let up: Vec<NodeId> = self
                     .spec
                     .node_ids()
                     .filter(|n| !self.down.contains(n))
-                    .map(|node| TickReport {
+                    .collect();
+                let reports: Vec<TickReport> = up
+                    .iter()
+                    .map(|&node| TickReport {
                         node,
                         epoch,
                         ..TickReport::default()
-                    });
+                    })
+                    .collect();
+                let mut missing = self.coord.health.expected_reporters();
+                self.sessions.tick(up);
+                self.sessions.credit(&reports, epoch, &mut missing);
                 let (mut report, events) = self.coord.observe(epoch, reports);
                 self.values_lost += report.values_lost;
-                // Conformance cross-check: replay the collector's
-                // epoch through each session machine — tick fan-out
-                // reaches the connected (non-crashed) nodes, reports
-                // credit the barrier, silent nodes miss the deadline,
-                // and the detector's verdicts confirm/reintegrate.
-                let nodes: Vec<NodeId> = self.spec.node_ids().collect();
-                for &n in &nodes {
-                    if !self.down.contains(&n) {
-                        self.step_session(n, SessionEvent::SendTick, &mut findings);
-                        self.step_session(n, SessionEvent::RecvReportFresh, &mut findings);
-                    } else {
-                        self.step_session(n, SessionEvent::MissDeadline, &mut findings);
-                    }
-                }
-                for &n in &events.confirmed {
-                    self.step_session(n, SessionEvent::ConfirmDead, &mut findings);
-                }
-                for &n in &events.recovered {
-                    self.step_session(n, SessionEvent::MarkRecovered, &mut findings);
-                }
+                self.sessions.verdicts(&missing, &events);
+                self.undefined_steps(&mut findings);
                 // Confirmed failures wait for their own Repair event. A
                 // node that reports again cancels any still-queued
                 // repair and is reintegrated now, as the close does.
@@ -380,7 +361,8 @@ impl Harness {
             }
             Event::Repair(n) => {
                 self.pending_repair.remove(&n);
-                self.step_session(n, SessionEvent::Repair, &mut findings);
+                self.sessions.repair(n);
+                self.undefined_steps(&mut findings);
                 let changed = self
                     .coord
                     .repair(&[n], &[], self.epoch, &mut EpochReport::default());
@@ -631,8 +613,8 @@ impl Harness {
         for (n, c) in self.planner().caps().iter() {
             text.push_str(&format!("c{}:{}|", n.0, c.to_bits()));
         }
-        for (n, m) in &self.sessions {
-            text.push_str(&format!("s{}:{:?}|", n.0, m.state()));
+        for (n, state) in self.sessions.states() {
+            text.push_str(&format!("s{}:{state:?}|", n.0));
         }
         if let Ok(plan) = serde_json::to_string(self.planner().plan()) {
             text.push_str(&plan);

@@ -27,17 +27,6 @@ use remo_core::{AttrCatalog, AttrId, NodeId, PairSet};
 use remo_runtime::{NetConfig, NetSpec};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// The reporting period the runtime derives from an update frequency
-/// (mirrors `plan_assignments`: `round(1/f)`, at least 1).
-pub fn period_of(freq: f64) -> u64 {
-    let p = (1.0 / freq).round();
-    if p.is_finite() && p >= 1.0 {
-        p as u64
-    } else {
-        1
-    }
-}
-
 /// Worst-case end-to-end staleness bounds.
 #[derive(Debug, Clone)]
 pub struct StalenessBounds {
@@ -84,7 +73,7 @@ pub fn staleness_bounds(
 
     let mut per_attr = BTreeMap::new();
     for b in pairs.attrs() {
-        let period = period_of(catalog.get_or_default(b).frequency());
+        let period = catalog.get_or_default(b).period();
         let bound = period
             .saturating_mul(factor)
             .saturating_add(depth_max.saturating_mul(per_hop))

@@ -72,7 +72,7 @@ pub use cost::{cost_bounds, CostBounds, CostFlags};
 pub use degrade::{degrade_analysis, DegradeAnalysis};
 pub use explore::{ExploreResult, ExploreStats, Violation};
 pub use harness::{Event, Harness, InvariantConfig};
-pub use latency::{period_of, staleness_bounds, StalenessBounds};
+pub use latency::{staleness_bounds, StalenessBounds};
 pub use minimize::{minimize, replay_events, ReplayOutcome};
 pub use replay::{Expectation, ReplayFile, Verdict};
 pub use topology::{seeded_specs, TopologySpec};

@@ -83,6 +83,18 @@ impl AttrInfo {
     pub fn frequency(&self) -> f64 {
         self.frequency
     }
+
+    /// Epochs between two samples: `round(1/f)`, at least 1. A
+    /// frequency that is not positive — which [`AttrInfo::with_frequency`]
+    /// refuses, but a deserialized descriptor can carry — never
+    /// refreshes: `u64::MAX`.
+    pub fn period(&self) -> u64 {
+        if self.frequency > 0.0 {
+            (1.0 / self.frequency).round().max(1.0) as u64
+        } else {
+            u64::MAX
+        }
+    }
 }
 
 /// Registry of attribute types, indexed by [`AttrId`].
@@ -207,6 +219,29 @@ mod tests {
         assert!(AttrInfo::new("a").with_frequency(f64::NAN).is_err());
         assert!(AttrInfo::new("a").with_frequency(1.0).is_ok());
         assert!(AttrInfo::new("a").with_frequency(0.01).is_ok());
+    }
+
+    #[test]
+    fn period_is_the_rounded_inverse_frequency_and_never_below_one() {
+        let period = |frequency| AttrInfo {
+            frequency,
+            ..AttrInfo::new("a")
+        };
+        for (f, want) in [
+            (1.0, 1),
+            (0.75, 1),
+            (0.5, 2),
+            (0.4, 3),
+            (1.0 / 3.0, 3),
+            (0.3, 3),
+            (0.25, 4),
+            (0.125, 8),
+            (0.01, 100),
+            (0.0, u64::MAX),
+            (-0.5, u64::MAX),
+        ] {
+            assert_eq!(period(f).period(), want, "frequency {f}");
+        }
     }
 
     #[test]

@@ -1218,8 +1218,7 @@ impl Audit {
     /// the SLO means the demand can never be met as configured.
     fn check_staleness(&self, input: &AuditInput<'_>, slo: f64, em: &mut Emitter<'_>) {
         for attr in input.pairs.attrs() {
-            let freq = input.catalog.get_or_default(attr).frequency();
-            let period = (1.0 / freq.max(f64::MIN_POSITIVE)).round().max(1.0);
+            let period = input.catalog.get_or_default(attr).period() as f64;
             let effective = period * input.degrade_factor.max(1.0);
             // Strictly-greater, with the audit's relative tolerance:
             // an SLO exactly equal to the effective interval is met

@@ -23,20 +23,22 @@
 //! written to once per epoch. The
 //! epoch loop in [`CollectorService::run`] drives those rounds itself:
 //! it never sleeps and never blocks on a socket, which is what lets a
-//! node block in its own `write_all`. Between
-//! [`CollectorService::start`] and `run` the same rounds run on a
-//! registrar thread that `run` (or `Drop`) wakes, joins, and takes the
-//! hub over from. DESIGN.md "Collection data path" has the ordering
-//! argument the lockstep protocol relies on.
+//! node block in its own `write_all`. Registration runs the same
+//! rounds on the caller's thread: [`CollectorService::start`] binds and
+//! plans and spawns nothing, and
+//! [`CollectorService::wait_for_nodes`] pumps until the expected nodes
+//! own a session. Nothing is served between calls; a connecting node
+//! waits in the listen backlog. DESIGN.md "Collection data path" has
+//! the ordering argument the lockstep protocol relies on.
 //!
 //! Session lifecycle is driven through the shared protocol
-//! specification (`remo_runtime::spec`): one [`SessionMachine`] per
-//! expected node owns that node's incarnation slot and is stepped for
-//! every Hello, report, barrier verdict, and fan-out the collector
-//! performs.
+//! specification (`remo_runtime::spec`) by the collector's session
+//! book, [`Sessions`], which `remo-check mc` steps too: it owns every
+//! node's incarnation slot and maps every Hello, report, barrier
+//! verdict, and fan-out the collector performs to its session event.
 //! Frames the spec leaves undefined in the session's current state are
 //! dropped and counted (surfaced as `protocol_rejects` in the run
-//! summary); the collector's own sends `debug_assert!` on spec
+//! summary); the collector's own steps `debug_assert!` on spec
 //! definedness, because an undefined internal transition is a bug in
 //! collector logic, not hostile input.
 
@@ -53,17 +55,14 @@ use remo_runtime::agent::TickReport;
 use remo_runtime::deployment::plan_assignments;
 use remo_runtime::framing::{Envelope, FrameDecoder, CHAN_CTRL, CHAN_DATA, DEST_COLLECTOR};
 use remo_runtime::health::{HealthConfig, HealthMonitor};
-use remo_runtime::machine::{HelloOutcome, SessionMachine};
-use remo_runtime::spec::SessionEvent;
+use remo_runtime::machine::{HelloOutcome, Sessions};
 use remo_runtime::transport::{Endpoint, NetConfig, Transport};
 use remo_runtime::{CollectorCore, Coordinator, CtrlMsg, EpochReport, RepairEngine, Sampler};
-use std::collections::{BTreeMap, BTreeSet};
-use std::io::{self, Read, Write};
+use std::cell::RefCell;
+use std::collections::BTreeMap;
+use std::io::{self, Read};
 use std::net::{TcpListener, TcpStream};
-use std::os::unix::net::UnixStream;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Everything a collector run needs.
@@ -181,9 +180,8 @@ impl HubStats {
     }
 }
 
-/// Everything the collection path touches, owned by whichever thread
-/// is currently running [`Hub::pump`] — the registrar until `run`, the
-/// epoch loop after.
+/// Everything the collection path touches, on the thread that calls
+/// into the [`CollectorService`].
 struct Hub {
     cfg: ServiceConfig,
     listener: TcpListener,
@@ -193,13 +191,10 @@ struct Hub {
     /// session. A reconnect replaces the entry, and only the owner's
     /// death is the session's `ConnLost`.
     owner: BTreeMap<u32, usize>,
-    /// `owner.len()`, readable from [`CollectorService::connected_nodes`]
-    /// while the registrar holds the hub.
-    connected: Arc<AtomicUsize>,
-    /// Per-node protocol session machines. Each owns its node's
-    /// incarnation slot and lives for the collector's whole run,
-    /// across that node's connections, restarts, and deaths.
-    machines: BTreeMap<u32, SessionMachine>,
+    /// Per-node protocol sessions. Each owns its node's incarnation
+    /// slot and lives for the collector's whole run, across that
+    /// node's connections, restarts, and deaths.
+    sessions: Sessions,
     /// Failure detector, repair engine, collector core, and the
     /// current per-node assignments (updated by plan repair; sent to a
     /// node at registration).
@@ -247,8 +242,7 @@ impl Hub {
             listener,
             conns: Vec::new(),
             owner: BTreeMap::new(),
-            connected: Arc::new(AtomicUsize::new(0)),
-            machines: BTreeMap::new(),
+            sessions: Sessions::default(),
             coord,
             epoch: 0,
             reports: Vec::new(),
@@ -258,19 +252,6 @@ impl Hub {
             buf: vec![0; READ_BUF_LEN],
             stats: HubStats::new(),
         })
-    }
-
-    /// Steps `node`'s session machine for a collector-initiated event.
-    /// The collector's own sends must always be spec-defined; an
-    /// undefined one is a collector bug, so debug builds assert.
-    fn step_send(&mut self, node: u32, event: SessionEvent) {
-        let m = self.machines.entry(node).or_default();
-        let before = m.state();
-        let action = m.step(event);
-        debug_assert!(
-            action.is_some(),
-            "collector stepped undefined ({before:?}, {event:?}) for node {node}"
-        );
     }
 
     /// Queues `env` for `node` if it is connected. It is held: nothing
@@ -288,34 +269,27 @@ impl Hub {
         true
     }
 
-    /// Queues one control message for every connected node, each send
-    /// stepped through that node's session machine first.
-    fn broadcast(&mut self, event: SessionEvent, msg: &CtrlMsg, epoch: u64) {
+    /// Queues one control message for every connected node.
+    fn broadcast(&mut self, msg: &CtrlMsg, epoch: u64) {
         let env = ctrl_envelope(DEST_COLLECTOR, epoch, msg);
-        let nodes: Vec<u32> = self.owner.keys().copied().collect();
-        for node in nodes {
-            self.step_send(node, event);
-            self.send(node, &env);
+        for &slot in self.owner.values() {
+            if let Some(conn) = self.conns[slot].as_mut() {
+                conn.out.push(&env);
+            }
         }
     }
 
     /// One round: wait up to `timeout` for any socket, accept, read
-    /// every ready connection, write what is due. Returns whether
-    /// `wake` became readable (the registrar's signal to hand the hub
-    /// over).
+    /// every ready connection, write what is due.
     ///
     /// # Errors
     ///
     /// `poll(2)`'s own (`EINVAL`, `ENOMEM`). Nothing was waited for, so
     /// a caller that loops on rounds must stop: retrying would spin.
-    fn pump(&mut self, timeout: Duration, wake: Option<&UnixStream>) -> io::Result<bool> {
+    fn pump(&mut self, timeout: Duration) -> io::Result<()> {
         self.fds.clear();
         self.slots.clear();
         self.fds.push(PollFd::new(&self.listener, false));
-        if let Some(wake) = wake {
-            self.fds.push(PollFd::new(wake, false));
-        }
-        let first_conn = self.fds.len();
         for (slot, conn) in self.conns.iter().enumerate() {
             if let Some(c) = conn {
                 // `POLLOUT` follows `due`, not `pending`: held bytes
@@ -327,7 +301,7 @@ impl Hub {
         }
         self.stats.polls.inc();
         if poll(&mut self.fds, timeout)? == 0 {
-            return Ok(false);
+            return Ok(());
         }
         if self.fds[0].readable() {
             self.accept_all();
@@ -335,13 +309,13 @@ impl Hub {
         // Level-triggered: one read per ready connection per round.
         // What a read leaves behind re-arms the next poll, and no peer
         // can hold the loop by sending faster than we read.
-        for i in first_conn..self.fds.len() {
+        for i in 1..self.fds.len() {
             if self.fds[i].readable() {
-                self.read_conn(self.slots[i - first_conn]);
+                self.read_conn(self.slots[i - 1]);
             }
         }
         self.flush_due();
-        Ok(wake.is_some() && self.fds[1].readable())
+        Ok(())
     }
 
     fn accept_all(&mut self) {
@@ -427,11 +401,7 @@ impl Hub {
                     // holds. A Hello the spec refuses (e.g. while
                     // draining) or leaves undefined closes the
                     // connection.
-                    let outcome = self
-                        .machines
-                        .entry(node.0)
-                        .or_default()
-                        .on_hello(incarnation);
+                    let outcome = self.sessions.hello(node, incarnation);
                     let HelloOutcome::Admitted(assigned) = outcome else {
                         return false;
                     };
@@ -461,7 +431,6 @@ impl Hub {
                     if let Some(stale) = self.owner.insert(node.0, slot) {
                         self.conns[stale] = None;
                     }
-                    self.connected.store(self.owner.len(), Ordering::SeqCst);
                 }
                 Ok(CtrlMsg::Report { report }) => self.reports.push(report),
                 Ok(_) | Err(_) => {}
@@ -535,11 +504,7 @@ impl Hub {
         if let Some(node) = conn.who {
             if self.owner.get(&node) == Some(&slot) {
                 self.owner.remove(&node);
-                self.connected.store(self.owner.len(), Ordering::SeqCst);
-                self.machines
-                    .entry(node)
-                    .or_default()
-                    .step(SessionEvent::ConnLost);
+                self.sessions.conn_lost(NodeId(node));
             }
         }
     }
@@ -562,31 +527,8 @@ impl Hub {
             if done || wait.is_zero() {
                 return Ok(());
             }
-            self.pump(wait, None)?;
+            self.pump(wait)?;
         }
-    }
-
-    /// Steps the session machine of every report read since the first
-    /// `credited` (current-epoch reports are attendance, stale ones
-    /// liveness hints only) and strikes its sender from `missing`.
-    /// Returns how many reports are credited now; they stay in
-    /// `self.reports` for the epoch close.
-    fn credit_reports(
-        &mut self,
-        epoch: u64,
-        credited: usize,
-        missing: &mut BTreeSet<NodeId>,
-    ) -> usize {
-        for tr in &self.reports[credited..] {
-            let event = if tr.epoch >= epoch {
-                SessionEvent::RecvReportFresh
-            } else {
-                SessionEvent::RecvReportStale
-            };
-            self.machines.entry(tr.node.0).or_default().step(event);
-            missing.remove(&tr.node);
-        }
-        self.reports.len()
     }
 }
 
@@ -617,16 +559,14 @@ impl Transport for AckSink {
 }
 
 /// A listening collector service. Create with
-/// [`CollectorService::start`], then call [`CollectorService::run`] to
-/// drive the epochs.
+/// [`CollectorService::start`], register nodes with
+/// [`CollectorService::wait_for_nodes`], then call
+/// [`CollectorService::run`] to drive the epochs — all on the caller's
+/// thread.
 pub struct CollectorService {
     addr: std::net::SocketAddr,
-    startup_wait: Duration,
-    connected: Arc<AtomicUsize>,
-    /// The thread serving registrations until `run`, and the socket
-    /// whose other end sits in its poll set: one byte on it makes the
-    /// thread return the hub.
-    registrar: Option<(JoinHandle<Hub>, UnixStream)>,
+    /// Behind a `RefCell` because registration takes `&self`.
+    hub: RefCell<Hub>,
 }
 
 impl std::fmt::Debug for CollectorService {
@@ -638,27 +578,14 @@ impl std::fmt::Debug for CollectorService {
 }
 
 impl CollectorService {
-    /// Binds the listener, computes the initial plan, and starts
-    /// accepting registrations. Epochs do not tick until
-    /// [`CollectorService::run`].
+    /// Binds the listener and computes the initial plan. Nothing is
+    /// served until [`CollectorService::wait_for_nodes`] or
+    /// [`CollectorService::run`]; epochs do not tick until `run`.
     pub fn start(cfg: ServiceConfig) -> std::io::Result<Self> {
-        let mut hub = Hub::new(cfg)?;
-        let addr = hub.listener.local_addr()?;
-        let (wake_tx, wake_rx) = UnixStream::pair()?;
-        let connected = Arc::clone(&hub.connected);
-        let startup_wait = hub.cfg.startup_wait;
-        // A failing `poll` ends the registrar like a wake does; `run`
-        // meets the same error on its own first round.
-        let registrar = std::thread::spawn(move || {
-            while let Ok(false) = hub.pump(Duration::MAX, Some(&wake_rx)) {}
-            hub
-        });
-
+        let hub = Hub::new(cfg)?;
         Ok(CollectorService {
-            addr,
-            startup_wait,
-            connected,
-            registrar: Some((registrar, wake_tx)),
+            addr: hub.listener.local_addr()?,
+            hub: RefCell::new(hub),
         })
     }
 
@@ -669,43 +596,26 @@ impl CollectorService {
 
     /// Nodes currently registered.
     pub fn connected_nodes(&self) -> usize {
-        self.connected.load(Ordering::SeqCst)
+        self.hub.borrow().owner.len()
     }
 
-    /// Waits until `expected` nodes registered or the startup window
-    /// elapsed; returns how many are connected.
+    /// Serves registrations on the caller's thread until `expected`
+    /// nodes registered or the startup window elapsed; returns how many
+    /// are connected.
     pub fn wait_for_nodes(&self, expected: usize) -> usize {
-        let deadline = Instant::now() + self.startup_wait;
-        while Instant::now() < deadline {
-            let n = self.connected_nodes();
-            if n >= expected {
-                return n;
-            }
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        self.connected_nodes()
-    }
-
-    /// Wakes the registrar, joins it, and returns the hub it was
-    /// serving (or the panic that ended it); `None` once that has
-    /// happened.
-    fn stop_registrar(&mut self) -> Option<std::thread::Result<Hub>> {
-        let (thread, mut wake) = self.registrar.take()?;
-        // A failed write means the registrar is already gone; the join
-        // says why.
-        let _ = wake.write_all(&[1]);
-        Some(thread.join())
+        let mut hub = self.hub.borrow_mut();
+        let window = hub.cfg.startup_wait;
+        // A failing `poll` ends the wait; `run` meets the same error on
+        // its own first round.
+        let _ = hub.pump_until(Instant::now(), window, |hub| hub.owner.len() >= expected);
+        hub.owner.len()
     }
 
     /// Drives the configured number of lockstep epochs, then shuts the
     /// deployment down and returns the reconciliation summary.
     /// `on_epoch` observes every epoch's report (progress logging).
-    pub fn run(mut self, mut on_epoch: impl FnMut(&EpochReport)) -> RunSummary {
-        let mut hub = match self.stop_registrar() {
-            Some(Ok(hub)) => hub,
-            Some(Err(panic)) => std::panic::resume_unwind(panic),
-            None => return RunSummary::default(),
-        };
+    pub fn run(self, mut on_epoch: impl FnMut(&EpochReport)) -> RunSummary {
+        let mut hub = self.hub.into_inner();
         let cfg = hub.cfg.clone();
         let acks = AckSink::default();
         let mut summary = RunSummary {
@@ -721,24 +631,22 @@ impl CollectorService {
             // was held for it since its last tick (routed tree
             // traffic, intake acks, Assign): one write each.
             hub.sample_held();
-            hub.broadcast(SessionEvent::SendTick, &CtrlMsg::Tick { epoch }, epoch);
+            hub.sessions.tick(hub.owner.keys().map(|&n| NodeId(n)));
+            hub.broadcast(&CtrlMsg::Tick { epoch }, epoch);
             hub.flush();
 
             // Deadline-bounded report barrier: pump until no reporter
-            // is missing or the deadline passes. A failing `poll` ends
-            // it the way the deadline does.
+            // is missing or the deadline passes, crediting each report
+            // as it is read (they stay in `hub.reports` for the close).
+            // A failing `poll` ends it the way the deadline does.
             let mut missing = hub.coord.health.expected_reporters();
             let mut credited = 0;
             let barrier = hub.pump_until(started, cfg.health.deadline, |hub| {
-                credited = hub.credit_reports(epoch, credited, &mut missing);
+                let fresh = &hub.reports[credited..];
+                hub.sessions.credit(fresh, epoch, &mut missing);
+                credited = hub.reports.len();
                 missing.is_empty()
             });
-
-            // Barrier verdicts, through the spec: every still-missing
-            // node takes a MissDeadline step.
-            for node in &missing {
-                hub.step_send(node.0, SessionEvent::MissDeadline);
-            }
 
             // The close itself — detector, lost readings, plan repair,
             // capacity-enforced intake — is the in-process runtime's.
@@ -748,12 +656,7 @@ impl CollectorService {
                 hub.coord
                     .close_epoch(epoch, hub.reports.drain(..), hub.data.drain(..), &acks);
             let mut report = closed.report;
-            for &node in &closed.events.confirmed {
-                hub.step_send(node.0, SessionEvent::ConfirmDead);
-            }
-            for &node in &closed.events.recovered {
-                hub.step_send(node.0, SessionEvent::MarkRecovered);
-            }
+            hub.sessions.verdicts(&missing, &closed.events);
             // Targeted Assign fan-out to the nodes whose routes changed.
             for node in closed.reassigned {
                 let assignments = hub.coord.assigned(node);
@@ -763,21 +666,17 @@ impl CollectorService {
                 }
             }
             for &node in &closed.events.confirmed {
-                hub.step_send(node.0, SessionEvent::Repair);
+                hub.sessions.repair(node);
             }
             for ack in lock(&acks.acks).drain(..) {
                 hub.send(ack.dest, &ack);
             }
             if let Some(factor) = closed.degrade {
-                // Factor 1 is the restore broadcast; anything wider is
-                // a degrade. The spec distinguishes the two edges.
-                let event = if factor > 1 {
-                    SessionEvent::SendDegrade
-                } else {
-                    SessionEvent::SendRecover
-                };
-                hub.broadcast(event, &CtrlMsg::Degrade { factor }, epoch);
+                hub.sessions
+                    .degrade(hub.owner.keys().map(|&n| NodeId(n)), factor);
+                hub.broadcast(&CtrlMsg::Degrade { factor }, epoch);
             }
+            report.export_metrics();
 
             summary.epochs = epoch;
             summary.delivered_values += report.delivered_values;
@@ -807,7 +706,15 @@ impl CollectorService {
         // Goodbye to every node, then stay until they have hung up (or
         // a barrier's worth of time): closing first could reset a
         // connection whose Shutdown is still unread.
-        hub.broadcast(SessionEvent::SendShutdown, &CtrlMsg::Shutdown, cfg.epochs);
+        hub.sessions.shutdown(hub.owner.keys().map(|&n| NodeId(n)));
+        // The collector's own session steps are always spec-defined: an
+        // undefined one is a collector bug, not hostile input.
+        let undefined = hub.sessions.take_undefined();
+        debug_assert!(
+            undefined.is_empty(),
+            "undefined collector steps: {undefined:?}"
+        );
+        hub.broadcast(&CtrlMsg::Shutdown, cfg.epochs);
         hub.flush();
         let hung_up = match poll_error {
             Some(e) => Err(e),
@@ -826,7 +733,7 @@ impl CollectorService {
 
         let core = &hub.coord.collector;
         summary.observed_pairs = core.observed_pairs() as u64;
-        summary.protocol_rejects = hub.machines.values().map(SessionMachine::rejects).sum();
+        summary.protocol_rejects = hub.sessions.rejects();
         if let Some(sampler) = cfg.integrity_sampler.as_ref() {
             for (&(node, attr), obs) in core.store() {
                 summary.integrity_checked += 1;
@@ -839,27 +746,21 @@ impl CollectorService {
     }
 }
 
-impl Drop for CollectorService {
-    /// A service that is dropped without being run still stops and
-    /// joins its registrar; the hub, and with it every socket, goes
-    /// with it.
-    fn drop(&mut self) {
-        let _ = self.stop_registrar();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
 
     use super::*;
+    use proptest::prelude::*;
     use remo_core::AttrId;
+    use remo_runtime::machine::SessionMachine;
     use remo_runtime::spec::CtrlKind;
+    use std::io::Write;
 
     const WAIT: Duration = Duration::from_secs(10);
 
-    /// A hub for `nodes` nodes on an ephemeral port with no registrar:
-    /// the test pumps it, one round at a time.
+    /// A hub for `nodes` nodes on an ephemeral port: the test pumps it,
+    /// one round at a time.
     fn hub(nodes: u32) -> Hub {
         let pairs: PairSet = (0..nodes).map(|n| (NodeId(n), AttrId(0))).collect();
         let caps = CapacityMap::uniform(nodes as usize, 1000.0, 100_000.0).unwrap();
@@ -884,15 +785,20 @@ mod tests {
     }
 
     impl Peer {
-        /// Connects and greets as `node`; the hub has not read it yet.
-        fn greet(hub: &Hub, node: u32) -> Peer {
+        /// Connects; the hub has not accepted it yet.
+        fn connect(hub: &Hub) -> Peer {
             let stream = TcpStream::connect(hub.listener.local_addr().unwrap()).unwrap();
             stream.set_nodelay(true).unwrap();
             stream.set_read_timeout(Some(WAIT)).unwrap();
-            let mut peer = Peer {
+            Peer {
                 stream,
                 dec: FrameDecoder::new(),
-            };
+            }
+        }
+
+        /// Connects and greets as `node`; the hub has not read it yet.
+        fn greet(hub: &Hub, node: u32) -> Peer {
+            let mut peer = Peer::connect(hub);
             let hello = CtrlMsg::Hello {
                 node: NodeId(node),
                 incarnation: 0,
@@ -966,7 +872,7 @@ mod tests {
         let mut hub = hub(2);
         let mut peer = Peer::greet(&hub, 1);
         while !hub.owner.contains_key(&1) {
-            hub.pump(WAIT, None).unwrap();
+            hub.pump(WAIT).unwrap();
         }
         // No round has run since the one that read the Hello.
         assert_eq!(conn(&hub, 1).out.pending(), 0, "reply still held");
@@ -999,7 +905,7 @@ mod tests {
         // writable socket it would return at once, every time).
         let timeout = Duration::from_millis(30);
         let began = Instant::now();
-        assert!(!hub.pump(timeout, None).unwrap());
+        hub.pump(timeout).unwrap();
         assert!(began.elapsed() >= timeout, "the hub spun on held bytes");
         assert_eq!(conn(&hub, 1).out.pending(), want.len());
 
@@ -1010,7 +916,7 @@ mod tests {
         let assign = ctrl_envelope(1, 7, &CtrlMsg::Assign { assignments });
         assert!(hub.send(1, &own_ack) && hub.send(1, &assign));
         assert!(!conn(&hub, 1).is_due());
-        hub.broadcast(SessionEvent::SendTick, &CtrlMsg::Tick { epoch: 8 }, 8);
+        hub.broadcast(&CtrlMsg::Tick { epoch: 8 }, 8);
         hub.flush();
         let tick = ctrl_envelope(DEST_COLLECTOR, 8, &CtrlMsg::Tick { epoch: 8 });
         for env in [&own_ack, &assign, &tick] {
@@ -1053,7 +959,7 @@ mod tests {
             let n = parent.read_now(&mut buf);
             got.extend_from_slice(&buf[..n]);
             if n == 0 {
-                hub.pump(Duration::from_millis(1), None).unwrap();
+                hub.pump(Duration::from_millis(1)).unwrap();
             }
         }
         assert_eq!(got, frame.encode().repeat(4));
@@ -1080,7 +986,7 @@ mod tests {
                 }
                 Err(e) => assert_eq!(e.kind(), io::ErrorKind::WouldBlock),
             }
-            hub.pump(Duration::ZERO, None).unwrap();
+            hub.pump(Duration::ZERO).unwrap();
             if hub.owner.contains_key(&1) {
                 peak = peak.max(conn(&hub, 1).out.pending());
             }
@@ -1104,5 +1010,119 @@ mod tests {
         });
         assert!(hub.owner.contains_key(&0));
         assert_eq!(hub.conns.iter().flatten().count(), 1);
+    }
+
+    /// One scripted connection of the conformance proptest.
+    #[derive(Debug, Clone)]
+    struct Greeting {
+        /// Hostile frames sent before the Hello (ignored by the spec).
+        preamble: Vec<u8>,
+        /// `Some(h)` greets with held incarnation `h`; `None` greets
+        /// with whatever the previous connection was assigned (a
+        /// reconnect).
+        held: Option<u32>,
+    }
+
+    fn greeting_strategy() -> impl Strategy<Value = Greeting> {
+        let ctrl = |msg: &CtrlMsg| ctrl_envelope(DEST_COLLECTOR, 0, msg).encode().to_vec();
+        (
+            prop::collection::vec(0u16..4, 0..3),
+            // (0, _) reconnects with the previously assigned
+            // incarnation; (1, h) greets with an arbitrary held value
+            // (0 = fresh life).
+            (0u16..2, 0u16..4),
+        )
+            .prop_map(move |(pre, (fresh, h))| Greeting {
+                preamble: pre
+                    .into_iter()
+                    .flat_map(|k| match k {
+                        // A control envelope whose payload does not
+                        // decode (unknown kind tag).
+                        0 => Envelope {
+                            dest: DEST_COLLECTOR,
+                            chan: CHAN_CTRL,
+                            sent_epoch: 0,
+                            payload: Bytes::from(vec![0x52, 0x43, 1, 200, 9, 9, 9, 9]),
+                        }
+                        .encode()
+                        .to_vec(),
+                        1 => ctrl(&CtrlMsg::Tick { epoch: 9 }),
+                        2 => ctrl(&CtrlMsg::Degrade { factor: 3 }),
+                        _ => ctrl(&CtrlMsg::Shutdown),
+                    })
+                    .collect(),
+                held: (fresh == 1).then_some(u32::from(h)),
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(10))]
+
+        /// Collector conformance: for any sequence of connections —
+        /// fresh lives, reconnects with the held incarnation, arbitrary
+        /// held values, hostile preambles — the Welcome's incarnation
+        /// is exactly what the spec's session machine assigns, and the
+        /// Welcome is always chased by the paired Assign.
+        #[test]
+        fn collector_assigns_incarnations_exactly_as_the_spec(
+            greetings in prop::collection::vec(greeting_strategy(), 1..5),
+        ) {
+            let mut hub = hub(1);
+            let mut oracle = SessionMachine::new();
+            let mut last_assigned = 0u32;
+            let mut max_assigned = 0u32;
+            for greeting in &greetings {
+                let held = greeting.held.unwrap_or(last_assigned);
+                let expected = match oracle.on_hello(held) {
+                    HelloOutcome::Admitted(a) => a,
+                    other => panic!("spec refused a pre-shutdown Hello: {other:?}"),
+                };
+
+                let mut peer = Peer::connect(&hub);
+                peer.stream.write_all(&greeting.preamble).unwrap();
+                let hello = CtrlMsg::Hello {
+                    node: NodeId(0),
+                    incarnation: held,
+                };
+                peer.send(&ctrl_envelope(DEST_COLLECTOR, 0, &hello));
+                pump_to(&mut hub, "registration", |hub| hub.owner.contains_key(&0));
+
+                let reply = peer.recv(2);
+                let msgs: Vec<CtrlMsg> = reply
+                    .into_iter()
+                    .map(|env| CtrlMsg::decode(env.payload).unwrap())
+                    .collect();
+                match &msgs[0] {
+                    CtrlMsg::Welcome { incarnation, .. } => {
+                        prop_assert_eq!(
+                            *incarnation, expected,
+                            "Welcome incarnation diverged from the session machine"
+                        );
+                        // A held-incarnation reconnect is *echoed* (a
+                        // stale life stays on its own incarnation);
+                        // only fresh lives must mint strictly above
+                        // everything ever assigned (RA024).
+                        if held == 0 {
+                            prop_assert!(
+                                *incarnation > max_assigned,
+                                "fresh incarnation did not grow (RA024)"
+                            );
+                        }
+                        max_assigned = max_assigned.max(*incarnation);
+                        last_assigned = *incarnation;
+                    }
+                    other => panic!("expected Welcome first, got {other:?}"),
+                }
+                prop_assert!(
+                    matches!(msgs[1], CtrlMsg::Assign { .. }),
+                    "Welcome must be chased by Assign"
+                );
+
+                // Hang up, and let the hub see it before the next life
+                // greets.
+                drop(peer);
+                pump_to(&mut hub, "the hang-up", |hub| hub.owner.is_empty());
+            }
+        }
     }
 }

@@ -1,22 +1,19 @@
-//! Protocol conformance: random valid + hostile control-frame
-//! interleavings are driven through the *real* collector and node
-//! handlers over real TCP sockets, with `remo_runtime`'s spec machines
-//! as the oracle.
-//!
-//! Collector side: every Hello the collector answers must carry
-//! exactly the incarnation the spec's [`SessionMachine`] assigns for
-//! that history, across fresh lives, held-incarnation reconnects, and
-//! hostile preamble frames. Node side: the supervisor must survive
+//! Protocol conformance, node side: random valid + hostile
+//! control-frame interleavings are driven through the *real* node
+//! handler over a real TCP socket, with `remo_runtime`'s
+//! [`ClientMachine`] as the oracle: the supervisor must survive
 //! arbitrary hostile interleavings without panicking and must exit
-//! exactly when the spec's [`ClientMachine`] says Stop.
+//! exactly when the spec says Stop. The collector side (every Welcome
+//! carries exactly the incarnation the spec's session machine assigns)
+//! is a proptest beside the hub, in `service.rs`.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use proptest::prelude::*;
-use remo_core::{AttrId, CapacityMap, NodeId, PairSet};
-use remo_node::{dist_sampler, spawn_node, CollectorService, NodeConfig, ServiceConfig};
+use remo_core::NodeId;
+use remo_node::{dist_sampler, spawn_node, NodeConfig};
 use remo_runtime::framing::{Envelope, FrameDecoder, CHAN_CTRL, DEST_COLLECTOR};
-use remo_runtime::machine::{ClientMachine, HelloOutcome, SessionMachine};
+use remo_runtime::machine::ClientMachine;
 use remo_runtime::spec::{ClientAction, ClientEvent};
 use remo_runtime::transport::NetConfig;
 use remo_runtime::CtrlMsg;
@@ -65,108 +62,6 @@ fn read_ctrl(stream: &mut TcpStream, want: usize) -> Vec<CtrlMsg> {
         }
     }
     got
-}
-
-/// One scripted connection from the fake node's point of view.
-#[derive(Debug, Clone)]
-struct Conn {
-    /// Hostile frames sent before the Hello (ignored by the spec).
-    preamble: Vec<u8>,
-    /// `Some(h)` greets with held incarnation `h`; `None` greets with
-    /// whatever the previous connection was assigned (a reconnect).
-    held: Option<u32>,
-}
-
-fn conn_strategy() -> impl Strategy<Value = Conn> {
-    (
-        prop::collection::vec(0u16..4, 0..3),
-        // (0, _) reconnects with the previously assigned incarnation;
-        // (1, h) greets with an arbitrary held value (0 = fresh life).
-        (0u16..2, 0u16..4),
-    )
-        .prop_map(|(pre, (fresh, h))| Conn {
-            preamble: pre
-                .into_iter()
-                .flat_map(|k| match k {
-                    0 => junk_env(),
-                    1 => ctrl_env(&CtrlMsg::Tick { epoch: 9 }),
-                    2 => ctrl_env(&CtrlMsg::Degrade { factor: 3 }),
-                    _ => ctrl_env(&CtrlMsg::Shutdown),
-                })
-                .collect(),
-            held: (fresh == 1).then_some(u32::from(h)),
-        })
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(10))]
-
-    /// Collector conformance: for any sequence of connections — fresh
-    /// lives, reconnects with the held incarnation, arbitrary held
-    /// values, hostile preambles — the Welcome's incarnation is
-    /// exactly what the spec's session machine assigns, and the
-    /// Welcome is always chased by the paired Assign.
-    #[test]
-    fn collector_assigns_incarnations_exactly_as_the_spec(
-        conns in prop::collection::vec(conn_strategy(), 1..5),
-    ) {
-        let caps = CapacityMap::uniform(1, 1000.0, 100_000.0).unwrap();
-        let pairs: PairSet = [(NodeId(0), AttrId(0))].into_iter().collect();
-        let service =
-            CollectorService::start(ServiceConfig::new("127.0.0.1:0", pairs, caps)).unwrap();
-        let addr = service.addr();
-
-        let mut oracle = SessionMachine::new();
-        let mut last_assigned = 0u32;
-        let mut max_assigned = 0u32;
-        for conn in &conns {
-            let held = conn.held.unwrap_or(last_assigned);
-            let expected = match oracle.on_hello(held) {
-                HelloOutcome::Admitted(a) => a,
-                other => panic!("spec refused a pre-shutdown Hello: {other:?}"),
-            };
-
-            let mut stream = TcpStream::connect(addr).unwrap();
-            stream.set_nodelay(true).unwrap();
-            stream
-                .set_read_timeout(Some(Duration::from_secs(10)))
-                .unwrap();
-            stream.write_all(&conn.preamble).unwrap();
-            stream
-                .write_all(&ctrl_env(&CtrlMsg::Hello {
-                    node: NodeId(0),
-                    incarnation: held,
-                }))
-                .unwrap();
-
-            let msgs = read_ctrl(&mut stream, 2);
-            match &msgs[0] {
-                CtrlMsg::Welcome { incarnation, .. } => {
-                    prop_assert_eq!(
-                        *incarnation, expected,
-                        "Welcome incarnation diverged from the session machine"
-                    );
-                    // A held-incarnation reconnect is *echoed* (a
-                    // stale life stays on its own incarnation); only
-                    // fresh lives must mint strictly above everything
-                    // ever assigned (RA024).
-                    if held == 0 {
-                        prop_assert!(
-                            *incarnation > max_assigned,
-                            "fresh incarnation did not grow (RA024)"
-                        );
-                    }
-                    max_assigned = max_assigned.max(*incarnation);
-                    last_assigned = *incarnation;
-                }
-                other => panic!("expected Welcome first, got {other:?}"),
-            }
-            prop_assert!(
-                matches!(msgs[1], CtrlMsg::Assign { .. }),
-                "Welcome must be chased by Assign"
-            );
-        }
-    }
 }
 
 /// One scripted frame from the fake collector's point of view.

@@ -1,6 +1,6 @@
-//! Thread inventory of the collection path: one thread per node, one
-//! for the collector (the registrar before `run`, the caller's own
-//! thread during it), and none left behind. Its own test binary with a
+//! Thread inventory of the collection path: one thread per node, none
+//! of the collector's own (it registers nodes and runs epochs on the
+//! caller's thread), and none left behind. Its own test binary with a
 //! single test, so `/proc/self/task` counts nothing else.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -44,10 +44,9 @@ fn config(epochs: u64) -> ServiceConfig {
 fn one_thread_per_node_one_for_the_collector_and_none_left_behind() {
     let before = threads();
 
-    // A service that is started and never run stops its registrar when
-    // dropped.
+    // A service that is started and never run has no thread to stop.
     let idle = CollectorService::start(config(1)).unwrap();
-    assert_eq!(threads(), before + 1, "the registrar");
+    assert_eq!(threads(), before, "start() spawned a thread");
     drop(idle);
     assert_settles_to(before, "dropping an unrun service left a thread");
 
@@ -73,7 +72,7 @@ fn one_thread_per_node_one_for_the_collector_and_none_left_behind() {
         mid_run > 0 && mid_run <= before + NODES as usize + 2,
         "{mid_run} threads mid-run, {before} before"
     );
-    assert!(mid_run < launched, "run() must take the registrar's place");
+    assert_eq!(mid_run, launched, "run() adds no thread");
     for h in handles {
         h.join();
     }

@@ -88,6 +88,29 @@ pub struct EpochReport {
     pub degrade_factor: u64,
 }
 
+impl EpochReport {
+    /// Publishes this epoch's report into the process-wide metrics
+    /// registry (no-op while observability is disabled); both runtimes
+    /// call it once per closed epoch. Health transitions are counted at
+    /// their source, [`crate::HealthMonitor::observe_reports`].
+    pub fn export_metrics(&self) {
+        if !remo_obs::enabled() {
+            return;
+        }
+        let add = |name: &str, n: u64| remo_obs::counter(name).inc_by(n as f64);
+        remo_obs::counter("remo_runtime_epochs_total").inc();
+        add("remo_runtime_delivered_values_total", self.delivered_values);
+        add("remo_runtime_dropped_messages_total", self.dropped_messages);
+        add("remo_runtime_dropped_readings_total", self.dropped_readings);
+        remo_obs::counter("remo_runtime_volume_cost_units_total").inc_by(self.volume);
+        add("remo_runtime_values_lost_total", self.values_lost);
+        add(
+            "remo_runtime_reconfigure_messages_total",
+            self.reconfigure_messages,
+        );
+    }
+}
+
 /// One reading as it was accepted into the collector store (recorded
 /// only when [`NetConfig::record_deliveries`] is set; a test and
 /// diagnosis aid).

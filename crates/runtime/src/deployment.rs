@@ -78,28 +78,6 @@ impl Deployment {
         catalog: &AttrCatalog,
         sampler: Sampler,
     ) -> Self {
-        Self::launch_with_health(
-            plan,
-            pairs,
-            caps,
-            cost,
-            catalog,
-            sampler,
-            HealthConfig::default(),
-        )
-    }
-
-    /// [`Deployment::launch`] with explicit failure-detector tuning.
-    #[allow(clippy::too_many_arguments)]
-    pub fn launch_with_health(
-        plan: &MonitoringPlan,
-        pairs: &PairSet,
-        caps: &CapacityMap,
-        cost: CostModel,
-        catalog: &AttrCatalog,
-        sampler: Sampler,
-        health_cfg: HealthConfig,
-    ) -> Self {
         Self::launch_with_transport(
             plan,
             pairs,
@@ -107,15 +85,16 @@ impl Deployment {
             cost,
             catalog,
             sampler,
-            health_cfg,
+            HealthConfig::default(),
             TransportSpec::Perfect,
         )
     }
 
-    /// [`Deployment::launch_with_health`] on an explicit transport.
-    /// With [`TransportSpec::Lossy`] the deployment runs the full
-    /// robustness stack: ARQ delivery, bounded collector ingress with
-    /// backpressure, and graceful degradation under overload.
+    /// [`Deployment::launch`] with explicit failure-detector tuning, on
+    /// an explicit transport. With [`TransportSpec::Lossy`] the
+    /// deployment runs the full robustness stack: ARQ delivery, bounded
+    /// collector ingress with backpressure, and graceful degradation
+    /// under overload.
     #[allow(clippy::too_many_arguments)]
     pub fn launch_with_transport(
         plan: &MonitoringPlan,
@@ -399,7 +378,7 @@ impl Deployment {
                 let _ = tx.send(AgentMsg::SetDegrade { factor });
             }
         }
-        export_epoch_metrics(&report);
+        report.export_metrics();
         report
     }
 
@@ -474,24 +453,6 @@ impl Deployment {
     pub fn shutdown(self) {}
 }
 
-/// Publishes one epoch's aggregate report into the process-wide
-/// metrics registry (no-op while observability is disabled). The
-/// suspected/confirmed/recovered transitions are counted at their
-/// source in [`HealthMonitor::observe_reports`], not re-counted here.
-fn export_epoch_metrics(report: &EpochReport) {
-    if !remo_obs::enabled() {
-        return;
-    }
-    remo_obs::counter("remo_runtime_epochs_total").inc();
-    remo_obs::counter("remo_runtime_delivered_values_total").inc_by(report.delivered_values as f64);
-    remo_obs::counter("remo_runtime_dropped_messages_total").inc_by(report.dropped_messages as f64);
-    remo_obs::counter("remo_runtime_dropped_readings_total").inc_by(report.dropped_readings as f64);
-    remo_obs::counter("remo_runtime_volume_cost_units_total").inc_by(report.volume);
-    remo_obs::counter("remo_runtime_values_lost_total").inc_by(report.values_lost as f64);
-    remo_obs::counter("remo_runtime_reconfigure_messages_total")
-        .inc_by(report.reconfigure_messages as f64);
-}
-
 /// Computes every node's tree assignments from a plan. This is the
 /// single source of truth the deployment configures agents from; the
 /// audit in `remo-check` re-derives it to cross-check live assignments
@@ -530,7 +491,7 @@ pub fn plan_assignments(
                             let info = catalog.get_or_default(attr);
                             LocalAttr {
                                 attr,
-                                period: (1.0 / info.frequency()).round().max(1.0) as u64,
+                                period: info.period(),
                                 aggregation: info.aggregation(),
                             }
                         })
@@ -777,7 +738,7 @@ mod tests {
         let pairs = dense_pairs(6, 1);
         let catalog = AttrCatalog::new();
         let plan = Planner::default().plan_with_catalog(&pairs, &caps, cost, &catalog);
-        let mut dep = Deployment::launch_with_health(
+        let mut dep = Deployment::launch_with_transport(
             &plan,
             &pairs,
             &caps,
@@ -785,6 +746,7 @@ mod tests {
             &catalog,
             sampler(),
             fast_health(2),
+            TransportSpec::Perfect,
         );
         dep.run(4);
         assert!(dep.health_report().dead_nodes().is_empty());

@@ -2,21 +2,25 @@
 //! specification.
 //!
 //! The runtime embeds these machines and *asks* them what to do —
-//! `client.rs` steps a [`ClientMachine`] per supervisor, `service.rs`
-//! a [`SessionMachine`] per expected node — so a transition the spec
-//! does not define cannot be silently improvised. An undefined step
-//! returns `None` and bumps a reject counter: node-side callers
+//! `client.rs` steps a [`ClientMachine`] per supervisor, and the
+//! collector's [`Sessions`] book a [`SessionMachine`] per node, which
+//! `service.rs` and `remo-check mc` both step — so a transition the
+//! spec does not define cannot be silently improvised. An undefined
+//! step returns `None` and bumps a reject counter: node-side callers
 //! `debug_assert!` on it (their input comes from the trusted
-//! collector), collector-side callers count it (their input arrives
-//! over the open network). The [`DedupModel`] is the obviously-correct
-//! restatement of `IncarnationTracker` that the runtime shadows in
-//! debug builds.
+//! collector), the collector counts it for input that arrives over the
+//! open network and records it for its own steps. The [`DedupModel`]
+//! is the obviously-correct restatement of `IncarnationTracker` that
+//! the runtime shadows in debug builds.
 
+use crate::agent::TickReport;
+use crate::health::HealthEvents;
 use crate::spec::{
     ClientAction, ClientEvent, ClientState, DedupPolicy, ProtocolSpec, SessionAction, SessionEvent,
     SessionState,
 };
-use std::collections::BTreeSet;
+use remo_core::NodeId;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 fn shipped() -> Arc<ProtocolSpec> {
@@ -217,6 +221,132 @@ impl SessionMachine {
     }
 }
 
+// ------------------------------------------------------------- session book
+
+/// The collector's session book: one [`SessionMachine`] per node it has
+/// heard of, for its whole run, and the one mapping from what the
+/// collector does to the [`SessionEvent`]s the spec steps. The TCP hub
+/// (`remo-node`'s `service.rs`) and `remo-check mc`'s harness both step
+/// their sessions through it.
+///
+/// A step the spec leaves undefined is counted by the node's machine
+/// ([`Sessions::rejects`]). Input from a node — a Hello, a report, its
+/// connection dropping — arrives over the open network, so that is
+/// all. A collector step (fan-out, barrier verdict, repair) is also
+/// recorded as `(node, state, event)` for [`Sessions::take_undefined`]:
+/// it is a bug in collector logic, not hostile input.
+#[derive(Debug, Clone, Default)]
+pub struct Sessions {
+    machines: BTreeMap<NodeId, SessionMachine>,
+    undefined: Vec<(NodeId, SessionState, SessionEvent)>,
+    steps: u64,
+}
+
+impl Sessions {
+    /// Admits (or refuses) a Hello from `node` carrying `held`
+    /// (0 = fresh life); see [`SessionMachine::on_hello`].
+    pub fn hello(&mut self, node: NodeId, held: u32) -> HelloOutcome {
+        self.machines.entry(node).or_default().on_hello(held)
+    }
+
+    /// The connection that owned `node`'s session is gone.
+    pub fn conn_lost(&mut self, node: NodeId) {
+        let m = self.machines.entry(node).or_default();
+        m.step(SessionEvent::ConnLost);
+    }
+
+    /// Credits `reports`, read during `epoch`'s barrier, to their
+    /// senders — attendance if a report is for `epoch` (or newer), a
+    /// liveness hint only if it is stale — and strikes each sender from
+    /// `missing`.
+    pub fn credit<'a>(
+        &mut self,
+        reports: impl IntoIterator<Item = &'a TickReport>,
+        epoch: u64,
+        missing: &mut BTreeSet<NodeId>,
+    ) {
+        for report in reports {
+            let event = if report.epoch >= epoch {
+                SessionEvent::RecvReportFresh
+            } else {
+                SessionEvent::RecvReportStale
+            };
+            self.machines.entry(report.node).or_default().step(event);
+            missing.remove(&report.node);
+        }
+    }
+
+    /// The epoch tick goes out to `nodes`.
+    pub fn tick(&mut self, nodes: impl IntoIterator<Item = NodeId>) {
+        self.fan_out(nodes, SessionEvent::SendTick);
+    }
+
+    /// The verdicts of a closed epoch: every node still `missing` when
+    /// the barrier closed missed its deadline, then the detector's
+    /// confirmations and recoveries.
+    pub fn verdicts(&mut self, missing: &BTreeSet<NodeId>, events: &HealthEvents) {
+        self.fan_out(missing.iter().copied(), SessionEvent::MissDeadline);
+        self.fan_out(events.confirmed.iter().copied(), SessionEvent::ConfirmDead);
+        self.fan_out(
+            events.recovered.iter().copied(),
+            SessionEvent::MarkRecovered,
+        );
+    }
+
+    /// The plan was repaired around confirmed-dead `node`.
+    pub fn repair(&mut self, node: NodeId) {
+        self.fan_out([node], SessionEvent::Repair);
+    }
+
+    /// A degrade `factor` goes out to `nodes`: factor 1 restores the
+    /// reporting interval, anything wider widens it.
+    pub fn degrade(&mut self, nodes: impl IntoIterator<Item = NodeId>, factor: u64) {
+        let event = if factor > 1 {
+            SessionEvent::SendDegrade
+        } else {
+            SessionEvent::SendRecover
+        };
+        self.fan_out(nodes, event);
+    }
+
+    /// Shutdown goes out to `nodes`.
+    pub fn shutdown(&mut self, nodes: impl IntoIterator<Item = NodeId>) {
+        self.fan_out(nodes, SessionEvent::SendShutdown);
+    }
+
+    /// The undefined collector steps recorded since the last call.
+    pub fn take_undefined(&mut self) -> Vec<(NodeId, SessionState, SessionEvent)> {
+        std::mem::take(&mut self.undefined)
+    }
+
+    /// Steps the spec left undefined, input and collector steps alike.
+    pub fn rejects(&self) -> u64 {
+        self.machines.values().map(SessionMachine::rejects).sum()
+    }
+
+    /// Collector steps taken so far, defined or not.
+    pub fn steps(&self) -> u64 {
+        self.steps
+    }
+
+    /// Every session's current state, in node order.
+    pub fn states(&self) -> impl Iterator<Item = (NodeId, SessionState)> + '_ {
+        self.machines.iter().map(|(&node, m)| (node, m.state()))
+    }
+
+    /// Steps every one of `nodes` with the collector's own `event`.
+    fn fan_out(&mut self, nodes: impl IntoIterator<Item = NodeId>, event: SessionEvent) {
+        for node in nodes {
+            self.steps += 1;
+            let m = self.machines.entry(node).or_default();
+            let state = m.state();
+            if m.step(event).is_none() {
+                self.undefined.push((node, state, event));
+            }
+        }
+    }
+}
+
 // -------------------------------------------------------------- dedup model
 
 /// The specification of the receive-side dedup lattice: an explicit
@@ -357,6 +487,38 @@ mod tests {
         );
         assert_eq!(s.on_hello(0), HelloOutcome::Refused);
         assert_eq!(s.rejects(), 0, "a defined Ignore is not a reject");
+    }
+
+    #[test]
+    fn the_book_records_undefined_collector_steps_and_counts_input_rejects() {
+        let mut book = Sessions::default();
+        let (up, stranger) = (NodeId(0), NodeId(1));
+        assert_eq!(book.hello(up, 0), HelloOutcome::Admitted(1));
+        // A report from a node that never said Hello is hostile input:
+        // a reject, not a collector bug.
+        let report = TickReport {
+            node: stranger,
+            epoch: 1,
+            ..TickReport::default()
+        };
+        let mut missing: BTreeSet<NodeId> = [up, stranger].into();
+        book.credit([&report], 1, &mut missing);
+        assert_eq!(missing, [up].into(), "a report strikes its sender");
+        assert_eq!(book.rejects(), 1);
+        assert!(book.take_undefined().is_empty());
+        // Ticking a node that never registered is the collector's own.
+        book.tick([up, stranger]);
+        assert_eq!(
+            book.take_undefined(),
+            [(stranger, SessionState::Listening, SessionEvent::SendTick)]
+        );
+        assert!(book.take_undefined().is_empty(), "taken once");
+        // The degrade factor picks the edge: wider degrades, 1 restores.
+        book.degrade([up], 4);
+        assert_eq!(book.states().next(), Some((up, SessionState::Degraded)));
+        book.degrade([up], 1);
+        assert_eq!(book.states().next(), Some((up, SessionState::Ticking)));
+        assert_eq!(book.rejects(), 2);
     }
 
     #[test]

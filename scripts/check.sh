@@ -282,6 +282,25 @@ if ! grep -q 'self\.flush_due()' <<< "$pump_body" || grep -n 'self\.flush()' <<<
   exit 1
 fi
 
+# One collector thread and one session book: the service registers
+# nodes and runs epochs on its caller's thread, and the model checker
+# steps the hub's session book (remo_runtime::machine::Sessions), not a
+# copy of it. One reporting-period rule: AttrInfo::period.
+echo "==> one collector thread, one session book, one reporting period"
+service=$(sed '/^mod tests {/,$d' crates/node/src/service.rs)
+if grep -nE 'thread::spawn|UnixStream|AtomicUsize|impl Drop for CollectorService' <<<"$service"; then
+  echo "service.rs must serve registrations on the caller's thread: no registrar, no hand-over" >&2
+  exit 1
+fi
+if grep -nE '\bSessionMachine\s*(::|\{)|\.step\(SessionEvent::' crates/check/src/harness.rs; then
+  echo "the mc harness must step the collector's Sessions book, not session machines of its own" >&2
+  exit 1
+fi
+if grep -rnE 'fn period_of\b|1\.0 / .*frequency\(\)' crates/*/src | grep -v '^crates/core/src/attribute.rs:'; then
+  echo "a reporting period is AttrInfo::period(); do not derive one from frequency() again" >&2
+  exit 1
+fi
+
 # One engine: the evaluation substrate steps the real agents. None of
 # the deleted epoch engine's types may come back beside them.
 echo "==> no second epoch engine (crates/, tests/, examples/)"
