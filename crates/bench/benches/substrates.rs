@@ -1,7 +1,8 @@
 //! Substrate benchmarks: simulator epoch throughput, wire-protocol
-//! encode/decode, and the stages a reading crosses on the collection
+//! encode/decode, the stages a reading crosses on the collection
 //! data path (`datapath`: relay tick, stream decoder, collector intake,
-//! shedding).
+//! shedding), and receive-side dedup (`dedup`: a sender's seqs arriving
+//! contiguous or with gaps).
 
 // Benchmark scaffolding: inputs are compile-time constants, so a
 // failed unwrap is a broken harness, not a runtime error path.
@@ -14,7 +15,7 @@ use remo_core::{Aggregation, AttrCatalog, AttrId, CapacityMap, CostModel, NodeId
 use remo_runtime::agent::{Agent, AgentMsg, LocalAttr, Route, TreeAssignment};
 use remo_runtime::framing::{Envelope, FrameDecoder, CHAN_DATA, DEST_COLLECTOR};
 use remo_runtime::proto::{WireMessage, WireReading};
-use remo_runtime::transport::{Endpoint, NetConfig, Transport};
+use remo_runtime::transport::{Endpoint, IncarnationTracker, NetConfig, Transport};
 use remo_runtime::{CollectorCore, EpochReport};
 use remo_sim::{SimConfig, SimSetup, Simulator};
 use std::collections::BTreeMap;
@@ -249,10 +250,32 @@ fn bench_datapath(c: &mut Criterion) {
     group.finish();
 }
 
+/// A fresh dedup tracker for one sender fed 10^5 seqs, contiguous
+/// (a sender with one parent) and 1 in 4 (a sender with four parents,
+/// seen from one of them): the time per iteration over 10^5 is the
+/// cost of one insert.
+fn bench_dedup(c: &mut Criterion) {
+    const SEQS: u64 = 100_000;
+    let mut group = c.benchmark_group("dedup");
+    group.throughput(Throughput::Elements(SEQS));
+    for stride in [1u64, 4] {
+        let id = BenchmarkId::new("insert_1e5", format!("1_in_{stride}"));
+        group.bench_with_input(id, &stride, |b, &stride| {
+            b.iter(|| {
+                let mut tracker = IncarnationTracker::default();
+                let fresh = (1..=SEQS).filter(|i| tracker.insert(0, i * stride));
+                assert_eq!(fresh.count() as u64, SEQS);
+            });
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_simulator_step,
     bench_wire_protocol,
-    bench_datapath
+    bench_datapath,
+    bench_dedup
 );
 criterion_main!(benches);

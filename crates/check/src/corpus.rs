@@ -452,6 +452,17 @@ pub fn seq_restart_swallow() -> ProtocolSpec {
     spec
 }
 
+/// The dedup window without its sender half: receivers keep an
+/// anti-replay window, but the sender goes on retrying a frame after
+/// its seq falls a window behind the next one issued, so a late
+/// retransmission lands below the window, is taken for a replay and
+/// re-acked — lost while its sender counts it delivered.
+pub fn dedup_window_unenforced() -> ProtocolSpec {
+    let mut spec = ProtocolSpec::shipped();
+    spec.arq.window_enforced = false;
+    spec
+}
+
 /// PR 9 bug #2, as a spec mutation: stale (closed-epoch) straggler
 /// reports credited as barrier attendance, resurrecting confirmed-dead
 /// nodes and double-repairing already-repaired load.
@@ -522,6 +533,14 @@ pub fn proto_cases() -> Vec<Case<ProtocolSpec>> {
             input: seq_restart_swallow(),
         },
         Case {
+            name: "dedup-window-unenforced",
+            rule: "incarnation-regression",
+            code: "RA024",
+            why: "the sender keeps retrying frames that fell below the receivers' dedup \
+                  window, so a late copy is taken for a replay, re-acked and silently lost",
+            input: dedup_window_unenforced(),
+        },
+        Case {
             name: "unbounded-retransmit",
             rule: "unbounded-inflight",
             code: "RA025",
@@ -572,6 +591,25 @@ mod tests {
             "the verifier must catch the PR 9 seq-restart swallow: {:?}",
             report.findings
         );
+    }
+
+    /// A receive window the sender does not respect loses live frames:
+    /// caught as RA024 by the ARQ phase, and only there.
+    #[test]
+    fn verifier_catches_a_window_the_sender_ignores() {
+        let report = test_verify(&dedup_window_unenforced());
+        assert!(
+            report
+                .findings
+                .iter()
+                .any(|f| f.code == "RA024" && f.message.contains("below the dedup window")),
+            "the verifier must catch a live frame below the window: {:?}",
+            report.findings
+        );
+        assert!(report
+            .findings
+            .iter()
+            .all(|f| f.message.starts_with("arq:")));
     }
 
     /// Seed-the-bug regression: PR 9's straggler-resurrection bug,

@@ -14,10 +14,12 @@
 //! 2. **ARQ** (`verify_arq`): sender/receiver over a multiset
 //!    channel with drop, duplication, reordering, and sender restart
 //!    (sequence numbers restart at 1 in the new life — the exact
-//!    PR 9 scenario).
+//!    seq-restart scenario), with the receiver's anti-replay window
+//!    and the sender's rule that keeps live frames inside it, at a
+//!    window the exploration's frames overrun (see `explored_window`).
 //! 3. **Dedup lattice** (`verify_dedup`): every insert sequence
 //!    over a small (incarnation, seq) universe against the
-//!    [`DedupModel`] laws.
+//!    [`DedupModel`] laws, at a window the universe overruns.
 //!
 //! Properties proved (rule codes from `remo_core::validate`):
 //! RA022 — every reachable non-terminal state has an enabled
@@ -26,9 +28,9 @@
 //! (the straggler-resurrection / double-repair property); RA024 —
 //! assigned incarnations grow strictly across fresh Hellos, adopted
 //! incarnations never regress, and the dedup lattice never swallows a
-//! current- or future-life frame; RA025 — per-frame transmissions
-//! respect the retry budget and channels stay within their declared
-//! caps.
+//! current- or future-life frame its sender has not given up on;
+//! RA025 — per-frame transmissions respect the retry budget, channels
+//! stay within their declared caps, and dedup state within its window.
 //!
 //! Undefined entries are handled by kind: an undefined **message**
 //! delivery is an RA023 finding (the message is dropped and
@@ -53,7 +55,8 @@ use remo_core::explore::{explore, ExploreStats};
 use remo_core::validate::{rules, Finding, RuleSet};
 use remo_runtime::machine::DedupModel;
 use remo_runtime::spec::{
-    ClientAction, ClientEvent, ClientState, ProtocolSpec, SessionAction, SessionEvent, SessionState,
+    ClientAction, ClientEvent, ClientState, DedupPolicy, ProtocolSpec, SessionAction, SessionEvent,
+    SessionState,
 };
 use std::collections::{BTreeSet, HashSet};
 
@@ -586,6 +589,28 @@ fn verify_ctrl(spec: &ProtocolSpec, depth: usize, sink: &mut Sink) -> ExploreSta
 
 const ARQ_NET_CAP: usize = 3;
 
+/// The dedup window an exploration runs at: the spec's, shrunk to one
+/// seq fewer than the `seqs` it can produce (but at least one), and
+/// `0` (no window) where the spec has none. The window rules compare
+/// seq distances with the window and nothing else, so what a window
+/// of `W` loses, a window of `W' < W` loses the same way given
+/// `W' + 1` seqs; a window the bounds cannot overrun would prove
+/// nothing about it.
+fn explored_window(spec: &ProtocolSpec, seqs: u8) -> u64 {
+    match spec.dedup.window {
+        0 => 0,
+        w => w.min(u64::from(seqs.saturating_sub(1)).max(1)),
+    }
+}
+
+/// The spec's dedup policy at the window an exploration runs at.
+fn explored_dedup(spec: &ProtocolSpec, seqs: u8) -> DedupPolicy {
+    DedupPolicy {
+        window: explored_window(spec, seqs),
+        ..spec.dedup
+    }
+}
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 enum Pkt {
     Data { inc: u8, seq: u8 },
@@ -607,6 +632,11 @@ struct Arq {
     frames: Vec<FrameSt>,
     receiver: DedupModel,
     delivered: BTreeSet<(u8, u8)>,
+    /// Frames of past lives the sender had abandoned (spent budget or
+    /// below the window) that still have a copy in flight; this life's
+    /// are flagged in `frames`. Their loss is counted at the sender, so
+    /// dedup rejecting a late copy loses nothing more.
+    given_up: BTreeSet<(u8, u8)>,
     net: Vec<Pkt>,
     dups_left: u8,
     restarts_left: u8,
@@ -618,11 +648,27 @@ impl Arq {
             inc: 1,
             produced: 0,
             frames: Vec::new(),
-            receiver: DedupModel::with_policy(spec.dedup),
+            receiver: DedupModel::with_policy(explored_dedup(spec, spec.bounds.frames)),
             delivered: BTreeSet::new(),
+            given_up: BTreeSet::new(),
             net: Vec::new(),
             dups_left: spec.bounds.dups,
             restarts_left: spec.bounds.restarts,
+        }
+    }
+
+    /// Whether the sender is done with frame `(inc, seq)`: acked or
+    /// abandoned in this life, abandoned in a past one. Dedup rejecting
+    /// such a frame loses nothing new — an acked frame that was never
+    /// delivered was lost at the rejection that earned the ack, and
+    /// that one is checked.
+    fn resolved(&self, inc: u8, seq: u8) -> bool {
+        if inc == self.inc {
+            self.frames
+                .iter()
+                .any(|f| f.seq == seq && (f.acked || f.abandoned))
+        } else {
+            self.given_up.contains(&(inc, seq))
         }
     }
 
@@ -637,12 +683,22 @@ impl Arq {
 fn arq_successors(s: &Arq, spec: &ProtocolSpec, sink: &mut Sink) -> Vec<Arq> {
     let mut out = Vec::new();
     let max = spec.arq.max_attempts;
+    let window = explored_window(spec, spec.bounds.frames);
 
-    // Produce the next frame of this life (first transmission).
+    // Produce the next frame of this life (first transmission). When
+    // the spec enforces the window, issuing `seq` first abandons every
+    // unresolved frame at or below `seq − window`.
     if s.produced < spec.bounds.frames && s.net.len() < ARQ_NET_CAP {
         let mut n = s.clone();
         n.produced += 1;
         let seq = n.produced;
+        if spec.arq.window_enforced && window > 0 {
+            for f in &mut n.frames {
+                if !f.acked && u64::from(f.seq) + window <= u64::from(seq) {
+                    f.abandoned = true;
+                }
+            }
+        }
         n.frames.push(FrameSt {
             seq,
             attempts: 1,
@@ -708,14 +764,20 @@ fn arq_successors(s: &Arq, spec: &ProtocolSpec, sink: &mut Sink) -> Vec<Arq> {
                         );
                     }
                     n.delivered.insert((inc, seq));
-                } else if !was_delivered && u32::from(inc) >= watermark {
-                    sink.push(
-                        rules::INCARNATION_REGRESSION,
+                } else if !was_delivered && u32::from(inc) >= watermark && !s.resolved(inc, seq) {
+                    let message = if u32::from(inc) == watermark && s.receiver.expired(seq.into()) {
+                        format!(
+                            "arq: live frame (inc {inc}, seq {seq}) arrived below the dedup \
+                             window and was swallowed — re-acked as a replay, so its sender \
+                             counts it delivered"
+                        )
+                    } else {
                         format!(
                             "arq: fresh frame (inc {inc}, seq {seq}) swallowed by dedup — \
                              a restarted sender's first frames are silently lost"
-                        ),
-                    );
+                        )
+                    };
+                    sink.push(rules::INCARNATION_REGRESSION, message);
                 }
                 if n.net.len() < ARQ_NET_CAP {
                     n.net.push(Pkt::Ack { inc, seq });
@@ -752,12 +814,19 @@ fn arq_successors(s: &Arq, spec: &ProtocolSpec, sink: &mut Sink) -> Vec<Arq> {
     if s.restarts_left > 0 {
         let mut n = s.clone();
         n.restarts_left -= 1;
+        let abandoned = n.frames.iter().filter(|f| f.abandoned);
+        n.given_up.extend(abandoned.map(|f| (s.inc, f.seq)));
         n.inc += 1;
         n.produced = 0;
         n.frames.clear();
         out.push(n);
     }
 
+    for n in &mut out {
+        let net = &n.net;
+        n.given_up
+            .retain(|&(inc, seq)| net.contains(&Pkt::Data { inc, seq }));
+    }
     out
 }
 
@@ -783,11 +852,13 @@ fn verify_arq(spec: &ProtocolSpec, depth: usize, sink: &mut Sink) -> ExploreStat
 // ================================================================ dedup
 
 /// Exhaustively enumerates insert sequences over a small
-/// (incarnation, seq) universe and checks the lattice laws.
+/// (incarnation, seq) universe and checks the lattice laws, at a
+/// window the universe's seqs overrun.
 fn verify_dedup(spec: &ProtocolSpec, sink: &mut Sink) -> ExploreStats {
     const INCS: [u8; 2] = [1, 2];
     const SEQS: [u8; 3] = [1, 2, 3];
     const DEPTH: usize = 4;
+    let policy = explored_dedup(spec, SEQS.len() as u8);
 
     let mut stats = ExploreStats::default();
     let universe: Vec<(u8, u8)> = INCS
@@ -798,7 +869,7 @@ fn verify_dedup(spec: &ProtocolSpec, sink: &mut Sink) -> ExploreStats {
     // (model, accepted ground truth) pairs, expanded breadth-first;
     // dedup collapses permutations that reach the same lattice state.
     let mut seen: HashSet<(DedupModel, BTreeSet<(u8, u8)>)> = HashSet::new();
-    let root = (DedupModel::with_policy(spec.dedup), BTreeSet::new());
+    let root = (DedupModel::with_policy(policy), BTreeSet::new());
     seen.insert(root.clone());
     stats.visited = 1;
     let mut frontier = vec![root];
@@ -813,6 +884,14 @@ fn verify_dedup(spec: &ProtocolSpec, sink: &mut Sink) -> ExploreStats {
                 let max_inc_accepted = acc.iter().map(|&(i, _)| i).max().unwrap_or(0);
                 let fresh = inc > max_inc_accepted
                     || (inc == max_inc_accepted && !acc.contains(&(inc, seq)));
+                // Below the window of its own life: counts as seen.
+                let top = acc
+                    .iter()
+                    .filter(|&&(i, _)| i == inc)
+                    .map(|&(_, q)| q)
+                    .max()
+                    .unwrap_or(0);
+                let expired = policy.window > 0 && u64::from(seq) + policy.window <= u64::from(top);
                 let pre = m.contains(u32::from(inc), u64::from(seq));
                 let r = m.insert(u32::from(inc), u64::from(seq));
                 if m.incarnation() < watermark {
@@ -834,7 +913,7 @@ fn verify_dedup(spec: &ProtocolSpec, sink: &mut Sink) -> ExploreStats {
                         ),
                     );
                 }
-                if !r && fresh && u32::from(inc) >= watermark {
+                if !r && fresh && !expired && u32::from(inc) >= watermark {
                     sink.push(
                         rules::INCARNATION_REGRESSION,
                         format!(
@@ -851,6 +930,17 @@ fn verify_dedup(spec: &ProtocolSpec, sink: &mut Sink) -> ExploreStats {
                 }
                 if r {
                     acc.insert((inc, seq));
+                }
+                if policy.window > 0 && m.tracked() as u64 > policy.window {
+                    sink.push(
+                        rules::UNBOUNDED_INFLIGHT,
+                        format!(
+                            "dedup: {} seqs held after insert (inc {inc}, seq {seq}), past \
+                             the {}-seq window",
+                            m.tracked(),
+                            policy.window
+                        ),
+                    );
                 }
                 let state = (m, acc);
                 if seen.insert(state.clone()) {

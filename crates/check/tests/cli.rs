@@ -129,7 +129,7 @@ fn corpus_cases_exit_by_fails_on_and_write_sarif() {
     // fails on errors only, `static` on any finding.
     assert!(exits.contains(&("unmeetable-staleness-slo", 0)), "RA017");
     assert!(exits.contains(&("degrade-divergence", 1)), "RA020");
-    assert_eq!(exits.len(), 10 + 4 + 6);
+    assert_eq!(exits.len(), 10 + 4 + 7);
 
     // A replay that reproduces its recorded violation passes, and
     // still reports what it reproduced.

@@ -1,6 +1,7 @@
 //! The TCP collector exports the epoch metrics the in-process
 //! deployment exports: one `EpochReport::export_metrics` per closed
-//! epoch, so the `remo_runtime_*` counters add up to the run summary.
+//! epoch, so the `remo_runtime_*` counters add up to the run summary;
+//! and the dedup window's counters stay at 0 on a healthy fleet.
 //! Its own test binary with a single test: the registry is
 //! process-wide.
 
@@ -48,4 +49,8 @@ fn the_service_exports_every_epoch_it_runs() {
         count("remo_runtime_delivered_values_total"),
         summary.delivered_values
     );
+    // The dedup window's premise: no frame ever falls below a
+    // receiver's window, so none is abandoned for it either.
+    assert_eq!(count("remo_net_dedup_expired_total"), 0);
+    assert_eq!(count("remo_net_window_abandoned_total"), 0);
 }

@@ -23,14 +23,14 @@
 //! transport (the deterministic default) the agent behaves exactly as
 //! it always has. On an unreliable one it runs an ARQ layer: every
 //! data frame carries a sequence number, receivers ack and
-//! deduplicate (via [`SeqTracker`](crate::transport::SeqTracker)),
-//! and unacked frames are
-//! retransmitted on an exponential-backoff timer until a retry budget
-//! runs out.
+//! deduplicate (via [`SeqTracker`](crate::transport::SeqTracker)'s
+//! anti-replay window), and unacked frames are retransmitted on an
+//! exponential-backoff timer until a retry budget runs out or the
+//! frame falls [`DEDUP_WINDOW`] seqs behind the next one issued.
 
 use crate::proto::{encode_frame, parse_frame, FrameKind, WireReading};
 use crate::throttle::TokenBucket;
-use crate::transport::{Endpoint, IncarnationTracker, NetConfig, Transport};
+use crate::transport::{Endpoint, IncarnationTracker, NetConfig, Transport, DEDUP_WINDOW};
 use bytes::Bytes;
 use crossbeam::channel::{Receiver, Sender};
 use remo_core::{Aggregation, AttrId, CostModel, NodeId};
@@ -151,7 +151,8 @@ pub struct TickReport {
     pub retransmits: u32,
     /// Duplicate data frames ignored by receive-side dedup.
     pub dup_ignored: u32,
-    /// Frames abandoned after the retry budget ran out.
+    /// Frames abandoned after the retry budget ran out or below the
+    /// receivers' dedup window.
     pub abandoned: u32,
 }
 
@@ -196,7 +197,8 @@ pub struct Agent {
     /// node processes get a fresh (higher) incarnation per restart.
     incarnation: u32,
     /// Sequence counter for outgoing data frames (monotone across
-    /// crashes so fresh frames are never mistaken for replays).
+    /// crashes so fresh frames are never mistaken for replays); only
+    /// [`Agent::issue_seq`] advances it.
     next_seq: u64,
     /// Sent-but-unacked data frames, by seq.
     unacked: BTreeMap<u64, Unacked>,
@@ -352,11 +354,14 @@ impl Agent {
         if self.arq {
             // Replay? Re-ack (the first ack may have been lost) and
             // discard — dedup keeps duplicates out of the buffers.
-            if self
+            if let Some(t) = self
                 .seen
                 .get(&header.from)
-                .is_some_and(|t| t.contains(header.incarnation, header.seq))
+                .filter(|t| t.contains(header.incarnation, header.seq))
             {
+                if remo_obs::enabled() && t.expired(header.incarnation, header.seq) {
+                    remo_obs::counter("remo_net_dedup_expired_total").inc();
+                }
                 self.transport.send_ack(
                     Endpoint::Node(self.id),
                     header.from,
@@ -445,6 +450,32 @@ impl Agent {
         }
     }
 
+    /// Issues the next data-frame seq. First it abandons every unacked
+    /// frame at or below `seq − DEDUP_WINDOW`, counted like a spent
+    /// retry budget: a receiver's window ends at most that far below
+    /// the highest seq it has seen, so no frame the sender still
+    /// retries can ever arrive below one and be taken for a replay.
+    /// The only place `next_seq` moves.
+    fn issue_seq(&mut self, report: &mut TickReport) -> u64 {
+        self.next_seq += 1;
+        let seq = self.next_seq;
+        let floor = seq.saturating_sub(DEDUP_WINDOW);
+        while let Some(oldest) = self.unacked.first_entry().filter(|e| *e.key() <= floor) {
+            report.abandoned += 1;
+            report.dropped_readings += oldest.remove().readings;
+            if remo_obs::enabled() {
+                remo_obs::counter("remo_net_abandoned_frames_total").inc();
+                remo_obs::counter("remo_net_window_abandoned_total").inc();
+            }
+        }
+        seq
+    }
+
+    /// The seqs each child sender's dedup window holds as seen.
+    pub(crate) fn dedup_tracked(&self) -> impl Iterator<Item = (NodeId, usize)> + '_ {
+        self.seen.iter().map(|(&from, t)| (from, t.tracked()))
+    }
+
     fn on_tick(&mut self, epoch: u64) {
         self.epoch = epoch;
         if self.failed {
@@ -523,8 +554,7 @@ impl Agent {
                 debug_assert!(ok, "trimmed message must fit");
             }
 
-            self.next_seq += 1;
-            let seq = self.next_seq;
+            let seq = self.issue_seq(&mut report);
             report.sent_messages += 1;
             report.sent_readings += readings.len() as u32;
             report.volume += self.cost.message_cost(readings.len() as f64);
@@ -961,5 +991,65 @@ mod tests {
         let tape = sends(&ran);
         assert!(tape.iter().any(|l| l.starts_with("data")));
         assert_eq!(tape.iter().filter(|l| l.starts_with("ack")).count(), 4);
+    }
+
+    /// The sender half of the dedup window: a frame nobody acks is
+    /// abandoned once its seq falls `DEDUP_WINDOW` behind the next one
+    /// issued, counted like a spent retry budget, even when the budget
+    /// would retry it for much longer. A child frame from below the
+    /// window is taken for a replay and re-acked. Both show on their
+    /// counters.
+    #[test]
+    fn frames_are_abandoned_at_the_window_and_expired_ones_counted() {
+        let _guard = remo_obs::test_guard();
+        let count = |name: &str| remo_obs::counter(name).get() as u64;
+        let (window_0, expired_0) = (
+            count("remo_net_window_abandoned_total"),
+            count("remo_net_dedup_expired_total"),
+        );
+        remo_obs::enable();
+        const TREES: u32 = 64;
+        const EPOCHS: u64 = 70;
+        let (_inbox, rx) = unbounded();
+        let (report_tx, reports) = unbounded();
+        let mut agent = Agent::new(
+            NodeId(1),
+            rx,
+            Arc::new(Tape::default()),
+            report_tx,
+            1e9,
+            CostModel::default(),
+            NetConfig {
+                max_attempts: 20,
+                ..NetConfig::default()
+            },
+            crate::samplers::deterministic(),
+            (0..TREES)
+                .map(|t| assignment(t, Route::Collector, &[t]))
+                .collect(),
+        );
+        for epoch in 1..=EPOCHS {
+            agent.handle(AgentMsg::Tick { epoch });
+        }
+        let child = |seq: u64| AgentMsg::Data {
+            sent_epoch: EPOCHS,
+            frame: WireMessage::data(0, NodeId(7), seq, Vec::new()).encode(),
+        };
+        agent.handle(child(DEDUP_WINDOW + 5));
+        agent.handle(child(5));
+        remo_obs::disable();
+
+        let reports: Vec<TickReport> = std::iter::from_fn(|| reports.try_recv().ok()).collect();
+        let abandoned: u32 = reports.iter().map(|r| r.abandoned).sum();
+        let dropped: u32 = reports.iter().map(|r| r.dropped_readings).sum();
+        let sent = EPOCHS * u64::from(TREES);
+        assert_eq!(u64::from(abandoned), sent - DEDUP_WINDOW);
+        assert_eq!(dropped, abandoned, "one reading per frame");
+        assert_eq!(agent.unacked.len() as u64, DEDUP_WINDOW);
+        assert_eq!(
+            count("remo_net_window_abandoned_total") - window_0,
+            u64::from(abandoned)
+        );
+        assert_eq!(count("remo_net_dedup_expired_total") - expired_0, 1);
     }
 }

@@ -262,11 +262,14 @@ impl CollectorCore {
         }
         // Replayed frame: re-ack (the first ack may have been lost)
         // and discard.
-        if self
+        if let Some(t) = self
             .seen
             .get(&header.from)
-            .is_some_and(|t| t.contains(header.incarnation, header.seq))
+            .filter(|t| t.contains(header.incarnation, header.seq))
         {
+            if remo_obs::enabled() && t.expired(header.incarnation, header.seq) {
+                remo_obs::counter("remo_net_dedup_expired_total").inc();
+            }
             transport.send_ack(
                 Endpoint::Collector,
                 header.from,
@@ -296,6 +299,11 @@ impl CollectorCore {
         // readings are ever processed.
         self.bucket.charge(self.cost.per_message());
         self.ingress.extend(readings.map(|r| (r, sent_epoch)));
+    }
+
+    /// The seqs each root sender's dedup window holds as seen.
+    pub(crate) fn dedup_tracked(&self) -> impl Iterator<Item = (NodeId, usize)> + '_ {
+        self.seen.iter().map(|(&from, t)| (from, t.tracked()))
     }
 
     /// Sheds the queue down to capacity, processes under the per-value

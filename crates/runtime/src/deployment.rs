@@ -20,7 +20,7 @@ use crate::coordinator::Coordinator;
 use crate::health::{HealthConfig, HealthMonitor, HealthReport};
 use crate::repair::RepairEngine;
 use crate::transport::{
-    LossyTransport, NetConfig, NetSpec, PerfectTransport, Transport, TransportStats,
+    Endpoint, LossyTransport, NetConfig, NetSpec, PerfectTransport, Transport, TransportStats,
 };
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -289,6 +289,24 @@ impl Deployment {
     /// in-process transports can.
     pub fn set_link_down(&self, from: NodeId, to: NodeId, down: bool) -> bool {
         self.transport.set_link_down(from, to, down)
+    }
+
+    /// What every receive-side dedup window holds: the seqs it counts
+    /// as seen, by (receiver, sender). Empty on the perfect transport,
+    /// which runs no ARQ; on an unreliable one each count is bounded by
+    /// [`DEDUP_WINDOW`](crate::transport::DEDUP_WINDOW), however long
+    /// the run.
+    pub fn dedup_tracked(&self) -> BTreeMap<(Endpoint, NodeId), usize> {
+        let agents = self.agents.iter().flat_map(|(&id, a)| {
+            a.dedup_tracked()
+                .map(move |(from, n)| ((Endpoint::Node(id), from), n))
+        });
+        let collector = self
+            .coord
+            .collector
+            .dedup_tracked()
+            .map(|(from, n)| ((Endpoint::Collector, from), n));
+        agents.chain(collector).collect()
     }
 
     /// Effective reporting-interval multiplier currently in force

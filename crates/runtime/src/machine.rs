@@ -350,37 +350,46 @@ impl Sessions {
 // -------------------------------------------------------------- dedup model
 
 /// The specification of the receive-side dedup lattice: an explicit
-/// (incarnation, seen-set) pair with none of `SeqTracker`'s watermark
-/// compaction. `IncarnationTracker` must agree with this model on
-/// every `insert`/`contains` — debug builds assert exactly that — and
-/// the verifier exhaustively checks the model's own laws.
+/// (incarnation, seen-set) pair with none of `SeqTracker`'s bitmap
+/// arithmetic, plus the anti-replay window rule
+/// ([`DedupPolicy::window`]): a seq `window` or more below the highest
+/// seq seen counts as seen, and the set is pruned below it, so it
+/// never holds more than `window` seqs. `IncarnationTracker` must
+/// agree with this model on every `insert`/`contains` — debug builds
+/// assert exactly that — and the verifier exhaustively checks the
+/// model's own laws.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct DedupModel {
     scoped: bool,
+    window: u64,
     incarnation: u32,
     seen: BTreeSet<u64>,
 }
 
 impl Default for DedupModel {
-    /// The shipped (incarnation-scoped) policy.
+    /// The shipped (incarnation-scoped, windowed) policy.
     fn default() -> Self {
         DedupModel::new()
     }
 }
 
 impl DedupModel {
-    /// A model with the shipped (incarnation-scoped) policy.
+    /// A model with the shipped policy: incarnation-scoped, with the
+    /// runtime's [`DEDUP_WINDOW`](crate::transport::DEDUP_WINDOW).
     pub fn new() -> DedupModel {
         DedupModel::with_policy(DedupPolicy {
             incarnation_scoped: true,
+            window: crate::transport::DEDUP_WINDOW,
         })
     }
 
     /// A model with an explicit policy (`incarnation_scoped: false`
-    /// reproduces the PR 9 seq-restart swallow).
+    /// reproduces the seq-restart swallow; `window: 0` remembers every
+    /// seq).
     pub fn with_policy(policy: DedupPolicy) -> DedupModel {
         DedupModel {
             scoped: policy.incarnation_scoped,
+            window: policy.window,
             incarnation: 0,
             seen: BTreeSet::new(),
         }
@@ -401,7 +410,13 @@ impl DedupModel {
             // Buggy policy: one flat window across incarnations.
             self.incarnation = self.incarnation.max(incarnation);
         }
-        self.seen.insert(seq)
+        if self.expired(seq) || !self.seen.insert(seq) {
+            return false;
+        }
+        while self.seen.first().is_some_and(|&s| self.expired(s)) {
+            self.seen.pop_first();
+        }
+        true
     }
 
     /// Whether `(incarnation, seq)` has been seen.
@@ -410,11 +425,23 @@ impl DedupModel {
             match incarnation.cmp(&self.incarnation) {
                 std::cmp::Ordering::Less => true,
                 std::cmp::Ordering::Greater => false,
-                std::cmp::Ordering::Equal => self.seen.contains(&seq),
+                std::cmp::Ordering::Equal => self.expired(seq) || self.seen.contains(&seq),
             }
         } else {
-            self.seen.contains(&seq)
+            self.expired(seq) || self.seen.contains(&seq)
         }
+    }
+
+    /// Whether `seq` of the current incarnation sits below the window:
+    /// `window` or more below the highest seq seen.
+    pub fn expired(&self, seq: u64) -> bool {
+        let top = self.seen.last().copied().unwrap_or(0);
+        self.window > 0 && seq.saturating_add(self.window) <= top
+    }
+
+    /// The seqs remembered one by one (never more than the window).
+    pub fn tracked(&self) -> usize {
+        self.seen.len()
     }
 
     /// The newest sender incarnation observed.
@@ -538,11 +565,34 @@ mod tests {
     fn unscoped_dedup_model_reproduces_the_seq_restart_swallow() {
         let mut m = DedupModel::with_policy(DedupPolicy {
             incarnation_scoped: false,
+            window: 0,
         });
         assert!(m.insert(1, 1));
         assert!(
             !m.insert(2, 1),
             "the buggy flat window swallows the restarted sender's frame"
         );
+    }
+
+    #[test]
+    fn the_window_expires_old_seqs_and_bounds_the_set() {
+        let mut m = DedupModel::with_policy(DedupPolicy {
+            incarnation_scoped: true,
+            window: 4,
+        });
+        // A 1-in-3 subsequence: the set keeps what is inside the window.
+        for seq in (1..=30).step_by(3) {
+            assert!(m.insert(1, seq));
+            assert!(m.tracked() <= 2, "{} seqs held at {seq}", m.tracked());
+        }
+        // Top is 28: 25..=28 is the window, 24 and below count as seen.
+        assert!(m.expired(24) && !m.expired(25));
+        assert!(!m.insert(1, 24), "below the window: taken for a replay");
+        assert!(m.contains(1, 3), "long gone, still seen");
+        assert!(m.insert(1, 26), "a gap inside the window is fresh");
+        assert!(!m.insert(1, 26));
+        // A fresh life starts a fresh window.
+        assert!(m.insert(2, 1));
+        assert!(!m.contains(2, 24) && !m.expired(24));
     }
 }

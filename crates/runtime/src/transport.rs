@@ -788,45 +788,102 @@ impl Transport for LossyTransport {
 
 // ----------------------------------------------------------------- dedup
 
-/// Idempotent receive-side dedup keyed on a sender's sequence numbers
-/// (seqs start at 1): tracks the highest contiguous seq seen plus the
-/// out-of-order stragglers, so memory stays bounded by the reorder
-/// window instead of the whole history.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// Width of every receiver's anti-replay window, in seqs. Each
+/// sender's numbers share one counter across all its parents, so a
+/// receiver sees a subsequence; the window keeps what it remembers of
+/// one sender at `DEDUP_WINDOW` bits (512 B) whatever the plan. The
+/// sender abandons an unacked frame once its seq falls this far behind
+/// the next one it issues, so no frame it still retries is ever below a
+/// window. Sized so that rule stays idle: sending `F` frames per epoch,
+/// a frame normally lives `retry_window + delay_max + 2` epochs, and
+/// `F` times that is far below 4 096 on every fleet this repository
+/// runs (1 026 for ten attempts at one frame per epoch).
+pub const DEDUP_WINDOW: u64 = 4096;
+
+const WINDOW_WORDS: usize = (DEDUP_WINDOW / 64) as usize;
+
+/// Idempotent receive-side dedup keyed on a sender's sequence numbers:
+/// an anti-replay window (RFC 4303 §3.4.3). It keeps the highest seq
+/// seen and a ring bitmap of the [`DEDUP_WINDOW`] seqs ending there;
+/// a seq that far or farther below the top counts as seen. Its state is
+/// the same `DEDUP_WINDOW / 8` bytes after one frame or a billion,
+/// contiguous or not.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SeqTracker {
-    contiguous: u64,
-    pending: BTreeSet<u64>,
+    top: u64,
+    /// Bit `seq % DEDUP_WINDOW` is set iff `seq` in `(top − W, top]`
+    /// has been seen.
+    ring: [u64; WINDOW_WORDS],
+}
+
+impl Default for SeqTracker {
+    fn default() -> Self {
+        SeqTracker {
+            top: 0,
+            ring: [0; WINDOW_WORDS],
+        }
+    }
 }
 
 impl SeqTracker {
-    /// Records `seq`; returns `true` iff it was never seen before.
-    pub fn insert(&mut self, seq: u64) -> bool {
-        if seq <= self.contiguous {
-            return false;
-        }
-        // `pending` never holds `contiguous + 1`, so a seq past it can
-        // fill no gap and the in-order seq is fresh without a lookup.
-        if seq != self.contiguous + 1 {
-            return self.pending.insert(seq);
-        }
-        self.contiguous = seq;
-        while self.pending.remove(&(self.contiguous + 1)) {
-            self.contiguous += 1;
-        }
-        true
+    fn slot(seq: u64) -> (usize, u64) {
+        let i = (seq % DEDUP_WINDOW) as usize;
+        (i / 64, 1 << (i % 64))
     }
 
-    /// Whether `seq` has been seen.
+    /// Records `seq`; returns `true` iff it was never seen before.
+    pub fn insert(&mut self, seq: u64) -> bool {
+        let (w, b) = Self::slot(seq);
+        if seq > self.top {
+            let gap = seq - self.top;
+            if gap >= DEDUP_WINDOW {
+                self.ring = [0; WINDOW_WORDS];
+            } else {
+                // The slots of the seqs the window slides over now
+                // stand for seqs not yet seen.
+                for s in self.top + 1..seq {
+                    let (w, b) = Self::slot(s);
+                    self.ring[w] &= !b;
+                }
+            }
+            self.top = seq;
+            self.ring[w] |= b;
+            return true;
+        }
+        if self.expired(seq) {
+            return false;
+        }
+        let fresh = self.ring[w] & b == 0;
+        self.ring[w] |= b;
+        fresh
+    }
+
+    /// Whether `seq` has been seen (or fell below the window).
     pub fn contains(&self, seq: u64) -> bool {
-        seq <= self.contiguous || self.pending.contains(&seq)
+        if seq > self.top {
+            return false;
+        }
+        let (w, b) = Self::slot(seq);
+        self.expired(seq) || self.ring[w] & b != 0
+    }
+
+    /// Whether `seq` counts as seen only because it is
+    /// [`DEDUP_WINDOW`] or more below the highest seq seen.
+    pub fn expired(&self, seq: u64) -> bool {
+        seq.saturating_add(DEDUP_WINDOW) <= self.top
+    }
+
+    /// The seqs inside the window that have been seen.
+    pub fn tracked(&self) -> usize {
+        self.ring.iter().map(|w| w.count_ones() as usize).sum()
     }
 }
 
 /// [`SeqTracker`] dedup that survives sender restarts: the sequence
-/// watermark is scoped to the sender's incarnation. A frame from a
+/// window is scoped to the sender's incarnation. A frame from a
 /// newer incarnation resets the window — the restarted sender's seqs
-/// legitimately start over, and without the reset every fresh frame
-/// would sit below the old watermark and be silently swallowed. A
+/// legitimately start over, and without the reset its fresh frames
+/// would be taken for the old life's and silently swallowed. A
 /// frame from an older incarnation is a stale replay from a previous
 /// life and always counts as seen.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -834,10 +891,9 @@ pub struct IncarnationTracker {
     incarnation: u32,
     seqs: SeqTracker,
     /// Debug-build shadow of the dedup specification
-    /// ([`crate::machine::DedupModel`]): the compact watermark
-    /// implementation must agree with the explicit seen-set model on
-    /// every call, or the disagreement is a spec violation caught at
-    /// the exact call site.
+    /// ([`crate::machine::DedupModel`]): the ring-bitmap window must
+    /// agree with the explicit seen-set model on every call, or the
+    /// disagreement is a spec violation caught at the exact call site.
     #[cfg(debug_assertions)]
     shadow: crate::machine::DedupModel,
 }
@@ -884,6 +940,18 @@ impl IncarnationTracker {
         seen
     }
 
+    /// Whether `(incarnation, seq)` counts as seen only because it fell
+    /// below the current incarnation's window (see
+    /// [`SeqTracker::expired`]).
+    pub fn expired(&self, incarnation: u32, seq: u64) -> bool {
+        incarnation == self.incarnation && self.seqs.expired(seq)
+    }
+
+    /// The seqs of the current incarnation the window holds as seen.
+    pub fn tracked(&self) -> usize {
+        self.seqs.tracked()
+    }
+
     /// The newest sender incarnation observed.
     pub fn incarnation(&self) -> u32 {
         self.incarnation
@@ -901,12 +969,62 @@ mod tests {
         let mut t = SeqTracker::default();
         assert!(t.insert(1));
         assert!(t.insert(3));
-        assert!(!t.insert(1), "replay of a contiguous seq");
-        assert!(!t.insert(3), "replay of a pending seq");
+        assert!(!t.insert(1), "replay below the top");
+        assert!(!t.insert(3), "replay of the top");
         assert!(t.insert(2), "gap fill");
-        assert!(t.pending.is_empty(), "window compacted");
-        assert_eq!(t.contiguous, 3);
+        assert_eq!(t.tracked(), 3);
         assert!(t.contains(2) && t.contains(3) && !t.contains(4));
+        // A jump past the window forgets everything behind it; what
+        // falls below counts as seen without being remembered.
+        let far = 3 + DEDUP_WINDOW;
+        assert!(t.insert(far));
+        assert_eq!(t.tracked(), 1, "the window slid, the old bits cleared");
+        assert!(t.expired(3) && !t.expired(4));
+        assert!(!t.insert(3) && t.contains(2), "below the window: seen");
+        assert!(t.insert(4), "the window's oldest slot is fresh");
+        assert!(!t.insert(4));
+    }
+
+    /// The leak this window closed: a receiver that sees one seq in
+    /// `k` of a sender's (a sender with several parents) used to keep
+    /// one entry per frame forever. Over 10^5 frames, with replays and
+    /// reorders inside the window, every call agrees with the spec's
+    /// `DedupModel` and the state stays at what one window holds.
+    #[test]
+    fn a_gapped_stream_is_deduped_in_bounded_state() {
+        const FRAMES: u64 = 100_000;
+        for k in [1u64, 4, 12] {
+            let mut t = IncarnationTracker::default();
+            let mut model = crate::machine::DedupModel::new();
+            let bound = ((DEDUP_WINDOW - 1) / k + 1) as usize;
+            let mut check = |t: &mut IncarnationTracker, seq: u64| {
+                let fresh = t.insert(0, seq);
+                assert_eq!(fresh, model.insert(0, seq), "insert {seq}, 1 in {k}");
+                assert_eq!(t.contains(0, seq), model.contains(0, seq));
+                assert!(t.tracked() <= bound && model.tracked() <= bound);
+                fresh
+            };
+            let mut fresh = 0u64;
+            for i in 1..=FRAMES {
+                // Each step delivers frame i before frame i − 1 (a
+                // reorder), replays frame i − 8 (a duplicate inside the
+                // window) and, now and then, a frame from long ago.
+                let seq = |j: u64| j * k;
+                if i % 2 == 0 {
+                    fresh += u64::from(check(&mut t, seq(i)));
+                    fresh += u64::from(check(&mut t, seq(i - 1)));
+                }
+                if i > 8 {
+                    assert!(!check(&mut t, seq(i - 8)), "replay of {}", seq(i - 8));
+                }
+                if i % 1_000 == 0 {
+                    assert!(!check(&mut t, seq(i / 2)), "ancient replay");
+                }
+            }
+            assert_eq!(fresh, FRAMES, "every frame fresh exactly once");
+            assert_eq!(t.tracked(), model.tracked());
+            assert_eq!(t.tracked(), bound, "one window of a 1-in-{k} stream");
+        }
     }
 
     #[test]

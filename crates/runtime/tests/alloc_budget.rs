@@ -98,13 +98,12 @@ fn reading(node: u32, attr: u32, epoch: u64) -> WireReading {
 
 const CHILDREN: u32 = 7;
 
-/// Allocator calls in a tick of a root agent that samples `per_frame`
-/// attributes itself and relays one frame of `per_frame` readings from
-/// each of [`CHILDREN`] children, on the ARQ path the TCP runtime uses:
-/// the median over steady-state ticks, which leaves out the tick in
-/// which something that only ever grows (a debug build's dedup shadow
-/// set, the report channel's block list) takes its next node.
-fn relay_allocations_per_tick(per_frame: u32) -> u64 {
+/// Allocator calls in each steady-state tick of a root agent that
+/// samples `per_frame` attributes itself and relays one frame of
+/// `per_frame` readings from each of [`CHILDREN`] children, on the ARQ
+/// path the TCP runtime uses. A child's frames carry seqs `stride`
+/// apart, as when it sends to `stride` parents from one counter.
+fn relay_allocations(per_frame: u32, stride: u64) -> Vec<u64> {
     const WARM_UP: u64 = 8;
     const COUNTED: u64 = 16;
     let assignment = TreeAssignment {
@@ -141,7 +140,7 @@ fn relay_allocations_per_tick(per_frame: u32) -> u64 {
                     frame: WireMessage::data(
                         0,
                         NodeId(child),
-                        epoch,
+                        epoch * stride,
                         (0..per_frame)
                             .map(|a| reading(child, a, epoch - 1))
                             .collect(),
@@ -170,6 +169,15 @@ fn relay_allocations_per_tick(per_frame: u32) -> u64 {
             per_tick.push(calls);
         }
     }
+    per_tick
+}
+
+/// [`relay_allocations`]' median, which leaves out the tick in which
+/// something that only grows for a while (a debug build's dedup shadow
+/// set, up to one window; the report channel's block list) takes its
+/// next node.
+fn relay_allocations_per_tick(per_frame: u32) -> u64 {
+    let mut per_tick = relay_allocations(per_frame, 1);
     per_tick.sort_unstable();
     per_tick[per_tick.len() / 2]
 }
@@ -190,6 +198,20 @@ fn a_relay_tick_allocates_per_frame_not_per_reading() {
     assert!(
         fat <= thin + 1,
         "{thin} allocations per tick at 16 readings per frame, {fat} at 128"
+    );
+}
+
+/// Receive-side dedup of a child whose seqs reach this relay 1 in 4
+/// costs what a contiguous child's does, tick for tick: the anti-replay
+/// window is a fixed bitmap, where a set of out-of-order seqs took a
+/// node every few frames, forever.
+#[test]
+fn a_gapped_child_stream_allocates_like_a_contiguous_one() {
+    let contiguous = relay_allocations(16, 1);
+    let gapped = relay_allocations(16, 4);
+    assert_eq!(
+        gapped, contiguous,
+        "allocations per tick relaying 1-in-4 seqs, then contiguous ones"
     );
 }
 

@@ -364,6 +364,26 @@ if [ -n "$outside" ]; then
   exit 1
 fi
 
+# Receive-side dedup is an anti-replay window: a fixed bitmap per
+# sender, whatever the plan. A set of out-of-order seqs grew by one
+# entry per frame from a sender with several parents. The window is
+# sound because the sender abandons what falls a window behind the seq
+# it issues, and it issues seqs in one place.
+echo "==> bounded dedup window (transport.rs), one seq issue site (agent.rs)"
+tracker=$(sed '/^mod tests {/,$d' crates/runtime/src/transport.rs \
+  | awk '/^(pub struct SeqTracker|impl.* SeqTracker)/ { on = 1 } on { print } on && /^}/ { on = 0 }')
+if grep -nE 'BTreeSet|HashSet|pending' <<<"$tracker"; then
+  echo "SeqTracker must stay a fixed window: no set of seqs, no pending list" >&2
+  exit 1
+fi
+advances=$(awk '/^    (pub(\(crate\))? )?fn / { fn = $0 } /next_seq *(\+=|=[^=])/ { print fn }' \
+  crates/runtime/src/agent.rs)
+if [ "$(wc -l <<<"$advances")" != 1 ] || ! grep -q 'fn issue_seq(' <<<"$advances"; then
+  echo "agent.rs must advance next_seq in Agent::issue_seq only, found it in:" >&2
+  echo "$advances" >&2
+  exit 1
+fi
+
 echo "==> cargo clippy --all-targets --all-features -- -D warnings"
 cargo clippy --all-targets --all-features -- -D warnings
 
