@@ -15,8 +15,11 @@
 //!    channel with drop, duplication, reordering, and sender restart
 //!    (sequence numbers restart at 1 in the new life — the exact
 //!    seq-restart scenario), with the receiver's anti-replay window
-//!    and the sender's rule that keeps live frames inside it, at a
-//!    window the exploration's frames overrun (see `explored_window`).
+//!    and the sender's rule that keeps live frames inside it. It runs
+//!    twice: `arq` at a window the exploration's frames cannot
+//!    overrun, so every frame of a life can be live at once, and
+//!    `arq-w` at one they overrun, where the sender rule fires (see
+//!    `explored_window`).
 //! 3. **Dedup lattice** (`verify_dedup`): every insert sequence
 //!    over a small (incarnation, seq) universe against the
 //!    [`DedupModel`] laws, at a window the universe overruns.
@@ -55,16 +58,16 @@ use remo_core::explore::{explore, ExploreStats};
 use remo_core::validate::{rules, Finding, RuleSet};
 use remo_runtime::machine::DedupModel;
 use remo_runtime::spec::{
-    ClientAction, ClientEvent, ClientState, DedupPolicy, ProtocolSpec, SessionAction, SessionEvent,
-    SessionState,
+    ClientAction, ClientEvent, ClientState, ProtocolSpec, SessionAction, SessionEvent, SessionState,
 };
+use remo_runtime::transport::DEDUP_WINDOW;
 use std::collections::{BTreeSet, HashSet};
 
 /// The full verification result.
 #[derive(Debug, Clone)]
 pub struct VerifyReport {
-    /// Per-phase (`ctrl`, `arq`, `dedup`) counters.
-    pub phases: [(&'static str, ExploreStats); 3],
+    /// Per-phase (`ctrl`, `arq`, `arq-w`, `dedup`) counters.
+    pub phases: [(&'static str, ExploreStats); 4],
     /// Deduplicated findings across phases (empty = verified).
     pub findings: Vec<Finding>,
 }
@@ -107,10 +110,17 @@ impl Sink {
 pub fn verify_with_depth(spec: &ProtocolSpec, depth: usize) -> VerifyReport {
     let mut sink = Sink::default();
     let ctrl = verify_ctrl(spec, depth, &mut sink);
-    let arq = verify_arq(spec, depth, &mut sink);
+    let frames = spec.bounds.frames;
+    let arq = verify_arq(spec, depth, DEDUP_WINDOW.min(frames.into()), &mut sink);
+    let arq_w = verify_arq(spec, depth, explored_window(frames), &mut sink);
     let dedup = verify_dedup(spec, &mut sink);
     VerifyReport {
-        phases: [("ctrl", ctrl), ("arq", arq), ("dedup", dedup)],
+        phases: [
+            ("ctrl", ctrl),
+            ("arq", arq),
+            ("arq-w", arq_w),
+            ("dedup", dedup),
+        ],
         findings: sink.findings,
     }
 }
@@ -589,26 +599,14 @@ fn verify_ctrl(spec: &ProtocolSpec, depth: usize, sink: &mut Sink) -> ExploreSta
 
 const ARQ_NET_CAP: usize = 3;
 
-/// The dedup window an exploration runs at: the spec's, shrunk to one
-/// seq fewer than the `seqs` it can produce (but at least one), and
-/// `0` (no window) where the spec has none. The window rules compare
-/// seq distances with the window and nothing else, so what a window
-/// of `W` loses, a window of `W' < W` loses the same way given
-/// `W' + 1` seqs; a window the bounds cannot overrun would prove
+/// A dedup window an exploration producing `seqs` seqs overruns: the
+/// runtime's, shrunk to one seq fewer (but at least one). The window
+/// rules compare seq distances with the window and nothing else, so
+/// what a window of `W` loses, a window of `W' < W` loses the same
+/// way given `W' + 1` seqs; a window the bounds cannot overrun proves
 /// nothing about it.
-fn explored_window(spec: &ProtocolSpec, seqs: u8) -> u64 {
-    match spec.dedup.window {
-        0 => 0,
-        w => w.min(u64::from(seqs.saturating_sub(1)).max(1)),
-    }
-}
-
-/// The spec's dedup policy at the window an exploration runs at.
-fn explored_dedup(spec: &ProtocolSpec, seqs: u8) -> DedupPolicy {
-    DedupPolicy {
-        window: explored_window(spec, seqs),
-        ..spec.dedup
-    }
+fn explored_window(seqs: u8) -> u64 {
+    DEDUP_WINDOW.min(u64::from(seqs.saturating_sub(1)).max(1))
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -627,30 +625,27 @@ struct FrameSt {
 
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 struct Arq {
+    /// The dedup window both ends run at (constant over a run).
+    window: u64,
     inc: u8,
     produced: u8,
     frames: Vec<FrameSt>,
     receiver: DedupModel,
     delivered: BTreeSet<(u8, u8)>,
-    /// Frames of past lives the sender had abandoned (spent budget or
-    /// below the window) that still have a copy in flight; this life's
-    /// are flagged in `frames`. Their loss is counted at the sender, so
-    /// dedup rejecting a late copy loses nothing more.
-    given_up: BTreeSet<(u8, u8)>,
     net: Vec<Pkt>,
     dups_left: u8,
     restarts_left: u8,
 }
 
 impl Arq {
-    fn initial(spec: &ProtocolSpec) -> Arq {
+    fn initial(spec: &ProtocolSpec, window: u64) -> Arq {
         Arq {
+            window,
             inc: 1,
             produced: 0,
             frames: Vec::new(),
-            receiver: DedupModel::with_policy(explored_dedup(spec, spec.bounds.frames)),
+            receiver: DedupModel::with_window(spec.dedup, window),
             delivered: BTreeSet::new(),
-            given_up: BTreeSet::new(),
             net: Vec::new(),
             dups_left: spec.bounds.dups,
             restarts_left: spec.bounds.restarts,
@@ -658,18 +653,17 @@ impl Arq {
     }
 
     /// Whether the sender is done with frame `(inc, seq)`: acked or
-    /// abandoned in this life, abandoned in a past one. Dedup rejecting
+    /// abandoned in this life, or of a past life (a restart drops every
+    /// unacked frame, and the crash counts that loss). Dedup rejecting
     /// such a frame loses nothing new — an acked frame that was never
     /// delivered was lost at the rejection that earned the ack, and
     /// that one is checked.
     fn resolved(&self, inc: u8, seq: u8) -> bool {
-        if inc == self.inc {
-            self.frames
+        inc < self.inc
+            || self
+                .frames
                 .iter()
                 .any(|f| f.seq == seq && (f.acked || f.abandoned))
-        } else {
-            self.given_up.contains(&(inc, seq))
-        }
     }
 
     fn terminal(&self, spec: &ProtocolSpec) -> bool {
@@ -683,7 +677,6 @@ impl Arq {
 fn arq_successors(s: &Arq, spec: &ProtocolSpec, sink: &mut Sink) -> Vec<Arq> {
     let mut out = Vec::new();
     let max = spec.arq.max_attempts;
-    let window = explored_window(spec, spec.bounds.frames);
 
     // Produce the next frame of this life (first transmission). When
     // the spec enforces the window, issuing `seq` first abandons every
@@ -692,9 +685,9 @@ fn arq_successors(s: &Arq, spec: &ProtocolSpec, sink: &mut Sink) -> Vec<Arq> {
         let mut n = s.clone();
         n.produced += 1;
         let seq = n.produced;
-        if spec.arq.window_enforced && window > 0 {
+        if spec.arq.window_enforced {
             for f in &mut n.frames {
-                if !f.acked && u64::from(f.seq) + window <= u64::from(seq) {
+                if !f.acked && u64::from(f.seq) + s.window <= u64::from(seq) {
                     f.abandoned = true;
                 }
             }
@@ -765,7 +758,12 @@ fn arq_successors(s: &Arq, spec: &ProtocolSpec, sink: &mut Sink) -> Vec<Arq> {
                     }
                     n.delivered.insert((inc, seq));
                 } else if !was_delivered && u32::from(inc) >= watermark && !s.resolved(inc, seq) {
-                    let message = if u32::from(inc) == watermark && s.receiver.expired(seq.into()) {
+                    // Only a scoped window is this life's own: an
+                    // unscoped one expires a restarted sender's seqs
+                    // against its past life's top, the seq-restart
+                    // swallow below.
+                    let own_window = spec.dedup.incarnation_scoped && u32::from(inc) == watermark;
+                    let message = if own_window && s.receiver.expired(seq.into()) {
                         format!(
                             "arq: live frame (inc {inc}, seq {seq}) arrived below the dedup \
                              window and was swallowed — re-acked as a replay, so its sender \
@@ -814,39 +812,38 @@ fn arq_successors(s: &Arq, spec: &ProtocolSpec, sink: &mut Sink) -> Vec<Arq> {
     if s.restarts_left > 0 {
         let mut n = s.clone();
         n.restarts_left -= 1;
-        let abandoned = n.frames.iter().filter(|f| f.abandoned);
-        n.given_up.extend(abandoned.map(|f| (s.inc, f.seq)));
         n.inc += 1;
         n.produced = 0;
         n.frames.clear();
         out.push(n);
     }
 
-    for n in &mut out {
-        let net = &n.net;
-        n.given_up
-            .retain(|&(inc, seq)| net.contains(&Pkt::Data { inc, seq }));
-    }
     out
 }
 
-/// Explores the ARQ sender/receiver automaton.
-fn verify_arq(spec: &ProtocolSpec, depth: usize, sink: &mut Sink) -> ExploreStats {
-    explore(Arq::initial(spec), depth, Arq::clone, |state, _: &[()]| {
-        let succs = arq_successors(state, spec, sink);
-        if succs.is_empty() && !state.terminal(spec) {
-            let unresolved = state.frames.iter().filter(|f| !f.acked && !f.abandoned);
-            sink.push(
-                rules::PROTOCOL_DEADLOCK,
-                format!(
-                    "arq: stuck non-terminal state (inc {}, {} frames unresolved)",
-                    state.inc,
-                    unresolved.count()
-                ),
-            );
-        }
-        walk_order(succs)
-    })
+/// Explores the ARQ sender/receiver automaton with both ends at a
+/// dedup window of `window` seqs.
+fn verify_arq(spec: &ProtocolSpec, depth: usize, window: u64, sink: &mut Sink) -> ExploreStats {
+    explore(
+        Arq::initial(spec, window),
+        depth,
+        Arq::clone,
+        |state, _: &[()]| {
+            let succs = arq_successors(state, spec, sink);
+            if succs.is_empty() && !state.terminal(spec) {
+                let unresolved = state.frames.iter().filter(|f| !f.acked && !f.abandoned);
+                sink.push(
+                    rules::PROTOCOL_DEADLOCK,
+                    format!(
+                        "arq: stuck non-terminal state (inc {}, {} frames unresolved)",
+                        state.inc,
+                        unresolved.count()
+                    ),
+                );
+            }
+            walk_order(succs)
+        },
+    )
 }
 
 // ================================================================ dedup
@@ -858,7 +855,7 @@ fn verify_dedup(spec: &ProtocolSpec, sink: &mut Sink) -> ExploreStats {
     const INCS: [u8; 2] = [1, 2];
     const SEQS: [u8; 3] = [1, 2, 3];
     const DEPTH: usize = 4;
-    let policy = explored_dedup(spec, SEQS.len() as u8);
+    let window = explored_window(SEQS.len() as u8);
 
     let mut stats = ExploreStats::default();
     let universe: Vec<(u8, u8)> = INCS
@@ -869,7 +866,7 @@ fn verify_dedup(spec: &ProtocolSpec, sink: &mut Sink) -> ExploreStats {
     // (model, accepted ground truth) pairs, expanded breadth-first;
     // dedup collapses permutations that reach the same lattice state.
     let mut seen: HashSet<(DedupModel, BTreeSet<(u8, u8)>)> = HashSet::new();
-    let root = (DedupModel::with_policy(policy), BTreeSet::new());
+    let root = (DedupModel::with_window(spec.dedup, window), BTreeSet::new());
     seen.insert(root.clone());
     stats.visited = 1;
     let mut frontier = vec![root];
@@ -891,7 +888,7 @@ fn verify_dedup(spec: &ProtocolSpec, sink: &mut Sink) -> ExploreStats {
                     .map(|&(_, q)| q)
                     .max()
                     .unwrap_or(0);
-                let expired = policy.window > 0 && u64::from(seq) + policy.window <= u64::from(top);
+                let expired = u64::from(seq) + window <= u64::from(top);
                 let pre = m.contains(u32::from(inc), u64::from(seq));
                 let r = m.insert(u32::from(inc), u64::from(seq));
                 if m.incarnation() < watermark {
@@ -931,14 +928,14 @@ fn verify_dedup(spec: &ProtocolSpec, sink: &mut Sink) -> ExploreStats {
                 if r {
                     acc.insert((inc, seq));
                 }
-                if policy.window > 0 && m.tracked() as u64 > policy.window {
+                if m.tracked() as u64 > window {
                     sink.push(
                         rules::UNBOUNDED_INFLIGHT,
                         format!(
                             "dedup: {} seqs held after insert (inc {inc}, seq {seq}), past \
                              the {}-seq window",
                             m.tracked(),
-                            policy.window
+                            window
                         ),
                     );
                 }

@@ -351,10 +351,12 @@ impl Sessions {
 
 /// The specification of the receive-side dedup lattice: an explicit
 /// (incarnation, seen-set) pair with none of `SeqTracker`'s bitmap
-/// arithmetic, plus the anti-replay window rule
-/// ([`DedupPolicy::window`]): a seq `window` or more below the highest
-/// seq seen counts as seen, and the set is pruned below it, so it
-/// never holds more than `window` seqs. `IncarnationTracker` must
+/// arithmetic, plus the anti-replay window rule: a seq `window` or
+/// more below the highest seq seen counts as seen, and the set is
+/// pruned below it, so it never holds more than `window` seqs. The
+/// window is the runtime's
+/// [`DEDUP_WINDOW`](crate::transport::DEDUP_WINDOW); only the verifier
+/// shrinks it ([`DedupModel::with_window`]). `IncarnationTracker` must
 /// agree with this model on every `insert`/`contains` — debug builds
 /// assert exactly that — and the verifier exhaustively checks the
 /// model's own laws.
@@ -379,17 +381,24 @@ impl DedupModel {
     pub fn new() -> DedupModel {
         DedupModel::with_policy(DedupPolicy {
             incarnation_scoped: true,
-            window: crate::transport::DEDUP_WINDOW,
         })
     }
 
     /// A model with an explicit policy (`incarnation_scoped: false`
-    /// reproduces the seq-restart swallow; `window: 0` remembers every
-    /// seq).
+    /// reproduces the seq-restart swallow) and the runtime's window.
     pub fn with_policy(policy: DedupPolicy) -> DedupModel {
+        DedupModel::with_window(policy, crate::transport::DEDUP_WINDOW)
+    }
+
+    /// A model with an explicit policy and a `window` of that many
+    /// seqs, for explorations too small to reach the runtime's window:
+    /// the rule compares seq distances with the window and nothing
+    /// else, so a small window loses what the runtime's loses, given
+    /// a sender that many seqs ahead.
+    pub fn with_window(policy: DedupPolicy, window: u64) -> DedupModel {
         DedupModel {
             scoped: policy.incarnation_scoped,
-            window: policy.window,
+            window,
             incarnation: 0,
             seen: BTreeSet::new(),
         }
@@ -436,7 +445,7 @@ impl DedupModel {
     /// `window` or more below the highest seq seen.
     pub fn expired(&self, seq: u64) -> bool {
         let top = self.seen.last().copied().unwrap_or(0);
-        self.window > 0 && seq.saturating_add(self.window) <= top
+        seq.saturating_add(self.window) <= top
     }
 
     /// The seqs remembered one by one (never more than the window).
@@ -565,7 +574,6 @@ mod tests {
     fn unscoped_dedup_model_reproduces_the_seq_restart_swallow() {
         let mut m = DedupModel::with_policy(DedupPolicy {
             incarnation_scoped: false,
-            window: 0,
         });
         assert!(m.insert(1, 1));
         assert!(
@@ -576,10 +584,12 @@ mod tests {
 
     #[test]
     fn the_window_expires_old_seqs_and_bounds_the_set() {
-        let mut m = DedupModel::with_policy(DedupPolicy {
-            incarnation_scoped: true,
-            window: 4,
-        });
+        let mut m = DedupModel::with_window(
+            DedupPolicy {
+                incarnation_scoped: true,
+            },
+            4,
+        );
         // A 1-in-3 subsequence: the set keeps what is inside the window.
         for seq in (1..=30).step_by(3) {
             assert!(m.insert(1, seq));

@@ -268,14 +268,14 @@ pub struct ArqParams {
     pub retry_budget_enforced: bool,
     /// Declared bound on packets simultaneously in a channel.
     pub channel_cap: u8,
-    /// Whether the sender respects the receiver's dedup window: before
+    /// Whether the sender respects the receivers' dedup window: before
     /// it issues seq `N` it abandons every unacked frame at or below
-    /// `N − window` ([`DedupPolicy::window`]), counted like a spent
-    /// retry budget, so no live frame ever sits below a receiver's
-    /// window. Shipped: `true`. `false` lets a retransmission arrive
-    /// below the window, where it is taken for a replay, re-acked and
-    /// lost while its sender believes it delivered (RA024).
-    #[serde(default)]
+    /// `N − DEDUP_WINDOW` ([`DEDUP_WINDOW`](crate::transport::DEDUP_WINDOW)),
+    /// counted like a spent retry budget, so no live frame ever sits
+    /// below a receiver's window. Shipped: `true`. `false` lets a
+    /// retransmission arrive below the window, where it is taken for a
+    /// replay, re-acked and lost while its sender believes it
+    /// delivered (RA024).
     pub window_enforced: bool,
 }
 
@@ -287,15 +287,6 @@ pub struct DedupPolicy {
     /// a restarted sender's fresh frames sit below the old watermark
     /// and are silently swallowed (RA024).
     pub incarnation_scoped: bool,
-    /// Anti-replay window, in seqs (RFC 4303 §3.4.3): a receiver
-    /// remembers the highest seq it has seen and which of the `window`
-    /// seqs ending there it has seen; a seq `window` or more below the
-    /// top counts as seen. `0` is no window: every seq is remembered,
-    /// which grows by one entry per frame from a sender whose seqs
-    /// reach this receiver with gaps. Shipped:
-    /// [`DEDUP_WINDOW`](crate::transport::DEDUP_WINDOW).
-    #[serde(default)]
-    pub window: u64,
 }
 
 /// Report-barrier attendance discipline.
@@ -557,7 +548,6 @@ impl ProtocolSpec {
             },
             dedup: DedupPolicy {
                 incarnation_scoped: true,
-                window: crate::transport::DEDUP_WINDOW,
             },
             barrier: BarrierPolicy {
                 credit_stale_reports: false,
@@ -639,21 +629,6 @@ mod tests {
         let text = spec.to_json().unwrap();
         let back = ProtocolSpec::from_json(&text).unwrap();
         assert_eq!(spec, back);
-    }
-
-    /// A spec written before the dedup window reads as no window and no
-    /// sender rule: the behaviour it was verified with.
-    #[test]
-    fn a_spec_without_the_window_fields_reads_as_no_window() {
-        let text = ProtocolSpec::shipped()
-            .to_json()
-            .unwrap()
-            .replace(",\n    \"window_enforced\": true", "")
-            .replace(",\n    \"window\": 4096", "");
-        assert!(!text.contains("window"), "{text}");
-        let old = ProtocolSpec::from_json(&text).unwrap();
-        assert_eq!(old.dedup.window, 0);
-        assert!(!old.arq.window_enforced);
     }
 
     #[test]

@@ -797,7 +797,11 @@ impl Transport for LossyTransport {
 /// window. Sized so that rule stays idle: sending `F` frames per epoch,
 /// a frame normally lives `retry_window + delay_max + 2` epochs, and
 /// `F` times that is far below 4 096 on every fleet this repository
-/// runs (1 026 for ten attempts at one frame per epoch).
+/// runs (1 026 for ten attempts at one frame per epoch). That lifetime
+/// is not a bound: a retry the token bucket cannot pay for is
+/// postponed without spending an attempt, so under budget pressure a
+/// frame can outlive its retry window and the sender rule, not the
+/// budget, abandons it. The rule keeps dedup sound either way.
 pub const DEDUP_WINDOW: u64 = 4096;
 
 const WINDOW_WORDS: usize = (DEDUP_WINDOW / 64) as usize;
