@@ -526,6 +526,12 @@ impl LoadTracker {
                 }
             }
         };
+        if remo_obs::enabled() {
+            // A refused step is computed but not pushed.
+            work_counters()
+                .1
+                .inc_by((path.len() + usize::from(verdict.is_err())) as f64);
+        }
         if verdict.is_ok() {
             for (j, step) in path.iter().enumerate() {
                 let i = step.slot as usize;
@@ -713,6 +719,9 @@ impl LoadTracker {
         budget: f64,
         parent: NodeId,
     ) -> Result<(), AttachError> {
+        if remo_obs::enabled() {
+            work_counters().0.inc();
+        }
         if self.idx.contains_key(&node) {
             return Err(AttachError::DuplicateNode);
         }
@@ -802,6 +811,9 @@ impl LoadTracker {
         branch: Branch,
         target: NodeId,
     ) -> Result<(), (Branch, AttachError)> {
+        if remo_obs::enabled() {
+            work_counters().0.inc();
+        }
         let Some(t) = self.slot(target) else {
             return Err((branch, AttachError::MissingParent));
         };
@@ -1734,6 +1746,20 @@ fn build_adaptive(seed: &Seed<'_>, cfg: AdjustConfig) -> Built {
         record_build(&fates, sweeps);
     }
     best
+}
+
+/// The tracker's work counters, resolved once: attach attempts (leaf
+/// and branch, refused ones included) and `propagate` steps (nodes a
+/// root-ward walk computed, written or not).
+fn work_counters() -> &'static (remo_obs::Counter, remo_obs::Counter) {
+    static HANDLES: std::sync::OnceLock<(remo_obs::Counter, remo_obs::Counter)> =
+        std::sync::OnceLock::new();
+    HANDLES.get_or_init(|| {
+        (
+            remo_obs::counter("remo_build_attach_attempts_total"),
+            remo_obs::counter("remo_build_propagate_steps_total"),
+        )
+    })
 }
 
 /// Exports what one adaptive build did: which challengers it built,
