@@ -38,7 +38,7 @@ use crate::cache::{CacheStats, TreeCache};
 use crate::capacity::CapacityMap;
 use crate::cost::CostModel;
 use crate::estimate::GainEstimator;
-use crate::evaluate::build_tree_for_set_cached;
+use crate::evaluate::{build_tree_for_set_cached, BudgetLedger};
 use crate::ids::{AttrId, NodeId};
 use crate::pairs::PairSet;
 use crate::partition::{AttrSet, Partition, PartitionOp};
@@ -355,18 +355,9 @@ impl AdaptivePlanner {
         partition: Partition,
         mut kept: Vec<Option<PlannedTree>>,
     ) -> (MonitoringPlan, BTreeSet<usize>) {
-        fn charge(t: &PlannedTree, avail: &mut BTreeMap<NodeId, f64>, collector_avail: &mut f64) {
-            for (&n, &u) in &t.usage {
-                if let Some(r) = avail.get_mut(&n) {
-                    *r -= u;
-                }
-            }
-            *collector_avail -= t.collector_usage;
-        }
-        let mut avail: BTreeMap<NodeId, f64> = self.caps.iter().collect();
-        let mut collector_avail = self.caps.collector();
+        let mut avail = BudgetLedger::new(&self.pairs, &self.caps);
         for t in kept.iter().flatten() {
-            charge(t, &mut avail, &mut collector_avail);
+            avail.charge(t);
         }
         let ctx = self
             .planner
@@ -379,10 +370,10 @@ impl AdaptivePlanner {
                 &partition.sets()[i],
                 &ctx,
                 &avail,
-                collector_avail,
+                avail.collector(),
                 self.cache_ref(),
             );
-            charge(&t, &mut avail, &mut collector_avail);
+            avail.charge(&t);
             kept[i] = Some(t);
         }
         let trees = kept
@@ -465,7 +456,7 @@ impl AdaptivePlanner {
         let max_budget = self.caps.iter().map(|(_, b)| b).fold(0.0f64, f64::max);
         let estimator = GainEstimator::with_capacity(&self.pairs, self.cost, max_budget);
 
-        let mut state = SearchState::from_plan(base, &self.caps);
+        let mut state = SearchState::from_plan(base, &self.pairs, &self.caps);
 
         let mut ops_applied = 0usize;
         let mut ops_throttled = 0usize;

@@ -20,7 +20,8 @@
 //! account of per-node outgoing values (with in-network aggregation
 //! funnels), usage, and budget feasibility. The tracker stores its
 //! per-node state in flat per-slot columns (slot arena indexed through
-//! one id map; funnel values in one row-major side table) and keeps
+//! one id map under the id hasher, [`crate::ids::IdHasher`]; funnel
+//! values in one row-major side table) and keeps
 //! usage cached per node — send cost plus a running receive sum — so a
 //! budget check is O(1) and an attach costs O(path length) instead of
 //! O(children) per ancestor. A mutation computes its root-ward
@@ -37,11 +38,11 @@
 //! to the bit.
 
 use crate::cost::{Aggregation, CostModel};
-use crate::ids::NodeId;
+use crate::ids::{IdMap, IdSet, NodeId};
 use crate::partition::AttrSet;
 use crate::tree::Tree;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 
 /// Slack tolerated in floating-point budget comparisons.
 const EPS: f64 = 1e-9;
@@ -323,7 +324,7 @@ pub struct LoadTracker {
     funnels: Vec<Aggregation>,
     collector_budget: f64,
     root: Option<NodeId>,
-    idx: HashMap<NodeId, u32>,
+    idx: IdMap<NodeId, u32>,
     ids: Vec<NodeId>,
     parent: Vec<Option<u32>>,
     children: Vec<Vec<NodeId>>,
@@ -359,7 +360,7 @@ impl LoadTracker {
             funnels,
             collector_budget,
             root: None,
-            idx: HashMap::new(),
+            idx: IdMap::default(),
             ids: Vec::new(),
             parent: Vec::new(),
             children: Vec::new(),
@@ -1049,7 +1050,7 @@ fn collected_pairs(tracker: &LoadTracker, request: &BuildRequest) -> usize {
     if listings == tracker.len() {
         return pairs;
     }
-    let mut counted = HashSet::new();
+    let mut counted = IdSet::default();
     request
         .demand
         .iter()

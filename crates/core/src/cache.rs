@@ -27,10 +27,10 @@
 use crate::alloc::AllocationScheme;
 use crate::build::BuilderKind;
 use crate::evaluate::{build_tree_for_set, BudgetView, EvalContext};
+use crate::ids::IdMap;
 use crate::index::PairIndex;
 use crate::partition::AttrSet;
 use crate::plan::PlannedTree;
-use std::collections::HashMap;
 use std::sync::Mutex;
 
 /// Entry cap; reaching it deterministically drops every entry (a full
@@ -81,7 +81,9 @@ impl CfgKey {
 
 /// One memoized construction problem. Budgets are stored as bit
 /// patterns: bit-equality is exactly the guarantee under which a replay
-/// of the deterministic builder yields the identical tree.
+/// of the deterministic builder yields the identical tree. The map
+/// hashes keys with the id hasher: a key holds one `(u32, u64)` per
+/// participant, all of them the planner's own ids and budgets.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct CacheKey {
     generation: u64,
@@ -113,10 +115,7 @@ impl CacheKey {
             attrs: set.iter().map(|a| a.0).collect(),
             budgets: dense
                 .iter()
-                .map(|&d| {
-                    let n = idx.node_id(d);
-                    (n.0, avail.budget(n).to_bits())
-                })
+                .map(|&d| (idx.node_id(d).0, avail.budget_at(idx, d).to_bits()))
                 .collect(),
             collector: collector_avail.to_bits(),
         }
@@ -165,7 +164,7 @@ fn miss_counter() -> &'static remo_obs::Counter {
 
 #[derive(Debug, Default)]
 struct Inner {
-    map: HashMap<CacheKey, PlannedTree>,
+    map: IdMap<CacheKey, PlannedTree>,
     generation: u64,
     hits: u64,
     misses: u64,

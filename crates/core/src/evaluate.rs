@@ -14,12 +14,13 @@ use crate::build::{
 use crate::cache::TreeCache;
 use crate::capacity::CapacityMap;
 use crate::cost::{Aggregation, CostModel};
-use crate::ids::NodeId;
+use crate::ids::{IdMap, NodeId};
 use crate::index::PairIndex;
 use crate::pairs::PairSet;
 use crate::partition::{AttrSet, Partition};
 use crate::plan::{MonitoringPlan, PlannedTree};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Everything the evaluator needs besides the partition itself.
 #[derive(Debug, Clone, Copy)]
@@ -72,12 +73,19 @@ impl<'a> EvalContext<'a> {
 /// A read-only view of per-node residual budgets.
 ///
 /// Tree construction only ever *reads* budgets; abstracting the source
-/// lets candidate evaluation substitute a copy-on-write overlay (base
-/// map + touched deltas) for the full `BTreeMap` clones the search
-/// used to make per candidate.
+/// lets candidate evaluation substitute a copy-on-write overlay (a
+/// [`BudgetLedger`] plus touched values) for a full copy per candidate.
 pub trait BudgetView {
     /// The budget available on `node` (0.0 when unknown).
     fn budget(&self, node: NodeId) -> f64;
+
+    /// The budget of the node at dense position `dense` of `index`,
+    /// the index of the pair set being planned. Request assembly and
+    /// the tree cache's key walk participants densely; a
+    /// [`BudgetLedger`] answers without looking the id up.
+    fn budget_at(&self, index: &PairIndex, dense: u32) -> f64 {
+        self.budget(index.node_id(dense))
+    }
 }
 
 impl BudgetView for BTreeMap<NodeId, f64> {
@@ -86,53 +94,218 @@ impl BudgetView for BTreeMap<NodeId, f64> {
     }
 }
 
-/// Copy-on-write budget overlay: a borrowed base map plus the final
-/// values of the few nodes a candidate op has freed or charged.
+/// Residual budgets: a capacity map less the usage of every tree
+/// charged to it. Node residuals sit in one `Vec` in [`PairIndex`]
+/// dense-node order, beside the collector's remainder. The forest
+/// builder, the local search, the adaptive rebuild and the frequency
+/// groups all keep their running account in this one type.
 ///
-/// Mutations replay the same `+=` / `-=` sequence the eager-clone path
-/// performed on a full copy, so reads are bit-identical to it (IEEE 754
-/// subtraction is addition of the negation, and each node's op sequence
-/// is preserved; only untouched nodes skip the copy).
+/// Every node's residual takes the same subtractions in the same order
+/// as a `BTreeMap<NodeId, f64>` collected from the capacity map and
+/// charged tree by tree, so every value is bit-identical to that map's.
+/// A node with pairs but no capacity reads 0.0 and is never charged; a
+/// node with a capacity but no pairs is never in a tree and keeps its
+/// capacity.
+#[derive(Debug, Clone)]
+pub struct BudgetLedger {
+    index: Arc<PairIndex>,
+    /// Residual per dense node (0.0 for a node without a capacity).
+    nodes: Vec<f64>,
+    /// Per dense node: whether it has a capacity, and so is charged.
+    capped: Vec<bool>,
+    /// Nodes with a capacity but no pairs, ascending.
+    idle: Vec<(NodeId, f64)>,
+    collector: f64,
+}
+
+impl BudgetLedger {
+    /// The full capacities of `caps`, laid out over `pairs`' index.
+    pub fn new(pairs: &PairSet, caps: &CapacityMap) -> Self {
+        let index = pairs.shared_index();
+        let mut nodes = vec![0.0; index.node_count()];
+        let mut capped = vec![false; index.node_count()];
+        let mut idle = Vec::new();
+        for (n, b) in caps.iter() {
+            match index.dense_node(n) {
+                Some(d) => {
+                    nodes[d as usize] = b;
+                    capped[d as usize] = true;
+                }
+                None => idle.push((n, b)),
+            }
+        }
+        BudgetLedger {
+            index,
+            nodes,
+            capped,
+            idle,
+            collector: caps.collector(),
+        }
+    }
+
+    /// The collector's remainder.
+    pub fn collector(&self) -> f64 {
+        self.collector
+    }
+
+    /// The dense position of `node` if it is charged: it has pairs and
+    /// a capacity.
+    fn charged(&self, node: NodeId) -> Option<usize> {
+        let d = self.index.dense_node(node)? as usize;
+        self.capped[d].then_some(d)
+    }
+
+    fn charge_node(&mut self, node: NodeId, usage: f64) {
+        if let Some(d) = self.charged(node) {
+            self.nodes[d] -= usage;
+        }
+    }
+
+    /// Subtracts `tree`'s usage from its nodes and the collector.
+    pub fn charge(&mut self, tree: &PlannedTree) {
+        for (&n, &u) in &tree.usage {
+            self.charge_node(n, u);
+        }
+        self.collector -= tree.collector_usage;
+    }
+
+    /// Subtracts `plan`'s per-node usage, summed over its trees, and
+    /// its collector usage: one subtraction per node.
+    pub fn charge_plan(&mut self, plan: &MonitoringPlan) {
+        for (n, u) in plan.node_usage() {
+            self.charge_node(n, u);
+        }
+        self.collector -= plan.collector_usage();
+    }
+
+    /// Every node with a capacity and its residual, in no particular
+    /// order.
+    pub fn residuals(&self) -> impl Iterator<Item = (NodeId, f64)> + '_ {
+        let dense = (0..self.nodes.len()).filter(|&d| self.capped[d]);
+        dense
+            .map(|d| (self.index.node_id(d as u32), self.nodes[d]))
+            .chain(self.idle.iter().copied())
+    }
+
+    /// The residuals of the nodes with pairs, in dense order.
+    pub(crate) fn dense(&self) -> &[f64] {
+        &self.nodes
+    }
+
+    /// Takes over what an overlay of this ledger left.
+    pub(crate) fn settle(&mut self, touched: Touched) {
+        for (d, v) in touched.nodes {
+            self.nodes[d as usize] = v;
+        }
+        self.collector = touched.collector;
+    }
+}
+
+impl PartialEq for BudgetLedger {
+    /// Equal residuals, compared as `f64`s like the map's values.
+    fn eq(&self, other: &Self) -> bool {
+        self.nodes == other.nodes && self.idle == other.idle && self.collector == other.collector
+    }
+}
+
+impl BudgetView for BudgetLedger {
+    fn budget(&self, node: NodeId) -> f64 {
+        match self.index.dense_node(node) {
+            Some(d) => self.nodes[d as usize],
+            None => self
+                .idle
+                .binary_search_by_key(&node, |&(n, _)| n)
+                .map_or(0.0, |i| self.idle[i].1),
+        }
+    }
+
+    fn budget_at(&self, index: &PairIndex, dense: u32) -> f64 {
+        debug_assert_eq!(
+            index.node_count(),
+            self.nodes.len(),
+            "another pair set's index"
+        );
+        self.nodes[dense as usize]
+    }
+}
+
+/// Copy-on-write overlay of a [`BudgetLedger`]: the final values of the
+/// few nodes a candidate op has freed or charged, and the collector's.
+///
+/// Frees and charges replay the same `+=` / `-=` sequence per node a
+/// charged copy of the ledger would see, so reads are bit-identical to
+/// that copy; untouched nodes skip the copy.
 #[derive(Debug)]
 pub struct BudgetOverlay<'a> {
-    base: &'a BTreeMap<NodeId, f64>,
-    touched: BTreeMap<NodeId, f64>,
+    base: &'a BudgetLedger,
+    touched: Touched,
+}
+
+/// What a [`BudgetOverlay`] changed: the final residual of every node
+/// it touched, by dense position, and the collector's.
+#[derive(Debug, Clone)]
+pub struct Touched {
+    nodes: IdMap<u32, f64>,
+    collector: f64,
 }
 
 impl<'a> BudgetOverlay<'a> {
     /// An overlay with no changes yet.
-    pub fn new(base: &'a BTreeMap<NodeId, f64>) -> Self {
+    pub fn new(base: &'a BudgetLedger) -> Self {
         BudgetOverlay {
             base,
-            touched: BTreeMap::new(),
+            touched: Touched {
+                nodes: IdMap::default(),
+                collector: base.collector,
+            },
         }
     }
 
-    /// Applies `delta` (free > 0, charge < 0) to `node`'s budget.
-    ///
-    /// Panics if `node` is not in the base map, matching the eager
-    /// path's `expect("known node")`.
-    pub fn add(&mut self, node: NodeId, delta: f64) {
-        let v = self.touched.entry(node).or_insert_with(|| {
-            *self
-                .base
-                .get(&node)
-                .unwrap_or_else(|| unreachable!("known node"))
-        });
-        *v += delta;
+    /// Adds `sign` (±1) times `tree`'s usage; `x + (−u)` is `x − u`
+    /// to the bit.
+    fn add(&mut self, tree: &PlannedTree, sign: f64) {
+        for (&n, &u) in &tree.usage {
+            if let Some(d) = self.base.charged(n) {
+                let base = self.base.nodes[d];
+                *self.touched.nodes.entry(d as u32).or_insert(base) += sign * u;
+            }
+        }
+        self.touched.collector += sign * tree.collector_usage;
     }
 
-    /// The final values of every touched node.
-    pub fn into_touched(self) -> BTreeMap<NodeId, f64> {
+    /// Gives back what `tree` was charged.
+    pub fn free(&mut self, tree: &PlannedTree) {
+        self.add(tree, 1.0);
+    }
+
+    /// Charges `tree`'s usage.
+    pub fn charge(&mut self, tree: &PlannedTree) {
+        self.add(tree, -1.0);
+    }
+
+    /// The collector's remainder.
+    pub fn collector(&self) -> f64 {
+        self.touched.collector
+    }
+
+    /// The final values of every touched node and the collector.
+    pub fn into_touched(self) -> Touched {
         self.touched
     }
 }
 
 impl BudgetView for BudgetOverlay<'_> {
     fn budget(&self, node: NodeId) -> f64 {
-        match self.touched.get(&node) {
+        match self.base.index.dense_node(node) {
+            Some(d) => self.budget_at(&self.base.index, d),
+            None => self.base.budget(node),
+        }
+    }
+
+    fn budget_at(&self, index: &PairIndex, dense: u32) -> f64 {
+        match self.touched.nodes.get(&dense) {
             Some(&v) => v,
-            None => self.base.get(&node).copied().unwrap_or(0.0),
+            None => self.base.budget_at(index, dense),
         }
     }
 }
@@ -187,7 +360,7 @@ pub fn make_request<B: BudgetView + ?Sized>(
                     holistic: 0.0,
                     funnel: vec![0.0; funnels.len()],
                 },
-                budget: avail.budget(node),
+                budget: avail.budget_at(idx, d),
                 pairs: 0,
             }
         })
@@ -375,11 +548,10 @@ pub fn build_forest_cached(
 ) -> Option<MonitoringPlan> {
     let sets = partition.sets();
     let idx = ctx.pairs.index();
-    let mut remaining: BTreeMap<NodeId, f64> = ctx.caps.iter().collect();
-    let mut collector_remaining = ctx.caps.collector();
+    let mut remaining = BudgetLedger::new(ctx.pairs, ctx.caps);
     // Per set, an upper bound on what its tree collects.
     let bound: Vec<usize> = if floor > 0 && !ctx.allocation.is_static() {
-        let cap = |set| pair_cap(&make_request(set, ctx, &remaining, collector_remaining));
+        let cap = |set| pair_cap(&make_request(set, ctx, &remaining, remaining.collector()));
         sets.iter().map(cap).collect()
     } else {
         let demanded = |set: &AttrSet| set.iter().map(|&a| idx.owners(a).len()).sum();
@@ -429,7 +601,7 @@ pub fn build_forest_cached(
         // with every other tree at its bound.
         let need = floor.saturating_sub(reachable - bound[k]);
         // Budgets visible to this tree. Static schemes compute each
-        // tree's share; dynamic schemes read the running residual map
+        // tree's share; dynamic schemes read the running ledger
         // directly (no per-tree clone).
         let tree = if ctx.allocation.is_static() {
             let budgets: BTreeMap<NodeId, f64> = participants[k]
@@ -459,15 +631,10 @@ pub fn build_forest_cached(
             };
             build_tree_reaching(set, ctx, &budgets, collector_budget, cache, need)?
         } else {
-            build_tree_reaching(set, ctx, &remaining, collector_remaining, cache, need)?
+            build_tree_reaching(set, ctx, &remaining, remaining.collector(), cache, need)?
         };
         if !ctx.allocation.is_static() {
-            for (&n, &u) in &tree.usage {
-                if let Some(r) = remaining.get_mut(&n) {
-                    *r -= u;
-                }
-            }
-            collector_remaining -= tree.collector_usage;
+            remaining.charge(&tree);
         }
         reachable = reachable - bound[k] + tree.collected_pairs;
         planned[k] = Some(tree);
@@ -774,5 +941,105 @@ mod tests {
         let plan = build_forest(&Partition::one_set([]), &ctx);
         assert_eq!(plan.trees().len(), 0);
         assert_eq!(plan.collected_pairs(), 0);
+    }
+
+    /// A tree that only charges: `usage` on its nodes, `collector` on
+    /// the collector.
+    fn charging(usage: BTreeMap<NodeId, f64>, collector: f64) -> PlannedTree {
+        PlannedTree {
+            tree: None,
+            usage,
+            collector_usage: collector,
+            collected_pairs: 0,
+            demanded_pairs: 0,
+            excluded: Vec::new(),
+            message_volume: 0.0,
+        }
+    }
+
+    /// The account the ledger replaces: the capacity map collected into
+    /// a `BTreeMap`, charged where a node has an entry.
+    fn charge_map(map: &mut BTreeMap<NodeId, f64>, tree: &PlannedTree, sign: f64) {
+        for (n, &u) in &tree.usage {
+            if let Some(r) = map.get_mut(n) {
+                *r += sign * u;
+            }
+        }
+    }
+
+    /// Every read of `ledger` — by id over the ids 0..12, by dense index
+    /// over the pair set's nodes — against `map`, to the bit.
+    fn same_reads(ledger: &impl BudgetView, map: &BTreeMap<NodeId, f64>, idx: &PairIndex) {
+        for n in (0..12).map(NodeId) {
+            assert_eq!(ledger.budget(n).to_bits(), map.budget(n).to_bits(), "{n}");
+        }
+        for d in 0..idx.node_count() as u32 {
+            let (got, want) = (ledger.budget_at(idx, d), map.budget_at(idx, d));
+            assert_eq!(got.to_bits(), want.to_bits(), "dense {d}");
+        }
+    }
+
+    proptest::proptest! {
+        /// Nodes 0..10 may have pairs and 0..12 may have a capacity, so
+        /// some nodes have pairs and no capacity and some the reverse.
+        /// Trees hold only nodes with pairs, as built trees do.
+        #[test]
+        fn ledger_reads_match_the_map_it_replaces(
+            owned in proptest::prop::collection::btree_set((0u32..10, 0u32..4), 1..30),
+            capacities in proptest::prop::collection::vec((0u32..12, 0.0f64..100.0), 0..12),
+            trees in proptest::prop::collection::vec(
+                (proptest::prop::collection::vec((0usize..30, 0.0f64..20.0), 0..8), 0.0f64..9.0),
+                1..8,
+            ),
+            freed in 0usize..8,
+        ) {
+            let pairs: PairSet = owned.iter().map(|&(n, a)| (NodeId(n), AttrId(a))).collect();
+            let mut caps = CapacityMap::new(80.0).unwrap();
+            for &(n, b) in &capacities {
+                caps.set_node(NodeId(n), b).unwrap();
+            }
+            let idx = pairs.index();
+            let with_pairs: Vec<NodeId> = pairs.nodes().collect();
+            let trees: Vec<PlannedTree> = trees
+                .into_iter()
+                .map(|(usage, collector)| {
+                    let usage = usage
+                        .into_iter()
+                        .map(|(k, u)| (with_pairs[k % with_pairs.len()], u))
+                        .collect();
+                    charging(usage, collector)
+                })
+                .collect();
+
+            let mut ledger = BudgetLedger::new(&pairs, &caps);
+            let mut map: BTreeMap<NodeId, f64> = caps.iter().collect();
+            let mut collector = caps.collector();
+            same_reads(&ledger, &map, idx);
+            for t in &trees {
+                ledger.charge(t);
+                charge_map(&mut map, t, -1.0);
+                collector -= t.collector_usage;
+                same_reads(&ledger, &map, idx);
+                proptest::prop_assert_eq!(ledger.collector().to_bits(), collector.to_bits());
+            }
+            let mut residuals: Vec<(NodeId, f64)> = ledger.residuals().collect();
+            residuals.sort_by_key(|&(n, _)| n);
+            proptest::prop_assert_eq!(residuals, map.clone().into_iter().collect::<Vec<_>>());
+
+            // An overlay frees one charged tree and charges another.
+            let (gone, new) = (&trees[freed % trees.len()], &trees[0]);
+            let mut view = BudgetOverlay::new(&ledger);
+            view.free(gone);
+            view.charge(new);
+            charge_map(&mut map, gone, 1.0);
+            charge_map(&mut map, new, -1.0);
+            let collector = collector + gone.collector_usage - new.collector_usage;
+            same_reads(&view, &map, idx);
+            proptest::prop_assert_eq!(view.collector().to_bits(), collector.to_bits());
+            let touched = view.into_touched();
+            ledger.settle(touched);
+            same_reads(&ledger, &map, idx);
+            proptest::prop_assert_eq!(ledger.collector().to_bits(), collector.to_bits());
+        }
     }
 }

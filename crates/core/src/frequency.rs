@@ -15,7 +15,7 @@
 use crate::attribute::AttrCatalog;
 use crate::capacity::CapacityMap;
 use crate::cost::CostModel;
-use crate::ids::NodeId;
+use crate::evaluate::BudgetLedger;
 use crate::pairs::PairSet;
 use crate::plan::MonitoringPlan;
 use crate::planner::Planner;
@@ -131,14 +131,13 @@ pub fn plan_frequency_groups(
     let mut ordered: Vec<(f64, PairSet)> = buckets.into_values().collect();
     ordered.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
 
-    let mut remaining: BTreeMap<NodeId, f64> = caps.iter().collect();
-    let mut collector_remaining = caps.collector();
+    let mut remaining = BudgetLedger::new(pairs, caps);
     let mut groups = Vec::with_capacity(ordered.len());
 
     for (freq, group_pairs) in ordered {
-        let mut group_caps = CapacityMap::new(collector_remaining.max(0.0))
+        let mut group_caps = CapacityMap::new(remaining.collector().max(0.0))
             .unwrap_or_else(|e| panic!("non-negative collector budget: {e}"));
-        for (&n, &b) in &remaining {
+        for (n, b) in remaining.residuals() {
             group_caps
                 .set_node(n, b.max(0.0))
                 .unwrap_or_else(|e| panic!("non-negative budget: {e}"));
@@ -146,12 +145,7 @@ pub fn plan_frequency_groups(
         let group_cost = CostModel::new(cost.per_message() * freq, cost.per_value() * freq)
             .unwrap_or_else(|e| panic!("scaled cost model is valid: {e}"));
         let plan = planner.plan_with_catalog(&group_pairs, &group_caps, group_cost, catalog);
-        for (n, u) in plan.node_usage() {
-            if let Some(r) = remaining.get_mut(&n) {
-                *r -= u;
-            }
-        }
-        collector_remaining -= plan.collector_usage();
+        remaining.charge_plan(&plan);
         groups.push(FrequencyGroup {
             frequency: freq,
             pairs: group_pairs,
@@ -167,7 +161,7 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
     use super::*;
     use crate::attribute::AttrInfo;
-    use crate::ids::AttrId;
+    use crate::ids::{AttrId, NodeId};
 
     #[test]
     fn weight_bounds() {

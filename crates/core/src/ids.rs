@@ -6,7 +6,9 @@
 //! (see C-NEWTYPE in the Rust API guidelines).
 
 use serde::{Deserialize, Serialize};
+use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Identifier of a monitoring node (a member host of the monitored
 /// application). The central collector is *not* a `NodeId`; it is
@@ -111,6 +113,56 @@ impl From<u32> for TaskId {
     }
 }
 
+/// Hasher of the id-keyed tables on the planner's and the collector's
+/// hot paths: one rotate-xor-multiply per `u32` (a `u64` is two). The
+/// tree kernel looks a node id up for nearly every step it takes, the
+/// tree cache hashes a participant list per lookup and the collector a
+/// `(NodeId, AttrId)` pair per delivered value; the default SipHash
+/// costs more than the work around each of them.
+///
+/// It is not collision-resistant. Every key it hashes is built from the
+/// system's own ids, budgets and registered nodes, never from input a
+/// stranger controls, and nothing iterates these tables in an order
+/// that matters.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u32(u32::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, v: u32) {
+        self.0 = (self.0.rotate_left(5) ^ u64::from(v)).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.write_u32(v as u32);
+        self.write_u32((v >> 32) as u32);
+    }
+
+    fn write_usize(&mut self, v: usize) {
+        self.write_u64(v as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        // The multiply leaves its entropy in the high bits; the table
+        // indexes with the low ones.
+        self.0.rotate_left(26)
+    }
+}
+
+/// [`IdHasher`] as a `HashMap`/`HashSet` build hasher.
+pub type IdBuildHasher = BuildHasherDefault<IdHasher>;
+
+/// A `HashMap` keyed by ids, hashed with [`IdHasher`].
+pub type IdMap<K, V> = HashMap<K, V, IdBuildHasher>;
+
+/// A `HashSet` of ids, hashed with [`IdHasher`].
+pub type IdSet<K> = HashSet<K, IdBuildHasher>;
+
 #[cfg(test)]
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -134,6 +186,60 @@ mod tests {
     fn ordering_is_numeric() {
         assert!(NodeId(2) < NodeId(10));
         assert!(AttrId(2) < AttrId(10));
+    }
+
+    fn id_hash<T: std::hash::Hash>(key: &T) -> u64 {
+        use std::hash::BuildHasher;
+        IdBuildHasher::default().hash_one(key)
+    }
+
+    /// The largest bucket when `hashes` are spread over `buckets` (a
+    /// power of two) by their low bits, as a table indexes them.
+    fn fullest_bucket(hashes: impl Iterator<Item = u64>, buckets: usize) -> usize {
+        let mut load = vec![0usize; buckets];
+        for h in hashes {
+            load[(h as usize) & (buckets - 1)] += 1;
+        }
+        load.into_iter().max().unwrap()
+    }
+
+    #[test]
+    fn id_hasher_is_deterministic() {
+        let key = (NodeId(7), AttrId(3));
+        assert_eq!(id_hash(&key), id_hash(&key));
+        assert_eq!(
+            id_hash(&(7u32, 1.5f64.to_bits())),
+            id_hash(&(7u32, 1.5f64.to_bits()))
+        );
+        assert_ne!(id_hash(&NodeId(1)), id_hash(&NodeId(2)));
+        assert_ne!(
+            id_hash(&(NodeId(1), AttrId(2))),
+            id_hash(&(NodeId(2), AttrId(1)))
+        );
+    }
+
+    #[test]
+    fn id_hasher_spreads_dense_runs_and_grids() {
+        for buckets in [64usize, 256, 1024] {
+            // A dense run of node ids, offset like a fleet's id range.
+            for base in [0u32, 1_000, 1 << 20] {
+                let n = 8 * buckets as u32;
+                let full = fullest_bucket((base..base + n).map(|i| id_hash(&NodeId(i))), buckets);
+                assert!(
+                    full <= 4 * 8,
+                    "run from {base}: {full} in one of {buckets} buckets"
+                );
+            }
+            // A node × attribute grid, the collector's pair keys.
+            let side = ((8 * buckets) as f64).sqrt() as u32 + 1;
+            let grid = (0..side).flat_map(|n| (0..side).map(move |a| (NodeId(n), AttrId(a))));
+            let share = (side * side) as usize / buckets;
+            let full = fullest_bucket(grid.map(|k| id_hash(&k)), buckets);
+            assert!(
+                full <= 4 * share.max(1),
+                "{side}² grid: {full} in one of {buckets} buckets"
+            );
+        }
     }
 
     #[test]

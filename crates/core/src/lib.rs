@@ -75,7 +75,7 @@ pub mod evaluate;
 pub mod explore;
 pub mod export;
 pub mod frequency;
-mod ids;
+pub mod ids;
 pub mod index;
 mod pairs;
 mod partition;

@@ -123,9 +123,17 @@ impl PairSet {
     /// paths (participant discovery, load accumulation, overlap
     /// ranking) go through this view.
     pub fn index(&self) -> &PairIndex {
-        self.index
-            .get_or_init(|| Arc::new(PairIndex::build(self)))
-            .as_ref()
+        self.shared().as_ref()
+    }
+
+    /// [`index`](Self::index) as a shared handle, for a value that
+    /// outlives this borrow of the pair set.
+    pub(crate) fn shared_index(&self) -> Arc<PairIndex> {
+        Arc::clone(self.shared())
+    }
+
+    fn shared(&self) -> &Arc<PairIndex> {
+        self.index.get_or_init(|| Arc::new(PairIndex::build(self)))
     }
 
     /// Returns `true` if the pair is present.

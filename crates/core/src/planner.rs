@@ -21,9 +21,9 @@ use crate::cost::CostModel;
 use crate::estimate::GainEstimator;
 use crate::evaluate::{
     build_forest, build_forest_cached, build_sequence, build_tree_reaching, build_whole_forest,
-    BudgetOverlay, EvalContext,
+    BudgetLedger, BudgetOverlay, EvalContext, Touched,
 };
-use crate::ids::{AttrId, NodeId};
+use crate::ids::AttrId;
 use crate::pairs::PairSet;
 use crate::partition::{AttrSet, Partition, PartitionOp};
 use crate::plan::{MonitoringPlan, PlannedTree};
@@ -621,7 +621,7 @@ impl Planner {
         workers: usize,
         mut skip_laps: bool,
     ) -> MonitoringPlan {
-        let mut state = SearchState::from_plan(plan, ctx.caps);
+        let mut state = SearchState::from_plan(plan, ctx.pairs, ctx.caps);
 
         let max_budget = ctx.caps.iter().map(|(_, b)| b).fold(0.0f64, f64::max);
         let estimator = GainEstimator::with_capacity(ctx.pairs, ctx.cost, max_budget);
@@ -758,7 +758,7 @@ impl Planner {
                 report.global_evals += 1;
                 let rebuilt = build_forest_cached(&state.partition, ctx, cache, floor);
                 if let Some(rebuilt) = better(rebuilt) {
-                    state = SearchState::from_plan(&rebuilt, ctx.caps);
+                    state = SearchState::from_plan(&rebuilt, ctx.pairs, ctx.caps);
                     applied = true;
                     report.global_accepts += 1;
                     remo_obs::event!("planner.global.redistribution",
@@ -794,7 +794,7 @@ impl Planner {
                     if let Some((rank, plan)) = accepted {
                         let op = candidates[rank].0;
                         report.global_accepts += 1;
-                        state = SearchState::from_plan(&plan, ctx.caps);
+                        state = SearchState::from_plan(&plan, ctx.pairs, ctx.caps);
                         applied = true;
                         remo_obs::event!("planner.global.accept",
                             "round" => round,
@@ -926,7 +926,7 @@ fn par_map<T: Sync, R: Send>(workers: usize, items: &[T], f: impl Fn(&T) -> R + 
 /// adaptive planner's restricted search and the scoring proptest all
 /// step this one type.
 ///
-/// `avail`, `collector_avail` and `score` are functions of `trees`:
+/// `avail` and `score` are functions of `trees`:
 /// [`from_plan`](Self::from_plan) derives them from scratch,
 /// [`apply`](Self::apply) keeps them current from a candidate's deltas.
 #[derive(Debug, Clone, PartialEq)]
@@ -936,30 +936,22 @@ pub(crate) struct SearchState {
     /// it rebuilt, every other slot is an `Arc` bump instead of a deep
     /// `PlannedTree` clone.
     trees: Vec<Arc<PlannedTree>>,
-    /// Node budgets left after every tree's usage.
-    avail: BTreeMap<NodeId, f64>,
-    collector_avail: f64,
+    /// Node and collector budgets left after every tree's usage.
+    avail: BudgetLedger,
     score: Score,
 }
 
 impl SearchState {
-    /// The state of `plan` under the budgets `caps`.
-    pub(crate) fn from_plan(plan: &MonitoringPlan, caps: &CapacityMap) -> Self {
-        let mut avail: BTreeMap<NodeId, f64> = caps.iter().collect();
-        let mut collector_avail = caps.collector();
+    /// The state of `plan`, a plan of `pairs`, under the budgets `caps`.
+    pub(crate) fn from_plan(plan: &MonitoringPlan, pairs: &PairSet, caps: &CapacityMap) -> Self {
+        let mut avail = BudgetLedger::new(pairs, caps);
         for t in plan.trees() {
-            for (&n, &u) in &t.usage {
-                if let Some(r) = avail.get_mut(&n) {
-                    *r -= u;
-                }
-            }
-            collector_avail -= t.collector_usage;
+            avail.charge(t);
         }
         SearchState {
             partition: plan.partition().clone(),
             trees: plan.trees().iter().cloned().map(Arc::new).collect(),
             avail,
-            collector_avail,
             score: Score::of(plan.trees()),
         }
     }
@@ -986,7 +978,10 @@ impl SearchState {
     fn fingerprint(&self, also: (usize, usize)) -> u64 {
         let mut h = DefaultHasher::new();
         (also, self.partition.sets(), self.score.pairs).hash(&mut h);
-        self.avail.values().for_each(|b| b.to_bits().hash(&mut h));
+        self.avail
+            .dense()
+            .iter()
+            .for_each(|b| b.to_bits().hash(&mut h));
         h.finish()
     }
 
@@ -1042,12 +1037,8 @@ impl SearchState {
 
         // Free the affected trees' capacity onto the overlay.
         let mut view = BudgetOverlay::new(&self.avail);
-        let mut collector = self.collector_avail;
         for &k in &affected_old {
-            for (&n, &u) in &trees[k].usage {
-                view.add(n, u);
-            }
-            collector += trees[k].collector_usage;
+            view.free(&trees[k]);
         }
 
         // The op's result sets, keyed by their new-partition index.
@@ -1088,14 +1079,12 @@ impl SearchState {
                 .map(|&a| idx.owners(a).len())
                 .sum();
             let floor = short.saturating_sub(later);
+            let collector = view.collector();
             let Some(t) = build_tree_reaching(set, ctx, &view, collector, cache, floor) else {
                 return Some(Err(Cut));
             };
             short = short.saturating_sub(t.collected_pairs);
-            for (&n, &u) in &t.usage {
-                view.add(n, -u);
-            }
-            collector -= t.collector_usage;
+            view.charge(&t);
             built.insert(*k, Arc::new(t));
         }
 
@@ -1116,7 +1105,6 @@ impl SearchState {
             op,
             built,
             touched: view.into_touched(),
-            collector_after: collector,
             score,
         }))
     }
@@ -1128,8 +1116,7 @@ impl SearchState {
             .apply(ev.op)
             .unwrap_or_else(|e| panic!("op validated by eval: {e}"));
         self.trees = assemble_trees(ev.op, &self.trees, ev.built);
-        self.avail.extend(ev.touched);
-        self.collector_avail = ev.collector_after;
+        self.avail.settle(ev.touched);
         self.score = ev.score;
     }
 
@@ -1161,8 +1148,7 @@ pub(crate) struct Cut;
 pub(crate) struct CandidateEval {
     op: PartitionOp,
     built: BTreeMap<usize, Arc<PlannedTree>>,
-    touched: BTreeMap<NodeId, f64>,
-    collector_after: f64,
+    touched: Touched,
     score: Score,
 }
 
@@ -1345,6 +1331,7 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
     use super::*;
     use crate::evaluate::EvalContext;
+    use crate::ids::NodeId;
 
     fn dense_pairs(nodes: u32, attrs: u32) -> PairSet {
         (0..nodes)
@@ -1534,7 +1521,7 @@ mod tests {
                 &Partition::singleton(pairs.attr_universe()),
                 &ctx,
             );
-            let mut state = SearchState::from_plan(&start, &caps);
+            let mut state = SearchState::from_plan(&start, &pairs, &caps);
             let mut copied = state.clone();
 
             for (m, x, y) in seq {
@@ -1583,12 +1570,12 @@ mod tests {
                     serde_json::to_string(&copied.clone().into_plan()).unwrap()
                 );
                 prop_assert_eq!(&state.avail, &copied.avail);
-                prop_assert_eq!(state.collector_avail.to_bits(), copied.collector_avail.to_bits());
+                prop_assert_eq!(state.avail.collector().to_bits(), copied.avail.collector().to_bits());
                 prop_assert_eq!(state.score, copied.score);
 
-                let fresh = SearchState::from_plan(&plan, &caps);
+                let fresh = SearchState::from_plan(&plan, &pairs, &caps);
                 prop_assert_eq!(&state.avail, &fresh.avail, "budgets drifted on {:?}", op);
-                prop_assert_eq!(state.collector_avail, fresh.collector_avail);
+                prop_assert_eq!(state.avail.collector(), fresh.avail.collector());
                 prop_assert_eq!(state.score, fresh.score);
             }
         }
@@ -1829,7 +1816,7 @@ mod tests {
         let (caps, cost, catalog) = setup(6, 100.0, 1000.0);
         let ctx = EvalContext::basic(&pairs, &caps, cost, &catalog);
         let start = build_forest(&Partition::singleton(pairs.attr_universe()), &ctx);
-        let before = SearchState::from_plan(&start, &caps);
+        let before = SearchState::from_plan(&start, &pairs, &caps);
         let merged = before.applied(before.eval(PartitionOp::Merge(0, 1), &ctx, None).unwrap());
         let split = PartitionOp::Split(0, AttrId(0));
         let after = merged.applied(merged.eval(split, &ctx, None).unwrap());
@@ -1846,7 +1833,7 @@ mod tests {
         assert_ne!(before.fingerprint((0, 0)), after.fingerprint((0, 0)));
         // The same state does compare and digest equal, whatever path
         // produced it, and the two extra counters are part of the digest.
-        let again = SearchState::from_plan(&before.clone().into_plan(), &caps);
+        let again = SearchState::from_plan(&before.clone().into_plan(), &pairs, &caps);
         assert_eq!(before, again);
         assert_eq!(before.fingerprint((7, 1)), again.fingerprint((7, 1)));
         assert_ne!(before.fingerprint((7, 1)), before.fingerprint((7, 0)));
@@ -2070,7 +2057,7 @@ mod tests {
         for (shape, (pairs, caps)) in feasible_and_starved().iter().enumerate() {
             let ctx = planner.eval_context(pairs, caps, cost, &catalog);
             let start = build_forest(&planner.initial_partition(pairs), &ctx);
-            let mut state = SearchState::from_plan(&start, caps);
+            let mut state = SearchState::from_plan(&start, pairs, caps);
             let rule = Acceptance::of(start.demanded_pairs());
             let mut best = state.score.pairs;
             let max_budget = caps.iter().map(|(_, b)| b).fold(0.0f64, f64::max);

@@ -22,10 +22,10 @@ use crate::proto::{parse_frame, FrameKind, WireReading};
 use crate::throttle::TokenBucket;
 use crate::transport::{Endpoint, IncarnationTracker, NetConfig, Transport};
 use bytes::Bytes;
+use remo_core::ids::IdMap;
 use remo_core::{AttrCatalog, AttrId, AttrInfo, CostModel, NodeId};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::{BTreeMap, VecDeque};
 
 /// A value stored at the collector.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -130,35 +130,11 @@ pub struct DeliveredReading {
     pub received: u64,
 }
 
-/// Hasher of the per-pair store's `(NodeId, AttrId)` keys: one
-/// rotate-xor-multiply per `u32`. `record` looks a pair up for every
-/// delivered value, and the default SipHash costs more than the rest
-/// of `record` together. It is not collision-resistant; the keys come
-/// from the deployment's own registered nodes, not from strangers.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PairHasher(u64);
-
-impl Hasher for PairHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u32(u32::from(b));
-        }
-    }
-
-    fn write_u32(&mut self, v: u32) {
-        self.0 = (self.0.rotate_left(5) ^ u64::from(v)).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-
-    fn finish(&self) -> u64 {
-        // The multiply leaves its entropy in the high bits; the table
-        // indexes with the low ones.
-        self.0.rotate_left(26)
-    }
-}
-
 /// The per-pair snapshot store: freshest [`Observed`] per `(node,
-/// attribute)`, O(1) per lookup. Iteration order is unspecified.
-pub type PairStore = HashMap<(NodeId, AttrId), Observed, BuildHasherDefault<PairHasher>>;
+/// attribute)`, O(1) per lookup under the id hasher
+/// ([`remo_core::ids::IdHasher`]): `record` looks a pair up for every
+/// delivered value. Iteration order is unspecified.
+pub type PairStore = IdMap<(NodeId, AttrId), Observed>;
 
 /// The collector's capacity-enforcing ingest state machine.
 #[derive(Debug, Clone)]
