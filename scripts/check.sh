@@ -364,6 +364,32 @@ if [ -n "$outside" ]; then
   exit 1
 fi
 
+# The tree-build path looks ids up under the one id hasher
+# (remo_core::ids::IdHasher) and reads budgets from one dense ledger
+# (evaluate::BudgetLedger): no SipHash table in the tracker or the tree
+# cache, no residual map collected from the capacity map, no second
+# hasher.
+echo "==> one id hasher, one budget ledger (crates/core/src, crates/)"
+tables=$(awk '/^pub struct LoadTracker/ { on = 1 } on { print } on && /^}/ { on = 0 }' \
+  crates/core/src/build.rs; awk '/^struct Inner/ { on = 1 } on { print } on && /^}/ { on = 0 }' \
+  crates/core/src/cache.rs)
+if grep -nE '\bHash(Map|Set)<' <<<"$tables"; then
+  echo "LoadTracker and TreeCache's Inner must key by id under IdMap/IdSet, not a default-hashed table" >&2
+  exit 1
+fi
+residual_maps=$(for f in crates/core/src/*.rs; do
+  sed '/^mod tests {/,$d' "$f" | grep -nE 'caps\.iter\(\)(\.collect|$)' | sed "s|^|$f:|"
+done)
+if [ -n "$residual_maps" ]; then
+  echo "residual budgets live in evaluate::BudgetLedger; do not collect a map from caps.iter():" >&2
+  echo "$residual_maps" >&2
+  exit 1
+fi
+if grep -rnE 'impl\s+(std::hash::)?Hasher\s+for' crates/ | grep -v '^crates/core/src/ids.rs:'; then
+  echo "remo_core::ids::IdHasher is the one id hasher; use IdMap/IdSet" >&2
+  exit 1
+fi
+
 # Receive-side dedup is an anti-replay window: a fixed bitmap per
 # sender, whatever the plan. A set of out-of-order seqs grew by one
 # entry per frame from a sender with several parents. The window is
