@@ -234,7 +234,10 @@ impl Harness {
     }
 
     /// Collector session steps taken through the protocol spec so far
-    /// (the RA023 conformance witness).
+    /// (the RA023 conformance witness). Only the collector's side is
+    /// counted: the harness steps the hub's own session book and
+    /// replays no node-side machine beside it, so this is not a count
+    /// of node sessions checked.
     pub fn conformance_checks(&self) -> u64 {
         self.sessions.steps()
     }
@@ -691,7 +694,8 @@ mod tests {
         assert!(h.reconfigures() > 0, "repair re-routes survivors");
         assert!(
             h.conformance_checks() > 0,
-            "the cycle must replay through the protocol spec"
+            "the cycle must step the collector's sessions through the protocol spec \
+             (conformance_checks counts collector steps only)"
         );
     }
 
