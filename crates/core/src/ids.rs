@@ -128,25 +128,30 @@ impl From<u32> for TaskId {
 pub struct IdHasher(u64);
 
 impl Hasher for IdHasher {
+    #[inline]
     fn write(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.write_u32(u32::from(b));
         }
     }
 
+    #[inline]
     fn write_u32(&mut self, v: u32) {
         self.0 = (self.0.rotate_left(5) ^ u64::from(v)).wrapping_mul(0x517c_c1b7_2722_0a95);
     }
 
+    #[inline]
     fn write_u64(&mut self, v: u64) {
         self.write_u32(v as u32);
         self.write_u32((v >> 32) as u32);
     }
 
+    #[inline]
     fn write_usize(&mut self, v: usize) {
         self.write_u64(v as u64);
     }
 
+    #[inline]
     fn finish(&self) -> u64 {
         // The multiply leaves its entropy in the high bits; the table
         // indexes with the low ones.
