@@ -1,18 +1,26 @@
 //! Tree-construction benchmarks: the four builders (Fig. 7's
 //! candidates), the adjustment-optimization variants (Fig. 10's
 //! timing dimension), the feasible and saturated regimes the planner's
-//! cold plans spend their time in, and the load tracker's attach at the
-//! saturated trees' depth.
+//! cold plans spend their time in, the load tracker's attach at the
+//! saturated trees' depth, and whole forests of the benchmark's planning
+//! shapes.
 
 // Benchmark scaffolding: inputs are compile-time constants, so a
 // failed unwrap is a broken harness, not a runtime error path.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
 use remo_core::build::{
     build_tree, AdjustConfig, BuildRequest, BuilderKind, LoadTracker, LocalLoad, NodeDemand,
 };
-use remo_core::{AttrId, CostModel, NodeId};
+use remo_core::evaluate::{build_forest, EvalContext};
+use remo_core::planner::Planner;
+use remo_core::{
+    AttrCatalog, AttrId, CapacityMap, CostModel, MonitoringTask, NodeId, PairSet, Partition, TaskId,
+};
+use remo_workloads::TaskGenConfig;
 
 fn uniform_request(nodes: usize, budget: f64) -> BuildRequest {
     BuildRequest {
@@ -209,6 +217,55 @@ fn bench_tracker(c: &mut Criterion) {
     group.finish();
 }
 
+/// An input of the end-to-end benchmark's planning workloads: `tasks`
+/// small-scale tasks over `nodes` nodes and 100 attributes at C/a = 20,
+/// node capacity `node_capacity` x pairs / attrs, collector
+/// `collector_capacity` x n.
+fn plan_shape(
+    nodes: usize,
+    tasks: usize,
+    node_capacity: f64,
+    collector_capacity: f64,
+) -> (PairSet, CapacityMap, CostModel) {
+    let attrs = 100;
+    let mut rng = SmallRng::seed_from_u64(42);
+    let tasks = TaskGenConfig::small_scale(nodes, attrs).generate(tasks, TaskId(0), &mut rng);
+    let pairs: PairSet = tasks.iter().flat_map(MonitoringTask::pairs).collect();
+    let per_node = node_capacity * pairs.len() as f64 / attrs as f64;
+    let caps =
+        CapacityMap::uniform(nodes, per_node, collector_capacity * nodes as f64).expect("caps");
+    (pairs, caps, CostModel::from_ratio(20.0).expect("cost"))
+}
+
+/// Whole forests, where the tree kernel's id and budget lookups add up:
+/// the singleton forest of the `plan-saturated` shape (n = 10 000, one
+/// starved tree per attribute) and a cold plan of the `plan-feasible`
+/// shape (n = 1 000), the seed forests, the local window's candidate
+/// trees and the global phase's forests together.
+fn bench_forest(c: &mut Criterion) {
+    let mut group = c.benchmark_group("forest");
+    group.sample_size(10);
+    let planner = Planner::default();
+    let catalog = AttrCatalog::new();
+
+    let (pairs, caps, cost) = plan_shape(10_000, 2_000, 0.35, 40.0);
+    let ctx = EvalContext::basic(&pairs, &caps, cost, &catalog);
+    let singletons = Partition::singleton(pairs.attr_universe());
+    group.bench_with_input(
+        BenchmarkId::new("saturated_singletons", 10_000),
+        &singletons,
+        |b, singletons| b.iter(|| build_forest(singletons, &ctx)),
+    );
+
+    let (pairs, caps, cost) = plan_shape(1_000, 500, 8.0, 1_000.0);
+    group.bench_with_input(
+        BenchmarkId::new("feasible_cold_plan", 1_000),
+        &planner,
+        |b, planner| b.iter(|| planner.plan_with_catalog(&pairs, &caps, cost, &catalog)),
+    );
+    group.finish();
+}
+
 fn bench_adjust_optimizations(c: &mut Criterion) {
     let mut group = c.benchmark_group("adjusting_procedure");
     group.sample_size(10);
@@ -237,6 +294,7 @@ criterion_group!(
     bench_adjust_optimizations,
     bench_feasible,
     bench_saturated,
-    bench_tracker
+    bench_tracker,
+    bench_forest
 );
 criterion_main!(benches);
