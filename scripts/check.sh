@@ -378,7 +378,7 @@ if grep -nE '\bHash(Map|Set)<' <<<"$tables"; then
   exit 1
 fi
 residual_maps=$(for f in crates/core/src/*.rs; do
-  sed '/^mod tests {/,$d' "$f" | grep -nE 'caps\.iter\(\)(\.collect|$)' | sed "s|^|$f:|"
+  sed '/^mod tests {/,$d' "$f" | { grep -nE 'caps\.iter\(\)(\.collect|$)' || true; } | sed "s|^|$f:|"
 done)
 if [ -n "$residual_maps" ]; then
   echo "residual budgets live in evaluate::BudgetLedger; do not collect a map from caps.iter():" >&2
