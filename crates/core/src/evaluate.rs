@@ -243,7 +243,7 @@ pub struct BudgetOverlay<'a> {
 
 /// What a [`BudgetOverlay`] changed: the final residual of every node
 /// it touched, by dense position, and the collector's.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Touched {
     nodes: IdMap<u32, f64>,
     collector: f64,
