@@ -1726,25 +1726,28 @@ fn build_adaptive(seed: &Seed<'_>, cfg: AdjustConfig) -> Built {
         max_avb,
     } = adjusted_pass(seed, cfg);
     let mut fates = [Fate::Skipped; 3];
+    let mut won = [false; 3];
     let consider = |best: &mut Built, cand: Built| {
-        if better(&cand, best) {
+        let wins = better(&cand, best);
+        if wins {
             *best = cand;
         }
+        wins
     };
     if !cannot_win(seed, false, &best) {
         fates[0] = Fate::Built;
-        consider(&mut best, build_star(seed));
+        won[0] = consider(&mut best, build_star(seed));
     }
     if let Some((start, tail)) = chain.filter(|_| !cannot_win(seed, true, &best)) {
         fates[1] = Fate::Forked;
-        consider(&mut best, chain_from(seed, start, tail));
+        won[1] = consider(&mut best, chain_from(seed, start, tail));
     }
     if let Some(start) = max_avb {
         fates[2] = Fate::Forked;
-        consider(&mut best, max_avb_from(seed, start));
+        won[2] = consider(&mut best, max_avb_from(seed, start));
     }
     if remo_obs::enabled() {
-        record_build(&fates, sweeps);
+        record_build(&fates, &won, sweeps);
     }
     best
 }
@@ -1764,15 +1767,18 @@ fn work_counters() -> &'static (remo_obs::Counter, remo_obs::Counter) {
 }
 
 /// Exports what one adaptive build did: which challengers it built,
-/// continued from a fork or skipped, and how many relief sweeps its
-/// adjusted pass ran.
-fn record_build(fates: &[Fate; 3], sweeps: u64) {
-    type Handles = [[Option<remo_obs::Counter>; 3]; 3];
+/// continued from a fork or skipped, which of them displaced the
+/// incumbent, and how many relief sweeps its adjusted pass ran.
+fn record_build(fates: &[Fate; 3], won: &[bool; 3], sweeps: u64) {
+    type Handles = [([Option<remo_obs::Counter>; 3], remo_obs::Counter); 3];
     static HANDLES: std::sync::OnceLock<(Handles, remo_obs::Counter)> = std::sync::OnceLock::new();
+    let counter = |what: &str, scheme: &str| {
+        remo_obs::counter(&format!("remo_build_challengers_{what}_{scheme}_total"))
+    };
     let (challengers, relief) = HANDLES.get_or_init(|| {
         (
             ["star", "chain", "max_avb"].map(|scheme| {
-                [Fate::Skipped, Fate::Built, Fate::Forked].map(|fate| {
+                let fates = [Fate::Skipped, Fate::Built, Fate::Forked].map(|fate| {
                     let what = match fate {
                         Fate::Skipped => "skipped",
                         Fate::Built => "built",
@@ -1780,17 +1786,19 @@ fn record_build(fates: &[Fate; 3], sweeps: u64) {
                         Fate::Forked if scheme == "star" => return None,
                         Fate::Forked => "forked",
                     };
-                    Some(remo_obs::counter(&format!(
-                        "remo_build_challengers_{what}_{scheme}_total"
-                    )))
-                })
+                    Some(counter(what, scheme))
+                });
+                (fates, counter("won", scheme))
             }),
             remo_obs::counter("remo_build_relief_sweeps_total"),
         )
     });
-    for (handles, &fate) in challengers.iter().zip(fates) {
+    for ((handles, won_counter), (&fate, &won)) in challengers.iter().zip(fates.iter().zip(won)) {
         if let Some(counter) = &handles[fate as usize] {
             counter.inc();
+        }
+        if won {
+            won_counter.inc();
         }
     }
     relief.inc_by(sweeps as f64);

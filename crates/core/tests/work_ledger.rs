@@ -6,11 +6,12 @@
 //! shape at a fixed seed on one worker (so cache hits do not depend on
 //! which thread got there first) and pins every work counter the run
 //! exports: seeds evaluated and abandoned, candidates cut, cache hits
-//! and misses, challenger fates, relief sweeps, attach attempts and
-//! `propagate` steps. A change that makes the search or the kernel do
-//! more or less work moves a pin; a change that only makes the same
-//! work cheaper leaves every pin where it was. Re-pin only for an
-//! intended, explained change of the work.
+//! and misses, challenger fates (and which challengers displaced the
+//! incumbent), relief sweeps, attach attempts and `propagate` steps. A
+//! change that makes the search or the kernel do more or less work
+//! moves a pin; a change that only makes the same work cheaper leaves
+//! every pin where it was. Re-pin only for an intended, explained
+//! change of the work.
 //!
 //! Every test takes [`remo_obs::test_guard`]: the registry and the
 //! enabled flag are process-wide.
@@ -185,6 +186,9 @@ fn feasible_cold_plan_work_is_pinned() {
             "build_challengers_skipped_chain 87",
             "build_challengers_skipped_max_avb 85",
             "build_challengers_skipped_star 0",
+            "build_challengers_won_chain 0",
+            "build_challengers_won_max_avb 2",
+            "build_challengers_won_star 0",
             "build_propagate_steps 74230",
             "build_relief_sweeps 18",
             "planner_cache_hits 11",
@@ -217,6 +221,9 @@ fn saturated_cold_plan_work_is_pinned() {
             "build_challengers_skipped_chain 0",
             "build_challengers_skipped_max_avb 0",
             "build_challengers_skipped_star 0",
+            "build_challengers_won_chain 0",
+            "build_challengers_won_max_avb 0",
+            "build_challengers_won_star 0",
             "build_propagate_steps 42854",
             "build_relief_sweeps 116",
             "planner_cache_hits 105",
@@ -290,6 +297,9 @@ fn churn_stream_work_is_pinned() {
             "build_challengers_skipped_chain 216",
             "build_challengers_skipped_max_avb 213",
             "build_challengers_skipped_star 0",
+            "build_challengers_won_chain 1",
+            "build_challengers_won_max_avb 18",
+            "build_challengers_won_star 15",
             "build_propagate_steps 929851",
             "build_relief_sweeps 574",
             "planner_cache_hits 5",
