@@ -150,8 +150,9 @@ fn bench_feasible(c: &mut Criterion) {
     group.finish();
 }
 
-/// Where the adaptive builder's challengers continue from its own pass
-/// instead of rebuilding the shared chain.
+/// Where the adaptive builder's MAX_AVB challenger continues from its
+/// own pass instead of rebuilding the shared chain (CHAIN, timed here
+/// as a baseline, is no challenger).
 fn bench_saturated(c: &mut Criterion) {
     let mut group = c.benchmark_group("saturated");
     group.sample_size(20);

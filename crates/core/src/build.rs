@@ -14,7 +14,8 @@
 //!   with the most available capacity.
 //! - [`BuilderKind::Adaptive`] — REMO's adjusting procedure: greedy
 //!   placement with congestion-relieving branch relocation, seeded
-//!   against the simple schemes so it dominates them by construction.
+//!   against STAR and MAX_AVB so it dominates those two by
+//!   construction. That it also beats CHAIN is measured, not built in.
 //!
 //! All schemes share the [`LoadTracker`], an incrementally-maintained
 //! account of per-node outgoing values (with in-network aggregation
@@ -29,9 +30,9 @@
 //! on the path holds, so a refused attach writes nothing.
 //!
 //! The adaptive scheme finishes a simple-scheme challenger only when it
-//! could displace the incumbent, and continues CHAIN and MAX_AVB from
-//! where its own pass stopped matching them instead of rebuilding the
-//! shared prefix (`adjusted_pass`). Every scheme hands back its tracker
+//! could displace the incumbent, and continues MAX_AVB from where its
+//! own pass stopped matching it instead of rebuilding the shared prefix
+//! (`adjusted_pass`). Every scheme hands back its tracker
 //! scored by pairs and volume, and only the winner is materialized as a
 //! [`BuildOutcome`]. DESIGN.md, "Tree kernel", has the exactness
 //! arguments and `tests/golden_build.rs` pins every scheme's outcomes
@@ -1182,7 +1183,7 @@ impl<'a> Seed<'a> {
             .map(|(_, &d)| d)
     }
 
-    /// A placement loop's state before its first placement.
+    /// MAX_AVB's placement-loop state before its first placement.
     fn start(&self) -> Start {
         Start {
             tracker: self.tracker.clone(),
@@ -1193,8 +1194,8 @@ impl<'a> Seed<'a> {
     }
 }
 
-/// A simple scheme's placement-loop state: where it starts from the
-/// seed, or where the adjusted pass forked it off (`adjusted_pass`).
+/// MAX_AVB's placement-loop state: where it starts from the seed, or
+/// where the adjusted pass forked it off (`adjusted_pass`).
 #[derive(Debug, Clone)]
 struct Start {
     tracker: LoadTracker,
@@ -1206,22 +1207,15 @@ struct Start {
 
 /// STAR and CHAIN: every node has exactly one candidate parent, which
 /// `next_parent` derives from the node just attached. The loop runs
-/// from `start` with `parent` as the first candidate.
-fn build_fixed_parent(
-    seed: &Seed<'_>,
-    start: Start,
-    mut parent: NodeId,
-    next_parent: impl Fn(NodeId, NodeId) -> NodeId,
-) -> Built {
+/// from the seed with the root as the first candidate.
+fn build_fixed_parent(seed: &Seed<'_>, next_parent: impl Fn(NodeId, NodeId) -> NodeId) -> Built {
     // The candidate parent moves only on success — the failed-placement
     // memo applies verbatim.
-    let Start {
-        tracker: mut t,
-        next,
-        mut excluded,
-        mut memo,
-    } = start;
-    for d in seed.rest().skip(next) {
+    let mut t = seed.tracker.clone();
+    let mut parent = seed.root().node;
+    let mut excluded = Vec::new();
+    let mut memo = PlaceMemo::new();
+    for d in seed.rest() {
         let total = d.load.total();
         if memo.known_to_fail(&t, total) {
             excluded.push(d.node);
@@ -1239,16 +1233,11 @@ fn build_fixed_parent(
 }
 
 fn build_star(seed: &Seed<'_>) -> Built {
-    build_fixed_parent(seed, seed.start(), seed.root().node, |root, _| root)
+    build_fixed_parent(seed, |root, _| root)
 }
 
 fn build_chain(seed: &Seed<'_>) -> Built {
-    chain_from(seed, seed.start(), seed.root().node)
-}
-
-/// CHAIN from `start`, whose tail is `tail`.
-fn chain_from(seed: &Seed<'_>, start: Start, tail: NodeId) -> Built {
-    build_fixed_parent(seed, start, tail, |_, tail| tail)
+    build_fixed_parent(seed, |_, tail| tail)
 }
 
 /// Members ranked by available budget, best first: `(avail desc, id
@@ -1397,25 +1386,20 @@ impl PlaceMemo {
     }
 }
 
-/// Greedy placement under the best-available parents. `before_try`
-/// sees the tracker, the candidate's rank and the candidate before each
-/// attach attempt — a failed attempt writes nothing, so that is the
-/// state before `d` each time.
+/// Greedy placement under the best-available parents.
 fn try_place(
     t: &mut LoadTracker,
     heap: &mut AvailHeap,
     scratch: &mut Vec<NodeId>,
     d: &NodeDemand,
     memo: &mut PlaceMemo,
-    mut before_try: impl FnMut(&LoadTracker, usize, NodeId),
 ) -> bool {
     let total = d.load.total();
     if memo.known_to_fail(t, total) {
         return false;
     }
     heap.top(t, PARENT_CANDIDATES, scratch);
-    for (rank, &parent) in scratch.iter().enumerate() {
-        before_try(t, rank, parent);
+    for &parent in scratch.iter() {
         if t.try_attach(d.node, d.load.clone(), d.budget, parent)
             .is_ok()
         {
@@ -1442,7 +1426,7 @@ fn max_avb_from(seed: &Seed<'_>, start: Start) -> Built {
     let mut heap = AvailHeap::over(&t);
     let mut scratch = Vec::new();
     for d in seed.rest().skip(next) {
-        if !try_place(&mut t, &mut heap, &mut scratch, d, &mut memo, |_, _, _| {}) {
+        if !try_place(&mut t, &mut heap, &mut scratch, d, &mut memo) {
             excluded.push(d.node);
         }
     }
@@ -1524,43 +1508,39 @@ fn relieve_congestion(t: &mut LoadTracker, heap: &mut AvailHeap, cfg: AdjustConf
     false
 }
 
-/// The volume of the complete STAR or CHAIN over `seed` — every node
-/// included — in closed form, together with the rounding margin within
-/// which a tracker-built tree's volume may differ from it. `None` when
-/// no such bound holds (funnels reshape the payloads; a node without
-/// pairs could be dropped for free).
+/// The volume of the complete STAR over `seed` — every node included —
+/// in closed form, together with the rounding margin within which a
+/// tracker-built tree's volume may differ from it. `None` when no such
+/// bound holds (funnels reshape the payloads; a node without pairs
+/// could be dropped for free).
 ///
-/// A chain's k-th node sends the loads from k to the tail; a star's
-/// root sends everything and each leaf its own load. The tracker
-/// reaches the same sums by incremental delta propagation, one update
-/// per ancestor per attach, so the two agree up to accumulated
-/// rounding: n attaches, each leaving up to ε of the total load between
-/// every node's sum and its child's, compounding along at most n
-/// levels — n²·ε of the volume. `4(n+2)²·ε` covers that, the id-order
-/// volume sum and this function's own additions with room to spare.
-/// (Loads that are integers — the planner's, unless frequency weighting
-/// is on — make every one of those sums exact.)
-fn complete_volume(seed: &Seed<'_>, chain: bool) -> Option<(f64, f64)> {
+/// A star's root sends everything and each leaf its own load. The
+/// tracker reaches the same sums by incremental delta propagation, one
+/// update per attach, so the two agree up to accumulated rounding: n
+/// attaches, each leaving up to ε of the total load in the root's sum —
+/// n·ε of the volume. `4(n+2)²·ε` covers that, the id-order volume sum
+/// and this function's own additions with room to spare. (Loads that
+/// are integers — the planner's, unless frequency weighting is on —
+/// make every one of those sums exact.)
+fn complete_volume(seed: &Seed<'_>) -> Option<(f64, f64)> {
     if !seed.request.funnels.is_empty() {
         return None;
     }
+    let load_of = |d: &NodeDemand| {
+        let load = d.load.holistic;
+        (d.pairs != 0 && !load.is_nan() && load >= 0.0).then_some(load)
+    };
     let cost = seed.request.cost;
     let mut volume = 0.0;
     let mut carried = 0.0;
-    // From the tail towards the root, which sends everything.
-    for (d, relays) in seed
-        .rest()
-        .rev()
-        .map(|d| (d, chain))
-        .chain([(seed.root(), true)])
-    {
-        let load = d.load.holistic;
-        if d.pairs == 0 || load.is_nan() || load < 0.0 {
-            return None;
-        }
+    // From the last leaf towards the root, which sends everything.
+    for d in seed.rest().rev() {
+        let load = load_of(d)?;
         carried += load;
-        volume += cost.message_cost(if relays { carried } else { load });
+        volume += cost.message_cost(load);
     }
+    carried += load_of(seed.root())?;
+    volume += cost.message_cost(carried);
     let n = seed.order.len() as f64 + 2.0;
     Some((volume, volume * 4.0 * n * n * f64::EPSILON))
 }
@@ -1570,13 +1550,13 @@ fn better(cand: &Built, best: &Built) -> bool {
     cand.pairs > best.pairs || (cand.pairs == best.pairs && cand.volume < best.volume - 1e-9)
 }
 
-/// Pruning rule (b): a STAR or CHAIN challenger cannot displace an
-/// incumbent that collects every demanded pair unless it is complete
-/// too (else it loses on pairs) and cheaper (else it loses on volume).
-/// A complete challenger's volume is known without building it.
-fn cannot_win(seed: &Seed<'_>, chain: bool, best: &Built) -> bool {
+/// Pruning rule (b): the STAR challenger cannot displace an incumbent
+/// that collects every demanded pair unless it is complete too (else it
+/// loses on pairs) and cheaper (else it loses on volume). A complete
+/// star's volume is known without building it.
+fn cannot_win(seed: &Seed<'_>, best: &Built) -> bool {
     best.pairs == seed.request.demand.iter().map(|d| d.pairs).sum::<usize>()
-        && complete_volume(seed, chain)
+        && complete_volume(seed)
             .is_some_and(|(volume, margin)| volume - margin >= best.volume - 1e-9)
 }
 
@@ -1585,20 +1565,16 @@ struct Adjusted {
     built: Built,
     /// Relief sweeps run.
     sweeps: u64,
-    /// Where CHAIN stopped making the pass's placements, with its tail
-    /// there; `None` when it made all of them.
-    chain: Option<(Start, NodeId)>,
     /// Where MAX_AVB stopped making the pass's placements (just before
     /// the first relief sweep); `None` when it made all of them.
     max_avb: Option<Start>,
 }
 
 /// The adjusting procedure's own pass: greedy placement with
-/// congestion relief. It shadows CHAIN and MAX_AVB on the way: while a
-/// scheme would have made the same placements from the same seed, the
-/// pass's state *is* that scheme's state, and at the first placement
-/// where it would act differently the pass hands over a copy of that
-/// state for the scheme to continue from. DESIGN.md, "Tree kernel",
+/// congestion relief. It shadows MAX_AVB on the way: until the first
+/// relief sweep the pass has made MAX_AVB's placements from the same
+/// seed, so its state *is* MAX_AVB's, and there it hands over a copy of
+/// that state for MAX_AVB to continue from. DESIGN.md, "Tree kernel",
 /// has the argument.
 fn adjusted_pass(seed: &Seed<'_>, cfg: AdjustConfig) -> Adjusted {
     let mut t = seed.tracker.clone();
@@ -1623,43 +1599,9 @@ fn adjusted_pass(seed: &Seed<'_>, cfg: AdjustConfig) -> Adjusted {
     // futile full-tree sweeps into one.
     let mut relief_futile = false;
     let mut memo = PlaceMemo::new();
-    // CHAIN's tail while CHAIN is in step. In step it has placed every
-    // node so far, so its own memo has recorded nothing.
-    let mut tail = Some(seed.root().node);
-    let mut chain = None;
     let mut max_avb = None;
     for (i, d) in seed.rest().enumerate() {
-        // CHAIN's state before `d`, copied before the first attempt
-        // CHAIN would not make: a first candidate other than the tail,
-        // or any second candidate.
-        let mut fork = None;
-        let mut placed = try_place(
-            &mut t,
-            &mut heap,
-            &mut scratch,
-            d,
-            &mut memo,
-            |t, rank, parent| {
-                if fork.is_none() && tail.is_some_and(|tail| rank > 0 || parent != tail) {
-                    fork = Some(t.clone());
-                }
-            },
-        );
-        if let Some(at) = tail {
-            if placed && fork.is_none() {
-                // Attached at the tail on the first try: CHAIN's move.
-                tail = Some(d.node);
-            } else {
-                let start = Start {
-                    tracker: fork.unwrap_or_else(|| t.clone()),
-                    next: i,
-                    excluded: excluded.clone(),
-                    memo: PlaceMemo::new(),
-                };
-                chain = Some((start, at));
-                tail = None;
-            }
-        }
+        let mut placed = try_place(&mut t, &mut heap, &mut scratch, d, &mut memo);
         while !placed && moves_left > 0 && !relief_futile {
             if sweeps == 0 {
                 // MAX_AVB has made every placement so far, this failed
@@ -1679,7 +1621,7 @@ fn adjusted_pass(seed: &Seed<'_>, cfg: AdjustConfig) -> Adjusted {
                 relief_futile = true;
                 break;
             }
-            placed = try_place(&mut t, &mut heap, &mut scratch, d, &mut memo, |_, _, _| {});
+            placed = try_place(&mut t, &mut heap, &mut scratch, d, &mut memo);
         }
         if placed {
             relief_futile = false;
@@ -1690,7 +1632,6 @@ fn adjusted_pass(seed: &Seed<'_>, cfg: AdjustConfig) -> Adjusted {
     Adjusted {
         built: Built::new(t, seed.request, excluded),
         sweeps,
-        chain,
         max_avb,
     }
 }
@@ -1706,27 +1647,28 @@ enum Fate {
     Forked,
 }
 
-/// The adjusting procedure is seeded against the simple schemes and
-/// keeps the best outcome (more pairs, then lower volume) — the
-/// dominance the paper reports in Fig. 7 holds by construction. The
-/// fold runs adjusted → STAR → CHAIN → MAX_AVB, finishing only the
-/// challengers that could displace the incumbent they meet:
+/// The adjusting procedure is seeded against STAR and MAX_AVB and keeps
+/// the best outcome (more pairs, then lower volume), so it dominates
+/// those two by construction. CHAIN is not a challenger: it never ended
+/// as the winner on the measured workloads (ROADMAP item 14), so the
+/// dominance over CHAIN that the paper reports in Fig. 7 is a measured
+/// result here. The fold runs adjusted → STAR → MAX_AVB, finishing only
+/// the challengers that could displace the incumbent they meet:
 ///
-/// - a challenger the adjusted pass kept in step to the end has the
+/// - MAX_AVB kept in step by the adjusted pass to the end has the
 ///   adjusted outcome, which the incumbent either is or has strictly
 ///   beaten, so it cannot win;
-/// - STAR and CHAIN cannot win when [`cannot_win`] says so;
-/// - STAR is built from the seed, CHAIN and MAX_AVB continue from the
-///   adjusted pass's forks.
+/// - STAR cannot win when [`cannot_win`] says so;
+/// - STAR is built from the seed, MAX_AVB continues from the adjusted
+///   pass's fork.
 fn build_adaptive(seed: &Seed<'_>, cfg: AdjustConfig) -> Built {
     let Adjusted {
         built: mut best,
         sweeps,
-        chain,
         max_avb,
     } = adjusted_pass(seed, cfg);
-    let mut fates = [Fate::Skipped; 3];
-    let mut won = [false; 3];
+    let mut fates = [Fate::Skipped; 2];
+    let mut won = [false; 2];
     let consider = |best: &mut Built, cand: Built| {
         let wins = better(&cand, best);
         if wins {
@@ -1734,17 +1676,13 @@ fn build_adaptive(seed: &Seed<'_>, cfg: AdjustConfig) -> Built {
         }
         wins
     };
-    if !cannot_win(seed, false, &best) {
+    if !cannot_win(seed, &best) {
         fates[0] = Fate::Built;
         won[0] = consider(&mut best, build_star(seed));
     }
-    if let Some((start, tail)) = chain.filter(|_| !cannot_win(seed, true, &best)) {
-        fates[1] = Fate::Forked;
-        won[1] = consider(&mut best, chain_from(seed, start, tail));
-    }
     if let Some(start) = max_avb {
-        fates[2] = Fate::Forked;
-        won[2] = consider(&mut best, max_avb_from(seed, start));
+        fates[1] = Fate::Forked;
+        won[1] = consider(&mut best, max_avb_from(seed, start));
     }
     if remo_obs::enabled() {
         record_build(&fates, &won, sweeps);
@@ -1769,15 +1707,15 @@ fn work_counters() -> &'static (remo_obs::Counter, remo_obs::Counter) {
 /// Exports what one adaptive build did: which challengers it built,
 /// continued from a fork or skipped, which of them displaced the
 /// incumbent, and how many relief sweeps its adjusted pass ran.
-fn record_build(fates: &[Fate; 3], won: &[bool; 3], sweeps: u64) {
-    type Handles = [([Option<remo_obs::Counter>; 3], remo_obs::Counter); 3];
+fn record_build(fates: &[Fate; 2], won: &[bool; 2], sweeps: u64) {
+    type Handles = [([Option<remo_obs::Counter>; 3], remo_obs::Counter); 2];
     static HANDLES: std::sync::OnceLock<(Handles, remo_obs::Counter)> = std::sync::OnceLock::new();
     let counter = |what: &str, scheme: &str| {
         remo_obs::counter(&format!("remo_build_challengers_{what}_{scheme}_total"))
     };
     let (challengers, relief) = HANDLES.get_or_init(|| {
         (
-            ["star", "chain", "max_avb"].map(|scheme| {
+            ["star", "max_avb"].map(|scheme| {
                 let fates = [Fate::Skipped, Fate::Built, Fate::Forked].map(|fate| {
                     let what = match fate {
                         Fate::Skipped => "skipped",
@@ -1990,16 +1928,12 @@ mod tests {
 
     type Scheme = fn(&Seed<'_>) -> Built;
 
-    /// The three simple schemes built from the seed, in fold order.
-    const CHALLENGERS: [(&str, Scheme); 3] = [
-        ("star", build_star),
-        ("chain", build_chain),
-        ("max_avb", build_max_avb),
-    ];
+    /// The fold's challengers built from the seed, in fold order.
+    const CHALLENGERS: [(&str, Scheme); 2] = [("star", build_star), ("max_avb", build_max_avb)];
 
-    /// The unpruned four-way fold: every challenger is built from the
-    /// seed. Returns the outcome and who produced it (0 = the adjusted
-    /// pass).
+    /// The unpruned fold, adjusted → STAR → MAX_AVB: every challenger is
+    /// built from the seed. Returns the outcome and who produced it
+    /// (0 = the adjusted pass).
     fn build_adaptive_unpruned(seed: &Seed<'_>, cfg: AdjustConfig) -> (Built, usize) {
         let adjusted = adjusted_pass(seed, cfg).built;
         CHALLENGERS
@@ -2036,22 +1970,17 @@ mod tests {
     }
 
     /// Checks one request: the pruned fold returns the unpruned fold's
-    /// outcome; a challenger the adjusted pass kept in step to the end
-    /// has the adjusted outcome, and a forked one continues to its
-    /// from-scratch outcome; whenever a challenger is skipped, building
-    /// it anyway shows it would not have displaced the incumbent.
-    /// Returns the adjusted pass, for the caller to look at its forks.
+    /// outcome; MAX_AVB kept in step by the adjusted pass to the end has
+    /// the adjusted outcome, and forked it continues to its from-scratch
+    /// outcome; whenever a challenger is skipped, building it anyway
+    /// shows it would not have displaced the incumbent. Returns the
+    /// adjusted pass, for the caller to look at its fork.
     fn assert_pruning_is_exact(req: &BuildRequest, cfg: AdjustConfig) -> Option<Adjusted> {
         let seed = Seed::new(req)?;
         let (reference, _) = build_adaptive_unpruned(&seed, cfg);
         assert!(same(&build_adaptive(&seed, cfg), &reference), "{req:?}");
         let pass = adjusted_pass(&seed, cfg);
-        let [star, chain, max_avb] = CHALLENGERS.map(|(_, build)| build(&seed));
-        let continued = match &pass.chain {
-            None => pass.built.clone(),
-            Some((start, tail)) => chain_from(&seed, start.clone(), *tail),
-        };
-        assert!(same(&continued, &chain), "chain: {req:?}");
+        let [star, max_avb] = CHALLENGERS.map(|(_, build)| build(&seed));
         let continued = match &pass.max_avb {
             None => pass.built.clone(),
             Some(start) => max_avb_from(&seed, start.clone()),
@@ -2059,10 +1988,9 @@ mod tests {
         assert!(same(&continued, &max_avb), "max_avb: {req:?}");
         assert_eq!(pass.max_avb.is_none(), pass.sweeps == 0, "{req:?}");
         let mut best = pass.built.clone();
-        for (which, cand) in [star, chain, max_avb].into_iter().enumerate() {
+        for (which, cand) in [star, max_avb].into_iter().enumerate() {
             let skipped = match which {
-                0 => cannot_win(&seed, false, &best),
-                1 => pass.chain.is_none() || cannot_win(&seed, true, &best),
+                0 => cannot_win(&seed, &best),
                 _ => pass.max_avb.is_none(),
             };
             if skipped {
@@ -2200,22 +2128,6 @@ mod tests {
                 (1.0, 48.0),
             ],
         );
-        // CHAIN wins: under a SUM funnel every relay forwards one value.
-        let chain = request_of(
-            6.0,
-            70.0,
-            vec![Aggregation::Sum],
-            &[
-                (2.0, 37.0),
-                (0.0, 50.0),
-                (1.0, 5.0),
-                (0.0, 49.0),
-                (0.0, 22.0),
-                (1.0, 48.0),
-                (0.0, 23.0),
-                (0.0, 42.0),
-            ],
-        );
         // STAR wins: the collector caps the payload, so every scheme
         // collects the same pairs and the flattest tree is cheapest.
         let star = request_of(
@@ -2230,7 +2142,7 @@ mod tests {
                 (1.0, 10.0),
             ],
         );
-        for (req, winner) in [(&star, 1), (&chain, 2), (&max_avb, 3)] {
+        for (req, winner) in [(&star, 1), (&max_avb, 2)] {
             let seed = Seed::new(req).unwrap();
             let cfg = AdjustConfig::default();
             let (reference, who) = build_adaptive_unpruned(&seed, cfg);
@@ -2238,6 +2150,42 @@ mod tests {
             assert!(same(&build_adaptive(&seed, cfg), &reference));
             assert_pruning_is_exact(req, cfg);
         }
+    }
+
+    #[test]
+    fn adaptive_returns_the_fold_winner_where_a_chain_is_as_good() {
+        // Under a SUM funnel every relay forwards one value, so a chain
+        // is cheap: on this request it beats the adjusted tree and STAR
+        // and ties MAX_AVB, a different tree. A fold that met CHAIN
+        // before MAX_AVB kept the chain; CHAIN is no challenger now, so
+        // ADAPTIVE returns the fold's winner.
+        let req = request_of(
+            6.0,
+            70.0,
+            vec![Aggregation::Sum],
+            &[
+                (2.0, 37.0),
+                (0.0, 50.0),
+                (1.0, 5.0),
+                (0.0, 49.0),
+                (0.0, 22.0),
+                (1.0, 48.0),
+                (0.0, 23.0),
+                (0.0, 42.0),
+            ],
+        );
+        let seed = Seed::new(&req).unwrap();
+        let cfg = AdjustConfig::default();
+        let chain = build_chain(&seed);
+        let adjusted = adjusted_pass(&seed, cfg).built;
+        assert!(better(&chain, &adjusted) && better(&chain, &build_star(&seed)));
+        let (reference, who) = build_adaptive_unpruned(&seed, cfg);
+        assert_eq!(who, 2, "max_avb should win");
+        assert!(!better(&reference, &chain), "the chain is as good");
+        let adaptive = build_adaptive(&seed, cfg);
+        assert!(same(&adaptive, &reference));
+        assert!(!same(&adaptive, &chain));
+        assert_pruning_is_exact(&req, cfg);
     }
 
     #[test]
@@ -2260,18 +2208,13 @@ mod tests {
         let pass = adjusted_pass(&seed, AdjustConfig::default());
         let adjusted = &pass.built;
         assert_eq!(tree_of(adjusted).as_ref().map(Tree::height), Some(2));
-        let (star, margin) = complete_volume(&seed, false).unwrap();
+        let (star, margin) = complete_volume(&seed).unwrap();
         let gap = adjusted.volume - star;
         assert!(
             gap < 1e-9 && gap + margin > 1e-9,
             "gap {gap}, margin {margin}"
         );
-        assert!(!cannot_win(&seed, false, adjusted), "inside the margin");
-        assert!(
-            cannot_win(&seed, true, adjusted),
-            "a chain equals the incumbent"
-        );
-        assert!(pass.chain.is_none(), "CHAIN made every placement");
+        assert!(!cannot_win(&seed, adjusted), "inside the margin");
         assert!(pass.max_avb.is_none(), "no relief ran");
         assert_pruning_is_exact(&req, AdjustConfig::default());
         // Clear of the margin on either side, the rule decides.
@@ -2284,7 +2227,7 @@ mod tests {
             );
             let seed = Seed::new(&req).unwrap();
             let adjusted = adjusted_pass(&seed, AdjustConfig::default()).built;
-            assert_eq!(cannot_win(&seed, false, &adjusted), skipped);
+            assert_eq!(cannot_win(&seed, &adjusted), skipped);
             assert_pruning_is_exact(&req, AdjustConfig::default());
         }
     }
@@ -2304,76 +2247,18 @@ mod tests {
         let pass = assert_pruning_is_exact(&req, AdjustConfig::default()).unwrap();
         assert_eq!(tree_of(&pass.built).as_ref().map(Tree::height), Some(9));
         assert_eq!(pass.sweeps, 1, "one futile sweep, then the memo");
-        // Both forks are taken at the first node that does not fit:
-        // CHAIN before trying it, MAX_AVB after.
-        let (chain, tail) = pass.chain.as_ref().unwrap();
-        assert_eq!((chain.next, chain.tracker.len()), (9, 10));
-        assert_eq!(members_by_avail(&chain.tracker)[0], *tail);
+        // The fork is taken after the first node that does not fit.
         let max_avb = pass.max_avb.as_ref().unwrap();
         assert_eq!((max_avb.next, max_avb.excluded.len()), (10, 1));
-        // A futile sweep on a chain puts it back exactly, so all three
-        // schemes end in the adjusted pass's tree.
-        assert!(same(&build_chain(&seed), &pass.built));
+        // A futile sweep on a chain puts it back exactly, so MAX_AVB
+        // ends in the adjusted pass's tree.
         assert!(same(&build_max_avb(&seed), &pass.built));
-    }
-
-    #[test]
-    fn bushy_request_forks_chain_at_its_first_choice_of_parent() {
-        // A roomy root: the pass hangs everyone off it, CHAIN relays.
-        let mut demand = vec![(1.0, 1000.0)];
-        demand.extend([(1.0, 10.0); 7]);
-        let req = request_of(2.0, 1e9, Vec::new(), &demand);
-        let pass = assert_pruning_is_exact(&req, AdjustConfig::default()).unwrap();
-        assert_eq!(tree_of(&pass.built).as_ref().map(Tree::height), Some(1));
-        // The first placement has one candidate, the root, which is
-        // CHAIN's tail too; at the second the root outranks the tail.
-        let (chain, tail) = pass.chain.as_ref().unwrap();
-        assert_eq!((chain.next, chain.tracker.len(), *tail), (1, 2, NodeId(1)));
-        assert!(chain.excluded.is_empty());
-        assert!(pass.max_avb.is_none(), "no relief ran");
-    }
-
-    #[test]
-    fn a_node_the_tail_refuses_forks_chain_before_it() {
-        // The pass relays its first six nodes as a chain; the tail — the
-        // best-ranked member — refuses the seventh, and a relief move
-        // (whole branches, anywhere in the tree) makes room for it.
-        // CHAIN, forked before that node, leaves it out.
-        let req = request_of(
-            6.0,
-            1e9,
-            Vec::new(),
-            &[
-                (1.0, 41.0),
-                (3.0, 32.0),
-                (2.0, 27.0),
-                (3.0, 14.0),
-                (1.0, 27.0),
-                (1.0, 34.0),
-                (2.0, 20.0),
-                (3.0, 33.0),
-                (3.0, 16.0),
-            ],
-        );
-        let cfg = AdjustConfig {
-            branch_based: true,
-            subtree_only: false,
-        };
-        let seed = Seed::new(&req).unwrap();
-        let pass = assert_pruning_is_exact(&req, cfg).unwrap();
-        let (chain, tail) = pass.chain.as_ref().unwrap();
-        assert_eq!((chain.next, chain.tracker.len()), (5, 6));
-        assert_eq!(members_by_avail(&chain.tracker)[0], *tail);
-        let refused = seed.rest().nth(chain.next).unwrap().node;
-        assert!(pass.sweeps > 0);
-        assert!(tree_of(&pass.built).unwrap().contains(refused));
-        assert!(build_chain(&seed).excluded.contains(&refused));
     }
 
     #[test]
     fn forks_are_exact_under_fractional_loads_and_a_sum_funnel() {
         for (scale, funnels) in [(0.25, vec![]), (1.0, vec![Aggregation::Sum])] {
-            let mut forked = [false; 2];
+            let mut forked = false;
             for n in [12u32, 24, 40] {
                 for budget in [30.0, 45.0, 60.0, 90.0] {
                     let demand: Vec<(f64, f64)> = (0..n)
@@ -2382,12 +2267,11 @@ mod tests {
                     let req = request_of(6.0, 1e9, funnels.clone(), &demand);
                     for cfg in [AdjustConfig::default(), AdjustConfig::basic()] {
                         let pass = assert_pruning_is_exact(&req, cfg).unwrap();
-                        forked[0] |= pass.chain.is_some_and(|(start, _)| start.next > 1);
-                        forked[1] |= pass.max_avb.is_some();
+                        forked |= pass.max_avb.is_some();
                     }
                 }
             }
-            assert_eq!(forked, [true; 2], "scale {scale}, funnels {funnels:?}");
+            assert!(forked, "scale {scale}, funnels {funnels:?}");
         }
     }
 

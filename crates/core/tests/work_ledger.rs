@@ -177,19 +177,15 @@ fn feasible_cold_plan_work_is_pinned() {
             "rounds 3",
             "local_evals 18",
             "global_evals 7",
-            "build_attach_attempts 11010",
-            "build_challengers_built_chain 0",
+            "build_attach_attempts 10780",
             "build_challengers_built_max_avb 0",
             "build_challengers_built_star 89",
-            "build_challengers_forked_chain 2",
             "build_challengers_forked_max_avb 4",
-            "build_challengers_skipped_chain 87",
             "build_challengers_skipped_max_avb 85",
             "build_challengers_skipped_star 0",
-            "build_challengers_won_chain 0",
             "build_challengers_won_max_avb 2",
             "build_challengers_won_star 0",
-            "build_propagate_steps 74230",
+            "build_propagate_steps 60184",
             "build_relief_sweeps 18",
             "planner_cache_hits 11",
             "planner_cache_misses 89",
@@ -212,19 +208,15 @@ fn saturated_cold_plan_work_is_pinned() {
             "rounds 128",
             "local_evals 128",
             "global_evals 0",
-            "build_attach_attempts 4607",
-            "build_challengers_built_chain 0",
+            "build_attach_attempts 4478",
             "build_challengers_built_max_avb 0",
             "build_challengers_built_star 107",
-            "build_challengers_forked_chain 107",
             "build_challengers_forked_max_avb 107",
-            "build_challengers_skipped_chain 0",
             "build_challengers_skipped_max_avb 0",
             "build_challengers_skipped_star 0",
-            "build_challengers_won_chain 0",
             "build_challengers_won_max_avb 0",
             "build_challengers_won_star 0",
-            "build_propagate_steps 42854",
+            "build_propagate_steps 40699",
             "build_relief_sweeps 116",
             "planner_cache_hits 105",
             "planner_cache_misses 107",
@@ -288,19 +280,15 @@ fn churn_stream_work_is_pinned() {
         &[
             "pairs 507/518",
             "trees_rebuilt 46",
-            "build_attach_attempts 54233",
-            "build_challengers_built_chain 0",
+            "build_attach_attempts 47722",
             "build_challengers_built_max_avb 0",
             "build_challengers_built_star 406",
-            "build_challengers_forked_chain 190",
             "build_challengers_forked_max_avb 193",
-            "build_challengers_skipped_chain 216",
             "build_challengers_skipped_max_avb 213",
             "build_challengers_skipped_star 0",
-            "build_challengers_won_chain 1",
             "build_challengers_won_max_avb 18",
             "build_challengers_won_star 15",
-            "build_propagate_steps 929851",
+            "build_propagate_steps 691101",
             "build_relief_sweeps 574",
             "planner_cache_hits 5",
             "planner_cache_misses 406",

@@ -364,6 +364,21 @@ if [ -n "$outside" ]; then
   exit 1
 fi
 
+# CHAIN is a Fig. 7 baseline, not a challenger of the adaptive fold: it
+# never ended a measured adaptive build as the winner (ROADMAP item
+# 14(a)), so the fold neither builds it nor continues it from a fork.
+echo "==> no CHAIN challenger in the adaptive fold (crates/core/src/build.rs)"
+if grep -n 'fn chain_from' <<<"$kernel"; then
+  echo "build.rs must not continue CHAIN from a fork (chain_from); CHAIN is built from the seed only" >&2
+  exit 1
+fi
+fold=$(awk '/^fn build_adaptive\(/ { on = 1 } on { print } on && /^}/ { on = 0 }' \
+  crates/core/src/build.rs)
+if grep -n 'build_chain\|chain_from' <<<"$fold"; then
+  echo "build_adaptive must not build a CHAIN challenger" >&2
+  exit 1
+fi
+
 # The tree-build path looks ids up under the one id hasher
 # (remo_core::ids::IdHasher) and reads budgets from one dense ledger
 # (evaluate::BudgetLedger): no SipHash table in the tracker or the tree
