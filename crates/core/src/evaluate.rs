@@ -576,15 +576,14 @@ pub fn build_forest_cached(
     let sizes: Vec<usize> = participants.iter().map(Vec::len).collect();
     let order = ctx.allocation.construction_order(&sizes);
 
-    // Per-node list of tree sizes it participates in (static schemes).
-    let mut my_tree_sizes: BTreeMap<NodeId, Vec<usize>> = BTreeMap::new();
+    // Per dense node, the sizes of the trees it participates in (static
+    // schemes).
+    let mut my_tree_sizes: Vec<Vec<usize>> = Vec::new();
     if ctx.allocation.is_static() {
+        my_tree_sizes.resize(idx.node_count(), Vec::new());
         for (k, parts) in participants.iter().enumerate() {
             for &d in parts {
-                my_tree_sizes
-                    .entry(idx.node_id(d))
-                    .or_default()
-                    .push(sizes[k]);
+                my_tree_sizes[d as usize].push(sizes[k]);
             }
         }
     }
@@ -609,7 +608,7 @@ pub fn build_forest_cached(
                 .map(|&d| {
                     let n = idx.node_id(d);
                     let b = ctx.caps.node(n).unwrap_or(0.0);
-                    let all = my_tree_sizes.get(&n).map_or(&[][..], Vec::as_slice);
+                    let all = &my_tree_sizes[d as usize];
                     (n, ctx.allocation.node_share(b, sizes[k], all))
                 })
                 .collect();
