@@ -83,6 +83,20 @@ pub struct AdaptationReport {
 /// Cap on local-search operations per adaptation round.
 const MAX_OPS: usize = 32;
 
+/// Registry handles of where an adaptation's tree builds go, resolved
+/// once: trees the base step rebuilds, and trees the restricted
+/// search's candidates build.
+fn build_counters() -> &'static (remo_obs::Counter, remo_obs::Counter) {
+    static HANDLES: std::sync::OnceLock<(remo_obs::Counter, remo_obs::Counter)> =
+        std::sync::OnceLock::new();
+    HANDLES.get_or_init(|| {
+        (
+            remo_obs::counter("remo_adapt_base_builds_total"),
+            remo_obs::counter("remo_adapt_search_builds_total"),
+        )
+    })
+}
+
 /// Stateful adaptive planner: owns the current plan and applies task
 /// churn under a chosen [`AdaptScheme`].
 ///
@@ -376,6 +390,9 @@ impl AdaptivePlanner {
             avail.charge(&t);
             kept[i] = Some(t);
         }
+        if remo_obs::enabled() {
+            build_counters().0.inc_by(rebuilt.len() as f64);
+        }
         let trees = kept
             .into_iter()
             .map(|t| t.unwrap_or_else(|| unreachable!("every set planned")))
@@ -502,7 +519,12 @@ impl AdaptivePlanner {
                 ops.iter().take(window).find_map(|&(op, _)| {
                     state
                         .eval(op, &ctx, self.cache_ref())
-                        .map(|ev| state.applied(ev))
+                        .map(|ev| {
+                            if remo_obs::enabled() {
+                                build_counters().1.inc_by(ev.trees_built() as f64);
+                            }
+                            state.applied(ev)
+                        })
                         .filter(|next| next.score().better_than(&score))
                         .map(|next| (op, next))
                 })

@@ -1152,6 +1152,14 @@ pub(crate) struct CandidateEval {
     score: Score,
 }
 
+impl CandidateEval {
+    /// How many trees the evaluation built: one for a merge, two for a
+    /// split.
+    pub(crate) fn trees_built(&self) -> usize {
+        self.built.len()
+    }
+}
+
 /// Lays out the post-op tree vector parallel to the post-op partition:
 /// merge collapses `hi` into `lo`; split rebuilds `i` and appends the
 /// extracted singleton. Unaffected slots are reference bumps, not deep

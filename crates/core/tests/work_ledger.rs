@@ -7,7 +7,9 @@
 //! which thread got there first) and pins every work counter the run
 //! exports: seeds evaluated and abandoned, candidates cut, cache hits
 //! and misses, challenger fates (and which challengers displaced the
-//! incumbent), relief sweeps, attach attempts and `propagate` steps. A
+//! incumbent), relief sweeps, attach attempts and `propagate` steps,
+//! and on the churn stream the trees each adaptation's base step
+//! rebuilt apart from those its restricted search built. A
 //! change that makes the search or the kernel do more or less work
 //! moves a pin; a change that only makes the same work cheaper leaves
 //! every pin where it was. Re-pin only for an intended, explained
@@ -87,8 +89,10 @@ fn cost() -> CostModel {
 }
 
 /// The work counters the registry holds, one `name value` line each
-/// (`remo_` and `_total` trimmed), in name order.
-fn ledger() -> String {
+/// (`remo_` and `_total` trimmed), in name order. `adapt` adds the
+/// adaptive planner's build split (base rebuilds, search builds), which
+/// a cold plan never ticks.
+fn ledger(adapt: bool) -> String {
     let text = remo_obs::registry::registry().render_prometheus();
     let samples = remo_obs::summary::parse_prometheus(&text).unwrap();
     let mut out = String::new();
@@ -103,7 +107,8 @@ fn ledger() -> String {
             "remo_build_propagate_steps_total",
         ]
         .contains(&name.as_str())
-            || name.starts_with("remo_build_challengers_");
+            || name.starts_with("remo_build_challengers_")
+            || (adapt && name.starts_with("remo_adapt_"));
         if tracked {
             let short = name.trim_start_matches("remo_").trim_end_matches("_total");
             out.push_str(&format!("{short} {value}\n"));
@@ -114,13 +119,13 @@ fn ledger() -> String {
 
 /// Runs `work` with the registry reset and observability on, and
 /// returns the ledger it leaves.
-fn counted(work: impl FnOnce() -> String) -> String {
+fn counted(adapt: bool, work: impl FnOnce() -> String) -> String {
     let _g = remo_obs::test_guard();
     remo_obs::registry::registry().reset();
     remo_obs::enable();
     let head = work();
     remo_obs::disable();
-    head + &ledger()
+    head + &ledger(adapt)
 }
 
 /// A cold plan of `count` tasks over `nodes` × `attrs` with node
@@ -138,7 +143,7 @@ fn cold_plan(
         .collect();
     let per_node = node_capacity * pairs.len() as f64 / attrs as f64;
     let caps = CapacityMap::uniform(nodes, per_node, collector_capacity * nodes as f64).unwrap();
-    counted(|| {
+    counted(false, || {
         let (plan, report) = planner().plan_with_report(&pairs, &caps, cost(), &AttrCatalog::new());
         let PlanReport {
             seeds_evaluated,
@@ -238,7 +243,7 @@ fn churn_stream_work_is_pinned() {
         tm.add(t).unwrap();
     }
     let caps = CapacityMap::uniform(NODES, 400.0, 40.0 * NODES as f64).unwrap();
-    let got = counted(|| {
+    let got = counted(true, || {
         let mut ap = AdaptivePlanner::new(
             planner(),
             AdaptScheme::Adaptive,
@@ -280,6 +285,8 @@ fn churn_stream_work_is_pinned() {
         &[
             "pairs 507/518",
             "trees_rebuilt 46",
+            "adapt_base_builds 46",
+            "adapt_search_builds 294",
             "build_attach_attempts 47722",
             "build_challengers_built_max_avb 0",
             "build_challengers_built_star 406",
