@@ -1718,8 +1718,10 @@ fn record_build(fates: &[Fate; 2], won: &[bool; 2], sweeps: u64) {
                 let fates = [Fate::Skipped, Fate::Built, Fate::Forked].map(|fate| {
                     let what = match fate {
                         Fate::Skipped => "skipped",
+                        // MAX_AVB is never built from the seed, STAR
+                        // never forked.
+                        Fate::Built if scheme == "max_avb" => return None,
                         Fate::Built => "built",
-                        // STAR is never forked.
                         Fate::Forked if scheme == "star" => return None,
                         Fate::Forked => "forked",
                     };

@@ -183,7 +183,6 @@ fn feasible_cold_plan_work_is_pinned() {
             "local_evals 18",
             "global_evals 7",
             "build_attach_attempts 10780",
-            "build_challengers_built_max_avb 0",
             "build_challengers_built_star 89",
             "build_challengers_forked_max_avb 4",
             "build_challengers_skipped_max_avb 85",
@@ -214,7 +213,6 @@ fn saturated_cold_plan_work_is_pinned() {
             "local_evals 128",
             "global_evals 0",
             "build_attach_attempts 4478",
-            "build_challengers_built_max_avb 0",
             "build_challengers_built_star 107",
             "build_challengers_forked_max_avb 107",
             "build_challengers_skipped_max_avb 0",
@@ -288,7 +286,6 @@ fn churn_stream_work_is_pinned() {
             "adapt_base_builds 46",
             "adapt_search_builds 294",
             "build_attach_attempts 47722",
-            "build_challengers_built_max_avb 0",
             "build_challengers_built_star 406",
             "build_challengers_forked_max_avb 193",
             "build_challengers_skipped_max_avb 213",
