@@ -90,30 +90,25 @@ fn bench_saturated_cap(c: &mut Criterion) {
 
 /// The feasible shape of `plan-feasible` (node capacity 8, collector
 /// 1 000) by phase: the seed phase alone (`max_rounds: 0` returns the
-/// chosen seed forest) and the whole cold plan, on one worker and on
-/// one per core. The difference of a pair is the search's rounds.
+/// chosen seed forest) and the whole cold plan. The difference of the
+/// two is the search's rounds.
 fn bench_plan_phases(c: &mut Criterion) {
     let (pairs, caps, cost) = benchmark_shape(8.0, 1_000.0);
     let catalog = AttrCatalog::new();
 
     let mut group = c.benchmark_group("plan_phases");
     group.sample_size(10);
-    for parallelism in [1usize, 0] {
-        for (phase, max_rounds) in [
-            ("seed", 0),
-            ("cold_plan", PlannerConfig::default().max_rounds),
-        ] {
-            let planner = Planner::new(PlannerConfig {
-                max_rounds,
-                parallelism,
-                ..PlannerConfig::default()
-            });
-            group.bench_with_input(
-                BenchmarkId::new(phase, format!("workers{parallelism}")),
-                &planner,
-                |b, planner| b.iter(|| planner.plan_with_catalog(&pairs, &caps, cost, &catalog)),
-            );
-        }
+    for (phase, max_rounds) in [
+        ("seed", 0),
+        ("cold_plan", PlannerConfig::default().max_rounds),
+    ] {
+        let planner = Planner::new(PlannerConfig {
+            max_rounds,
+            ..PlannerConfig::default()
+        });
+        group.bench_function(phase, |b| {
+            b.iter(|| planner.plan_with_catalog(&pairs, &caps, cost, &catalog))
+        });
     }
     group.finish();
 }

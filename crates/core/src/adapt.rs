@@ -32,13 +32,19 @@
 //! leaves alone, rebuild the others against the capacity the kept
 //! trees leave, run the restricted search (NO-THROTTLE, ADAPTIVE), and
 //! account the edge changes. They differ only in which trees they keep.
+//!
+//! Only a cold plan ([`AdaptivePlanner::new`] and every REBUILD round)
+//! memoizes its tree builds, in a [`TreeCache`] dropped when the call
+//! returns. The churn and repair steps build uncached: a task change
+//! alters the pairs the cache's trees were built over, and the residual
+//! budgets differ from one step to the next anyway.
 
 use crate::attribute::AttrCatalog;
 use crate::cache::{CacheStats, TreeCache};
 use crate::capacity::CapacityMap;
 use crate::cost::CostModel;
 use crate::estimate::GainEstimator;
-use crate::evaluate::{build_tree_for_set_cached, BudgetLedger};
+use crate::evaluate::{build_tree_for_set, BudgetLedger};
 use crate::ids::{AttrId, NodeId};
 use crate::pairs::PairSet;
 use crate::partition::{AttrSet, Partition, PartitionOp};
@@ -143,12 +149,8 @@ pub struct AdaptivePlanner {
     plan: MonitoringPlan,
     /// Last epoch each tree (keyed by its attribute set) was adjusted.
     last_adjust: BTreeMap<Vec<AttrId>, u64>,
-    /// Memoized tree builds, reused across adaptation rounds (consulted
-    /// only when the planner's `cache` knob is on). Pair churn
-    /// invalidates it; capacity changes miss naturally because budgets
-    /// are part of the cache key — so a failure/recovery cycle
-    /// warm-starts from the pre-failure builds.
-    cache: TreeCache,
+    /// The counters of the last cold plan's tree cache.
+    cache_stats: CacheStats,
 }
 
 impl AdaptivePlanner {
@@ -161,16 +163,7 @@ impl AdaptivePlanner {
         cost: CostModel,
         catalog: AttrCatalog,
     ) -> Self {
-        let cache = TreeCache::new();
-        let plan = planner
-            .plan_with_report_cached(
-                &pairs,
-                &caps,
-                cost,
-                &catalog,
-                planner.config().cache.then_some(&cache),
-            )
-            .0;
+        let (plan, cache_stats) = cold_plan(&planner, &pairs, &caps, cost, &catalog);
         AdaptivePlanner {
             planner,
             scheme,
@@ -180,18 +173,15 @@ impl AdaptivePlanner {
             pairs,
             plan,
             last_adjust: BTreeMap::new(),
-            cache,
+            cache_stats,
         }
     }
 
-    /// The tree cache to consult, honoring the planner's `cache` knob.
-    fn cache_ref(&self) -> Option<&TreeCache> {
-        self.planner.config().cache.then_some(&self.cache)
-    }
-
-    /// Hit/miss counters of the cross-round tree-build cache.
+    /// Hit/miss counters of the last cold plan's tree cache: the initial
+    /// plan's, or the last REBUILD round's. All zero when the planner's
+    /// `cache` knob is off.
     pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
+        self.cache_stats
     }
 
     /// The current monitoring plan.
@@ -229,21 +219,16 @@ impl AdaptivePlanner {
     /// manager after churn) at epoch `now`, returning what changed.
     pub fn update(&mut self, new_pairs: PairSet, now: u64) -> AdaptationReport {
         let t0 = Instant::now();
-        // Cached trees embed participant sets derived from the old pair
-        // universe; churn makes them unsound, not merely suboptimal.
-        self.cache.invalidate();
         if self.scheme == AdaptScheme::Rebuild {
             self.pairs = new_pairs;
-            let base = self
-                .planner
-                .plan_with_report_cached(
-                    &self.pairs,
-                    &self.caps,
-                    self.cost,
-                    &self.catalog,
-                    self.cache_ref(),
-                )
-                .0;
+            let (base, stats) = cold_plan(
+                &self.planner,
+                &self.pairs,
+                &self.caps,
+                self.cost,
+                &self.catalog,
+            );
+            self.cache_stats = stats;
             return self.adapt(t0, now, base, None);
         }
         let (partition, kept) = self.carry_over(&new_pairs);
@@ -380,13 +365,7 @@ impl AdaptivePlanner {
         let mut order: Vec<usize> = rebuilt.iter().copied().collect();
         order.sort_by_key(|&i| self.pairs.participants(&partition.sets()[i]).len());
         for i in order {
-            let t = build_tree_for_set_cached(
-                &partition.sets()[i],
-                &ctx,
-                &avail,
-                avail.collector(),
-                self.cache_ref(),
-            );
+            let t = build_tree_for_set(&partition.sets()[i], &ctx, &avail, avail.collector());
             avail.charge(&t);
             kept[i] = Some(t);
         }
@@ -518,7 +497,7 @@ impl AdaptivePlanner {
             let eval_first = |ops: &[(PartitionOp, f64)]| {
                 ops.iter().take(window).find_map(|&(op, _)| {
                     state
-                        .eval(op, &ctx, self.cache_ref())
+                        .eval(op, &ctx, None)
                         .map(|ev| {
                             if remo_obs::enabled() {
                                 build_counters().1.inc_by(ev.trees_built() as f64);
@@ -618,6 +597,20 @@ impl AdaptivePlanner {
         }
         self.last_adjust = fresh;
     }
+}
+
+/// A plan from scratch through a tree cache that lives for this call
+/// alone (when the planner's `cache` knob is on), with its counters.
+fn cold_plan(
+    planner: &Planner,
+    pairs: &PairSet,
+    caps: &CapacityMap,
+    cost: CostModel,
+    catalog: &AttrCatalog,
+) -> (MonitoringPlan, CacheStats) {
+    let cache = planner.config().cache.then(TreeCache::new);
+    let (plan, _) = planner.plan_with_report_cached(pairs, caps, cost, catalog, cache.as_ref());
+    (plan, cache.map(|c| c.stats()).unwrap_or_default())
 }
 
 /// Edges (control messages) an op changes: new edges whose parent

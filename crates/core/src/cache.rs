@@ -2,27 +2,27 @@
 //! the journal version's §5 ("efficient adaptive" planning).
 //!
 //! The guided local search evaluates each merge/split candidate by
-//! building the affected trees from scratch. Across a round, and across
-//! the epochs of a self-healing deployment, the same (attribute set,
-//! residual budgets) construction problem recurs constantly: a rejected
-//! candidate is re-ranked next round against unchanged budgets, a
-//! recovered node restores exactly the capacity snapshot a tree was
-//! last built under. [`TreeCache`] memoizes finished [`PlannedTree`]s
-//! under a *structural* key — the attribute set, every participant's
-//! budget (bit pattern), the collector budget, and a construction-config
-//! fingerprint — so any such recurrence is a map lookup instead of an
-//! `O(n log n)` build.
+//! building the affected trees from scratch. Within one planning call
+//! the same (attribute set, residual budgets) construction problem
+//! recurs: a rejected candidate is re-ranked next round against
+//! unchanged budgets, and a seed or global forest rebuilds sets whose
+//! budgets an earlier forest already saw. [`TreeCache`] memoizes
+//! finished [`PlannedTree`]s under a *structural* key — the attribute
+//! set, every participant's budget (bit pattern), the collector budget,
+//! and a construction-config fingerprint — so any such recurrence is a
+//! map lookup instead of an `O(n log n)` build.
 //!
 //! Tree construction is a pure, deterministic function of the key plus
 //! the pair set and attribute catalog. The latter two are *not* part of
-//! the key; they are pinned by the cache **generation**. Callers that
-//! mutate demand (task churn) or attribute metadata must call
-//! [`TreeCache::invalidate`], which bumps the generation and drops all
-//! entries. Capacity changes need no invalidation: budgets are in the
-//! key, so a changed budget simply misses.
+//! the key, so a cache serves one `(pairs, catalog)`: the planner fills
+//! one per cold plan and drops it when the call returns. Capacity is in
+//! the key, so a changed budget simply misses. The adaptive planner's
+//! churn and repair steps build uncached: across task changes the
+//! residual budgets differ anyway, and the cache's memory was most of
+//! what it added there.
 //!
-//! The cache is `Sync` (a mutexed map) so the planner's parallel
-//! candidate evaluation can share one instance across worker threads.
+//! The planner runs on the calling thread, so the table sits in a
+//! `RefCell` and takes no lock.
 
 use crate::alloc::AllocationScheme;
 use crate::build::BuilderKind;
@@ -31,11 +31,13 @@ use crate::ids::IdMap;
 use crate::index::PairIndex;
 use crate::partition::AttrSet;
 use crate::plan::PlannedTree;
-use std::sync::Mutex;
+use std::cell::RefCell;
 
-/// Entry cap; reaching it deterministically drops every entry (a full
-/// clear beats LRU bookkeeping here: keys recur in bursts within a
-/// search, and a cleared cache refills within one round).
+/// Entry cap, the only bound on one call's cache once `max_rounds` or
+/// `candidates_per_round` is raised; reaching it deterministically drops
+/// every entry (a full clear beats LRU bookkeeping here: keys recur in
+/// bursts within a search, and a cleared cache refills within one
+/// round).
 const MAX_ENTRIES: usize = 8192;
 
 /// Construction-configuration fingerprint: every knob outside the
@@ -86,7 +88,6 @@ impl CfgKey {
 /// participant, all of them the planner's own ids and budgets.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct CacheKey {
-    generation: u64,
     cfg: CfgKey,
     attrs: Vec<u32>,
     budgets: Vec<(u32, u64)>,
@@ -95,7 +96,6 @@ struct CacheKey {
 
 impl CacheKey {
     fn new<B: BudgetView + ?Sized>(
-        generation: u64,
         ctx: &EvalContext<'_>,
         set: &AttrSet,
         avail: &B,
@@ -110,7 +110,6 @@ impl CacheKey {
         let mut dense = Vec::new();
         PairIndex::iter_bits(&row, &mut dense);
         CacheKey {
-            generation,
             cfg: CfgKey::of(ctx),
             attrs: set.iter().map(|a| a.0).collect(),
             budgets: dense
@@ -122,14 +121,15 @@ impl CacheKey {
     }
 }
 
-/// Cache counters (monotone across [`TreeCache::invalidate`]).
+/// Cache counters of one [`TreeCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
 pub struct CacheStats {
     /// Lookups served from the cache.
     pub hits: u64,
     /// Lookups that fell through to a fresh build.
     pub misses: u64,
-    /// Generation bumps (demand/catalog churn).
+    /// Always 0: a cache serves one planning call and is never
+    /// invalidated. Kept so reports that carry the field still parse.
     pub invalidations: u64,
     /// Full clears forced by the entry cap.
     pub evictions: u64,
@@ -149,48 +149,39 @@ impl CacheStats {
     }
 }
 
-/// Registry handles, resolved once: `get_or_build` sits on the
-/// planner's hot path, and a name lookup per call would serialize the
-/// parallel candidate evaluation on the registry mutex.
-fn hit_counter() -> &'static remo_obs::Counter {
-    static HANDLE: std::sync::OnceLock<remo_obs::Counter> = std::sync::OnceLock::new();
-    HANDLE.get_or_init(|| remo_obs::counter("remo_planner_cache_hits_total"))
-}
-
-fn miss_counter() -> &'static remo_obs::Counter {
-    static HANDLE: std::sync::OnceLock<remo_obs::Counter> = std::sync::OnceLock::new();
-    HANDLE.get_or_init(|| remo_obs::counter("remo_planner_cache_misses_total"))
+/// Registry handles (hits, misses), resolved together on the first
+/// lookup so both series exist once any lookup ran: `get_or_build` sits
+/// on the planner's hot path, and a name lookup per call would pay a
+/// registry-mutex round trip.
+fn counters() -> &'static (remo_obs::Counter, remo_obs::Counter) {
+    static HANDLES: std::sync::OnceLock<(remo_obs::Counter, remo_obs::Counter)> =
+        std::sync::OnceLock::new();
+    HANDLES.get_or_init(|| {
+        (
+            remo_obs::counter("remo_planner_cache_hits_total"),
+            remo_obs::counter("remo_planner_cache_misses_total"),
+        )
+    })
 }
 
 #[derive(Debug, Default)]
 struct Inner {
     map: IdMap<CacheKey, PlannedTree>,
-    generation: u64,
     hits: u64,
     misses: u64,
-    invalidations: u64,
     evictions: u64,
 }
 
-/// A thread-safe memo table of built trees (see module docs).
+/// A memo table of built trees for one planning call (see module docs).
 #[derive(Debug, Default)]
 pub struct TreeCache {
-    inner: Mutex<Inner>,
+    inner: RefCell<Inner>,
 }
 
 impl TreeCache {
-    /// An empty cache at generation zero.
+    /// An empty cache.
     pub fn new() -> Self {
         TreeCache::default()
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
-        // A panicking worker thread poisons the mutex; the map itself
-        // is never left mid-update, so recover the guard.
-        match self.inner.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
     }
 
     /// Returns the cached tree for this exact construction problem, or
@@ -217,81 +208,37 @@ impl TreeCache {
         collector_avail: f64,
         build: impl FnOnce() -> PlannedTree,
     ) -> PlannedTree {
-        // Assemble the key outside the lock (it walks participant
-        // bitsets); only the generation stamp needs the mutex.
-        let mut key = CacheKey::new(0, ctx, set, avail, collector_avail);
-        let cached = {
-            let mut inner = self.lock();
-            key.generation = inner.generation;
-            match inner.map.get(&key).cloned() {
-                Some(tree) => {
-                    inner.hits += 1;
-                    if remo_obs::enabled() {
-                        hit_counter().inc();
-                    }
-                    Some(tree)
-                }
-                None => {
-                    inner.misses += 1;
-                    if remo_obs::enabled() {
-                        miss_counter().inc();
-                    }
-                    None
-                }
+        let key = CacheKey::new(ctx, set, avail, collector_avail);
+        let mut inner = self.inner.borrow_mut();
+        if let Some(tree) = inner.map.get(&key).cloned() {
+            inner.hits += 1;
+            if remo_obs::enabled() {
+                counters().0.inc();
             }
-        };
-        if let Some(tree) = cached {
             return tree;
         }
-        let tree = build();
-        let mut inner = self.lock();
-        if key.generation == inner.generation {
-            if inner.map.len() >= MAX_ENTRIES {
-                inner.map.clear();
-                inner.evictions += 1;
-            }
-            inner.map.insert(key, tree.clone());
+        inner.misses += 1;
+        if remo_obs::enabled() {
+            counters().1.inc();
         }
+        let tree = build();
+        if inner.map.len() >= MAX_ENTRIES {
+            inner.map.clear();
+            inner.evictions += 1;
+        }
+        inner.map.insert(key, tree.clone());
         tree
-    }
-
-    /// Drops every entry and bumps the generation. Must be called when
-    /// the pair set or the attribute catalog changes — both feed tree
-    /// construction without appearing in the key.
-    pub fn invalidate(&self) {
-        let mut inner = self.lock();
-        inner.map.clear();
-        inner.generation += 1;
-        inner.invalidations += 1;
     }
 
     /// Current counters.
     pub fn stats(&self) -> CacheStats {
-        let inner = self.lock();
+        let inner = self.inner.borrow();
         CacheStats {
             hits: inner.hits,
             misses: inner.misses,
-            invalidations: inner.invalidations,
+            invalidations: 0,
             evictions: inner.evictions,
             entries: inner.map.len(),
-        }
-    }
-}
-
-impl Clone for TreeCache {
-    /// Clones contents and counters (the clone starts un-poisoned and
-    /// unshared).
-    fn clone(&self) -> Self {
-        let inner = self.lock();
-        TreeCache {
-            inner: Mutex::new(Inner {
-                map: inner.map.clone(),
-                generation: inner.generation,
-                hits: inner.hits,
-                misses: inner.misses,
-                invalidations: inner.invalidations,
-                evictions: inner.evictions,
-            }),
         }
     }
 }
@@ -382,26 +329,6 @@ mod tests {
         // Recovery restores the exact snapshot: warm-start hit.
         cache.get_or_build(&set, &ctx, &full, caps.collector());
         assert_eq!(cache.stats().hits, 1);
-    }
-
-    #[test]
-    fn invalidate_bumps_generation_and_clears() {
-        let pairs = dense_pairs(6, 2);
-        let caps = CapacityMap::uniform(6, 20.0, 100.0).unwrap();
-        let catalog = AttrCatalog::new();
-        let ctx = EvalContext::basic(&pairs, &caps, CostModel::default(), &catalog);
-        let avail: BTreeMap<NodeId, f64> = caps.iter().collect();
-        let cache = TreeCache::new();
-        let set = set_of(&[0]);
-
-        cache.get_or_build(&set, &ctx, &avail, caps.collector());
-        cache.invalidate();
-        assert_eq!(cache.stats().entries, 0);
-        assert_eq!(cache.stats().invalidations, 1);
-        // Same arguments, new generation: a miss, not a stale hit.
-        cache.get_or_build(&set, &ctx, &avail, caps.collector());
-        assert_eq!(cache.stats().misses, 2);
-        assert_eq!(cache.stats().hits, 0);
     }
 
     #[test]

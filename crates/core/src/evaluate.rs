@@ -424,27 +424,13 @@ fn into_planned(out: BuildOutcome) -> PlannedTree {
     }
 }
 
-/// Like [`build_tree_for_set`], but consulting (and populating) a
-/// [`TreeCache`] when one is supplied. Construction is deterministic,
-/// so a cache hit is bit-identical to a fresh build.
-pub fn build_tree_for_set_cached<B: BudgetView + ?Sized>(
-    set: &AttrSet,
-    ctx: &EvalContext<'_>,
-    avail: &B,
-    collector_avail: f64,
-    cache: Option<&TreeCache>,
-) -> PlannedTree {
-    match cache {
-        Some(cache) => cache.get_or_build(set, ctx, avail, collector_avail),
-        None => build_tree_for_set(set, ctx, avail, collector_avail),
-    }
-}
-
-/// [`build_tree_for_set_cached`] for a caller that only wants the tree
-/// if it collects at least `floor` pairs: `None`, and nothing built or
-/// cached, when the [`pair_cap`] of the request the build would use is
-/// below `floor`. The cap is checked before the cache is, so what is
-/// cut never depends on what an earlier search happened to cache.
+/// [`build_tree_for_set`], consulting (and populating) a [`TreeCache`]
+/// when one is supplied, for a caller that only wants the tree if it
+/// collects at least `floor` pairs: `None`, and nothing built or cached,
+/// when the [`pair_cap`] of the request the build would use is below
+/// `floor`. The cap is checked before the cache is, so what is cut never
+/// depends on what an earlier search happened to cache. Construction is
+/// deterministic, so a cache hit is bit-identical to a fresh build.
 pub(crate) fn build_tree_reaching<B: BudgetView + ?Sized>(
     set: &AttrSet,
     ctx: &EvalContext<'_>,
@@ -454,13 +440,10 @@ pub(crate) fn build_tree_reaching<B: BudgetView + ?Sized>(
     floor: usize,
 ) -> Option<PlannedTree> {
     if floor == 0 {
-        return Some(build_tree_for_set_cached(
-            set,
-            ctx,
-            avail,
-            collector_avail,
-            cache,
-        ));
+        return Some(match cache {
+            Some(cache) => cache.get_or_build(set, ctx, avail, collector_avail),
+            None => build_tree_for_set(set, ctx, avail, collector_avail),
+        });
     }
     let req = make_request(set, ctx, avail, collector_avail);
     if pair_cap(&req) < floor {
@@ -525,9 +508,9 @@ pub(crate) fn build_sequence<'p>(
 }
 
 /// [`build_forest`] with an optional [`TreeCache`] and a `floor` in
-/// collected pairs; whole-forest rebuilds in the planner's global phase
-/// and warm-started repairs reuse trees built in earlier rounds or
-/// epochs.
+/// collected pairs; the planner's seed forests and whole-forest
+/// rebuilds in its global phase reuse trees built earlier in the same
+/// call.
 ///
 /// The result is `Some` exactly when the finished forest collects at
 /// least `floor` pairs, and is then the forest an unbounded build

@@ -30,7 +30,6 @@ use crate::plan::{MonitoringPlan, PlannedTree};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{DefaultHasher, Hash, Hasher};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -48,9 +47,11 @@ pub enum InitialPartition {
 
 /// Planner configuration.
 ///
-/// The search policy is fixed by the first ten fields. `parallelism`
-/// and `cache` are mechanical: they change how fast the one search loop
-/// runs, never which plan it returns or what its [`PlanReport`] counts.
+/// The search policy is fixed by the first ten fields. `cache` is
+/// mechanical: it changes how fast the one search loop runs, never
+/// which plan it returns or what its [`PlanReport`] counts.
+/// `parallelism` is read and ignored: the search runs on the calling
+/// thread.
 ///
 /// Deserialization fills every field a document omits from
 /// [`PlannerConfig::default`] and ignores keys it does not know, so
@@ -97,14 +98,13 @@ pub struct PlannerConfig {
     /// Attribute pairs that must never share a set — the SSDP/DSDP
     /// reliability constraint (paper §6.2).
     pub forbidden_pairs: Vec<(AttrId, AttrId)>,
-    /// Worker threads the seed fan-out and the candidate waves use
-    /// (0 = one per available core, the default). A wave is one
-    /// candidate per worker, so 1 evaluates candidates one at a time on
-    /// the calling thread.
+    /// Ignored: the planner is one serial engine on the calling thread.
+    /// Kept so that configs and struct literals that set it still
+    /// compile and parse.
     pub parallelism: usize,
-    /// Whether tree construction is memoized in a [`TreeCache`] during
-    /// the search (default on). Off, every candidate rebuilds its trees
-    /// from scratch.
+    /// Whether tree construction is memoized in a [`TreeCache`] for the
+    /// length of one planning call (default on). Off, every candidate
+    /// rebuilds its trees from scratch.
     pub cache: bool,
 }
 
@@ -405,12 +405,12 @@ impl Planner {
     }
 
     /// Like [`plan_with_report`](Self::plan_with_report), with a
-    /// caller-owned [`TreeCache`] so repeated plans (epochs of an
-    /// adaptive deployment) warm-start from each other's tree builds.
-    ///
-    /// The caller is responsible for [`TreeCache::invalidate`] whenever
-    /// `pairs` or `catalog` differ from the cache's previous use. Pass
-    /// `None` to disable memoization regardless of the `cache` knob.
+    /// caller-owned [`TreeCache`] whose counters the caller can read
+    /// afterwards. A cache serves one `(pairs, catalog)`: both feed
+    /// tree construction without being part of its key, so pass a
+    /// cache only to plans over the pairs and catalog it was filled
+    /// with. Pass `None` to disable memoization regardless of the
+    /// `cache` knob.
     pub fn plan_with_report_cached(
         &self,
         pairs: &PairSet,
@@ -420,7 +420,6 @@ impl Planner {
         cache: Option<&TreeCache>,
     ) -> (MonitoringPlan, PlanReport) {
         let ctx = self.eval_context(pairs, caps, cost, catalog);
-        let workers = workers(self.config.parallelism);
         let mut report = PlanReport::default();
         let mut seeds = vec![self.initial_partition(pairs)];
         if self.config.forbidden_pairs.is_empty() {
@@ -441,14 +440,13 @@ impl Planner {
             // reach the initial seed's pair count cannot be chosen: the
             // initial seed is built to the end, the others race that
             // floor and are abandoned once they cannot reach it (a tie
-            // is kept for the volume comparison). The floor is fixed
-            // before the fan-out, so what is abandoned never depends on
-            // the worker count; selection stays in seed order.
+            // is kept for the volume comparison).
             let initial = build_whole_forest(&seeds[0], &ctx, cache);
             let floor = initial.collected_pairs();
-            let raced = par_map(workers, &distinct[1..], |&i| {
-                build_forest_cached(&seeds[i], &ctx, cache, floor)
-            });
+            let raced: Vec<_> = distinct[1..]
+                .iter()
+                .map(|&i| build_forest_cached(&seeds[i], &ctx, cache, floor))
+                .collect();
             report.seeds_evaluated = distinct.len();
             report.seeds_abandoned = raced.iter().filter(|p| p.is_none()).count();
             let mut raced = raced.into_iter();
@@ -477,7 +475,7 @@ impl Planner {
         }
         let plan = best.unwrap_or_else(|| unreachable!("at least one seed"));
         report.seed_ms = t_seed.elapsed().as_secs_f64() * 1e3;
-        let refined = self.refine_with_report(&plan, &ctx, &mut report, cache, workers, true);
+        let refined = self.refine_with_report(&plan, &ctx, &mut report, cache, true);
         report.export_metrics();
         #[cfg(debug_assertions)]
         {
@@ -618,7 +616,6 @@ impl Planner {
         ctx: &EvalContext<'_>,
         report: &mut PlanReport,
         cache: Option<&TreeCache>,
-        workers: usize,
         mut skip_laps: bool,
     ) -> MonitoringPlan {
         let mut state = SearchState::from_plan(plan, ctx.pairs, ctx.caps);
@@ -692,7 +689,6 @@ impl Planner {
             let need = rule.need(best.2.pairs, &state.score);
             let mut cut = 0;
             let accepted = first_accepted(
-                workers,
                 &window,
                 |&op| state.eval_reaching(op, ctx, cache, need),
                 |ev| {
@@ -716,9 +712,7 @@ impl Planner {
                 },
             );
             // Charged: evaluations up to and including the accepted
-            // rank, whatever a wider wave evaluated beyond it, so the
-            // report does not depend on the worker count either. The
-            // scan stops at that rank, so `cut` counts the same way.
+            // rank, where the scan stops; `cut` counts the same way.
             report.local_evals += accepted
                 .as_ref()
                 .map_or(window.len(), |&(rank, _)| rank + 1);
@@ -779,7 +773,6 @@ impl Planner {
                         .take(global_budget)
                         .collect();
                     let accepted = first_accepted(
-                        workers,
                         &candidates,
                         |(_, cand)| build_forest_cached(cand, ctx, cache, floor),
                         better,
@@ -850,75 +843,21 @@ impl Planner {
     }
 }
 
-/// Evaluates `items` in waves of one per worker and returns the first,
-/// in input order, that `accept` takes, with its rank.
+/// Evaluates `items` in rank order and returns the first that `accept`
+/// takes, with its rank.
 ///
 /// Acceptance almost always lands in the first few ranks, so evaluating
-/// the whole list eagerly would waste most of the builds. Wave size only
-/// shapes wall-clock: every item is evaluated against the same state and
-/// the scan is in rank order, so the accepted item never depends on the
-/// worker count. Callers charge `rank + 1` evaluations, whatever a wider
-/// wave evaluated beyond the accepted rank.
-fn first_accepted<T: Sync, E: Send, A>(
-    workers: usize,
+/// the whole list eagerly would waste most of the builds. Callers charge
+/// `rank + 1` evaluations.
+fn first_accepted<T, E, A>(
     items: &[T],
-    eval: impl Fn(&T) -> E + Sync,
+    eval: impl Fn(&T) -> E,
     mut accept: impl FnMut(E) -> Option<A>,
 ) -> Option<(usize, A)> {
-    for (w, wave_items) in items.chunks(workers).enumerate() {
-        for (off, ev) in par_map(workers, wave_items, &eval).into_iter().enumerate() {
-            if let Some(a) = accept(ev) {
-                return Some((w * workers + off, a));
-            }
-        }
-    }
-    None
-}
-
-/// The worker count of one planning call: `parallelism`, or one per
-/// available core for 0.
-fn workers(parallelism: usize) -> usize {
-    match parallelism {
-        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
-        n => n,
-    }
-}
-
-/// Maps `items` through `f` on up to `workers` threads, the calling
-/// thread among them, and returns the results in input order.
-///
-/// Workers claim items one at a time from a shared index, so one
-/// expensive item never strands the cheap ones behind it on the same
-/// worker (`first_accepted` and the seed race rely on that). A worker's
-/// panic is re-raised on the caller. At one worker, or one item, every
-/// item runs inline on the calling thread and nothing is spawned.
-fn par_map<T: Sync, R: Send>(workers: usize, items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
-    let threads = workers.clamp(1, items.len().max(1));
-    if threads == 1 {
-        return items.iter().map(f).collect();
-    }
-    // Relaxed: the index publishes nothing but itself; results travel
-    // through `join`.
-    let next = AtomicUsize::new(0);
-    let work = || {
-        let mut mine = Vec::new();
-        loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            let Some(item) = items.get(i) else { break mine };
-            mine.push((i, f(item)));
-        }
-    };
-    let mut done = std::thread::scope(|s| {
-        let helpers: Vec<_> = (1..threads).map(|_| s.spawn(work)).collect();
-        let mut done = work();
-        for h in helpers {
-            done.extend(h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
-        }
-        done
-    });
-    // Every index was claimed exactly once: sorted, this is the input.
-    done.sort_unstable_by_key(|&(i, _)| i);
-    done.into_iter().map(|(_, r)| r).collect()
+    items
+        .iter()
+        .enumerate()
+        .find_map(|(rank, item)| accept(eval(item)).map(|a| (rank, a)))
 }
 
 /// What the local search walks: a partition, its forest, and the
@@ -1636,9 +1575,7 @@ mod tests {
                 best = Some(plan);
             }
         }
-        let workers = workers(planner.config.parallelism);
-        let plan =
-            planner.refine_with_report(&best.unwrap(), &ctx, &mut report, None, workers, false);
+        let plan = planner.refine_with_report(&best.unwrap(), &ctx, &mut report, None, false);
         (plan, report)
     }
 
@@ -1651,16 +1588,6 @@ mod tests {
         caps: &CapacityMap,
         cost: CostModel,
     ) -> PlanReport {
-        plan_matching_oracle(config, pairs, caps, cost).1
-    }
-
-    /// [`assert_matches_oracle`], also returning the plan as JSON.
-    fn plan_matching_oracle(
-        config: PlannerConfig,
-        pairs: &PairSet,
-        caps: &CapacityMap,
-        cost: CostModel,
-    ) -> (String, PlanReport) {
         let planner = Planner::new(config);
         let what = format!("{:?}", planner.config);
         let (plan, report) = planner.plan_with_report(pairs, caps, cost, &AttrCatalog::new());
@@ -1686,7 +1613,7 @@ mod tests {
                 assert_eq!(report.rounds_skipped, 0, "{what}");
             }
         }
-        (json(&plan), report)
+        report
     }
 
     /// A shape whose default search converges and one whose default
@@ -1906,10 +1833,10 @@ mod tests {
     }
 
     /// Racing the seeds against the initial seed's pair count and
-    /// evaluating the global candidates in waves change neither the plan
-    /// nor what the report counts, for any worker count and allocation
-    /// scheme — where a balanced seed out-collects the initial one,
-    /// where one only ties it and wins on volume, and where one is cut.
+    /// scanning the global candidates in rank order change neither the
+    /// plan nor what the report counts, for every allocation scheme —
+    /// where a balanced seed out-collects the initial one, where one
+    /// only ties it and wins on volume, and where one is cut.
     #[test]
     fn seed_race_and_global_waves_are_invisible_for_every_worker_count() {
         let cost = CostModel::new(2.0, 1.0).unwrap();
@@ -1942,33 +1869,14 @@ mod tests {
         let mut global_evals = 0;
         for shape in [&sparse, &dense] {
             for allocation in allocations {
-                let run = |parallelism| {
-                    let config = PlannerConfig {
-                        allocation,
-                        parallelism,
-                        ..PlannerConfig::default()
-                    };
-                    let (plan, report) = plan_matching_oracle(config, &shape.0, &shape.1, cost);
-                    let counters = PlanReport {
-                        seed_ms: 0.0,
-                        rank_ms: 0.0,
-                        local_ms: 0.0,
-                        global_ms: 0.0,
-                        ..report
-                    };
-                    (plan, counters)
+                let config = PlannerConfig {
+                    allocation,
+                    ..PlannerConfig::default()
                 };
-                let one = run(1);
-                for parallelism in [2, 3, 4] {
-                    assert_eq!(
-                        one,
-                        run(parallelism),
-                        "{allocation:?}, {parallelism} workers"
-                    );
-                }
-                abandoned.push(one.1.seeds_abandoned);
-                cut.push(one.1.candidates_cut);
-                global_evals += one.1.global_evals;
+                let report = assert_matches_oracle(config, &shape.0, &shape.1, cost);
+                abandoned.push(report.seeds_abandoned);
+                cut.push(report.candidates_cut);
+                global_evals += report.global_evals;
             }
         }
         assert!(global_evals > 0, "no shape reached the global phase");
@@ -2116,94 +2024,5 @@ mod tests {
         assert!(!b.better_than(&a));
         assert!(c.better_than(&a));
         assert!(!a.better_than(&a));
-    }
-
-    /// Item 0 does not finish until every other item has been mapped,
-    /// so whoever holds it cannot map anything else: one worker per
-    /// contiguous chunk would never reach item 1. Handing items out one
-    /// at a time lets the other worker drain the rest; the output is in
-    /// input order all the same and every item is mapped exactly once.
-    #[test]
-    fn uneven_items_are_handed_out_one_at_a_time_in_input_order() {
-        use std::sync::{mpsc, Mutex};
-
-        let xs: Vec<usize> = (0..9).collect();
-        let mapped: Vec<AtomicUsize> = xs.iter().map(|_| AtomicUsize::new(0)).collect();
-        let (done_tx, done_rx) = mpsc::channel::<usize>();
-        let done_rx = Mutex::new(done_rx);
-        let out = par_map(2, &xs, |&x| {
-            mapped[x].fetch_add(1, Ordering::SeqCst);
-            if x == 0 {
-                let rx = done_rx.lock().expect("only item 0 locks");
-                for _ in 1..xs.len() {
-                    rx.recv_timeout(Duration::from_secs(10))
-                        .expect("the other worker maps the rest meanwhile");
-                }
-            } else {
-                done_tx.send(x).expect("receiver outlives the map");
-            }
-            x * 10
-        });
-        assert_eq!(out, xs.iter().map(|x| x * 10).collect::<Vec<_>>());
-        for (x, n) in mapped.iter().enumerate() {
-            assert_eq!(n.load(Ordering::SeqCst), 1, "item {x}");
-        }
-
-        // Items 0 and 1 meet at a barrier, so they are on two threads,
-        // and the helper's one waits while the caller maps the rest: the
-        // caller works too, and the items it mapped after the helper's
-        // still come back behind it.
-        let caller = std::thread::current().id();
-        let both = std::sync::Barrier::new(2);
-        let (rest_tx, rest_rx) = mpsc::channel::<usize>();
-        let rest_rx = Mutex::new(rest_rx);
-        let out = par_map(2, &xs, |&x| {
-            if x >= 2 {
-                rest_tx.send(x).expect("receiver outlives the map");
-                return x * 10;
-            }
-            both.wait();
-            if std::thread::current().id() != caller {
-                let rx = rest_rx.lock().expect("only the helper's item locks");
-                for _ in 2..xs.len() {
-                    rx.recv_timeout(Duration::from_secs(10))
-                        .expect("the caller maps the rest meanwhile");
-                }
-            }
-            x * 10
-        });
-        assert_eq!(out, xs.iter().map(|x| x * 10).collect::<Vec<_>>());
-
-        // Any worker count, more than there are items included, returns
-        // the serial map; at one worker every item runs on the caller.
-        let ys: Vec<u64> = (0..257).collect();
-        let serial: Vec<u64> = ys.iter().map(|&y| y * y).collect();
-        for workers in [1, 2, 4, 300] {
-            assert_eq!(
-                par_map(workers, &ys, |&y| y * y),
-                serial,
-                "{workers} workers"
-            );
-        }
-        let caller = std::thread::current().id();
-        let ran_on = par_map(1, &ys, |_| std::thread::current().id());
-        assert!(ran_on.iter().all(|&t| t == caller));
-    }
-
-    /// Two items meet at a barrier, so they are on two threads; the one
-    /// that is not the calling thread panics, and `par_map` re-raises it.
-    #[test]
-    fn worker_panic_propagates() {
-        let caller = std::thread::current().id();
-        let both = std::sync::Barrier::new(2);
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            par_map(2, &[0u8, 1], |&x| {
-                both.wait();
-                assert!(std::thread::current().id() == caller, "worker down");
-                x
-            })
-        }));
-        let payload = caught.expect_err("the worker's panic reaches the caller");
-        assert_eq!(payload.downcast_ref::<&str>(), Some(&"worker down"));
     }
 }

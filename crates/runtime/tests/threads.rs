@@ -23,13 +23,8 @@ fn a_deployment_adds_no_thread() {
         .flat_map(|n| (0..2).map(move |a| (NodeId(n), AttrId(a))))
         .collect();
     let caps = CapacityMap::uniform(NODES as usize, 200.0, 50_000.0).unwrap();
-    // One planner worker: the planner's own workers are not what is
-    // counted here, and with one worker it plans inline.
     let planner = AdaptivePlanner::new(
-        Planner::new(PlannerConfig {
-            parallelism: 1,
-            ..PlannerConfig::default()
-        }),
+        Planner::new(PlannerConfig::default()),
         AdaptScheme::Adaptive,
         pairs.clone(),
         caps,
