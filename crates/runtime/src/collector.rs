@@ -66,10 +66,6 @@ pub struct EpochReport {
     pub values_lost: u64,
     /// Targeted reconfiguration messages sent by plan repair.
     pub reconfigure_messages: u64,
-    /// Cumulative tree-cache counters of the self-healing planner, if
-    /// one is attached: repairs that warm-start from memoized builds
-    /// show up as hits here.
-    pub planner_cache: Option<remo_core::CacheStats>,
     /// ARQ retransmissions sent this epoch (zero on a reliable
     /// transport).
     pub retransmit_messages: u64,

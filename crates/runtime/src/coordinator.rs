@@ -77,7 +77,6 @@ impl Coordinator {
     ) -> EpochClose {
         let (mut report, events) = self.observe(epoch, reports);
         let reassigned = self.repair(&events.confirmed, &events.recovered, epoch, &mut report);
-        report.planner_cache = self.healer.as_ref().map(|h| h.planner().cache_stats());
 
         self.collector.refill();
         let mut degrade = None;

@@ -432,8 +432,6 @@ impl Deployment {
             // Latest-state fields: keep the final epoch's snapshot.
             total.ingress_depth = r.ingress_depth;
             total.degrade_factor = r.degrade_factor;
-            // Counters are already cumulative; keep the latest snapshot.
-            total.planner_cache = r.planner_cache.or(total.planner_cache);
         }
         total
     }

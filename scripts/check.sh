@@ -326,9 +326,9 @@ if grep -n 'EvalContext {' crates/core/src/adapt.rs; then
   echo "adapt.rs must take its EvalContext from Planner::eval_context" >&2
   exit 1
 fi
-builds=$(grep -c 'build_tree_for_set_cached(' crates/core/src/adapt.rs || true)
+builds=$(grep -c 'build_tree_for_set(' crates/core/src/adapt.rs || true)
 if [ "$builds" -gt 1 ]; then
-  echo "adapt.rs must rebuild trees in one place, found $builds build_tree_for_set_cached( calls" >&2
+  echo "adapt.rs must rebuild trees in one place, found $builds build_tree_for_set( calls" >&2
   exit 1
 fi
 if grep -rn 'REMO_PLANNER_DEBUG\|debug_echo\|env_flag' crates/; then
@@ -343,6 +343,31 @@ whole=$(grep -c 'build_whole_forest(' crates/core/src/planner.rs || true)
 if [ "$whole" -gt 1 ]; then
   echo "planner.rs must race a floor in every forest build but the initial seed's," \
     "found $whole build_whole_forest( calls" >&2
+  exit 1
+fi
+
+# One serial planner engine: the search runs on the calling thread, so
+# remo-core's product code starts no thread and takes no lock. A tree
+# cache serves one (pairs, catalog) and lives for one cold plan: the
+# adaptive planner owns none, and nothing invalidates one.
+echo "==> one serial planner engine, no long-lived tree cache (crates/core/src)"
+threaded=$(for f in crates/core/src/*.rs; do
+  sed '/^mod tests {/,$d' "$f" \
+    | { grep -nE 'std::thread|thread::scope|Mutex|available_parallelism' || true; } | sed "s|^|$f:|"
+done)
+if [ -n "$threaded" ]; then
+  echo "remo-core plans on the calling thread: no threads, no locks, no worker count:" >&2
+  echo "$threaded" >&2
+  exit 1
+fi
+holder=$(awk '/^pub struct AdaptivePlanner/ { on = 1 } on { print } on && /^}/ { on = 0 }' \
+  crates/core/src/adapt.rs)
+if grep -n 'TreeCache' <<<"$holder"; then
+  echo "AdaptivePlanner must not own a TreeCache: a cache lives for one planning call" >&2
+  exit 1
+fi
+if grep -n 'fn invalidate' crates/core/src/cache.rs; then
+  echo "a TreeCache serves one (pairs, catalog); drop it instead of invalidating it" >&2
   exit 1
 fi
 
