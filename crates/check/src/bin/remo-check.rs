@@ -1,14 +1,15 @@
 //! `remo-check` — the one front-end of REMO's four analyzers (see
 //! [`USAGE`]). Everything an analyzer CLI needs that is not analysis
-//! lives here once: argument parsing, `--list-rules`, `--example`,
-//! reading the input, printing findings, `--sarif`, the exit code.
+//! lives here once: `--list-rules`, `--example`, reading the input,
+//! printing findings, `--sarif`, the exit code; the flags are parsed by
+//! `remo_obs::cli`, the parser every binary of the workspace shares.
 //! What stays per analyzer is a row of [`ANALYZERS`] and a function
 //! from parsed arguments to findings.
 //!
-//! Exit status: 0 when the run passed, 1 when a finding at or above
-//! the analyzer's `fails_on` severity fired, 2 on usage or I/O
-//! problems. `audit` fails on errors only (warnings are advisory);
-//! `static`, `proto` and `mc` fail on any finding. An `mc replay`
+//! Exit status: 0 when the run passed (and for `--help`), 1 when a
+//! finding at or above the analyzer's `fails_on` severity fired, 2 on
+//! usage or I/O problems. `audit` fails on errors only (warnings are
+//! advisory); `static`, `proto` and `mc` fail on any finding. An `mc replay`
 //! passes when the trace reproduces the verdict recorded in its file —
 //! a recorded violation included — and fails when it does not.
 
@@ -23,10 +24,10 @@ use remo_core::sarif;
 use remo_core::validate::{
     rule, Analyzer, Audit, AuditOutcome, Finding, RuleMeta, RuleSet, Severity, RULES,
 };
+use remo_obs::cli::{self, Args, Cli};
 use remo_runtime::spec::ProtocolSpec;
 use std::fmt::Write as _;
 use std::process::ExitCode;
-use std::str::FromStr;
 
 const USAGE: &str = "\
 usage: remo-check audit <bundle.json> [options]
@@ -59,6 +60,11 @@ mc explore (exits 1 on any violated invariant):
 mc replay (exits 1 unless the trace replays to its recorded verdict)
 ";
 
+const CLI: Cli = Cli {
+    bin: "remo-check",
+    usage: USAGE,
+};
+
 /// What one run hands back to the front-end.
 #[derive(Default)]
 struct Run {
@@ -88,8 +94,10 @@ struct Row {
     /// The input file in usage form: `<required>`, `[<optional>]` or
     /// empty when the command reads none.
     input: &'static str,
-    /// The analysis. `Err` is an I/O or input problem: one line, exit 2.
-    run: fn(&Args) -> Result<Run, String>,
+    /// The analysis, given the command line and the input file's
+    /// contents (empty without one). `Err` is an I/O or input problem:
+    /// one line, exit 2.
+    run: fn(&Args, &str) -> Result<Run, String>,
 }
 
 const ANALYZERS: &[Row] = &[
@@ -162,38 +170,11 @@ fn owned(owner: Analyzer) -> impl Iterator<Item = &'static RuleMeta> {
     RULES.iter().filter(move |r| r.owner == owner)
 }
 
-/// One run's command line: the input file's path and contents (both
-/// empty when it was given none) and every flag occurrence, in order.
-struct Args {
-    path: String,
-    text: String,
-    flags: Vec<(String, String)>,
-}
-
-impl Args {
-    fn all<'a>(&'a self, flag: &'a str) -> impl Iterator<Item = &'a str> {
-        let hits = self.flags.iter().filter(move |(name, _)| name == flag);
-        hits.map(|(_, value)| value.as_str())
-    }
-
-    fn get<'a>(&'a self, flag: &'a str) -> Option<&'a str> {
-        self.all(flag).last()
-    }
-
-    fn num<T: FromStr>(&self, flag: &str) -> Result<Option<T>, String> {
-        let parse = |text: &str| match text.parse() {
-            Ok(n) => Ok(n),
-            Err(_) => Err(format!("{flag} needs a number, got `{text}`")),
-        };
-        self.get(flag).map(parse).transpose()
-    }
-}
-
 // ----------------------------------------------------------- the analyzers
 
-fn audit(args: &Args) -> Result<Run, String> {
+fn audit(args: &Args, text: &str) -> Result<Run, String> {
     let mut audit = Audit::new();
-    if args.get("--errors-only").is_some() {
+    if args.has("--errors-only") {
         *audit.rules_mut() = RuleSet::errors_only();
     }
     let known = |name: &str| rule(name).ok_or(format!("unknown rule `{name}`"));
@@ -212,8 +193,8 @@ fn audit(args: &Args) -> Result<Run, String> {
         };
         audit.rules_mut().set_severity(known(name)?.name, severity);
     }
-    let bundle = AuditBundle::from_json(&args.text)
-        .map_err(|e| format!("{} is not a valid bundle: {e}", args.path))?;
+    let bundle = AuditBundle::from_json(text)
+        .map_err(|e| format!("{} is not a valid bundle: {e}", input(args)))?;
     let skipped = owned(Analyzer::Audit).filter(|r| !audit.rules().is_enabled(r.name));
     Ok(Run {
         disabled: skipped.count(),
@@ -222,10 +203,10 @@ fn audit(args: &Args) -> Result<Run, String> {
     })
 }
 
-fn static_analyze(args: &Args) -> Result<Run, String> {
-    let path = &args.path;
-    let bundle = StaticBundle::from_json(&args.text)
-        .map_err(|e| format!("{path} is not a valid bundle: {e}"))?;
+fn static_analyze(args: &Args, text: &str) -> Result<Run, String> {
+    let path = input(args);
+    let bundle =
+        StaticBundle::from_json(text).map_err(|e| format!("{path} is not a valid bundle: {e}"))?;
     let report = analyze(&bundle).map_err(|e| format!("{path}: {e}"))?;
     Ok(Run {
         report: report.render(),
@@ -234,12 +215,12 @@ fn static_analyze(args: &Args) -> Result<Run, String> {
     })
 }
 
-fn proto_verify(args: &Args) -> Result<Run, String> {
-    let spec = if args.path.is_empty() {
-        ProtocolSpec::shipped()
-    } else {
-        ProtocolSpec::from_json(&args.text)
-            .map_err(|e| format!("{} is not a valid spec: {e}", args.path))?
+fn proto_verify(args: &Args, text: &str) -> Result<Run, String> {
+    let spec = match &args.input {
+        None => ProtocolSpec::shipped(),
+        Some(path) => {
+            ProtocolSpec::from_json(text).map_err(|e| format!("{path} is not a valid spec: {e}"))?
+        }
     };
     let result = verify_with_depth(&spec, args.num("--depth")?.unwrap_or(100_000));
     let mut report = String::new();
@@ -258,7 +239,7 @@ fn proto_verify(args: &Args) -> Result<Run, String> {
     })
 }
 
-fn mc_explore(args: &Args) -> Result<Run, String> {
+fn mc_explore(args: &Args, _: &str) -> Result<Run, String> {
     let depth = args.num("--depth")?.unwrap_or(4);
     let cfg = InvariantConfig {
         pair_slack: args.num("--pair-slack")?.unwrap_or(1),
@@ -318,9 +299,9 @@ fn mc_explore(args: &Args) -> Result<Run, String> {
     Ok(run)
 }
 
-fn mc_replay(args: &Args) -> Result<Run, String> {
-    let path = &args.path;
-    let file = ReplayFile::from_json(&args.text)
+fn mc_replay(args: &Args, text: &str) -> Result<Run, String> {
+    let path = input(args);
+    let file = ReplayFile::from_json(text)
         .map_err(|e| format!("{path} is not a valid replay file: {e}"))?;
     let (report, findings, matches) = match file.verify() {
         Ok(ReplayOutcome::Violation { findings, at_step }) => (
@@ -341,10 +322,9 @@ fn mc_replay(args: &Args) -> Result<Run, String> {
 
 // ----------------------------------------------------------- the front-end
 
-fn usage_error(message: &str) -> ExitCode {
-    eprintln!("remo-check: {message}");
-    eprintln!("{USAGE}");
-    ExitCode::from(2)
+/// The input path, or `""` for a command that read none.
+fn input(args: &Args) -> &str {
+    args.input.as_deref().unwrap_or_default()
 }
 
 fn list_rules(owner: Analyzer) {
@@ -358,50 +338,15 @@ fn list_rules(owner: Analyzer) {
     }
 }
 
-/// Splits the words after the verb into the command's flags and its
-/// input path. `Err` is a usage problem.
-fn parse(row: &Row, words: &[String]) -> Result<Args, String> {
-    let mut flags = Vec::new();
-    let mut path = None;
-    let mut words = words.iter();
-    while let Some(word) = words.next() {
-        if word.starts_with("--") {
-            let mut declared = row.flags.iter().chain(&["--sarif <out.json>"]);
-            let Some(form) = declared.find(|f| f.split(' ').next() == Some(word)) else {
-                return Err(format!("unknown option `{word}`"));
-            };
-            let value = match form.contains(' ').then(|| words.next()) {
-                None => String::new(),
-                Some(Some(value)) => value.clone(),
-                Some(None) => return Err(format!("{form}: no value given")),
-            };
-            flags.push((word.clone(), value));
-        } else if row.input.is_empty() {
-            return Err(format!("unexpected argument `{word}`"));
-        } else if path.replace(word.clone()).is_some() {
-            return Err("more than one input path given".to_string());
-        }
-    }
-    if path.is_none() && row.input.starts_with('<') {
-        return Err(format!("no {} given", row.input));
-    }
-    Ok(Args {
-        path: path.unwrap_or_default(),
-        text: String::new(),
-        flags,
-    })
-}
-
 fn main() -> ExitCode {
-    let words: Vec<String> = std::env::args().skip(1).collect();
-    if words.iter().any(|w| w == "--help" || w == "-h") {
-        print!("{USAGE}");
-        return ExitCode::SUCCESS;
-    }
+    let words = match CLI.words() {
+        Ok(words) => words,
+        Err(exit) => return exit,
+    };
     let word = |i: usize| words.get(i).map(String::as_str);
     let mut rows = ANALYZERS.iter().filter(|r| Some(r.name) == word(0));
     let Some(first) = rows.clone().next() else {
-        return usage_error("the first argument must be audit, static, proto or mc");
+        return CLI.usage_error("the first argument must be audit, static, proto or mc");
     };
     if words.iter().any(|w| w == "--list-rules") {
         list_rules(first.owner);
@@ -422,20 +367,22 @@ fn main() -> ExitCode {
     }
 
     let Some(row) = rows.find(|r| r.verb.is_empty() || Some(r.verb) == word(1)) else {
-        return usage_error(&format!("{} needs a command", first.name));
+        return CLI.usage_error(&format!("{} needs a command", first.name));
     };
     let rest = if row.verb.is_empty() { 1 } else { 2 };
-    let mut args = match parse(row, &words[rest..]) {
+    let flags = [row.flags, &["--sarif <out.json>"]].concat();
+    let args = match cli::parse(&flags, row.input, &words[rest..]) {
         Ok(args) => args,
-        Err(message) => return usage_error(&message),
+        Err(message) => return CLI.usage_error(&message),
     };
-    if !args.path.is_empty() {
-        match std::fs::read_to_string(&args.path) {
-            Ok(text) => args.text = text,
-            Err(e) => return fail(format!("cannot read {}: {e}", args.path)),
-        }
-    }
-    let run = match (row.run)(&args) {
+    let text = match &args.input {
+        None => String::new(),
+        Some(path) => match std::fs::read_to_string(path) {
+            Ok(text) => text,
+            Err(e) => return fail(format!("cannot read {path}: {e}")),
+        },
+    };
+    let run = match (row.run)(&args, &text) {
         Ok(run) => run,
         Err(message) => return fail(message),
     };
@@ -450,9 +397,9 @@ fn main() -> ExitCode {
         }
     }
     print!("{}{}", run.report, outcome.render());
-    let label = match args.path.as_str() {
-        "" => format!("{} {}", row.name, row.verb),
-        path => path.to_string(),
+    let label = match &args.input {
+        None => format!("{} {}", row.name, row.verb),
+        Some(path) => path.clone(),
     };
     if outcome.findings.is_empty() {
         let rules = owned(row.owner).count() - run.disabled;

@@ -14,6 +14,9 @@ use serde_json::Value;
 use std::collections::BTreeSet;
 use std::process::{Command, Output};
 
+#[path = "../../../tests/cli_contract.rs"]
+mod cli_contract;
+
 /// (case name, rule name, code) of a corpus.
 fn names<T>(cases: Vec<Case<T>>) -> Vec<[&'static str; 3]> {
     cases.iter().map(|c| [c.name, c.rule, c.code]).collect()
@@ -265,4 +268,16 @@ fn usage_problems_exit_two() {
         assert_eq!(text.contains("usage: remo-check"), usage, "{args:?}");
         assert!(usage || text.lines().count() == 1, "{args:?}: {text}");
     }
+}
+
+#[test]
+fn remo_check_keeps_the_cli_contract() {
+    let bin = cli_contract::Bin {
+        exe: env!("CARGO_BIN_EXE_remo-check"),
+        name: "remo-check",
+        lead: &["mc", "explore"],
+        valued: "--depth",
+    };
+    let stray: &[&str] = &["mc", "explore", "stray.json"];
+    cli_contract::keeps_the_contract(&bin, &[&[], &["proto"], stray]);
 }

@@ -8,75 +8,79 @@
 //!
 //! Stdout markers (stable, scripted against by `check.sh`):
 //! `listening on ADDR`, `epochs started`, `run complete`.
+//!
+//! Exit status: 0 when the run completed (and for `--help`), 1 when it
+//! failed (bind, capacities, report write), 2 on a usage problem.
 
 use remo_core::{AttrId, CapacityMap, NodeId, PairSet};
-use remo_node::{config, CollectorService, ServiceConfig};
+use remo_node::{CollectorService, ServiceConfig};
+use remo_obs::cli::Cli;
 use std::io::Write as _;
+use std::process::ExitCode;
+use std::time::Duration;
 
-struct Args {
-    addr: String,
-    nodes: u32,
-    attrs: u32,
-    epochs: u64,
-    report: Option<String>,
+const CLI: Cli = Cli {
+    bin: "remo-collector",
+    usage: "\
+usage: remo-collector [--addr <addr>] [--nodes <n>] [--attrs <k>] [--epochs <e>]
+                      [--epoch-ms <ms>] [--startup-wait-ms <ms>] [--report <file>]
+defaults: 127.0.0.1:7701, 8 nodes, 2 attributes, 40 epochs of 150 ms, and
+10 000 ms for the nodes to register before the first epoch
+",
+};
+
+const FLAGS: &[&str] = &[
+    "--addr <addr>",
+    "--nodes <n>",
+    "--attrs <k>",
+    "--epochs <e>",
+    "--epoch-ms <ms>",
+    "--startup-wait-ms <ms>",
+    "--report <file>",
+];
+
+/// Per-node budget in cost units per epoch.
+const NODE_CAPACITY: f64 = 1000.0;
+/// Collector budget in cost units per epoch.
+const COLLECTOR_CAPACITY: f64 = 100_000.0;
+
+fn main() -> ExitCode {
+    run().err().unwrap_or(ExitCode::SUCCESS)
 }
 
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        addr: "127.0.0.1:7701".to_string(),
-        nodes: 8,
-        attrs: 2,
-        epochs: 40,
-        report: None,
+fn run() -> Result<(), ExitCode> {
+    let args = CLI.args(FLAGS, "")?;
+    let usage = |message: String| CLI.usage_error(&message);
+    let failed = |message: String| {
+        eprintln!("remo-collector: {message}");
+        ExitCode::FAILURE
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut take = || it.next().ok_or_else(|| format!("{flag} needs a value"));
-        match flag.as_str() {
-            "--addr" => args.addr = take()?,
-            "--nodes" => args.nodes = take()?.parse().map_err(|e| format!("--nodes: {e}"))?,
-            "--attrs" => args.attrs = take()?.parse().map_err(|e| format!("--attrs: {e}"))?,
-            "--epochs" => args.epochs = take()?.parse().map_err(|e| format!("--epochs: {e}"))?,
-            "--report" => args.report = Some(take()?),
-            "--help" | "-h" => {
-                return Err(
-                    "usage: remo-collector [--addr A] [--nodes N] [--attrs K] [--epochs E] \
-                     [--report FILE]"
-                        .to_string(),
-                )
-            }
-            other => return Err(format!("unknown flag: {other}")),
-        }
+    let nodes: u32 = args.num("--nodes").map_err(usage)?.unwrap_or(8);
+    let attrs: u32 = args.num("--attrs").map_err(usage)?.unwrap_or(2);
+    let epochs = args.num("--epochs").map_err(usage)?.unwrap_or(40);
+    if nodes == 0 || attrs == 0 || epochs == 0 {
+        return Err(usage(
+            "--nodes, --attrs and --epochs must be positive".into(),
+        ));
     }
-    if args.nodes == 0 || args.attrs == 0 || args.epochs == 0 {
-        return Err("--nodes, --attrs, and --epochs must be positive".to_string());
-    }
-    Ok(args)
-}
-
-fn run() -> Result<(), String> {
-    let args = parse_args()?;
-
-    let pairs: PairSet = (0..args.nodes)
-        .flat_map(|n| (0..args.attrs).map(move |a| (NodeId(n), AttrId(a))))
+    let pairs: PairSet = (0..nodes)
+        .flat_map(|n| (0..attrs).map(move |a| (NodeId(n), AttrId(a))))
         .collect();
-    let caps = CapacityMap::uniform(
-        args.nodes as usize,
-        config::node_capacity(),
-        config::collector_capacity(),
-    )
-    .map_err(|e| format!("capacity map: {e:?}"))?;
+    let caps = CapacityMap::uniform(nodes as usize, NODE_CAPACITY, COLLECTOR_CAPACITY)
+        .map_err(|e| failed(format!("capacity map: {e:?}")))?;
+    let mut cfg = ServiceConfig::new(args.get("--addr").unwrap_or("127.0.0.1:7701"), pairs, caps);
+    cfg.epochs = epochs;
+    if let Some(ms) = args.num("--epoch-ms").map_err(usage)? {
+        cfg.epoch_interval = Duration::from_millis(ms);
+    }
+    if let Some(ms) = args.num("--startup-wait-ms").map_err(usage)? {
+        cfg.startup_wait = Duration::from_millis(ms);
+    }
 
-    let mut cfg = ServiceConfig::new(args.addr, pairs, caps);
-    cfg.epochs = args.epochs;
-
-    let service = CollectorService::start(cfg).map_err(|e| format!("bind: {e}"))?;
+    let service = CollectorService::start(cfg).map_err(|e| failed(format!("bind: {e}")))?;
     println!("remo-collector listening on {}", service.addr());
-    let connected = service.wait_for_nodes(args.nodes as usize);
-    println!(
-        "remo-collector {} of {} nodes registered, epochs started",
-        connected, args.nodes
-    );
+    let connected = service.wait_for_nodes(nodes as usize);
+    println!("remo-collector {connected} of {nodes} nodes registered, epochs started");
     let summary = service.run(|report| {
         if report.confirmed_dead > 0 || report.repaired > 0 || report.recovered > 0 {
             println!(
@@ -88,18 +92,11 @@ fn run() -> Result<(), String> {
 
     let json = summary.to_json();
     println!("remo-collector run complete: {json}");
-    if let Some(path) = args.report {
-        let mut f = std::fs::File::create(&path).map_err(|e| format!("{path}: {e}"))?;
+    if let Some(path) = args.get("--report") {
+        let mut f = std::fs::File::create(path).map_err(|e| failed(format!("{path}: {e}")))?;
         f.write_all(json.as_bytes())
             .and_then(|()| f.write_all(b"\n"))
-            .map_err(|e| format!("{path}: {e}"))?;
+            .map_err(|e| failed(format!("{path}: {e}")))?;
     }
     Ok(())
-}
-
-fn main() {
-    if let Err(e) = run() {
-        eprintln!("remo-collector: {e}");
-        std::process::exit(1);
-    }
 }

@@ -38,7 +38,6 @@
 //! restarted sender's frames). A *reconnecting* process — same life,
 //! new socket — re-greets with the incarnation it already holds.
 
-use crate::config;
 use crate::net::{lock, read_batches, TcpTransport};
 use crossbeam::channel::{unbounded, Receiver};
 use remo_core::{CostModel, NodeId};
@@ -70,12 +69,13 @@ pub struct NodeConfig {
 }
 
 impl NodeConfig {
-    /// Defaults for `node` against `addr`, honoring `REMO_DIST_*`.
+    /// Defaults for `node` against `addr`: a 50 ms first reconnect
+    /// backoff, and 40 failed reconnects before giving up.
     pub fn new(addr: impl Into<String>, node: NodeId) -> Self {
         NodeConfig {
             addr: addr.into(),
             node,
-            reconnect_base: config::reconnect_base(),
+            reconnect_base: Duration::from_millis(50),
             max_reconnect_failures: 40,
         }
     }

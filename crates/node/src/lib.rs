@@ -37,14 +37,6 @@
 //! A fleet of `n` nodes in one process is `n + 1` threads. The
 //! `Transport` seam is unchanged, so the agent and collector logic do
 //! not know. Unix only: the readiness loop is `poll(2)`.
-//!
-//! ## Configuration knobs
-//!
-//! The binaries read `REMO_DIST_*` environment variables (all
-//! optional; see [`config`]): `REMO_DIST_EPOCH_MS`,
-//! `REMO_DIST_DEADLINE_MS`, `REMO_DIST_CONFIRM_AFTER`,
-//! `REMO_DIST_NODE_CAPACITY`, `REMO_DIST_COLLECTOR_CAPACITY`,
-//! `REMO_DIST_STARTUP_WAIT_MS`, `REMO_DIST_RECONNECT_BASE_MS`.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -53,7 +45,6 @@
 compile_error!("remo-node's collector waits in poll(2): Unix only");
 
 pub mod client;
-pub mod config;
 pub mod net;
 pub mod service;
 pub mod summary;

@@ -42,7 +42,6 @@
 //! definedness, because an undefined internal transition is a bug in
 //! collector logic, not hostile input.
 
-use crate::config;
 use crate::net::{
     ack_envelope, ctrl_envelope, decode_all, lock, poll, OutBuf, PollFd, READ_BUF_LEN,
 };
@@ -103,11 +102,13 @@ impl std::fmt::Debug for ServiceConfig {
 }
 
 impl ServiceConfig {
-    /// Defaults for `pairs`/`caps` on `addr`, honoring `REMO_DIST_*`.
+    /// Defaults for `pairs`/`caps` on `addr`: 40 epochs of 150 ms, a
+    /// 100 ms report barrier, a node confirmed dead after 2 missed
+    /// epochs, and 10 s for the nodes to register.
     pub fn new(addr: impl Into<String>, pairs: PairSet, caps: CapacityMap) -> Self {
         let health = HealthConfig {
-            deadline: config::barrier_deadline(),
-            confirm_after: config::confirm_after(),
+            deadline: Duration::from_millis(100),
+            confirm_after: 2,
         };
         ServiceConfig {
             addr: addr.into(),
@@ -118,8 +119,8 @@ impl ServiceConfig {
             net: NetConfig::default(),
             health,
             epochs: 40,
-            epoch_interval: config::epoch_interval(),
-            startup_wait: config::startup_wait(),
+            epoch_interval: Duration::from_millis(150),
+            startup_wait: Duration::from_secs(10),
             integrity_sampler: Some(crate::dist_sampler()),
         }
     }

@@ -8,103 +8,76 @@
 //! `remo-plan --trace/--metrics` (and the bench binaries) and prints
 //! per-name span/event aggregates and metric samples.
 //!
-//! Exit status: 0 on success, 1 when a file is malformed, 2 on usage
-//! or I/O problems.
+//! Exit status: 0 on success (and for `--help`), 1 when a file is
+//! malformed, 2 on usage or I/O problems.
 
+use remo_obs::cli::{self, Cli};
 use remo_obs::summary::{
     parse_prometheus, parse_trace, render_metrics_summary, render_trace_summary,
 };
 use std::process::ExitCode;
 
-const USAGE: &str = "\
+const CLI: Cli = Cli {
+    bin: "remo-obs",
+    usage: "\
 usage: remo-obs dump [--trace <file.jsonl>] [--metrics <file.prom>]
 
 reads exports produced by `remo-plan --trace/--metrics` and the bench
 binaries, and prints per-name span/event aggregates and metric samples;
 at least one of --trace/--metrics is required
-";
-
-fn usage_error(message: &str) -> ExitCode {
-    eprintln!("remo-obs: {message}");
-    eprintln!("{USAGE}");
-    ExitCode::from(2)
-}
+",
+};
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        print!("{USAGE}");
-        return ExitCode::SUCCESS;
-    }
-
-    let mut trace_path: Option<String> = None;
-    let mut metrics_path: Option<String> = None;
-    let mut saw_dump = false;
-    let mut it = args.into_iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "dump" => saw_dump = true,
-            "--trace" => match it.next() {
-                Some(path) => trace_path = Some(path),
-                None => return usage_error("--trace needs a path"),
-            },
-            "--metrics" => match it.next() {
-                Some(path) => metrics_path = Some(path),
-                None => return usage_error("--metrics needs a path"),
-            },
-            other => return usage_error(&format!("unknown argument `{other}`")),
-        }
-    }
-    if !saw_dump {
-        return usage_error("expected the `dump` subcommand");
-    }
+    let words = match CLI.words() {
+        Ok(words) => words,
+        Err(exit) => return exit,
+    };
+    let Some(("dump", rest)) = words.split_first().map(|(w, rest)| (w.as_str(), rest)) else {
+        return CLI.usage_error("expected the `dump` subcommand");
+    };
+    let flags = ["--trace <file.jsonl>", "--metrics <file.prom>"];
+    let args = match cli::parse(&flags, "", rest) {
+        Ok(args) => args,
+        Err(message) => return CLI.usage_error(&message),
+    };
+    let (trace_path, metrics_path) = (args.get("--trace"), args.get("--metrics"));
     if trace_path.is_none() && metrics_path.is_none() {
-        return usage_error("give at least one of --trace/--metrics");
+        return CLI.usage_error("give at least one of --trace/--metrics");
     }
 
+    let read = |path: &str| {
+        std::fs::read_to_string(path).map_err(|e| {
+            eprintln!("remo-obs: cannot read {path}: {e}");
+            ExitCode::from(2)
+        })
+    };
     let mut malformed = false;
     if let Some(path) = trace_path {
-        let text = match std::fs::read_to_string(&path) {
-            Ok(text) => text,
-            Err(e) => {
-                eprintln!("remo-obs: cannot read {path}: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        match parse_trace(&text) {
-            Ok(summary) => {
+        match read(path).map(|text| parse_trace(&text)) {
+            Err(exit) => return exit,
+            Ok(Ok(summary)) => {
                 println!("trace {path}:");
                 print!("{}", render_trace_summary(&summary));
             }
-            Err(e) => {
+            Ok(Err(e)) => {
                 eprintln!("remo-obs: {path}: {e}");
                 malformed = true;
             }
         }
     }
     if let Some(path) = metrics_path {
-        let text = match std::fs::read_to_string(&path) {
-            Ok(text) => text,
-            Err(e) => {
-                eprintln!("remo-obs: cannot read {path}: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        match parse_prometheus(&text) {
-            Ok(samples) => {
+        match read(path).map(|text| parse_prometheus(&text)) {
+            Err(exit) => return exit,
+            Ok(Ok(samples)) => {
                 println!("metrics {path}: {} sample(s)", samples.len());
                 print!("{}", render_metrics_summary(&samples));
             }
-            Err(e) => {
+            Ok(Err(e)) => {
                 eprintln!("remo-obs: {path}: {e}");
                 malformed = true;
             }
         }
     }
-
-    if malformed {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
+    ExitCode::from(u8::from(malformed))
 }

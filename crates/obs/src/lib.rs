@@ -44,6 +44,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod cli;
 pub mod registry;
 pub mod summary;
 pub mod trace;

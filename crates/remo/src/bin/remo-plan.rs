@@ -14,15 +14,17 @@
 //! metrics registry in Prometheus text format. Either flag enables
 //! collection for the run; summarize the files with `remo-obs dump`.
 //!
-//! Exit status, as for `remo-check`: 0 when the run passed, 1 when
-//! `--audit` found an error, 2 on a usage, I/O or spec problem (an
-//! unknown option or a second spec path is a usage problem).
+//! Exit status, as for `remo-check`: 0 when the run passed (and for
+//! `--help`), 1 when `--audit` found an error, 2 on a usage, I/O or
+//! spec problem (an unknown option or a second spec path is a usage
+//! problem).
 
 use remo::spec::{AttrSpec, DeploymentSpec, TaskSpec};
 use remo_check::AuditBundle;
 use remo_core::export::{summarize, to_dot};
 use remo_core::planner::{PlanReport, StopReason};
 use remo_core::validate::Audit;
+use remo_obs::cli::{Args, Cli};
 use std::process::ExitCode;
 
 fn example_spec() -> DeploymentSpec {
@@ -63,20 +65,6 @@ fn example_spec() -> DeploymentSpec {
     }
 }
 
-/// Removes `name <value>` from `args` and returns the value, if the
-/// flag is present.
-fn take_value_flag(args: &mut Vec<String>, name: &str) -> Result<Option<String>, String> {
-    let Some(i) = args.iter().position(|a| a == name) else {
-        return Ok(None);
-    };
-    if i + 1 >= args.len() || args[i + 1].starts_with("--") {
-        return Err(format!("{name} requires a file path"));
-    }
-    let value = args.remove(i + 1);
-    args.remove(i);
-    Ok(Some(value))
-}
-
 /// Writes the drained trace and/or the metrics registry to the
 /// requested files.
 fn write_obs_outputs(trace: Option<&str>, metrics: Option<&str>) -> Result<(), String> {
@@ -110,40 +98,46 @@ fn search_line(report: &PlanReport) -> String {
     )
 }
 
-/// What follows `remo-plan` in a usage error.
-const USAGE: &str = "usage: remo-plan <spec.json> [--dot|--audit|--bundle] \
-                     [--trace <file.jsonl>] [--metrics <file.prom>] | remo-plan --example";
+const CLI: Cli = Cli {
+    bin: "remo-plan",
+    usage: "\
+usage: remo-plan <spec.json> [--dot | --audit | --bundle]
+                 [--trace <file.jsonl>] [--metrics <file.prom>]
+       remo-plan --example
+",
+};
 
-/// The output flags: `--dot` wins over `--bundle`, which wins over
-/// `--audit`; without one, the plan summary.
-const MODES: [&str; 3] = ["--dot", "--audit", "--bundle"];
+/// The flags: of the output modes `--dot` wins over `--bundle`, which
+/// wins over `--audit`; without one, the plan summary.
+const FLAGS: &[&str] = &[
+    "--dot",
+    "--audit",
+    "--bundle",
+    "--trace <file.jsonl>",
+    "--metrics <file.prom>",
+    "--example",
+];
 
 fn main() -> ExitCode {
-    run().unwrap_or_else(|message| {
+    let args = match CLI.args(FLAGS, "[<spec.json>]") {
+        Ok(args) => args,
+        Err(exit) => return exit,
+    };
+    if args.has("--example") {
+        println!("{}", example_spec().to_json());
+        return ExitCode::SUCCESS;
+    }
+    let Some(path) = &args.input else {
+        return CLI.usage_error("no <spec.json> given");
+    };
+    run(path, &args).unwrap_or_else(|message| {
         eprintln!("remo-plan: {message}");
         ExitCode::from(2)
     })
 }
 
-fn run() -> Result<ExitCode, String> {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--example") {
-        println!("{}", example_spec().to_json());
-        return Ok(ExitCode::SUCCESS);
-    }
-    let usage = |message: String| format!("{message}\n{USAGE}");
-    let trace_path = take_value_flag(&mut args, "--trace").map_err(usage)?;
-    let metrics_path = take_value_flag(&mut args, "--metrics").map_err(usage)?;
-    let (flags, paths): (Vec<&String>, Vec<&String>) =
-        args.iter().partition(|a| a.starts_with("--"));
-    if let Some(flag) = flags.iter().find(|f| !MODES.contains(&f.as_str())) {
-        return Err(usage(format!("unknown option `{flag}`")));
-    }
-    let path = match paths[..] {
-        [path] => path,
-        [] => return Err(usage("no spec file given".to_string())),
-        _ => return Err(usage("more than one spec file given".to_string())),
-    };
+fn run(path: &str, args: &Args) -> Result<ExitCode, String> {
+    let (trace_path, metrics_path) = (args.get("--trace"), args.get("--metrics"));
     if trace_path.is_some() || metrics_path.is_some() {
         remo_obs::enable();
     }
@@ -154,14 +148,13 @@ fn run() -> Result<ExitCode, String> {
         .map_err(|e| format!("planning failed: {e}"))?;
     // Planner activity is over: export collected observability now so
     // the files exist whichever output mode (and exit path) follows.
-    write_obs_outputs(trace_path.as_deref(), metrics_path.as_deref())?;
+    write_obs_outputs(trace_path, metrics_path)?;
 
-    let has = |mode: &str| flags.iter().any(|f| f.as_str() == mode);
-    if has("--dot") {
+    if args.has("--dot") {
         print!("{}", to_dot(&plan));
         return Ok(ExitCode::SUCCESS);
     }
-    if !has("--audit") && !has("--bundle") {
+    if !args.has("--audit") && !args.has("--bundle") {
         print!("{}", summarize(&plan));
         println!("{}", search_line(&report));
         return Ok(ExitCode::SUCCESS);
@@ -174,7 +167,7 @@ fn run() -> Result<ExitCode, String> {
     bundle.catalog = catalog;
     bundle.aggregation_aware = spec.aggregation_aware;
     bundle.frequency_aware = spec.frequency_aware;
-    if has("--bundle") {
+    if args.has("--bundle") {
         let text = bundle
             .to_json()
             .map_err(|e| format!("cannot serialize bundle: {e}"))?;

@@ -207,10 +207,8 @@ if [[ "${1:-}" == "--dist-smoke" ]]; then
 
   # Short epochs keep the smoke fast; the generous startup window
   # covers slow single-core boxes.
-  export REMO_DIST_EPOCH_MS=120 REMO_DIST_DEADLINE_MS=100 \
-    REMO_DIST_CONFIRM_AFTER=2 REMO_DIST_STARTUP_WAIT_MS=20000
   target/release/remo-collector --addr 127.0.0.1:0 --nodes 9 --attrs 2 \
-    --epochs 45 --report "$dist_dir/report.json" \
+    --epochs 45 --epoch-ms 120 --startup-wait-ms 20000 --report "$dist_dir/report.json" \
     > "$dist_dir/collector.log" 2>&1 &
   collector_pid=$!
 
@@ -447,6 +445,23 @@ advances=$(awk '/^    (pub(\(crate\))? )?fn / { fn = $0 } /next_seq *(\+=|=[^=])
 if [ "$(wc -l <<<"$advances")" != 1 ] || ! grep -q 'fn issue_seq(' <<<"$advances"; then
   echo "agent.rs must advance next_seq in Agent::issue_seq only, found it in:" >&2
   echo "$advances" >&2
+  exit 1
+fi
+
+# One parser and one configuration channel: the binaries read their
+# command line through remo_obs::cli only, and product code reads no
+# environment variable (a typo in one fell back to a default unseen).
+echo "==> one command-line parser, no environment knobs (crates/*/src)"
+env_reads=$(find crates/*/src -name '*.rs' | sort | while read -r f; do
+  sed '/^mod tests {/,$d' "$f" | { grep -nE 'env::var' || true; } | sed "s|^|$f:|"
+done)
+if [ -n "$env_reads" ]; then
+  echo "configure the binaries with flags (remo_obs::cli), not environment variables:" >&2
+  echo "$env_reads" >&2
+  exit 1
+fi
+if grep -rnE 'env::args' crates/*/src | grep -v '^crates/obs/src/cli.rs:'; then
+  echo "read the command line through remo_obs::cli, the one parser of the five binaries" >&2
   exit 1
 fi
 

@@ -4,6 +4,8 @@
 
 use std::process::Command;
 
+mod cli_contract;
+
 fn remo_plan() -> Command {
     Command::new(env!("CARGO_BIN_EXE_remo-plan"))
 }
@@ -146,4 +148,15 @@ fn no_arguments_prints_usage() {
         let err = String::from_utf8(out.stderr).unwrap();
         assert!(err.contains(says) && err.contains("usage:"), "{err}");
     }
+}
+
+#[test]
+fn remo_plan_keeps_the_cli_contract() {
+    let bin = cli_contract::Bin {
+        exe: env!("CARGO_BIN_EXE_remo-plan"),
+        name: "remo-plan",
+        lead: &[],
+        valued: "--metrics",
+    };
+    cli_contract::keeps_the_contract(&bin, &[&[], &["a.json", "b.json"], &["--dot"]]);
 }
