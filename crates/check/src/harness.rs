@@ -233,15 +233,6 @@ impl Harness {
         self.bound_checks
     }
 
-    /// Collector session steps taken through the protocol spec so far
-    /// (the RA023 conformance witness). Only the collector's side is
-    /// counted: the harness steps the hub's own session book and
-    /// replays no node-side machine beside it, so this is not a count
-    /// of node sessions checked.
-    pub fn conformance_checks(&self) -> u64 {
-        self.sessions.steps()
-    }
-
     /// Every collector step the session book found undefined since the
     /// last call, as an RA023 finding — the model checker reached a
     /// control-plane step the protocol spec does not allow.
@@ -693,9 +684,8 @@ mod tests {
         assert!(h.values_lost() > 0, "the dead window loses readings");
         assert!(h.reconfigures() > 0, "repair re-routes survivors");
         assert!(
-            h.conformance_checks() > 0,
-            "the cycle must step the collector's sessions through the protocol spec \
-             (conformance_checks counts collector steps only)"
+            h.sessions.steps() > 0,
+            "the cycle must step the collector's sessions through the protocol spec"
         );
     }
 

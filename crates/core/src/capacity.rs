@@ -90,18 +90,6 @@ impl CapacityMap {
         self.collector
     }
 
-    /// Sets the collector budget.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PlanError::InvalidParameter`] on a negative or
-    /// non-finite budget.
-    pub fn set_collector(&mut self, capacity: f64) -> Result<(), PlanError> {
-        validate("collector_capacity", capacity)?;
-        self.collector = capacity;
-        Ok(())
-    }
-
     /// Number of registered monitoring nodes.
     pub fn len(&self) -> usize {
         self.nodes.len()
@@ -152,7 +140,6 @@ mod tests {
         assert!(CapacityMap::uniform(2, f64::INFINITY, 1.0).is_err());
         let mut caps = CapacityMap::uniform(1, 1.0, 1.0).unwrap();
         assert!(caps.set_node(NodeId(0), f64::NAN).is_err());
-        assert!(caps.set_collector(-0.5).is_err());
     }
 
     #[test]

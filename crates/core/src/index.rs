@@ -91,11 +91,6 @@ impl PairIndex {
         self.node_ids.len()
     }
 
-    /// Number of distinct attributes.
-    pub fn attr_count(&self) -> usize {
-        self.attr_ids.len()
-    }
-
     /// Words per participant-bitset row.
     pub fn words(&self) -> usize {
         self.words
@@ -188,15 +183,6 @@ impl PairIndex {
         }
     }
 
-    /// Popcount of the AND of two bitset rows — the shared-participant
-    /// count used for merge-overlap and stranded-partner ranking.
-    pub fn and_popcount(a: &[u64], b: &[u64]) -> usize {
-        a.iter()
-            .zip(b)
-            .map(|(x, y)| (x & y).count_ones() as usize)
-            .sum()
-    }
-
     /// Popcount of one bitset row.
     pub fn popcount(bits: &[u64]) -> usize {
         bits.iter().map(|w| w.count_ones() as usize).sum()
@@ -270,7 +256,7 @@ mod tests {
         let pairs = PairSet::new();
         let idx = pairs.index();
         assert_eq!(idx.node_count(), 0);
-        assert_eq!(idx.attr_count(), 0);
+        assert!(idx.attr_ids.is_empty());
         assert_eq!(idx.words(), 1);
         assert_eq!(idx.participant_count(&BTreeSet::new()), 0);
     }

@@ -168,59 +168,6 @@ impl Partition {
         Ok(self.sets.len() - 1)
     }
 
-    /// Adds a brand-new attribute as a singleton set (used by
-    /// DIRECT-APPLY when task churn introduces an attribute type not in
-    /// the current partition). Returns the new set's index; if the
-    /// attribute is already present, returns its existing set index.
-    pub fn add_attr(&mut self, attr: AttrId) -> usize {
-        if let Some(i) = self.set_of(attr) {
-            return i;
-        }
-        let mut fresh = AttrSet::new();
-        fresh.insert(attr);
-        self.sets.push(fresh);
-        self.sets.len() - 1
-    }
-
-    /// Removes an attribute entirely (used when task churn drops the
-    /// last pair of an attribute type). Empty sets are dropped. Returns
-    /// `true` if the attribute was present.
-    pub fn remove_attr(&mut self, attr: AttrId) -> bool {
-        match self.set_of(attr) {
-            None => false,
-            Some(i) => {
-                self.sets[i].remove(&attr);
-                if self.sets[i].is_empty() {
-                    self.sets.remove(i);
-                }
-                true
-            }
-        }
-    }
-
-    /// Enumerates all neighboring solutions (Definition 3): every
-    /// pairwise merge and every single-attribute split.
-    ///
-    /// The count is `O(k²)` merges plus `O(|A|)` splits; callers rank
-    /// these with [`estimate`](crate::estimate) rather than evaluating
-    /// all of them.
-    pub fn neighbors(&self) -> Vec<PartitionOp> {
-        let mut ops = Vec::new();
-        for i in 0..self.sets.len() {
-            for j in (i + 1)..self.sets.len() {
-                ops.push(PartitionOp::Merge(i, j));
-            }
-        }
-        for (i, set) in self.sets.iter().enumerate() {
-            if set.len() > 1 {
-                for &attr in set {
-                    ops.push(PartitionOp::Split(i, attr));
-                }
-            }
-        }
-        ops
-    }
-
     /// Applies a [`PartitionOp`], returning the index of the modified
     /// or created set.
     ///
@@ -351,27 +298,6 @@ mod tests {
     }
 
     #[test]
-    fn neighbors_cover_merges_and_splits() {
-        let p = Partition::from_sets(vec![
-            [AttrId(0), AttrId(1)].into_iter().collect(),
-            [AttrId(2)].into_iter().collect(),
-            [AttrId(3)].into_iter().collect(),
-        ])
-        .unwrap();
-        let ops = p.neighbors();
-        let merges = ops
-            .iter()
-            .filter(|o| matches!(o, PartitionOp::Merge(..)))
-            .count();
-        let splits = ops
-            .iter()
-            .filter(|o| matches!(o, PartitionOp::Split(..)))
-            .count();
-        assert_eq!(merges, 3); // C(3,2)
-        assert_eq!(splits, 2); // only the 2-element set can split
-    }
-
-    #[test]
     fn from_sets_validates() {
         assert!(Partition::from_sets(vec![AttrSet::new()]).is_err());
         let overlapping = vec![
@@ -379,18 +305,6 @@ mod tests {
             [AttrId(0)].into_iter().collect::<AttrSet>(),
         ];
         assert!(Partition::from_sets(overlapping).is_err());
-    }
-
-    #[test]
-    fn add_and_remove_attr() {
-        let mut p = Partition::singleton(universe(2));
-        let i = p.add_attr(AttrId(5));
-        assert_eq!(i, 2);
-        assert_eq!(p.add_attr(AttrId(5)), 2, "idempotent");
-        assert!(p.remove_attr(AttrId(5)));
-        assert!(!p.remove_attr(AttrId(5)));
-        assert_eq!(p.len(), 2);
-        assert!(p.is_valid());
     }
 
     #[test]

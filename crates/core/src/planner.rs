@@ -1216,12 +1216,6 @@ impl EvalBreakdown {
         self.plan.coverage()
     }
 
-    /// The §7 adjusted cost: message volume plus a value's worth of
-    /// penalty per uncovered pair.
-    pub fn adjusted_cost(&self, cost: CostModel) -> f64 {
-        self.plan.message_volume() + cost.per_value() * self.uncovered_pairs as f64
-    }
-
     /// Consumes the breakdown, yielding the plan.
     pub fn into_plan(self) -> MonitoringPlan {
         self.plan

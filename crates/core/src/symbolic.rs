@@ -104,13 +104,6 @@ impl Interval {
             hi: self.hi.max(other.hi),
         }
     }
-
-    /// Clamps the upper endpoint to `cap` (and `lo` along with it if
-    /// needed) — used to intersect a demand-derived bound with a
-    /// budget the runtime physically cannot exceed.
-    pub fn cap_hi(&self, cap: f64) -> Interval {
-        Interval::new(self.lo.min(cap), self.hi.min(cap))
-    }
 }
 
 impl fmt::Display for Interval {
@@ -169,8 +162,6 @@ mod tests {
         assert_eq!(a.add(b), Interval::new(11.0, 22.0));
         assert_eq!(a.scale(3.0), Interval::new(3.0, 6.0));
         assert_eq!(a.join(b), Interval::new(1.0, 20.0));
-        assert_eq!(b.cap_hi(15.0), Interval::new(10.0, 15.0));
-        assert_eq!(b.cap_hi(5.0), Interval::new(5.0, 5.0));
     }
 
     #[test]

@@ -593,11 +593,6 @@ impl AuditOutcome {
         self.findings.iter().filter(move |f| f.rule == name)
     }
 
-    /// The worst severity present, if any finding exists.
-    pub fn max_severity(&self) -> Option<Severity> {
-        self.findings.iter().map(|f| f.severity).max()
-    }
-
     /// Human diagnostics: one line per finding plus its fix-hint.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -736,11 +731,6 @@ impl Audit {
     /// An audit running every rule at its default severity.
     pub fn new() -> Self {
         Audit::default()
-    }
-
-    /// An audit with an explicit rule configuration.
-    pub fn with_rules(rules: RuleSet) -> Self {
-        Audit { rules }
     }
 
     /// The active rule configuration.
@@ -1571,15 +1561,17 @@ mod tests {
         let catalog = AttrCatalog::new();
         let mut rs = RuleSet::all();
         rs.disable(rules::RELAY_ONLY).disable(rules::IDLE_MEMBER);
-        let outcome =
-            Audit::with_rules(rs).run(&AuditInput::new(&plan, &pairs, &caps, cost, &catalog));
+        let mut audit = Audit::new();
+        *audit.rules_mut() = rs;
+        let outcome = audit.run(&AuditInput::new(&plan, &pairs, &caps, cost, &catalog));
         assert_eq!(outcome.findings.len(), 0, "{}", outcome.render());
 
         // Severity override promotes an advisory rule to an error.
         let mut rs = RuleSet::all();
         rs.set_severity(rules::IDLE_MEMBER, Severity::Error);
-        let outcome =
-            Audit::with_rules(rs).run(&AuditInput::new(&plan, &pairs, &caps, cost, &catalog));
+        let mut audit = Audit::new();
+        *audit.rules_mut() = rs;
+        let outcome = audit.run(&AuditInput::new(&plan, &pairs, &caps, cost, &catalog));
         assert!(!outcome.is_clean());
     }
 

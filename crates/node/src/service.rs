@@ -595,11 +595,6 @@ impl CollectorService {
         self.addr
     }
 
-    /// Nodes currently registered.
-    pub fn connected_nodes(&self) -> usize {
-        self.hub.borrow().owner.len()
-    }
-
     /// Serves registrations on the caller's thread until `expected`
     /// nodes registered or the startup window elapsed; returns how many
     /// are connected.

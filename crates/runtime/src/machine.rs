@@ -67,11 +67,6 @@ impl ClientMachine {
         self.state
     }
 
-    /// The incarnation adopted from the last Welcome, if any.
-    pub fn held_incarnation(&self) -> Option<u32> {
-        self.held
-    }
-
     /// Transitions the spec left undefined that this machine was asked
     /// to take anyway.
     pub fn rejects(&self) -> u64 {
@@ -157,11 +152,6 @@ impl SessionMachine {
     /// Current state.
     pub fn state(&self) -> SessionState {
         self.state
-    }
-
-    /// The newest incarnation this session has assigned.
-    pub fn incarnation_slot(&self) -> u32 {
-        self.slot
     }
 
     /// Transitions the spec left undefined that this machine was asked
@@ -499,7 +489,7 @@ mod tests {
         let mut m = ClientMachine::new();
         assert!(m.adopt_incarnation(3));
         assert!(!m.adopt_incarnation(2));
-        assert_eq!(m.held_incarnation(), Some(3));
+        assert_eq!(m.held, Some(3));
     }
 
     #[test]

@@ -181,14 +181,6 @@ impl Simulator {
         self.dep.collector()
     }
 
-    /// The true value of a pair right now (aliases resolve to their
-    /// original's process).
-    pub fn true_value(&self, node: NodeId, attr: AttrId) -> Option<f64> {
-        let truth = lock(&self.truth);
-        let key = truth.key(node, attr);
-        truth.values.get(&key).map(ValueProcess::value)
-    }
-
     /// Overrides the value process of one pair.
     pub fn set_model(&mut self, node: NodeId, attr: AttrId, model: ValueModel) {
         let mut truth = lock(&self.truth);
@@ -209,11 +201,6 @@ impl Simulator {
     /// Fails the directed link `from → to`.
     pub fn fail_link(&mut self, from: NodeId, to: NodeId) {
         self.dep.set_link_down(from, to, true);
-    }
-
-    /// Heals a failed link.
-    pub fn heal_link(&mut self, from: NodeId, to: NodeId) {
-        self.dep.set_link_down(from, to, false);
     }
 
     /// Deploys a new plan (runtime adaptation). Topology changes cost

@@ -139,33 +139,6 @@ impl SimMetrics {
         self.epochs.iter().map(|e| e.control_volume).sum()
     }
 
-    /// Writes the per-epoch series as CSV (header + one row per
-    /// epoch) to `w`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from the writer.
-    pub fn write_csv<W: std::io::Write>(&self, mut w: W) -> std::io::Result<()> {
-        writeln!(
-            w,
-            "epoch,delivered_values,dropped_messages,dropped_readings,avg_error,monitoring_volume,control_volume"
-        )?;
-        for e in &self.epochs {
-            writeln!(
-                w,
-                "{},{},{},{},{:.6},{:.3},{:.3}",
-                e.epoch,
-                e.delivered_values,
-                e.dropped_messages,
-                e.dropped_readings,
-                e.avg_error,
-                e.monitoring_volume,
-                e.control_volume
-            )?;
-        }
-        Ok(())
-    }
-
     /// Control volume as a fraction of all traffic (Fig. 9b).
     pub fn control_fraction(&self) -> f64 {
         let c = self.total_control_volume();
@@ -214,21 +187,6 @@ mod tests {
         assert_eq!(m.total_monitoring_volume(), 20.0);
         assert_eq!(m.total_control_volume(), 5.0);
         assert!((m.control_fraction() - 0.2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn csv_export_has_header_and_rows() {
-        let mut m = SimMetrics::new();
-        m.push(stats(0, 0.5, 3));
-        m.push(stats(1, 0.25, 4));
-        let mut buf = Vec::new();
-        m.write_csv(&mut buf).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert!(lines[0].starts_with("epoch,delivered_values"));
-        assert!(lines[1].starts_with("0,3,"));
-        assert!(lines[2].starts_with("1,4,"));
     }
 
     #[test]

@@ -69,14 +69,6 @@ impl ValueProcess {
         ValueProcess { model, current }
     }
 
-    /// Starts a process at an explicit initial value.
-    pub fn with_initial(model: ValueModel, initial: f64) -> Self {
-        ValueProcess {
-            model,
-            current: initial,
-        }
-    }
-
     /// The current true value.
     #[inline]
     pub fn value(&self) -> f64 {
@@ -159,7 +151,7 @@ mod tests {
             burst_gain: 20.0,
         };
         let travel = |model| {
-            let mut p = ValueProcess::with_initial(model, 0.0);
+            let mut p = ValueProcess::new(model);
             let mut r = rng();
             let mut sum = 0.0;
             let mut prev = 0.0;
