@@ -49,7 +49,7 @@ use crate::ids::{AttrId, NodeId};
 use crate::pairs::PairSet;
 use crate::partition::{AttrSet, Partition, PartitionOp};
 use crate::plan::{MonitoringPlan, PlannedTree};
-use crate::planner::{Planner, SearchState};
+use crate::planner::{Planner, SearchState, CANDIDATES_PER_ROUND};
 use crate::tree::Parent;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
@@ -493,7 +493,7 @@ impl AdaptivePlanner {
             // First valid (improving) merge, first valid split. Both
             // successors are materialized: they are compared with each
             // other, and throttling diffs old trees against new.
-            let window = self.planner.config().candidates_per_round;
+            let window = CANDIDATES_PER_ROUND;
             let eval_first = |ops: &[(PartitionOp, f64)]| {
                 ops.iter().take(window).find_map(|&(op, _)| {
                     state

@@ -33,8 +33,8 @@ use crate::partition::AttrSet;
 use crate::plan::PlannedTree;
 use std::cell::RefCell;
 
-/// Entry cap, the only bound on one call's cache once `max_rounds` or
-/// `candidates_per_round` is raised; reaching it deterministically drops
+/// Entry cap, the only bound on one call's cache once `max_rounds` is
+/// raised; reaching it deterministically drops
 /// every entry (a full clear beats LRU bookkeeping here: keys recur in
 /// bursts within a search, and a cleared cache refills within one
 /// round).

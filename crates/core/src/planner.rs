@@ -45,9 +45,22 @@ pub enum InitialPartition {
     OneSet,
 }
 
+/// How many top-ranked candidates the local search fully evaluates per
+/// round: the guided-search window.
+pub(crate) const CANDIDATES_PER_ROUND: usize = 16;
+
+/// Budget of whole-forest reconstructions a search may spend on stall
+/// recovery (the paper's resource-sensitive refinement phase).
+const GLOBAL_EVALS: usize = 16;
+
+/// How many top-ranked candidates are evaluated globally at a stall.
+const GLOBAL_CANDIDATES: usize = 6;
+
 /// Planner configuration.
 ///
-/// The search policy is fixed by the first ten fields. `cache` is
+/// The search policy is fixed by the first seven fields (with the
+/// window and budgets `CANDIDATES_PER_ROUND`, `GLOBAL_EVALS` and
+/// `GLOBAL_CANDIDATES`, which no caller varies). `cache` is
 /// mechanical: it changes how fast the one search loop runs, never
 /// which plan it returns or what its [`PlanReport`] counts.
 /// `parallelism` is read and ignored: the search runs on the calling
@@ -63,7 +76,7 @@ pub enum InitialPartition {
 /// use remo_core::planner::{PlannerConfig, InitialPartition};
 /// use remo_core::build::BuilderKind;
 /// let cfg = PlannerConfig {
-///     candidates_per_round: 16,
+///     max_rounds: 64,
 ///     ..PlannerConfig::default()
 /// };
 /// assert_eq!(cfg.initial, InitialPartition::Singleton);
@@ -77,20 +90,10 @@ pub struct PlannerConfig {
     pub allocation: AllocationScheme,
     /// Initial partition of the search.
     pub initial: InitialPartition,
-    /// How many top-ranked candidates to fully evaluate per iteration
-    /// (the guided-search window; default 16).
-    pub candidates_per_round: usize,
     /// The logical length of the search in rounds (default 128). The
     /// plan is always that of this many rounds; once the state provably
     /// cycles, whole laps are skipped ([`PlanReport::rounds_skipped`]).
     pub max_rounds: usize,
-    /// Budget of whole-forest reconstructions the search may spend on
-    /// stall recovery (the paper's resource-sensitive refinement
-    /// phase; default 16).
-    pub global_evals: usize,
-    /// How many top-ranked candidates to evaluate globally at a stall
-    /// (default 6).
-    pub global_candidates: usize,
     /// Plan with in-network aggregation funnels (paper §6.1).
     pub aggregation_aware: bool,
     /// Weight values by update frequency (paper §6.3).
@@ -114,10 +117,7 @@ impl Default for PlannerConfig {
             builder: BuilderKind::default(),
             allocation: AllocationScheme::default(),
             initial: InitialPartition::default(),
-            candidates_per_round: 16,
             max_rounds: 128,
-            global_evals: 16,
-            global_candidates: 6,
             aggregation_aware: false,
             frequency_aware: false,
             forbidden_pairs: Vec::new(),
@@ -147,10 +147,7 @@ impl Deserialize for PlannerConfig {
             builder: field(v, "builder", d.builder)?,
             allocation: field(v, "allocation", d.allocation)?,
             initial: field(v, "initial", d.initial)?,
-            candidates_per_round: field(v, "candidates_per_round", d.candidates_per_round)?,
             max_rounds: field(v, "max_rounds", d.max_rounds)?,
-            global_evals: field(v, "global_evals", d.global_evals)?,
-            global_candidates: field(v, "global_candidates", d.global_candidates)?,
             aggregation_aware: field(v, "aggregation_aware", d.aggregation_aware)?,
             frequency_aware: field(v, "frequency_aware", d.frequency_aware)?,
             forbidden_pairs: field(v, "forbidden_pairs", d.forbidden_pairs)?,
@@ -630,7 +627,7 @@ impl Planner {
         // and evaluates the top candidates against the full
         // reconstruction. Global rebuilds are budgeted because each
         // one costs a complete forest construction.
-        let mut global_budget = self.config.global_evals;
+        let mut global_budget = GLOBAL_EVALS;
 
         // Best-so-far snapshot: tolerant plateau moves may transiently
         // lose a few pairs while volume savings accumulate; the search
@@ -680,7 +677,7 @@ impl Planner {
             // small pair tolerance for strong volume reductions ----
             let window: Vec<PartitionOp> = ranked
                 .iter()
-                .take(self.config.candidates_per_round)
+                .take(CANDIDATES_PER_ROUND)
                 .map(|&(op, _)| op)
                 .filter(|&op| !self.op_violates_constraints(op, &state.partition))
                 .collect();
@@ -764,7 +761,7 @@ impl Planner {
                     // many as the budget still pays for.
                     let candidates: Vec<(PartitionOp, Partition)> = ranked
                         .iter()
-                        .take(self.config.global_candidates)
+                        .take(GLOBAL_CANDIDATES)
                         .filter(|&&(op, _)| !self.op_violates_constraints(op, &state.partition))
                         .filter_map(|&(op, _)| {
                             let mut cand = state.partition.clone();
@@ -1415,6 +1412,16 @@ mod tests {
         let parsed: PlannerConfig = serde_json::from_str(&legacy).unwrap();
         assert_eq!(json(&parsed), default);
 
+        // A document that still carries the three search knobs that are
+        // constants now: their keys are ignored like any unknown key.
+        let knobs = default.replace(
+            "\"max_rounds\":128",
+            "\"candidates_per_round\":4,\"max_rounds\":128,\"global_evals\":2,\"global_candidates\":1",
+        );
+        assert!(knobs.contains("\"global_candidates\":1"), "{knobs}");
+        let parsed: PlannerConfig = serde_json::from_str(&knobs).unwrap();
+        assert_eq!(json(&parsed), default);
+
         // Present fields still win over the defaults.
         let set: PlannerConfig =
             serde_json::from_str(r#"{"parallelism":3,"cache":false,"max_rounds":7}"#).unwrap();
@@ -1976,7 +1983,7 @@ mod tests {
                 let need = rule.need(best, &state.score);
                 let ranked = estimator.rank_ops_trees(&state.partition, &state.trees);
                 let mut accepted = None;
-                for &(op, _) in ranked.iter().take(planner.config.candidates_per_round) {
+                for &(op, _) in ranked.iter().take(CANDIDATES_PER_ROUND) {
                     let full = state.eval(op, &ctx, None).unwrap();
                     let (_, ok) = rule.accepts(&full.score, best, &state.score);
                     match state.eval_reaching(op, &ctx, None, need).unwrap() {
