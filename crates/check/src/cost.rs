@@ -118,7 +118,7 @@ pub fn cost_bounds(
     let mut demand: BTreeMap<AttrId, Interval> = BTreeMap::new();
     let mut funneled: BTreeMap<AttrId, Interval> = BTreeMap::new();
     for &b in &attr_ids {
-        let owners = pairs.nodes_of(b).map_or(0, |s| s.len());
+        let owners = pairs.nodes_of(b).len();
         let w = weight(catalog, b, flags);
         let total = w.scale(owners as f64);
         demand.insert(b, total);

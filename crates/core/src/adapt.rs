@@ -363,7 +363,8 @@ impl AdaptivePlanner {
             .eval_context(&self.pairs, &self.caps, self.cost, &self.catalog);
         let rebuilt: BTreeSet<usize> = (0..kept.len()).filter(|&i| kept[i].is_none()).collect();
         let mut order: Vec<usize> = rebuilt.iter().copied().collect();
-        order.sort_by_key(|&i| self.pairs.participants(&partition.sets()[i]).len());
+        let idx = self.pairs.index();
+        order.sort_by_key(|&i| idx.participant_count(&partition.sets()[i]));
         for i in order {
             let t = build_tree_for_set(&partition.sets()[i], &ctx, &avail, avail.collector());
             avail.charge(&t);

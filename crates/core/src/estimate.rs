@@ -46,23 +46,6 @@ impl<'a> GainEstimator<'a> {
         }
     }
 
-    /// Estimated per-epoch capacity freed by merging two attribute
-    /// sets: every node participating in *both* trees sends (and its
-    /// parent receives) one message instead of two, saving `2C` each.
-    ///
-    /// Gains are in **capacity units** (send + receive, matching the
-    /// `C + a·x` cost paid on both ends). A plan's
-    /// [`message_volume`](crate::plan::MonitoringPlan::message_volume)
-    /// counts *send* costs only, so the per-message volume an op
-    /// actually frees is `gain / 2` — see the
-    /// `ranked_gains_match_evaluated_send_deltas` property test.
-    pub fn merge_gain(&self, set_i: &BTreeSet<AttrId>, set_j: &BTreeSet<AttrId>) -> f64 {
-        let ni = self.pairs.participants(set_i);
-        let nj = self.pairs.participants(set_j);
-        let overlap = ni.intersection(&nj).count();
-        2.0 * self.cost.per_message() * overlap as f64
-    }
-
     /// Estimated benefit of splitting `attr` out of a set whose tree
     /// currently fails to collect `uncollected_pairs` pairs: the
     /// smaller messages may let the saturated tree grow (worth about
@@ -74,15 +57,18 @@ impl<'a> GainEstimator<'a> {
         attr: AttrId,
         uncollected_pairs: usize,
     ) -> f64 {
-        let attr_nodes = match self.pairs.nodes_of(attr) {
-            Some(n) => n,
-            None => return f64::NEG_INFINITY,
-        };
+        let idx = self.pairs.index();
+        let owners = idx.owners(attr);
+        if owners.is_empty() {
+            return f64::NEG_INFINITY;
+        }
         // Nodes that own `attr` *and* another attribute of the set —
         // they pay an extra message after the split.
         let rest: BTreeSet<AttrId> = set_i.iter().copied().filter(|&a| a != attr).collect();
-        let rest_nodes = self.pairs.participants(&rest);
-        let overlap = attr_nodes.intersection(&rest_nodes).count();
+        let mut rest_nodes = Vec::new();
+        idx.or_participants(&rest, &mut rest_nodes);
+        let owns_rest = |d: u32| rest_nodes[d as usize / 64] & (1u64 << (d % 64)) != 0;
+        let overlap = owners.iter().filter(|&&d| owns_rest(d)).count();
         self.cost.per_value() * uncollected_pairs as f64
             - 2.0 * self.cost.per_message() * overlap as f64
     }
@@ -109,12 +95,19 @@ impl<'a> GainEstimator<'a> {
     /// Lower bound on the edges a split must change: the extracted
     /// attribute's tree must be wired up from scratch.
     pub fn split_cost_lb(&self, attr: AttrId) -> usize {
-        self.pairs.nodes_of(attr).map_or(1, |n| n.len().max(1))
+        self.pairs.nodes_of(attr).len().max(1)
     }
 
     /// Ranks the neighborhood operations of `partition` by decreasing
     /// estimated gain. `plan` supplies per-tree uncollected-pair counts
     /// for split estimation (pass the current plan).
+    ///
+    /// A merge frees `2C` at every node included in both trees: it sends
+    /// (and its parent receives) one message instead of two. Gains are
+    /// in **capacity units** (send + receive); a plan's
+    /// [`message_volume`](crate::plan::MonitoringPlan::message_volume)
+    /// counts sends only, so the volume an op frees is `gain / 2` — see
+    /// the `ranked_gains_match_evaluated_send_deltas` property test.
     ///
     /// Merges of trees with *no shared participants* are not
     /// enumerated: they save no per-message overhead (only one
@@ -312,7 +305,7 @@ impl<'a> GainEstimator<'a> {
                 // no-op. `split_gain` ranks it −∞; enumerating it here
                 // with gain `a·uncollected` would outrank every real
                 // candidate on a congested set, so skip it entirely.
-                if self.pairs.nodes_of(attr).is_none_or(BTreeSet::is_empty) {
+                if idx.owners(attr).is_empty() {
                     continue;
                 }
                 let ov = multi_owner.get(&(i, attr)).copied().unwrap_or(0);
@@ -343,26 +336,6 @@ mod tests {
             p.insert(NodeId(n), AttrId(1));
         }
         p
-    }
-
-    #[test]
-    fn merge_gain_counts_shared_participants() {
-        let pairs = pairs_two_attr_overlap();
-        let est = GainEstimator::new(&pairs, CostModel::new(2.0, 1.0).unwrap());
-        let s0: BTreeSet<AttrId> = [AttrId(0)].into_iter().collect();
-        let s1: BTreeSet<AttrId> = [AttrId(1)].into_iter().collect();
-        assert_eq!(est.merge_gain(&s0, &s1), 2.0 * 2.0 * 3.0);
-    }
-
-    #[test]
-    fn merge_gain_zero_without_overlap() {
-        let mut p = PairSet::new();
-        p.insert(NodeId(0), AttrId(0));
-        p.insert(NodeId(1), AttrId(1));
-        let est = GainEstimator::new(&p, CostModel::default());
-        let s0: BTreeSet<AttrId> = [AttrId(0)].into_iter().collect();
-        let s1: BTreeSet<AttrId> = [AttrId(1)].into_iter().collect();
-        assert_eq!(est.merge_gain(&s0, &s1), 0.0);
     }
 
     #[test]

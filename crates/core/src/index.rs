@@ -2,12 +2,12 @@
 //! [`PairSet`] that the planner's hot loops run
 //! over.
 //!
-//! `PairSet` keeps its `BTreeMap`-based forward/reverse indexes as the
-//! mutable source of truth (task churn inserts and removes pairs), but
-//! every planning pass walks the *same frozen* pair set thousands of
-//! times: participant discovery per attribute set, per-node load
-//! accumulation, pairwise overlap counts. [`PairIndex`] lowers those
-//! walks onto packed arrays:
+//! `PairSet` holds the pairs once, as a node-major sorted array: the
+//! mutable source of truth (task churn inserts and removes pairs). Every
+//! planning pass walks the *same frozen* pair set thousands of times,
+//! mostly attribute-major: participant discovery per attribute set,
+//! per-node load accumulation, pairwise overlap counts. [`PairIndex`]
+//! is that attribute-major view, on packed arrays:
 //!
 //! - node and attribute ids are renumbered into dense `u32` indexes
 //!   (`node_ids` / `attr_ids` are the sorted id tables, so dense order
@@ -48,33 +48,42 @@ pub struct PairIndex {
 }
 
 impl PairIndex {
-    /// Builds the dense index from a pair set. `O(pairs)` time and
-    /// space.
+    /// Builds the dense index from a pair set's node-major array: count
+    /// each attribute's owners, then walk the nodes in order, so every
+    /// owner row comes out ascending. `O(pairs · log attrs)` time,
+    /// `O(pairs)` space.
     pub fn build(pairs: &PairSet) -> Self {
         let node_ids: Vec<NodeId> = pairs.nodes().collect();
-        let attr_ids: Vec<AttrId> = pairs.attrs().collect();
+        let mut attr_ids: Vec<AttrId> = pairs.iter().map(|(_, a)| a).collect();
+        attr_ids.sort_unstable();
+        attr_ids.dedup();
+        attr_ids.shrink_to_fit();
         let words = node_ids.len().div_ceil(64).max(1);
+        let row_of = |attr: AttrId| {
+            attr_ids
+                .binary_search(&attr)
+                .unwrap_or_else(|_| unreachable!("{attr} missing from the attribute table"))
+        };
 
-        let mut attr_offsets = Vec::with_capacity(attr_ids.len() + 1);
-        let mut attr_nodes = Vec::with_capacity(pairs.len());
+        let mut attr_offsets = vec![0u32; attr_ids.len() + 1];
+        for (_, attr) in pairs.iter() {
+            attr_offsets[row_of(attr) + 1] += 1;
+        }
+        for row in 1..attr_offsets.len() {
+            attr_offsets[row] += attr_offsets[row - 1];
+        }
+        let mut next = attr_offsets.clone();
+        let mut attr_nodes = vec![0u32; pairs.len()];
         let mut attr_bits = vec![0u64; attr_ids.len() * words];
-        attr_offsets.push(0);
-        for (row, &attr) in attr_ids.iter().enumerate() {
-            if let Some(owners) = pairs.nodes_of(attr) {
-                let bits = &mut attr_bits[row * words..(row + 1) * words];
-                for &n in owners {
-                    let dense = node_ids
-                        .binary_search(&n)
-                        .unwrap_or_else(|_| unreachable!("owner {n} missing from node table"));
-                    let dense = u32::try_from(dense)
-                        .unwrap_or_else(|_| unreachable!("more than u32::MAX nodes"));
-                    attr_nodes.push(dense);
-                    bits[(dense / 64) as usize] |= 1u64 << (dense % 64);
-                }
+        for (dense, (_, attrs)) in pairs.runs().enumerate() {
+            let dense =
+                u32::try_from(dense).unwrap_or_else(|_| unreachable!("more than u32::MAX nodes"));
+            for &attr in attrs {
+                let row = row_of(attr);
+                attr_nodes[next[row] as usize] = dense;
+                next[row] += 1;
+                attr_bits[row * words + (dense / 64) as usize] |= 1u64 << (dense % 64);
             }
-            let end = u32::try_from(attr_nodes.len())
-                .unwrap_or_else(|_| unreachable!("more than u32::MAX pairs"));
-            attr_offsets.push(end);
         }
         PairIndex {
             node_ids,
@@ -108,6 +117,11 @@ impl PairIndex {
     /// The dense index of a node, if present.
     pub fn dense_node(&self, node: NodeId) -> Option<u32> {
         self.node_ids.binary_search(&node).ok().map(|x| x as u32)
+    }
+
+    /// Sorted attribute ids: attribute row → `AttrId`.
+    pub fn attr_ids(&self) -> &[AttrId] {
+        &self.attr_ids
     }
 
     /// The attribute row of `attr`, if present.
@@ -236,7 +250,7 @@ mod tests {
         let mut dense = Vec::new();
         PairIndex::iter_bits(&row, &mut dense);
         let via_index: Vec<NodeId> = dense.iter().map(|&x| idx.node_id(x)).collect();
-        let direct: Vec<NodeId> = pairs.participants(&set).into_iter().collect();
+        let direct = pairs.participants(&set);
         assert_eq!(via_index, direct);
         assert_eq!(idx.participant_count(&set), direct.len());
     }

@@ -1,5 +1,6 @@
 //! The deduplicated node-attribute pair set — the input to monitoring
-//! planning (paper Problem Statement 1).
+//! planning (paper Problem Statement 1) — held once, as a node-major
+//! sorted array.
 
 use crate::ids::{AttrId, NodeId};
 use crate::index::PairIndex;
@@ -10,8 +11,16 @@ use std::sync::{Arc, OnceLock};
 /// Pair lists returned by [`PairSet::diff`]: `(added, removed)`.
 pub type PairDiff = (Vec<(NodeId, AttrId)>, Vec<(NodeId, AttrId)>);
 
-/// A deduplicated set of `(node, attribute)` pairs with both forward
-/// (node → attributes) and reverse (attribute → nodes) indexes.
+/// A deduplicated set of `(node, attribute)` pairs.
+///
+/// The pairs are held once, node-major: the ascending owning nodes,
+/// and one flat array of attributes in which each node's run is
+/// ascending (a compressed sparse row per node). So a node's attributes
+/// are a slice ([`attrs_of`](Self::attrs_of)), and collecting a set is
+/// one sort. The attribute-major view ([`nodes_of`](Self::nodes_of),
+/// [`attrs`](Self::attrs), [`participants`](Self::participants)) reads
+/// the dense [`PairIndex`], built on first use and cached until the
+/// next mutation.
 ///
 /// Produced by the [`TaskManager`](crate::taskman::TaskManager) after
 /// removing inter-task duplication; consumed by the planner.
@@ -25,14 +34,18 @@ pub type PairDiff = (Vec<(NodeId, AttrId)>, Vec<(NodeId, AttrId)>);
 /// pairs.insert(NodeId(0), AttrId(1));
 /// pairs.insert(NodeId(1), AttrId(0));
 /// assert_eq!(pairs.len(), 3);
-/// assert_eq!(pairs.attrs_of(NodeId(0)).unwrap().len(), 2);
-/// assert_eq!(pairs.nodes_of(AttrId(0)).unwrap().len(), 2);
+/// assert_eq!(pairs.attrs_of(NodeId(0)), Some(&[AttrId(0), AttrId(1)][..]));
+/// assert_eq!(pairs.nodes_of(AttrId(0)).len(), 2);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct PairSet {
-    by_node: BTreeMap<NodeId, BTreeSet<AttrId>>,
-    by_attr: BTreeMap<AttrId, BTreeSet<NodeId>>,
-    len: usize,
+    /// Nodes owning at least one pair, ascending.
+    nodes: Vec<NodeId>,
+    /// `ends[i]` is one past the last attribute of `nodes[i]` in
+    /// `attrs`; its run starts where the previous node's ends.
+    ends: Vec<u32>,
+    /// Every pair's attribute, node-major, ascending within a node.
+    attrs: Vec<AttrId>,
     /// Lazily built dense index ([`PairIndex`]); cleared by any
     /// mutation so it always mirrors the current pair content. Not part
     /// of the value: skipped by serde (hand-written impls below) and
@@ -42,21 +55,49 @@ pub struct PairSet {
 
 impl PartialEq for PairSet {
     fn eq(&self, other: &Self) -> bool {
-        self.len == other.len && self.by_node == other.by_node && self.by_attr == other.by_attr
+        self.nodes == other.nodes && self.ends == other.ends && self.attrs == other.attrs
     }
 }
 
 impl Eq for PairSet {}
 
-// Hand-written serde impls matching the derive's wire format for the
-// three data fields; the index cache is transient and rebuilt on
-// demand after a round-trip.
+/// `n` as a `u32` array offset.
+fn offset(n: usize) -> u32 {
+    u32::try_from(n).unwrap_or_else(|_| unreachable!("more than u32::MAX pairs"))
+}
+
+/// A JSON object key as a `BTreeMap` serializes an id: its number.
+fn keyed<K: Serialize>(key: K, ids: impl Iterator<Item = serde::Value>) -> (String, serde::Value) {
+    let key = match key.serialize() {
+        serde::Value::U64(n) => n.to_string(),
+        other => unreachable!("ids serialize as numbers, not {}", other.kind()),
+    };
+    (key, serde::Value::Array(ids.collect()))
+}
+
+// The wire format is the one the pair set had as two nested maps:
+// `by_node` (node → ascending attributes), `by_attr` (attribute →
+// ascending nodes) and `len`. The index cache is transient and rebuilt
+// on demand after a round-trip.
 impl Serialize for PairSet {
     fn serialize(&self) -> serde::Value {
+        let idx = self.index();
+        let by_node = self
+            .runs()
+            .map(|(n, attrs)| keyed(n, attrs.iter().map(Serialize::serialize)))
+            .collect();
+        let by_attr = idx
+            .attr_ids()
+            .iter()
+            .map(|&a| {
+                let owners = idx.owners(a).iter();
+                keyed(a, owners.map(|&d| idx.node_id(d).serialize()))
+            })
+            .collect();
         serde::Value::Object(vec![
-            ("by_node".to_string(), self.by_node.serialize()),
-            ("by_attr".to_string(), self.by_attr.serialize()),
-            ("len".to_string(), self.len.serialize()),
+            ("by_node".to_string(), serde::Value::Object(by_node)),
+            ("by_attr".to_string(), serde::Value::Object(by_attr)),
+            ("len".to_string(), self.len().serialize()),
         ])
     }
 }
@@ -70,12 +111,21 @@ impl Deserialize for PairSet {
             v.get(field)
                 .ok_or_else(|| format!("missing field `{field}`"))
         };
-        Ok(PairSet {
-            by_node: Deserialize::deserialize(read("by_node")?)?,
-            by_attr: Deserialize::deserialize(read("by_attr")?)?,
-            len: Deserialize::deserialize(read("len")?)?,
-            index: OnceLock::new(),
-        })
+        let by_node: BTreeMap<NodeId, Vec<AttrId>> = Deserialize::deserialize(read("by_node")?)?;
+        let by_attr: BTreeMap<AttrId, Vec<NodeId>> = Deserialize::deserialize(read("by_attr")?)?;
+        let len: usize = Deserialize::deserialize(read("len")?)?;
+        let pairs: PairSet = by_node
+            .into_iter()
+            .flat_map(|(n, attrs)| attrs.into_iter().map(move |a| (n, a)))
+            .collect();
+        let transposed: PairSet = by_attr
+            .into_iter()
+            .flat_map(|(a, nodes)| nodes.into_iter().map(move |n| (n, a)))
+            .collect();
+        if pairs != transposed || pairs.len() != len {
+            return Err("`by_node`, `by_attr` and `len` describe different pair sets".into());
+        }
+        Ok(pairs)
     }
 }
 
@@ -85,37 +135,86 @@ impl PairSet {
         Self::default()
     }
 
+    /// The pair set of `pairs`, sorted and deduplicated in place.
+    fn from_pairs(mut pairs: Vec<(NodeId, AttrId)>) -> Self {
+        pairs.sort_unstable();
+        pairs.dedup();
+        let mut set = PairSet {
+            attrs: Vec::with_capacity(pairs.len()),
+            ..PairSet::default()
+        };
+        for (n, a) in pairs {
+            if set.nodes.last() == Some(&n) {
+                set.ends.pop();
+            } else {
+                set.nodes.push(n);
+            }
+            set.attrs.push(a);
+            set.ends.push(offset(set.attrs.len()));
+        }
+        set.nodes.shrink_to_fit();
+        set.ends.shrink_to_fit();
+        set
+    }
+
+    /// Where the attributes of `nodes[i]` start in `attrs`.
+    fn start(&self, i: usize) -> usize {
+        i.checked_sub(1).map_or(0, |prev| self.ends[prev] as usize)
+    }
+
+    /// Each node with its ascending attributes, in node order.
+    pub(crate) fn runs(&self) -> impl Iterator<Item = (NodeId, &[AttrId])> + '_ {
+        let starts = std::iter::once(0).chain(self.ends.iter().map(|&e| e as usize));
+        let spans = starts.zip(&self.ends);
+        let runs = spans.map(|(start, &end)| &self.attrs[start..end as usize]);
+        self.nodes.iter().copied().zip(runs)
+    }
+
     /// Inserts a pair; returns `true` if it was not already present.
     pub fn insert(&mut self, node: NodeId, attr: AttrId) -> bool {
-        let fresh = self.by_node.entry(node).or_default().insert(attr);
-        if fresh {
-            self.by_attr.entry(attr).or_default().insert(node);
-            self.len += 1;
-            self.index.take();
+        let (i, at) = match self.nodes.binary_search(&node) {
+            Ok(i) => {
+                let start = self.start(i);
+                let run = &self.attrs[start..self.ends[i] as usize];
+                match run.binary_search(&attr) {
+                    Ok(_) => return false,
+                    Err(k) => (i, start + k),
+                }
+            }
+            Err(i) => {
+                let start = self.start(i);
+                self.nodes.insert(i, node);
+                self.ends.insert(i, offset(start));
+                (i, start)
+            }
+        };
+        self.attrs.insert(at, attr);
+        for end in &mut self.ends[i..] {
+            *end += 1;
         }
-        fresh
+        self.index.take();
+        true
     }
 
     /// Removes a pair; returns `true` if it was present.
     pub fn remove(&mut self, node: NodeId, attr: AttrId) -> bool {
-        let removed = match self.by_node.get_mut(&node) {
-            Some(set) => set.remove(&attr),
-            None => false,
+        let Ok(i) = self.nodes.binary_search(&node) else {
+            return false;
         };
-        if removed {
-            if self.by_node.get(&node).is_some_and(BTreeSet::is_empty) {
-                self.by_node.remove(&node);
-            }
-            if let Some(set) = self.by_attr.get_mut(&attr) {
-                set.remove(&node);
-                if set.is_empty() {
-                    self.by_attr.remove(&attr);
-                }
-            }
-            self.len -= 1;
-            self.index.take();
+        let (start, end) = (self.start(i), self.ends[i] as usize);
+        let Ok(k) = self.attrs[start..end].binary_search(&attr) else {
+            return false;
+        };
+        self.attrs.remove(start + k);
+        for end in &mut self.ends[i..] {
+            *end -= 1;
         }
-        removed
+        if end - start == 1 {
+            self.nodes.remove(i);
+            self.ends.remove(i);
+        }
+        self.index.take();
+        true
     }
 
     /// The dense struct-of-arrays index over this pair set, built on
@@ -138,99 +237,89 @@ impl PairSet {
 
     /// Returns `true` if the pair is present.
     pub fn contains(&self, node: NodeId, attr: AttrId) -> bool {
-        self.by_node
-            .get(&node)
-            .is_some_and(|set| set.contains(&attr))
+        self.attrs_of(node)
+            .is_some_and(|attrs| attrs.binary_search(&attr).is_ok())
     }
 
     /// Number of distinct pairs.
     pub fn len(&self) -> usize {
-        self.len
+        self.attrs.len()
     }
 
     /// Returns `true` if there are no pairs.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.attrs.is_empty()
     }
 
-    /// Attributes monitored on `node`, if any.
-    pub fn attrs_of(&self, node: NodeId) -> Option<&BTreeSet<AttrId>> {
-        self.by_node.get(&node)
+    /// Attributes monitored on `node`, ascending, if any.
+    pub fn attrs_of(&self, node: NodeId) -> Option<&[AttrId]> {
+        let i = self.nodes.binary_search(&node).ok()?;
+        Some(&self.attrs[self.start(i)..self.ends[i] as usize])
     }
 
-    /// Nodes on which `attr` is monitored, if any.
-    pub fn nodes_of(&self, attr: AttrId) -> Option<&BTreeSet<NodeId>> {
-        self.by_attr.get(&attr)
+    /// Nodes on which `attr` is monitored, ascending; none if nobody
+    /// owns it. Reads the [`index`](Self::index), so a loop that
+    /// mutates the set should not call it.
+    pub fn nodes_of(&self, attr: AttrId) -> impl ExactSizeIterator<Item = NodeId> + '_ {
+        let idx = self.index();
+        idx.owners(attr).iter().map(|&d| idx.node_id(d))
     }
 
-    /// All nodes with at least one monitored attribute.
+    /// All nodes with at least one monitored attribute, ascending.
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.by_node.keys().copied()
+        self.nodes.iter().copied()
     }
 
-    /// All attributes monitored on at least one node — the attribute
-    /// universe `A` that partitions are defined over.
+    /// All attributes monitored on at least one node, ascending — the
+    /// attribute universe `A` that partitions are defined over.
     pub fn attrs(&self) -> impl Iterator<Item = AttrId> + '_ {
-        self.by_attr.keys().copied()
+        self.index().attr_ids().iter().copied()
     }
 
     /// The attribute universe as an owned set.
     pub fn attr_universe(&self) -> BTreeSet<AttrId> {
-        self.by_attr.keys().copied().collect()
+        self.attrs().collect()
     }
 
     /// Iterates over every `(node, attr)` pair in node-major order.
     pub fn iter(&self) -> impl Iterator<Item = (NodeId, AttrId)> + '_ {
-        self.by_node
-            .iter()
-            .flat_map(|(&n, attrs)| attrs.iter().map(move |&a| (n, a)))
+        self.runs()
+            .flat_map(|(n, attrs)| attrs.iter().map(move |&a| (n, a)))
     }
 
     /// Number of pairs on `node` whose attribute is in `set` — the
     /// local value count `x_i` a node contributes to the tree that
     /// delivers `set`.
     pub fn node_load_in(&self, node: NodeId, set: &BTreeSet<AttrId>) -> usize {
-        self.by_node
-            .get(&node)
-            .map_or(0, |attrs| attrs.intersection(set).count())
+        self.attrs_of(node)
+            .map_or(0, |attrs| attrs.iter().filter(|a| set.contains(a)).count())
     }
 
     /// The nodes that participate in the tree delivering attribute set
-    /// `set`: every node owning at least one pair whose attribute is in
-    /// `set`.
-    pub fn participants(&self, set: &BTreeSet<AttrId>) -> BTreeSet<NodeId> {
-        let mut out = BTreeSet::new();
-        for attr in set {
-            if let Some(nodes) = self.by_attr.get(attr) {
-                out.extend(nodes.iter().copied());
-            }
-        }
-        out
+    /// `set`, ascending: every node owning at least one pair whose
+    /// attribute is in `set`.
+    pub fn participants(&self, set: &BTreeSet<AttrId>) -> Vec<NodeId> {
+        let idx = self.index();
+        let (mut row, mut dense) = (Vec::new(), Vec::new());
+        idx.or_participants(set, &mut row);
+        PairIndex::iter_bits(&row, &mut dense);
+        dense.into_iter().map(|d| idx.node_id(d)).collect()
     }
 
-    /// Precomputes dense participant bitsets for a list of attribute
-    /// sets in one pass over the reverse index, so pairwise overlap
-    /// queries become AND-popcount over `u64` words instead of
-    /// materializing [`participants`](Self::participants) sets per
-    /// query. Overlap counts are exact, so callers that pick partners
-    /// by maximum overlap make the same choices either way.
+    /// Dense participant bitsets for a list of attribute sets, one row
+    /// per set ORed from the index's per-attribute rows, so pairwise
+    /// overlap queries become AND-popcount over `u64` words instead of
+    /// materializing [`participants`](Self::participants) per query.
+    /// Overlap counts are exact, so callers that pick partners by
+    /// maximum overlap make the same choices either way.
     pub fn participant_bitsets(&self, sets: &[BTreeSet<AttrId>]) -> ParticipantBitsets {
-        let node_index: BTreeMap<NodeId, usize> = self
-            .by_node
-            .keys()
-            .enumerate()
-            .map(|(x, &n)| (n, x))
-            .collect();
-        let words = node_index.len().div_ceil(64).max(1);
+        let idx = self.index();
+        let words = idx.words();
         let mut bits = vec![0u64; sets.len() * words];
-        for (s, set) in sets.iter().enumerate() {
-            let row = &mut bits[s * words..(s + 1) * words];
-            for attr in set {
-                if let Some(nodes) = self.by_attr.get(attr) {
-                    for n in nodes {
-                        let x = node_index[n];
-                        row[x / 64] |= 1u64 << (x % 64);
-                    }
+        for (row, set) in bits.chunks_exact_mut(words).zip(sets) {
+            for bits in set.iter().filter_map(|&attr| idx.attr_bits(attr)) {
+                for (w, b) in row.iter_mut().zip(bits) {
+                    *w |= b;
                 }
             }
         }
@@ -284,19 +373,13 @@ impl ParticipantBitsets {
 
 impl FromIterator<(NodeId, AttrId)> for PairSet {
     fn from_iter<I: IntoIterator<Item = (NodeId, AttrId)>>(iter: I) -> Self {
-        let mut set = PairSet::new();
-        for (n, a) in iter {
-            set.insert(n, a);
-        }
-        set
+        PairSet::from_pairs(iter.into_iter().collect())
     }
 }
 
 impl Extend<(NodeId, AttrId)> for PairSet {
     fn extend<I: IntoIterator<Item = (NodeId, AttrId)>>(&mut self, iter: I) {
-        for (n, a) in iter {
-            self.insert(n, a);
-        }
+        *self = PairSet::from_pairs(self.iter().chain(iter).collect());
     }
 }
 
@@ -329,7 +412,7 @@ mod tests {
         let mut p = sample();
         assert!(p.remove(NodeId(2), AttrId(2)));
         assert!(!p.remove(NodeId(2), AttrId(2)));
-        assert!(p.nodes_of(AttrId(2)).is_none());
+        assert_eq!(p.nodes_of(AttrId(2)).len(), 0);
         assert!(p.attrs_of(NodeId(2)).is_none());
         assert_eq!(p.len(), 3);
     }
@@ -338,11 +421,7 @@ mod tests {
     fn reverse_index_consistent() {
         let p = sample();
         assert_eq!(
-            p.nodes_of(AttrId(0))
-                .unwrap()
-                .iter()
-                .copied()
-                .collect::<Vec<_>>(),
+            p.nodes_of(AttrId(0)).collect::<Vec<_>>(),
             vec![NodeId(0), NodeId(1)]
         );
         assert_eq!(p.attr_universe().len(), 3);
@@ -361,11 +440,7 @@ mod tests {
     fn participants_unions_attr_owners() {
         let p = sample();
         let set: BTreeSet<AttrId> = [AttrId(1), AttrId(2)].into_iter().collect();
-        let d = p.participants(&set);
-        assert_eq!(
-            d.into_iter().collect::<Vec<_>>(),
-            vec![NodeId(0), NodeId(2)]
-        );
+        assert_eq!(p.participants(&set), vec![NodeId(0), NodeId(2)]);
     }
 
     #[test]

@@ -512,7 +512,7 @@ impl Planner {
 
         let mut weights: Vec<(AttrId, usize)> = universe
             .iter()
-            .map(|&a| (a, pairs.nodes_of(a).map_or(0, |n| n.len())))
+            .map(|&a| (a, pairs.nodes_of(a).len()))
             .collect();
         weights.sort_by(|x, y| y.1.cmp(&x.1).then(x.0.cmp(&y.0)));
 
@@ -1793,10 +1793,7 @@ mod tests {
         // attribute, so the one balanced seed is the singleton
         // partition again, in weight order. Ordered allocation builds
         // both smallest-first, ties by attribute id: the same sequence.
-        let weights: Vec<usize> = pairs
-            .attrs()
-            .map(|a| pairs.nodes_of(a).map_or(0, |n| n.len()))
-            .collect();
+        let weights: Vec<usize> = pairs.attrs().map(|a| pairs.nodes_of(a).len()).collect();
         assert!(
             weights.windows(2).any(|w| w[0] < w[1]),
             "weight order must differ from id order: {weights:?}"

@@ -849,9 +849,8 @@ impl Audit {
             let demanded: usize = input
                 .pairs
                 .participants(set)
-                .iter()
-                .filter_map(|n| input.pairs.attrs_of(*n))
-                .map(|owned| owned.intersection(set).count())
+                .into_iter()
+                .map(|n| input.pairs.node_load_in(n, set))
                 .sum();
             if demanded != planned.demanded_pairs {
                 if let Some(f) = em.emit(
@@ -927,10 +926,10 @@ impl Audit {
             let mut collected = 0usize;
             for &n in &order {
                 let mut per_attr: BTreeMap<AttrId, f64> = BTreeMap::new();
-                let local = input
+                let local: Vec<AttrId> = input
                     .pairs
                     .attrs_of(n)
-                    .map(|owned| owned.intersection(set).copied().collect::<Vec<_>>())
+                    .map(|owned| owned.iter().copied().filter(|a| set.contains(a)).collect())
                     .unwrap_or_default();
                 collected += local.len();
                 for &attr in &local {
@@ -1248,8 +1247,7 @@ impl Audit {
                 .map(|(set, tree)| {
                     tree.nodes()
                         .filter(|n| !failed.contains(n))
-                        .filter_map(|n| input.pairs.attrs_of(n))
-                        .map(|owned| owned.intersection(set).count())
+                        .map(|n| input.pairs.node_load_in(n, set))
                         .sum::<usize>()
                 })
                 .sum()

@@ -502,7 +502,8 @@ pub fn plan_assignments(
                 .attrs_of(node)
                 .map(|owned| {
                     owned
-                        .intersection(set)
+                        .iter()
+                        .filter(|attr| set.contains(attr))
                         .map(|&attr| {
                             let info = catalog.get_or_default(attr);
                             LocalAttr {

@@ -428,6 +428,17 @@ if grep -rnE 'impl\s+(std::hash::)?Hasher\s+for' crates/ | grep -v '^crates/core
   exit 1
 fi
 
+# The planner's input is held once: PairSet is one node-major sorted
+# array, and its attribute-major view is the cached PairIndex. Two
+# nested BTree maps beside the index held every pair three times.
+echo "==> one pair-set representation (pairs.rs)"
+pair_set=$(awk '/^pub struct PairSet/ { on = 1 } on { print } on && /^}/ { on = 0 }' \
+  crates/core/src/pairs.rs)
+if grep -nE 'BTree(Map|Set)' <<<"$pair_set"; then
+  echo "PairSet holds its pairs in one sorted array, not in a BTreeMap/BTreeSet" >&2
+  exit 1
+fi
+
 # Receive-side dedup is an anti-replay window: a fixed bitmap per
 # sender, whatever the plan. A set of out-of-order seqs grew by one
 # entry per frame from a sender with several parents. The window is
