@@ -116,9 +116,10 @@ impl From<u32> for TaskId {
 /// Hasher of the id-keyed tables on the planner's and the collector's
 /// hot paths: one rotate-xor-multiply per `u32` (a `u64` is two). The
 /// tree kernel looks a node id up for nearly every step it takes, the
-/// tree cache hashes a participant list per lookup and the collector a
-/// `(NodeId, AttrId)` pair per delivered value; the default SipHash
-/// costs more than the work around each of them.
+/// tree cache hashes a participant list per lookup, the collector a
+/// `(NodeId, AttrId)` pair per delivered value and the lossy transport a
+/// frame's identity per send; the default SipHash costs more than the
+/// work around each of them.
 ///
 /// It is not collision-resistant. Every key it hashes is built from the
 /// system's own ids, budgets and registered nodes, never from input a

@@ -26,6 +26,7 @@
 use crate::agent::AgentMsg;
 use bytes::Bytes;
 use crossbeam::channel::Sender;
+use remo_core::ids::IdMap;
 use remo_core::NodeId;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
@@ -449,10 +450,11 @@ type FrameKey = (u32, u32, u64, bool);
 /// is never forgotten, and no fault decision changes. Only a sender
 /// that restarts and reuses sequence numbers after `horizon` epochs of
 /// silence on them is counted from one again; those are new frames.
+/// Nothing iterates either generation, so both hash under the id hasher.
 #[derive(Debug, Default)]
 struct AttemptLedger {
-    young: BTreeMap<FrameKey, u32>,
-    old: BTreeMap<FrameKey, u32>,
+    young: IdMap<FrameKey, u32>,
+    old: IdMap<FrameKey, u32>,
     /// Epoch of the last rotation.
     rotated: u64,
 }
@@ -462,7 +464,8 @@ impl AttemptLedger {
     /// 1-based attempt number.
     fn next_attempt(&mut self, key: FrameKey, epoch: u64, horizon: u64) -> u32 {
         if epoch >= self.rotated.saturating_add(horizon) {
-            self.old = std::mem::take(&mut self.young);
+            std::mem::swap(&mut self.old, &mut self.young);
+            self.young.clear();
             self.rotated = epoch;
         }
         let carried = self.old.remove(&key).unwrap_or(0);
