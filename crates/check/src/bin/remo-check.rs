@@ -25,6 +25,7 @@ use remo_core::validate::{
     rule, Analyzer, Audit, AuditOutcome, Finding, RuleMeta, RuleSet, Severity, RULES,
 };
 use remo_obs::cli::{self, Args, Cli};
+use remo_obs::{out, outln};
 use remo_runtime::spec::ProtocolSpec;
 use std::fmt::Write as _;
 use std::process::ExitCode;
@@ -329,7 +330,7 @@ fn input(args: &Args) -> &str {
 
 fn list_rules(owner: Analyzer) {
     let row = |code: &str, rule: &str, level: &str, paper: &str, summary: &str| {
-        println!("{code:<7} {rule:<30} {level:<8} {paper:<12} {summary}");
+        outln!("{code:<7} {rule:<30} {level:<8} {paper:<12} {summary}");
     };
     row("code", "rule", "level", "paper", "summary");
     for r in owned(owner) {
@@ -337,6 +338,13 @@ fn list_rules(owner: Analyzer) {
         row(r.code, r.name, &level, r.paper_section, r.summary);
     }
 }
+
+/// Flags every command takes.
+const EVERY_RUN: &[&str] = &["--sarif <out.json>", "--list-rules", "--example [<case>]"];
+
+/// The two flags that print about an analyzer instead of running it,
+/// and so need no command word (`remo-check mc --list-rules`).
+const ABOUT: &[&str] = &["--list-rules", "--example [<case>]"];
 
 fn main() -> ExitCode {
     let words = match CLI.words() {
@@ -348,33 +356,51 @@ fn main() -> ExitCode {
     let Some(first) = rows.clone().next() else {
         return CLI.usage_error("the first argument must be audit, static, proto or mc");
     };
-    if words.iter().any(|w| w == "--list-rules") {
-        list_rules(first.owner);
-        return ExitCode::SUCCESS;
-    }
+    let needs_command = || CLI.usage_error(&format!("{} needs a command", first.name));
+    let row = rows.find(|r| r.verb.is_empty() || Some(r.verb) == word(1));
+    let (flags, input, rest) = match row {
+        Some(row) => {
+            // `--list-rules` and `--example` need no input: it is
+            // checked after them.
+            let input = if row.input.starts_with('<') {
+                format!("[{}]", row.input)
+            } else {
+                row.input.to_string()
+            };
+            let rest = if row.verb.is_empty() { 1 } else { 2 };
+            ([row.flags, EVERY_RUN].concat(), input, rest)
+        }
+        None => (ABOUT.to_vec(), String::new(), 1),
+    };
+    let args = match cli::parse(&flags, &input, &words[rest..]) {
+        Ok(args) => args,
+        Err(_) if row.is_none() => return needs_command(),
+        Err(message) => return CLI.usage_error(&message),
+    };
     let fail = |message: String| {
         eprintln!("remo-check {}: {message}", first.name);
         ExitCode::from(2)
     };
-    if let Some(at) = words.iter().position(|w| w == "--example") {
-        return match (first.example)(word(at + 1)) {
+    if args.has("--list-rules") {
+        list_rules(first.owner);
+        return ExitCode::SUCCESS;
+    }
+    if let Some(case) = args.get("--example") {
+        let case = Some(case).filter(|c| !c.is_empty());
+        return match (first.example)(case) {
             Some(text) => {
-                println!("{text}");
+                outln!("{text}");
                 ExitCode::SUCCESS
             }
-            None => fail(format!("no corpus case `{}`", word(at + 1).unwrap_or("*"))),
+            None => fail(format!("no corpus case `{}`", case.unwrap_or("*"))),
         };
     }
-
-    let Some(row) = rows.find(|r| r.verb.is_empty() || Some(r.verb) == word(1)) else {
-        return CLI.usage_error(&format!("{} needs a command", first.name));
+    let Some(row) = row else {
+        return needs_command();
     };
-    let rest = if row.verb.is_empty() { 1 } else { 2 };
-    let flags = [row.flags, &["--sarif <out.json>"]].concat();
-    let args = match cli::parse(&flags, row.input, &words[rest..]) {
-        Ok(args) => args,
-        Err(message) => return CLI.usage_error(&message),
-    };
+    if args.input.is_none() && row.input.starts_with('<') {
+        return CLI.usage_error(&format!("no {} given", row.input));
+    }
     let text = match &args.input {
         None => String::new(),
         Some(path) => match std::fs::read_to_string(path) {
@@ -396,17 +422,17 @@ fn main() -> ExitCode {
             return fail(format!("cannot write {out}: {e}"));
         }
     }
-    print!("{}{}", run.report, outcome.render());
+    out!("{}{}", run.report, outcome.render());
     let label = match &args.input {
         None => format!("{} {}", row.name, row.verb),
         Some(path) => path.clone(),
     };
     if outcome.findings.is_empty() {
         let rules = owned(row.owner).count() - run.disabled;
-        println!("{label}: clean ({rules} rules)");
+        outln!("{label}: clean ({rules} rules)");
     } else {
         let (all, errors) = (outcome.findings.len(), outcome.errors().count());
-        println!("{label}: {all} finding(s), {errors} error(s)");
+        outln!("{label}: {all} finding(s), {errors} error(s)");
     }
     let tripped = outcome.findings.iter().any(|f| f.severity >= row.fails_on);
     ExitCode::from(u8::from(run.recorded.map_or(tripped, |matches| !matches)))

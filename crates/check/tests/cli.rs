@@ -279,5 +279,14 @@ fn remo_check_keeps_the_cli_contract() {
         valued: "--depth",
     };
     let stray: &[&str] = &["mc", "explore", "stray.json"];
-    cli_contract::keeps_the_contract(&bin, &[&[], &["proto"], stray]);
+    // `--list-rules` is a flag, not a word found anywhere: here it is
+    // the missing value of `--disable`.
+    let valueless: &[&str] = &["audit", "b.json", "--disable", "--list-rules"];
+    cli_contract::keeps_the_contract(&bin, &[&[], &["proto"], stray, valueless]);
+    let printing: [&[&str]; 3] = [
+        &["audit", "--list-rules"],
+        &["audit", "--example"],
+        &["mc", "explore", "--depth", "1"],
+    ];
+    cli_contract::survives_a_closed_stdout(&bin, &printing);
 }

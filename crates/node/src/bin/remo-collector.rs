@@ -15,6 +15,7 @@
 use remo_core::{AttrId, CapacityMap, NodeId, PairSet};
 use remo_node::{CollectorService, ServiceConfig};
 use remo_obs::cli::Cli;
+use remo_obs::outln;
 use std::io::Write as _;
 use std::process::ExitCode;
 use std::time::Duration;
@@ -78,20 +79,23 @@ fn run() -> Result<(), ExitCode> {
     }
 
     let service = CollectorService::start(cfg).map_err(|e| failed(format!("bind: {e}")))?;
-    println!("remo-collector listening on {}", service.addr());
+    outln!("remo-collector listening on {}", service.addr());
     let connected = service.wait_for_nodes(nodes as usize);
-    println!("remo-collector {connected} of {nodes} nodes registered, epochs started");
+    outln!("remo-collector {connected} of {nodes} nodes registered, epochs started");
     let summary = service.run(|report| {
         if report.confirmed_dead > 0 || report.repaired > 0 || report.recovered > 0 {
-            println!(
+            outln!(
                 "remo-collector epoch {}: confirmed_dead={} repaired={} recovered={}",
-                report.epoch, report.confirmed_dead, report.repaired, report.recovered
+                report.epoch,
+                report.confirmed_dead,
+                report.repaired,
+                report.recovered
             );
         }
     });
 
     let json = summary.to_json();
-    println!("remo-collector run complete: {json}");
+    outln!("remo-collector run complete: {json}");
     if let Some(path) = args.get("--report") {
         let mut f = std::fs::File::create(path).map_err(|e| failed(format!("{path}: {e}")))?;
         f.write_all(json.as_bytes())

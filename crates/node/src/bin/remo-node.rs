@@ -17,6 +17,7 @@
 use remo_core::NodeId;
 use remo_node::{dist_sampler, spawn_node, NodeConfig};
 use remo_obs::cli::Cli;
+use remo_obs::outln;
 use std::process::ExitCode;
 
 const CLI: Cli = Cli {
@@ -37,9 +38,9 @@ fn main() -> ExitCode {
         Err(message) => return CLI.usage_error(&message),
     };
     let addr = args.get("--addr").unwrap_or("127.0.0.1:7701");
-    println!("remo-node {id} connecting to {addr}");
+    outln!("remo-node {id} connecting to {addr}");
     let handle = spawn_node(NodeConfig::new(addr, NodeId(id)), dist_sampler());
     handle.join();
-    println!("remo-node {id} done");
+    outln!("remo-node {id} done");
     ExitCode::SUCCESS
 }

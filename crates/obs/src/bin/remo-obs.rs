@@ -15,6 +15,7 @@ use remo_obs::cli::{self, Cli};
 use remo_obs::summary::{
     parse_prometheus, parse_trace, render_metrics_summary, render_trace_summary,
 };
+use remo_obs::{out, outln};
 use std::process::ExitCode;
 
 const CLI: Cli = Cli {
@@ -57,8 +58,8 @@ fn main() -> ExitCode {
         match read(path).map(|text| parse_trace(&text)) {
             Err(exit) => return exit,
             Ok(Ok(summary)) => {
-                println!("trace {path}:");
-                print!("{}", render_trace_summary(&summary));
+                outln!("trace {path}:");
+                out!("{}", render_trace_summary(&summary));
             }
             Ok(Err(e)) => {
                 eprintln!("remo-obs: {path}: {e}");
@@ -70,8 +71,8 @@ fn main() -> ExitCode {
         match read(path).map(|text| parse_prometheus(&text)) {
             Err(exit) => return exit,
             Ok(Ok(samples)) => {
-                println!("metrics {path}: {} sample(s)", samples.len());
-                print!("{}", render_metrics_summary(&samples));
+                outln!("metrics {path}: {} sample(s)", samples.len());
+                out!("{}", render_metrics_summary(&samples));
             }
             Ok(Err(e)) => {
                 eprintln!("remo-obs: {path}: {e}");

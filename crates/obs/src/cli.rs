@@ -1,13 +1,48 @@
 //! The command-line parser of all five binaries. Flags are declared as
 //! the usage reads them (`--dot`, `--depth <n>`), the one input as
-//! `<required>`, `[<optional>]` or `""` for none. A subcommand word
+//! `<required>`, `[<optional>]` or `""` for none; a flag's value may be
+//! optional too (`--example [<case>]`). A subcommand word
 //! (`remo-obs dump`) is the caller's: it dispatches on [`Cli::words`]
 //! and hands [`parse`] the rest. `--help` or `-h` prints the usage on
 //! stdout and exits 0; a usage problem prints `<bin>: <message>` and
 //! the usage on stderr and exits 2.
+//!
+//! The binaries write stdout through [`out!`](crate::out) and
+//! [`outln!`](crate::outln): a reader that goes away early
+//! (`remo-check audit --list-rules | head -2`) drops the rest of the
+//! text instead of panicking, and the run keeps its own exit code.
 
+use std::fmt;
+use std::io::{self, Write};
 use std::process::ExitCode;
 use std::str::FromStr;
+
+/// Writes to stdout like `print!`, except that a closed stdout is not a
+/// panic: the text is dropped and the caller carries on to its exit
+/// code. Any other write error is reported on stderr.
+pub fn print(args: fmt::Arguments<'_>) {
+    if let Err(e) = io::stdout().lock().write_fmt(args) {
+        if e.kind() != io::ErrorKind::BrokenPipe {
+            eprintln!("cannot write to stdout: {e}");
+        }
+    }
+}
+
+/// `print!` through [`cli::print`](crate::cli::print).
+#[macro_export]
+macro_rules! out {
+    ($($arg:tt)*) => {
+        $crate::cli::print(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`cli::print`](crate::cli::print).
+#[macro_export]
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        $crate::cli::print(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
 
 /// A binary's name and usage text.
 #[derive(Debug, Clone, Copy)]
@@ -60,7 +95,7 @@ impl Cli {
     pub fn words(&self) -> Result<Vec<String>, ExitCode> {
         let words: Vec<String> = std::env::args().skip(1).collect();
         if words.iter().any(|w| w == "--help" || w == "-h") {
-            print!("{}", self.usage);
+            crate::out!("{}", self.usage);
             return Err(ExitCode::SUCCESS);
         }
         Ok(words)
@@ -84,7 +119,7 @@ impl Cli {
 /// usage form. `Err` is a usage problem.
 pub fn parse(flags: &[&str], input: &str, words: &[String]) -> Result<Args, String> {
     let mut args = Args::default();
-    let mut words = words.iter();
+    let mut words = words.iter().peekable();
     while let Some(word) = words.next() {
         if word.starts_with("--") {
             let Some(form) = flags.iter().find(|f| f.split(' ').next() == Some(word)) else {
@@ -92,6 +127,10 @@ pub fn parse(flags: &[&str], input: &str, words: &[String]) -> Result<Args, Stri
             };
             let value = match form.split_once(' ') {
                 None => String::new(),
+                Some((_, form)) if form.starts_with('[') => words
+                    .next_if(|value| !value.starts_with("--"))
+                    .cloned()
+                    .unwrap_or_default(),
                 Some((_, form)) => match words.next() {
                     Some(value) if !value.starts_with("--") => value.clone(),
                     _ => return Err(format!("{word} requires {form}")),
@@ -119,7 +158,12 @@ mod tests {
         line.split_whitespace().map(String::from).collect()
     }
 
-    const FLAGS: &[&str] = &["--dot", "--disable <rule>", "--depth <n>"];
+    const FLAGS: &[&str] = &[
+        "--dot",
+        "--disable <rule>",
+        "--depth <n>",
+        "--example [<case>]",
+    ];
 
     #[test]
     fn repeated_flags_keep_their_order() {
@@ -169,6 +213,17 @@ mod tests {
         for line in ["--depth", "--depth --dot"] {
             let missing = parse(FLAGS, "", &words(line));
             assert_eq!(missing, Err("--depth requires <n>".into()), "{line}");
+        }
+    }
+
+    #[test]
+    fn an_optional_value_is_taken_when_one_follows() {
+        let named = parse(FLAGS, "", &words("--example RA001 --dot")).unwrap();
+        assert_eq!(named.get("--example"), Some("RA001"));
+        assert!(named.has("--dot"));
+        for line in ["--example", "--example --dot"] {
+            let bare = parse(FLAGS, "", &words(line)).unwrap();
+            assert_eq!(bare.get("--example"), Some(""), "{line}");
         }
     }
 }

@@ -25,6 +25,7 @@ use remo_core::export::{summarize, to_dot};
 use remo_core::planner::{PlanReport, StopReason};
 use remo_core::validate::Audit;
 use remo_obs::cli::{Args, Cli};
+use remo_obs::{out, outln};
 use std::process::ExitCode;
 
 fn example_spec() -> DeploymentSpec {
@@ -124,7 +125,7 @@ fn main() -> ExitCode {
         Err(exit) => return exit,
     };
     if args.has("--example") {
-        println!("{}", example_spec().to_json());
+        outln!("{}", example_spec().to_json());
         return ExitCode::SUCCESS;
     }
     let Some(path) = &args.input else {
@@ -151,12 +152,12 @@ fn run(path: &str, args: &Args) -> Result<ExitCode, String> {
     write_obs_outputs(trace_path, metrics_path)?;
 
     if args.has("--dot") {
-        print!("{}", to_dot(&plan));
+        out!("{}", to_dot(&plan));
         return Ok(ExitCode::SUCCESS);
     }
     if !args.has("--audit") && !args.has("--bundle") {
-        print!("{}", summarize(&plan));
-        println!("{}", search_line(&report));
+        out!("{}", summarize(&plan));
+        outln!("{}", search_line(&report));
         return Ok(ExitCode::SUCCESS);
     }
     let caps = spec.capacities().map_err(|e| e.to_string())?;
@@ -171,14 +172,14 @@ fn run(path: &str, args: &Args) -> Result<ExitCode, String> {
         let text = bundle
             .to_json()
             .map_err(|e| format!("cannot serialize bundle: {e}"))?;
-        println!("{text}");
+        outln!("{text}");
         return Ok(ExitCode::SUCCESS);
     }
     let outcome = bundle.audit(&Audit::new());
     if outcome.findings.is_empty() {
-        println!("audit clean: plan satisfies all rules");
+        outln!("audit clean: plan satisfies all rules");
     } else {
-        print!("{}", outcome.render());
+        out!("{}", outcome.render());
     }
     Ok(ExitCode::from(u8::from(!outcome.is_clean())))
 }

@@ -462,7 +462,7 @@ fi
 # One parser and one configuration channel: the binaries read their
 # command line through remo_obs::cli only, and product code reads no
 # environment variable (a typo in one fell back to a default unseen).
-echo "==> one command-line parser, no environment knobs (crates/*/src)"
+echo "==> one command-line parser, no environment knobs, one stdout writer (crates/*/src)"
 env_reads=$(find crates/*/src -name '*.rs' | sort | while read -r f; do
   sed '/^mod tests {/,$d' "$f" | { grep -nE 'env::var' || true; } | sed "s|^|$f:|"
 done)
@@ -473,6 +473,12 @@ if [ -n "$env_reads" ]; then
 fi
 if grep -rnE 'env::args' crates/*/src | grep -v '^crates/obs/src/cli.rs:'; then
   echo "read the command line through remo_obs::cli, the one parser of the five binaries" >&2
+  exit 1
+fi
+# A closed stdout (`remo-check audit --list-rules | head -2`) made
+# print! panic with exit 101; remo_obs::out!/outln! drop the text instead.
+if grep -nE '\bprint(ln)?!' crates/{check,node,obs,remo}/src/bin/*.rs; then
+  echo "the five binaries write stdout through remo_obs::out!/outln!, which stop quietly on a closed pipe" >&2
   exit 1
 fi
 

@@ -1,8 +1,10 @@
 //! The command-line contract all five binaries keep through the parser
 //! they share (`remo_obs::cli`): `--help` or `-h` exits 0 with the usage
 //! on stdout; a usage problem exits 2 with `<bin>: <message>` and the
-//! usage on stderr, and nothing on stdout. Each package's CLI test
-//! includes this file, since `CARGO_BIN_EXE_<name>` exists only there.
+//! usage on stderr, and nothing on stdout. A closed stdout (the reader
+//! of a pipe went away) is no panic: the run keeps its exit code. Each
+//! package's CLI test includes this file, since `CARGO_BIN_EXE_<name>`
+//! exists only there.
 
 use std::process::Command;
 
@@ -47,5 +49,24 @@ pub fn keeps_the_contract(bin: &Bin, usage_problems: &[&[&str]]) {
             assert!(stderr.starts_with(&format!("{}: ", bin.name)), "{row}");
             assert!(stderr.contains(&usage), "{row}");
         }
+    }
+    survives_a_closed_stdout(bin, &[&["--help"]]);
+}
+
+/// Runs each command line with the read end of its stdout already
+/// closed: the binary must not panic and must exit 0, 1 or 2.
+pub fn survives_a_closed_stdout(bin: &Bin, lines: &[&[&str]]) {
+    for words in lines {
+        let (reader, writer) = std::io::pipe().unwrap();
+        drop(reader);
+        let out = Command::new(bin.exe)
+            .args(*words)
+            .stdout(writer)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        let row = format!("{} {words:?}: stderr {stderr:?}", bin.name);
+        assert!(!stderr.contains("panicked"), "{row}");
+        assert!(matches!(out.status.code(), Some(0..=2)), "{row}");
     }
 }

@@ -159,4 +159,5 @@ fn remo_plan_keeps_the_cli_contract() {
         valued: "--metrics",
     };
     cli_contract::keeps_the_contract(&bin, &[&[], &["a.json", "b.json"], &["--dot"]]);
+    cli_contract::survives_a_closed_stdout(&bin, &[&["--example"]]);
 }
