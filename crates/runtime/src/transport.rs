@@ -450,11 +450,17 @@ type FrameKey = (u32, u32, u64, bool);
 /// is never forgotten, and no fault decision changes. Only a sender
 /// that restarts and reuses sequence numbers after `horizon` epochs of
 /// silence on them is counted from one again; those are new frames.
-/// Nothing iterates either generation, so both hash under the id hasher.
+///
+/// Nothing iterates either generation, so both hash under the id
+/// hasher. An entry is one link and sequence number, `(from << 32 | to,
+/// seq)`, holding the data frame's and the ack's counters side by side:
+/// 24 bytes where the padded `FrameKey` and its counter took 32, which
+/// keeps the two tables about as small as the ordered maps they
+/// replaced.
 #[derive(Debug, Default)]
 struct AttemptLedger {
-    young: IdMap<FrameKey, u32>,
-    old: IdMap<FrameKey, u32>,
+    young: IdMap<(u64, u64), [u32; 2]>,
+    old: IdMap<(u64, u64), [u32; 2]>,
     /// Epoch of the last rotation.
     rotated: u64,
 }
@@ -468,8 +474,10 @@ impl AttemptLedger {
             self.young.clear();
             self.rotated = epoch;
         }
-        let carried = self.old.remove(&key).unwrap_or(0);
-        let n = self.young.entry(key).or_insert(carried);
+        let (from, to, seq, is_ack) = key;
+        let slot = (u64::from(from) << 32 | u64::from(to), seq);
+        let carried = self.old.remove(&slot).unwrap_or_default();
+        let n = &mut self.young.entry(slot).or_insert(carried)[usize::from(is_ack)];
         *n += 1;
         *n
     }
