@@ -6,6 +6,7 @@ use crate::ids::{AttrId, NodeId};
 use crate::index::PairIndex;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 /// Pair lists returned by [`PairSet::diff`]: `(added, removed)`.
@@ -15,7 +16,7 @@ pub type PairDiff = (Vec<(NodeId, AttrId)>, Vec<(NodeId, AttrId)>);
 ///
 /// The pairs are held once, node-major: the ascending owning nodes,
 /// and one flat array of attributes in which each node's run is
-/// ascending (a compressed sparse row per node). So a node's attributes
+/// ascending (compressed sparse rows, one per node). So a node's attributes
 /// are a slice ([`attrs_of`](Self::attrs_of)), and collecting a set is
 /// one sort. The attribute-major view ([`nodes_of`](Self::nodes_of),
 /// [`attrs`](Self::attrs), [`participants`](Self::participants)) reads
@@ -61,42 +62,22 @@ impl PartialEq for PairSet {
 
 impl Eq for PairSet {}
 
-/// `n` as a `u32` array offset.
-fn offset(n: usize) -> u32 {
-    u32::try_from(n).unwrap_or_else(|_| unreachable!("more than u32::MAX pairs"))
-}
-
-/// A JSON object key as a `BTreeMap` serializes an id: its number.
-fn keyed<K: Serialize>(key: K, ids: impl Iterator<Item = serde::Value>) -> (String, serde::Value) {
-    let key = match key.serialize() {
-        serde::Value::U64(n) => n.to_string(),
-        other => unreachable!("ids serialize as numbers, not {}", other.kind()),
-    };
-    (key, serde::Value::Array(ids.collect()))
-}
-
-// The wire format is the one the pair set had as two nested maps:
-// `by_node` (node → ascending attributes), `by_attr` (attribute →
-// ascending nodes) and `len`. The index cache is transient and rebuilt
+// The wire format carries both directions and the count — `by_node`
+// (node → ascending attributes), `by_attr` (attribute → ascending
+// nodes) and `len` — as plan bundles already written do; reading one
+// checks that the three agree. The index cache is transient and rebuilt
 // on demand after a round-trip.
 impl Serialize for PairSet {
     fn serialize(&self) -> serde::Value {
-        let idx = self.index();
-        let by_node = self
-            .runs()
-            .map(|(n, attrs)| keyed(n, attrs.iter().map(Serialize::serialize)))
-            .collect();
-        let by_attr = idx
-            .attr_ids()
-            .iter()
-            .map(|&a| {
-                let owners = idx.owners(a).iter();
-                keyed(a, owners.map(|&d| idx.node_id(d).serialize()))
-            })
+        let by_node: BTreeMap<NodeId, Vec<AttrId>> =
+            self.runs().map(|(n, attrs)| (n, attrs.to_vec())).collect();
+        let by_attr: BTreeMap<AttrId, Vec<NodeId>> = self
+            .attrs()
+            .map(|a| (a, self.nodes_of(a).collect()))
             .collect();
         serde::Value::Object(vec![
-            ("by_node".to_string(), serde::Value::Object(by_node)),
-            ("by_attr".to_string(), serde::Value::Object(by_attr)),
+            ("by_node".to_string(), by_node.serialize()),
+            ("by_attr".to_string(), by_attr.serialize()),
             ("len".to_string(), self.len().serialize()),
         ])
     }
@@ -150,45 +131,44 @@ impl PairSet {
                 set.nodes.push(n);
             }
             set.attrs.push(a);
-            set.ends.push(offset(set.attrs.len()));
+            let end = u32::try_from(set.attrs.len())
+                .unwrap_or_else(|_| unreachable!("more than u32::MAX pairs"));
+            set.ends.push(end);
         }
         set.nodes.shrink_to_fit();
         set.ends.shrink_to_fit();
         set
     }
 
-    /// Where the attributes of `nodes[i]` start in `attrs`.
-    fn start(&self, i: usize) -> usize {
-        i.checked_sub(1).map_or(0, |prev| self.ends[prev] as usize)
+    /// Where the attributes of `nodes[i]` lie in `attrs`.
+    fn span(&self, i: usize) -> Range<usize> {
+        let start = i.checked_sub(1).map_or(0, |prev| self.ends[prev]);
+        start as usize..self.ends[i] as usize
     }
 
     /// Each node with its ascending attributes, in node order.
     pub(crate) fn runs(&self) -> impl Iterator<Item = (NodeId, &[AttrId])> + '_ {
-        let starts = std::iter::once(0).chain(self.ends.iter().map(|&e| e as usize));
-        let spans = starts.zip(&self.ends);
-        let runs = spans.map(|(start, &end)| &self.attrs[start..end as usize]);
-        self.nodes.iter().copied().zip(runs)
+        let run = |(i, &n)| (n, &self.attrs[self.span(i)]);
+        self.nodes.iter().enumerate().map(run)
     }
 
     /// Inserts a pair; returns `true` if it was not already present.
     pub fn insert(&mut self, node: NodeId, attr: AttrId) -> bool {
-        let (i, at) = match self.nodes.binary_search(&node) {
-            Ok(i) => {
-                let start = self.start(i);
-                let run = &self.attrs[start..self.ends[i] as usize];
-                match run.binary_search(&attr) {
-                    Ok(_) => return false,
-                    Err(k) => (i, start + k),
-                }
-            }
+        let i = match self.nodes.binary_search(&node) {
+            Ok(i) => i,
             Err(i) => {
-                let start = self.start(i);
+                // A new node starts with an empty run.
+                let start = i.checked_sub(1).map_or(0, |prev| self.ends[prev]);
                 self.nodes.insert(i, node);
-                self.ends.insert(i, offset(start));
-                (i, start)
+                self.ends.insert(i, start);
+                i
             }
         };
-        self.attrs.insert(at, attr);
+        let span = self.span(i);
+        let Err(k) = self.attrs[span.clone()].binary_search(&attr) else {
+            return false;
+        };
+        self.attrs.insert(span.start + k, attr);
         for end in &mut self.ends[i..] {
             *end += 1;
         }
@@ -201,15 +181,15 @@ impl PairSet {
         let Ok(i) = self.nodes.binary_search(&node) else {
             return false;
         };
-        let (start, end) = (self.start(i), self.ends[i] as usize);
-        let Ok(k) = self.attrs[start..end].binary_search(&attr) else {
+        let span = self.span(i);
+        let Ok(k) = self.attrs[span.clone()].binary_search(&attr) else {
             return false;
         };
-        self.attrs.remove(start + k);
+        self.attrs.remove(span.start + k);
         for end in &mut self.ends[i..] {
             *end -= 1;
         }
-        if end - start == 1 {
+        if span.len() == 1 {
             self.nodes.remove(i);
             self.ends.remove(i);
         }
@@ -254,7 +234,7 @@ impl PairSet {
     /// Attributes monitored on `node`, ascending, if any.
     pub fn attrs_of(&self, node: NodeId) -> Option<&[AttrId]> {
         let i = self.nodes.binary_search(&node).ok()?;
-        Some(&self.attrs[self.start(i)..self.ends[i] as usize])
+        Some(&self.attrs[self.span(i)])
     }
 
     /// Nodes on which `attr` is monitored, ascending; none if nobody
