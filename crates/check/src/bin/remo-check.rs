@@ -339,11 +339,9 @@ fn list_rules(owner: Analyzer) {
     }
 }
 
-/// Flags every command takes.
-const EVERY_RUN: &[&str] = &["--sarif <out.json>", "--list-rules", "--example [<case>]"];
-
-/// The two flags that print about an analyzer instead of running it,
-/// and so need no command word (`remo-check mc --list-rules`).
+/// The two flags that print about an analyzer instead of running it.
+/// Every command takes them, and they need no command word
+/// (`remo-check mc --list-rules`).
 const ABOUT: &[&str] = &["--list-rules", "--example [<case>]"];
 
 fn main() -> ExitCode {
@@ -368,7 +366,8 @@ fn main() -> ExitCode {
                 row.input.to_string()
             };
             let rest = if row.verb.is_empty() { 1 } else { 2 };
-            ([row.flags, EVERY_RUN].concat(), input, rest)
+            let flags = [row.flags, ABOUT, &["--sarif <out.json>"]].concat();
+            (flags, input, rest)
         }
         None => (ABOUT.to_vec(), String::new(), 1),
     };

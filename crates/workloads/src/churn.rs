@@ -61,10 +61,7 @@ pub fn churn_pairs(pairs: &PairSet, cfg: &ChurnConfig, rng: &mut SmallRng) -> Pa
     let mut shuffled = nodes;
     shuffled.shuffle(rng);
     for &node in shuffled.iter().take(pick) {
-        let owned: Vec<AttrId> = pairs
-            .attrs_of(node)
-            .map(|s| s.iter().copied().collect())
-            .unwrap_or_default();
+        let owned: Vec<AttrId> = pairs.attrs_of(node).unwrap_or_default().to_vec();
         if owned.is_empty() {
             continue;
         }
