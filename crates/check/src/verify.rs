@@ -986,6 +986,28 @@ mod tests {
         }
     }
 
+    /// The shipped spec's per-phase `(visited, expanded, deduped)` at
+    /// `--depth 14`, and the control-plane phase's at closure: a change
+    /// to the stepped machines, the product or the explorer moves them.
+    #[test]
+    fn shipped_exploration_is_pinned() {
+        let spec = ProtocolSpec::shipped();
+        let counts =
+            |(name, s): (&'static str, ExploreStats)| (name, s.visited, s.expanded, s.deduped);
+        let report = verify_with_depth(&spec, 14);
+        assert_eq!(
+            report.phases.map(counts),
+            [
+                ("ctrl", 6_806, 15_933, 9_128),
+                ("arq", 33_140, 161_444, 128_305),
+                ("arq-w", 25_453, 116_393, 90_941),
+                ("dedup", 57, 252, 196),
+            ]
+        );
+        let closure = verify_ctrl(&spec, 100_000, &mut Sink::default());
+        assert_eq!(counts(("ctrl", closure)), ("ctrl", 15_847, 41_419, 25_573));
+    }
+
     #[test]
     fn conservation_of_transitions() {
         let report = test_verify(&ProtocolSpec::shipped());
