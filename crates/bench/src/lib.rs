@@ -135,13 +135,6 @@ pub fn eval_scheme(
     breakdown
 }
 
-/// The default experiment cost model: a per-message overhead that
-/// dominates small payloads, matching the paper's Fig. 2 measurements
-/// (one empty message ≈ the cost of tens of values).
-pub fn default_cost() -> CostModel {
-    CostModel::from_ratio(20.0).unwrap_or_else(|_| unreachable!("20.0 is a valid ratio"))
-}
-
 /// Formats a float with three decimals for CSV cells.
 pub fn f3(v: f64) -> String {
     format!("{v:.3}")
@@ -151,11 +144,6 @@ pub fn f3(v: f64) -> String {
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
     use super::*;
-
-    #[test]
-    fn default_cost_has_heavy_overhead() {
-        assert!(default_cost().ratio() >= 10.0);
-    }
 
     #[test]
     fn f3_formats() {

@@ -13,14 +13,12 @@
 //! passes when the trace reproduces the verdict recorded in its file —
 //! a recorded violation included — and fails when it does not.
 
-use remo_check::corpus::{audit_cases, proto_cases, static_cases};
+use remo_check::corpus::{audit_cases, example, proto_cases, static_cases};
 use remo_check::verify::verify_with_depth;
 use remo_check::{
-    analyze, explore, seeded_specs, AuditBundle, InvariantConfig, ReplayFile, ReplayOutcome,
+    analyze, explore, sarif, seeded_specs, AuditBundle, InvariantConfig, ReplayFile, ReplayOutcome,
     StaticBundle, TopologySpec,
 };
-use remo_core::corpus::example;
-use remo_core::sarif;
 use remo_core::validate::{
     rule, Analyzer, Audit, AuditOutcome, Finding, RuleMeta, RuleSet, Severity, RULES,
 };

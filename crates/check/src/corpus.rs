@@ -1,8 +1,8 @@
 //! The known-bad corpora of the audit, static and protocol analyzers:
 //! each [`Case`] is an input engineered to trip exactly one named rule.
 //! They are the analyzers' regression anchors and the CLI's `--example`
-//! seeds. (The model checker's corpus is replay traces, committed under
-//! `corpus/`, not inputs built to trip one rule.)
+//! seeds ([`example`]). (The model checker's corpus is replay traces,
+//! committed under `corpus/`, not inputs built to trip one rule.)
 //!
 //! The planner cannot be coaxed into emitting the bad plans (it
 //! maintains the invariants by construction), so [`audit_cases`] builds
@@ -21,7 +21,6 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use crate::{AuditBundle, StaticBundle};
-use remo_core::corpus::Case;
 use remo_core::planner::{PartitionScheme, Planner};
 use remo_core::reliability::rewrite_ssdp;
 use remo_core::spec::{DeploymentSpec, TaskSpec};
@@ -35,6 +34,31 @@ use remo_runtime::spec::{ClientEvent, ClientState, ProtocolSpec, SessionEvent, S
 use remo_runtime::{NetConfig, NetSpec, PartitionWindow};
 use serde::{Deserialize, Serialize, Value};
 use std::collections::BTreeMap;
+
+/// One known-bad input and the single rule it must trip.
+#[derive(Debug, Clone)]
+pub struct Case<T> {
+    /// Short, stable case name.
+    pub name: &'static str,
+    /// The rule every finding must carry (kebab-case name).
+    pub rule: &'static str,
+    /// The rule's stable `RA…` code.
+    pub code: &'static str,
+    /// What was corrupted and why it is wrong.
+    pub why: &'static str,
+    /// The offending input, as the analyzer consumes it.
+    pub input: T,
+}
+
+/// The pretty JSON of the case matching `key` by name, rule name or
+/// code — the first case when `key` is `None`. This is what
+/// `remo-check <analyzer> --example [<case>]` prints.
+pub fn example<T: Serialize>(cases: &[Case<T>], key: Option<&str>) -> Option<String> {
+    let case = cases
+        .iter()
+        .find(|c| key.is_none_or(|k| c.name == k || c.rule == k || c.code == k))?;
+    serde_json::to_string_pretty(&case.input).ok()
+}
 
 // ------------------------------------------------------------------ audit
 
@@ -555,8 +579,35 @@ pub fn proto_cases() -> Vec<Case<ProtocolSpec>> {
 mod tests {
     use super::*;
     use crate::verify::test_verify;
-    use remo_core::corpus::check;
-    use remo_core::validate::Audit;
+    use remo_core::validate::{Audit, Finding};
+
+    /// The corpus law: every case names a registered rule, trips that
+    /// rule's code and *only* that code, and still does — finding for
+    /// finding — after a round-trip through its `--example` JSON.
+    fn check<T: Serialize + Deserialize>(cases: &[Case<T>], run: impl Fn(&T) -> Vec<Finding>) {
+        for case in cases {
+            let name = case.name;
+            assert_eq!(
+                rule(case.rule).map(|r| r.code),
+                Some(case.code),
+                "case `{name}` names an unregistered rule/code pair"
+            );
+            let findings = run(&case.input);
+            assert!(!findings.is_empty(), "case `{name}` tripped nothing");
+            for f in &findings {
+                assert_eq!(
+                    (f.rule.as_str(), f.code.as_str()),
+                    (case.rule, case.code),
+                    "case `{name}` ({}) tripped a foreign rule: {f}",
+                    case.why
+                );
+            }
+            let back = serde_json::to_string_pretty(&case.input)
+                .and_then(|text| serde_json::from_str::<T>(&text))
+                .unwrap_or_else(|e| panic!("case `{name}` does not survive JSON: {e}"));
+            assert_eq!(run(&back), findings, "case `{name}` changed across JSON");
+        }
+    }
 
     /// The heart of the corpora: every case trips its named rule and
     /// *only* that rule, before and after the JSON round-trip that

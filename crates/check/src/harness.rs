@@ -207,7 +207,7 @@ impl Harness {
         for n in spec.node_ids() {
             // Not inside the assert: release builds must register too.
             let admitted = sessions.hello(n, 0);
-            debug_assert!(matches!(admitted, HelloOutcome::Admitted(_)));
+            debug_assert!(matches!(admitted, HelloOutcome::Minted(_)));
         }
         Ok(Harness {
             spec,

@@ -22,12 +22,15 @@
 //!   shape ([`cost`]), worst-case staleness under the ARQ transport
 //!   ([`latency`]) and the backpressure fixed point ([`degrade`]).
 //! - **proto** (RA022–RA025) explores the control-plane tables that
-//!   `remo-runtime` executes under lossy-channel semantics ([`verify`]).
+//!   `remo-runtime` executes under lossy-channel semantics, stepping the
+//!   runtime's own client and session machines ([`verify`]).
+//!
+//! `mc` and `proto` share one explicit-state explorer, [`explore::dfs`].
 //!
 //! [`corpus`] holds the known-bad inputs, one per rule. The `remo-check`
 //! binary is the one CLI in front of all four (`remo-check audit`,
 //! `static analyze`, `proto verify`, `mc explore|replay`), reporting
-//! through `remo_core::sarif`.
+//! through [`sarif`].
 //!
 //! ```
 //! use remo_check::AuditBundle;
@@ -64,6 +67,7 @@ pub mod harness;
 pub mod latency;
 pub mod minimize;
 pub mod replay;
+pub mod sarif;
 pub mod topology;
 pub mod verify;
 

@@ -7,7 +7,7 @@
 //! in `properties` bags. Keys are assembled by hand because the
 //! vendored serde stand-in has no field renaming for camelCase.
 
-use crate::validate::{AuditOutcome, Severity, RULES};
+use remo_core::validate::{AuditOutcome, Severity, RULES};
 use serde::Value;
 
 fn obj(fields: Vec<(&str, Value)>) -> Value {
@@ -127,8 +127,8 @@ pub fn sarif_json(outcome: &AuditOutcome) -> String {
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
     use super::*;
-    use crate::validate::Finding;
-    use crate::NodeId;
+    use remo_core::validate::Finding;
+    use remo_core::NodeId;
 
     #[test]
     fn sarif_report_has_registry_and_results() {

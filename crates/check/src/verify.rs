@@ -2,15 +2,19 @@
 //! semantics.
 //!
 //! Three bounded-exhaustive explorations over a *closed* system built
-//! from the spec tables themselves — the first two instantiate the
-//! shared [`remo_core::explore`] DFS with the state as its own dedup
-//! key, the third enumerates a fixed universe breadth-first:
+//! from the spec — the first two instantiate the shared [`dfs`], the
+//! third enumerates a fixed universe breadth-first:
 //!
-//! 1. **Control plane** (`verify_ctrl`): one node supervisor × one
-//!    collector session over FIFO channels, with the channel faults
-//!    the runtime tolerates — message drop via connection reset,
-//!    process restart with a fresh incarnation, late/straggler
-//!    delivery — interleaved against the epoch/barrier loop.
+//! 1. **Control plane** (`verify_ctrl`): the runtime's own
+//!    [`ClientMachine`] (one node supervisor) × [`SessionMachine`] (its
+//!    collector session), both over the spec under test, so incarnation
+//!    minting, echo and adoption are the code the node and the hub run.
+//!    They talk over FIFO channels, with the channel faults the runtime
+//!    tolerates — message drop via connection reset, process restart
+//!    (a fresh `ClientMachine`), late/straggler delivery — interleaved
+//!    against the epoch/barrier loop. Whether a stale report is credited
+//!    (`credit_stale_reports`) is decided here: it is a corpus mutation
+//!    point, and the runtime's `HealthMonitor` runs the shipped policy.
 //! 2. **ARQ** (`verify_arq`): sender/receiver over a multiset
 //!    channel with drop, duplication, reordering, and sender restart
 //!    (sequence numbers restart at 1 in the new life — the exact
@@ -54,14 +58,15 @@
 //! assert!(report.findings.iter().any(|f| f.code == "RA024"));
 //! ```
 
-use remo_core::explore::{explore, ExploreStats};
+use crate::explore::{dfs, ExploreStats};
 use remo_core::validate::{rules, Finding, RuleSet};
-use remo_runtime::machine::DedupModel;
+use remo_runtime::machine::{ClientMachine, DedupModel, HelloOutcome, SessionMachine};
 use remo_runtime::spec::{
     ClientAction, ClientEvent, ClientState, ProtocolSpec, SessionAction, SessionEvent, SessionState,
 };
 use remo_runtime::transport::DEDUP_WINDOW;
 use std::collections::{BTreeSet, HashSet};
+use std::sync::Arc;
 
 /// The full verification result.
 #[derive(Debug, Clone)]
@@ -133,9 +138,9 @@ pub fn verify(spec: &ProtocolSpec) -> VerifyReport {
 // =========================================================== ctrl product
 
 /// Collector → node control frames (abstracted payloads).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum CMsg {
-    Welcome { inc: u8 },
+    Welcome { inc: u32 },
     Assign,
     Tick { epoch: u8 },
     DegradeOn,
@@ -144,22 +149,28 @@ enum CMsg {
 }
 
 /// Node → collector control frames.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum NMsg {
-    Hello { inc: u8 },
+    Hello { inc: u32 },
     Report { epoch: u8 },
 }
 
-/// The closed-system state: one supervisor, one session, two FIFO
-/// queues, the collector's epoch loop, and the fault budgets.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+/// The closed-system state: the runtime's own supervisor and session
+/// machines, both over the spec under test, and the world around them.
+/// A process restart is a fresh [`ClientMachine`].
+#[derive(Debug, Clone)]
 struct Ctrl {
-    client: ClientState,
-    held: Option<u8>,
-    registered_once: bool,
-    session: SessionState,
-    slot: u8,
-    last_fresh_grant: u8,
+    client: ClientMachine,
+    session: SessionMachine,
+    world: World,
+}
+
+/// Everything around the two machines: the connection and its two FIFO
+/// queues, the collector's epoch loop, the fault budgets, and what the
+/// properties need remembered.
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
+struct World {
+    last_fresh_grant: u32,
     fresh_evidence: bool,
     evidence_stale: bool,
     conn: bool,
@@ -178,64 +189,69 @@ struct Ctrl {
     resets_left: u8,
 }
 
+/// What the explorer deduplicates a [`Ctrl`] on.
+type CtrlKey = (ClientState, Option<u32>, SessionState, u32, World);
+
 impl Ctrl {
-    fn initial(spec: &ProtocolSpec) -> Ctrl {
+    fn initial(spec: &Arc<ProtocolSpec>) -> Ctrl {
         Ctrl {
-            client: ClientState::Disconnected,
-            held: None,
-            registered_once: false,
-            session: SessionState::Listening,
-            slot: 0,
-            last_fresh_grant: 0,
-            fresh_evidence: false,
-            evidence_stale: false,
-            conn: false,
-            conn_registered: false,
-            c2n: Vec::new(),
-            n2c: Vec::new(),
-            epoch: 0,
-            ticked: false,
-            credited: false,
-            misses: 0,
-            degraded: false,
-            degrade_moved: false,
-            shutdown_sent: false,
-            collector_done: false,
-            restarts_left: spec.bounds.restarts,
-            resets_left: spec.bounds.resets,
+            client: ClientMachine::with_spec(Arc::clone(spec)),
+            session: SessionMachine::with_spec(Arc::clone(spec)),
+            world: World {
+                restarts_left: spec.bounds.restarts,
+                resets_left: spec.bounds.resets,
+                ..World::default()
+            },
         }
+    }
+
+    /// Each machine projected onto its state and incarnation (held or
+    /// slot), and the world: the spec is the same in every state and
+    /// the reject counters are not protocol state.
+    fn key(&self) -> CtrlKey {
+        (
+            self.client.state(),
+            self.client.held(),
+            self.session.state(),
+            self.session.slot(),
+            self.world.clone(),
+        )
     }
 
     fn terminal(&self) -> bool {
-        self.collector_done
-            && !self.conn
-            && (self.client == ClientState::Done
-                || (self.client == ClientState::Disconnected && !self.registered_once))
+        self.world.collector_done
+            && !self.world.conn
+            && (self.client.state() == ClientState::Done
+                || (self.client.state() == ClientState::Disconnected
+                    && self.client.held().is_none()))
     }
 
-    /// Steps the session table for an internal (non-message) event;
-    /// an undefined entry leaves the machine unmoved (starvation is
-    /// RA022's job, not RA023's).
-    fn session_internal(&mut self, spec: &ProtocolSpec, event: SessionEvent) {
-        if let Some((_, next)) = spec.session_step(self.session, event) {
-            self.session = next;
-        }
+    /// The connection closes: its queues are lost and the session sees
+    /// `ConnLost`. The node side is the caller's: a drained node has
+    /// stopped, a restarted one is a fresh machine.
+    fn hang_up(&mut self) {
+        self.world.conn = false;
+        self.world.conn_registered = false;
+        self.world.c2n.clear();
+        self.world.n2c.clear();
+        self.session.step(SessionEvent::ConnLost);
     }
 
-    /// Steps the client table for an internal event.
-    fn client_internal(&mut self, spec: &ProtocolSpec, event: ClientEvent) {
-        if let Some((_, next)) = spec.client_step(self.client, event) {
-            self.client = next;
-        }
+    /// The connection goes away under both ends.
+    fn drop_conn(&mut self) {
+        self.hang_up();
+        self.client.step(ClientEvent::ConnLost);
     }
+}
 
-    fn drop_conn(&mut self, spec: &ProtocolSpec) {
-        self.conn = false;
-        self.conn_registered = false;
-        self.c2n.clear();
-        self.n2c.clear();
-        self.client_internal(spec, ClientEvent::ConnLost);
-        self.session_internal(spec, SessionEvent::ConnLost);
+impl World {
+    /// The session admitted a Hello on `inc`: the Welcome goes out,
+    /// chased by the Assign.
+    fn admit(&mut self, inc: u32, spec: &ProtocolSpec, sink: &mut Sink) {
+        self.conn_registered = true;
+        self.c2n.push(CMsg::Welcome { inc });
+        self.c2n.push(CMsg::Assign);
+        self.check_caps(spec, sink);
     }
 
     fn check_caps(&self, spec: &ProtocolSpec, sink: &mut Sink) {
@@ -254,36 +270,33 @@ impl Ctrl {
     }
 }
 
-/// All successors of `s`, applying spec semantics and recording
-/// findings. A successor equal to `None` means the transition
-/// recorded a violation and the offending input was dropped.
-fn ctrl_successors(s: &Ctrl, spec: &ProtocolSpec, sink: &mut Sink) -> Vec<Ctrl> {
+/// All successors of `s`, stepping the machines and recording
+/// findings. An undefined message delivery is recorded and the
+/// message dropped; an undefined internal event leaves its machine
+/// unmoved.
+fn ctrl_successors(s: &Ctrl, spec: &Arc<ProtocolSpec>, sink: &mut Sink) -> Vec<Ctrl> {
     let mut out = Vec::new();
+    let w = &s.world;
 
-    // Connect: the supervisor dials while the collector is alive.
-    if !s.collector_done && !s.conn && s.client == ClientState::Disconnected {
+    // Connect: the supervisor dials while the collector is alive. A
+    // mutated Connected entry dials without a Hello.
+    if !w.collector_done && !w.conn && s.client.state() == ClientState::Disconnected {
         let mut n = s.clone();
-        n.conn = true;
-        n.conn_registered = false;
-        if let Some((ClientAction::SendHello, next)) =
-            spec.client_step(n.client, ClientEvent::Connected)
-        {
-            n.client = next;
-            n.n2c.push(NMsg::Hello {
-                inc: n.held.unwrap_or(0),
+        n.world.conn = true;
+        n.world.conn_registered = false;
+        if n.client.step(ClientEvent::Connected) == Some(ClientAction::SendHello) {
+            n.world.n2c.push(NMsg::Hello {
+                inc: n.client.held().unwrap_or(0),
             });
-            n.check_caps(spec, sink);
-        } else {
-            // Undefined/mutated Connected entry: dial without Hello.
-            n.client_internal(spec, ClientEvent::Connected);
+            n.world.check_caps(spec, sink);
         }
         out.push(n);
     }
 
     // Deliver the head of the collector→node FIFO.
-    if s.conn && !s.c2n.is_empty() {
+    if w.conn && !w.c2n.is_empty() {
         let mut n = s.clone();
-        let msg = n.c2n.remove(0);
+        let msg = n.world.c2n.remove(0);
         let event = match msg {
             CMsg::Welcome { .. } => ClientEvent::RecvWelcome,
             CMsg::Assign => ClientEvent::RecvAssign,
@@ -291,135 +304,102 @@ fn ctrl_successors(s: &Ctrl, spec: &ProtocolSpec, sink: &mut Sink) -> Vec<Ctrl> 
             CMsg::DegradeOn | CMsg::DegradeOff => ClientEvent::RecvDegrade,
             CMsg::Shutdown => ClientEvent::RecvShutdown,
         };
-        match spec.client_step(n.client, event) {
-            None => {
+        let held = n.client.held();
+        match (n.client.step(event), msg) {
+            (None, _) => {
                 sink.push(
                     rules::UNEXPECTED_MESSAGE,
                     format!(
                         "ctrl: node in {:?} has no table entry for {event:?}",
-                        n.client
+                        n.client.state()
                     ),
                 );
             }
-            Some((action, next)) => {
-                n.client = next;
-                match (action, msg) {
-                    (ClientAction::AdoptWelcome, CMsg::Welcome { inc }) => {
-                        if n.held.is_some_and(|h| inc < h) {
-                            sink.push(
-                                rules::INCARNATION_REGRESSION,
-                                format!(
-                                    "ctrl: Welcome regressed the node's incarnation \
-                                     from {:?} to {inc}",
-                                    n.held
-                                ),
-                            );
-                        }
-                        n.held = Some(inc.max(n.held.unwrap_or(0)));
-                        n.registered_once = true;
-                    }
-                    (ClientAction::RunTick, CMsg::Tick { epoch }) => {
-                        n.n2c.push(NMsg::Report { epoch });
-                        n.check_caps(spec, sink);
-                    }
-                    _ => {}
+            (Some(ClientAction::AdoptWelcome), CMsg::Welcome { inc }) => {
+                if !n.client.adopt_incarnation(inc) {
+                    sink.push(
+                        rules::INCARNATION_REGRESSION,
+                        format!(
+                            "ctrl: Welcome regressed the node's incarnation \
+                             from {held:?} to {inc}"
+                        ),
+                    );
                 }
             }
+            (Some(ClientAction::RunTick), CMsg::Tick { epoch }) => {
+                n.world.n2c.push(NMsg::Report { epoch });
+                n.world.check_caps(spec, sink);
+            }
+            (Some(_), _) => {}
         }
         out.push(n);
     }
 
     // Deliver the head of the node→collector FIFO.
-    if s.conn && !s.n2c.is_empty() {
+    if w.conn && !w.n2c.is_empty() {
         let mut n = s.clone();
-        let msg = n.n2c.remove(0);
-        match msg {
-            NMsg::Hello { inc } => {
-                let event = if inc == 0 {
-                    SessionEvent::RecvHelloFresh
-                } else {
-                    SessionEvent::RecvHelloHeld
-                };
-                match spec.session_step(n.session, event) {
-                    None => {
+        match n.world.n2c.remove(0) {
+            NMsg::Hello { inc } => match n.session.on_hello(inc) {
+                HelloOutcome::Rejected => {
+                    let event = if inc == 0 {
+                        SessionEvent::RecvHelloFresh
+                    } else {
+                        SessionEvent::RecvHelloHeld
+                    };
+                    sink.push(
+                        rules::UNEXPECTED_MESSAGE,
+                        format!(
+                            "ctrl: session in {:?} has no table entry for {event:?}",
+                            n.session.state()
+                        ),
+                    );
+                }
+                HelloOutcome::Minted(granted) => {
+                    let last = n.world.last_fresh_grant;
+                    if granted <= last {
                         sink.push(
-                            rules::UNEXPECTED_MESSAGE,
+                            rules::INCARNATION_REGRESSION,
                             format!(
-                                "ctrl: session in {:?} has no table entry for {event:?}",
-                                n.session
+                                "ctrl: fresh Hello granted incarnation {granted}, not strictly \
+                                 above the previous grant {last}"
                             ),
                         );
                     }
-                    Some((SessionAction::AssignFreshIncarnation, next)) => {
-                        n.session = next;
-                        if spec.fresh_bump {
-                            n.slot += 1;
-                        }
-                        if n.slot <= n.last_fresh_grant {
-                            sink.push(
-                                rules::INCARNATION_REGRESSION,
-                                format!(
-                                    "ctrl: fresh Hello granted incarnation {}, not strictly \
-                                     above the previous grant {}",
-                                    n.slot, n.last_fresh_grant
-                                ),
-                            );
-                        }
-                        n.last_fresh_grant = n.last_fresh_grant.max(n.slot);
-                        n.conn_registered = true;
-                        n.c2n.push(CMsg::Welcome { inc: n.slot });
-                        n.session_internal(spec, SessionEvent::SendAssign);
-                        n.c2n.push(CMsg::Assign);
-                        n.check_caps(spec, sink);
-                    }
-                    Some((SessionAction::KeepHeldIncarnation, next)) => {
-                        n.session = next;
-                        n.slot = n.slot.max(inc);
-                        n.conn_registered = true;
-                        // Welcome echoes the *held* incarnation, not the
-                        // slot max: a stale life must stay on its own
-                        // incarnation rather than adopt a newer one.
-                        n.c2n.push(CMsg::Welcome { inc });
-                        n.session_internal(spec, SessionEvent::SendAssign);
-                        n.c2n.push(CMsg::Assign);
-                        n.check_caps(spec, sink);
-                    }
-                    Some((_, next)) => {
-                        // Refused (e.g. draining): the collector hangs up.
-                        n.session = next;
-                        n.drop_conn(spec);
-                    }
+                    n.world.last_fresh_grant = last.max(granted);
+                    n.world.admit(granted, spec, sink);
                 }
-            }
+                HelloOutcome::Echoed(held) => n.world.admit(held, spec, sink),
+                // Refused (e.g. draining): the collector hangs up.
+                HelloOutcome::Refused => n.drop_conn(),
+            },
             NMsg::Report { epoch } => {
-                let stale = !(s.ticked && epoch == s.epoch);
+                let stale = !(w.ticked && epoch == w.epoch);
                 let as_fresh = !stale || spec.barrier.credit_stale_reports;
                 let event = if as_fresh {
                     SessionEvent::RecvReportFresh
                 } else {
                     SessionEvent::RecvReportStale
                 };
-                match spec.session_step(n.session, event) {
+                match n.session.step(event) {
                     None => {
                         sink.push(
                             rules::UNEXPECTED_MESSAGE,
                             format!(
                                 "ctrl: session in {:?} has no table entry for {event:?} \
                                  (report epoch {epoch}, barrier epoch {})",
-                                n.session, s.epoch
+                                n.session.state(),
+                                w.epoch
                             ),
                         );
                     }
-                    Some((action, next)) => {
-                        n.session = next;
-                        if action == SessionAction::CreditReport {
-                            n.credited = true;
-                            if n.session == SessionState::Dead {
-                                n.fresh_evidence = true;
-                                n.evidence_stale = stale;
-                            }
+                    Some(SessionAction::CreditReport) => {
+                        n.world.credited = true;
+                        if n.session.state() == SessionState::Dead {
+                            n.world.fresh_evidence = true;
+                            n.world.evidence_stale = stale;
                         }
                     }
+                    Some(_) => {}
                 }
             }
         }
@@ -427,32 +407,30 @@ fn ctrl_successors(s: &Ctrl, spec: &ProtocolSpec, sink: &mut Sink) -> Vec<Ctrl> 
     }
 
     // Tick: the epoch loop advances and fans out to the registry.
-    if !s.collector_done && !s.shutdown_sent && !s.ticked && s.epoch < spec.bounds.epochs {
+    if !w.collector_done && !w.shutdown_sent && !w.ticked && w.epoch < spec.bounds.epochs {
         let mut n = s.clone();
-        n.epoch += 1;
-        n.ticked = true;
-        n.credited = false;
-        n.degrade_moved = false;
-        if n.conn && n.conn_registered {
-            if let Some((SessionAction::DeliverTick, next)) =
-                spec.session_step(n.session, SessionEvent::SendTick)
-            {
-                n.session = next;
-                n.c2n.push(CMsg::Tick { epoch: n.epoch });
-                n.check_caps(spec, sink);
-            } else {
-                n.session_internal(spec, SessionEvent::SendTick);
-            }
+        n.world.epoch += 1;
+        n.world.ticked = true;
+        n.world.credited = false;
+        n.world.degrade_moved = false;
+        if n.world.conn
+            && n.world.conn_registered
+            && n.session.step(SessionEvent::SendTick) == Some(SessionAction::DeliverTick)
+        {
+            n.world.c2n.push(CMsg::Tick {
+                epoch: n.world.epoch,
+            });
+            n.world.check_caps(spec, sink);
         }
         out.push(n);
     }
 
     // Barrier: the report deadline expires and health verdicts land.
-    if s.ticked {
+    if w.ticked {
         let mut n = s.clone();
-        n.ticked = false;
-        if n.session == SessionState::Dead && n.fresh_evidence {
-            if n.evidence_stale {
+        n.world.ticked = false;
+        if n.session.state() == SessionState::Dead && n.world.fresh_evidence {
+            if n.world.evidence_stale {
                 sink.push(
                     rules::UNEXPECTED_MESSAGE,
                     "ctrl: a stale straggler report resurrected a confirmed-dead \
@@ -460,104 +438,98 @@ fn ctrl_successors(s: &Ctrl, spec: &ProtocolSpec, sink: &mut Sink) -> Vec<Ctrl> 
                         .to_string(),
                 );
             }
-            n.session_internal(spec, SessionEvent::MarkRecovered);
-            n.fresh_evidence = false;
-            n.evidence_stale = false;
-            n.misses = 0;
-        } else if n.credited {
-            n.misses = 0;
+            n.session.step(SessionEvent::MarkRecovered);
+            n.world.fresh_evidence = false;
+            n.world.evidence_stale = false;
+            n.world.misses = 0;
+        } else if n.world.credited {
+            n.world.misses = 0;
         } else {
-            n.misses = (n.misses + 1).min(spec.barrier.confirm_after);
-            n.session_internal(spec, SessionEvent::MissDeadline);
-            if n.misses >= spec.barrier.confirm_after && n.session != SessionState::Dead {
-                n.session_internal(spec, SessionEvent::ConfirmDead);
-                n.session_internal(spec, SessionEvent::Repair);
+            n.world.misses = (n.world.misses + 1).min(spec.barrier.confirm_after);
+            n.session.step(SessionEvent::MissDeadline);
+            if n.world.misses >= spec.barrier.confirm_after
+                && n.session.state() != SessionState::Dead
+            {
+                n.session.step(SessionEvent::ConfirmDead);
+                n.session.step(SessionEvent::Repair);
             }
         }
         out.push(n);
     }
 
     // Degrade fan-out: at most one backpressure move per epoch.
-    if !s.collector_done && !s.shutdown_sent && !s.degrade_moved && s.conn && s.conn_registered {
+    if !w.collector_done && !w.shutdown_sent && !w.degrade_moved && w.conn && w.conn_registered {
         let mut n = s.clone();
-        n.degrade_moved = true;
-        if s.degraded {
-            n.degraded = false;
-            n.session_internal(spec, SessionEvent::SendRecover);
-            n.c2n.push(CMsg::DegradeOff);
+        n.world.degrade_moved = true;
+        n.world.degraded = !w.degraded;
+        if w.degraded {
+            n.session.step(SessionEvent::SendRecover);
+            n.world.c2n.push(CMsg::DegradeOff);
         } else {
-            n.degraded = true;
-            n.session_internal(spec, SessionEvent::SendDegrade);
-            n.c2n.push(CMsg::DegradeOn);
+            n.session.step(SessionEvent::SendDegrade);
+            n.world.c2n.push(CMsg::DegradeOn);
         }
-        n.check_caps(spec, sink);
+        n.world.check_caps(spec, sink);
         out.push(n);
     }
 
     // Shutdown broadcast after the last barrier closes.
-    if !s.collector_done && !s.shutdown_sent && s.epoch == spec.bounds.epochs && !s.ticked {
+    if !w.collector_done && !w.shutdown_sent && w.epoch == spec.bounds.epochs && !w.ticked {
         let mut n = s.clone();
-        n.shutdown_sent = true;
-        if n.conn && n.conn_registered {
-            n.session_internal(spec, SessionEvent::SendShutdown);
-            n.c2n.push(CMsg::Shutdown);
-            n.check_caps(spec, sink);
+        n.world.shutdown_sent = true;
+        if n.world.conn && n.world.conn_registered {
+            n.session.step(SessionEvent::SendShutdown);
+            n.world.c2n.push(CMsg::Shutdown);
+            n.world.check_caps(spec, sink);
         }
         out.push(n);
     }
 
     // Collector process exit: after the broadcast drains.
-    if s.shutdown_sent && !s.collector_done && s.c2n.is_empty() {
+    if w.shutdown_sent && !w.collector_done && w.c2n.is_empty() {
         let mut n = s.clone();
-        n.collector_done = true;
-        if n.conn {
-            n.drop_conn(spec);
+        n.world.collector_done = true;
+        if n.world.conn {
+            n.drop_conn();
         }
         out.push(n);
     }
 
     // Node hangs up after draining.
-    if s.conn && s.client == ClientState::Done {
+    if w.conn && s.client.state() == ClientState::Done {
         let mut n = s.clone();
-        n.conn = false;
-        n.conn_registered = false;
-        n.c2n.clear();
-        n.n2c.clear();
-        n.session_internal(spec, SessionEvent::ConnLost);
+        n.hang_up();
         out.push(n);
     }
 
     // Connection reset: both sides observe ConnLost, queues are lost,
     // the process (and its held incarnation) survives.
-    if s.conn && s.resets_left > 0 {
+    if w.conn && w.resets_left > 0 {
         let mut n = s.clone();
-        n.resets_left -= 1;
-        n.drop_conn(spec);
+        n.world.resets_left -= 1;
+        n.drop_conn();
         out.push(n);
     }
 
     // Process restart: a brand-new supervisor with no held state.
-    if s.restarts_left > 0 && s.client != ClientState::Done {
+    if w.restarts_left > 0 && s.client.state() != ClientState::Done {
         let mut n = s.clone();
-        n.restarts_left -= 1;
-        if n.conn {
-            n.conn = false;
-            n.conn_registered = false;
-            n.c2n.clear();
-            n.n2c.clear();
-            n.session_internal(spec, SessionEvent::ConnLost);
+        n.world.restarts_left -= 1;
+        if n.world.conn {
+            n.hang_up();
         }
-        n.client = ClientState::Disconnected;
-        n.held = None;
-        n.registered_once = false;
+        n.client = ClientMachine::with_spec(Arc::clone(spec));
         out.push(n);
     }
 
     // Give up: a registered supervisor stops redialing once the
     // collector is gone.
-    if s.collector_done && s.client == ClientState::Disconnected && s.registered_once {
+    if w.collector_done
+        && s.client.state() == ClientState::Disconnected
+        && s.client.held().is_some()
+    {
         let mut n = s.clone();
-        n.client_internal(spec, ClientEvent::GiveUp);
+        n.client.step(ClientEvent::GiveUp);
         out.push(n);
     }
 
@@ -574,25 +546,24 @@ fn walk_order<S>(succs: Vec<S>) -> Vec<((), S)> {
 
 /// Explores the control-plane product automaton.
 fn verify_ctrl(spec: &ProtocolSpec, depth: usize, sink: &mut Sink) -> ExploreStats {
-    explore(
-        Ctrl::initial(spec),
-        depth,
-        Ctrl::clone,
-        |state, _: &[()]| {
-            let succs = ctrl_successors(state, spec, sink);
-            if succs.is_empty() && !state.terminal() {
-                sink.push(
-                    rules::PROTOCOL_DEADLOCK,
-                    format!(
-                        "ctrl: stuck non-terminal state (client {:?}, session {:?}, \
+    let spec = Arc::new(spec.clone());
+    dfs(Ctrl::initial(&spec), depth, Ctrl::key, |state, _: &[()]| {
+        let succs = ctrl_successors(state, &spec, sink);
+        if succs.is_empty() && !state.terminal() {
+            sink.push(
+                rules::PROTOCOL_DEADLOCK,
+                format!(
+                    "ctrl: stuck non-terminal state (client {:?}, session {:?}, \
                      conn {}, epoch {}) has no enabled transition",
-                        state.client, state.session, state.conn, state.epoch
-                    ),
-                );
-            }
-            walk_order(succs)
-        },
-    )
+                    state.client.state(),
+                    state.session.state(),
+                    state.world.conn,
+                    state.world.epoch
+                ),
+            );
+        }
+        walk_order(succs)
+    })
 }
 
 // ================================================================== arq
@@ -824,7 +795,7 @@ fn arq_successors(s: &Arq, spec: &ProtocolSpec, sink: &mut Sink) -> Vec<Arq> {
 /// Explores the ARQ sender/receiver automaton with both ends at a
 /// dedup window of `window` seqs.
 fn verify_arq(spec: &ProtocolSpec, depth: usize, window: u64, sink: &mut Sink) -> ExploreStats {
-    explore(
+    dfs(
         Arq::initial(spec, window),
         depth,
         Arq::clone,

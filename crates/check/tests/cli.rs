@@ -6,8 +6,7 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use remo_check::corpus::{audit_cases, proto_cases, static_cases};
-use remo_core::corpus::Case;
+use remo_check::corpus::{audit_cases, proto_cases, static_cases, Case};
 use remo_core::validate::{rule, Analyzer, Severity, RULES};
 use remo_core::CapacityMap;
 use serde_json::Value;

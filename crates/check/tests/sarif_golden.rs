@@ -16,9 +16,9 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use remo_check::corpus::{audit_cases, proto_cases, static_cases};
+use remo_check::sarif::sarif_json;
 use remo_check::verify::verify_with_depth;
 use remo_check::{analyze, explore, seeded_specs, InvariantConfig, ReplayFile, ReplayOutcome};
-use remo_core::sarif::sarif_json;
 use remo_core::validate::{Audit, AuditOutcome, Finding};
 use remo_core::CapacityMap;
 use remo_runtime::spec::ProtocolSpec;

@@ -148,15 +148,6 @@ impl AttrCatalog {
         id
     }
 
-    /// Registers `info` under an explicit id, used by reliability
-    /// rewriting to create aliases with deterministic ids.
-    ///
-    /// Returns the previous entry if one existed.
-    pub fn register_with_id(&mut self, id: AttrId, info: AttrInfo) -> Option<AttrInfo> {
-        self.next = self.next.max(id.0 + 1);
-        self.entries.insert(id, info)
-    }
-
     /// Looks up an attribute's metadata.
     pub fn get(&self, id: AttrId) -> Option<&AttrInfo> {
         self.entries.get(&id)
@@ -202,14 +193,6 @@ mod tests {
         let b = c.register(AttrInfo::new("b"));
         assert_eq!(a, AttrId(0));
         assert_eq!(b, AttrId(1));
-    }
-
-    #[test]
-    fn register_with_id_bumps_next() {
-        let mut c = AttrCatalog::new();
-        c.register_with_id(AttrId(10), AttrInfo::new("x"));
-        let next = c.register(AttrInfo::new("y"));
-        assert_eq!(next, AttrId(11));
     }
 
     #[test]

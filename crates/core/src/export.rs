@@ -1,7 +1,6 @@
 //! Plan export: Graphviz DOT rendering of monitoring forests and a
 //! compact text summary — the operator-facing views of a topology.
 
-use crate::ids::NodeId;
 use crate::plan::MonitoringPlan;
 use crate::tree::Parent;
 use std::fmt::Write as _;
@@ -95,40 +94,13 @@ pub fn summarize(plan: &MonitoringPlan) -> String {
     out
 }
 
-/// Per-node membership listing: which trees each node participates in
-/// and what it spends — the view a node operator needs.
-pub fn node_report(plan: &MonitoringPlan, node: NodeId) -> String {
-    let mut out = String::new();
-    let usage = plan.node_usage().get(&node).copied().unwrap_or(0.0);
-    let _ = writeln!(out, "{node}: total usage {usage:.2}");
-    for (k, planned) in plan.trees().iter().enumerate() {
-        if let Some(tree) = planned.tree.as_ref() {
-            if tree.contains(node) {
-                let role = match tree.parent(node) {
-                    Some(Parent::Collector) => "root".to_string(),
-                    Some(Parent::Node(p)) => format!("child of {p}"),
-                    None => "unknown".to_string(),
-                };
-                let _ = writeln!(
-                    out,
-                    "  tree {k}: {role}, depth {}, {} children, usage {:.2}",
-                    tree.depth(node).unwrap_or(0),
-                    tree.children(node).len(),
-                    planned.usage.get(&node).copied().unwrap_or(0.0),
-                );
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
     use super::*;
     use crate::capacity::CapacityMap;
     use crate::cost::CostModel;
-    use crate::ids::AttrId;
+    use crate::ids::{AttrId, NodeId};
     use crate::pairs::PairSet;
     use crate::planner::Planner;
 
@@ -158,22 +130,5 @@ mod tests {
             assert!(s.contains(&format!("tree {k} ")), "missing tree {k}: {s}");
         }
         assert!(s.contains("coverage"));
-    }
-
-    #[test]
-    fn node_report_shows_roles() {
-        let p = plan();
-        let some_node = p.trees()[0].tree.as_ref().unwrap().root();
-        let r = node_report(&p, some_node);
-        assert!(r.contains("root"));
-        assert!(r.contains("usage"));
-    }
-
-    #[test]
-    fn node_report_for_absent_node_is_empty_but_valid() {
-        let p = plan();
-        let r = node_report(&p, NodeId(99));
-        assert!(r.contains("n99"));
-        assert_eq!(r.lines().count(), 1);
     }
 }

@@ -67,12 +67,10 @@ mod attribute;
 pub mod build;
 pub mod cache;
 mod capacity;
-pub mod corpus;
 mod cost;
 mod error;
 pub mod estimate;
 pub mod evaluate;
-pub mod explore;
 pub mod export;
 pub mod frequency;
 pub mod ids;
@@ -82,7 +80,6 @@ mod partition;
 pub mod plan;
 pub mod planner;
 pub mod reliability;
-pub mod sarif;
 pub mod spec;
 pub mod symbolic;
 mod task;

@@ -122,16 +122,6 @@ impl CostModel {
             self.message_cost(values.hi()),
         )
     }
-
-    /// Symbolic cost of a traffic aggregate: `C·messages + a·values`
-    /// where both counts are intervals. This is the per-epoch load
-    /// shape the analyzer reasons about — message count and value
-    /// count vary independently with the partition shape.
-    pub fn bulk_cost_interval(&self, messages: Interval, values: Interval) -> Interval {
-        messages
-            .scale(self.per_message())
-            .add(values.scale(self.per_value()))
-    }
 }
 
 impl Aggregation {
@@ -181,13 +171,6 @@ mod tests {
             assert!(sym.contains(cost.message_cost(x as f64)));
         }
         assert_eq!(sym, Interval::new(4.0, 9.0));
-    }
-
-    #[test]
-    fn bulk_cost_combines_messages_and_values() {
-        let cost = CostModel::new(2.0, 1.0).unwrap();
-        let c = cost.bulk_cost_interval(Interval::new(1.0, 4.0), Interval::new(8.0, 8.0));
-        assert_eq!(c, Interval::new(10.0, 16.0));
     }
 
     #[test]

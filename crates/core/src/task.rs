@@ -121,17 +121,6 @@ pub enum TaskChange {
     },
 }
 
-impl TaskChange {
-    /// The id of the task affected by this change.
-    pub fn task_id(&self) -> TaskId {
-        match self {
-            TaskChange::Add(t) => t.id(),
-            TaskChange::Remove(id) => *id,
-            TaskChange::Modify { id, .. } => *id,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -169,21 +158,5 @@ mod tests {
         assert!(t.is_empty());
         let t = MonitoringTask::new(TaskId(0), attrs(&[1]), nodes(&[1]));
         assert!(!t.is_empty());
-    }
-
-    #[test]
-    fn change_task_ids() {
-        let t = MonitoringTask::new(TaskId(7), attrs(&[0]), nodes(&[0]));
-        assert_eq!(TaskChange::Add(t).task_id(), TaskId(7));
-        assert_eq!(TaskChange::Remove(TaskId(8)).task_id(), TaskId(8));
-        assert_eq!(
-            TaskChange::Modify {
-                id: TaskId(9),
-                attrs: BTreeSet::new(),
-                nodes: BTreeSet::new(),
-            }
-            .task_id(),
-            TaskId(9)
-        );
     }
 }

@@ -170,20 +170,6 @@ impl Tree {
         out
     }
 
-    /// Path from `node` up to the root, inclusive on both ends.
-    pub fn path_to_root(&self, node: NodeId) -> Vec<NodeId> {
-        let mut path = Vec::new();
-        let mut cur = node;
-        while let Some(p) = self.parent.get(&cur) {
-            path.push(cur);
-            match p {
-                Parent::Collector => break,
-                Parent::Node(pn) => cur = *pn,
-            }
-        }
-        path
-    }
-
     /// Structural validity: exactly one root, every parent present,
     /// children index consistent, no cycles.
     pub fn is_valid(&self) -> bool {
@@ -301,17 +287,6 @@ mod tests {
             vec![NodeId(1), NodeId(2), NodeId(3)]
         );
         assert!(t.subtree(NodeId(9)).is_empty());
-    }
-
-    #[test]
-    fn path_to_root_inclusive() {
-        let t = chain3();
-        assert_eq!(
-            t.path_to_root(NodeId(2)),
-            vec![NodeId(2), NodeId(1), NodeId(0)]
-        );
-        assert_eq!(t.path_to_root(NodeId(0)), vec![NodeId(0)]);
-        assert!(t.path_to_root(NodeId(9)).is_empty());
     }
 
     #[test]

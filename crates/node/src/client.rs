@@ -130,14 +130,12 @@ struct NodeState {
     transport: Arc<TcpTransport>,
     /// The executable spec: every connection edge and every decoded
     /// control frame steps this machine, and the action it returns is
-    /// what gets executed. One machine per process life.
+    /// what gets executed. One machine per process life; it holds the
+    /// incarnation this life adopted, which a reconnect re-greets with.
     machine: ClientMachine,
     /// `None` until first registration, then the agent and the
     /// receiving end of its tick-report channel.
     agent: Option<(Agent, Receiver<TickReport>)>,
-    /// The incarnation the agent stamps on its frames, re-greeted with
-    /// on every reconnect of this life.
-    incarnation: Option<u32>,
     sampler: Sampler,
     node: NodeId,
 }
@@ -176,7 +174,6 @@ impl NodeState {
         )
         .with_incarnation(incarnation);
         self.agent = Some((agent, report_rx));
-        self.incarnation = Some(incarnation);
     }
 
     /// Runs the agent on `msg`, then queues any tick report it produced
@@ -267,7 +264,6 @@ fn run_supervisor(
         transport: Arc::clone(&transport),
         machine: ClientMachine::new(),
         agent: None,
-        incarnation: None,
         sampler,
         node: cfg.node,
     };
@@ -283,7 +279,7 @@ fn run_supervisor(
                 failures += 1;
                 // Registered once and the collector has been gone for
                 // a while: the run is over, exit instead of spinning.
-                if state.incarnation.is_some() && failures > cfg.max_reconnect_failures {
+                if state.machine.held().is_some() && failures > cfg.max_reconnect_failures {
                     state.machine.step(ClientEvent::GiveUp);
                     break;
                 }
@@ -310,7 +306,7 @@ fn run_supervisor(
             transport.send_ctrl(
                 &CtrlMsg::Hello {
                     node: cfg.node,
-                    incarnation: state.incarnation.unwrap_or(0),
+                    incarnation: state.machine.held().unwrap_or(0),
                 },
                 0,
             );

@@ -55,6 +55,7 @@ use remo_runtime::deployment::plan_assignments;
 use remo_runtime::framing::{Envelope, FrameDecoder, CHAN_CTRL, CHAN_DATA, DEST_COLLECTOR};
 use remo_runtime::health::{HealthConfig, HealthMonitor};
 use remo_runtime::machine::{HelloOutcome, Sessions};
+use remo_runtime::spec::ProtocolSpec;
 use remo_runtime::transport::{Endpoint, NetConfig, Transport};
 use remo_runtime::{CollectorCore, Coordinator, CtrlMsg, EpochReport, RepairEngine, Sampler};
 use std::cell::RefCell;
@@ -103,12 +104,13 @@ impl std::fmt::Debug for ServiceConfig {
 
 impl ServiceConfig {
     /// Defaults for `pairs`/`caps` on `addr`: 40 epochs of 150 ms, a
-    /// 100 ms report barrier, a node confirmed dead after 2 missed
-    /// epochs, and 10 s for the nodes to register.
+    /// 100 ms report barrier, a node confirmed dead after the shipped
+    /// spec's `confirm_after` (2) missed epochs — the number `remo-check
+    /// proto` verifies — and 10 s for the nodes to register.
     pub fn new(addr: impl Into<String>, pairs: PairSet, caps: CapacityMap) -> Self {
         let health = HealthConfig {
             deadline: Duration::from_millis(100),
-            confirm_after: 2,
+            confirm_after: ProtocolSpec::shipped().barrier.confirm_after.into(),
         };
         ServiceConfig {
             addr: addr.into(),
@@ -403,7 +405,8 @@ impl Hub {
                     // draining) or leaves undefined closes the
                     // connection.
                     let outcome = self.sessions.hello(node, incarnation);
-                    let HelloOutcome::Admitted(assigned) = outcome else {
+                    let (HelloOutcome::Minted(assigned) | HelloOutcome::Echoed(assigned)) = outcome
+                    else {
                         return false;
                     };
                     // Welcome chased by Assign, in one write, and in
@@ -1070,7 +1073,7 @@ mod tests {
             for greeting in &greetings {
                 let held = greeting.held.unwrap_or(last_assigned);
                 let expected = match oracle.on_hello(held) {
-                    HelloOutcome::Admitted(a) => a,
+                    HelloOutcome::Minted(a) | HelloOutcome::Echoed(a) => a,
                     other => panic!("spec refused a pre-shutdown Hello: {other:?}"),
                 };
 

@@ -5,7 +5,9 @@
 //! `client.rs` steps a [`ClientMachine`] per supervisor, and the
 //! collector's [`Sessions`] book a [`SessionMachine`] per node, which
 //! `service.rs` and `remo-check mc` both step — so a transition the
-//! spec does not define cannot be silently improvised. An undefined
+//! spec does not define cannot be silently improvised. `remo-check
+//! proto` steps one machine of each kind in its control-plane product,
+//! so incarnation minting, echo and adoption exist only here. An undefined
 //! step returns `None` and bumps a reject counter: node-side callers
 //! `debug_assert!` on it (their input comes from the trusted
 //! collector), the collector counts it for input that arrives over the
@@ -67,6 +69,12 @@ impl ClientMachine {
         self.state
     }
 
+    /// The incarnation this process life last adopted; `None` until
+    /// its first Welcome. A reconnect greets with it.
+    pub fn held(&self) -> Option<u32> {
+        self.held
+    }
+
     /// Transitions the spec left undefined that this machine was asked
     /// to take anyway.
     pub fn rejects(&self) -> u64 {
@@ -106,8 +114,12 @@ impl ClientMachine {
 /// How a Hello landed on a [`SessionMachine`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HelloOutcome {
-    /// Admitted; carry this incarnation in the Welcome.
-    Admitted(u32),
+    /// Admitted with a freshly minted incarnation (the table said
+    /// `AssignFreshIncarnation`); carry it in the Welcome.
+    Minted(u32),
+    /// Admitted on the incarnation the Hello held (the table said
+    /// `KeepHeldIncarnation`); the Welcome echoes it.
+    Echoed(u32),
     /// The spec defines the Hello as ignored (e.g. during drain):
     /// refuse the registration without counting a protocol reject.
     Refused,
@@ -154,6 +166,12 @@ impl SessionMachine {
         self.state
     }
 
+    /// The node's incarnation slot: the highest incarnation minted or
+    /// echoed so far.
+    pub fn slot(&self) -> u32 {
+        self.slot
+    }
+
     /// Transitions the spec left undefined that this machine was asked
     /// to take anyway.
     pub fn rejects(&self) -> u64 {
@@ -194,7 +212,7 @@ impl SessionMachine {
                 }
                 let assigned = self.slot;
                 self.step(SessionEvent::SendAssign);
-                HelloOutcome::Admitted(assigned)
+                HelloOutcome::Minted(assigned)
             }
             Some(SessionAction::KeepHeldIncarnation) => {
                 self.slot = self.slot.max(held);
@@ -203,7 +221,7 @@ impl SessionMachine {
                 // slot max: a reconnecting stale life stays on its own
                 // incarnation instead of adopting a newer one and
                 // colliding with that life's sequence space.
-                HelloOutcome::Admitted(held)
+                HelloOutcome::Echoed(held)
             }
             Some(_) => HelloOutcome::Refused,
             None => HelloOutcome::Rejected,
@@ -495,18 +513,18 @@ mod tests {
     #[test]
     fn session_assigns_strictly_growing_incarnations() {
         let mut s = SessionMachine::new();
-        assert_eq!(s.on_hello(0), HelloOutcome::Admitted(1));
+        assert_eq!(s.on_hello(0), HelloOutcome::Minted(1));
         assert_eq!(s.state(), SessionState::Assigned);
         // Reconnect of the same life keeps it.
-        assert_eq!(s.on_hello(1), HelloOutcome::Admitted(1));
+        assert_eq!(s.on_hello(1), HelloOutcome::Echoed(1));
         // A restarted process gets a strictly newer one.
-        assert_eq!(s.on_hello(0), HelloOutcome::Admitted(2));
+        assert_eq!(s.on_hello(0), HelloOutcome::Minted(2));
     }
 
     #[test]
     fn draining_sessions_refuse_new_hellos() {
         let mut s = SessionMachine::new();
-        assert_eq!(s.on_hello(0), HelloOutcome::Admitted(1));
+        assert_eq!(s.on_hello(0), HelloOutcome::Minted(1));
         assert_eq!(
             s.step(SessionEvent::SendShutdown),
             Some(SessionAction::Drain)
@@ -519,7 +537,7 @@ mod tests {
     fn the_book_records_undefined_collector_steps_and_counts_input_rejects() {
         let mut book = Sessions::default();
         let (up, stranger) = (NodeId(0), NodeId(1));
-        assert_eq!(book.hello(up, 0), HelloOutcome::Admitted(1));
+        assert_eq!(book.hello(up, 0), HelloOutcome::Minted(1));
         // A report from a node that never said Hello is hostile input:
         // a reject, not a collector bug.
         let report = TickReport {

@@ -30,25 +30,6 @@ pub fn ramp(base: f64, slope: f64) -> Sampler {
     Arc::new(move |_n, _a, e| base + slope * e as f64)
 }
 
-/// A seeded pseudo-random walk per pair, bounded to `[lo, hi]` —
-/// stateless (value derived from a hash of `(node, attr, epoch)`), so
-/// agents on different threads agree with any replayer.
-pub fn bounded_noise(lo: f64, hi: f64, seed: u64) -> Sampler {
-    Arc::new(move |n: NodeId, a: AttrId, e: u64| {
-        // SplitMix64 over the tuple.
-        let mut z = seed
-            .wrapping_add((n.0 as u64) << 40)
-            .wrapping_add((a.0 as u64) << 20)
-            .wrapping_add(e)
-            .wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        let unit = (z >> 11) as f64 / (1u64 << 53) as f64;
-        lo + unit * (hi - lo)
-    })
-}
-
 /// Fixed per-pair values from a table; pairs not in the table read
 /// `default`. Useful for injecting exact anomalies in tests.
 pub fn table(values: HashMap<(NodeId, AttrId), f64>, default: f64) -> Sampler {
@@ -81,20 +62,6 @@ mod tests {
         let s = ramp(10.0, 2.0);
         assert_eq!(s(NodeId(0), AttrId(0), 0), 10.0);
         assert_eq!(s(NodeId(0), AttrId(0), 5), 20.0);
-    }
-
-    #[test]
-    fn bounded_noise_is_bounded_and_reproducible() {
-        let s1 = bounded_noise(10.0, 20.0, 42);
-        let s2 = bounded_noise(10.0, 20.0, 42);
-        let mut distinct = std::collections::BTreeSet::new();
-        for e in 0..200 {
-            let v = s1(NodeId(3), AttrId(1), e);
-            assert!((10.0..=20.0).contains(&v));
-            assert_eq!(v, s2(NodeId(3), AttrId(1), e), "same seed, same stream");
-            distinct.insert((v * 1e6) as i64);
-        }
-        assert!(distinct.len() > 150, "stream should not be degenerate");
     }
 
     #[test]

@@ -122,11 +122,6 @@ impl ResultProcessor {
         &self.fired
     }
 
-    /// Drains and returns the firings recorded so far.
-    pub fn take_alerts(&mut self) -> Vec<Alert> {
-        std::mem::take(&mut self.fired)
-    }
-
     /// Evaluates every rule against `store`'s snapshots of `pairs` at
     /// epoch `now`; returns how many alerts fired this round.
     pub fn evaluate(
@@ -277,15 +272,5 @@ mod tests {
             6,
         );
         assert_eq!(rp.evaluate(&s, [], 6), 1);
-    }
-
-    #[test]
-    fn take_alerts_drains() {
-        let mut rp = ResultProcessor::new();
-        rp.add_rule(AlertRule::above("hot", AttrId(0), 90.0));
-        let s = store_with(1, 0, 95.0, 10);
-        rp.evaluate(&s, [(NodeId(1), AttrId(0))], 11);
-        assert_eq!(rp.take_alerts().len(), 1);
-        assert!(rp.alerts().is_empty());
     }
 }

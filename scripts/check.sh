@@ -299,6 +299,25 @@ if grep -rnE 'fn period_of\b|1\.0 / .*frequency\(\)' crates/*/src | grep -v '^cr
   exit 1
 fi
 
+# One control-plane implementation: `remo-check proto` steps the
+# runtime's own client and session machines (remo_runtime::machine), so
+# incarnation minting, echo and adoption exist once; the node supervisor
+# keeps its held incarnation in its ClientMachine alone. The verifier's
+# scaffolding (explorer, SARIF, corpus shape) is remo-check's own.
+echo "==> one control-plane implementation, verifier scaffolding in remo-check"
+if grep -nE '\b(client_step|session_step|fresh_bump)\b' crates/check/src/verify.rs; then
+  echo "verify.rs must step ClientMachine/SessionMachine, not look the spec tables up itself" >&2
+  exit 1
+fi
+if grep -nE 'incarnation: Option<u32>' crates/node/src/client.rs; then
+  echo "client.rs holds its incarnation in the ClientMachine (ClientMachine::held), not a second field" >&2
+  exit 1
+fi
+if grep -nE '\bmod (explore|sarif|corpus)\b' crates/core/src/lib.rs; then
+  echo "explore, sarif and corpus are remo-check modules, not planner-crate ones" >&2
+  exit 1
+fi
+
 # One engine: the evaluation substrate steps the real agents. None of
 # the deleted epoch engine's types may come back beside them.
 echo "==> no second epoch engine (crates/, tests/, examples/)"
